@@ -43,3 +43,60 @@ func (t *cellTable) cell(i int) *onceCell[*Point] {
 	}
 	return &sh[i&(len(sh)-1)]
 }
+
+// flagShardBits sizes the search core's flag-table shards: 512 flags,
+// eight words, per shard.
+const flagShardBits = 9
+
+type flagShard [1 << flagShardBits / 64]uint64
+
+// flagTable is a per-run set of dense Space.Index values: the search
+// core's charged and kept sets. Shards materialise on first set and are
+// keyed by shard number in a map, so a budgeted search over a huge
+// space pays for the shards it touches, never for the space's size.
+// The last shard touched is cached, so a run over consecutive indices
+// (an exhaustive sweep) hits the map once per 512 points. The zero
+// value is an empty set; it is not safe for concurrent use (the search
+// core owns its tables on one goroutine).
+type flagTable struct {
+	shards  map[int]*flagShard
+	last    *flagShard
+	lastKey int
+}
+
+// shard returns the shard holding flag i, creating it when create is
+// set, or nil.
+func (t *flagTable) shard(i int, create bool) *flagShard {
+	k := i >> flagShardBits
+	if t.last != nil && t.lastKey == k {
+		return t.last
+	}
+	sh := t.shards[k]
+	if sh == nil {
+		if !create {
+			return nil
+		}
+		if t.shards == nil {
+			t.shards = map[int]*flagShard{}
+		}
+		sh = new(flagShard)
+		t.shards[k] = sh
+	}
+	t.last, t.lastKey = sh, k
+	return sh
+}
+
+// has reports whether flag i is set.
+func (t *flagTable) has(i int) bool {
+	sh := t.shard(i, false)
+	return sh != nil && sh[i>>6&(len(sh)-1)]&(1<<(i&63)) != 0
+}
+
+// set sets flag i and reports whether it was already set.
+func (t *flagTable) set(i int) bool {
+	w := &t.shard(i, true)[i>>6&(len(flagShard{})-1)]
+	bit := uint64(1) << (i & 63)
+	was := *w&bit != 0
+	*w |= bit
+	return was
+}

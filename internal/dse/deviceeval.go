@@ -63,8 +63,7 @@ func (mc *ModelCache) Models(t *device.Target) (*costmodel.Model, *membw.Model, 
 	if t == nil {
 		return nil, nil, fmt.Errorf("dse: nil device")
 	}
-	c, _ := mc.cells.LoadOrStore(t.Name, &onceCell[modelPair]{})
-	cell := c.(*onceCell[modelPair])
+	cell := loadCell[onceCell[modelPair]](&mc.cells, t.Name)
 	cell.once.Do(func() {
 		// Persistent tier first: the record key covers the full target
 		// description, so a hit is exactly the pair calibration would
@@ -125,6 +124,7 @@ type deviceEval struct {
 	w     perf.Workload
 	form  perf.Form
 	emode ModelEvalMode
+	axes  *axisGuard
 
 	evals []onceCell[*modelEval] // one per shelf entry
 }
@@ -203,9 +203,11 @@ func newDeviceEval(mode EvalMode, shelf []*device.Target, build VariantBuilder,
 		form:  form,
 		emode: cfg.ModelEval,
 		evals: make([]onceCell[*modelEval], len(shelf)),
+		axes:  newAxisGuard("the device-shelf evaluator", AxisLanes, AxisDV, AxisForm, AxisFclk, AxisDevice),
 	}
 	if mode != EvalModel {
 		de.sm = newSimMeasurer(de.mods, cfg, cache.store)
+		de.axes = simAxisGuard(mode, AxisDevice)
 	}
 	return de.eval, nil
 }
@@ -231,29 +233,27 @@ func (de *deviceEval) modelEvalFor(idx int) (*modelEval, error) {
 // axis labels against the shelf so a space built over a different
 // shelf (or a reordered one) fails loudly instead of silently pricing
 // points on the wrong device.
-func (de *deviceEval) deviceIndex(s *Space, v Variant) (int, error) {
-	idx := s.ValueDefault(v, AxisDevice, 0)
+func (de *deviceEval) deviceIndex(b *spaceBinding, v Variant) (int, error) {
+	idx := b.value(v, b.device, 0)
 	if idx < 0 || idx >= len(de.shelf) {
 		return 0, fmt.Errorf("dse: device axis value %d outside the %d-entry shelf", idx, len(de.shelf))
 	}
-	if label, ok := s.Label(v, AxisDevice); ok && label != de.shelf[idx].Name {
+	if b.device < 0 {
+		return idx, nil
+	}
+	if labels := b.space.axes[b.device].Labels; len(labels) != 0 && labels[v[b.device]] != de.shelf[idx].Name {
 		return 0, fmt.Errorf("dse: device axis labels %q at index %d but the shelf has %s there (axis and evaluator built from different shelves?)",
-			label, idx, de.shelf[idx].Name)
+			labels[v[b.device]], idx, de.shelf[idx].Name)
 	}
 	return idx, nil
 }
 
 func (de *deviceEval) eval(s *Space, v Variant) (*Point, error) {
-	allowed := []string{AxisLanes, AxisDV, AxisForm, AxisFclk, AxisDevice}
-	who := "the device-shelf evaluator"
-	if de.mode != EvalModel {
-		allowed, who = simAxesFor(de.mode)
-		allowed = append(allowed, AxisDevice)
-	}
-	if err := s.checkAxes(who, allowed...); err != nil {
+	b, err := de.axes.bind(s)
+	if err != nil {
 		return nil, err
 	}
-	idx, err := de.deviceIndex(s, v)
+	idx, err := de.deviceIndex(b, v)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +261,7 @@ func (de *deviceEval) eval(s *Space, v Variant) (*Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := me.point(s, v)
+	p, err := me.point(b, v)
 	if err != nil {
 		return nil, fmt.Errorf("dse: on %s: %w", de.shelf[idx].Name, err)
 	}
@@ -269,7 +269,7 @@ func (de *deviceEval) eval(s *Space, v Variant) (*Point, error) {
 	if de.mode == EvalModel {
 		return p, nil
 	}
-	lanes := s.ValueDefault(v, AxisLanes, 1)
+	lanes := b.value(v, b.lanes, 1)
 	meas, err := de.sm.measure(lanes)
 	if err != nil {
 		return nil, err

@@ -26,6 +26,18 @@ type onceCell[T any] struct {
 	err  error
 }
 
+// loadCell returns the memo cell m holds under k, storing a fresh one
+// on first use. The Load fast path keeps a hit allocation-free:
+// LoadOrStore alone would allocate a new cell on every call, hits
+// included.
+func loadCell[C any, K comparable](m *sync.Map, k K) *C {
+	if c, ok := m.Load(k); ok {
+		return c.(*C)
+	}
+	c, _ := m.LoadOrStore(k, new(C))
+	return c.(*C)
+}
+
 // moduleCache memoises variant-module builds per lane count. It is its
 // own type (rather than a field bundle on modelEval) so evaluators that
 // hold several per-device modelEvals — the module of a lane count is
@@ -43,8 +55,7 @@ func newModuleCache(build VariantBuilder) *moduleCache {
 
 // module builds the lanes-axis variant once per lane count.
 func (mc *moduleCache) module(lanes int) (*tir.Module, error) {
-	c, _ := mc.builds.LoadOrStore(lanes, &onceCell[*tir.Module]{})
-	cell := c.(*onceCell[*tir.Module])
+	cell := loadCell[onceCell[*tir.Module]](&mc.builds, lanes)
 	cell.once.Do(func() {
 		cell.val, cell.err = mc.build(lanes)
 		if cell.err != nil {
@@ -59,8 +70,7 @@ func (mc *moduleCache) module(lanes int) (*tir.Module, error) {
 // per lane count (Module.String is linear in the design size, so the
 // persistent-cache paths must not pay it per point).
 func (mc *moduleCache) moduleIR(lanes int) (string, error) {
-	c, _ := mc.irs.LoadOrStore(lanes, &onceCell[string]{})
-	cell := c.(*onceCell[string])
+	cell := loadCell[onceCell[string]](&mc.irs, lanes)
 	cell.once.Do(func() {
 		m, err := mc.module(lanes)
 		if err != nil {
@@ -117,10 +127,10 @@ func ParseModelEval(s string) (ModelEvalMode, error) {
 }
 
 // modelEval is the memoised core of the cost-model evaluator: module
-// builds per lane count and estimates per (lanes, dv), shared between
-// the standard evaluator and the simulation-backed evaluators (which
-// need the same model-side point for the resource bars, the walls and
-// the calibration cross-check).
+// builds per lane count, and estimates with their Table I parameters
+// per (lanes, dv), shared between the standard evaluator and the
+// simulation-backed evaluators (which need the same model-side point
+// for the resource bars, the walls and the calibration cross-check).
 type modelEval struct {
 	mdl  *costmodel.Model
 	bw   *membw.Model
@@ -143,8 +153,20 @@ type modelEval struct {
 	// the estimator emode names.
 	estimateFn func(m *tir.Module, dv int) (*costmodel.Estimate, error)
 
-	ests     sync.Map // [2]int{lanes, dv} -> *onceCell[*costmodel.Estimate]
+	ests     sync.Map // [2]int{lanes, dv} -> *estCell
 	compiled sync.Map // lanes int -> *onceCell[*costmodel.CompiledModel]
+}
+
+// estCell is the memo cell of one (lanes, dv): the estimate and the
+// Table I parameters extracted from it, settled together under one
+// Once. Every point of the cell — the form and fclk axes — prices the
+// same Params, so perf.Extract runs once per cell, whether the
+// estimate was computed or read from the store.
+type estCell struct {
+	once sync.Once
+	est  *costmodel.Estimate
+	par  perf.Params
+	err  error
 }
 
 func newModelEval(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
@@ -164,8 +186,7 @@ func newModelEvalShared(mdl *costmodel.Model, bw *membw.Model, mods *moduleCache
 // exactly once; every dv of the lane count evaluates the same flat
 // program.
 func (me *modelEval) compiledModel(lanes int, m *tir.Module) (*costmodel.CompiledModel, error) {
-	c, _ := me.compiled.LoadOrStore(lanes, &onceCell[*costmodel.CompiledModel]{})
-	cell := c.(*onceCell[*costmodel.CompiledModel])
+	cell := loadCell[onceCell[*costmodel.CompiledModel]](&me.compiled, lanes)
 	cell.once.Do(func() { cell.val, cell.err = me.mdl.Compile(m) })
 	return cell.val, cell.err
 }
@@ -175,96 +196,87 @@ func (me *modelEval) module(lanes int) (*tir.Module, error) {
 	return me.mods.module(lanes)
 }
 
-// estimate costs the (lanes, dv) variant once per process — and, with
-// a backing store, once per store lifetime: a warm run rehydrates the
-// estimate from its content-addressed record without re-running the
-// cost model (a corrupt or version-skewed record degrades to
-// recompute-and-rewrite).
-func (me *modelEval) estimate(lanes, dv int) (*costmodel.Estimate, error) {
-	c, _ := me.ests.LoadOrStore([2]int{lanes, dv}, &onceCell[*costmodel.Estimate]{})
-	cell := c.(*onceCell[*costmodel.Estimate])
-	cell.once.Do(func() {
-		m, err := me.module(lanes)
-		if err != nil {
-			cell.err = err
+// params returns the (lanes, dv) memo cell, settling it on first use:
+// the estimate, then the Table I parameters extracted from it. An
+// error from either step is memoised with the cell, so every point of
+// the cell reports the same one.
+func (me *modelEval) params(lanes, dv int) *estCell {
+	c := loadCell[estCell](&me.ests, [2]int{lanes, dv})
+	c.once.Do(func() {
+		if c.est, c.err = me.estimate(lanes, dv); c.err != nil {
 			return
 		}
-		var key string
-		if me.store != nil {
-			ir, err := me.mods.moduleIR(lanes)
-			if err != nil {
-				cell.err = err
-				return
-			}
-			key = evalstore.EstimateKey(ir, dv, me.mdl.Target)
-			if est, ok := evalstore.LoadEstimate(me.store, key, m, me.mdl.Target); ok {
-				cell.val = est
-				return
-			}
-		}
-		estimate := me.estimateFn
-		if estimate == nil {
-			if me.emode == ModelEvalTree {
-				estimate = me.mdl.EstimateVectorised
-			} else {
-				estimate = func(m *tir.Module, dv int) (*costmodel.Estimate, error) {
-					cm, err := me.compiledModel(lanes, m)
-					if err != nil {
-						return nil, err
-					}
-					return cm.EstimateVectorised(dv)
-				}
-			}
-		}
-		cell.val, cell.err = estimate(m, dv)
-		if cell.err != nil {
-			if dv == 1 {
-				cell.err = fmt.Errorf("dse: costing %d-lane variant: %w", lanes, cell.err)
-			} else {
-				cell.err = fmt.Errorf("dse: costing %d-lane dv=%d variant: %w", lanes, dv, cell.err)
-			}
-			return
-		}
-		if me.store != nil {
-			// Best-effort write-back: a read-only or full cache directory
-			// must not fail the exploration, it just stays cold.
-			_ = evalstore.SaveEstimate(me.store, key, cell.val)
+		if c.par, c.err = perf.Extract(c.est, me.bw, me.w); c.err != nil {
+			c.err = fmt.Errorf("dse: extracting %d-lane parameters: %w", lanes, c.err)
 		}
 	})
-	return cell.val, cell.err
+	return c
+}
+
+// estimate costs the (lanes, dv) variant; params calls it once per
+// process — and, with a backing store, the cost model runs once per
+// store lifetime: a warm run rehydrates the estimate from its
+// content-addressed record (a corrupt or version-skewed record
+// degrades to recompute-and-rewrite).
+func (me *modelEval) estimate(lanes, dv int) (*costmodel.Estimate, error) {
+	m, err := me.module(lanes)
+	if err != nil {
+		return nil, err
+	}
+	var key string
+	if me.store != nil {
+		ir, err := me.mods.moduleIR(lanes)
+		if err != nil {
+			return nil, err
+		}
+		key = evalstore.EstimateKey(ir, dv, me.mdl.Target)
+		if est, ok := evalstore.LoadEstimate(me.store, key, m, me.mdl.Target); ok {
+			return est, nil
+		}
+	}
+	estimate := me.estimateFn
+	if estimate == nil {
+		if me.emode == ModelEvalTree {
+			estimate = me.mdl.EstimateVectorised
+		} else {
+			estimate = func(m *tir.Module, dv int) (*costmodel.Estimate, error) {
+				cm, err := me.compiledModel(lanes, m)
+				if err != nil {
+					return nil, err
+				}
+				return cm.EstimateVectorised(dv)
+			}
+		}
+	}
+	est, err := estimate(m, dv)
+	if err != nil {
+		if dv == 1 {
+			return nil, fmt.Errorf("dse: costing %d-lane variant: %w", lanes, err)
+		}
+		return nil, fmt.Errorf("dse: costing %d-lane dv=%d variant: %w", lanes, dv, err)
+	}
+	if me.store != nil {
+		// Best-effort write-back: a read-only or full cache directory
+		// must not fail the exploration, it just stays cold.
+		_ = evalstore.SaveEstimate(me.store, key, est)
+	}
+	return est, nil
 }
 
 // point evaluates one variant through the cost stack, honouring the
-// lanes, dv, form and fclk axes.
-func (me *modelEval) point(s *Space, v Variant) (*Point, error) {
-	lanes := s.ValueDefault(v, AxisLanes, 1)
-	dv := s.ValueDefault(v, AxisDV, 1)
-	f := perf.Form(s.ValueDefault(v, AxisForm, int(me.form)))
-	fclkHz, err := fclkOverride(s, v)
+// lanes, dv, form and fclk axes of the bound space. Everything but the
+// pricing comes from the (lanes, dv) memo cell.
+func (me *modelEval) point(b *spaceBinding, v Variant) (*Point, error) {
+	lanes := b.value(v, b.lanes, 1)
+	fclkHz, err := b.fclkHz(v)
 	if err != nil {
 		return nil, err
 	}
-	est, err := me.estimate(lanes, dv)
-	if err != nil {
-		return nil, err
+	c := me.params(lanes, b.value(v, b.dv, 1))
+	if c.err != nil {
+		return nil, c.err
 	}
-	return evalPoint(est, me.bw, me.w, f, lanes, fclkHz)
-}
-
-// fclkOverride resolves the fclk axis (MHz values) to the FD override
-// in Hz, or 0 when the space has no fclk axis and the estimate's own
-// Fmax applies. A non-positive axis value is rejected loudly: a point
-// silently priced at the default Fmax while labelled with the
-// requested fclk would poison the sweep.
-func fclkOverride(s *Space, v Variant) (float64, error) {
-	mhz, ok := s.Value(v, AxisFclk)
-	if !ok {
-		return 0, nil
-	}
-	if mhz <= 0 {
-		return 0, fmt.Errorf("dse: fclk axis value must be a positive frequency in MHz, got %d", mhz)
-	}
-	return FclkHz(mhz), nil
+	return pricePoint(c.est, c.par, perf.Form(b.value(v, b.form, int(me.form))), lanes, fclkHz)
 }
 
 // NewEvaluator returns the standard evaluator over the paper's cost
@@ -277,8 +289,10 @@ func fclkOverride(s *Space, v Variant) (float64, error) {
 // throughput without re-costing resources.
 //
 // costmodel.Estimate and perf.Extract are pure, so the evaluator
-// memoises module builds per lane count and estimates per (lanes, dv)
-// — form and fclk axes re-price throughput from the same estimate.
+// memoises module builds per lane count, and estimates together with
+// their extracted Table I parameters per (lanes, dv). Form and fclk
+// axes only re-price: per point, the evaluator overrides FD, evaluates
+// EKIT and derives the utilisation and bandwidth-demand bars.
 func NewEvaluator(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
 	w perf.Workload, form perf.Form) Evaluator {
 	return NewEvaluatorStore(mdl, bw, build, w, form, nil)
@@ -301,25 +315,23 @@ func NewEvaluatorStore(mdl *costmodel.Model, bw *membw.Model, build VariantBuild
 func NewEvaluatorMode(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
 	w perf.Workload, form perf.Form, emode ModelEvalMode, store *evalstore.Store) Evaluator {
 	me := newModelEval(mdl, bw, build, w, form, emode, store)
+	axes := newAxisGuard("the standard evaluator", AxisLanes, AxisDV, AxisForm, AxisFclk)
 	return func(s *Space, v Variant) (*Point, error) {
-		if err := s.checkAxes("the standard evaluator",
-			AxisLanes, AxisDV, AxisForm, AxisFclk); err != nil {
+		b, err := axes.bind(s)
+		if err != nil {
 			return nil, err
 		}
-		return me.point(s, v)
+		return me.point(b, v)
 	}
 }
 
-// evalPoint derives the full Point from a resource estimate: the Table
-// I parameter extraction, the EKIT throughput under the form, and the
-// Fig 15 utilisation bars. fclkHz > 0 overrides the extracted FD (the
-// fclk axis); 0 keeps the estimate's Fmax.
-func evalPoint(est *costmodel.Estimate, bw *membw.Model, w perf.Workload,
-	form perf.Form, lanes int, fclkHz float64) (*Point, error) {
-	par, err := perf.Extract(est, bw, w)
-	if err != nil {
-		return nil, fmt.Errorf("dse: extracting %d-lane parameters: %w", lanes, err)
-	}
+// pricePoint derives the full Point from a memoised estimate and its
+// Table I parameters: the EKIT throughput under the form and the Fig 15
+// utilisation bars. fclkHz > 0 overrides the extracted FD (the fclk
+// axis); 0 keeps the estimate's Fmax. par is a copy, so the override
+// never reaches the memo.
+func pricePoint(est *costmodel.Estimate, par perf.Params, form perf.Form,
+	lanes int, fclkHz float64) (*Point, error) {
 	if fclkHz > 0 {
 		par.FD = fclkHz
 	}
@@ -388,8 +400,15 @@ func (e *Engine) evalOne(v Variant) (*Point, error) {
 
 // EvalAll evaluates the variants concurrently and returns their points
 // in input order. On failure it returns the error of the
-// lowest-indexed failing variant, so errors are deterministic too.
+// lowest-indexed failing variant, so errors are deterministic too. A
+// variant that is not a point of the space (wrong length, an index
+// outside its axis) fails the call before anything is evaluated.
 func (e *Engine) EvalAll(vs []Variant) ([]*Point, error) {
+	for _, v := range vs {
+		if err := e.Space.checkVariant(v); err != nil {
+			return nil, err
+		}
+	}
 	points, errs := e.evalAllKeep(vs)
 	for _, err := range errs {
 		if err != nil {
@@ -531,35 +550,40 @@ func newResult(e *Engine, strategy string, vs []Variant, ps []*Point) *Result {
 	return r
 }
 
-// computeWalls scans the evaluated points in ascending lanes-axis
-// order and records the smallest lane count crossing each limit —
+// computeWalls records, per limit, the lane count at the smallest
+// lanes-axis position of any evaluated point crossing it — one pass,
 // independent of evaluation order, so parallel runs agree with serial
 // ones.
 func computeWalls(s *Space, vs []Variant, ps []*Point) Walls {
-	var w Walls
 	li, ok := s.AxisIndex(AxisLanes)
 	if !ok {
-		return w
+		return Walls{}
 	}
-	lanesAxis := s.Axes()[li]
-	for vi := range lanesAxis.Values {
-		for i, v := range vs {
-			if v[li] != vi || ps[i] == nil {
-				continue
-			}
-			p, lanes := ps[i], lanesAxis.Values[vi]
-			if !p.Fits && w.Compute == 0 {
-				w.Compute = lanes
-			}
-			if p.UtilHostBW >= 1 && w.Host == 0 {
-				w.Host = lanes
-			}
-			if p.UtilGMemBW >= 1 && w.DRAM == 0 {
-				w.DRAM = lanes
-			}
+	// Smallest crossing lanes-axis positions, len(Values) while uncrossed.
+	n := len(s.Axes()[li].Values)
+	compute, host, dram := n, n, n
+	for i, v := range vs {
+		p, pos := ps[i], v[li]
+		if p == nil {
+			continue
+		}
+		if !p.Fits && pos < compute {
+			compute = pos
+		}
+		if p.UtilHostBW >= 1 && pos < host {
+			host = pos
+		}
+		if p.UtilGMemBW >= 1 && pos < dram {
+			dram = pos
 		}
 	}
-	return w
+	lanes := func(pos int) int {
+		if pos == n {
+			return 0
+		}
+		return s.Axes()[li].Values[pos]
+	}
+	return Walls{Compute: lanes(compute), Host: lanes(host), DRAM: lanes(dram)}
 }
 
 // Slice restricts a result to the variants taking the given value on

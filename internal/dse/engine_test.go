@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/kernels"
@@ -346,6 +347,78 @@ func TestSpaceBasics(t *testing.T) {
 		if _, err := NewSpace(bad...); err == nil {
 			t.Errorf("NewSpace(%v): no error", bad)
 		}
+	}
+}
+
+// TestNewSpaceSizeOverflow: axes whose product overflows int are
+// rejected with an error naming them, instead of wrapping Size and the
+// strides the engine's tables are sized from.
+func TestNewSpaceSizeOverflow(t *testing.T) {
+	vals := make([]int, 1<<16)
+	for i := range vals {
+		vals[i] = i + 1
+	}
+	axes := []Axis{LanesAxis(vals), DVAxis(vals), FclkAxis(vals), {Name: "unroll", Values: vals}}
+	if _, err := NewSpace(axes...); err == nil {
+		t.Fatal("2^64-point space accepted")
+	} else if !strings.Contains(err.Error(), "lanes[65536] x dv[65536] x fclk[65536] x unroll[65536]") {
+		t.Errorf("overflow error does not name the axes: %v", err)
+	}
+	// One axis fewer fits: 2^48 points.
+	s, err := NewSpace(axes[:3]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Size() != 1<<48 {
+		t.Errorf("size %d, want 2^48", s.Size())
+	}
+}
+
+// TestInvalidVariantsRejected: the public entry points that take
+// variants validate them. EvalAll errors before evaluating anything,
+// and Search.Lookup reports false, including for out-of-range indices
+// whose Index would alias another point's memo cell and flag bit.
+func TestInvalidVariantsRejected(t *testing.T) {
+	space, err := NewSpace(LanesAxis([]int{1, 2}), DVAxis([]int{1, 2, 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	eval := func(s *Space, v Variant) (*Point, error) {
+		calls.Add(1)
+		return &Point{Lanes: s.ValueDefault(v, AxisLanes, 1), Fits: true}, nil
+	}
+	e := NewEngine(space, eval, 2)
+	sc := &Search{space: space, cells: e.table()}
+	e.evalWave(sc, space.Enumerate())
+	calls.Store(0)
+
+	for _, c := range []struct {
+		name string
+		v    Variant
+	}{
+		{"short", Variant{0}},
+		{"empty", Variant{}},
+		{"long", Variant{0, 0, 0}},
+		{"negative", Variant{-1, 0}},
+		{"negative aliasing (0,2)", Variant{1, -1}},
+		{"too large aliasing (1,0)", Variant{0, 3}},
+		{"too large past the space", Variant{2, 0}},
+	} {
+		// A fresh engine: nothing memoised, so a call that evaluated the
+		// valid first variant would show in calls.
+		if _, err := NewEngine(space, eval, 2).EvalAll([]Variant{{0, 0}, c.v}); err == nil {
+			t.Errorf("%s %v: EvalAll accepted it", c.name, c.v)
+		}
+		if o, ok := sc.Lookup(c.v); ok {
+			t.Errorf("%s %v: Lookup found %+v", c.name, c.v, o)
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("rejected calls evaluated %d variants", n)
+	}
+	if o, ok := sc.Lookup(Variant{1, 2}); !ok || o.Point == nil || o.Point.Lanes != 2 {
+		t.Errorf("Lookup of an evaluated variant = %+v, %v", o, ok)
 	}
 }
 

@@ -34,7 +34,14 @@ func instrumentedEval(mode EvalMode, mdl *costmodel.Model, bw *membw.Model,
 		return mdl.EstimateVectorised(m, dv)
 	}
 	if mode == EvalModel {
-		return func(s *Space, v Variant) (*Point, error) { return me.point(s, v) }
+		axes := newAxisGuard("the instrumented evaluator", AxisLanes, AxisDV, AxisForm, AxisFclk)
+		return func(s *Space, v Variant) (*Point, error) {
+			b, err := axes.bind(s)
+			if err != nil {
+				return nil, err
+			}
+			return me.point(b, v)
+		}
 	}
 	cfg := SimConfig{Inputs: func(m *tir.Module, seed int64) (map[string][]int64, error) {
 		c.inputs.Add(1)
@@ -44,7 +51,7 @@ func instrumentedEval(mode EvalMode, mdl *costmodel.Model, bw *membw.Model,
 	// The counting wrapper IS SimInputs, so the content key stays valid;
 	// undo the custom-generator bypass the wrapper triggered.
 	sm.customInputs = false
-	sv := &simBacked{mode: mode, me: me, sm: sm}
+	sv := &simBacked{mode: mode, me: me, sm: sm, axes: simAxisGuard(mode)}
 	return sv.eval
 }
 

@@ -77,16 +77,20 @@ type Search struct {
 	budget  Budget
 	seed    int64
 
-	seen  map[int]*Outcome // settled outcome per charged variant Index
-	evals int
+	// charged flags, by Space.Index, the variants evaluated this run;
+	// their settled outcomes live in the engine's cell table, cells.
+	charged flagTable
+	cells   *cellTable
+	evals   int
 	// barren counts charged evaluations since the kept best improved.
 	barren int
 
-	// The kept trajectory: outcomes the strategy accepted, deduplicated,
-	// in tell order. This becomes Result.Variants/Points.
+	// The kept trajectory: outcomes the strategy accepted, deduplicated
+	// (kept flags them by Space.Index), in tell order. This becomes
+	// Result.Variants/Points.
 	vs      []Variant
 	ps      []*Point
-	kept    map[int]bool
+	kept    flagTable
 	best    *Point
 	waves   int
 	samples []TrajectorySample
@@ -120,13 +124,18 @@ func (sc *Search) Remaining() int {
 
 // Lookup returns the settled outcome of a variant this run has already
 // evaluated, letting a strategy read back any point it proposed
-// without re-asking for it.
+// without re-asking for it. A variant that is not a point of the space
+// was never evaluated: Lookup reports false.
 func (sc *Search) Lookup(v Variant) (Outcome, bool) {
-	o, ok := sc.seen[sc.space.Index(v)]
-	if !ok {
+	if sc.space.checkVariant(v) != nil {
 		return Outcome{}, false
 	}
-	return *o, true
+	i := sc.space.Index(v)
+	if !sc.charged.has(i) {
+		return Outcome{}, false
+	}
+	c := sc.cells.cell(i)
+	return Outcome{Variant: v, Point: c.val, Err: c.err}, true
 }
 
 // truncate cuts a proposed wave at the first variant the budget cannot
@@ -137,16 +146,16 @@ func (sc *Search) truncate(wave []Variant) (cut []Variant, truncated bool) {
 		return wave, false
 	}
 	left := sc.budget.MaxEvals - sc.evals
-	fresh := map[int]bool{}
+	var fresh flagTable
 	for i, v := range wave {
 		key := sc.space.Index(v)
-		if sc.seen[key] != nil || fresh[key] {
+		if sc.charged.has(key) || fresh.has(key) {
 			continue
 		}
 		if left == 0 {
 			return wave[:i], true
 		}
-		fresh[key] = true
+		fresh.set(key)
 		left--
 	}
 	return wave, false
@@ -160,14 +169,10 @@ func (e *Engine) evalWave(sc *Search, wave []Variant) []Outcome {
 	outs := make([]Outcome, len(wave))
 	for i, v := range wave {
 		outs[i] = Outcome{Variant: v, Point: ps[i], Err: errs[i]}
-		key := sc.space.Index(v)
-		if sc.seen[key] != nil {
-			continue
+		if !sc.charged.set(sc.space.Index(v)) {
+			sc.evals++
+			sc.barren++
 		}
-		o := outs[i]
-		sc.seen[key] = &o
-		sc.evals++
-		sc.barren++
 	}
 	return outs
 }
@@ -179,11 +184,9 @@ func (sc *Search) commit(outs []Outcome) {
 		if o.Err != nil || o.Point == nil {
 			continue
 		}
-		key := sc.space.Index(o.Variant)
-		if sc.kept[key] {
+		if sc.kept.set(sc.space.Index(o.Variant)) {
 			continue
 		}
-		sc.kept[key] = true
 		sc.vs = append(sc.vs, o.Variant)
 		sc.ps = append(sc.ps, o.Point)
 		if o.Point.Fits && (sc.best == nil || o.Point.EKIT > sc.best.EKIT) {
@@ -224,8 +227,7 @@ func (e *Engine) Search(st Strategy, opts SearchOptions) (*Result, error) {
 		rng:     rand.New(rand.NewSource(seed)),
 		budget:  opts.Budget,
 		seed:    seed,
-		seen:    map[int]*Outcome{},
-		kept:    map[int]bool{},
+		cells:   e.table(),
 	}
 	run, err := st.start(sc)
 	if err != nil {

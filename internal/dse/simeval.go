@@ -228,8 +228,7 @@ func (sm *simMeasurer) workloadDesc() string {
 // design is immutable: callers run it through pooled instances, never
 // by sharing scratch.
 func (sm *simMeasurer) design(lanes int) (*pipesim.CompiledDesign, error) {
-	c, _ := sm.designs.LoadOrStore(lanes, &onceCell[*pipesim.CompiledDesign]{})
-	cell := c.(*onceCell[*pipesim.CompiledDesign])
+	cell := loadCell[onceCell[*pipesim.CompiledDesign]](&sm.designs, lanes)
 	cell.once.Do(func() {
 		m, err := sm.mods.module(lanes)
 		if err != nil {
@@ -253,6 +252,7 @@ type simBacked struct {
 	mode EvalMode
 	me   *modelEval
 	sm   *simMeasurer
+	axes *axisGuard
 }
 
 // NewSimEvaluator returns the simulation-backed evaluator: each
@@ -302,24 +302,26 @@ func newSimBacked(mode EvalMode, mdl *costmodel.Model, bw *membw.Model,
 	build VariantBuilder, w perf.Workload, form perf.Form, cfg SimConfig,
 	store *evalstore.Store) Evaluator {
 	me := newModelEval(mdl, bw, build, w, form, cfg.ModelEval, store)
-	sv := &simBacked{mode: mode, me: me, sm: newSimMeasurer(me.mods, cfg, store)}
+	sv := &simBacked{mode: mode, me: me, sm: newSimMeasurer(me.mods, cfg, store), axes: simAxisGuard(mode)}
 	return sv.eval
 }
 
-// simAxesFor returns the axis set a simulation-backed evaluator
-// accepts and how to name it in rejections. No dv axis in either mode:
+// simAxisGuard checks the axis set a simulation-backed evaluator
+// accepts, plus the extra axes given, and names the evaluator in
+// rejections. No dv axis in either mode:
 // the simulator executes one work-item per lane per cycle and cannot
 // observe medium-grained vectorisation, so a dv sweep must stay on the
 // model evaluator. Pure sim scoring also rejects a form axis:
 // simulated cycles are form-independent, so EvalSim would silently tie
 // every form at a lane count — hybrid mode keeps it, since there the
 // model ranks.
-func simAxesFor(mode EvalMode) (allowed []string, who string) {
+func simAxisGuard(mode EvalMode, extra ...string) *axisGuard {
 	if mode == EvalSim {
-		return []string{AxisLanes, AxisFclk},
-			"the sim-scored evaluator (form does not change simulated cycles; use hybrid)"
+		return newAxisGuard("the sim-scored evaluator (form does not change simulated cycles; use hybrid)",
+			append([]string{AxisLanes, AxisFclk}, extra...)...)
 	}
-	return []string{AxisLanes, AxisForm, AxisFclk}, "the simulation-backed evaluator"
+	return newAxisGuard("the simulation-backed evaluator",
+		append([]string{AxisLanes, AxisForm, AxisFclk}, extra...)...)
 }
 
 // attachSim decorates a model-side point with the simulator's
@@ -342,15 +344,15 @@ func attachSim(p *Point, mode EvalMode, lanes int, meas simMeasure) error {
 }
 
 func (sv *simBacked) eval(s *Space, v Variant) (*Point, error) {
-	allowed, who := simAxesFor(sv.mode)
-	if err := s.checkAxes(who, allowed...); err != nil {
-		return nil, err
-	}
-	p, err := sv.me.point(s, v)
+	b, err := sv.axes.bind(s)
 	if err != nil {
 		return nil, err
 	}
-	lanes := s.ValueDefault(v, AxisLanes, 1)
+	p, err := sv.me.point(b, v)
+	if err != nil {
+		return nil, err
+	}
+	lanes := b.value(v, b.lanes, 1)
 	meas, err := sv.sm.measure(lanes)
 	if err != nil {
 		return nil, err

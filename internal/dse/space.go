@@ -2,7 +2,9 @@ package dse
 
 import (
 	"fmt"
+	"math"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/device"
 	"repro/internal/perf"
@@ -142,9 +144,38 @@ func NewSpace(axes ...Axis) (*Space, error) {
 	s.size = 1
 	for ai := len(s.axes) - 1; ai >= 0; ai-- {
 		s.strides[ai] = s.size
-		s.size *= len(s.axes[ai].Values)
+		n := len(s.axes[ai].Values)
+		if s.size > math.MaxInt/n {
+			return nil, fmt.Errorf("dse: space %s has more points than an int can index", s.shape())
+		}
+		s.size *= n
 	}
 	return s, nil
+}
+
+// shape renders the axes with their lengths ("lanes[16] x dv[16]").
+func (s *Space) shape() string {
+	parts := make([]string, len(s.axes))
+	for i, a := range s.axes {
+		parts[i] = fmt.Sprintf("%s[%d]", a.Name, len(a.Values))
+	}
+	return strings.Join(parts, " x ")
+}
+
+// checkVariant errors unless v is a point of the space: one in-range
+// value index per axis. The public entry points that take variants
+// (Engine.EvalAll, Search.Lookup) validate with it; anything unchecked
+// would index another point's memo cell or panic.
+func (s *Space) checkVariant(v Variant) error {
+	if len(v) != len(s.axes) {
+		return fmt.Errorf("dse: variant %v has %d indices for a %d-axis space", v, len(v), len(s.axes))
+	}
+	for ai, idx := range v {
+		if n := len(s.axes[ai].Values); idx < 0 || idx >= n {
+			return fmt.Errorf("dse: variant %v: index %d outside axis %q of %d values", v, idx, s.axes[ai].Name, n)
+		}
+	}
+	return nil
 }
 
 // Axes returns the axes in declaration order.
@@ -167,6 +198,75 @@ func (s *Space) checkAxes(who string, allowed ...string) error {
 		}
 	}
 	return nil
+}
+
+// axisGuard is an evaluator's axis check, run once per Space instead of
+// once per point: it caches the binding of the last space it saw.
+// Spaces are immutable, so a binding never goes stale, and racing
+// workers that rebind the same space store equal bindings.
+type axisGuard struct {
+	who     string
+	allowed []string
+	last    atomic.Pointer[spaceBinding]
+}
+
+func newAxisGuard(who string, allowed ...string) *axisGuard {
+	return &axisGuard{who: who, allowed: allowed}
+}
+
+// bind returns the guard's binding of s, checking s's axes against the
+// allowed set on first sight.
+func (g *axisGuard) bind(s *Space) (*spaceBinding, error) {
+	if b := g.last.Load(); b != nil && b.space == s {
+		return b, b.err
+	}
+	b := &spaceBinding{space: s, err: s.checkAxes(g.who, g.allowed...)}
+	b.lanes, b.dv, b.form = s.axisPos(AxisLanes), s.axisPos(AxisDV), s.axisPos(AxisForm)
+	b.fclk, b.device = s.axisPos(AxisFclk), s.axisPos(AxisDevice)
+	g.last.Store(b)
+	return b, b.err
+}
+
+// spaceBinding is an evaluator's view of one Space: the outcome of its
+// axis check, and the positions of the well-known axes it reads, -1
+// where the space has none.
+type spaceBinding struct {
+	space                         *Space
+	err                           error
+	lanes, dv, form, fclk, device int
+}
+
+// value returns the variant's value on the axis at position ai, or def
+// when the space has no such axis (ai < 0).
+func (b *spaceBinding) value(v Variant, ai, def int) int {
+	if ai < 0 {
+		return def
+	}
+	return b.space.axes[ai].Values[v[ai]]
+}
+
+// fclkHz resolves the fclk axis (MHz values) to the FD override in Hz,
+// or 0 when the space has no fclk axis and the estimate's own Fmax
+// applies. A non-positive axis value is rejected loudly: a point
+// silently priced at the default Fmax while labelled with the
+// requested fclk would poison the sweep.
+func (b *spaceBinding) fclkHz(v Variant) (float64, error) {
+	if b.fclk < 0 {
+		return 0, nil
+	}
+	mhz := b.value(v, b.fclk, 0)
+	if mhz <= 0 {
+		return 0, fmt.Errorf("dse: fclk axis value must be a positive frequency in MHz, got %d", mhz)
+	}
+	return FclkHz(mhz), nil
+}
+
+// axisPos returns the position of the named axis, or -1.
+func (s *Space) axisPos(name string) int {
+	if i, ok := s.index[name]; ok {
+		return i
+	}
+	return -1
 }
 
 // AxisIndex returns the position of the named axis.
