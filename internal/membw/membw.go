@@ -13,7 +13,9 @@ package membw
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"repro/internal/device"
 	"repro/internal/memsim"
@@ -57,59 +59,113 @@ var DefaultDims = []int{100, 250, 500, 1000, 2000, 3000, 4000, 5000, 6000}
 // experiments: for each dimension, stream a Dim² array contiguously and
 // with stride Dim, measuring the sustained rate including the
 // kernel-dispatch overhead that dominates small sizes.
+//
+// Every (dim, pattern) cell starts from precharged banks, so the cells
+// are independent: they run on up to GOMAXPROCS workers, each with its
+// own DRAM channel, largest first, and each result lands in its fixed
+// slot — the table is the same whatever the worker count.
 func RunStreamBenchmark(t *device.Target, dims []int) ([]Sample, error) {
 	if len(dims) == 0 {
 		dims = DefaultDims
 	}
-	dram, err := memsim.NewDRAM(t.DRAM)
-	if err != nil {
-		return nil, err
-	}
-	var out []Sample
 	for _, dim := range dims {
 		if dim <= 0 {
 			return nil, fmt.Errorf("membw: non-positive benchmark dimension %d", dim)
 		}
-		n := int64(dim) * int64(dim)
-		bytes := n * elemBytes
-		for _, pat := range []tir.AccessPattern{tir.PatternContiguous, tir.PatternStrided} {
-			stride := int64(1)
-			if pat == tir.PatternStrided {
-				stride = int64(dim)
+	}
+	type cell struct {
+		dim int
+		pat tir.AccessPattern
+	}
+	cells := make([]cell, 0, 2*len(dims))
+	for _, dim := range dims {
+		cells = append(cells, cell{dim, tir.PatternContiguous}, cell{dim, tir.PatternStrided})
+	}
+	drams := make([]*memsim.DRAM, min(runtime.GOMAXPROCS(0), len(cells)))
+	for w := range drams {
+		dram, err := memsim.NewDRAM(t.DRAM)
+		if err != nil {
+			return nil, err
+		}
+		drams[w] = dram
+	}
+	// Largest first, by simulated accesses: a strided cell walks dim²
+	// elements, a contiguous one moves dim²·elemBytes/BurstBytes bursts.
+	accesses := func(c cell) int64 {
+		n := int64(c.dim) * int64(c.dim)
+		if c.pat == tir.PatternStrided {
+			return n
+		}
+		return n * elemBytes / int64(t.DRAM.BurstBytes)
+	}
+	order := make([]int, len(cells))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return accesses(cells[order[a]]) > accesses(cells[order[b]])
+	})
+	queue := make(chan int, len(order))
+	for _, i := range order {
+		queue <- i
+	}
+	close(queue)
+	out := make([]Sample, len(cells))
+	errs := make([]error, len(cells))
+	var wg sync.WaitGroup
+	for _, dram := range drams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range queue {
+				out[i], errs[i] = streamCell(t, dram, cells[i].dim, cells[i].pat)
 			}
-			dram.Reset()
-			var secs float64
-			if pat == tir.PatternStrided {
-				// Column walk: dim passes, each streaming dim elements at
-				// stride dim (wrapping to the next column between passes).
-				for col := 0; col < dim; col++ {
-					s, err := dram.StreamSeconds(int64(col)*elemBytes, int64(dim), elemBytes, stride)
-					if err != nil {
-						return nil, err
-					}
-					secs += s
-				}
-			} else {
-				s, err := dram.StreamSeconds(0, n, elemBytes, 1)
-				if err != nil {
-					return nil, err
-				}
-				secs = s
-			}
-			steady := secs
-			secs += t.LaunchOverheadSec
-			out = append(out, Sample{
-				Dim:             dim,
-				Pattern:         pat,
-				Bytes:           bytes,
-				Seconds:         secs,
-				Sustained:       float64(bytes) / secs,
-				SteadySeconds:   steady,
-				SteadySustained: float64(bytes) / steady,
-			})
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// streamCell measures one benchmark cell: a dim×dim array streamed with
+// the given pattern from precharged banks.
+func streamCell(t *device.Target, dram *memsim.DRAM, dim int, pat tir.AccessPattern) (Sample, error) {
+	n := int64(dim) * int64(dim)
+	bytes := n * elemBytes
+	dram.Reset()
+	var secs float64
+	if pat == tir.PatternStrided {
+		// Column walk: dim passes, each streaming dim elements at
+		// stride dim (wrapping to the next column between passes).
+		for col := 0; col < dim; col++ {
+			s, err := dram.StreamSeconds(int64(col)*elemBytes, int64(dim), elemBytes, int64(dim))
+			if err != nil {
+				return Sample{}, err
+			}
+			secs += s
+		}
+	} else {
+		s, err := dram.StreamSeconds(0, n, elemBytes, 1)
+		if err != nil {
+			return Sample{}, err
+		}
+		secs = s
+	}
+	steady := secs
+	secs += t.LaunchOverheadSec
+	return Sample{
+		Dim:             dim,
+		Pattern:         pat,
+		Bytes:           bytes,
+		Seconds:         secs,
+		Sustained:       float64(bytes) / secs,
+		SteadySeconds:   steady,
+		SteadySustained: float64(bytes) / steady,
+	}, nil
 }
 
 // StrideSample is one point of the stride sweep: a fixed-size stream

@@ -199,3 +199,21 @@ func TestBuildStratixToo(t *testing.T) {
 		t.Errorf("contiguous %v not above strided %v", c, s)
 	}
 }
+
+// BenchmarkBuild times the one-time bandwidth benchmark of each
+// registered target, which is most of a cold run's set-up.
+func BenchmarkBuild(b *testing.B) {
+	for _, name := range device.Names() {
+		b.Run(name, func(b *testing.B) {
+			tgt, err := device.Lookup(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for b.Loop() {
+				if _, err := Build(tgt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -15,6 +15,7 @@ package memsim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/device"
 )
@@ -71,7 +72,8 @@ func (d *DRAM) touch(addr int64) float64 {
 // (stride 1) move whole bursts; non-unit strides are issued as
 // individual controller transactions, each paying the round-trip
 // TransCycles and wasting the rest of its burst — the mechanism behind
-// the two-orders-of-magnitude gap of Fig 10.
+// the two-orders-of-magnitude gap of Fig 10. A negative base, or a
+// stream whose addresses run past the int64 range, is an error.
 func (d *DRAM) StreamSeconds(base, n int64, elemBytes int, strideElems int64) (float64, error) {
 	if n <= 0 {
 		return 0, nil
@@ -79,31 +81,96 @@ func (d *DRAM) StreamSeconds(base, n int64, elemBytes int, strideElems int64) (f
 	if elemBytes <= 0 {
 		return 0, fmt.Errorf("memsim: element size must be positive, got %d", elemBytes)
 	}
+	if base < 0 {
+		return 0, fmt.Errorf("memsim: negative stream base address %d", base)
+	}
 	if strideElems == 0 {
 		strideElems = 1
 	}
 	if strideElems < 0 {
 		strideElems = -strideElems // mirror-order streaming costs the same
 	}
-	cycles := 0.0
 	bc := d.burstCycles()
+	var count, stride, scale int64
+	var hit float64
 	if strideElems == 1 {
 		// Whole-burst streaming: the controller coalesces; row misses
 		// occur at row crossings only.
-		bytes := n * int64(elemBytes)
-		bursts := (bytes + int64(d.spec.BurstBytes) - 1) / int64(d.spec.BurstBytes)
-		for b := int64(0); b < bursts; b++ {
-			addr := base + b*int64(d.spec.BurstBytes)
-			cycles += bc + d.touch(addr)
+		if n > math.MaxInt64/int64(elemBytes) {
+			return 0, errOverrun(base, n, elemBytes, strideElems)
+		}
+		bytes, burst := n*int64(elemBytes), int64(d.spec.BurstBytes)
+		count, stride, scale, hit = bytes/burst, 1, burst, bc
+		if bytes%burst != 0 {
+			count++
 		}
 	} else {
-		strideBytes := strideElems * int64(elemBytes)
-		for i := int64(0); i < n; i++ {
-			addr := base + i*strideBytes
-			cycles += bc + float64(d.spec.TransCycles) + d.touch(addr)
+		count, stride, scale, hit = n, strideElems, int64(elemBytes), bc+float64(d.spec.TransCycles)
+	}
+	step, ok := walkStep(base, count, stride, scale)
+	if !ok {
+		return 0, errOverrun(base, n, elemBytes, strideElems)
+	}
+	return d.walk(base, count, step, hit)/d.spec.ClockHz + d.spec.SetupSeconds, nil
+}
+
+// walkStep returns the byte step stride·scale of a count-access walk
+// from base, and whether its last address, base + (count-1)·step, stays
+// within int64. base, count and scale are non-negative; a negative
+// stride (math.MinInt64 mirrored) never fits. A single access needs no
+// step.
+func walkStep(base, count, stride, scale int64) (int64, bool) {
+	if count <= 1 {
+		return 0, true
+	}
+	if stride < 0 || stride > (math.MaxInt64-base)/(count-1)/scale {
+		return 0, false
+	}
+	return stride * scale, true
+}
+
+func errOverrun(base, n int64, elemBytes int, strideElems int64) error {
+	return fmt.Errorf("memsim: stream of %d %d-byte elements at stride %d from address %d overruns the int64 address space",
+		n, elemBytes, strideElems, base)
+}
+
+// walk accounts count >= 1 accesses at base, base+step, base+2·step, ...
+// (base >= 0, step >= 0, last address within int64) and returns their
+// cycles: hit per row-buffer hit, hit+RowMissCycles per miss, summed in
+// access order. It is touch applied to each address, bit for bit: the
+// row, the offset within it and the bank advance by the step's quotient
+// and remainder instead of being divided out of every address.
+func (d *DRAM) walk(base, count, step int64, hit float64) float64 {
+	rowBytes, banks := int64(d.spec.RowBytes), int64(d.spec.Banks)
+	miss := hit + float64(d.spec.RowMissCycles)
+	row, off := base/rowBytes, base%rowBytes
+	bank := row % banks
+	dRow, dOff := step/rowBytes, step%rowBytes
+	dBank := dRow % banks
+	open := d.openRow
+	cycles := 0.0
+	for i := int64(1); ; i++ {
+		if open[bank] == row {
+			cycles += hit
+		} else {
+			open[bank] = row
+			cycles += miss
+		}
+		if i == count {
+			return cycles
+		}
+		row += dRow
+		bank += dBank
+		off += dOff
+		if off >= rowBytes {
+			off -= rowBytes
+			row++
+			bank++
+		}
+		if bank >= banks {
+			bank -= banks
 		}
 	}
-	return cycles/d.spec.ClockHz + d.spec.SetupSeconds, nil
 }
 
 // RandomSeconds simulates n single-element accesses at pseudo-random

@@ -2,6 +2,8 @@ package memsim
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -234,5 +236,183 @@ func TestLinkRejectsBadSpec(t *testing.T) {
 	}
 	if _, err := NewLink(device.LinkSpec{PeakBandwidth: 1e9, PacketBytes: 256, Overhead: 1.5}); err == nil {
 		t.Error("overhead >= 1: want error")
+	}
+}
+
+// streamSecondsPerAccess is StreamSeconds computed the direct way, each
+// address divided into its row and bank by touch. The incremental walk
+// must match it bit for bit.
+func streamSecondsPerAccess(d *DRAM, base, n int64, elemBytes int, strideElems int64) float64 {
+	if n <= 0 {
+		return 0
+	}
+	if strideElems == 0 {
+		strideElems = 1
+	}
+	if strideElems < 0 {
+		strideElems = -strideElems
+	}
+	cycles := 0.0
+	bc := d.burstCycles()
+	if strideElems == 1 {
+		bytes := n * int64(elemBytes)
+		bursts := (bytes + int64(d.spec.BurstBytes) - 1) / int64(d.spec.BurstBytes)
+		for b := int64(0); b < bursts; b++ {
+			addr := base + b*int64(d.spec.BurstBytes)
+			cycles += bc + d.touch(addr)
+		}
+	} else {
+		strideBytes := strideElems * int64(elemBytes)
+		for i := int64(0); i < n; i++ {
+			addr := base + i*strideBytes
+			cycles += bc + float64(d.spec.TransCycles) + d.touch(addr)
+		}
+	}
+	return cycles/d.spec.ClockHz + d.spec.SetupSeconds
+}
+
+// randomDRAMSpec draws a DRAM channel whose geometry need not be a
+// power of two anywhere.
+func randomDRAMSpec(r *rand.Rand) device.DRAMSpec {
+	pick := func(xs ...int) int { return xs[r.IntN(len(xs))] }
+	return device.DRAMSpec{
+		PeakBandwidth: 1e8 + r.Float64()*5e10,
+		ClockHz:       1e8 + r.Float64()*2e9,
+		BurstBytes:    pick(1, 3, 8, 32, 48, 64, 100, 128, 1+r.IntN(300)),
+		RowBytes:      pick(1, 7, 64, 1000, 1536, 2048, 4096, 1+r.IntN(5000)),
+		Banks:         pick(1, 2, 3, 5, 8, 12, 16, 1+r.IntN(20)),
+		RowMissCycles: r.IntN(60),
+		TransCycles:   r.IntN(400),
+		SetupSeconds:  r.Float64() * 1e-5,
+	}
+}
+
+// walkSpan is the distance from the first to the last address the
+// stream touches: whole bursts when contiguous, elements otherwise.
+func walkSpan(spec device.DRAMSpec, n int64, elemBytes int, strideElems int64) int64 {
+	if strideElems >= -1 && strideElems <= 1 {
+		burst := int64(spec.BurstBytes)
+		return (n*int64(elemBytes) - 1) / burst * burst
+	}
+	return (n - 1) * max(strideElems, -strideElems) * int64(elemBytes)
+}
+
+// divisorUpTo16 returns a random element size in 1..16 that divides x.
+func divisorUpTo16(r *rand.Rand, x int64) int {
+	var ds []int
+	for e := 1; e <= 16; e++ {
+		if x%int64(e) == 0 {
+			ds = append(ds, e)
+		}
+	}
+	return ds[r.IntN(len(ds))]
+}
+
+// TestStreamWalkMatchesPerAccess checks the incremental row/bank walk of
+// StreamSeconds against the per-access reference over seeded random
+// channels, bases, strides and element sizes, bit for bit, with the row
+// buffers compared after every call of a chain that shares them.
+func TestStreamWalkMatchesPerAccess(t *testing.T) {
+	r := rand.New(rand.NewPCG(14, 2024))
+	for trial := 0; trial < 120; trial++ {
+		spec := randomDRAMSpec(r)
+		got, err := NewDRAM(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := NewDRAM(spec)
+		row, rowsBanks := int64(spec.RowBytes), int64(spec.RowBytes)*int64(spec.Banks)
+		for call := 0; call < 30; call++ {
+			if r.IntN(8) == 0 {
+				got.Reset()
+				want.Reset()
+			}
+			n := 1 + r.Int64N(1500)
+			elem := 1 + r.IntN(16)
+			var stride int64
+			switch r.IntN(7) {
+			case 0:
+				stride = -1 - r.Int64N(3*row)
+			case 1:
+				stride = 0
+			case 2:
+				stride = 1
+			case 3: // below a row
+				stride = 2 + r.Int64N(max(1, row/int64(elem)))
+			case 4: // exactly one row
+				elem = divisorUpTo16(r, row)
+				stride = row / int64(elem)
+			case 5: // a multiple of row × banks
+				elem = divisorUpTo16(r, rowsBanks)
+				stride = (1 + r.Int64N(4)) * rowsBanks / int64(elem)
+			default:
+				stride = 2 + r.Int64N(4*rowsBanks)
+			}
+			var base int64
+			switch r.IntN(4) {
+			case 0:
+				base = 0
+			case 1: // at or next to a row boundary
+				base = r.Int64N(64)*row + r.Int64N(3) - 1
+			case 2: // a walk whose last access lands on math.MaxInt64
+				base = math.MaxInt64 - walkSpan(spec, n, elem, stride)
+			default:
+				base = r.Int64N(1 << 40)
+			}
+			base = max(base, 0)
+			gotSecs, err := got.StreamSeconds(base, n, elem, stride)
+			if err != nil {
+				t.Fatalf("spec %+v: StreamSeconds(%d, %d, %d, %d): %v", spec, base, n, elem, stride, err)
+			}
+			wantSecs := streamSecondsPerAccess(want, base, n, elem, stride)
+			if math.Float64bits(gotSecs) != math.Float64bits(wantSecs) {
+				t.Fatalf("spec %+v: StreamSeconds(%d, %d, %d, %d) = %v, per-access reference %v",
+					spec, base, n, elem, stride, gotSecs, wantSecs)
+			}
+			if !slices.Equal(got.openRow, want.openRow) {
+				t.Fatalf("spec %+v: after StreamSeconds(%d, %d, %d, %d) open rows %v, reference %v",
+					spec, base, n, elem, stride, got.openRow, want.openRow)
+			}
+		}
+	}
+}
+
+func TestStreamSecondsRejectsBadAddresses(t *testing.T) {
+	cases := []struct {
+		name    string
+		base, n int64
+		elem    int
+		stride  int64
+		wantErr bool
+	}{
+		{"negative base, contiguous", -4096, 10, 4, 1, true},
+		{"negative base, strided", -1, 10, 4, 7, true},
+		{"negative base, one element", -2048, 1, 4, 64, true},
+		{"contiguous past the top", math.MaxInt64 - 100, 1000, 4, 1, true},
+		{"contiguous byte count overflows", 0, math.MaxInt64 / 2, 4, 1, true},
+		{"strided past the top", 0, 3, 4, math.MaxInt64 / 4, true},
+		{"mirrored stride past the top", 1 << 20, 1000, 4, -(math.MaxInt64 / 1000), true},
+		{"stride math.MinInt64", 0, 2, 4, math.MinInt64, true},
+		{"strided ending at the top", math.MaxInt64 - 2*8*1000, 3, 8, 1000, false},
+		{"contiguous ending in the top burst", math.MaxInt64 - 63, 16, 4, 1, false},
+		{"one element at stride math.MinInt64", 0, 1, 4, math.MinInt64, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			d := testDRAM(t)
+			secs, err := d.StreamSeconds(c.base, c.n, c.elem, c.stride)
+			if c.wantErr {
+				if err == nil {
+					t.Fatalf("StreamSeconds(%d, %d, %d, %d) = %v, want error", c.base, c.n, c.elem, c.stride, secs)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("StreamSeconds(%d, %d, %d, %d): %v", c.base, c.n, c.elem, c.stride, err)
+			}
+			if want := streamSecondsPerAccess(testDRAM(t), c.base, c.n, c.elem, c.stride); secs != want {
+				t.Errorf("StreamSeconds(%d, %d, %d, %d) = %v, per-access reference %v", c.base, c.n, c.elem, c.stride, secs, want)
+			}
+		})
 	}
 }
