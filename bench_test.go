@@ -370,13 +370,9 @@ func BenchmarkEngineSweep(b *testing.B) {
 // modes. Metrics: the per-instance simulated cycles (sim/hybrid) and
 // the model's CPKI estimate.
 func BenchmarkSimEvaluator(b *testing.B) {
-	target := device.GSD8Edu()
-	mdl, err := costmodel.Calibrate(target)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bw, err := membw.Build(target)
-	if err != nil {
+	shelf := []*device.Target{device.GSD8Edu()}
+	cache := dse.NewModelCache()
+	if _, _, err := cache.Models(shelf[0]); err != nil {
 		b.Fatal(err)
 	}
 	build := func(lanes int) (*tir.Module, error) {
@@ -391,8 +387,8 @@ func BenchmarkSimEvaluator(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			var p *dse.Point
 			for i := 0; i < b.N; i++ {
-				eval, err := dse.NewModeEvaluator(mode, mdl, bw, build,
-					perf.Workload{NKI: 10}, perf.FormB, dse.SimConfig{})
+				eval, err := dse.NewDeviceModeEvaluatorCache(mode, shelf, build,
+					perf.Workload{NKI: 10}, perf.FormB, dse.SimConfig{}, cache)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -576,14 +572,15 @@ func BenchmarkPipesimExecutors(b *testing.B) {
 		for _, lvl := range levels {
 			b.Run(spec.Name()+"/"+lvl.name, func(b *testing.B) {
 				m, mem := benchBind(b, spec)
-				r, err := pipesim.NewRunnerConfig(m, lvl.cfg)
+				d, err := pipesim.CompileConfig(m, lvl.cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
+				inst := d.NewInstance()
 				var res *pipesim.Result
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err = r.Run(mem)
+					res, err = inst.Run(mem)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -611,8 +608,8 @@ func BenchmarkPipesimOracle(b *testing.B) {
 	}
 }
 
-// BenchmarkPipesimIterations prices the form-B iteration loop on a
-// reused Runner: per-kernel feedback wiring (the stencil kernels feed
+// BenchmarkPipesimIterations prices the form-B iteration loop on one
+// reused instance of a compiled design: per-kernel feedback wiring (the stencil kernels feed
 // their output field back; lavamd re-runs its pairs), nki instances per
 // op. This is the path examples/weather-sim and simulation-backed DSE
 // sit on.
@@ -627,15 +624,16 @@ func BenchmarkPipesimIterations(b *testing.B) {
 	for _, spec := range experiments.PipesimBenchSpecs() {
 		b.Run(spec.Name(), func(b *testing.B) {
 			m, mem := benchBind(b, spec)
-			r, err := pipesim.NewRunner(m)
+			d, err := pipesim.CompileConfig(m, pipesim.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
+			inst := d.NewInstance()
 			fb := feedback[spec.Name()]
 			var res *pipesim.IterationResult
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err = r.RunIterations(mem, nki, fb)
+				res, err = inst.RunIterations(mem, nki, fb)
 				if err != nil {
 					b.Fatal(err)
 				}

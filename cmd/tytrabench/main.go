@@ -16,7 +16,7 @@
 // With -json the tool instead emits a machine-readable benchmark
 // report; -report selects which one. "pipesim" (the default) times the
 // golden kernels through the interpreter oracle, the compile-per-call
-// executor and the compile-once Runner; "dse-sim" times one cold
+// executor and a compile-once design; "dse-sim" times one cold
 // variant evaluation per DSE scorer (model, sim, hybrid); "dse-model"
 // times the compiled cost model against the tree-walk oracle per
 // corpus kernel plus the engine's 100k-point synthetic sweep

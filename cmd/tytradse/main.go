@@ -97,7 +97,9 @@ type options struct {
 	maxLanes int
 	jobs     int
 	csv      bool
-	store    *evalstore.Store
+	// cache supplies every target's models and carries the -cache
+	// store, if any.
+	cache *dse.ModelCache
 }
 
 // simConfig is the simulation-measurement configuration both the
@@ -171,7 +173,8 @@ func run(args []string, out io.Writer) error {
 	}
 	opt := options{kernel: *kernel, form: form, mode: mode, emode: emode, strategy: st,
 		search: dse.SearchOptions{Budget: dse.Budget{MaxEvals: *budget}, Seed: *seed},
-		exec:   exec, nki: *nki, maxLanes: *maxLanes, jobs: *jobs, csv: *csv, store: store}
+		exec:   exec, nki: *nki, maxLanes: *maxLanes, jobs: *jobs, csv: *csv,
+		cache: dse.NewModelCacheStore(store)}
 
 	if *devices != "" {
 		return runDevices(out, opt, strings.Split(*devices, ","))
@@ -194,18 +197,13 @@ func runSingle(out io.Writer, opt options, targetName string) error {
 	// The line prints warm and cold alike: warm-cache output must stay
 	// byte-identical to the cold run (the CI smoke byte-diffs them).
 	fmt.Fprintf(out, "calibrating models for %s...\n", target.Name)
-	c, err := core.NewStore(target, opt.store)
-	if err != nil {
-		return err
-	}
-
 	lanes := dse.DivisorLaneCounts(ngs, opt.maxLanes)
 	space, err := dse.NewSpace(dse.LanesAxis(lanes))
 	if err != nil {
 		return err
 	}
-	res, err := c.ExploreSpaceMode(opt.mode, build, space, perf.Workload{NKI: opt.nki},
-		opt.form, opt.strategy, opt.jobs, opt.simConfig(), opt.search)
+	res, err := core.Explore(opt.mode, []*device.Target{target}, opt.cache, build, space,
+		perf.Workload{NKI: opt.nki}, opt.form, opt.strategy, opt.jobs, opt.simConfig(), opt.search)
 	if err != nil {
 		return err
 	}
@@ -259,8 +257,8 @@ func runDevices(out io.Writer, opt options, names []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := core.ExploreDevicesStore(opt.mode, shelf, build, space, perf.Workload{NKI: opt.nki},
-		opt.form, opt.strategy, opt.jobs, opt.simConfig(), opt.search, opt.store)
+	res, err := core.Explore(opt.mode, shelf, opt.cache, build, space, perf.Workload{NKI: opt.nki},
+		opt.form, opt.strategy, opt.jobs, opt.simConfig(), opt.search)
 	if err != nil {
 		return err
 	}

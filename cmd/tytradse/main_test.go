@@ -74,6 +74,8 @@ func TestRunErrors(t *testing.T) {
 		{"-devices", " , "},
 		{"-devices", "stratix-v-gsd8,atari-2600"},
 		{"-devices", "stratix-v-gsd8,maia"}, // aliased duplicate
+		{"-budget", "-1"},
+		{"-budget", "-1", "-devices", "edu,virtex-7-690t"},
 	}
 	for i, args := range cases {
 		if err := run(args, &out); err == nil {

@@ -25,10 +25,9 @@ import (
 func main() {
 	target := device.GSD8Edu()
 	fmt.Printf("calibrating models for %s...\n", target.Name)
-	compiler, err := core.New(target)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// One model cache across the three explorations: the target is
+	// calibrated by the first and reused by the other two.
+	shelf, cache := []*device.Target{target}, dse.NewModelCache()
 
 	// The Fig 15 space: every lane count in 1..16 under memory
 	// execution forms A and B.
@@ -43,7 +42,7 @@ func main() {
 	w := perf.Workload{NKI: 10}
 
 	explore := func(st dse.Strategy, opts dse.SearchOptions) *dse.Result {
-		res, err := compiler.ExploreSpaceMode(dse.EvalModel, build, space, w, perf.FormB,
+		res, err := core.Explore(dse.EvalModel, shelf, cache, build, space, w, perf.FormB,
 			st, 0, dse.SimConfig{}, opts)
 		if err != nil {
 			log.Fatal(err)

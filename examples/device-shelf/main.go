@@ -68,7 +68,7 @@ func main() {
 
 	fmt.Printf("exploring %d points (%d lane variants x %d devices)...\n\n",
 		space.Size(), space.Size()/len(shelf), len(shelf))
-	res, err := core.ExploreDevices(dse.EvalModel, shelf, build, space,
+	res, err := core.Explore(dse.EvalModel, shelf, nil, build, space,
 		perf.Workload{NKI: 10}, perf.FormB, dse.ParetoFrontier{}, 0, dse.SimConfig{}, dse.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)

@@ -62,18 +62,14 @@ func main() {
 	}
 	fmt.Printf("front-end generated %d variants of the baseline `map laplace1d u`\n", len(variants))
 
-	// 2. One-time target calibration (the scaled educational device so
-	// the walls are visible with this small integer kernel).
+	// 2. The target: the scaled educational device, so the walls are
+	// visible with this small integer kernel.
 	target := device.GSD8Edu()
-	compiler, err := core.New(target)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	// 3. Lower and cost every variant in parallel: the lane counts the
 	// front-end generated become the lanes axis of a design Space, and
 	// the engine's worker pool evaluates the points concurrently with
-	// memoised estimates.
+	// memoised estimates, after the one-time target calibration.
 	byLanes := map[int]*typetrans.Program{}
 	laneVals := make([]int, len(variants))
 	for i, v := range variants {
@@ -85,7 +81,7 @@ func main() {
 		log.Fatal(err)
 	}
 	build := func(lanes int) (*tir.Module, error) { return byLanes[lanes].Lower() }
-	res, err := compiler.ExploreSpaceMode(dse.EvalHybrid, build, space,
+	res, err := core.Explore(dse.EvalHybrid, []*device.Target{target}, nil, build, space,
 		perf.Workload{NKI: 100}, perf.FormB, dse.Exhaustive{}, 0, dse.SimConfig{}, dse.SearchOptions{})
 	if err != nil {
 		log.Fatal(err)

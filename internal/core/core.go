@@ -1,8 +1,9 @@
 // Package core is the TyTra back-end compiler façade (Fig 11): one
 // handle that bundles the calibrated resource cost model, the empirical
 // bandwidth model and the target description, and drives the
-// Parse → Validate → Cost → Explore → Emit-HDL pipeline the command-line
-// tools and examples use.
+// Parse → Validate → Cost → Emit-HDL pipeline the command-line tools
+// and examples use, plus Explore, the one entry point of the
+// design-space exploration over a shelf of targets.
 //
 // Constructing a Compiler performs the one-time per-target work of
 // Fig 2 — the synthesis probe calibration and the STREAM-style bandwidth
@@ -20,7 +21,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/dse"
-	"repro/internal/evalstore"
 	"repro/internal/fabric"
 	"repro/internal/hdl"
 	"repro/internal/membw"
@@ -29,18 +29,11 @@ import (
 	"repro/internal/tir"
 )
 
-// Compiler carries the per-target models, and optionally the persistent
-// evaluation store its explorations read and write.
+// Compiler carries the per-target models.
 type Compiler struct {
 	Target *device.Target
 	Model  *costmodel.Model
 	BW     *membw.Model
-	// Store, when non-nil, backs ExploreSpaceMode: model estimates and
-	// simulator measurements are answered from their content-addressed
-	// records when present and archived when recomputed (see
-	// internal/evalstore). NewStore sets it; zero-value construction
-	// leaves explorations purely in-memory.
-	Store *evalstore.Store
 }
 
 // New calibrates the cost model and builds the bandwidth model for the
@@ -58,26 +51,6 @@ func New(target *device.Target) (*Compiler, error) {
 		return nil, fmt.Errorf("core: building bandwidth model: %w", err)
 	}
 	return &Compiler{Target: target, Model: mdl, BW: bw}, nil
-}
-
-// NewStore is New backed by a persistent evaluation store: the
-// calibrated models come from the store's content-addressed record when
-// one exists (Fig 2's one-time benchmark experiments are skipped
-// entirely), are archived after calibration otherwise, and the returned
-// compiler threads the store through ExploreSpaceMode so estimates and
-// simulator measurements persist too. A nil store degrades to New.
-func NewStore(target *device.Target, store *evalstore.Store) (*Compiler, error) {
-	if store == nil {
-		return New(target)
-	}
-	if target == nil {
-		return nil, fmt.Errorf("core: nil target")
-	}
-	mdl, bw, err := dse.NewModelCacheStore(store).Models(target)
-	if err != nil {
-		return nil, err
-	}
-	return &Compiler{Target: target, Model: mdl, BW: bw, Store: store}, nil
 }
 
 // NewFromCalibration builds a compiler from an archived bandwidth
@@ -167,80 +140,27 @@ func (c *Compiler) SimDesign(m *tir.Module) (*pipesim.CompiledDesign, error) {
 	return pipesim.Compile(m)
 }
 
-// SimRunner validates and compiles the design variant once, returning
-// the reusable single-goroutine simulator arena.
+// Explore runs one design-space exploration (Fig 15, §VI-A): the space
+// (lanes × dv × form × fclk × device, see dse.NewSpace) is searched
+// under st and opts on workers goroutines (<= 0 selects GOMAXPROCS),
+// every point scored by mode (the EKIT model, the pipeline simulator,
+// or the hybrid cross-check), with sim configuring the simulation
+// workload and the cost-model implementation. form is the default when
+// the space has no form axis.
 //
-// Deprecated: a Runner is one design + one instance and cannot be
-// shared across goroutines. New code should use SimDesign and run
-// pooled instances of it.
-func (c *Compiler) SimRunner(m *tir.Module) (*pipesim.Runner, error) {
-	return pipesim.NewRunner(m)
-}
-
-// Explore sweeps a variant family and returns the costed design space
-// with its walls and the selected best variant (Fig 15). It is the
-// one-axis exhaustive special case of ExploreSpace.
-func (c *Compiler) Explore(build dse.VariantBuilder, lanes []int, w perf.Workload, form perf.Form) (*dse.Sweep, error) {
-	return dse.SweepLanes(c.Model, c.BW, build, lanes, w, form)
-}
-
-// ExploreSpace explores an N-dimensional design space (lanes × DV ×
-// form × fclk, see dse.NewSpace) under a pluggable strategy,
-// evaluating points concurrently on workers goroutines (<= 0 selects
-// GOMAXPROCS). form is the default when the space has no form axis.
-func (c *Compiler) ExploreSpace(build dse.VariantBuilder, space *dse.Space, w perf.Workload,
-	form perf.Form, st dse.Strategy, workers int) (*dse.Result, error) {
-	return c.ExploreSpaceMode(dse.EvalModel, build, space, w, form, st, workers,
-		dse.SimConfig{}, dse.SearchOptions{})
-}
-
-// ExploreSpaceMode is ExploreSpace with a selectable variant scorer
-// (the -eval flag of cmd/tytradse): the EKIT cost model, the
-// cycle-accurate pipeline simulator, or the hybrid cross-check that
-// ranks by the model and records simulated cycles on every point (see
-// report.Calibration). sim configures the simulation workload and is
-// ignored under dse.EvalModel. opts carries the search budget and
-// seed (the -budget/-seed flags); the zero value is an unlimited,
-// default-seeded run.
-func (c *Compiler) ExploreSpaceMode(mode dse.EvalMode, build dse.VariantBuilder,
+// A single target is a one-entry shelf; a device axis must be built
+// from the same shelf (dse.DeviceAxis(shelf...)). cache runs each
+// target's one-time calibration (Fig 2) on first use, so explorations
+// sharing a cache calibrate once, and a store-backed cache
+// (dse.NewModelCacheStore) persists calibrations, estimates and
+// simulator measurements across runs. A nil cache is a fresh in-memory
+// one.
+func Explore(mode dse.EvalMode, shelf []*device.Target, cache *dse.ModelCache, build dse.VariantBuilder,
 	space *dse.Space, w perf.Workload, form perf.Form, st dse.Strategy, workers int,
 	sim dse.SimConfig, opts dse.SearchOptions) (*dse.Result, error) {
-	eval, err := dse.NewModeEvaluatorStore(mode, c.Model, c.BW, build, w, form, sim, c.Store)
+	eval, err := dse.NewDeviceModeEvaluatorCache(mode, shelf, build, w, form, sim, cache)
 	if err != nil {
 		return nil, err
 	}
-	eng := dse.NewEngine(space, eval, workers)
-	return eng.Search(st, opts)
-}
-
-// ExploreDevices explores a design space that includes the device
-// axis: one engine run sweeping the variant family across a shelf of
-// targets (lanes × form × … × device). Unlike the Compiler methods it
-// is not bound to a single pre-calibrated target — the per-device
-// evaluator calibrates the cost and bandwidth models lazily, exactly
-// once per shelf entry (dse.ModelCache), so Fig 2's one-time-per-target
-// work is paid only for devices the strategy actually visits. The
-// space's device axis must be built from the same shelf slice
-// (dse.DeviceAxis(shelf...)); per-device slices of the result are
-// point-identical to single-device ExploreSpaceMode runs.
-func ExploreDevices(mode dse.EvalMode, shelf []*device.Target, build dse.VariantBuilder,
-	space *dse.Space, w perf.Workload, form perf.Form, st dse.Strategy, workers int,
-	sim dse.SimConfig, opts dse.SearchOptions) (*dse.Result, error) {
-	return ExploreDevicesStore(mode, shelf, build, space, w, form, st, workers, sim, opts, nil)
-}
-
-// ExploreDevicesStore is ExploreDevices backed by a persistent
-// evaluation store: per-device calibrations, model estimates and
-// simulator measurements are all answered from their content-addressed
-// records when present and archived when recomputed. A nil store is the
-// plain in-memory exploration.
-func ExploreDevicesStore(mode dse.EvalMode, shelf []*device.Target, build dse.VariantBuilder,
-	space *dse.Space, w perf.Workload, form perf.Form, st dse.Strategy, workers int,
-	sim dse.SimConfig, opts dse.SearchOptions, store *evalstore.Store) (*dse.Result, error) {
-	eval, err := dse.NewDeviceModeEvaluatorStore(mode, shelf, build, w, form, sim, store)
-	if err != nil {
-		return nil, err
-	}
-	eng := dse.NewEngine(space, eval, workers)
-	return eng.Search(st, opts)
+	return dse.NewEngine(space, eval, workers).Search(st, opts)
 }

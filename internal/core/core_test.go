@@ -111,19 +111,20 @@ func TestCompilerSimulate(t *testing.T) {
 		t.Error("accumulator mismatch")
 	}
 
-	// The reusable arena must agree with the one-shot path across
-	// repeated instances.
-	r, err := c.SimRunner(m)
+	// A compiled design with one dedicated instance must agree with the
+	// one-shot path across repeated kernel-instances.
+	d, err := c.SimDesign(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inst := d.NewInstance()
 	for k := 0; k < 3; k++ {
-		again, err := r.Run(mem)
+		again, err := inst.Run(mem)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if again.Cycles != res.Cycles || again.Acc["potAcc"] != res.Acc["potAcc"] {
-			t.Fatalf("run %d: runner diverged from Simulate", k)
+			t.Fatalf("run %d: instance diverged from Simulate", k)
 		}
 	}
 }
@@ -133,7 +134,16 @@ func TestCompilerExplore(t *testing.T) {
 	build := func(lanes int) (*tir.Module, error) {
 		return kernels.SORSpec{IM: 15, JM: 10, KM: 16, Lanes: lanes}.Module()
 	}
-	sw, err := c.Explore(build, dse.LaneCounts(4), perf.Workload{NKI: 100}, perf.FormB)
+	space, err := dse.NewSpace(dse.LanesAxis(dse.LaneCounts(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Explore(dse.EvalModel, []*device.Target{c.Target}, nil, build, space,
+		perf.Workload{NKI: 100}, perf.FormB, dse.Exhaustive{}, 0, dse.SimConfig{}, dse.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := res.Sweep(perf.FormB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,10 +108,24 @@ func (mc *ModelCache) Models(t *device.Target) (*costmodel.Model, *membw.Model, 
 	return cell.val.mdl, cell.val.bw, nil
 }
 
-// deviceEval evaluates points of a space that includes the device
-// axis: axis values index the shelf, each shelf entry gets its own
-// lazily calibrated modelEval (estimates are per-device — the same
-// module costs differently against different capacity pools and
+// seeded returns a model cache that already holds the supplied models
+// for their target, so an evaluator over it never calibrates: the
+// single-target constructors price against the caller's models.
+func seeded(mdl *costmodel.Model, bw *membw.Model) *ModelCache {
+	mc := NewModelCache()
+	if t := mdl.Target; t != nil {
+		cell := loadCell[onceCell[modelPair]](&mc.cells, t.Name)
+		cell.once.Do(func() { cell.val = modelPair{mdl: mdl, bw: bw, desc: *t} })
+	}
+	return mc
+}
+
+// deviceEval is the one Evaluator implementation: every exported
+// constructor assembles one through newEvaluator. Device-axis values
+// index the shelf, and a space without a device axis evaluates on
+// shelf[0], so a single target is a one-entry shelf. Each shelf entry
+// gets its own lazily built modelEval (estimates are per-device: the
+// same module costs differently against different capacity pools and
 // bandwidth curves), while module builds and simulator measurements
 // are shared across devices (both depend only on the variant, never on
 // the target).
@@ -129,50 +143,84 @@ type deviceEval struct {
 	evals []onceCell[*modelEval] // one per shelf entry
 }
 
-// NewDeviceEvaluator returns the cross-device evaluator over the
-// paper's cost stack: the device axis (values indexing shelf, see
-// DeviceAxis) selects which target's calibrated cost and bandwidth
-// models price the variant; lanes, dv, form and fclk behave exactly as
-// under the standard evaluator. Spaces without a device axis evaluate
-// against shelf[0]. Per-target calibration is memoised by an internal
-// ModelCache; pass a shared one through NewDeviceModeEvaluatorCache to
-// amortise it across engines.
-func NewDeviceEvaluator(shelf []*device.Target, build VariantBuilder,
-	w perf.Workload, form perf.Form) (Evaluator, error) {
-	return NewDeviceModeEvaluator(EvalModel, shelf, build, w, form, SimConfig{})
+// NewEvaluator returns the standard evaluator over the paper's cost
+// stack: build the variant's module (lanes axis), cost it with the
+// calibrated resource model (dv axis selects the vectorised estimate),
+// extract the Table I parameters against the bandwidth model, and
+// evaluate EKIT under the memory-execution form (form axis, defaulting
+// to the given form when the space has no form axis). An fclk axis
+// (MHz values) overrides the device frequency FD, re-pricing
+// throughput without re-costing resources.
+//
+// costmodel.Estimate and perf.Extract are pure, so the evaluator
+// memoises module builds per lane count, and estimates together with
+// their extracted Table I parameters per (lanes, dv). Form and fclk
+// axes only re-price: per point, the evaluator overrides FD, evaluates
+// EKIT and derives the utilisation and bandwidth-demand bars.
+func NewEvaluator(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
+	w perf.Workload, form perf.Form) Evaluator {
+	return supplied(EvalModel, mdl, bw, build, w, form, SimConfig{})
 }
 
-// NewDeviceModeEvaluator is NewDeviceEvaluator with a selectable
-// scorer, mirroring NewModeEvaluator: under EvalSim and EvalHybrid
-// every point additionally carries the simulated cycles. The
-// simulator's measurement arenas are shared across the shelf — cycles
-// depend only on the module, so an N-device sim-backed sweep simulates
-// each lane count once and re-prices it per device through FD.
-func NewDeviceModeEvaluator(mode EvalMode, shelf []*device.Target, build VariantBuilder,
-	w perf.Workload, form perf.Form, cfg SimConfig) (Evaluator, error) {
-	return newDeviceEval(mode, shelf, build, w, form, cfg, NewModelCache())
+// NewSimEvaluator returns the simulation-backed evaluator: each
+// variant is scored by measured cycles-per-instance on the compiled
+// pipeline simulator, EKIT = FD / cycles. The model still fills the
+// resource and bandwidth fields (and ModelEKIT), so walls and pruning
+// behave exactly as under the standard evaluator.
+func NewSimEvaluator(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
+	w perf.Workload, form perf.Form, cfg SimConfig) Evaluator {
+	return supplied(EvalSim, mdl, bw, build, w, form, cfg)
 }
 
-// NewDeviceModeEvaluatorStore is NewDeviceModeEvaluator over a
-// persistent evaluation store: per-device calibrated models, model
-// estimates and simulator measurements are all answered from their
-// content-addressed records when present. A nil store is the plain
-// in-memory evaluator.
+// NewDeviceModeEvaluatorStore is NewDeviceModeEvaluatorCache over a
+// fresh model cache backed by a persistent evaluation store: per-device
+// calibrated models, model estimates and simulator measurements are all
+// answered from their content-addressed records when present. A nil
+// store is the plain in-memory evaluator.
 func NewDeviceModeEvaluatorStore(mode EvalMode, shelf []*device.Target, build VariantBuilder,
 	w perf.Workload, form perf.Form, cfg SimConfig, store *evalstore.Store) (Evaluator, error) {
-	return newDeviceEval(mode, shelf, build, w, form, cfg, NewModelCacheStore(store))
+	return NewDeviceModeEvaluatorCache(mode, shelf, build, w, form, cfg, NewModelCacheStore(store))
 }
 
-// NewDeviceModeEvaluatorCache is NewDeviceModeEvaluator over a
-// caller-owned ModelCache; a store-backed cache (NewModelCacheStore)
-// extends its persistent tier to estimates and measurements too.
+// NewDeviceModeEvaluatorCache returns the evaluator of the given mode
+// over a shelf of targets: the device axis (values indexing shelf, see
+// DeviceAxis) selects which target's calibrated cost and bandwidth
+// models price the variant; lanes, dv, form and fclk behave exactly as
+// under NewEvaluator. Spaces without a device axis evaluate against
+// shelf[0]. Under EvalSim and EvalHybrid every point additionally
+// carries the simulated cycles; the measurements are shared across
+// the shelf (cycles depend only on the module), so an N-device sweep
+// simulates each lane count once and re-prices it per device through
+// FD. Each target's models come from cache, calibrated on first use; a
+// shared cache amortises calibration across engines, a store-backed
+// one (NewModelCacheStore) extends its persistent tier to estimates
+// and measurements, and nil selects a fresh in-memory cache.
 func NewDeviceModeEvaluatorCache(mode EvalMode, shelf []*device.Target, build VariantBuilder,
 	w perf.Workload, form perf.Form, cfg SimConfig, cache *ModelCache) (Evaluator, error) {
-	return newDeviceEval(mode, shelf, build, w, form, cfg, cache)
+	de, err := newEvaluator(mode, shelf, cache, build, w, form, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return de.eval, nil
 }
 
-func newDeviceEval(mode EvalMode, shelf []*device.Target, build VariantBuilder,
-	w perf.Workload, form perf.Form, cfg SimConfig, cache *ModelCache) (Evaluator, error) {
+// supplied is the single-target evaluator over pre-calibrated models: a
+// one-entry shelf over a cache seeded with them. It cannot fail for a
+// model with a target; for one without, every evaluation reports why.
+func supplied(mode EvalMode, mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
+	w perf.Workload, form perf.Form, cfg SimConfig) Evaluator {
+	de, err := newEvaluator(mode, []*device.Target{mdl.Target}, seeded(mdl, bw), build, w, form, cfg)
+	if err != nil {
+		return func(*Space, Variant) (*Point, error) { return nil, err }
+	}
+	return de.eval
+}
+
+// newEvaluator assembles every evaluator: mode selects the scorer, the
+// shelf the targets, cache their models (and the optional persistent
+// store), cfg the simulator workload and the cost-model implementation.
+func newEvaluator(mode EvalMode, shelf []*device.Target, cache *ModelCache, build VariantBuilder,
+	w perf.Workload, form perf.Form, cfg SimConfig) (*deviceEval, error) {
 	switch mode {
 	case EvalModel, EvalSim, EvalHybrid:
 	default:
@@ -203,19 +251,39 @@ func newDeviceEval(mode EvalMode, shelf []*device.Target, build VariantBuilder,
 		form:  form,
 		emode: cfg.ModelEval,
 		evals: make([]onceCell[*modelEval], len(shelf)),
-		axes:  newAxisGuard("the device-shelf evaluator", AxisLanes, AxisDV, AxisForm, AxisFclk, AxisDevice),
+		axes:  axisGuardFor(mode),
 	}
 	if mode != EvalModel {
 		de.sm = newSimMeasurer(de.mods, cfg, cache.store)
-		de.axes = simAxisGuard(mode, AxisDevice)
 	}
-	return de.eval, nil
+	return de, nil
+}
+
+// axisGuardFor returns the axis check of a mode's evaluator, naming the
+// evaluator in rejections; every mode accepts the device axis. The
+// model scores lanes, dv, form and fclk. Neither simulation-backed
+// mode takes a dv axis: the simulator executes one work-item per lane
+// per cycle and cannot observe medium-grained vectorisation, so a dv
+// sweep must stay on the model. Pure sim scoring also rejects a form
+// axis: simulated cycles are form-independent, so EvalSim would
+// silently tie every form at a lane count; hybrid mode keeps it, since
+// there the model ranks.
+func axisGuardFor(mode EvalMode) *axisGuard {
+	switch mode {
+	case EvalSim:
+		return newAxisGuard("the sim-scored evaluator (form does not change simulated cycles; use hybrid)",
+			AxisLanes, AxisFclk, AxisDevice)
+	case EvalHybrid:
+		return newAxisGuard("the simulation-backed evaluator", AxisLanes, AxisForm, AxisFclk, AxisDevice)
+	}
+	return newAxisGuard("the standard evaluator", AxisLanes, AxisDV, AxisForm, AxisFclk, AxisDevice)
 }
 
 // modelEvalFor lazily builds the per-device modelEval: the first point
-// landing on a shelf entry calibrates its models (through the
-// ModelCache), everyone else reuses the settled evaluator — and with
-// it the per-(lanes, dv) estimate memos, which are device-specific.
+// landing on a shelf entry takes its models from the ModelCache
+// (calibrating them unless the cache already holds them), everyone
+// else reuses the settled evaluator — and with it the per-(lanes, dv)
+// estimate memos, which are device-specific.
 func (de *deviceEval) modelEvalFor(idx int) (*modelEval, error) {
 	cell := &de.evals[idx]
 	cell.once.Do(func() {
@@ -224,7 +292,7 @@ func (de *deviceEval) modelEvalFor(idx int) (*modelEval, error) {
 			cell.err = err
 			return
 		}
-		cell.val = newModelEvalShared(mdl, bw, de.mods, de.w, de.form, de.emode, de.cache.store)
+		cell.val = newModelEval(mdl, bw, de.mods, de.w, de.form, de.emode, de.cache.store)
 	})
 	return cell.val, cell.err
 }
@@ -248,6 +316,9 @@ func (de *deviceEval) deviceIndex(b *spaceBinding, v Variant) (int, error) {
 	return idx, nil
 }
 
+// eval prices one point. Only a space with a device axis names the
+// device, on the point and in a pricing error; without one the target
+// is implicit in the evaluator (and available as Est.Target).
 func (de *deviceEval) eval(s *Space, v Variant) (*Point, error) {
 	b, err := de.axes.bind(s)
 	if err != nil {
@@ -263,9 +334,14 @@ func (de *deviceEval) eval(s *Space, v Variant) (*Point, error) {
 	}
 	p, err := me.point(b, v)
 	if err != nil {
-		return nil, fmt.Errorf("dse: on %s: %w", de.shelf[idx].Name, err)
+		if b.device >= 0 {
+			err = fmt.Errorf("dse: on %s: %w", de.shelf[idx].Name, err)
+		}
+		return nil, err
 	}
-	p.Device = de.shelf[idx].Name
+	if b.device >= 0 {
+		p.Device = de.shelf[idx].Name
+	}
 	if de.mode == EvalModel {
 		return p, nil
 	}

@@ -61,8 +61,12 @@ func TestDifferentialDeviceShelf(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := SweepLanes(mdl, bw, sorBuilder, []int{1, 2, 4, 8},
-			perf.Workload{NKI: 10}, perf.FormB)
+		res, err := exhaustive(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB,
+			LanesAxis([]int{1, 2, 4, 8}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := res.Sweep(perf.FormB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,8 +211,8 @@ func TestDeviceAxisSimSharedMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval, err := NewDeviceModeEvaluator(EvalHybrid, shelf, build,
-		perf.Workload{NKI: 10}, perf.FormB, SimConfig{})
+	eval, err := NewDeviceModeEvaluatorCache(EvalHybrid, shelf, build,
+		perf.Workload{NKI: 10}, perf.FormB, SimConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,19 +247,20 @@ func TestDeviceAxisSimSharedMeasurement(t *testing.T) {
 // axes fail loudly.
 func TestDeviceEvaluatorRejections(t *testing.T) {
 	shelf := testShelf(t)
-	if _, err := NewDeviceEvaluator(nil, sorBuilder, perf.Workload{NKI: 10}, perf.FormB); err == nil {
+	if _, err := NewDeviceModeEvaluatorCache(EvalModel, nil, sorBuilder,
+		perf.Workload{NKI: 10}, perf.FormB, SimConfig{}, nil); err == nil {
 		t.Error("empty shelf accepted")
 	}
-	if _, err := NewDeviceEvaluator([]*device.Target{shelf[0], nil}, sorBuilder,
-		perf.Workload{NKI: 10}, perf.FormB); err == nil {
+	if _, err := NewDeviceModeEvaluatorCache(EvalModel, []*device.Target{shelf[0], nil}, sorBuilder,
+		perf.Workload{NKI: 10}, perf.FormB, SimConfig{}, nil); err == nil {
 		t.Error("nil shelf entry accepted")
 	}
-	if _, err := NewDeviceEvaluator([]*device.Target{shelf[0], shelf[0]}, sorBuilder,
-		perf.Workload{NKI: 10}, perf.FormB); err == nil {
+	if _, err := NewDeviceModeEvaluatorCache(EvalModel, []*device.Target{shelf[0], shelf[0]}, sorBuilder,
+		perf.Workload{NKI: 10}, perf.FormB, SimConfig{}, nil); err == nil {
 		t.Error("duplicate shelf entry accepted")
 	}
-	if _, err := NewDeviceModeEvaluator(EvalMode(99), shelf, sorBuilder,
-		perf.Workload{NKI: 10}, perf.FormB, SimConfig{}); err == nil {
+	if _, err := NewDeviceModeEvaluatorCache(EvalMode(99), shelf, sorBuilder,
+		perf.Workload{NKI: 10}, perf.FormB, SimConfig{}, nil); err == nil {
 		t.Error("unknown mode accepted")
 	}
 
@@ -267,7 +272,8 @@ func TestDeviceEvaluatorRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval, err := NewDeviceEvaluator(shelf, sorBuilder, perf.Workload{NKI: 10}, perf.FormB)
+	eval, err := NewDeviceModeEvaluatorCache(EvalModel, shelf, sorBuilder,
+		perf.Workload{NKI: 10}, perf.FormB, SimConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +298,8 @@ func TestDeviceEvaluatorRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simEval, err := NewDeviceModeEvaluator(EvalSim, shelf, sorBuilder,
-		perf.Workload{NKI: 10}, perf.FormB, SimConfig{})
+	simEval, err := NewDeviceModeEvaluatorCache(EvalSim, shelf, sorBuilder,
+		perf.Workload{NKI: 10}, perf.FormB, SimConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

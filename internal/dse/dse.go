@@ -2,8 +2,8 @@
 // flow. The space of design variants is modelled explicitly as a
 // Space of named axes — lane replication, per-lane vectorisation
 // degree, memory-execution form, clock frequency, and the device
-// shelf (DeviceAxis with a shelf-aware evaluator, its per-target
-// calibration memoised by ModelCache) — and an Engine evaluates its
+// shelf (DeviceAxis, its per-target calibration memoised by
+// ModelCache) — and an Engine evaluates its
 // points through a worker pool with a memoised per-variant cost cache
 // (the whole evaluation stack, costmodel.Estimate plus
 // perf.Extract/EKIT, is pure, which makes both the parallelism and
@@ -26,16 +26,19 @@
 //     budget instead of enumerating them, deterministically for a
 //     fixed seed at any worker count.
 //
-// SweepLanes and SweepLanesDV, the original serial drivers, remain as
-// thin adapters over the engine and produce results identical to the
-// pre-engine implementation (pinned by the equivalence tests).
+// Every evaluator is one assembly over a device shelf (deviceeval.go):
+// NewEvaluator and NewSimEvaluator price a single target as a one-entry
+// shelf over the caller's calibrated models, and
+// NewDeviceModeEvaluatorCache (or its store-backed form) prices a
+// shelf whose models a ModelCache calibrates on first use. A result
+// over a lanes axis converts to the Sweep shape the report tables and
+// Advise read (Result.Sweep, Result.Sweep2D); those conversions are
+// pinned to the pre-engine serial implementation by the legacy
+// equivalence tests.
 package dse
 
 import (
-	"fmt"
-
 	"repro/internal/costmodel"
-	"repro/internal/membw"
 	"repro/internal/perf"
 	"repro/internal/tir"
 )
@@ -51,8 +54,8 @@ type Point struct {
 	Par   perf.Params
 
 	// Device is the name of the shelf entry that priced the point; empty
-	// when the evaluation was single-device (the target is then implicit
-	// in the evaluator and available as Est.Target).
+	// when the space has no device axis (the target is then implicit in
+	// the evaluator and available as Est.Target).
 	Device string
 
 	// EKIT is the kernel-instance throughput (the EWGT axis of Fig 15);
@@ -125,25 +128,6 @@ type Sweep struct {
 
 	// Best is the highest-EKIT variant that fits, or nil if none fit.
 	Best *Point
-}
-
-// SweepLanes builds, costs and ranks variants at each lane count: the
-// one-axis exhaustive exploration, run through the engine.
-func SweepLanes(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
-	lanes []int, w perf.Workload, form perf.Form) (*Sweep, error) {
-	if len(lanes) == 0 {
-		return nil, fmt.Errorf("dse: no lane counts to sweep")
-	}
-	space, err := NewSpace(LanesAxis(lanes))
-	if err != nil {
-		return nil, err
-	}
-	eng := NewEngine(space, NewEvaluator(mdl, bw, build, w, form), 0)
-	res, err := eng.Run(Exhaustive{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Sweep(form)
 }
 
 // LaneCounts returns the 1..max sweep used by the Fig 15 experiment.

@@ -47,7 +47,11 @@ func sorBuilder(lanes int) (*tir.Module, error) { return fig15Spec(lanes).Module
 func sweep(t *testing.T, form perf.Form) *Sweep {
 	t.Helper()
 	mdl, bw := fixtures(t)
-	sw, err := SweepLanes(mdl, bw, sorBuilder, LaneCounts(16), perf.Workload{NKI: 10}, form)
+	res, err := exhaustive(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, form, LanesAxis(LaneCounts(16)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := res.Sweep(form)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +145,13 @@ func TestBestVariantSelection(t *testing.T) {
 
 func TestSweepErrors(t *testing.T) {
 	mdl, bw := fixtures(t)
-	if _, err := SweepLanes(mdl, bw, sorBuilder, nil, perf.Workload{NKI: 10}, perf.FormA); err == nil {
+	if _, err := exhaustive(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormA, LanesAxis(nil)); err == nil {
 		t.Error("empty lane list accepted")
 	}
 	bad := func(lanes int) (*tir.Module, error) {
 		return kernels.SORSpec{IM: 0, JM: 0, KM: 0, Lanes: lanes}.Module()
 	}
-	if _, err := SweepLanes(mdl, bw, bad, []int{1}, perf.Workload{NKI: 10}, perf.FormA); err == nil {
+	if _, err := exhaustive(mdl, bw, bad, perf.Workload{NKI: 10}, perf.FormA, LanesAxis([]int{1})); err == nil {
 		t.Error("broken builder accepted")
 	}
 }

@@ -126,11 +126,11 @@ func ParseModelEval(s string) (ModelEvalMode, error) {
 	return 0, fmt.Errorf("dse: unknown model evaluation mode %q (have: %v)", s, ModelEvalNames())
 }
 
-// modelEval is the memoised core of the cost-model evaluator: module
+// modelEval is the memoised cost-model core of one shelf entry: module
 // builds per lane count, and estimates with their Table I parameters
-// per (lanes, dv), shared between the standard evaluator and the
-// simulation-backed evaluators (which need the same model-side point
-// for the resource bars, the walls and the calibration cross-check).
+// per (lanes, dv). Every mode prices through it (the simulation-backed
+// ones need the same model-side point for the resource bars, the walls
+// and the calibration cross-check).
 type modelEval struct {
 	mdl  *costmodel.Model
 	bw   *membw.Model
@@ -169,15 +169,10 @@ type estCell struct {
 	err  error
 }
 
-func newModelEval(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
-	w perf.Workload, form perf.Form, emode ModelEvalMode, store *evalstore.Store) *modelEval {
-	return newModelEvalShared(mdl, bw, newModuleCache(build), w, form, emode, store)
-}
-
-// newModelEvalShared wires a modelEval to an externally shared module
-// cache (the per-device evaluators build one modelEval per shelf entry
-// over a single cache).
-func newModelEvalShared(mdl *costmodel.Model, bw *membw.Model, mods *moduleCache,
+// newModelEval wires a modelEval to a module cache the caller shares
+// (every shelf entry's modelEval and the simulation measurer build each
+// lane count once over one cache).
+func newModelEval(mdl *costmodel.Model, bw *membw.Model, mods *moduleCache,
 	w perf.Workload, form perf.Form, emode ModelEvalMode, store *evalstore.Store) *modelEval {
 	return &modelEval{mdl: mdl, bw: bw, mods: mods, w: w, form: form, emode: emode, store: store}
 }
@@ -279,52 +274,6 @@ func (me *modelEval) point(b *spaceBinding, v Variant) (*Point, error) {
 	return pricePoint(c.est, c.par, perf.Form(b.value(v, b.form, int(me.form))), lanes, fclkHz)
 }
 
-// NewEvaluator returns the standard evaluator over the paper's cost
-// stack: build the variant's module (lanes axis), cost it with the
-// calibrated resource model (dv axis selects the vectorised estimate),
-// extract the Table I parameters against the bandwidth model, and
-// evaluate EKIT under the memory-execution form (form axis, defaulting
-// to the given form when the space has no form axis). An fclk axis
-// (MHz values) overrides the device frequency FD, re-pricing
-// throughput without re-costing resources.
-//
-// costmodel.Estimate and perf.Extract are pure, so the evaluator
-// memoises module builds per lane count, and estimates together with
-// their extracted Table I parameters per (lanes, dv). Form and fclk
-// axes only re-price: per point, the evaluator overrides FD, evaluates
-// EKIT and derives the utilisation and bandwidth-demand bars.
-func NewEvaluator(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
-	w perf.Workload, form perf.Form) Evaluator {
-	return NewEvaluatorStore(mdl, bw, build, w, form, nil)
-}
-
-// NewEvaluatorStore is NewEvaluator with an optional persistent
-// evaluation store: estimates are answered from their content-addressed
-// records when present and written back when recomputed. A nil store is
-// the plain in-memory evaluator. Estimates come from the compiled
-// estimate program; NewEvaluatorMode selects the tree-walk oracle.
-func NewEvaluatorStore(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
-	w perf.Workload, form perf.Form, store *evalstore.Store) Evaluator {
-	return NewEvaluatorMode(mdl, bw, build, w, form, ModelEvalCompiled, store)
-}
-
-// NewEvaluatorMode is NewEvaluatorStore with an explicit model
-// evaluation mode: the compiled flat program (the default elsewhere)
-// or the tree-walk oracle, which stays reachable for differential
-// cross-checks (tytradse -modeleval=tree).
-func NewEvaluatorMode(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
-	w perf.Workload, form perf.Form, emode ModelEvalMode, store *evalstore.Store) Evaluator {
-	me := newModelEval(mdl, bw, build, w, form, emode, store)
-	axes := newAxisGuard("the standard evaluator", AxisLanes, AxisDV, AxisForm, AxisFclk)
-	return func(s *Space, v Variant) (*Point, error) {
-		b, err := axes.bind(s)
-		if err != nil {
-			return nil, err
-		}
-		return me.point(b, v)
-	}
-}
-
 // pricePoint derives the full Point from a memoised estimate and its
 // Table I parameters: the EKIT throughput under the form and the Fig 15
 // utilisation bars. fclkHz > 0 overrides the extracted FD (the fclk
@@ -342,6 +291,15 @@ func pricePoint(est *costmodel.Estimate, par perf.Params, form perf.Form,
 	p := &Point{Lanes: lanes, Est: est, Par: par, EKIT: ekit, ModelEKIT: ekit,
 		Breakdown: bd, Fits: est.Fits()}
 	p.UtilALUT, p.UtilReg, p.UtilBRAM, p.UtilDSP = est.Utilisation()
+	if form == perf.FormC {
+		// Form C stages the NDRange's working set in on-chip BRAM
+		// (§III-5): the BRAM bar carries it beside the design's own, and
+		// the variant fits only when both fit together.
+		staged := est.Used
+		staged.BRAM += int(est.WorkingSetBits())
+		_, _, p.UtilBRAM, _ = staged.Utilisation(est.Target.Capacity)
+		p.Fits = p.Fits && est.FormCFeasible()
+	}
 
 	// Full-rate bandwidth demand: every lane consumes one tuple per
 	// cycle (the paper's pipelined configurations).

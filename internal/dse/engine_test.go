@@ -8,12 +8,15 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/costmodel"
+	"repro/internal/device"
 	"repro/internal/kernels"
+	"repro/internal/membw"
 	"repro/internal/perf"
 	"repro/internal/tir"
 )
 
-// kernelFamilies are the four in-tree variant families the adapters
+// kernelFamilies are the four in-tree variant families the engine
 // must reproduce the legacy results on.
 func kernelFamilies() map[string]func(lanes int) kernels.Spec {
 	return map[string]func(lanes int) kernels.Spec{
@@ -53,15 +56,32 @@ func samePoint(t *testing.T, ctx string, got, want Point, bandwidthUtils bool) {
 	}
 }
 
-// TestSweepLanesMatchesLegacy pins the adapter to the frozen serial
-// implementation on all four kernels and both interesting forms.
+// exhaustive evaluates every point of the axes through the standard
+// evaluator: the engine path behind the legacy sweep shapes, which
+// callers take with Result.Sweep or Result.Sweep2D.
+func exhaustive(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
+	w perf.Workload, form perf.Form, axes ...Axis) (*Result, error) {
+	space, err := NewSpace(axes...)
+	if err != nil {
+		return nil, err
+	}
+	return NewEngine(space, NewEvaluator(mdl, bw, build, w, form), 0).Search(Exhaustive{}, SearchOptions{})
+}
+
+// TestSweepLanesMatchesLegacy pins the engine's lane sweep to the
+// frozen serial implementation on all four kernels and both
+// interesting forms.
 func TestSweepLanesMatchesLegacy(t *testing.T) {
 	mdl, bw := fixtures(t)
 	for name, family := range kernelFamilies() {
 		build := func(l int) (*tir.Module, error) { return family(l).Module() }
 		lanes := DivisorLaneCounts(family(1).GlobalSize(), 6)
 		for _, form := range []perf.Form{perf.FormA, perf.FormB} {
-			got, err := SweepLanes(mdl, bw, build, lanes, perf.Workload{NKI: 10}, form)
+			res, err := exhaustive(mdl, bw, build, perf.Workload{NKI: 10}, form, LanesAxis(lanes))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, form, err)
+			}
+			got, err := res.Sweep(form)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, form, err)
 			}
@@ -91,16 +111,22 @@ func TestSweepLanesMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestSweepLanesDVMatchesLegacy pins the 2-D adapter. The engine
-// additionally fills the bandwidth-utilisation fields the legacy code
-// left zero, so those are compared against the 1-D semantics instead.
+// TestSweepLanesDVMatchesLegacy pins the engine's 2-D sweep. The
+// engine additionally fills the bandwidth-utilisation fields the
+// legacy code left zero, so those are compared against the 1-D
+// semantics instead.
 func TestSweepLanesDVMatchesLegacy(t *testing.T) {
 	mdl, bw := fixtures(t)
 	for name, family := range kernelFamilies() {
 		build := func(l int) (*tir.Module, error) { return family(l).Module() }
 		lanes := DivisorLaneCounts(family(1).GlobalSize(), 4)
 		dvs := []int{1, 2, 4}
-		got, err := SweepLanesDV(mdl, bw, build, lanes, dvs, perf.Workload{NKI: 10}, perf.FormB)
+		res, err := exhaustive(mdl, bw, build, perf.Workload{NKI: 10}, perf.FormB,
+			LanesAxis(lanes), DVAxis(dvs))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := res.Sweep2D(perf.FormB)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -126,6 +152,65 @@ func TestSweepLanesDVMatchesLegacy(t *testing.T) {
 		if got.Best.Lanes != want.Best.Lanes || got.Best.Est.DV != want.Best.Est.DV {
 			t.Errorf("%s: best (%d,%d) != (%d,%d)", name,
 				got.Best.Lanes, got.Best.Est.DV, want.Best.Lanes, want.Best.Est.DV)
+		}
+	}
+}
+
+// TestFormCRequiresOnChipWorkingSet: form C stages the NDRange's
+// working set in on-chip BRAM (§III-5), so the DSE must price it the
+// way core.Cost gates it. Under form C the BRAM bar carries the working
+// set beside the design's own BRAM, and a variant fits only when
+// Estimate.FormCFeasible holds; other forms keep the plain estimate.
+// The Fig 15 SOR working set (~1.04 Gbit) fits on no device, while a
+// 2,400-point SOR fits on the full Stratix V.
+func TestFormCRequiresOnChipWorkingSet(t *testing.T) {
+	shelf := []*device.Target{device.GSD8Edu(), device.StratixVGSD8()}
+	small := func(l int) (*tir.Module, error) {
+		return kernels.SORSpec{IM: 15, JM: 10, KM: 16, Lanes: l}.Module()
+	}
+	space, err := NewSpace(LanesAxis([]int{1, 2, 4}), FormAxis(perf.FormB, perf.FormC), DeviceAxis(shelf...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewModelCache()
+	for name, build := range map[string]VariantBuilder{"fig15": sorBuilder, "small": small} {
+		ev, err := NewDeviceModeEvaluatorCache(EvalModel, shelf, build, perf.Workload{NKI: 10}, perf.FormB,
+			SimConfig{}, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := NewEngine(space, ev, 0).Run(Exhaustive{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feasible := 0
+		for i, v := range res.Variants {
+			p, est := res.Points[i], res.Points[i].Est
+			ctx := name + " " + space.Describe(v)
+			_, _, bram, _ := est.Utilisation()
+			if form, _ := space.Value(v, AxisForm); perf.Form(form) != perf.FormC {
+				if p.Fits != est.Fits() || p.UtilBRAM != bram {
+					t.Errorf("%s: fits=%v %%BRAM=%g, want the estimate's %v %g", ctx, p.Fits, p.UtilBRAM, est.Fits(), bram)
+				}
+				continue
+			}
+			staged := float64(est.Used.BRAM+int(est.WorkingSetBits())) / float64(est.Target.Capacity.BRAM)
+			if p.UtilBRAM != staged {
+				t.Errorf("%s: %%BRAM=%g, want %g with the staged working set", ctx, p.UtilBRAM, staged)
+			}
+			if want := est.Fits() && est.FormCFeasible(); p.Fits != want {
+				t.Errorf("%s: fits=%v, want %v (working set %d bits, BRAM %d of %d)", ctx, p.Fits, want,
+					est.WorkingSetBits(), est.Used.BRAM, est.Target.Capacity.BRAM)
+			}
+			if est.FormCFeasible() {
+				feasible++
+			}
+		}
+		if name == "fig15" && feasible != 0 {
+			t.Errorf("fig15: %d form-C points feasible, want none", feasible)
+		}
+		if name == "small" && feasible == 0 {
+			t.Error("small: no form-C point feasible on any device")
 		}
 	}
 }

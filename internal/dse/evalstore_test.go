@@ -23,36 +23,38 @@ type counters struct {
 }
 
 // instrumentedEval builds a mode evaluator over the store with every
-// compute path counted. It wires the same internals the public
-// constructors wire — modelEval + simMeasurer — so the differential
-// holds for the production assembly, not a test double.
-func instrumentedEval(mode EvalMode, mdl *costmodel.Model, bw *membw.Model,
+// compute path counted. It is the production assembly (newEvaluator
+// over a one-entry shelf), not a test double, with the counting
+// wrappers wired into its model and simulator halves before the first
+// evaluation.
+func instrumentedEval(t *testing.T, mode EvalMode, mdl *costmodel.Model, bw *membw.Model,
 	store *evalstore.Store, c *counters) Evaluator {
-	me := newModelEval(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB, ModelEvalCompiled, store)
-	me.estimateFn = func(m *tir.Module, dv int) (*costmodel.Estimate, error) {
-		c.estimates.Add(1)
-		return mdl.EstimateVectorised(m, dv)
-	}
-	if mode == EvalModel {
-		axes := newAxisGuard("the instrumented evaluator", AxisLanes, AxisDV, AxisForm, AxisFclk)
-		return func(s *Space, v Variant) (*Point, error) {
-			b, err := axes.bind(s)
-			if err != nil {
-				return nil, err
-			}
-			return me.point(b, v)
-		}
-	}
+	t.Helper()
+	cache := seeded(mdl, bw)
+	cache.store = store
 	cfg := SimConfig{Inputs: func(m *tir.Module, seed int64) (map[string][]int64, error) {
 		c.inputs.Add(1)
 		return SimInputs(m, seed)
 	}}
-	sm := newSimMeasurer(me.mods, cfg, store)
-	// The counting wrapper IS SimInputs, so the content key stays valid;
-	// undo the custom-generator bypass the wrapper triggered.
-	sm.customInputs = false
-	sv := &simBacked{mode: mode, me: me, sm: sm, axes: simAxisGuard(mode)}
-	return sv.eval
+	de, err := newEvaluator(mode, []*device.Target{mdl.Target}, cache, sorBuilder,
+		perf.Workload{NKI: 10}, perf.FormB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	me, err := de.modelEvalFor(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	me.estimateFn = func(m *tir.Module, dv int) (*costmodel.Estimate, error) {
+		c.estimates.Add(1)
+		return mdl.EstimateVectorised(m, dv)
+	}
+	if de.sm != nil {
+		// The counting wrapper IS SimInputs, so the content key stays
+		// valid; undo the custom-generator bypass the wrapper triggered.
+		de.sm.customInputs = false
+	}
+	return de.eval
 }
 
 func runInstrumented(t *testing.T, mode EvalMode, store *evalstore.Store,
@@ -67,7 +69,7 @@ func runInstrumented(t *testing.T, mode EvalMode, store *evalstore.Store,
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewEngine(space, instrumentedEval(mode, mdl, bw, store, &c), workers).Run(Exhaustive{})
+	res, err := NewEngine(space, instrumentedEval(t, mode, mdl, bw, store, &c), workers).Run(Exhaustive{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +307,6 @@ func TestDeviceStoreWarmCold(t *testing.T) {
 // cannot be content-hashed, so the persistent tier must not serve (or
 // archive) measurements for it.
 func TestCustomInputsBypassStore(t *testing.T) {
-	mdl, bw := fixtures(t)
 	dir := t.TempDir()
 	run := func() int64 {
 		s, err := evalstore.Open(dir)
@@ -313,12 +314,11 @@ func TestCustomInputsBypassStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		var n atomic.Int64
-		me := newModelEval(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB, ModelEvalCompiled, s)
 		cfg := SimConfig{Inputs: func(m *tir.Module, seed int64) (map[string][]int64, error) {
 			n.Add(1)
 			return SimInputs(m, seed)
 		}}
-		sm := newSimMeasurer(me.mods, cfg, s)
+		sm := newSimMeasurer(newModuleCache(sorBuilder), cfg, s)
 		if _, err := sm.measure(2); err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,10 @@
 package dse
 
 // This file freezes the pre-engine serial implementations of SweepLanes
-// and SweepLanesDV, verbatim, as the reference the engine-backed
-// adapters are tested against (see engine_test.go). Do not "improve"
-// them: their value is that they no longer change.
+// and SweepLanesDV, verbatim, as the reference the engine's sweep
+// shapes (Result.Sweep, Result.Sweep2D) are tested against (see
+// engine_test.go). Do not "improve" them: their value is that they no
+// longer change.
 
 import (
 	"fmt"

@@ -88,7 +88,7 @@ func TestCompiledTreeEngineDifferential(t *testing.T) {
 	w := perf.Workload{NKI: 10}
 
 	run := func(emode ModelEvalMode, workers int) []*Point {
-		ev := NewEvaluatorMode(mdl, bw, sorBuilder, w, perf.FormB, emode, nil)
+		ev := supplied(EvalModel, mdl, bw, sorBuilder, w, perf.FormB, SimConfig{ModelEval: emode})
 		ps, err := NewEngine(space, ev, workers).EvalAll(space.Enumerate())
 		if err != nil {
 			t.Fatal(err)
@@ -222,7 +222,7 @@ func BenchmarkEvalAllLargeSpace(b *testing.B) {
 	}
 	space := benchSpaceLarge(b)
 	vs := space.Enumerate()
-	ev := NewEvaluatorMode(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB, ModelEvalCompiled, nil)
+	ev := NewEvaluator(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB)
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("j%d", workers), func(b *testing.B) {
 			b.ReportAllocs()

@@ -10,15 +10,29 @@ import (
 type Budget struct {
 	// MaxEvals caps the evaluations charged to the run: every distinct
 	// variant the search evaluates costs one, memoised re-visits of a
-	// variant already seen this run are free. 0 means unlimited. The
-	// core enforces the cap exactly: a wave that would overrun is cut
-	// at the first variant the budget cannot afford.
+	// variant already seen this run are free. 0 means unlimited, and
+	// Engine.Search rejects a negative cap. The core enforces the cap
+	// exactly: a wave that would overrun is cut at the first variant the
+	// budget cannot afford.
 	MaxEvals int
 	// Patience ends the run once this many consecutive charged
 	// evaluations fail to improve the best fitting EKIT. It is checked
 	// between waves (a wave is the atomic unit of the search), so a run
-	// can overshoot by at most one wave. 0 disables.
+	// can overshoot by at most one wave. 0 disables; negative is
+	// rejected.
 	Patience int
+}
+
+// check rejects a negative field: 0 is the only spelling of "off", so
+// a negative value is a caller's mistake, never an unlimited run.
+func (b Budget) check() error {
+	if b.MaxEvals < 0 {
+		return fmt.Errorf("dse: Budget.MaxEvals must be >= 0 (0 = unlimited), got %d", b.MaxEvals)
+	}
+	if b.Patience < 0 {
+		return fmt.Errorf("dse: Budget.Patience must be >= 0 (0 = disabled), got %d", b.Patience)
+	}
+	return nil
 }
 
 // StopReason records why a search ended.
@@ -216,6 +230,9 @@ func (sc *Search) sample() {
 func (e *Engine) Search(st Strategy, opts SearchOptions) (*Result, error) {
 	if e.Space == nil {
 		return nil, fmt.Errorf("dse: engine has no space")
+	}
+	if err := opts.Budget.check(); err != nil {
+		return nil, err
 	}
 	seed := opts.Seed
 	if seed == 0 {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/kernels"
@@ -322,6 +324,49 @@ func TestSearchPatience(t *testing.T) {
 	}
 	if r.Evals >= space.Size() {
 		t.Errorf("patience did not stop the search early (%d evals)", r.Evals)
+	}
+}
+
+// TestSearchRejectsNegativeBudget: a negative MaxEvals or Patience is
+// an error that names the field, raised before anything is evaluated,
+// for every strategy; 0 stays the spelling of "off".
+func TestSearchRejectsNegativeBudget(t *testing.T) {
+	space, err := NewSpace(LanesAxis(LaneCounts(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		budget Budget
+		field  string // "" = accepted
+	}{
+		{Budget{MaxEvals: -1}, "MaxEvals"},
+		{Budget{MaxEvals: -1, Patience: 2}, "MaxEvals"},
+		{Budget{Patience: -3}, "Patience"},
+		{Budget{MaxEvals: 2, Patience: -1}, "Patience"},
+		{Budget{}, ""},
+		{Budget{MaxEvals: 2, Patience: 1}, ""},
+	}
+	for _, stName := range StrategyNames() {
+		st, err := ParseStrategy(stName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cases {
+			var calls atomic.Int64
+			eval := func(*Space, Variant) (*Point, error) {
+				calls.Add(1)
+				return &Point{Lanes: 1, EKIT: 1, Fits: true}, nil
+			}
+			_, err := NewEngine(space, eval, 2).Search(st, SearchOptions{Budget: c.budget, Seed: 1})
+			switch {
+			case c.field == "" && err != nil:
+				t.Errorf("%s %+v: %v", stName, c.budget, err)
+			case c.field != "" && (err == nil || !strings.Contains(err.Error(), "Budget."+c.field)):
+				t.Errorf("%s %+v: error %v does not name Budget.%s", stName, c.budget, err, c.field)
+			case c.field != "" && calls.Load() != 0:
+				t.Errorf("%s %+v: evaluated %d points before rejecting the budget", stName, c.budget, calls.Load())
+			}
+		}
 	}
 }
 

@@ -5,11 +5,8 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/costmodel"
 	"repro/internal/evalstore"
 	"repro/internal/kernels"
-	"repro/internal/membw"
-	"repro/internal/perf"
 	"repro/internal/pipesim"
 	"repro/internal/tir"
 )
@@ -27,8 +24,8 @@ const (
 	// FD / measured cycles-per-instance (NewSimEvaluator).
 	EvalSim
 	// EvalHybrid keeps the model's EKIT ranking and records the
-	// simulated cycles alongside it (NewHybridEvaluator), feeding the
-	// report.Calibration cross-check.
+	// simulated cycles alongside it, feeding the report.Calibration
+	// cross-check.
 	EvalHybrid
 )
 
@@ -65,10 +62,9 @@ func ParseEvalMode(s string) (EvalMode, error) {
 // workload. The zero value is ready to use.
 type SimConfig struct {
 	// Warmup is the number of kernel-instances executed before
-	// measurement begins (default 0 — the Runner arena is compiled
-	// before any instance runs, so a warm-up only matters when the
-	// caller wants to shake allocator effects out of wall-clock
-	// benchmarks).
+	// measurement begins (default 0 — the design is compiled before
+	// any instance runs, so a warm-up only matters when the caller
+	// wants to shake allocator effects out of wall-clock benchmarks).
 	Warmup int
 	// Measure is the number of measured kernel-instances (default 1).
 	// The simulator is deterministic, so one instance is exact; larger
@@ -79,7 +75,7 @@ type SimConfig struct {
 	Seed int64
 	// Inputs overrides the workload generator; nil selects SimInputs.
 	Inputs func(m *tir.Module, seed int64) (map[string][]int64, error)
-	// Exec selects the executor escalation level the measurement Runner
+	// Exec selects the executor escalation level the measured design
 	// compiles with (zero value = batched + fused). Any level yields
 	// byte-identical cycle counts and outputs — the executors are pinned
 	// bit-exact against each other — so this is a speed knob, not a
@@ -174,14 +170,14 @@ type measOutcome struct {
 
 // simMeasurer owns one immutable pipesim.CompiledDesign per lane count
 // over a shared module cache, plus the memoised measurements taken on
-// them. It is its own type so the device-aware evaluator can share one
-// measurer across every shelf entry: the simulated cycle count of a
+// them. It is its own type so the evaluator can share one measurer
+// across every shelf entry: the simulated cycle count of a
 // variant depends only on its module, never on the device (devices
 // re-price a measurement through FD, they never re-run it).
 //
-// Unlike the pre-split arena — where one engine worker owned a mutable
-// Runner and every other worker blocked on a once-cell until it
-// finished — the designs here are concurrency-safe, so workers that
+// Unlike a single-instance arena, where one engine worker owns the
+// mutable scratch and every other worker blocks until it finishes, the
+// designs here are concurrency-safe, so workers that
 // race a cold lane count each drive their own pooled Instance and the
 // first settled result wins. Racers cross-check their result against
 // the stored one, extending the determinism contract to concurrent
@@ -243,87 +239,6 @@ func (sm *simMeasurer) design(lanes int) (*pipesim.CompiledDesign, error) {
 	return cell.val, cell.err
 }
 
-// simBacked is the shared implementation of the sim and hybrid
-// evaluators: the model half comes from the same memoised modelEval
-// the standard evaluator uses (resource bars, walls and Params are
-// identical across modes by construction), the sim half from a
-// per-lane-count measurement arena.
-type simBacked struct {
-	mode EvalMode
-	me   *modelEval
-	sm   *simMeasurer
-	axes *axisGuard
-}
-
-// NewSimEvaluator returns the simulation-backed evaluator: each
-// variant is scored by measured cycles-per-instance on the compiled
-// pipeline simulator, EKIT = FD / cycles. The model still fills the
-// resource and bandwidth fields (and ModelEKIT), so walls and pruning
-// behave exactly as under the standard evaluator.
-func NewSimEvaluator(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
-	w perf.Workload, form perf.Form, cfg SimConfig) Evaluator {
-	return newSimBacked(EvalSim, mdl, bw, build, w, form, cfg, nil)
-}
-
-// NewHybridEvaluator returns the cross-checking evaluator: points are
-// ranked by the model's EKIT exactly as the standard evaluator ranks
-// them, and every point additionally carries the simulated cycles
-// (SimCycles/SimItems/SimEKIT) for the report.Calibration table.
-func NewHybridEvaluator(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
-	w perf.Workload, form perf.Form, cfg SimConfig) Evaluator {
-	return newSimBacked(EvalHybrid, mdl, bw, build, w, form, cfg, nil)
-}
-
-// NewModeEvaluator dispatches on an EvalMode (the -eval flag of
-// cmd/tytradse).
-func NewModeEvaluator(mode EvalMode, mdl *costmodel.Model, bw *membw.Model,
-	build VariantBuilder, w perf.Workload, form perf.Form, cfg SimConfig) (Evaluator, error) {
-	return NewModeEvaluatorStore(mode, mdl, bw, build, w, form, cfg, nil)
-}
-
-// NewModeEvaluatorStore is NewModeEvaluator with an optional persistent
-// evaluation store backing both halves: model estimates and simulator
-// measurements are answered from their content-addressed records when
-// present and written back when recomputed. A nil store is the plain
-// in-memory evaluator.
-func NewModeEvaluatorStore(mode EvalMode, mdl *costmodel.Model, bw *membw.Model,
-	build VariantBuilder, w perf.Workload, form perf.Form, cfg SimConfig,
-	store *evalstore.Store) (Evaluator, error) {
-	switch mode {
-	case EvalModel:
-		return NewEvaluatorMode(mdl, bw, build, w, form, cfg.ModelEval, store), nil
-	case EvalSim, EvalHybrid:
-		return newSimBacked(mode, mdl, bw, build, w, form, cfg, store), nil
-	}
-	return nil, fmt.Errorf("dse: unknown evaluation mode %d", int(mode))
-}
-
-func newSimBacked(mode EvalMode, mdl *costmodel.Model, bw *membw.Model,
-	build VariantBuilder, w perf.Workload, form perf.Form, cfg SimConfig,
-	store *evalstore.Store) Evaluator {
-	me := newModelEval(mdl, bw, build, w, form, cfg.ModelEval, store)
-	sv := &simBacked{mode: mode, me: me, sm: newSimMeasurer(me.mods, cfg, store), axes: simAxisGuard(mode)}
-	return sv.eval
-}
-
-// simAxisGuard checks the axis set a simulation-backed evaluator
-// accepts, plus the extra axes given, and names the evaluator in
-// rejections. No dv axis in either mode:
-// the simulator executes one work-item per lane per cycle and cannot
-// observe medium-grained vectorisation, so a dv sweep must stay on the
-// model evaluator. Pure sim scoring also rejects a form axis:
-// simulated cycles are form-independent, so EvalSim would silently tie
-// every form at a lane count — hybrid mode keeps it, since there the
-// model ranks.
-func simAxisGuard(mode EvalMode, extra ...string) *axisGuard {
-	if mode == EvalSim {
-		return newAxisGuard("the sim-scored evaluator (form does not change simulated cycles; use hybrid)",
-			append([]string{AxisLanes, AxisFclk}, extra...)...)
-	}
-	return newAxisGuard("the simulation-backed evaluator",
-		append([]string{AxisLanes, AxisForm, AxisFclk}, extra...)...)
-}
-
 // attachSim decorates a model-side point with the simulator's
 // measurement: the measured cycles and items, and the sim-backed
 // throughput at the point's (possibly fclk-overridden) FD. Under
@@ -341,26 +256,6 @@ func attachSim(p *Point, mode EvalMode, lanes int, meas simMeasure) error {
 		p.EKIT = p.SimEKIT
 	}
 	return nil
-}
-
-func (sv *simBacked) eval(s *Space, v Variant) (*Point, error) {
-	b, err := sv.axes.bind(s)
-	if err != nil {
-		return nil, err
-	}
-	p, err := sv.me.point(b, v)
-	if err != nil {
-		return nil, err
-	}
-	lanes := b.value(v, b.lanes, 1)
-	meas, err := sv.sm.measure(lanes)
-	if err != nil {
-		return nil, err
-	}
-	if err := attachSim(p, sv.mode, lanes, meas); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // measure memoises the simulated per-instance (cycles, items) per lane

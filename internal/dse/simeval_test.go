@@ -115,11 +115,11 @@ func TestDifferentialRunnerVsOracleCycles(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: %v", name, lanes, err)
 			}
-			r, err := pipesim.NewRunner(m)
+			d, err := pipesim.Compile(m)
 			if err != nil {
 				t.Fatalf("%s/%d: compile: %v", name, lanes, err)
 			}
-			got, err := r.Run(mem)
+			got, err := d.NewInstance().Run(mem)
 			if err != nil {
 				t.Fatalf("%s/%d: compiled run: %v", name, lanes, err)
 			}
@@ -203,7 +203,7 @@ func TestSimEvaluatorDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eval := NewHybridEvaluator(mdl, bw, build, w, perf.FormB, SimConfig{Measure: 2})
+		eval := supplied(EvalHybrid, mdl, bw, build, w, perf.FormB, SimConfig{Measure: 2})
 		res, err := NewEngine(space, eval, workers).Run(Exhaustive{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -365,7 +365,7 @@ func TestDifferentialFclkUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refEval := NewHybridEvaluator(mdl, bw, build, w, perf.FormB, SimConfig{})
+	refEval := supplied(EvalHybrid, mdl, bw, build, w, perf.FormB, SimConfig{})
 	ref, err := refEval(refSpace, refSpace.Enumerate()[0])
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +387,7 @@ func TestDifferentialFclkUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := NewHybridEvaluator(mdl, bw, build, w, perf.FormB, SimConfig{})
+	eval := supplied(EvalHybrid, mdl, bw, build, w, perf.FormB, SimConfig{})
 	res, err := NewEngine(space, eval, 0).Run(Exhaustive{})
 	if err != nil {
 		t.Fatal(err)
@@ -465,7 +465,7 @@ func TestSimEvaluatorRejectsDV(t *testing.T) {
 		!strings.Contains(err.Error(), "form") {
 		t.Errorf("form axis accepted by the sim-scored evaluator: %v", err)
 	}
-	hybrid := NewHybridEvaluator(mdl, bw, build, perf.Workload{NKI: 10}, perf.FormB, SimConfig{})
+	hybrid := supplied(EvalHybrid, mdl, bw, build, perf.Workload{NKI: 10}, perf.FormB, SimConfig{})
 	if _, err := hybrid(formSpace, formSpace.Enumerate()[0]); err != nil {
 		t.Errorf("form axis rejected by the hybrid evaluator: %v", err)
 	}

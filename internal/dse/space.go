@@ -10,12 +10,10 @@ import (
 	"repro/internal/perf"
 )
 
-// Well-known axis names. The standard evaluator (NewEvaluator)
-// understands lanes, dv, form and fclk; the simulation-backed
-// evaluators (NewSimEvaluator, NewHybridEvaluator) understand lanes,
-// form and fclk; the device axis is only understood by the
-// shelf-aware evaluators (NewDeviceEvaluator and friends), which add
-// it to the respective sets above.
+// Well-known axis names. A model-scored evaluator understands lanes,
+// dv, form and fclk; a hybrid one lanes, form and fclk; a sim-scored
+// one lanes and fclk. Every evaluator also understands the device
+// axis.
 const (
 	AxisLanes  = "lanes"
 	AxisDV     = "dv"
@@ -68,8 +66,8 @@ func FclkHz(mhz int) float64 { return float64(mhz) * 1e6 }
 
 // DeviceAxis is the multi-device axis: one value per shelf entry, in
 // shelf order. Values are indices into the shelf slice handed to the
-// device-aware evaluator (NewDeviceEvaluator / NewDeviceModeEvaluator);
-// the labels carry the device names so cache keys and reports read
+// evaluator (NewDeviceModeEvaluatorCache, core.Explore); the labels
+// carry the device names so cache keys and reports read
 // "device=virtex-7-690t" rather than "device=1". The same shelf slice,
 // in the same order, must be passed to both this axis and the
 // evaluator — the evaluator cross-checks the labels and fails loudly

@@ -1,12 +1,6 @@
 package dse
 
-import (
-	"fmt"
-
-	"repro/internal/costmodel"
-	"repro/internal/membw"
-	"repro/internal/perf"
-)
+import "repro/internal/perf"
 
 // Sweep2D explores the two horizontal axes of the Fig 5 design space
 // together: thread parallelism (lanes, the C1/C2 region) and
@@ -24,26 +18,4 @@ type Sweep2D struct {
 	Points [][]Point
 	// Best is the highest-EKIT fitting point, or nil.
 	Best *Point
-}
-
-// SweepLanesDV evaluates every (lanes, dv) combination: the two-axis
-// exhaustive exploration, run through the engine. Unlike the original
-// serial implementation, every point now also carries its bandwidth
-// utilisation fractions (UtilGMemBW, UtilHostBW), which the engine
-// computes uniformly.
-func SweepLanesDV(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
-	lanes, dvs []int, w perf.Workload, form perf.Form) (*Sweep2D, error) {
-	if len(lanes) == 0 || len(dvs) == 0 {
-		return nil, fmt.Errorf("dse: empty lane or DV axis")
-	}
-	space, err := NewSpace(LanesAxis(lanes), DVAxis(dvs))
-	if err != nil {
-		return nil, err
-	}
-	eng := NewEngine(space, NewEvaluator(mdl, bw, build, w, form), 0)
-	res, err := eng.Run(Exhaustive{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Sweep2D(form)
 }

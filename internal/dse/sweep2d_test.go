@@ -9,8 +9,12 @@ import (
 func sweep2d(t *testing.T, form perf.Form) *Sweep2D {
 	t.Helper()
 	mdl, bw := fixtures(t)
-	sw, err := SweepLanesDV(mdl, bw, sorBuilder, []int{1, 2, 4}, []int{1, 2, 4},
-		perf.Workload{NKI: 10}, form)
+	res, err := exhaustive(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, form,
+		LanesAxis([]int{1, 2, 4}), DVAxis([]int{1, 2, 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := res.Sweep2D(form)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +84,12 @@ func TestSweep2DBestFits(t *testing.T) {
 
 func TestSweep2DErrors(t *testing.T) {
 	mdl, bw := fixtures(t)
-	if _, err := SweepLanesDV(mdl, bw, sorBuilder, nil, []int{1}, perf.Workload{NKI: 1}, perf.FormA); err == nil {
+	if _, err := exhaustive(mdl, bw, sorBuilder, perf.Workload{NKI: 1}, perf.FormA,
+		LanesAxis(nil), DVAxis([]int{1})); err == nil {
 		t.Error("empty lanes accepted")
 	}
-	if _, err := SweepLanesDV(mdl, bw, sorBuilder, []int{1}, nil, perf.Workload{NKI: 1}, perf.FormA); err == nil {
+	if _, err := exhaustive(mdl, bw, sorBuilder, perf.Workload{NKI: 1}, perf.FormA,
+		LanesAxis([]int{1}), DVAxis(nil)); err == nil {
 		t.Error("empty DVs accepted")
 	}
 }

@@ -72,23 +72,21 @@ func TestDifferentialWarmPointParams(t *testing.T) {
 	family := kernelFamilies()["sor"]
 	build := func(l int) (*tir.Module, error) { return family(l).Module() }
 
-	// newEval builds the evaluator under test; a nil store is the
-	// in-memory path over the shared, pre-calibrated cache.
+	// newEval builds the evaluator under test, over the whole shelf or
+	// its first entry alone; a nil store is the in-memory path over the
+	// shared, pre-calibrated cache.
 	newEval := func(mode EvalMode, onShelf bool, w perf.Workload, st *evalstore.Store) Evaluator {
 		t.Helper()
+		targets := shelf[:1]
+		if onShelf {
+			targets = shelf
+		}
 		var ev Evaluator
 		var err error
-		switch {
-		case onShelf && st == nil:
-			ev, err = NewDeviceModeEvaluatorCache(mode, shelf, build, w, perf.FormB, SimConfig{}, cache)
-		case onShelf:
-			ev, err = NewDeviceModeEvaluatorStore(mode, shelf, build, w, perf.FormB, SimConfig{}, st)
-		default:
-			mdl, bw, merr := cache.Models(shelf[0])
-			if merr != nil {
-				t.Fatal(merr)
-			}
-			ev, err = NewModeEvaluatorStore(mode, mdl, bw, build, w, perf.FormB, SimConfig{}, st)
+		if st == nil {
+			ev, err = NewDeviceModeEvaluatorCache(mode, targets, build, w, perf.FormB, SimConfig{}, cache)
+		} else {
+			ev, err = NewDeviceModeEvaluatorStore(mode, targets, build, w, perf.FormB, SimConfig{}, st)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,7 @@
 // evaluation cost of the three scorers — cost model, cycle-accurate
 // simulator, hybrid — committed as BENCH_DSE_SIM.json at the repo root
 // (see DESIGN.md). The model path is microseconds per variant (§VI-A's
-// claim); the sim path adds a Runner compile plus one simulated
+// claim); the sim path adds a design compile plus one simulated
 // instance, so the report makes the price of simulation-backed scoring
 // visible in review diffs.
 
@@ -14,11 +14,9 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/dse"
 	"repro/internal/kernels"
-	"repro/internal/membw"
 	"repro/internal/perf"
 	"repro/internal/tir"
 )
@@ -62,13 +60,10 @@ func DSESimBench(minTime time.Duration) (*DSESimBenchResult, error) {
 	if minTime <= 0 {
 		minTime = 250 * time.Millisecond
 	}
-	t := device.GSD8Edu()
-	mdl, err := costmodel.Calibrate(t)
-	if err != nil {
-		return nil, err
-	}
-	bw, err := membw.Build(t)
-	if err != nil {
+	// Calibrate once, outside the timed evaluations.
+	shelf := []*device.Target{device.GSD8Edu()}
+	cache := dse.NewModelCache()
+	if _, _, err := cache.Models(shelf[0]); err != nil {
 		return nil, err
 	}
 	build := func(lanes int) (*tir.Module, error) { return DSESimBenchSpec(lanes).Module() }
@@ -88,8 +83,8 @@ func DSESimBench(minTime time.Duration) (*DSESimBenchResult, error) {
 			}
 			variant := space.Enumerate()[0]
 			evalOnce := func() (*dse.Point, error) {
-				eval, err := dse.NewModeEvaluator(mode, mdl, bw, build, w, perf.FormB,
-					dse.SimConfig{})
+				eval, err := dse.NewDeviceModeEvaluatorCache(mode, shelf, build, w, perf.FormB,
+					dse.SimConfig{}, cache)
 				if err != nil {
 					return nil, err
 				}

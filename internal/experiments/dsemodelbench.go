@@ -191,8 +191,7 @@ func dseModelEngineSweep(minTime time.Duration, mdl *costmodel.Model,
 	}
 	vs := space.Enumerate()
 	build := func(lanes int) (*tir.Module, error) { return DSESimBenchSpec(lanes).Module() }
-	eval := dse.NewEvaluatorMode(mdl, bw, build, perf.Workload{NKI: 10}, perf.FormB,
-		dse.ModelEvalCompiled, nil)
+	eval := dse.NewEvaluator(mdl, bw, build, perf.Workload{NKI: 10}, perf.FormB)
 
 	var rows []DSEModelEngineRow
 	for _, workers := range []int{1, 4, 8} {

@@ -209,22 +209,17 @@ func fig15HybridSpec(full bool, lanes int) kernels.SORSpec {
 // report.DefaultCalibrationTol band).
 func Fig15Hybrid(full bool) (*Fig15HybridResult, error) {
 	t := device.GSD8Edu()
-	mdl, err := costmodel.Calibrate(t)
-	if err != nil {
-		return nil, err
-	}
-	bw, err := membw.Build(t)
-	if err != nil {
-		return nil, err
-	}
 	build := func(lanes int) (*tir.Module, error) { return fig15HybridSpec(full, lanes).Module() }
 	lanes := dse.DivisorLaneCounts(fig15HybridSpec(full, 1).GlobalSize(), 16)
 	space, err := dse.NewSpace(dse.LanesAxis(lanes))
 	if err != nil {
 		return nil, err
 	}
-	eval := dse.NewHybridEvaluator(mdl, bw, build, perf.Workload{NKI: 10}, perf.FormB,
-		dse.SimConfig{})
+	eval, err := dse.NewDeviceModeEvaluatorCache(dse.EvalHybrid, []*device.Target{t}, build,
+		perf.Workload{NKI: 10}, perf.FormB, dse.SimConfig{}, dse.NewModelCache())
+	if err != nil {
+		return nil, err
+	}
 	res, err := dse.NewEngine(space, eval, 0).Run(dse.Exhaustive{})
 	if err != nil {
 		return nil, err

@@ -154,7 +154,16 @@ func TestFig15HybridExperiment(t *testing.T) {
 	}
 	build := func(lanes int) (*tir.Module, error) { return fig15HybridSpec(false, lanes).Module() }
 	lanes := dse.DivisorLaneCounts(fig15HybridSpec(false, 1).GlobalSize(), 16)
-	model, err := dse.SweepLanes(mdl, bw, build, lanes, perf.Workload{NKI: 10}, perf.FormB)
+	space, err := dse.NewSpace(dse.LanesAxis(lanes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dse.NewEngine(space, dse.NewEvaluator(mdl, bw, build, perf.Workload{NKI: 10}, perf.FormB), 0).
+		Run(dse.Exhaustive{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := res.Sweep(perf.FormB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@
 // simulator, committed as BENCH_PIPESIM.json at the repo root (see
 // DESIGN.md). Each golden kernel is timed through the executor
 // escalation — the retained interpreter oracle, the cold
-// compile-and-run path, the compile-once Runner at the plain scalar
-// level, and the batched+fused Runner — so regressions in the compiled
+// compile-and-run path, a pre-built design at the plain scalar level,
+// and the batched+fused one — so regressions in the compiled
 // datapath, the compilation cost, or the batching/fusion win are
 // visible in review diffs. Schema v3 adds the compile/instance-split
 // columns: steady-state pooled-instance timing, its allocation cost
@@ -36,15 +36,15 @@ type PipesimBenchRow struct {
 	// CompiledNsOp is pipesim.Run: validate + compile + execute, the
 	// cost a cold DSE point pays.
 	CompiledNsOp int64 `json:"compiled_ns_op"`
-	// RunnerNsOp is Runner.Run on a pre-built Runner at the default
-	// (batched + fused) escalation: the amortised per-instance cost
-	// iteration loops pay.
+	// RunnerNsOp is Instance.Run on a pre-built design's dedicated
+	// instance at the default (batched + fused) escalation: the
+	// amortised per-instance cost iteration loops pay.
 	RunnerNsOp int64 `json:"runner_ns_op"`
-	// ScalarNsOp is a pre-built Runner compiled with batching and
+	// ScalarNsOp is the same on a design compiled with batching and
 	// fusion disabled: the plain per-item compiled loop, the baseline
 	// the batched executor is measured against.
 	ScalarNsOp int64 `json:"scalar_ns_op"`
-	// BatchedNsOp is the pre-built batched+fused Runner (same
+	// BatchedNsOp is the pre-built batched+fused design (same
 	// measurement as RunnerNsOp, named so the escalation pair
 	// scalar/batched reads off the row directly).
 	BatchedNsOp int64 `json:"batched_ns_op"`
@@ -165,25 +165,27 @@ func PipesimBench(minTime time.Duration) (*PipesimBenchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		runner, err := pipesim.NewRunner(m)
+		design, err := pipesim.CompileConfig(m, pipesim.Config{})
 		if err != nil {
 			return nil, err
 		}
+		inst := design.NewInstance()
 		row.RunnerNsOp, err = timeIt(minTime, func() error {
-			_, err := runner.Run(mem)
+			_, err := inst.Run(mem)
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
 		row.BatchedNsOp = row.RunnerNsOp
-		row.Fusion = runner.FusionStats()
-		scalar, err := pipesim.NewRunnerConfig(m, pipesim.Config{DisableBatch: true, DisableFuse: true})
+		row.Fusion = design.FusionStats()
+		scalar, err := pipesim.CompileConfig(m, pipesim.Config{DisableBatch: true, DisableFuse: true})
 		if err != nil {
 			return nil, err
 		}
+		scalarInst := scalar.NewInstance()
 		row.ScalarNsOp, err = timeIt(minTime, func() error {
-			_, err := scalar.Run(mem)
+			_, err := scalarInst.Run(mem)
 			return err
 		})
 		if err != nil {
@@ -197,7 +199,6 @@ func PipesimBench(minTime time.Duration) (*PipesimBenchResult, error) {
 		// Compile/instance-split columns: steady-state pooled runs on
 		// the shared design, their allocation profile, and concurrent
 		// throughput scaling.
-		design := runner.Design()
 		if _, err := design.Run(mem); err != nil { // warm the pool
 			return nil, err
 		}

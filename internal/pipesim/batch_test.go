@@ -111,16 +111,16 @@ func TestDifferentialBatchSizesAndFusion(t *testing.T) {
 					t.Fatalf("size %d seed %d: oracle: %v\n%s", size, seed, err, m)
 				}
 				for name, cfg := range execConfigs() {
-					r, err := NewRunnerConfig(m, cfg)
+					d, err := CompileConfig(m, cfg)
 					if err != nil {
 						t.Fatalf("size %d seed %d %s: compile: %v\n%s", size, seed, name, err, m)
 					}
 					if accRead {
-						if batched, _ := r.BatchedPrograms(); batched != 0 {
+						if batched, _ := d.BatchedPrograms(); batched != 0 {
 							t.Fatalf("size %d seed %d %s: order-dependent accumulator read was batched", size, seed, name)
 						}
 					}
-					got, err := r.Run(mem)
+					got, err := d.NewInstance().Run(mem)
 					if err != nil {
 						t.Fatalf("size %d seed %d %s: run: %v\n%s", size, seed, name, err, m)
 					}
@@ -171,11 +171,11 @@ func TestLoadOffsetBoundaryGolden(t *testing.T) {
 		}
 
 		for name, cfg := range execConfigs() {
-			r, err := NewRunnerConfig(m, cfg)
+			d, err := CompileConfig(m, cfg)
 			if err != nil {
 				t.Fatalf("size %d %s: %v", size, name, err)
 			}
-			res, err := r.Run(mem)
+			res, err := d.NewInstance().Run(mem)
 			if err != nil {
 				t.Fatalf("size %d %s: %v", size, name, err)
 			}
@@ -209,17 +209,17 @@ func TestSelfAliasedStreamNotBatched(t *testing.T) {
 	main.CallOperands("f0", tir.ModePipe, chW, chR)
 	m := b.MustModule()
 
-	r, err := NewRunner(m)
+	d, err := Compile(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batched, total := r.BatchedPrograms(); batched != 0 || total != 1 {
+	if batched, total := d.BatchedPrograms(); batched != 0 || total != 1 {
 		t.Fatalf("self-aliased program batched: %d of %d", batched, total)
 	}
-	if fs := r.FusionStats(); fs.LoadOp != 0 {
+	if fs := d.FusionStats(); fs.LoadOp != 0 {
 		t.Fatalf("load sinking applied to a self-aliased program: %+v", fs)
 	}
-	got, err := r.Run(nil)
+	got, err := d.NewInstance().Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,15 +252,15 @@ func TestGoldenKernelsBatchAndFuse(t *testing.T) {
 		}
 		// Explicit config: this test pins the fully escalated executor
 		// even when the suite runs under -pipesim.scalar/-pipesim.nofuse.
-		r, err := NewRunnerConfig(m, Config{})
+		d, err := CompileConfig(m, Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name(), err)
 		}
-		batched, total := r.BatchedPrograms()
+		batched, total := d.BatchedPrograms()
 		if batched != total || total == 0 {
 			t.Errorf("%s: %d of %d programs batched", spec.Name(), batched, total)
 		}
-		fs := r.FusionStats()
+		fs := d.FusionStats()
 		floor := floors[spec.Name()]
 		if fs.LoadOp < floor.LoadOp || fs.MulAdd < floor.MulAdd ||
 			fs.MulAcc < floor.MulAcc || fs.MaskFold < floor.MaskFold {
@@ -271,7 +271,7 @@ func TestGoldenKernelsBatchAndFuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.Run(mem)
+		got, err := d.NewInstance().Run(mem)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,11 +296,11 @@ func TestBatchedIterationsMatchOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	fb := Feedback{kernels.MemName("p_new", -1): kernels.MemName("p", -1)}
-	r, err := NewRunner(m)
+	d, err := Compile(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.RunIterations(mem, 4, fb)
+	got, err := d.NewInstance().RunIterations(mem, 4, fb)
 	if err != nil {
 		t.Fatal(err)
 	}

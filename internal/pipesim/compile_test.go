@@ -72,14 +72,13 @@ func TestCompiledMatchesOracleOnGoldenKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewRunner(m)
+		d, err := Compile(m)
 		if err != nil {
 			t.Fatalf("%s: compile: %v", spec.Name(), err)
 		}
 		// Force the concurrent lane path even on single-CPU hosts; the
 		// result must be bit-identical regardless.
-		r.SetWorkers(4)
-		got, err := r.Run(mem)
+		got, err := d.NewInstance().RunWith(mem, RunOptions{Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: compiled run: %v", spec.Name(), err)
 		}
@@ -103,11 +102,11 @@ func TestCompiledMatchesOracleOnCoarsePipeline(t *testing.T) {
 		x[i] = int64(i * 53 % 1400)
 	}
 	mem := map[string][]int64{"mem_main_x": x}
-	r, err := NewRunner(m)
+	d, err := Compile(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Run(mem)
+	got, err := d.NewInstance().Run(mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +134,11 @@ func TestCompiledMatchesOracleOnIterations(t *testing.T) {
 		fb[kernels.MemName("p_new", l)] = kernels.MemName("p", l)
 	}
 	const nki = 6
-	r, err := NewRunner(m)
+	d, err := Compile(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.RunIterations(mem, nki, fb)
+	got, err := d.NewInstance().RunIterations(mem, nki, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +184,11 @@ func TestCompiledBindsArgsInOracleOrder(t *testing.T) {
 	main.CallOperands("f0", tir.ModePipe, chW, chR)
 	m := b.MustModule()
 
-	r, err := NewRunner(m)
+	d, err := Compile(m)
 	if err != nil {
 		t.Fatalf("compiled path rejected self-wired call: %v", err)
 	}
-	got, err := r.Run(nil)
+	got, err := d.NewInstance().Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,20 +229,19 @@ func TestCrossLaneDependencyRunsSequential(t *testing.T) {
 	}
 	mem := map[string][]int64{"mem_main_x": data}
 
-	r, err := NewRunner(m)
+	d, err := Compile(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetWorkers(4)
-	parNode := r.d.tree.Children[0]
+	parNode := d.tree.Children[0]
 	var progs []*program
-	for _, call := range r.d.calls[parNode] {
-		progs = append(progs, r.d.progs[call])
+	for _, call := range d.calls[parNode] {
+		progs = append(progs, d.progs[call])
 	}
 	if !lanesShareMemory(progs) {
 		t.Fatal("cross-lane dependency not detected")
 	}
-	got, err := r.Run(mem)
+	got, err := d.NewInstance().RunWith(mem, RunOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,14 +273,14 @@ func TestGoldenKernelsCompileParSafe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewRunner(m)
+		d, err := Compile(m)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name(), err)
 		}
-		if len(r.d.progs) != spec.LaneCount() {
-			t.Fatalf("%s: %d compiled programs, want %d lanes", spec.Name(), len(r.d.progs), spec.LaneCount())
+		if len(d.progs) != spec.LaneCount() {
+			t.Fatalf("%s: %d compiled programs, want %d lanes", spec.Name(), len(d.progs), spec.LaneCount())
 		}
-		for _, p := range r.d.progs {
+		for _, p := range d.progs {
 			if !p.parSafe {
 				t.Errorf("%s: lane program @%s not parallel-safe", spec.Name(), p.fn.Name)
 			}
@@ -325,17 +323,16 @@ func TestCompiledAccReadFallsBackSequential(t *testing.T) {
 		mem["mem_main_x"+string(rune('0'+l))] = data
 	}
 
-	r, err := NewRunner(m)
+	d, err := Compile(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetWorkers(4)
-	for _, p := range r.d.progs {
+	for _, p := range d.progs {
 		if p.parSafe {
 			t.Error("accumulator-sampling program classified parallel-safe")
 		}
 	}
-	got, err := r.Run(mem)
+	got, err := d.NewInstance().RunWith(mem, RunOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

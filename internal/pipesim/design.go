@@ -139,16 +139,13 @@ func (d *CompiledDesign) BatchedPrograms() (batched, total int) {
 type Instance struct {
 	d  *CompiledDesign
 	st []progState
-	// workers is the default par-lane bound for this instance's runs;
-	// RunOptions.Workers overrides it per execution.
-	workers int
 }
 
 // NewInstance allocates a fresh execution context for the design. Use
 // Acquire/Release instead when instances churn (one per request) so the
 // scratch is recycled through the design's pool.
 func (d *CompiledDesign) NewInstance() *Instance {
-	inst := &Instance{d: d, st: make([]progState, d.nprogs), workers: d.workers}
+	inst := &Instance{d: d, st: make([]progState, d.nprogs)}
 	for _, p := range d.progs {
 		inst.st[p.idx].init(p)
 	}
@@ -178,7 +175,6 @@ func (d *CompiledDesign) Release(inst *Instance) {
 			st.outArrs[k] = nil
 		}
 	}
-	inst.workers = d.workers
 	d.pool.Put(inst)
 }
 
@@ -204,8 +200,8 @@ func (d *CompiledDesign) RunIterations(mem map[string][]int64, nki int64, fb Fee
 // defaults.
 type RunOptions struct {
 	// Workers bounds the goroutine pool used for concurrent par lanes
-	// of this execution. 0 selects the instance default (GOMAXPROCS at
-	// design compile time); 1 forces the sequential lane loop. The
+	// of this execution. 0 selects the design default (GOMAXPROCS at
+	// compile time); 1 forces the sequential lane loop. The
 	// result is bit-identical at any bound — the knob exists for
 	// resource control, not semantics.
 	Workers int
@@ -250,7 +246,7 @@ func (inst *Instance) RunWith(mem map[string][]int64, opts RunOptions) (*Result,
 	}
 	workers := opts.Workers
 	if workers <= 0 {
-		workers = inst.workers
+		workers = d.workers
 	}
 	if workers < 1 {
 		workers = 1
@@ -551,9 +547,9 @@ var designCache = struct {
 }{entries: map[string]*CompiledDesign{}}
 
 // cachedDesign returns the memoised design for (m, cfg), compiling on
-// miss. Hot callers that own a module should hold a CompiledDesign (or
-// a Runner) directly; this cache is what keeps the convenience entry
-// points from recompiling per call.
+// miss. Hot callers that own a module should hold a CompiledDesign
+// directly; this cache is what keeps the convenience entry points from
+// recompiling per call.
 func cachedDesign(m *tir.Module, cfg Config) (*CompiledDesign, error) {
 	key := designKey(m, cfg)
 	designCache.Lock()

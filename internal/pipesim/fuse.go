@@ -28,7 +28,7 @@ package pipesim
 // are equal low-bit masks: (x&m + y) & m == (x+y) & m for m = 2^k-1.
 
 // FusionStats counts the peephole rewrites applied to one compiled
-// program; Runner.FusionStats sums them across a design.
+// program; CompiledDesign.FusionStats sums them across a design.
 type FusionStats struct {
 	MulAdd   int `json:"mul_add"`   // mul feeding add -> uopMulAddU
 	MulAcc   int `json:"mul_acc"`   // mul feeding acc reduction -> uopMulAccU

@@ -196,11 +196,11 @@ func TestRandomKernelsCompiledMatchesOracle(t *testing.T) {
 	g := &kernelGen{}
 	for seed := uint64(1); seed <= 80; seed++ {
 		m, mem, _ := g.build(seed)
-		r, err := NewRunner(m)
+		d, err := Compile(m)
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v\n%s", seed, err, m)
 		}
-		got, err := r.Run(mem)
+		got, err := d.NewInstance().Run(mem)
 		if err != nil {
 			t.Fatalf("seed %d: compiled run: %v\n%s", seed, err, m)
 		}

@@ -51,13 +51,6 @@ func RunIterations(m *tir.Module, mem map[string][]int64, nki int64, fb Feedback
 	return d.RunIterations(mem, nki, fb)
 }
 
-// RunIterations is the Runner-backed iteration driver: the feedback
-// loop pays compilation, validation and scheduling exactly once, which
-// is what makes per-sweep cost approach the pure streaming cycles.
-func (r *Runner) RunIterations(mem map[string][]int64, nki int64, fb Feedback) (*IterationResult, error) {
-	return r.inst.RunIterations(mem, nki, fb)
-}
-
 // runIterations is the executor-agnostic feedback loop, shared by the
 // compiled and oracle paths so the iteration semantics cannot drift
 // between them.

@@ -22,8 +22,8 @@
 // Two executors implement that model. Run lowers each PE once into a
 // slot-indexed program (compile.go) and streams work-items through a
 // tight allocation-free loop, running independent par lanes
-// concurrently (runner.go); construct a Runner directly to amortise the
-// compilation across many instances. RunOracle is the retained
+// concurrently (design.go); hold a CompiledDesign (Compile) to amortise
+// the compilation across many instances. RunOracle is the retained
 // wave-by-wave interpreter in this file — the reference the compiled
 // path is differentially tested against, selectable suite-wide with the
 // -pipesim.oracle test flag.

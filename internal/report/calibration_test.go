@@ -4,11 +4,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/dse"
 	"repro/internal/kernels"
-	"repro/internal/membw"
 	"repro/internal/perf"
 	"repro/internal/tir"
 )
@@ -17,15 +15,6 @@ import (
 // evaluator, giving the calibration code a real result to chew on.
 func hybridResult(t *testing.T) *dse.Result {
 	t.Helper()
-	tgt := device.GSD8Edu()
-	mdl, err := costmodel.Calibrate(tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bw, err := membw.Build(tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	build := func(lanes int) (*tir.Module, error) {
 		return kernels.SORSpec{IM: 15, JM: 10, KM: 16, Lanes: lanes}.Module()
 	}
@@ -33,8 +22,11 @@ func hybridResult(t *testing.T) *dse.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := dse.NewHybridEvaluator(mdl, bw, build, perf.Workload{NKI: 10}, perf.FormB,
-		dse.SimConfig{})
+	eval, err := dse.NewDeviceModeEvaluatorCache(dse.EvalHybrid, []*device.Target{device.GSD8Edu()}, build,
+		perf.Workload{NKI: 10}, perf.FormB, dse.SimConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := dse.NewEngine(space, eval, 0).Run(dse.Exhaustive{})
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,8 @@ func deviceResult(t *testing.T) *dse.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval, err := dse.NewDeviceEvaluator(shelf, build, perf.Workload{NKI: 10}, perf.FormB)
+	eval, err := dse.NewDeviceModeEvaluatorCache(dse.EvalModel, shelf, build, perf.Workload{NKI: 10}, perf.FormB,
+		dse.SimConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
