@@ -366,9 +366,9 @@ func BenchmarkEngineSweep(b *testing.B) {
 // small SOR instance the committed BENCH_DSE_SIM.json baseline
 // measures (experiments.DSESimBenchSpec). A fresh evaluator per
 // iteration: nothing memoised survives, so the number is the cost a
-// new DSE point pays, including the Runner compile on the sim-backed
-// modes. Metrics: the per-instance simulated cycles (sim/hybrid) and
-// the model's CPKI estimate.
+// new DSE point pays, including the design compile and its structural
+// timing on the sim-backed modes. Metrics: the per-instance simulated
+// cycles (sim/hybrid) and the model's CPKI estimate.
 func BenchmarkSimEvaluator(b *testing.B) {
 	shelf := []*device.Target{device.GSD8Edu()}
 	cache := dse.NewModelCache()

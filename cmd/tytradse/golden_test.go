@@ -12,10 +12,9 @@ var update = flag.Bool("update", false, "rewrite the golden tytradse outputs")
 
 // goldenCases is the flag matrix TestRunGolden pins: every -eval mode,
 // every registered strategy (the adaptive ones seeded and budgeted),
-// -csv, every -form, both -modeleval implementations, a fallback
-// -simexec level, and -devices in model and hybrid mode. Sim-backed
-// cases use the small hotspot and lavamd families so the whole matrix
-// stays fast.
+// -csv, every -form, both -modeleval implementations, and -devices in
+// model and hybrid mode. sor-sim and sor-hybrid pin the Fig 15
+// simulated cycles the benchmark's sim-sweep scores.
 var goldenCases = map[string][]string{
 	"model-sor":        {"-kernel", "sor", "-maxlanes", "8"},
 	"form-a":           {"-kernel", "sor", "-maxlanes", "8", "-form", "A"},
@@ -24,7 +23,8 @@ var goldenCases = map[string][]string{
 	"csv":              {"-kernel", "lavamd", "-maxlanes", "4", "-csv", "-target", "stratix-v-gsd8"},
 	"sim":              {"-kernel", "hotspot", "-maxlanes", "4", "-eval", "sim"},
 	"hybrid":           {"-kernel", "lavamd", "-maxlanes", "4", "-eval", "hybrid"},
-	"simexec-scalar":   {"-kernel", "hotspot", "-maxlanes", "4", "-eval", "sim", "-simexec", "scalar"},
+	"sor-sim":          {"-kernel", "sor", "-maxlanes", "8", "-eval", "sim"},
+	"sor-hybrid":       {"-kernel", "sor", "-maxlanes", "16", "-eval", "hybrid"},
 	"wall-pruned":      {"-kernel", "sor", "-maxlanes", "8", "-form", "A", "-strategy", "wall-pruned"},
 	"pareto":           {"-kernel", "sor", "-maxlanes", "8", "-strategy", "pareto"},
 	"hillclimb":        {"-kernel", "sor", "-maxlanes", "16", "-strategy", "hillclimb", "-seed", "1", "-budget", "8"},

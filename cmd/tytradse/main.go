@@ -8,7 +8,7 @@
 //
 //	tytradse [-kernel sor] [-target stratix-v-gsd8-edu] [-maxlanes 16] [-form A|B|C] [-nki 10]
 //	         [-strategy exhaustive|wall-pruned|pareto|hillclimb|anneal] [-budget N] [-seed N]
-//	         [-eval model|sim|hybrid] [-modeleval compiled|tree] [-simexec batched|nofuse|scalar]
+//	         [-eval model|sim|hybrid] [-modeleval compiled|tree]
 //	         [-j N] [-csv] [-devices name,name,...] [-cache DIR]
 //
 // The -strategy flag selects the exploration strategy from the dse
@@ -22,15 +22,17 @@
 // and -seed keys its RNG: an adaptive run is deterministic for a
 // fixed seed at any -j, and prints its trajectory and coverage under
 // the sweep. -j sets the number of parallel evaluation workers (0 =
-// all CPUs); the engine is deterministic, so every -j produces
-// identical output.
+// all CPUs; a negative count is an error); the engine is
+// deterministic, so every -j produces identical output.
 //
 // The -eval flag selects the variant scorer: "model" is the paper's
-// EKIT cost model, "sim" scores every variant by measured cycles on
-// the cycle-accurate pipeline simulator (EKIT = FD / cycles), and
+// EKIT cost model, "sim" scores every variant by the cycles of the
+// cycle-accurate pipeline simulator (EKIT = FD / cycles), and
 // "hybrid" ranks by the model while recording the simulated cycles,
 // printing the per-variant model/sim calibration table under the
-// sweep.
+// sweep. Simulated cycles never depend on data, so both take them
+// from the compiled design's structure (pipesim.CompiledDesign.Timing)
+// without running the NDRange.
 //
 // The -modeleval flag selects the cost-model implementation under any
 // -eval mode: "compiled" (the default) prices variants through the
@@ -49,11 +51,11 @@
 // valid ones.
 //
 // -cache DIR attaches the persistent evaluation store
-// (internal/evalstore): per-target calibrations, model estimates and
-// simulator measurements are written content-addressed into DIR and
-// reused by later runs. A warm run prints byte-identical output to the
-// cold run that populated the cache; a damaged cache entry is silently
-// recomputed and rewritten.
+// (internal/evalstore): per-target calibrations and model estimates
+// are written content-addressed into DIR and reused by later runs. A
+// warm run prints byte-identical output to the cold run that populated
+// the cache; a damaged cache entry is silently recomputed and
+// rewritten.
 package main
 
 import (
@@ -70,7 +72,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/kernels"
 	"repro/internal/perf"
-	"repro/internal/pipesim"
 	"repro/internal/report"
 	"repro/internal/roofline"
 	"repro/internal/tir"
@@ -92,7 +93,6 @@ type options struct {
 	emode    dse.ModelEvalMode
 	strategy dse.Strategy
 	search   dse.SearchOptions
-	exec     pipesim.Config
 	nki      int64
 	maxLanes int
 	jobs     int
@@ -102,10 +102,10 @@ type options struct {
 	cache *dse.ModelCache
 }
 
-// simConfig is the simulation-measurement configuration both the
-// single- and multi-device paths hand to the sim-backed evaluators.
+// simConfig is the evaluator configuration both the single- and
+// multi-device paths hand to core.Explore.
 func (o options) simConfig() dse.SimConfig {
-	return dse.SimConfig{Exec: o.exec, ModelEval: o.emode}
+	return dse.SimConfig{ModelEval: o.emode}
 }
 
 // showSearch reports whether the run's search provenance (trajectory
@@ -134,15 +134,15 @@ func run(args []string, out io.Writer) error {
 	modelEval := fs.String("modeleval", "compiled",
 		fmt.Sprintf("cost-model implementation (%s) — estimates are bit-identical, only the evaluation speed changes",
 			strings.Join(dse.ModelEvalNames(), " | ")))
-	simExec := fs.String("simexec", "batched",
-		fmt.Sprintf("simulator executor level for -eval sim|hybrid (%s) — results are bit-identical at every level, only the measurement speed changes",
-			strings.Join(pipesim.ExecLevelNames(), " | ")))
 	jobs := fs.Int("j", 0, "parallel evaluation workers (0 = all CPUs)")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	cacheDir := fs.String("cache", "",
-		"persistent evaluation cache directory: calibrations, estimates and simulator measurements are reused across runs (warm runs print byte-identical output)")
+		"persistent evaluation cache directory: calibrations and model estimates are reused across runs (warm runs print byte-identical output)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *jobs < 0 {
+		return fmt.Errorf("-j %d: the worker count must be positive, or 0 for all CPUs", *jobs)
 	}
 
 	st, err := dse.ParseStrategy(*strategy)
@@ -161,10 +161,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	exec, err := pipesim.ParseExecLevel(*simExec)
-	if err != nil {
-		return err
-	}
 	var store *evalstore.Store
 	if *cacheDir != "" {
 		if store, err = evalstore.Open(*cacheDir); err != nil {
@@ -173,7 +169,7 @@ func run(args []string, out io.Writer) error {
 	}
 	opt := options{kernel: *kernel, form: form, mode: mode, emode: emode, strategy: st,
 		search: dse.SearchOptions{Budget: dse.Budget{MaxEvals: *budget}, Seed: *seed},
-		exec:   exec, nki: *nki, maxLanes: *maxLanes, jobs: *jobs, csv: *csv,
+		nki:    *nki, maxLanes: *maxLanes, jobs: *jobs, csv: *csv,
 		cache: dse.NewModelCacheStore(store)}
 
 	if *devices != "" {

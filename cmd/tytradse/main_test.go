@@ -76,6 +76,7 @@ func TestRunErrors(t *testing.T) {
 		{"-devices", "stratix-v-gsd8,maia"}, // aliased duplicate
 		{"-budget", "-1"},
 		{"-budget", "-1", "-devices", "edu,virtex-7-690t"},
+		{"-j", "-2"},
 	}
 	for i, args := range cases {
 		if err := run(args, &out); err == nil {

@@ -3,7 +3,7 @@
 // transformations generate correct-by-construction lane variants;
 // every variant is lowered to TyTra-IR and scored in parallel by the
 // DSE engine's hybrid evaluator — the EKIT cost model ranks the
-// variants while the cycle-accurate pipeline simulator measures each
+// variants while the cycle-accurate pipeline simulator times each
 // one, so the sweep prints the design space with its walls, the
 // selected best variant, and the per-variant model/sim calibration
 // cross-check.
@@ -105,7 +105,7 @@ func main() {
 	fmt.Println(tab)
 
 	// The cross-check the hybrid scorer buys: does the model's CPKI
-	// estimate track the simulator's measured cycles on every variant?
+	// estimate track the simulator's cycles on every variant?
 	fmt.Println(report.CalibrationTable(
 		"calibration: model CPKI vs simulated cycles", res, 0))
 

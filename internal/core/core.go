@@ -152,9 +152,8 @@ func (c *Compiler) SimDesign(m *tir.Module) (*pipesim.CompiledDesign, error) {
 // from the same shelf (dse.DeviceAxis(shelf...)). cache runs each
 // target's one-time calibration (Fig 2) on first use, so explorations
 // sharing a cache calibrate once, and a store-backed cache
-// (dse.NewModelCacheStore) persists calibrations, estimates and
-// simulator measurements across runs. A nil cache is a fresh in-memory
-// one.
+// (dse.NewModelCacheStore) persists calibrations and estimates
+// across runs. A nil cache is a fresh in-memory one.
 func Explore(mode dse.EvalMode, shelf []*device.Target, cache *dse.ModelCache, build dse.VariantBuilder,
 	space *dse.Space, w perf.Workload, form perf.Form, st dse.Strategy, workers int,
 	sim dse.SimConfig, opts dse.SearchOptions) (*dse.Result, error) {

@@ -126,15 +126,14 @@ func seeded(mdl *costmodel.Model, bw *membw.Model) *ModelCache {
 // shelf[0], so a single target is a one-entry shelf. Each shelf entry
 // gets its own lazily built modelEval (estimates are per-device: the
 // same module costs differently against different capacity pools and
-// bandwidth curves), while module builds and simulator measurements
-// are shared across devices (both depend only on the variant, never on
+// bandwidth curves), while module builds and simulated timings are
+// shared across devices (both depend only on the variant, never on
 // the target).
 type deviceEval struct {
 	mode  EvalMode
 	shelf []*device.Target
 	cache *ModelCache
 	mods  *moduleCache
-	sm    *simMeasurer // nil under EvalModel
 	w     perf.Workload
 	form  perf.Form
 	emode ModelEvalMode
@@ -163,10 +162,10 @@ func NewEvaluator(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
 }
 
 // NewSimEvaluator returns the simulation-backed evaluator: each
-// variant is scored by measured cycles-per-instance on the compiled
-// pipeline simulator, EKIT = FD / cycles. The model still fills the
-// resource and bandwidth fields (and ModelEKIT), so walls and pruning
-// behave exactly as under the standard evaluator.
+// variant is scored by the pipeline simulator's cycles-per-instance,
+// taken from the compiled design's structure, EKIT = FD / cycles. The
+// model still fills the resource and bandwidth fields (and ModelEKIT),
+// so walls and pruning behave exactly as under the standard evaluator.
 func NewSimEvaluator(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
 	w perf.Workload, form perf.Form, cfg SimConfig) Evaluator {
 	return supplied(EvalSim, mdl, bw, build, w, form, cfg)
@@ -174,9 +173,9 @@ func NewSimEvaluator(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder
 
 // NewDeviceModeEvaluatorStore is NewDeviceModeEvaluatorCache over a
 // fresh model cache backed by a persistent evaluation store: per-device
-// calibrated models, model estimates and simulator measurements are all
-// answered from their content-addressed records when present. A nil
-// store is the plain in-memory evaluator.
+// calibrated models and model estimates are answered from their
+// content-addressed records when present. A nil store is the plain
+// in-memory evaluator.
 func NewDeviceModeEvaluatorStore(mode EvalMode, shelf []*device.Target, build VariantBuilder,
 	w perf.Workload, form perf.Form, cfg SimConfig, store *evalstore.Store) (Evaluator, error) {
 	return NewDeviceModeEvaluatorCache(mode, shelf, build, w, form, cfg, NewModelCacheStore(store))
@@ -188,13 +187,13 @@ func NewDeviceModeEvaluatorStore(mode EvalMode, shelf []*device.Target, build Va
 // models price the variant; lanes, dv, form and fclk behave exactly as
 // under NewEvaluator. Spaces without a device axis evaluate against
 // shelf[0]. Under EvalSim and EvalHybrid every point additionally
-// carries the simulated cycles; the measurements are shared across
-// the shelf (cycles depend only on the module), so an N-device sweep
-// simulates each lane count once and re-prices it per device through
-// FD. Each target's models come from cache, calibrated on first use; a
-// shared cache amortises calibration across engines, a store-backed
-// one (NewModelCacheStore) extends its persistent tier to estimates
-// and measurements, and nil selects a fresh in-memory cache.
+// carries the simulated cycles; they are shared across the shelf
+// (cycles depend only on the module), so an N-device sweep times each
+// lane count once and re-prices it per device through FD. Each
+// target's models come from cache, calibrated on first use; a shared
+// cache amortises calibration across engines, a store-backed one
+// (NewModelCacheStore) extends its persistent tier to estimates, and
+// nil selects a fresh in-memory cache.
 func NewDeviceModeEvaluatorCache(mode EvalMode, shelf []*device.Target, build VariantBuilder,
 	w perf.Workload, form perf.Form, cfg SimConfig, cache *ModelCache) (Evaluator, error) {
 	de, err := newEvaluator(mode, shelf, cache, build, w, form, cfg)
@@ -218,7 +217,7 @@ func supplied(mode EvalMode, mdl *costmodel.Model, bw *membw.Model, build Varian
 
 // newEvaluator assembles every evaluator: mode selects the scorer, the
 // shelf the targets, cache their models (and the optional persistent
-// store), cfg the simulator workload and the cost-model implementation.
+// store), cfg the cost-model implementation.
 func newEvaluator(mode EvalMode, shelf []*device.Target, cache *ModelCache, build VariantBuilder,
 	w perf.Workload, form perf.Form, cfg SimConfig) (*deviceEval, error) {
 	switch mode {
@@ -252,9 +251,6 @@ func newEvaluator(mode EvalMode, shelf []*device.Target, cache *ModelCache, buil
 		emode: cfg.ModelEval,
 		evals: make([]onceCell[*modelEval], len(shelf)),
 		axes:  axisGuardFor(mode),
-	}
-	if mode != EvalModel {
-		de.sm = newSimMeasurer(de.mods, cfg, cache.store)
 	}
 	return de, nil
 }
@@ -346,11 +342,11 @@ func (de *deviceEval) eval(s *Space, v Variant) (*Point, error) {
 		return p, nil
 	}
 	lanes := b.value(v, b.lanes, 1)
-	meas, err := de.sm.measure(lanes)
+	cycles, items, err := de.mods.timing(lanes)
 	if err != nil {
 		return nil, err
 	}
-	if err := attachSim(p, de.mode, lanes, meas); err != nil {
+	if err := attachSim(p, de.mode, lanes, cycles, items); err != nil {
 		return nil, err
 	}
 	return p, nil

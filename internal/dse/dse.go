@@ -30,11 +30,15 @@
 // NewEvaluator and NewSimEvaluator price a single target as a one-entry
 // shelf over the caller's calibrated models, and
 // NewDeviceModeEvaluatorCache (or its store-backed form) prices a
-// shelf whose models a ModelCache calibrates on first use. A result
-// over a lanes axis converts to the Sweep shape the report tables and
-// Advise read (Result.Sweep, Result.Sweep2D); those conversions are
-// pinned to the pre-engine serial implementation by the legacy
-// equivalence tests.
+// shelf whose models a ModelCache calibrates on first use. The
+// simulation-backed modes (EvalSim, EvalHybrid) add the pipeline
+// simulator's cycles to each point. They come from the compiled
+// design's structure (pipesim.CompiledDesign.Timing), computed once
+// per lane count next to the module build, so scoring runs no data.
+// A result over a lanes axis converts to the Sweep shape the report
+// tables and Advise read (Result.Sweep, Result.Sweep2D); those
+// conversions are pinned to the pre-engine serial implementation by
+// the legacy equivalence tests.
 package dse
 
 import (
@@ -78,8 +82,8 @@ type Point struct {
 	// (so EKIT != ModelEKIT under -eval=sim).
 	ModelEKIT float64
 	// SimCycles and SimItems are the per-kernel-instance cycle and
-	// work-item counts measured by the pipeline simulator; zero when
-	// the point was scored by the cost model alone.
+	// work-item counts of the pipeline simulator; zero when the point
+	// was scored by the cost model alone.
 	SimCycles, SimItems int64
 	// SimEKIT is the simulator-backed throughput, FD / SimCycles:
 	// kernel-instances per second for a variant whose data is resident
@@ -87,8 +91,8 @@ type Point struct {
 	SimEKIT float64
 }
 
-// SimCPI is the measured cycles-per-work-item of the point, or 0 when
-// it was not simulated.
+// SimCPI is the simulated cycles-per-work-item of the point, or 0
+// when it was not simulated.
 func (p *Point) SimCPI() float64 {
 	if p.SimItems == 0 {
 		return 0

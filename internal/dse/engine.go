@@ -10,6 +10,7 @@ import (
 	"repro/internal/evalstore"
 	"repro/internal/membw"
 	"repro/internal/perf"
+	"repro/internal/pipesim"
 	"repro/internal/tir"
 )
 
@@ -38,15 +39,16 @@ func loadCell[C any, K comparable](m *sync.Map, k K) *C {
 	return c.(*C)
 }
 
-// moduleCache memoises variant-module builds per lane count. It is its
-// own type (rather than a field bundle on modelEval) so evaluators that
-// hold several per-device modelEvals — the module of a lane count is
-// device-independent — and the simulation measurer can share one build
-// per lane count across all of them.
+// moduleCache memoises the device-independent work of a lane count:
+// the variant-module build, its IR text and its simulated timing. It
+// is its own type (rather than a field bundle on modelEval) so an
+// evaluator that holds several per-device modelEvals shares one build
+// and one timing per lane count across all of them.
 type moduleCache struct {
-	build  VariantBuilder
-	builds sync.Map // lanes int -> *onceCell[*tir.Module]
-	irs    sync.Map // lanes int -> *onceCell[string]
+	build   VariantBuilder
+	builds  sync.Map // lanes int -> *onceCell[*tir.Module]
+	irs     sync.Map // lanes int -> *onceCell[string]
+	timings sync.Map // lanes int -> *onceCell[[2]int64]
 }
 
 func newModuleCache(build VariantBuilder) *moduleCache {
@@ -80,6 +82,38 @@ func (mc *moduleCache) moduleIR(lanes int) (string, error) {
 		cell.val = m.String()
 	})
 	return cell.val, cell.err
+}
+
+// timing returns the simulated cycles and work-items of one
+// kernel-instance of a lane count's variant, computed once from the
+// compiled design's structure (pipesim.CompiledDesign.Timing): no data
+// runs, and the design is dropped once timed. Exactly one worker
+// computes each lane count; devices, fclk and form only re-price it.
+func (mc *moduleCache) timing(lanes int) (cycles, items int64, err error) {
+	cell := loadCell[onceCell[[2]int64]](&mc.timings, lanes)
+	cell.once.Do(func() {
+		m, err := mc.module(lanes)
+		if err != nil {
+			cell.err = err
+			return
+		}
+		d, err := pipesim.Compile(m)
+		if err != nil {
+			cell.err = fmt.Errorf("dse: compiling %d-lane variant: %w", lanes, err)
+			return
+		}
+		cycles, items, err := d.Timing()
+		switch {
+		case err != nil:
+			cell.err = fmt.Errorf("dse: simulating %d-lane variant: %w", lanes, err)
+		case cycles <= 0 || items <= 0:
+			cell.err = fmt.Errorf("dse: %d-lane variant simulated no work (%d cycles, %d items)",
+				lanes, cycles, items)
+		default:
+			cell.val = [2]int64{cycles, items}
+		}
+	})
+	return cell.val[0], cell.val[1], cell.err
 }
 
 // ModelEvalMode selects which implementation of the cost model scores
@@ -170,8 +204,8 @@ type estCell struct {
 }
 
 // newModelEval wires a modelEval to a module cache the caller shares
-// (every shelf entry's modelEval and the simulation measurer build each
-// lane count once over one cache).
+// (every shelf entry's modelEval builds each lane count once over one
+// cache, which also holds the lane count's simulated timing).
 func newModelEval(mdl *costmodel.Model, bw *membw.Model, mods *moduleCache,
 	w perf.Workload, form perf.Form, emode ModelEvalMode, store *evalstore.Store) *modelEval {
 	return &modelEval{mdl: mdl, bw: bw, mods: mods, w: w, form: form, emode: emode, store: store}

@@ -46,7 +46,7 @@ func TestDifferentialSimVsModelOrdering(t *testing.T) {
 			t.Fatalf("%s model: %v", name, err)
 		}
 		simRes, err := NewEngine(space,
-			NewSimEvaluator(mdl, bw, build, w, perf.FormB, SimConfig{Measure: 2}), 0).
+			NewSimEvaluator(mdl, bw, build, w, perf.FormB, SimConfig{}), 0).
 			Run(Exhaustive{})
 		if err != nil {
 			t.Fatalf("%s sim: %v", name, err)
@@ -183,50 +183,68 @@ func fingerprintResult(r *Result) string {
 }
 
 // TestSimEvaluatorDeterministicAcrossWorkers is the race-and-
-// determinism gate (run under -race in CI): exploring a lanes×form
-// space through the sim-backed evaluator must produce byte-identical
-// results at any worker count, including the measured cycle counts —
-// per-worker arenas and the memoised measurement may never let
-// scheduling leak into the numbers.
+// determinism gate (run under -race in CI): exploring through a
+// sim-backed evaluator must produce byte-identical results at any
+// worker count, including the simulated cycle counts — the per-lane
+// timing memo may never let scheduling leak into the numbers. It
+// covers hybrid mode over sor's lanes×form space and sim mode over
+// every kernel family's lanes axis.
 func TestSimEvaluatorDeterministicAcrossWorkers(t *testing.T) {
 	mdl, bw := fixtures(t)
 	w := perf.Workload{NKI: 10}
-	family := kernelFamilies()["sor"]
-	build := func(l int) (*tir.Module, error) { return family(l).Module() }
-
-	workerCounts := []int{1, 4, runtime.NumCPU()}
-	var want string
-	for _, workers := range workerCounts {
-		// A fresh evaluator per engine: nothing memoised may carry over,
-		// so every worker count recompiles and re-measures from scratch.
-		space, err := NewSpace(LanesAxis(diffLanes), FormAxis(perf.FormA, perf.FormB))
-		if err != nil {
-			t.Fatal(err)
-		}
-		eval := supplied(EvalHybrid, mdl, bw, build, w, perf.FormB, SimConfig{Measure: 2})
-		res, err := NewEngine(space, eval, workers).Run(Exhaustive{})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		got := fingerprintResult(res)
-		if want == "" {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Errorf("workers=%d: result fingerprint differs from workers=%d",
-				workers, workerCounts[0])
-		}
+	type simCase struct {
+		mode   EvalMode
+		family string
+		axes   []Axis
+	}
+	cases := map[string]simCase{
+		"hybrid-sor": {EvalHybrid, "sor", []Axis{LanesAxis(diffLanes), FormAxis(perf.FormA, perf.FormB)}},
+	}
+	for name := range kernelFamilies() {
+		cases["sim-"+name] = simCase{EvalSim, name, []Axis{LanesAxis(diffLanes)}}
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			family := kernelFamilies()[c.family]
+			build := func(l int) (*tir.Module, error) { return family(l).Module() }
+			workerCounts := []int{1, 4, runtime.NumCPU()}
+			var want string
+			for _, workers := range workerCounts {
+				// A fresh evaluator per engine: nothing memoised may carry
+				// over, so every worker count recompiles and re-times from
+				// scratch.
+				space, err := NewSpace(c.axes...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eval := supplied(c.mode, mdl, bw, build, w, perf.FormB, SimConfig{})
+				res, err := NewEngine(space, eval, workers).Run(Exhaustive{})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				got := fingerprintResult(res)
+				if want == "" {
+					want = got
+					continue
+				}
+				if got != want {
+					t.Errorf("workers=%d: result fingerprint differs from workers=%d",
+						workers, workerCounts[0])
+				}
+			}
+		})
 	}
 }
 
 // TestDifferentialSimExecBatchedVsScalar pins the sim-backed DSE
-// results across the executor escalation levels: exploring with the
-// batched+fused executor, the fusion-only level and the plain scalar
-// loop must produce byte-identical results (cycle counts, throughput
-// bit patterns, best design) at one worker and at all CPUs. The
-// SimConfig.Exec knob may change measurement speed only, never a
-// number.
+// numbers to the pipeline simulator's executors at every escalation
+// level: for each kernel family and lane count, the cycles and items
+// the sim evaluator scores with (taken from CompiledDesign.Timing, no
+// data run) must equal what the batched+fused, batched-only and plain
+// scalar executors measure running the variant on SimInputs, with the
+// exploration at one worker and at all CPUs giving byte-identical
+// results. The executor level may change execution speed only, never
+// a number the DSE reports.
 func TestDifferentialSimExecBatchedVsScalar(t *testing.T) {
 	mdl, bw := fixtures(t)
 	w := perf.Workload{NKI: 10}
@@ -237,28 +255,58 @@ func TestDifferentialSimExecBatchedVsScalar(t *testing.T) {
 	}
 	for name, family := range kernelFamilies() {
 		build := func(l int) (*tir.Module, error) { return family(l).Module() }
+
+		// What each executor level measures, per lane count.
+		type measured struct{ cycles, items int64 }
+		exec := map[int][]measured{}
+		for _, lanes := range diffLanes {
+			m, err := build(lanes)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", name, lanes, err)
+			}
+			mem, err := SimInputs(m, 1)
+			if err != nil {
+				t.Fatalf("%s/%d: inputs: %v", name, lanes, err)
+			}
+			for _, cfg := range levels {
+				d, err := pipesim.CompileConfig(m, cfg)
+				if err != nil {
+					t.Fatalf("%s/%d exec=%+v: compile: %v", name, lanes, cfg, err)
+				}
+				res, err := d.Run(mem)
+				if err != nil {
+					t.Fatalf("%s/%d exec=%+v: run: %v", name, lanes, cfg, err)
+				}
+				exec[lanes] = append(exec[lanes], measured{res.Cycles, res.Items})
+			}
+		}
+
 		var want string
-		for _, exec := range levels {
-			for _, workers := range []int{1, runtime.NumCPU()} {
-				space, err := NewSpace(LanesAxis(diffLanes))
-				if err != nil {
-					t.Fatal(err)
+		for _, workers := range []int{1, runtime.NumCPU()} {
+			space, err := NewSpace(LanesAxis(diffLanes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			eval := NewSimEvaluator(mdl, bw, build, w, perf.FormB, SimConfig{})
+			res, err := NewEngine(space, eval, workers).Run(Exhaustive{})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			for _, p := range res.Points {
+				for i, got := range exec[p.Lanes] {
+					if p.SimCycles != got.cycles || p.SimItems != got.items {
+						t.Errorf("%s/%d workers=%d: DSE scored %d cycles / %d items, executor exec=%+v measured %d / %d",
+							name, p.Lanes, workers, p.SimCycles, p.SimItems, levels[i], got.cycles, got.items)
+					}
 				}
-				eval := NewSimEvaluator(mdl, bw, build, w, perf.FormB,
-					SimConfig{Measure: 2, Exec: exec})
-				res, err := NewEngine(space, eval, workers).Run(Exhaustive{})
-				if err != nil {
-					t.Fatalf("%s exec=%+v workers=%d: %v", name, exec, workers, err)
-				}
-				got := fingerprintResult(res)
-				if want == "" {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Errorf("%s: result fingerprint at exec=%+v workers=%d differs from batched executor",
-						name, exec, workers)
-				}
+			}
+			got := fingerprintResult(res)
+			if want == "" {
+				want = got
+				continue
+			}
+			if got != want {
+				t.Errorf("%s: result fingerprint at workers=%d differs from workers=1", name, workers)
 			}
 		}
 	}

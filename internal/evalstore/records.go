@@ -11,7 +11,7 @@ import (
 	"repro/internal/tir"
 )
 
-// The three record kinds of the store, with their schema versions.
+// The two record kinds of the store, with their schema versions.
 // Bump a version whenever the payload format — or the semantics of the
 // computation that produced it — changes: old records then hash to
 // different keys and are simply recomputed.
@@ -27,10 +27,6 @@ const (
 	// are simply recomputed.
 	KindEstimate    = "estimate"
 	EstimateVersion = 2
-	// KindCycles archives one simulator measurement per (kernel IR,
-	// measurement workload).
-	KindCycles    = "simcycles"
-	CyclesVersion = 1
 )
 
 // TargetDesc renders the full target description for content keys.
@@ -154,46 +150,4 @@ func LoadEstimate(s *Store, key string, m *tir.Module, t *device.Target) (*costm
 		Lanes: p.Lanes, DV: p.DV, NTO: p.NTO,
 		FmaxHz: p.FmaxHz, Config: tir.Config(p.Config),
 	}, true
-}
-
-// ---- measured simulator cycles ----
-
-type cyclesPayload struct {
-	Cycles int64 `json:"cycles"`
-	Items  int64 `json:"items"`
-}
-
-// CyclesKey addresses one simulator measurement: the kernel IR and a
-// canonical description of the measurement workload (seed, counts,
-// executor level — anything that selects what the simulator ran).
-func CyclesKey(moduleIR, workload string) string {
-	return Key(KindCycles, CyclesVersion, moduleIR, workload)
-}
-
-// SaveCycles archives a simulator measurement.
-func SaveCycles(s *Store, key string, cycles, items int64) error {
-	payload, err := json.Marshal(cyclesPayload{Cycles: cycles, Items: items})
-	if err != nil {
-		return err
-	}
-	return s.Put(KindCycles, key, payload)
-}
-
-// LoadCycles returns an archived measurement, or ok=false to
-// re-measure. Non-positive counts cannot come from a successful
-// measurement (the measurer rejects them before storing), so they are
-// treated as corruption.
-func LoadCycles(s *Store, key string) (cycles, items int64, ok bool) {
-	data, ok := s.Get(KindCycles, key)
-	if !ok {
-		return 0, 0, false
-	}
-	var p cyclesPayload
-	if err := json.Unmarshal(data, &p); err != nil {
-		return 0, 0, false
-	}
-	if p.Cycles <= 0 || p.Items <= 0 {
-		return 0, 0, false
-	}
-	return p.Cycles, p.Items, true
 }

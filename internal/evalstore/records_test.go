@@ -57,45 +57,6 @@ func TestModelsRoundtrip(t *testing.T) {
 	}
 }
 
-// TestCyclesRoundtrip covers the measurement record including its
-// corruption bounds: zero or negative counts decoded from a record are
-// treated as damage.
-func TestCyclesRoundtrip(t *testing.T) {
-	s := mustOpen(t)
-	key := CyclesKey("module ir text", "seed=1 measure=1")
-	if _, _, ok := LoadCycles(s, key); ok {
-		t.Fatal("hit on empty store")
-	}
-	if err := SaveCycles(s, key, 123, 45); err != nil {
-		t.Fatal(err)
-	}
-	cycles, items, ok := LoadCycles(s, key)
-	if !ok || cycles != 123 || items != 45 {
-		t.Fatalf("LoadCycles = %d, %d, %v; want 123, 45, true", cycles, items, ok)
-	}
-	// Different workload or IR → different record.
-	if _, _, ok := LoadCycles(s, CyclesKey("module ir text", "seed=2 measure=1")); ok {
-		t.Error("measurement served for a different workload")
-	}
-	if _, _, ok := LoadCycles(s, CyclesKey("other ir", "seed=1 measure=1")); ok {
-		t.Error("measurement served for a different module")
-	}
-	// Non-positive counts cannot come from a successful measurement.
-	bad := CyclesKey("bad", "w")
-	if err := s.Put(KindCycles, bad, []byte(`{"cycles":0,"items":5}`)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := LoadCycles(s, bad); ok {
-		t.Error("zero-cycle record served")
-	}
-	if err := s.Put(KindCycles, bad, []byte(`{"cycles":7,"items":-1}`)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := LoadCycles(s, bad); ok {
-		t.Error("negative-items record served")
-	}
-}
-
 // TestEstimateSanityBounds: an estimate record that decodes but carries
 // values EstimateVectorised cannot produce is a miss.
 func TestEstimateSanityBounds(t *testing.T) {

@@ -3,8 +3,11 @@
 // paper's workflow is explicitly incremental ("a one-time set of
 // benchmark experiments ... for each FPGA target" prices every later
 // exploration); the store generalises that from the membw table to
-// every evaluation artifact the DSE stack produces: calibrated
-// per-device models, model estimates, and measured simulator cycles.
+// the costly evaluation artifacts the DSE stack produces: calibrated
+// per-device models and model estimates. Simulated cycles are not
+// stored: a compiled design yields them from its structure
+// (pipesim.CompiledDesign.Timing) in a fraction of a millisecond, too
+// little for a record to save.
 //
 // Keys are SHA-256 over a length-prefixed encoding of (record kind,
 // schema version, content parts) — for design-dependent records the

@@ -2,9 +2,9 @@
 // evaluation cost of the three scorers — cost model, cycle-accurate
 // simulator, hybrid — committed as BENCH_DSE_SIM.json at the repo root
 // (see DESIGN.md). The model path is microseconds per variant (§VI-A's
-// claim); the sim path adds a design compile plus one simulated
-// instance, so the report makes the price of simulation-backed scoring
-// visible in review diffs.
+// claim); the sim path adds a design compile and its structural timing
+// (pipesim.CompiledDesign.Timing, no data run), so the report makes
+// the price of simulation-backed scoring visible in review diffs.
 
 package experiments
 
@@ -23,8 +23,8 @@ import (
 
 // DSESimBenchRow is one (mode, lanes) measurement: the cold
 // per-variant evaluation cost (module build + estimate + extraction,
-// plus compile + simulate for the sim-backed modes) and the headline
-// outputs of the evaluated point.
+// plus design compile + timing for the sim-backed modes) and the
+// headline outputs of the evaluated point.
 type DSESimBenchRow struct {
 	Mode  string `json:"mode"`
 	Lanes int    `json:"lanes"`

@@ -34,6 +34,12 @@ type CompiledDesign struct {
 	progs  map[*tir.CallInstr]*program
 	calls  map[*tir.ConfigNode][]*tir.CallInstr // per-node call sites, resolved once
 	nprogs int
+	// cycles and items are one kernel-instance's cost, summed once at
+	// compile time by the timer walk; every successful Run reports
+	// them. timingErr is the first error Run fails with on host inputs
+	// (see Timing).
+	cycles, items int64
+	timingErr     error
 	// workers is the default par-lane goroutine bound instances start
 	// with: GOMAXPROCS at compile time. RunOptions overrides it per run.
 	workers int
@@ -49,7 +55,9 @@ func Compile(m *tir.Module) (*CompiledDesign, error) { return CompileConfig(m, d
 // executor escalation level. Validation runs the full static analysis
 // (tir.Analyze), so a rejected module reports every positioned TIR0xx
 // diagnostic — the same output tytravet prints — not just the first
-// compile obstacle.
+// compile obstacle. The compiled design also carries its timing (see
+// Timing); a structural error that walk meets does not fail the
+// compile, it is what Timing and Run report.
 func CompileConfig(m *tir.Module, cfg Config) (*CompiledDesign, error) {
 	if err := m.Analyze().ErrOrNil(); err != nil {
 		return nil, err
@@ -68,6 +76,11 @@ func CompileConfig(m *tir.Module, cfg Config) (*CompiledDesign, error) {
 	}
 	if err := d.compileTree(tree); err != nil {
 		return nil, err
+	}
+	t := &timer{d: d, present: hostInputs(m)}
+	d.cycles, d.items, d.timingErr = t.node(tree)
+	if t.bindErr != nil {
+		d.timingErr = t.bindErr
 	}
 	d.pool.New = func() any { return d.NewInstance() }
 	return d, nil
@@ -98,6 +111,162 @@ func (d *CompiledDesign) compileTree(n *tir.ConfigNode) error {
 		}
 	}
 	return nil
+}
+
+// Timing returns the cycles and work-items of one kernel-instance of
+// the design: exactly what Run reports, computed from the compiled
+// structure without executing any data. A PE invocation costs
+// fill + items + ctrlStartup, a par node its slowest lane plus
+// ctrlStartup, and a coarse pipe adds each child's cycles minus the
+// item stream they overlap. Pipesim timing never depends on data;
+// TestDifferentialTimingMatchesOracle is the test that must fail first
+// if that ever changes.
+//
+// Timing fails exactly where Run fails on host inputs — every
+// input-stream object that no output port produces, the workload
+// dse.SimInputs generates — with Run's error: an input object with no
+// provider, an object written twice, or a structural error in the
+// configuration tree.
+func (d *CompiledDesign) Timing() (cycles, items int64, err error) {
+	if d.timingErr != nil {
+		return 0, 0, d.timingErr
+	}
+	return d.cycles, d.items, nil
+}
+
+// hostInputs returns the memory objects the host supplies: the object
+// of every input stream that no output port produces.
+func hostInputs(m *tir.Module) map[string]bool {
+	produced := map[string]bool{}
+	for _, port := range m.Ports {
+		if so := m.Stream(port.Stream); so != nil && port.Dir == tir.DirOut {
+			produced[so.Mem] = true
+		}
+	}
+	host := map[string]bool{}
+	for _, port := range m.Ports {
+		if so := m.Stream(port.Stream); so != nil && port.Dir == tir.DirIn && !produced[so.Mem] {
+			host[so.Mem] = true
+		}
+	}
+	return host
+}
+
+// timer is the compiled executor's one cycle-summing walk: it visits
+// the configuration tree in Run's order and replays bindPE's checks
+// statically against the objects present so far. A bind failure does
+// not stop the sum — a caller's own inputs may bind where host inputs
+// do not — but a structural error does, exactly as it stops Run.
+type timer struct {
+	d       *CompiledDesign
+	present map[string]bool // memory objects with contents so far
+	bindErr error           // first bind failure on host inputs
+}
+
+// node mirrors Instance.runNode: a sequential root sums its children.
+func (t *timer) node(n *tir.ConfigNode) (cycles, items int64, err error) {
+	if n.Mode != tir.ModeSeq {
+		return t.call(nil, n)
+	}
+	for i, c := range n.Children {
+		cy, it, err := t.call(t.d.calls[n][i], c)
+		if err != nil {
+			return 0, 0, err
+		}
+		cycles += cy
+		items += it
+	}
+	return cycles, items, nil
+}
+
+// call mirrors Instance.runCall: a par node takes its slowest lane, a
+// pipe node costs its own PE (or ctrlStartup for a purely structural
+// parent) and chains its coarse children — their fills add, the item
+// stream already flowing through the chain overlaps.
+func (t *timer) call(call *tir.CallInstr, n *tir.ConfigNode) (cycles, items int64, err error) {
+	if err := shapeErr(call, n); err != nil {
+		return 0, 0, err
+	}
+	if n.Mode == tir.ModePar {
+		var worst int64
+		for i, c := range n.Children {
+			cy, it, err := t.call(t.d.calls[n][i], c)
+			if err != nil {
+				return 0, 0, err
+			}
+			worst = max(worst, cy)
+			items += it
+		}
+		return worst + ctrlStartup, items, nil
+	}
+	cycles = ctrlStartup
+	if len(n.Func.Params) > 0 {
+		p := t.d.progs[call]
+		t.bind(p)
+		cycles, items = p.fill+p.items+ctrlStartup, p.items
+	}
+	for i, c := range n.Children {
+		if c.Mode == tir.ModeComb {
+			continue // inlined in the parent program
+		}
+		cy, it, err := t.call(t.d.calls[n][i], c)
+		if err != nil {
+			return 0, 0, err
+		}
+		cycles += cy - min(it, items, cy)
+		items = max(items, it)
+	}
+	return cycles, items, nil
+}
+
+// bind is bindPE without data: the same checks, in call-argument
+// order, against the objects present so far. Only the first failure
+// counts, since Run stops there.
+func (t *timer) bind(p *program) {
+	for _, step := range p.binds {
+		if t.bindErr != nil {
+			return
+		}
+		if step.out {
+			mem := p.outs[step.idx].mem
+			if t.present[mem] {
+				t.bindErr = errWrittenTwice(mem)
+			}
+			t.present[mem] = true
+		} else if mem := p.ins[step.idx].mem; !t.present[mem] {
+			t.bindErr = errNoContents(mem)
+		}
+	}
+}
+
+// errWrittenTwice and errNoContents are the two ways a bind fails.
+func errWrittenTwice(mem string) error {
+	return fmt.Errorf("pipesim: memory object %%%s written twice", mem)
+}
+
+func errNoContents(mem string) error {
+	return fmt.Errorf("pipesim: input memory object %%%s has no contents (missing input or producer)", mem)
+}
+
+// shapeErr returns the structural error Run fails with on reaching n
+// through call, or nil: a root pipe, a pipe with neither streams nor
+// stages, a comb block used as a PE, or a nested seq node.
+func shapeErr(call *tir.CallInstr, n *tir.ConfigNode) error {
+	switch n.Mode {
+	case tir.ModePar:
+		return nil
+	case tir.ModePipe:
+		if call == nil {
+			return fmt.Errorf("pipesim: pipe function @%s must be invoked through a call site", n.Func.Name)
+		}
+		if len(n.Func.Params) == 0 && len(n.Func.Calls()) == 0 {
+			return fmt.Errorf("pipesim: pipe function @%s has neither streams nor stages", n.Func.Name)
+		}
+		return nil
+	case tir.ModeComb:
+		return fmt.Errorf("pipesim: comb function @%s cannot be a processing element; inline it in a pipe", n.Func.Name)
+	}
+	return fmt.Errorf("pipesim: unsupported call mode %s", n.Mode)
 }
 
 // Module returns the validated module the design was compiled from.
@@ -251,11 +420,10 @@ func (inst *Instance) RunWith(mem map[string][]int64, opts RunOptions) (*Result,
 	if workers < 1 {
 		workers = 1
 	}
-	cycles, items, err := inst.runNode(st, d.tree, workers)
-	if err != nil {
+	if err := inst.runNode(st, d.tree, workers); err != nil {
 		return nil, err
 	}
-	return &Result{Mem: st.mem, Acc: st.acc, Cycles: cycles, Items: items}, nil
+	return &Result{Mem: st.mem, Acc: st.acc, Cycles: d.cycles, Items: d.items}, nil
 }
 
 // RunIterations is the Instance-backed iteration driver: the feedback
@@ -265,82 +433,45 @@ func (inst *Instance) RunIterations(mem map[string][]int64, nki int64, fb Feedba
 	return runIterations(inst.d.m, inst.Run, mem, nki, fb)
 }
 
-// runNode mirrors the oracle's configuration-tree walk on compiled
-// programs: sequential nodes sum their children, parallel nodes take
-// the slowest lane, pipe nodes execute their datapath and chain coarse
-// children.
-func (inst *Instance) runNode(st *runState, n *tir.ConfigNode, workers int) (cycles, items int64, err error) {
-	switch n.Mode {
-	case tir.ModeSeq:
-		var total, all int64
-		for i, c := range n.Children {
-			call := inst.d.calls[n][i]
-			cy, it, err := inst.runCall(st, call, c, workers)
-			if err != nil {
-				return 0, 0, err
-			}
-			total += cy
-			all += it
-		}
-		return total, all, nil
-	case tir.ModePar, tir.ModePipe, tir.ModeComb:
+// runNode executes the configuration tree in the oracle's order:
+// sequential nodes run their children in turn, parallel nodes their
+// lanes, pipe nodes their datapath and then their coarse children. It
+// counts no cycles — the design's timer walk did that once, at compile
+// time.
+func (inst *Instance) runNode(st *runState, n *tir.ConfigNode, workers int) error {
+	if n.Mode != tir.ModeSeq {
 		return inst.runCall(st, nil, n, workers)
 	}
-	return 0, 0, fmt.Errorf("pipesim: unsupported root mode %s", n.Mode)
+	for i, c := range n.Children {
+		if err := inst.runCall(st, inst.d.calls[n][i], c, workers); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // runCall executes the PE(s) reached through one call site.
-func (inst *Instance) runCall(st *runState, call *tir.CallInstr, n *tir.ConfigNode, workers int) (cycles, items int64, err error) {
-	switch n.Mode {
-	case tir.ModePar:
-		return inst.runPar(st, n, workers)
-
-	case tir.ModePipe:
-		if call == nil {
-			return 0, 0, fmt.Errorf("pipesim: pipe function @%s must be invoked through a call site", n.Func.Name)
-		}
-		var total int64
-		if len(n.Func.Params) > 0 {
-			cy, it, err := inst.execPE(st, inst.d.progs[call])
-			if err != nil {
-				return 0, 0, err
-			}
-			total, items = cy, it
-		} else {
-			if len(n.Func.Calls()) == 0 {
-				return 0, 0, fmt.Errorf("pipesim: pipe function @%s has neither streams nor stages", n.Func.Name)
-			}
-			total = ctrlStartup
-		}
-		// Coarse-grained pipeline children: fills add, the in-flight
-		// item stream overlaps.
-		for i, c := range n.Children {
-			if c.Mode == tir.ModeComb {
-				continue // inlined in the parent program
-			}
-			childCall := inst.d.calls[n][i]
-			cy, it, err := inst.runCall(st, childCall, c, workers)
-			if err != nil {
-				return 0, 0, err
-			}
-			overlap := it
-			if overlap > items {
-				overlap = items
-			}
-			if overlap > cy {
-				overlap = cy
-			}
-			total += cy - overlap
-			if it > items {
-				items = it
-			}
-		}
-		return total, items, nil
-
-	case tir.ModeComb:
-		return 0, 0, fmt.Errorf("pipesim: comb function @%s cannot be a processing element; inline it in a pipe", n.Func.Name)
+func (inst *Instance) runCall(st *runState, call *tir.CallInstr, n *tir.ConfigNode, workers int) error {
+	if err := shapeErr(call, n); err != nil {
+		return err
 	}
-	return 0, 0, fmt.Errorf("pipesim: unsupported call mode %s", n.Mode)
+	if n.Mode == tir.ModePar {
+		return inst.runPar(st, n, workers)
+	}
+	if len(n.Func.Params) > 0 {
+		if err := inst.execPE(st, inst.d.progs[call]); err != nil {
+			return err
+		}
+	}
+	for i, c := range n.Children {
+		if c.Mode == tir.ModeComb {
+			continue // inlined in the parent program
+		}
+		if err := inst.runCall(st, inst.d.calls[n][i], c, workers); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // bindPE performs the dynamic half of port binding: input contents must
@@ -358,7 +489,7 @@ func (inst *Instance) bindPE(st *runState, p *program) error {
 		if step.out {
 			sb := p.outs[step.idx]
 			if _, ok := st.mem[sb.mem]; ok {
-				return fmt.Errorf("pipesim: memory object %%%s written twice", sb.mem)
+				return errWrittenTwice(sb.mem)
 			}
 			arr := make([]int64, sb.size)
 			st.mem[sb.mem] = arr
@@ -368,7 +499,7 @@ func (inst *Instance) bindPE(st *runState, p *program) error {
 		sb := p.ins[step.idx]
 		data, ok := st.mem[sb.mem]
 		if !ok {
-			return fmt.Errorf("pipesim: input memory object %%%s has no contents (missing input or producer)", sb.mem)
+			return errNoContents(sb.mem)
 		}
 		ps.inArrs[step.idx] = data
 	}
@@ -377,9 +508,9 @@ func (inst *Instance) bindPE(st *runState, p *program) error {
 
 // execPE binds and executes one PE invocation against the shared
 // accumulator state.
-func (inst *Instance) execPE(st *runState, p *program) (int64, int64, error) {
+func (inst *Instance) execPE(st *runState, p *program) error {
 	if err := inst.bindPE(st, p); err != nil {
-		return 0, 0, err
+		return err
 	}
 	ps := &inst.st[p.idx]
 	for i, a := range p.accs {
@@ -391,7 +522,7 @@ func (inst *Instance) execPE(st *runState, p *program) (int64, int64, error) {
 			st.acc[a.name] = ps.accVals[i]
 		}
 	}
-	return p.fill + p.items + ctrlStartup, p.items, nil
+	return nil
 }
 
 // runPar executes the lanes of a par node. Lanes that are pure PEs with
@@ -403,7 +534,7 @@ func (inst *Instance) execPE(st *runState, p *program) (int64, int64, error) {
 // AccIdentity certifies. Anything else (coarse-pipe lanes, structural
 // lanes, order-dependent accumulator use) falls back to the oracle's
 // sequential lane loop.
-func (inst *Instance) runPar(st *runState, n *tir.ConfigNode, workers int) (int64, int64, error) {
+func (inst *Instance) runPar(st *runState, n *tir.ConfigNode, workers int) error {
 	calls := inst.d.calls[n]
 
 	parallel := workers > 1 && len(n.Children) > 1
@@ -427,25 +558,19 @@ func (inst *Instance) runPar(st *runState, n *tir.ConfigNode, workers int) (int6
 	}
 
 	if !parallel {
-		var worst, all int64
 		for i, c := range n.Children {
-			cy, it, err := inst.runCall(st, calls[i], c, workers)
-			if err != nil {
-				return 0, 0, err
+			if err := inst.runCall(st, calls[i], c, workers); err != nil {
+				return err
 			}
-			if cy > worst {
-				worst = cy
-			}
-			all += it
 		}
-		return worst + ctrlStartup, all, nil
+		return nil
 	}
 
 	// Bind all lanes first: memory-map mutation stays single-threaded
 	// and error order stays deterministic.
 	for _, p := range progs {
 		if err := inst.bindPE(st, p); err != nil {
-			return 0, 0, err
+			return err
 		}
 	}
 	sem := make(chan struct{}, workers)
@@ -465,19 +590,13 @@ func (inst *Instance) runPar(st *runState, n *tir.ConfigNode, workers int) (int6
 	}
 	wg.Wait()
 
-	var worst, all int64
 	for _, p := range progs {
 		ps := &inst.st[p.idx]
-		cy := p.fill + p.items + ctrlStartup
-		if cy > worst {
-			worst = cy
-		}
-		all += p.items
 		for k, a := range p.accs {
 			st.acc[a.name] = a.mergeOp(ps.accVals[k], st.acc[a.name])
 		}
 	}
-	return worst + ctrlStartup, all, nil
+	return nil
 }
 
 // hasPeerChild reports whether the node chains coarse-grained peer PEs

@@ -130,16 +130,21 @@ func fusePeephole(ops []op, selfAliased bool) ([]op, FusionStats) {
 // round will catch, never enables an illegal one). Liveness (dead) and
 // producer opcodes are always checked against the live ops slice.
 func fuseRound(ops []op, selfAliased bool, stats *FusionStats) ([]bool, int) {
+	// The tables cover every slot an op reads as well as writes: a
+	// constant slot no op writes can sit above the highest written one.
 	var nslots int32
+	var buf [3]int32
 	for k := range ops {
-		if opWritesReg(&ops[k]) && ops[k].dst >= nslots {
-			nslots = ops[k].dst + 1
+		if opWritesReg(&ops[k]) {
+			nslots = max(nslots, ops[k].dst+1)
+		}
+		for _, e := range opReads(&ops[k], buf[:0]) {
+			nslots = max(nslots, e+1)
 		}
 	}
 	def := make([]int32, nslots)  // defining op index + 1; 0 = constant slot
 	uses := make([]int32, nslots) // read count
 	accW := make([]int32, len(ops)+1)
-	var buf [3]int32
 	for k := range ops {
 		o := &ops[k]
 		accW[k+1] = accW[k]

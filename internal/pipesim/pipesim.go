@@ -27,6 +27,14 @@
 // wave-by-wave interpreter in this file — the reference the compiled
 // path is differentially tested against, selectable suite-wide with the
 // -pipesim.oracle test flag.
+//
+// Timing never depends on data: every cycle term is fixed when a PE
+// compiles. So the compiled path has one cycle formula, summed once
+// per design at compile time, and CompiledDesign.Timing returns it
+// without executing anything; Run reports the same numbers alongside
+// the outputs it computes. The oracle keeps its own derivation, and
+// TestDifferentialTimingMatchesOracle pins the two together: a change
+// that makes timing data-dependent must break that test first.
 package pipesim
 
 import (

@@ -1,10 +1,6 @@
 package pipesim
 
-import (
-	"fmt"
-
-	"repro/internal/tir"
-)
+import "repro/internal/tir"
 
 // Oracle, when true, routes Run and RunIterations through the retained
 // wave-by-wave interpreter instead of the compiled executor. It exists
@@ -31,27 +27,6 @@ type Config struct {
 // defaultConfig is the package-wide compile configuration, flipped only
 // by the test flags registered in oracle_test.go.
 var defaultConfig Config
-
-// ExecLevelNames lists the executor escalation levels ParseExecLevel
-// accepts, fastest first — the spelling CLI flags should advertise.
-func ExecLevelNames() []string { return []string{"batched", "nofuse", "scalar"} }
-
-// ParseExecLevel resolves a named executor escalation level (a CLI
-// -simexec value) to its compile configuration: "batched" (the default
-// full escalation), "nofuse" (batched, fusion off), "scalar" (the plain
-// per-item compiled loop, fusion off). All levels produce bit-identical
-// results; the name only picks how fast the simulator gets them.
-func ParseExecLevel(s string) (Config, error) {
-	switch s {
-	case "", "batched":
-		return Config{}, nil
-	case "nofuse":
-		return Config{DisableFuse: true}, nil
-	case "scalar":
-		return Config{DisableBatch: true, DisableFuse: true}, nil
-	}
-	return Config{}, fmt.Errorf("pipesim: unknown executor level %q (have: %v)", s, ExecLevelNames())
-}
 
 // Run executes the design variant on the given memory-object contents.
 // mem must provide an array of exactly the declared size for every
