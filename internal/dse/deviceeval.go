@@ -152,10 +152,11 @@ type deviceEval struct {
 // throughput without re-costing resources.
 //
 // costmodel.Estimate and perf.Extract are pure, so the evaluator
-// memoises module builds per lane count, and estimates together with
-// their extracted Table I parameters per (lanes, dv). Form and fclk
-// axes only re-price: per point, the evaluator overrides FD, evaluates
-// EKIT and derives the utilisation and bandwidth-demand bars.
+// memoises module builds and their stream inventories per lane count,
+// and estimates together with their extracted Table I parameters per
+// (lanes, dv). Form and fclk axes only re-price: per point, the
+// evaluator overrides FD, evaluates EKIT and derives the utilisation
+// and bandwidth-demand bars.
 func NewEvaluator(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
 	w perf.Workload, form perf.Form) Evaluator {
 	return supplied(EvalModel, mdl, bw, build, w, form, SimConfig{})

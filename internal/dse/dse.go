@@ -35,6 +35,13 @@
 // simulator's cycles to each point. They come from the compiled
 // design's structure (pipesim.CompiledDesign.Timing), computed once
 // per lane count next to the module build, so scoring runs no data.
+// Everything a point needs that does not depend on dv is memoised per
+// lane count — the module, its IR digest (the kernel part of every
+// evalstore estimate key), its compiled estimate program and, per
+// device, its stream inventory (perf.Inventory) — so with a store
+// attached a warm point costs a key hash over digests, one record read
+// and a Params assembly.
+//
 // A result over a lanes axis converts to the Sweep shape the report
 // tables and Advise read (Result.Sweep, Result.Sweep2D); those
 // conversions are pinned to the pre-engine serial implementation by

@@ -40,14 +40,14 @@ func loadCell[C any, K comparable](m *sync.Map, k K) *C {
 }
 
 // moduleCache memoises the device-independent work of a lane count:
-// the variant-module build, its IR text and its simulated timing. It
+// the variant-module build, its IR digest and its simulated timing. It
 // is its own type (rather than a field bundle on modelEval) so an
 // evaluator that holds several per-device modelEvals shares one build
 // and one timing per lane count across all of them.
 type moduleCache struct {
 	build   VariantBuilder
 	builds  sync.Map // lanes int -> *onceCell[*tir.Module]
-	irs     sync.Map // lanes int -> *onceCell[string]
+	digests sync.Map // lanes int -> *onceCell[string]
 	timings sync.Map // lanes int -> *onceCell[[2]int64]
 }
 
@@ -67,19 +67,19 @@ func (mc *moduleCache) module(lanes int) (*tir.Module, error) {
 	return cell.val, cell.err
 }
 
-// moduleIR returns the canonical IR text of a lane count's module —
-// the kernel-IR half of every evalstore content key — rendered once
-// per lane count (Module.String is linear in the design size, so the
-// persistent-cache paths must not pay it per point).
-func (mc *moduleCache) moduleIR(lanes int) (string, error) {
-	cell := loadCell[onceCell[string]](&mc.irs, lanes)
+// irDigest returns the digest of a lane count's canonical IR text
+// (evalstore.Fingerprint over Module.String) — the kernel-IR part of
+// every estimate key — printed and hashed once per lane count, so the
+// persistent-cache paths pay neither per point.
+func (mc *moduleCache) irDigest(lanes int) (string, error) {
+	cell := loadCell[onceCell[string]](&mc.digests, lanes)
 	cell.once.Do(func() {
 		m, err := mc.module(lanes)
 		if err != nil {
 			cell.err = err
 			return
 		}
-		cell.val = m.String()
+		cell.val = evalstore.Fingerprint(m.String())
 	})
 	return cell.val, cell.err
 }
@@ -161,10 +161,11 @@ func ParseModelEval(s string) (ModelEvalMode, error) {
 }
 
 // modelEval is the memoised cost-model core of one shelf entry: module
-// builds per lane count, and estimates with their Table I parameters
-// per (lanes, dv). Every mode prices through it (the simulation-backed
-// ones need the same model-side point for the resource bars, the walls
-// and the calibration cross-check).
+// builds, compiled estimate programs and stream inventories per lane
+// count, and estimates with their Table I parameters per (lanes, dv).
+// Every mode prices through it (the simulation-backed ones need the
+// same model-side point for the resource bars, the walls and the
+// calibration cross-check).
 type modelEval struct {
 	mdl  *costmodel.Model
 	bw   *membw.Model
@@ -182,20 +183,24 @@ type modelEval struct {
 	// it (content-keyed by kernel IR, dv and target) and written back on
 	// recompute. nil keeps the evaluator purely in-memory.
 	store *evalstore.Store
+	// targetDigest is the Fingerprint of the target description, the
+	// target part of every estimate key, hashed once (store only).
+	targetDigest string
 	// estimateFn is a test seam wrapping the estimator; the warm==cold
 	// differential tests count recomputations through it. nil selects
 	// the estimator emode names.
 	estimateFn func(m *tir.Module, dv int) (*costmodel.Estimate, error)
 
-	ests     sync.Map // [2]int{lanes, dv} -> *estCell
-	compiled sync.Map // lanes int -> *onceCell[*costmodel.CompiledModel]
+	ests        sync.Map // [2]int{lanes, dv} -> *estCell
+	compiled    sync.Map // lanes int -> *onceCell[*costmodel.CompiledModel]
+	inventories sync.Map // lanes int -> *onceCell[*perf.Inventory]
 }
 
 // estCell is the memo cell of one (lanes, dv): the estimate and the
 // Table I parameters extracted from it, settled together under one
 // Once. Every point of the cell — the form and fclk axes — prices the
-// same Params, so perf.Extract runs once per cell, whether the
-// estimate was computed or read from the store.
+// same Params, so they are priced once per cell, whether the estimate
+// was computed or read from the store.
 type estCell struct {
 	once sync.Once
 	est  *costmodel.Estimate
@@ -208,7 +213,11 @@ type estCell struct {
 // cache, which also holds the lane count's simulated timing).
 func newModelEval(mdl *costmodel.Model, bw *membw.Model, mods *moduleCache,
 	w perf.Workload, form perf.Form, emode ModelEvalMode, store *evalstore.Store) *modelEval {
-	return &modelEval{mdl: mdl, bw: bw, mods: mods, w: w, form: form, emode: emode, store: store}
+	me := &modelEval{mdl: mdl, bw: bw, mods: mods, w: w, form: form, emode: emode, store: store}
+	if store != nil {
+		me.targetDigest = evalstore.Fingerprint(evalstore.TargetDesc(mdl.Target))
+	}
+	return me
 }
 
 // compiledModel compiles the lane count's module against the model
@@ -220,22 +229,33 @@ func (me *modelEval) compiledModel(lanes int, m *tir.Module) (*costmodel.Compile
 	return cell.val, cell.err
 }
 
+// inventory returns the stream inventory of the lane count's module
+// against the device's bandwidth model, taken once: every dv of the
+// lane count prices its estimate through it.
+func (me *modelEval) inventory(lanes int, m *tir.Module) *perf.Inventory {
+	cell := loadCell[onceCell[*perf.Inventory]](&me.inventories, lanes)
+	cell.once.Do(func() { cell.val = perf.NewInventory(m, m.Lanes(), me.bw) })
+	return cell.val
+}
+
 // module builds the lanes-axis variant once per lane count.
 func (me *modelEval) module(lanes int) (*tir.Module, error) {
 	return me.mods.module(lanes)
 }
 
 // params returns the (lanes, dv) memo cell, settling it on first use:
-// the estimate, then the Table I parameters extracted from it. An
-// error from either step is memoised with the cell, so every point of
-// the cell reports the same one.
+// the estimate, then its Table I parameters — perf.Extract, with the
+// stream inventory shared by the lane count. An error from either step
+// is memoised with the cell, so every point of the cell reports the
+// same one.
 func (me *modelEval) params(lanes, dv int) *estCell {
 	c := loadCell[estCell](&me.ests, [2]int{lanes, dv})
 	c.once.Do(func() {
 		if c.est, c.err = me.estimate(lanes, dv); c.err != nil {
 			return
 		}
-		if c.par, c.err = perf.Extract(c.est, me.bw, me.w); c.err != nil {
+		inv := me.inventory(lanes, c.est.Module)
+		if c.par, c.err = inv.Params(c.est, me.w); c.err != nil {
 			c.err = fmt.Errorf("dse: extracting %d-lane parameters: %w", lanes, c.err)
 		}
 	})
@@ -254,11 +274,11 @@ func (me *modelEval) estimate(lanes, dv int) (*costmodel.Estimate, error) {
 	}
 	var key string
 	if me.store != nil {
-		ir, err := me.mods.moduleIR(lanes)
+		ir, err := me.mods.irDigest(lanes)
 		if err != nil {
 			return nil, err
 		}
-		key = evalstore.EstimateKey(ir, dv, me.mdl.Target)
+		key = evalstore.EstimateKeyOf(ir, dv, me.targetDigest)
 		if est, ok := evalstore.LoadEstimate(me.store, key, m, me.mdl.Target); ok {
 			return est, nil
 		}

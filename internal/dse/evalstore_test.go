@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -289,4 +290,115 @@ func TestDeviceStoreWarmCold(t *testing.T) {
 		t.Errorf("warm run calibrated %d devices, want 0", cal)
 	}
 	samePointsResult(t, "device-warm", warmRes, coldRes)
+}
+
+// lavamdStoreSpace is the store allocation gate's space: lavamd at
+// every divisor lane count up to 16 × dv 1..16 × the three-device
+// shelf, one estimate record per point.
+func lavamdStoreSpace(t *testing.T, shelf []*device.Target) (*Space, VariantBuilder) {
+	t.Helper()
+	family := kernelFamilies()["lavamd"]
+	space, err := NewSpace(LanesAxis(DivisorLaneCounts(family(1).GlobalSize(), 16)),
+		DVAxis(LaneCounts(16)), DeviceAxis(shelf...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return space, func(l int) (*tir.Module, error) { return family(l).Module() }
+}
+
+// TestWarmStorePointAllocs gates the store-warm point path: against a
+// populated store, with each device's models already loaded, an
+// exhaustive lavamd exploration reads one estimate record per point
+// and must allocate at most warmStoreBytesPerPoint bytes per point —
+// the module builds, IR digests, keys, record reads and Table I
+// parameters all included. CI gates on it in a step without -race,
+// whose instrumentation changes allocation counts.
+func TestWarmStorePointAllocs(t *testing.T) {
+	const warmStoreBytesPerPoint = 9600
+	shelf := testShelf(t)
+	space, build := lavamdStoreSpace(t, shelf)
+	dir := t.TempDir()
+	explore := func() (*Result, float64) {
+		st, err := evalstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := NewModelCacheStore(st)
+		for _, tgt := range shelf {
+			if _, _, err := cache.Models(tgt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ev, err := NewDeviceModeEvaluatorCache(EvalModel, shelf, build, perf.Workload{NKI: 10}, perf.FormB, SimConfig{}, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := NewEngine(space, ev, 1).Run(Exhaustive{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, float64(after.TotalAlloc-before.TotalAlloc) / float64(space.Size())
+	}
+	coldRes, coldBytes := explore()
+	warmRes, warmBytes := explore()
+	samePointsResult(t, "warm", warmRes, coldRes)
+	if warmBytes > warmStoreBytesPerPoint {
+		t.Errorf("warm store exploration allocates %.0f B/point, want <= %d", warmBytes, warmStoreBytesPerPoint)
+	} else {
+		t.Logf("%d points: cold %.0f B/point, warm %.0f B/point", space.Size(), coldBytes, warmBytes)
+	}
+}
+
+// TestStoreRecordNamesFollowEstimateKey: every record a store-backed
+// exploration writes is named by the text route — ModelsKey per
+// device, and evalstore.EstimateKey over the module's printed IR per
+// estimate, the keys bench's ledger replays — and every such name has
+// its file.
+func TestStoreRecordNamesFollowEstimateKey(t *testing.T) {
+	shelf := testShelf(t)
+	space, build := lavamdStoreSpace(t, shelf)
+	st, err := evalstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := NewDeviceModeEvaluatorStore(EvalModel, shelf, build, perf.Workload{NKI: 10}, perf.FormB, SimConfig{}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewEngine(space, ev, 4).Run(Exhaustive{}); err != nil {
+		t.Fatal(err)
+	}
+
+	want := map[string]bool{}
+	for _, tgt := range shelf {
+		want[evalstore.KindModels+"-"+evalstore.ModelsKey(tgt)+".json"] = true
+	}
+	for _, lanes := range DivisorLaneCounts(kernelFamilies()["lavamd"](1).GlobalSize(), 16) {
+		m, err := build(lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ir := m.String()
+		for _, dv := range LaneCounts(16) {
+			for _, tgt := range shelf {
+				want[evalstore.KindEstimate+"-"+evalstore.EstimateKey(ir, dv, tgt)+".json"] = true
+			}
+		}
+	}
+	names, err := filepath.Glob(filepath.Join(st.Dir(), "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if !want[filepath.Base(name)] {
+			t.Errorf("record %s is not named by ModelsKey or EstimateKey", filepath.Base(name))
+		}
+	}
+	if len(names) != len(want) {
+		t.Errorf("exploration wrote %d records, want %d", len(names), len(want))
+	}
 }

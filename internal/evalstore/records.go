@@ -3,6 +3,7 @@ package evalstore
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/costmodel"
@@ -23,10 +24,12 @@ const (
 	// KindEstimate archives one costmodel.EstimateVectorised outcome
 	// per (kernel IR, dv, target). v2: the per-function resource map
 	// left the Estimate (and with it the payload) when the compiled
-	// estimate program landed — v1 records hash to different keys and
-	// are simply recomputed.
+	// estimate program landed. v3: the key hashes the digests of the
+	// kernel IR and the target description instead of their text.
+	// Records of an older version hash to different keys and are simply
+	// recomputed.
 	KindEstimate    = "estimate"
-	EstimateVersion = 2
+	EstimateVersion = 3
 )
 
 // TargetDesc renders the full target description for content keys.
@@ -109,8 +112,18 @@ type estimatePayload struct {
 
 // EstimateKey addresses one vectorised estimate: the kernel IR (which
 // already encodes the lane count), the dv axis value, and the target.
+// It is EstimateKeyOf over the digests of the IR and the target
+// description, so both name the same record.
 func EstimateKey(moduleIR string, dv int, t *device.Target) string {
-	return Key(KindEstimate, EstimateVersion, moduleIR, fmt.Sprintf("dv=%d", dv), TargetDesc(t))
+	return EstimateKeyOf(Fingerprint(moduleIR), dv, Fingerprint(TargetDesc(t)))
+}
+
+// EstimateKeyOf is EstimateKey from digests: irDigest is
+// Fingerprint(moduleIR) and targetDigest Fingerprint(TargetDesc(t)). A
+// caller keying every dv of a module, or every record of a target,
+// computes each digest once and hashes ~170 bytes per record.
+func EstimateKeyOf(irDigest string, dv int, targetDigest string) string {
+	return Key(KindEstimate, EstimateVersion, irDigest, "dv="+strconv.Itoa(dv), targetDigest)
 }
 
 // SaveEstimate archives one costed variant.

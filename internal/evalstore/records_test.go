@@ -3,6 +3,7 @@ package evalstore
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -76,6 +77,92 @@ func TestEstimateSanityBounds(t *testing.T) {
 		}
 		if _, ok := LoadEstimate(s, key, nil, tgt); ok {
 			t.Errorf("%s: record served", name)
+		}
+	}
+}
+
+// keyTarget is a fixed target description, independent of the device
+// registry, for the key tests.
+func keyTarget() *device.Target {
+	return &device.Target{
+		Name: "key-test", Family: "stratix-v",
+		Capacity:  device.Resources{ALUTs: 1000, Regs: 2000, BRAM: 300, DSPs: 40},
+		BRAMBlock: 20480, DSPWidth: 27, FmaxHz: 2e8,
+		DRAM:              device.DRAMSpec{PeakBandwidth: 1e10},
+		Link:              device.LinkSpec{PeakBandwidth: 4e9},
+		LaunchOverheadSec: 1e-5,
+	}
+}
+
+// TestEstimateKeyOfMatchesEstimateKey: the digest route and the text
+// route name the same record, so a store written by one is read by
+// the other.
+func TestEstimateKeyOfMatchesEstimateKey(t *testing.T) {
+	tgt := keyTarget()
+	for _, ir := range []string{"", "module m {}", strings.Repeat("x", 1<<15)} {
+		for _, dv := range []int{1, 2, 16} {
+			want := EstimateKeyOf(Fingerprint(ir), dv, Fingerprint(TargetDesc(tgt)))
+			if got := EstimateKey(ir, dv, tgt); got != want {
+				t.Errorf("EstimateKey(%d-byte IR, dv=%d) = %s, EstimateKeyOf gives %s", len(ir), dv, got, want)
+			}
+		}
+	}
+}
+
+// TestEstimateKeyCoversEveryInput: changing the IR, dv or any field of
+// the target description changes the key.
+func TestEstimateKeyCoversEveryInput(t *testing.T) {
+	tgt := keyTarget()
+	base := EstimateKey("module m {}", 2, tgt)
+	if EstimateKey("module n {}", 2, tgt) == base {
+		t.Error("IR not part of the key")
+	}
+	if EstimateKey("module m {}", 3, tgt) == base {
+		t.Error("dv not part of the key")
+	}
+	// Perturb every leaf field of the flat Target value in turn.
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		if v.Kind() == reflect.Struct {
+			for i := 0; i < v.NumField(); i++ {
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+			return
+		}
+		old := reflect.ValueOf(v.Interface())
+		switch v.Kind() {
+		case reflect.String:
+			v.SetString(v.String() + "'")
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float()*2 + 1)
+		default:
+			t.Fatalf("Target%s: unhandled kind %s", path, v.Kind())
+		}
+		if EstimateKey("module m {}", 2, tgt) == base {
+			t.Errorf("Target%s not part of the key", path)
+		}
+		v.Set(old)
+	}
+	walk("", reflect.ValueOf(tgt).Elem())
+	if EstimateKey("module m {}", 2, tgt) != base {
+		t.Fatal("perturbation not undone")
+	}
+}
+
+// TestKeysGolden pins the content addresses of a fixed input: a change
+// to the key construction that does not bump the record's schema
+// version fails here instead of silently re-keying (or, worse,
+// aliasing) the records on disk.
+func TestKeysGolden(t *testing.T) {
+	tgt := keyTarget()
+	for _, c := range []struct{ name, got, want string }{
+		{"estimate", EstimateKey("module m {}", 4, tgt), "f94d3bf7e2732552d3fb2057fd7d0f0f39b5d3f19eb875f6e287464460781cbc"},
+		{"models", ModelsKey(tgt), "b2cb71bf5759ed7dae1485287732139903a091ad937d1f805db28ff0d5880d51"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s key = %s, want %s", c.name, c.got, c.want)
 		}
 	}
 }

@@ -2,8 +2,13 @@ package evalstore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -231,4 +236,179 @@ func TestStoreConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// reopen returns a fresh store over s's directory: an empty memory
+// tier, so every Get reads the file.
+func reopen(t *testing.T, s *Store) *Store {
+	t.Helper()
+	s2, err := Open(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s2
+}
+
+// TestPutServesPayloadBytes: any valid JSON payload — uncompacted, or
+// with characters json.Marshal would HTML-escape — is served from disk
+// byte for byte. A frame that re-encoded the payload through
+// json.Marshal would no longer match the checksum of the original, and
+// such a record would miss on every fresh store.
+func TestPutServesPayloadBytes(t *testing.T) {
+	s := mustOpen(t)
+	for i, payload := range []string{`{"s":"a<b&c>"}`, `{ "v": 1 }`, "[1,\n 2]"} {
+		key := Key("k", 1, strconv.Itoa(i))
+		if err := s.Put("k", key, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := reopen(t, s).Get("k", key); !ok || string(got) != payload {
+			t.Errorf("disk Get = %q, %v; want %q, true", got, ok, payload)
+		}
+	}
+}
+
+// TestPutRejects: Put refuses a payload that is not JSON, a record
+// name that is not letters, digits, '-' and '_', and a record above
+// the read cap — writing nothing, so no read can meet a record it
+// cannot serve.
+func TestPutRejects(t *testing.T) {
+	big := []byte(`"` + strings.Repeat("x", maxRecordBytes) + `"`)
+	cases := []struct {
+		name, kind, key string
+		payload         []byte
+	}{
+		{"invalid JSON", "k", "key", []byte(`{"v":`)},
+		{"empty payload", "k", "key", nil},
+		{"empty kind", "", "key", []byte(`1`)},
+		{"path in key", "k", "../key", []byte(`1`)},
+		{"quote in kind", `k"`, "key", []byte(`1`)},
+		{"oversized record", "k", "key", big},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := mustOpen(t)
+			if err := s.Put(c.kind, c.key, c.payload); err == nil {
+				t.Fatal("Put accepted")
+			}
+			if _, ok := s.Get(c.kind, c.key); ok {
+				t.Error("rejected record served")
+			}
+			if names, _ := filepath.Glob(filepath.Join(s.Dir(), "*")); len(names) != 0 {
+				t.Errorf("rejected record left files %v", names)
+			}
+		})
+	}
+}
+
+// TestGetOversizedFileIsMiss: a file above the cap under a record's
+// name is a miss without being read — a 256 MiB sparse file costs the
+// read no more than a few KiB of allocation.
+func TestGetOversizedFileIsMiss(t *testing.T) {
+	s := mustOpen(t)
+	key := Key("k", 1, "p")
+	f, err := os.Create(s.path("k", key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(256 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, ok := s.Get("k", key)
+	runtime.ReadMemStats(&after)
+	if ok {
+		t.Fatal("oversized file served")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Errorf("Get of an oversized file allocated %d bytes", n)
+	}
+}
+
+// oldEnvelope is the record frame as encoding/json writes it: the
+// layout every existing record file has.
+type oldEnvelope struct {
+	Magic   string          `json:"magic"`
+	Kind    string          `json:"kind"`
+	Key     string          `json:"key"`
+	Sum     string          `json:"sum"`
+	Payload json.RawMessage `json:"payload"`
+}
+
+func envelopeOf(kind, key string, payload []byte) oldEnvelope {
+	sum := sha256.Sum256(payload)
+	return oldEnvelope{Magic: magic, Kind: kind, Key: key, Sum: hex.EncodeToString(sum[:]), Payload: payload}
+}
+
+// TestFrameMatchesEnvelope: for compact payloads without HTML
+// characters — every payload the record kinds write — the file Put
+// writes is byte-identical to json.Marshal of the envelope, so record
+// files written through encoding/json stay hits.
+func TestFrameMatchesEnvelope(t *testing.T) {
+	s := mustOpen(t)
+	for i, payload := range []string{`{"answer":42}`, `"str"`, `[1.5e-7,{"a":null}]`, `{"membw":"1 2\n3"}`} {
+		key := Key("estimate", 3, strconv.Itoa(i))
+		if err := s.Put("estimate", key, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(s.path("estimate", key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(envelopeOf("estimate", key, []byte(payload)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("frame %s\nwant  %s", got, want)
+		}
+	}
+}
+
+// TestGetRejectsOtherLayouts: Get serves only the exact frame. The same
+// envelope in any other JSON layout is a miss, as is a checksum that
+// is not 64 lowercase hex digits.
+func TestGetRejectsOtherLayouts(t *testing.T) {
+	key := Key("k", 1, "p")
+	payload := []byte(`{"v":1}`)
+	env := envelopeOf("k", key, payload)
+	indented, _ := json.MarshalIndent(env, "", " ")
+	compact, _ := json.Marshal(env)
+	reordered, _ := json.Marshal(struct {
+		Kind    string          `json:"kind"`
+		Magic   string          `json:"magic"`
+		Key     string          `json:"key"`
+		Sum     string          `json:"sum"`
+		Payload json.RawMessage `json:"payload"`
+	}{env.Kind, env.Magic, env.Key, env.Sum, env.Payload})
+	layouts := map[string][]byte{
+		"indented":         indented,
+		"reordered":        reordered,
+		"trailing newline": append(append([]byte(nil), compact...), '\n'),
+		"uppercase sum":    bytes.Replace(compact, []byte(env.Sum), []byte(strings.ToUpper(env.Sum)), 1),
+		"short sum":        bytes.Replace(compact, []byte(env.Sum), []byte(env.Sum[:63]), 1),
+		"empty payload":    bytes.Replace(compact, payload, nil, 1),
+	}
+	for name, data := range layouts {
+		t.Run(name, func(t *testing.T) {
+			s := mustOpen(t)
+			if err := os.WriteFile(s.path("k", key), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := s.Get("k", key); ok {
+				t.Fatalf("served %q", got)
+			}
+		})
+	}
+	// The compact envelope itself is the frame.
+	s := mustOpen(t)
+	if err := os.WriteFile(s.path("k", key), compact, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get("k", key); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("compact envelope: Get = %q, %v", got, ok)
+	}
 }

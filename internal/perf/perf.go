@@ -3,9 +3,17 @@
 // memory-execution forms of the memory-execution model (§III-5, Fig 6),
 // with the Table I parameters extracted from a costed design variant,
 // the target description, and the empirical bandwidth model.
+//
+// Extraction has two halves. The stream inventory (Inventory) walks
+// the design's ports, streams and memory objects against the
+// bandwidth model; it depends on the module and its lane count only.
+// Params then combines it with one estimate and the workload. Extract
+// is the two in one call; a caller pricing every dv of a design keeps
+// the Inventory and pays the walk once.
 package perf
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -196,12 +204,98 @@ type Workload struct {
 	DV int
 }
 
-// Extract assembles the Table I parameters for a costed design variant:
-// structural parameters from the estimate (which parsed the IR), peak
-// bandwidths from the target description, and rho scale factors from the
-// empirical bandwidth model, per stream access pattern and size
-// (Table I's "evaluation method" column).
-func Extract(est *costmodel.Estimate, bw *membw.Model, w Workload) (Params, error) {
+// Inventory is a design's stream inventory: everything Extract derives
+// from the module's ports, streams and memory objects — the stream
+// element size, the port count, the global size, the bytes and
+// channel-serialised DRAM time of all streams and the host-link ρH
+// they imply. It depends on the module, its lane count and the
+// bandwidth model only, never on dv or the workload, so a caller
+// pricing every dv of a design builds it once and prices each estimate
+// with Params.
+type Inventory struct {
+	module *tir.Module
+	lanes  int
+
+	wordBytes  int
+	ports      int
+	ngs        int64
+	totalBytes float64
+	chanTime   float64
+	rhoH       float64
+
+	// err is the stream the inventory could not resolve; Params reports
+	// it after the workload checks, in Extract's order.
+	err error
+}
+
+// NewInventory takes the stream inventory of the module at the given
+// lane count (values below 1 count as 1) against the bandwidth model.
+// Ports resolve to streams, and streams to memory objects, through one
+// map each; the first declaration of a name wins, as in
+// tir.Module.Stream and MemObject.
+func NewInventory(m *tir.Module, lanes int, bw *membw.Model) *Inventory {
+	inv := &Inventory{module: m, lanes: max(lanes, 1)}
+	if m == nil {
+		inv.err = errNoStreams
+		return inv
+	}
+	streams := make(map[string]*tir.StreamObject, len(m.Streams))
+	for _, so := range m.Streams {
+		if _, dup := streams[so.Name]; !dup {
+			streams[so.Name] = so
+		}
+	}
+	mems := make(map[string]*tir.MemObject, len(m.MemObjects))
+	for _, mo := range m.MemObjects {
+		if _, dup := mems[mo.Name]; !dup {
+			mems[mo.Name] = mo
+		}
+	}
+	// Per-lane words per item, element size, and the channel-serialised
+	// effective DRAM bandwidth across all streams.
+	for _, port := range m.Ports {
+		so := streams[port.Stream]
+		if so == nil {
+			inv.err = fmt.Errorf("perf: port @%s has no stream object", port.Name)
+			return inv
+		}
+		mo := mems[so.Mem]
+		if mo == nil {
+			inv.err = fmt.Errorf("perf: stream %%%s has no memory object", so.Name)
+			return inv
+		}
+		if port.Elem.Bytes() > inv.wordBytes {
+			inv.wordBytes = port.Elem.Bytes()
+		}
+		bytes := mo.Bytes()
+		sustained := bw.SustainedSteady(bytes, mo.Pattern)
+		if sustained <= 0 {
+			inv.err = fmt.Errorf("perf: no sustained bandwidth for stream %%%s", so.Name)
+			return inv
+		}
+		inv.totalBytes += float64(bytes)
+		inv.chanTime += float64(bytes) / sustained
+		inv.ports++
+		if port.Dir == tir.DirIn && mo.Size*int64(inv.lanes) > inv.ngs {
+			inv.ngs = mo.Size * int64(inv.lanes)
+		}
+	}
+	if inv.ports == 0 || inv.ngs == 0 {
+		inv.err = errNoStreams
+		return inv
+	}
+	inv.rhoH = bw.RhoH(int64(inv.totalBytes))
+	return inv
+}
+
+var errNoStreams = errors.New("perf: design has no streams to extract parameters from")
+
+// Params assembles the Table I parameters of an estimate of the
+// inventory's design: structural parameters from the estimate (which
+// parsed the IR), peak bandwidths from the target description, and
+// rho scale factors from the inventory. It checks the workload first,
+// then reports any stream the inventory could not resolve.
+func (inv *Inventory) Params(est *costmodel.Estimate, w Workload) (Params, error) {
 	if w.NKI <= 0 {
 		return Params{}, fmt.Errorf("perf: workload needs NKI >= 1, got %d", w.NKI)
 	}
@@ -217,75 +311,49 @@ func Extract(est *costmodel.Estimate, bw *membw.Model, w Workload) (Params, erro
 		}
 		dv = est.DV
 	}
-	m := est.Module
-	lanes := est.Lanes
-	if lanes < 1 {
-		lanes = 1
+	if inv.err != nil {
+		return Params{}, inv.err
 	}
-
-	// Stream inventory: per-lane words per item, element size, and the
-	// channel-serialised effective DRAM bandwidth across all streams.
-	var (
-		wordBytes  int
-		totalBytes float64
-		chanTime   float64
-		ngs        int64
-	)
-	nports := 0
-	for _, port := range m.Ports {
-		so := m.Stream(port.Stream)
-		if so == nil {
-			return Params{}, fmt.Errorf("perf: port @%s has no stream object", port.Name)
-		}
-		mo := m.MemObject(so.Mem)
-		if mo == nil {
-			return Params{}, fmt.Errorf("perf: stream %%%s has no memory object", so.Name)
-		}
-		if port.Elem.Bytes() > wordBytes {
-			wordBytes = port.Elem.Bytes()
-		}
-		bytes := mo.Bytes()
-		sustained := bw.SustainedSteady(bytes, mo.Pattern)
-		if sustained <= 0 {
-			return Params{}, fmt.Errorf("perf: no sustained bandwidth for stream %%%s", so.Name)
-		}
-		totalBytes += float64(bytes)
-		chanTime += float64(bytes) / sustained
-		nports++
-		if port.Dir == tir.DirIn && mo.Size*int64(lanes) > ngs {
-			ngs = mo.Size * int64(lanes)
-		}
-	}
-	if nports == 0 || ngs == 0 {
-		return Params{}, fmt.Errorf("perf: design has no streams to extract parameters from")
+	if est.Module != inv.module || max(est.Lanes, 1) != inv.lanes {
+		return Params{}, fmt.Errorf("perf: the estimate is not of the inventory's %d-lane design", inv.lanes)
 	}
 
 	t := est.Target
-	rhoG := (totalBytes / chanTime) / t.DRAM.PeakBandwidth
+	rhoG := (inv.totalBytes / inv.chanTime) / t.DRAM.PeakBandwidth
 	if rhoG > 1 {
 		rhoG = 1
 	}
-	rhoH := bw.RhoH(int64(totalBytes))
 
 	pipelined := est.Config == tir.ConfigPipe || est.Config == tir.ConfigParPipes ||
 		est.Config == tir.ConfigCoarsePipe || est.Config == tir.ConfigParCoarse
 
 	return Params{
 		HPB:       t.Link.PeakBandwidth,
-		RhoH:      rhoH,
+		RhoH:      inv.rhoH,
 		GPB:       t.DRAM.PeakBandwidth,
 		RhoG:      rhoG,
-		NGS:       ngs,
-		NWPT:      nports / lanes,
+		NGS:       inv.ngs,
+		NWPT:      inv.ports / inv.lanes,
 		NKI:       w.NKI,
 		Noff:      est.Noff,
 		KPD:       est.KPD,
 		FD:        est.FmaxHz,
 		NTO:       float64(est.NTO),
 		NI:        est.NI,
-		KNL:       lanes,
+		KNL:       inv.lanes,
 		DV:        dv,
-		WordBytes: wordBytes,
+		WordBytes: inv.wordBytes,
 		Pipelined: pipelined,
 	}, nil
+}
+
+// Extract assembles the Table I parameters for a costed design variant:
+// structural parameters from the estimate (which parsed the IR), peak
+// bandwidths from the target description, and rho scale factors from the
+// empirical bandwidth model, per stream access pattern and size
+// (Table I's "evaluation method" column). It is the stream inventory
+// of the estimate's module priced once; callers pricing many estimates
+// of one design keep the Inventory instead.
+func Extract(est *costmodel.Estimate, bw *membw.Model, w Workload) (Params, error) {
+	return NewInventory(est.Module, est.Lanes, bw).Params(est, w)
 }

@@ -297,3 +297,34 @@ func TestExtractRejectsBadWorkload(t *testing.T) {
 		t.Error("NKI=0 accepted")
 	}
 }
+
+// TestInventoryParamsRejectsOtherDesign: an inventory prices only
+// estimates of the module and lane count it was taken from; Extract's
+// composition always matches, a kept Inventory must be checked.
+func TestInventoryParamsRejectsOtherDesign(t *testing.T) {
+	mdl, bw := extractFixtures(t)
+	module := func(lanes int) *costmodel.Estimate {
+		t.Helper()
+		m, err := kernels.SORSpec{IM: 15, JM: 10, KM: 16, Lanes: lanes}.Module()
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := mdl.Estimate(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
+	}
+	est2, est4 := module(2), module(4)
+	inv := NewInventory(est2.Module, est2.Lanes, bw)
+	if _, err := inv.Params(est2, Workload{NKI: 10}); err != nil {
+		t.Fatalf("own estimate: %v", err)
+	}
+	if _, err := inv.Params(est4, Workload{NKI: 10}); err == nil {
+		t.Error("2-lane inventory priced a 4-lane estimate")
+	}
+	other := module(2)
+	if _, err := inv.Params(other, Workload{NKI: 10}); err == nil {
+		t.Error("inventory priced an estimate of another module")
+	}
+}
