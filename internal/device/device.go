@@ -175,18 +175,18 @@ type Target struct {
 }
 
 // Validate reports an error if the target description is not usable by
-// the cost model.
+// the cost model. The float checks are worded so that NaN fails them.
 func (t *Target) Validate() error {
 	switch {
 	case t.Name == "":
 		return fmt.Errorf("device: target has no name")
 	case t.Capacity.ALUTs <= 0 || t.Capacity.Regs <= 0:
 		return fmt.Errorf("device %s: logic capacity must be positive", t.Name)
-	case t.FmaxHz <= 0:
+	case !(t.FmaxHz > 0):
 		return fmt.Errorf("device %s: Fmax must be positive", t.Name)
-	case t.DRAM.PeakBandwidth <= 0:
+	case !(t.DRAM.PeakBandwidth > 0):
 		return fmt.Errorf("device %s: DRAM peak bandwidth must be positive", t.Name)
-	case t.Link.PeakBandwidth <= 0:
+	case !(t.Link.PeakBandwidth > 0):
 		return fmt.Errorf("device %s: link peak bandwidth must be positive", t.Name)
 	case t.BRAMBlock <= 0:
 		return fmt.Errorf("device %s: BRAM block size must be positive", t.Name)

@@ -142,6 +142,9 @@ func TestValidateCatchesBadTargets(t *testing.T) {
 		func(t *Target) { t.FmaxHz = 0 },
 		func(t *Target) { t.DRAM.PeakBandwidth = 0 },
 		func(t *Target) { t.Link.PeakBandwidth = 0 },
+		func(t *Target) { t.FmaxHz = math.NaN() },
+		func(t *Target) { t.DRAM.PeakBandwidth = math.NaN() },
+		func(t *Target) { t.Link.PeakBandwidth = math.NaN() },
 		func(t *Target) { t.BRAMBlock = 0 },
 		func(t *Target) { t.DSPWidth = 0 },
 	}

@@ -89,12 +89,14 @@ func RunStreamBenchmark(t *device.Target, dims []int) ([]Sample, error) {
 		}
 		drams[w] = dram
 	}
-	// Largest first, by simulated accesses: a strided cell walks dim²
-	// elements, a contiguous one moves dim²·elemBytes/BurstBytes bursts.
+	// Largest first, by simulated accesses: a contiguous cell moves
+	// dim²·elemBytes/BurstBytes bursts; a strided cell walks only the
+	// column passes whose rows or starting row buffers change, about a
+	// tenth of its dim² elements on the registered targets.
 	accesses := func(c cell) int64 {
 		n := int64(c.dim) * int64(c.dim)
 		if c.pat == tir.PatternStrided {
-			return n
+			return n / 10
 		}
 		return n * elemBytes / int64(t.DRAM.BurstBytes)
 	}
@@ -138,22 +140,16 @@ func streamCell(t *device.Target, dram *memsim.DRAM, dim int, pat tir.AccessPatt
 	bytes := n * elemBytes
 	dram.Reset()
 	var secs float64
+	var err error
 	if pat == tir.PatternStrided {
 		// Column walk: dim passes, each streaming dim elements at
 		// stride dim (wrapping to the next column between passes).
-		for col := 0; col < dim; col++ {
-			s, err := dram.StreamSeconds(int64(col)*elemBytes, int64(dim), elemBytes, int64(dim))
-			if err != nil {
-				return Sample{}, err
-			}
-			secs += s
-		}
+		secs, err = dram.ColumnWalkSeconds(int64(dim), elemBytes)
 	} else {
-		s, err := dram.StreamSeconds(0, n, elemBytes, 1)
-		if err != nil {
-			return Sample{}, err
-		}
-		secs = s
+		secs, err = dram.StreamSeconds(0, n, elemBytes, 1)
+	}
+	if err != nil {
+		return Sample{}, err
 	}
 	steady := secs
 	secs += t.LaunchOverheadSec
@@ -269,20 +265,23 @@ func Build(t *device.Target) (*Model, error) {
 		return nil, err
 	}
 	m := &Model{Target: t, Table: samples, link: link}
-	for _, s := range samples {
-		if s.Pattern == tir.PatternStrided {
-			m.strided.bytes = append(m.strided.bytes, float64(s.Bytes))
-			m.strided.bw = append(m.strided.bw, s.Sustained)
-			m.steadyStrided.bytes = append(m.steadyStrided.bytes, float64(s.Bytes))
-			m.steadyStrided.bw = append(m.steadyStrided.bw, s.SteadySustained)
-		} else {
-			m.contig.bytes = append(m.contig.bytes, float64(s.Bytes))
-			m.contig.bw = append(m.contig.bw, s.Sustained)
-			m.steadyContig.bytes = append(m.steadyContig.bytes, float64(s.Bytes))
-			m.steadyContig.bw = append(m.steadyContig.bw, s.SteadySustained)
-		}
-	}
+	m.fillCurves()
 	return m, nil
+}
+
+// fillCurves builds the four interpolation curves from m.Table, each
+// in table order.
+func (m *Model) fillCurves() {
+	for _, s := range m.Table {
+		c, steady := &m.contig, &m.steadyContig
+		if s.Pattern == tir.PatternStrided {
+			c, steady = &m.strided, &m.steadyStrided
+		}
+		c.bytes = append(c.bytes, float64(s.Bytes))
+		c.bw = append(c.bw, s.Sustained)
+		steady.bytes = append(steady.bytes, float64(s.Bytes))
+		steady.bw = append(steady.bw, s.SteadySustained)
+	}
 }
 
 // SustainedDRAM predicts the sustained device-DRAM bandwidth

@@ -1,10 +1,12 @@
 package membw
 
 import (
+	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/memsim"
 	"repro/internal/tir"
 )
 
@@ -213,6 +215,41 @@ func BenchmarkBuild(b *testing.B) {
 				if _, err := Build(tgt); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// TestBuildRejectsBadChannelSpecs: a target whose DRAM or link timing
+// holds a NaN, an infinity or a negative value must be rejected by the
+// memsim constructor and by Build, not calibrated into a NaN or
+// negative ρ. One case per checked field.
+func TestBuildRejectsBadChannelSpecs(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*device.Target)
+	}{
+		{"DRAM clock NaN", func(t *device.Target) { t.DRAM.ClockHz = math.NaN() }},
+		{"DRAM peak bandwidth +Inf", func(t *device.Target) { t.DRAM.PeakBandwidth = math.Inf(1) }},
+		{"DRAM setup negative", func(t *device.Target) { t.DRAM.SetupSeconds = -1e-6 }},
+		{"DRAM row-miss cycles negative", func(t *device.Target) { t.DRAM.RowMissCycles = -10000 }},
+		{"DRAM transaction cycles negative", func(t *device.Target) { t.DRAM.TransCycles = -1 }},
+		{"link peak bandwidth +Inf", func(t *device.Target) { t.Link.PeakBandwidth = math.Inf(1) }},
+		{"link latency NaN", func(t *device.Target) { t.Link.LatencySec = math.NaN() }},
+		{"link overhead NaN", func(t *device.Target) { t.Link.Overhead = math.NaN() }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tgt := device.Virtex7690T()
+			c.mut(tgt)
+			_, dramErr := memsim.NewDRAM(tgt.DRAM)
+			_, linkErr := memsim.NewLink(tgt.Link)
+			if dramErr == nil && linkErr == nil {
+				t.Error("memsim accepted the channel specs")
+			}
+			if m, err := Build(tgt); err == nil {
+				t.Errorf("Build accepted the target: ρG = %v, ρH = %v",
+					m.RhoG(1<<20, tir.PatternContiguous), m.RhoH(1<<20))
 			}
 		})
 	}

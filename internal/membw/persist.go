@@ -112,27 +112,16 @@ func LoadModel(t *device.Target, r io.Reader) (*Model, error) {
 		if bytes <= 0 || secs <= 0 || steady <= 0 {
 			return nil, fmt.Errorf("membw: line %d: non-positive measurement", line)
 		}
-		s := Sample{
+		m.Table = append(m.Table, Sample{
 			Dim: dim, Pattern: pat, Bytes: bytes,
 			Seconds: secs, Sustained: float64(bytes) / secs,
 			SteadySeconds: steady, SteadySustained: float64(bytes) / steady,
-		}
-		m.Table = append(m.Table, s)
-		if pat == tir.PatternStrided {
-			m.strided.bytes = append(m.strided.bytes, float64(s.Bytes))
-			m.strided.bw = append(m.strided.bw, s.Sustained)
-			m.steadyStrided.bytes = append(m.steadyStrided.bytes, float64(s.Bytes))
-			m.steadyStrided.bw = append(m.steadyStrided.bw, s.SteadySustained)
-		} else {
-			m.contig.bytes = append(m.contig.bytes, float64(s.Bytes))
-			m.contig.bw = append(m.contig.bw, s.Sustained)
-			m.steadyContig.bytes = append(m.steadyContig.bytes, float64(s.Bytes))
-			m.steadyContig.bw = append(m.steadyContig.bw, s.SteadySustained)
-		}
+		})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	m.fillCurves()
 	if len(m.contig.bytes) < 2 || len(m.strided.bytes) < 2 {
 		return nil, fmt.Errorf("membw: calibration file has too few samples (%d contiguous, %d strided)",
 			len(m.contig.bytes), len(m.strided.bytes))

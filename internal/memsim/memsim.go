@@ -16,6 +16,8 @@ package memsim
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/device"
 )
@@ -28,18 +30,33 @@ type DRAM struct {
 	openRow []int64
 }
 
-// NewDRAM returns a DRAM channel with all banks precharged.
+// NewDRAM returns a DRAM channel with all banks precharged. The clock
+// and bandwidth must be positive and finite, the set-up time finite and
+// non-negative, and the miss and transaction cycles non-negative: a NaN
+// or negative field would turn every measurement, and every ρG built
+// from it, into NaN or a negative number.
 func NewDRAM(spec device.DRAMSpec) (*DRAM, error) {
 	if spec.Banks <= 0 || spec.RowBytes <= 0 || spec.BurstBytes <= 0 {
 		return nil, fmt.Errorf("memsim: DRAM spec needs positive banks/row/burst, got %+v", spec)
 	}
-	if spec.ClockHz <= 0 || spec.PeakBandwidth <= 0 {
+	if !positiveFinite(spec.ClockHz) || !positiveFinite(spec.PeakBandwidth) {
 		return nil, fmt.Errorf("memsim: DRAM spec needs positive clock and bandwidth")
+	}
+	if !(spec.SetupSeconds >= 0) || math.IsInf(spec.SetupSeconds, 1) {
+		return nil, fmt.Errorf("memsim: DRAM setup time %v must be finite and non-negative", spec.SetupSeconds)
+	}
+	if spec.RowMissCycles < 0 || spec.TransCycles < 0 {
+		return nil, fmt.Errorf("memsim: DRAM row-miss and transaction cycles must be non-negative, got %d and %d",
+			spec.RowMissCycles, spec.TransCycles)
 	}
 	d := &DRAM{spec: spec, openRow: make([]int64, spec.Banks)}
 	d.Reset()
 	return d, nil
 }
+
+// positiveFinite reports whether x is a positive real number: NaN and
+// +Inf fail it.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Reset precharges all banks.
 func (d *DRAM) Reset() {
@@ -129,10 +146,85 @@ func walkStep(base, count, stride, scale int64) (int64, bool) {
 	return stride * scale, true
 }
 
+// ColumnWalkSeconds returns the time to read a dim×dim array of
+// elemBytes-byte elements, stored row by row from address 0, one column
+// after another: dim passes, pass c streaming dim elements at stride dim
+// from byte c·elemBytes, their seconds summed in pass order. It is one
+// StreamSeconds call per pass, bit for bit and row buffers included.
+//
+// A walk depends only on the rows it touches and the row buffers it
+// starts from, so a pass with the previous pass's rows and starting row
+// buffers has the previous pass's seconds and leaves the row buffers as
+// it found them; such a pass is not walked. Pass c+1's addresses are
+// pass c's plus elemBytes, so it touches pass c's rows unless a pass-c
+// address lies within elemBytes of the end of its row. Pass c's offsets
+// within their rows are pass 0's shifted by c·elemBytes, so the test
+// needs pass 0's offsets only: O(dim) memory, whatever the row size,
+// plus one copy of the row buffers. Within a run of passes that share
+// their rows at most two are walked: the second starts from the row
+// buffers the first left, and so leaves them as it found them.
+func (d *DRAM) ColumnWalkSeconds(dim int64, elemBytes int) (float64, error) {
+	if dim <= 1 {
+		// No pass, or one element streamed contiguously (stride 1).
+		return d.StreamSeconds(0, dim, elemBytes, dim)
+	}
+	if elemBytes <= 0 {
+		return 0, fmt.Errorf("memsim: element size must be positive, got %d", elemBytes)
+	}
+	elem, rowBytes := int64(elemBytes), int64(d.spec.RowBytes)
+	step, ok := walkStep(0, dim, dim, elem)
+	if !ok {
+		return 0, errOverrun(0, dim, elemBytes, dim)
+	}
+	offs := make([]int64, dim) // pass 0's in-row offsets, ascending
+	for i := range offs {
+		offs[i] = int64(i) * step % rowBytes
+	}
+	slices.Sort(offs)
+	// crosses reports whether pass c+1 touches a row pass c does not:
+	// whether pass c's largest in-row offset is within elemBytes of the
+	// row's end. Shifted by c·elemBytes, the offsets below rowBytes-shift
+	// are the largest; the rest wrap to the row's start. offs[0] is 0, so
+	// the search never returns 0.
+	crosses := func(c int64) bool {
+		shift := c * elem % rowBytes
+		i, _ := slices.BinarySearch(offs, rowBytes-shift)
+		return offs[i-1]+shift >= rowBytes-elem
+	}
+	hit := d.burstCycles() + float64(d.spec.TransCycles)
+	var secs, passSecs float64
+	var before []int64
+	reuse := false // pass c has pass c-1's rows and starting row buffers
+	for c := int64(0); c < dim; c++ {
+		base := c * elem
+		if _, ok := walkStep(base, dim, dim, elem); !ok {
+			return 0, errOverrun(base, dim, elemBytes, dim)
+		}
+		sameRows := c+1 < dim && !crosses(c)
+		if reuse {
+			secs += passSecs
+			reuse = sameRows
+			continue
+		}
+		if sameRows {
+			before = append(before[:0], d.openRow...)
+		}
+		passSecs = d.walk(base, dim, step, hit)/d.spec.ClockHz + d.spec.SetupSeconds
+		secs += passSecs
+		reuse = sameRows && slices.Equal(before, d.openRow)
+	}
+	return secs, nil
+}
+
 func errOverrun(base, n int64, elemBytes int, strideElems int64) error {
 	return fmt.Errorf("memsim: stream of %d %d-byte elements at stride %d from address %d overruns the int64 address space",
 		n, elemBytes, strideElems, base)
 }
+
+// walked counts the accesses walk has simulated in this process, one
+// atomic add per call; a test reads it to gate the cost of the bandwidth
+// benchmark, whose wall time CI cannot gate.
+var walked atomic.Int64
 
 // walk accounts count >= 1 accesses at base, base+step, base+2·step, ...
 // (base >= 0, step >= 0, last address within int64) and returns their
@@ -141,6 +233,7 @@ func errOverrun(base, n int64, elemBytes int, strideElems int64) error {
 // row, the offset within it and the bank advance by the step's quotient
 // and remainder instead of being divided out of every address.
 func (d *DRAM) walk(base, count, step int64, hit float64) float64 {
+	walked.Add(count)
 	rowBytes, banks := int64(d.spec.RowBytes), int64(d.spec.Banks)
 	miss := hit + float64(d.spec.RowMissCycles)
 	row, off := base/rowBytes, base%rowBytes
@@ -206,12 +299,16 @@ type Link struct {
 	spec device.LinkSpec
 }
 
-// NewLink returns a link model.
+// NewLink returns a link model. Bandwidth, latency and overhead must be
+// finite: a NaN in any of them makes every ρH NaN.
 func NewLink(spec device.LinkSpec) (*Link, error) {
-	if spec.PeakBandwidth <= 0 || spec.PacketBytes <= 0 {
+	if !positiveFinite(spec.PeakBandwidth) || spec.PacketBytes <= 0 {
 		return nil, fmt.Errorf("memsim: link spec needs positive bandwidth and packet size")
 	}
-	if spec.Overhead < 0 || spec.Overhead >= 1 {
+	if !(spec.LatencySec >= 0) || math.IsInf(spec.LatencySec, 1) {
+		return nil, fmt.Errorf("memsim: link latency %v must be finite and non-negative", spec.LatencySec)
+	}
+	if !(spec.Overhead >= 0 && spec.Overhead < 1) {
 		return nil, fmt.Errorf("memsim: link overhead fraction %v out of [0,1)", spec.Overhead)
 	}
 	return &Link{spec: spec}, nil

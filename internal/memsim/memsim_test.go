@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -414,5 +415,98 @@ func TestStreamSecondsRejectsBadAddresses(t *testing.T) {
 				t.Errorf("StreamSeconds(%d, %d, %d, %d) = %v, per-access reference %v", c.base, c.n, c.elem, c.stride, secs, want)
 			}
 		})
+	}
+}
+
+// columnWalkPerPass is ColumnWalkSeconds the direct way: one
+// StreamSeconds call per pass, every pass walked, the seconds summed in
+// pass order.
+func columnWalkPerPass(d *DRAM, dim int64, elemBytes int) (float64, error) {
+	var secs float64
+	for c := int64(0); c < dim; c++ {
+		s, err := d.StreamSeconds(c*int64(elemBytes), dim, elemBytes, dim)
+		if err != nil {
+			return 0, err
+		}
+		secs += s
+	}
+	return secs, nil
+}
+
+// TestColumnWalkMatchesPerPass checks ColumnWalkSeconds against the
+// per-pass reference over seeded random channels (rows and banks that
+// are not powers of two, rows shorter than an element), element sizes
+// 1..16 and dims 1..1000, bit for bit, with the row buffers compared
+// after every call of a chain that shares them, so calls also start
+// from row buffers a previous walk left.
+func TestColumnWalkMatchesPerPass(t *testing.T) {
+	r := rand.New(rand.NewPCG(19, 2024))
+	for trial := 0; trial < 60; trial++ {
+		spec := randomDRAMSpec(r)
+		got, err := NewDRAM(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := NewDRAM(spec)
+		for call := 0; call < 6; call++ {
+			if r.IntN(3) == 0 {
+				got.Reset()
+				want.Reset()
+			}
+			elem := 1 + r.IntN(16)
+			var dim int64
+			switch r.IntN(4) {
+			case 0:
+				dim = 1 + r.Int64N(8)
+			case 1: // a column stride of about one to three rows
+				dim = max(1, int64(spec.RowBytes)*(1+r.Int64N(3))/int64(elem))
+				dim = min(dim, 1000)
+			default:
+				dim = 1 + r.Int64N(1000)
+			}
+			gotSecs, err := got.ColumnWalkSeconds(dim, elem)
+			if err != nil {
+				t.Fatalf("spec %+v: ColumnWalkSeconds(%d, %d): %v", spec, dim, elem, err)
+			}
+			wantSecs, err := columnWalkPerPass(want, dim, elem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(gotSecs) != math.Float64bits(wantSecs) {
+				t.Fatalf("spec %+v: ColumnWalkSeconds(%d, %d) = %v, per-pass reference %v",
+					spec, dim, elem, gotSecs, wantSecs)
+			}
+			if !slices.Equal(got.openRow, want.openRow) {
+				t.Fatalf("spec %+v: after ColumnWalkSeconds(%d, %d) open rows %v, reference %v",
+					spec, dim, elem, got.openRow, want.openRow)
+			}
+		}
+	}
+}
+
+// TestColumnWalkEdgeCases checks that ColumnWalkSeconds returns what the
+// per-pass reference returns, errors included, for empty and one-element
+// arrays, bad element sizes and arrays that overrun the address space at
+// the first or at a later pass.
+func TestColumnWalkEdgeCases(t *testing.T) {
+	cases := []struct {
+		dim  int64
+		elem int
+	}{
+		{0, 4}, {-3, 4}, {1, 4}, {1, 0}, {2, 0}, {5, -1},
+		{3037000500, 4},      // pass 0 overruns
+		{2, math.MaxInt / 2}, // pass 0 fits, pass 1 overruns
+	}
+	for _, c := range cases {
+		got, want := testDRAM(t), testDRAM(t)
+		gotSecs, gotErr := got.ColumnWalkSeconds(c.dim, c.elem)
+		wantSecs, wantErr := columnWalkPerPass(want, c.dim, c.elem)
+		if math.Float64bits(gotSecs) != math.Float64bits(wantSecs) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("ColumnWalkSeconds(%d, %d) = %v, %v; per-pass reference %v, %v",
+				c.dim, c.elem, gotSecs, gotErr, wantSecs, wantErr)
+		}
+		if !slices.Equal(got.openRow, want.openRow) {
+			t.Errorf("after ColumnWalkSeconds(%d, %d) open rows %v, reference %v", c.dim, c.elem, got.openRow, want.openRow)
+		}
 	}
 }

@@ -102,12 +102,13 @@ func (p Params) CyclesPerItem() float64 {
 	return p.NTO * float64(p.NI)
 }
 
-// Validate reports parameters the equations cannot accept.
+// Validate reports parameters the equations cannot accept. The float
+// checks are worded so that NaN fails them.
 func (p Params) Validate() error {
 	switch {
-	case p.HPB <= 0 || p.GPB <= 0:
+	case !(p.HPB > 0 && p.GPB > 0):
 		return fmt.Errorf("perf: peak bandwidths must be positive")
-	case p.RhoH <= 0 || p.RhoH > 1 || p.RhoG <= 0 || p.RhoG > 1:
+	case !(p.RhoH > 0 && p.RhoH <= 1 && p.RhoG > 0 && p.RhoG <= 1):
 		return fmt.Errorf("perf: rho factors must be in (0,1], got rhoH=%v rhoG=%v", p.RhoH, p.RhoG)
 	case p.NGS <= 0:
 		return fmt.Errorf("perf: global size must be positive")
@@ -115,7 +116,7 @@ func (p Params) Validate() error {
 		return fmt.Errorf("perf: words per tuple and word size must be positive")
 	case p.NKI <= 0:
 		return fmt.Errorf("perf: kernel-instance count must be positive")
-	case p.FD <= 0:
+	case !(p.FD > 0):
 		return fmt.Errorf("perf: device frequency must be positive")
 	case p.KNL <= 0 || p.DV <= 0:
 		return fmt.Errorf("perf: lanes and vectorisation must be positive")

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -186,6 +187,11 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.KNL = 0 },
 		func(p *Params) { p.DV = 0 },
 		func(p *Params) { p.Noff = -1 },
+		func(p *Params) { p.HPB = math.NaN() },
+		func(p *Params) { p.GPB = math.NaN() },
+		func(p *Params) { p.RhoH = math.NaN() },
+		func(p *Params) { p.RhoG = math.NaN() },
+		func(p *Params) { p.FD = math.NaN() },
 	}
 	for i, mut := range mutations {
 		p := baseParams()
