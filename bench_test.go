@@ -362,13 +362,12 @@ func BenchmarkEngineSweep(b *testing.B) {
 }
 
 // BenchmarkSimEvaluator prices one cold variant evaluation per DSE
-// scorer — cost model, cycle-accurate simulator, hybrid — on the same
-// small SOR instance the committed BENCH_DSE_SIM.json baseline
-// measures (experiments.DSESimBenchSpec). A fresh evaluator per
-// iteration: nothing memoised survives, so the number is the cost a
-// new DSE point pays, including the design compile and its structural
-// timing on the sim-backed modes. Metrics: the per-instance simulated
-// cycles (sim/hybrid) and the model's CPKI estimate.
+// scorer — cost model, cycle-accurate simulator, hybrid — on a small SOR
+// instance at 1, 2 and 4 lanes. A fresh evaluator per iteration:
+// nothing memoised survives, so the number is the cost a new DSE point
+// pays, including the design compile and its structural timing on the
+// sim-backed modes. Metrics: the per-instance simulated cycles
+// (sim/hybrid) and the model's CPKI estimate.
 func BenchmarkSimEvaluator(b *testing.B) {
 	shelf := []*device.Target{device.GSD8Edu()}
 	cache := dse.NewModelCache()
@@ -376,42 +375,45 @@ func BenchmarkSimEvaluator(b *testing.B) {
 		b.Fatal(err)
 	}
 	build := func(lanes int) (*tir.Module, error) {
-		return experiments.DSESimBenchSpec(lanes).Module()
+		return kernels.SORSpec{IM: 15, JM: 10, KM: 16, Lanes: lanes}.Module()
 	}
-	space, err := dse.NewSpace(dse.LanesAxis([]int{2}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	variant := space.Enumerate()[0]
 	for _, mode := range []dse.EvalMode{dse.EvalModel, dse.EvalSim, dse.EvalHybrid} {
-		b.Run(mode.String(), func(b *testing.B) {
-			var p *dse.Point
-			for i := 0; i < b.N; i++ {
-				eval, err := dse.NewDeviceModeEvaluatorCache(mode, shelf, build,
-					perf.Workload{NKI: 10}, perf.FormB, dse.SimConfig{}, cache)
-				if err != nil {
-					b.Fatal(err)
-				}
-				p, err = eval(space, variant)
-				if err != nil {
-					b.Fatal(err)
-				}
+		for _, lanes := range []int{1, 2, 4} {
+			space, err := dse.NewSpace(dse.LanesAxis([]int{lanes}))
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(p.Est.CPKI(p.Par.NGS)), "model_cpki")
-			if mode != dse.EvalModel {
-				b.ReportMetric(float64(p.SimCycles), "sim_cycles")
-			}
-		})
+			variant := space.Enumerate()[0]
+			b.Run(fmt.Sprintf("%s/lanes=%d", mode, lanes), func(b *testing.B) {
+				var p *dse.Point
+				for i := 0; i < b.N; i++ {
+					eval, err := dse.NewDeviceModeEvaluatorCache(mode, shelf, build,
+						perf.Workload{NKI: 10}, perf.FormB, dse.SimConfig{}, cache)
+					if err != nil {
+						b.Fatal(err)
+					}
+					p, err = eval(space, variant)
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(p.Est.CPKI(p.Par.NGS)), "model_cpki")
+				if mode != dse.EvalModel {
+					b.ReportMetric(float64(p.SimCycles), "sim_cycles")
+				}
+			})
+		}
 	}
 }
 
-// BenchmarkStrategyComparison regenerates the committed
-// BENCH_DSE_STRAT.json figures: every registered strategy searching
-// the Fig 15 lanes×form space through one shared memoised engine.
-// Wall-clock here prices a whole comparison run; the headline metrics
-// are the deterministic search-efficiency numbers — evaluations
-// charged by the adaptive strategies against the 32-point enumeration
-// (both find the same best design; the test suite enforces it).
+// BenchmarkStrategyComparison regenerates the strategy comparison of
+// `tytrabench -exp strat`: every registered strategy searching the Fig
+// 15 lanes×form space through one shared memoised engine. Wall-clock
+// here prices a whole comparison run; the headline metrics are the
+// deterministic search-efficiency numbers — evaluations charged by the
+// adaptive strategies against the 32-point enumeration (both find the
+// same best design; TestDSEStratReport enforces it and pins every row
+// in internal/experiments/testdata/strat.golden).
 func BenchmarkStrategyComparison(b *testing.B) {
 	var r *experiments.DSEStratResult
 	for i := 0; i < b.N; i++ {
@@ -435,7 +437,7 @@ func BenchmarkStrategyComparison(b *testing.B) {
 
 // benchBind builds the module and bound inputs for one spec. The
 // BenchmarkPipesim family runs experiments.PipesimBenchSpecs — the same
-// workloads as the committed BENCH_PIPESIM.json baseline.
+// workloads the opt-in perf gates in internal/experiments time.
 func benchBind(b *testing.B, spec kernels.LanedSpec) (*tir.Module, map[string][]int64) {
 	b.Helper()
 	m, err := spec.Module()
@@ -449,35 +451,9 @@ func benchBind(b *testing.B, spec kernels.LanedSpec) (*tir.Module, map[string][]
 	return m, mem
 }
 
-// BenchmarkPipesimRun prices one kernel-instance per golden kernel
-// through the package-level pipesim.Run convenience: since the
-// design-cache change this is a cache hit plus a pooled-instance run,
-// not a recompile — the cold compile cost moved to
-// BenchmarkPipesimCompile. The committed baseline and the interpreter
-// it must beat live in BENCH_PIPESIM.json.
-func BenchmarkPipesimRun(b *testing.B) {
-	for _, spec := range experiments.PipesimBenchSpecs() {
-		b.Run(spec.Name(), func(b *testing.B) {
-			m, mem := benchBind(b, spec)
-			var res *pipesim.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = pipesim.Run(m, mem)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Cycles), "cycles")
-			b.ReportMetric(float64(res.Items)*float64(b.N)/b.Elapsed().Seconds(), "items/s")
-		})
-	}
-}
-
-// BenchmarkPipesimCompile prices the true cold path — validate +
-// compile + execute through an uncached CompiledDesign — the cost a
-// cache-missing simulation-backed DSE point pays (the compiled_ns_op
-// column of BENCH_PIPESIM.json).
+// BenchmarkPipesimCompile prices the cold path — validate + compile +
+// execute through a fresh CompiledDesign — which is what every
+// pipesim.Run call pays.
 func BenchmarkPipesimCompile(b *testing.B) {
 	for _, spec := range experiments.PipesimBenchSpecs() {
 		b.Run(spec.Name(), func(b *testing.B) {
@@ -499,7 +475,7 @@ func BenchmarkPipesimCompile(b *testing.B) {
 // BenchmarkPipesimPooled prices the steady-state pooled-instance run on
 // a shared CompiledDesign — what a concurrent service pays per request
 // after warmup. Allocations are part of the contract (no scratch, no
-// input copies; see the pooled_* columns of BENCH_PIPESIM.json), so the
+// input copies; pipesim's TestPooledRunAllocations gates them), so the
 // benchmark always reports them.
 func BenchmarkPipesimPooled(b *testing.B) {
 	for _, spec := range experiments.PipesimBenchSpecs() {
@@ -525,9 +501,9 @@ func BenchmarkPipesimPooled(b *testing.B) {
 
 // BenchmarkPipesimConcurrent drives ONE shared CompiledDesign from
 // GOMAXPROCS goroutines on pooled instances: the throughput-scaling
-// story of the compile/instance split (the throughput_j* columns of
-// BENCH_PIPESIM.json). Compare items/s against BenchmarkPipesimPooled
-// to read the scaling on this host.
+// story of the compile/instance split. Compare items/s against
+// BenchmarkPipesimPooled to read the scaling on the host; the opt-in
+// TestConcurrentThroughputSmoke gate holds -j4 above -j1.
 func BenchmarkPipesimConcurrent(b *testing.B) {
 	for _, spec := range experiments.PipesimBenchSpecs() {
 		b.Run(spec.Name(), func(b *testing.B) {
@@ -555,11 +531,11 @@ func BenchmarkPipesimConcurrent(b *testing.B) {
 	}
 }
 
-// BenchmarkPipesimExecutors prices the hot (pre-compiled Runner) path
-// at both executor escalation levels: the scalar per-item loop and the
-// batched+fused sweep. The ratio between the two sub-benchmarks is the
-// speedup_vs_scalar column of BENCH_PIPESIM.json; the CI bench smoke in
-// internal/experiments fails if it ever drops below 1.
+// BenchmarkPipesimExecutors prices the hot path (a pre-built design's
+// dedicated instance) at both executor escalation levels: the scalar
+// per-item loop and the batched+fused sweep. The ratio between the two sub-benchmarks is the
+// isolated batching+fusion win; the opt-in TestPipesimBenchSmoke gate
+// in internal/experiments fails if it ever drops below 1.
 func BenchmarkPipesimExecutors(b *testing.B) {
 	levels := []struct {
 		name string
@@ -592,8 +568,8 @@ func BenchmarkPipesimExecutors(b *testing.B) {
 }
 
 // BenchmarkPipesimOracle prices the same instances through the retained
-// interpreter: the denominator of the speedups in BENCH_PIPESIM.json,
-// kept benchmarked so the oracle stays honest (and usable) too.
+// interpreter: the baseline the compiled executors are measured
+// against, kept benchmarked so the oracle stays honest (and usable) too.
 func BenchmarkPipesimOracle(b *testing.B) {
 	for _, spec := range experiments.PipesimBenchSpecs() {
 		b.Run(spec.Name(), func(b *testing.B) {

@@ -13,27 +13,15 @@
 //	tytrabench -exp strat    DSE strategy comparison (best found vs evals spent)
 //	tytrabench -exp all      everything, in paper order
 //
-// With -json the tool instead emits a machine-readable benchmark
-// report; -report selects which one. "pipesim" (the default) times the
-// golden kernels through the interpreter oracle, the compile-per-call
-// executor and a compile-once design; "dse-sim" times one cold
-// variant evaluation per DSE scorer (model, sim, hybrid); "dse-model"
-// times the compiled cost model against the tree-walk oracle per
-// corpus kernel plus the engine's 100k-point synthetic sweep
-// throughput; "dse-strat" records the strategy comparison —
-// deterministic, so the committed baseline only changes when search
-// behaviour does:
-//
-//	tytrabench -json > BENCH_PIPESIM.json
-//	tytrabench -json -report dse-sim > BENCH_DSE_SIM.json
-//	tytrabench -json -report dse-model > BENCH_DSE_MODEL.json
-//	tytrabench -json -report dse-strat > BENCH_DSE_STRAT.json
-//
 // -cpuprofile and -memprofile wrap any of the above in the standard
-// pprof collectors, for chasing simulator hot spots:
+// pprof collectors, for chasing hot spots:
 //
-//	tytrabench -json -cpuprofile cpu.out -memprofile mem.out
+//	tytrabench -exp table2 -cpuprofile cpu.out -memprofile mem.out
 //	go tool pprof cpu.out
+//
+// The repository's performance numbers come from `go test` benchmarks
+// (the root bench_test.go and each package's Benchmark functions) and
+// from the end-to-end benchmark under bench/, not from this command.
 package main
 
 import (
@@ -61,9 +49,6 @@ func run(args []string, out io.Writer) error {
 	exp := fs.String("exp", "all", "experiment: fig9|fig10|fig15|fig15h|fig15d|table2|fig17|fig18|speed|strat|all")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	full := fs.Bool("full", true, "use the paper-scale workloads (slower)")
-	jsonOut := fs.Bool("json", false, "emit a benchmark report as JSON (see -report)")
-	jsonReport := fs.String("report", "pipesim", "which -json report: pipesim (BENCH_PIPESIM.json) | dse-sim (BENCH_DSE_SIM.json) | dse-model (BENCH_DSE_MODEL.json) | dse-strat (BENCH_DSE_STRAT.json)")
-	benchTime := fs.Duration("benchtime", 0, "per-measurement time budget for -json (0 = default)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the selected run to this file (inspect with `go tool pprof`)")
 	memProfile := fs.String("memprofile", "", "write a heap profile (taken after the run, post-GC) to this file (inspect with `go tool pprof`)")
 	if err := fs.Parse(args); err != nil {
@@ -94,38 +79,6 @@ func run(args []string, out io.Writer) error {
 				fmt.Fprintln(os.Stderr, "tytrabench: memprofile:", err)
 			}
 		}()
-	}
-
-	if *jsonOut {
-		switch *jsonReport {
-		case "pipesim":
-			r, err := experiments.PipesimBench(*benchTime)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, r.JSON())
-		case "dse-sim":
-			r, err := experiments.DSESimBench(*benchTime)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, r.JSON())
-		case "dse-model":
-			r, err := experiments.DSEModelBench(*benchTime)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, r.JSON())
-		case "dse-strat":
-			r, err := experiments.DSEStrat(0, 0)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, r.JSON())
-		default:
-			return fmt.Errorf("unknown -report %q (have: pipesim, dse-sim, dse-model, dse-strat)", *jsonReport)
-		}
-		return nil
 	}
 
 	emit := func(t interface {

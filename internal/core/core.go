@@ -122,10 +122,9 @@ func (c *Compiler) Synthesize(m *tir.Module) (*fabric.Netlist, error) {
 }
 
 // Simulate executes the design variant cycle-accurately on the given
-// memory contents, producing outputs and the actual CPKI. Repeat calls
-// on the same module hit pipesim's bounded design cache, so even the
-// one-shot convenience path compiles at most once per module; loops
-// and concurrent consumers should still hold a SimDesign.
+// memory contents, producing outputs and the actual CPKI. It compiles
+// the module on every call; loops and concurrent consumers should hold
+// a SimDesign.
 func (c *Compiler) Simulate(m *tir.Module, mem map[string][]int64) (*pipesim.Result, error) {
 	return pipesim.Run(m, mem)
 }

@@ -132,49 +132,53 @@ func TestCompiledEstimateAllocs(t *testing.T) {
 }
 
 // BenchmarkCompiledEstimate prices the compiled path against the
-// tree-walk oracle on the Fig 15 kernel. The warm sub-benchmark is the
-// per-variant steady state the DSE engine pays; cold includes the
-// one-time Compile.
+// tree-walk oracle on the three kernel families tytradse explores. The
+// warm sub-benchmark is the per-variant steady state the DSE engine
+// pays; cold includes the one-time Compile. The tree/compiled-warm
+// ratio and the warm allocs/op are the margins the opt-in
+// TestDSEModelBenchSmoke gate holds (>=5x, <=2 allocs per variant).
 func BenchmarkCompiledEstimate(b *testing.B) {
 	mdl, err := Calibrate(device.StratixVGSD8())
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := kernels.DefaultSOR().Module()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("tree", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := mdl.EstimateVectorised(m, i%8+1); err != nil {
-				b.Fatal(err)
-			}
+	for _, spec := range []kernels.Spec{kernels.DefaultSOR(), kernels.DefaultHotspot(), kernels.DefaultLavaMD()} {
+		m, err := spec.Module()
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("compiled-cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+		b.Run(spec.Name()+"/tree", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := mdl.EstimateVectorised(m, i%8+1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(spec.Name()+"/compiled-cold", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cm, err := mdl.Compile(m)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := cm.EstimateVectorised(i%8 + 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(spec.Name()+"/compiled-warm", func(b *testing.B) {
 			cm, err := mdl.Compile(m)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := cm.EstimateVectorised(i%8 + 1); err != nil {
-				b.Fatal(err)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cm.EstimateVectorised(i%8 + 1); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("compiled-warm", func(b *testing.B) {
-		cm, err := mdl.Compile(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cm.EstimateVectorised(i%8 + 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }

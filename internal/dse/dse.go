@@ -43,9 +43,8 @@
 // and a Params assembly.
 //
 // A result over a lanes axis converts to the Sweep shape the report
-// tables and Advise read (Result.Sweep, Result.Sweep2D); those
-// conversions are pinned to the pre-engine serial implementation by
-// the legacy equivalence tests.
+// tables and Advise read (Result.Sweep); that conversion is pinned to
+// the pre-engine serial implementation by the legacy equivalence test.
 package dse
 
 import (

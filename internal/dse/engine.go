@@ -673,20 +673,13 @@ func (r *Result) Sweep(form perf.Form) (*Sweep, error) {
 	return sw, nil
 }
 
-// singleValuedExcept errors when any axis other than the given ones
-// takes more than one value across the result's variants — the
-// conversions to the legacy sweep shapes need every remaining axis
-// pinned (Slice first otherwise).
-func (r *Result) singleValuedExcept(keep ...int) error {
+// singleValuedExcept errors when any axis other than keep takes more
+// than one value across the result's variants — the conversion to the
+// legacy sweep shape needs every remaining axis pinned (Slice first
+// otherwise).
+func (r *Result) singleValuedExcept(keep int) error {
 	for ai, a := range r.Space.Axes() {
-		kept := false
-		for _, k := range keep {
-			if ai == k {
-				kept = true
-				break
-			}
-		}
-		if kept {
+		if ai == keep {
 			continue
 		}
 		seen := -1
@@ -699,43 +692,4 @@ func (r *Result) singleValuedExcept(keep ...int) error {
 		}
 	}
 	return nil
-}
-
-// Sweep2D converts a result over lanes×dv axes into the legacy
-// Sweep2D grid, rows in lanes-axis order and columns in dv-axis order.
-func (r *Result) Sweep2D(form perf.Form) (*Sweep2D, error) {
-	li, ok := r.Space.AxisIndex(AxisLanes)
-	if !ok {
-		return nil, fmt.Errorf("dse: result has no lanes axis")
-	}
-	di, ok := r.Space.AxisIndex(AxisDV)
-	if !ok {
-		return nil, fmt.Errorf("dse: result has no dv axis")
-	}
-	if err := r.singleValuedExcept(li, di); err != nil {
-		return nil, err
-	}
-	lanesAxis, dvAxis := r.Space.Axes()[li], r.Space.Axes()[di]
-	sw := &Sweep2D{Form: form, Lanes: lanesAxis.Values, DVs: dvAxis.Values}
-	grid := make(map[[2]int]*Point, len(r.Points))
-	for i, v := range r.Variants {
-		grid[[2]int{v[li], v[di]}] = r.Points[i]
-	}
-	for vi := range lanesAxis.Values {
-		row := make([]Point, 0, len(dvAxis.Values))
-		for di2 := range dvAxis.Values {
-			p := grid[[2]int{vi, di2}]
-			if p == nil {
-				return nil, fmt.Errorf("dse: point lanes=%d dv=%d not evaluated",
-					lanesAxis.Values[vi], dvAxis.Values[di2])
-			}
-			row = append(row, *p)
-			if p.Fits && (sw.Best == nil || p.EKIT > sw.Best.EKIT) {
-				best := *p
-				sw.Best = &best
-			}
-		}
-		sw.Points = append(sw.Points, row)
-	}
-	return sw, nil
 }

@@ -57,8 +57,8 @@ func samePoint(t *testing.T, ctx string, got, want Point, bandwidthUtils bool) {
 }
 
 // exhaustive evaluates every point of the axes through the standard
-// evaluator: the engine path behind the legacy sweep shapes, which
-// callers take with Result.Sweep or Result.Sweep2D.
+// evaluator: the engine path behind the legacy sweep shape, which
+// callers take with Result.Sweep.
 func exhaustive(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
 	w perf.Workload, form perf.Form, axes ...Axis) (*Result, error) {
 	space, err := NewSpace(axes...)
@@ -107,51 +107,6 @@ func TestSweepLanesMatchesLegacy(t *testing.T) {
 			case got.Best != nil && got.Best.Lanes != want.Best.Lanes:
 				t.Errorf("%s/%s: best %d != %d lanes", name, form, got.Best.Lanes, want.Best.Lanes)
 			}
-		}
-	}
-}
-
-// TestSweepLanesDVMatchesLegacy pins the engine's 2-D sweep. The
-// engine additionally fills the bandwidth-utilisation fields the
-// legacy code left zero, so those are compared against the 1-D
-// semantics instead.
-func TestSweepLanesDVMatchesLegacy(t *testing.T) {
-	mdl, bw := fixtures(t)
-	for name, family := range kernelFamilies() {
-		build := func(l int) (*tir.Module, error) { return family(l).Module() }
-		lanes := DivisorLaneCounts(family(1).GlobalSize(), 4)
-		dvs := []int{1, 2, 4}
-		res, err := exhaustive(mdl, bw, build, perf.Workload{NKI: 10}, perf.FormB,
-			LanesAxis(lanes), DVAxis(dvs))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := res.Sweep2D(perf.FormB)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want, err := legacySweepLanesDV(mdl, bw, build, lanes, dvs, perf.Workload{NKI: 10}, perf.FormB)
-		if err != nil {
-			t.Fatalf("%s legacy: %v", name, err)
-		}
-		if !reflect.DeepEqual(got.Lanes, want.Lanes) || !reflect.DeepEqual(got.DVs, want.DVs) {
-			t.Fatalf("%s: axis mismatch", name)
-		}
-		for i := range want.Points {
-			for j := range want.Points[i] {
-				p := got.Points[i][j]
-				samePoint(t, name, p, want.Points[i][j], false)
-				if p.UtilGMemBW <= 0 || p.UtilHostBW <= 0 {
-					t.Errorf("%s: (%d,%d) bandwidth utilisation not filled", name, i, j)
-				}
-			}
-		}
-		if got.Best == nil || want.Best == nil {
-			t.Fatalf("%s: missing best", name)
-		}
-		if got.Best.Lanes != want.Best.Lanes || got.Best.Est.DV != want.Best.Est.DV {
-			t.Errorf("%s: best (%d,%d) != (%d,%d)", name,
-				got.Best.Lanes, got.Best.Est.DV, want.Best.Lanes, want.Best.Est.DV)
 		}
 	}
 }
@@ -575,28 +530,6 @@ func TestResultSliceAndSweep(t *testing.T) {
 	}
 	if _, err := r.Slice("device", 0); err == nil {
 		t.Error("missing axis accepted by Slice")
-	}
-}
-
-// TestSweep2DRejectsMultiValuedAxes: like Sweep, the 2-D conversion
-// must refuse a result whose remaining axes are not pinned instead of
-// silently overwriting one form's points with another's.
-func TestSweep2DRejectsMultiValuedAxes(t *testing.T) {
-	eng := sorEngine(t, 4,
-		LanesAxis([]int{1, 2}), DVAxis([]int{1, 2}), FormAxis(perf.FormA, perf.FormB))
-	r, err := eng.Run(Exhaustive{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Sweep2D(perf.FormA); err == nil {
-		t.Error("multi-valued form axis accepted by Sweep2D")
-	}
-	slice, err := r.Slice(AxisForm, int(perf.FormA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := slice.Sweep2D(perf.FormA); err != nil {
-		t.Errorf("sliced result rejected: %v", err)
 	}
 }
 

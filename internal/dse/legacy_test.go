@@ -1,10 +1,9 @@
 package dse
 
-// This file freezes the pre-engine serial implementations of SweepLanes
-// and SweepLanesDV, verbatim, as the reference the engine's sweep
-// shapes (Result.Sweep, Result.Sweep2D) are tested against (see
-// engine_test.go). Do not "improve" them: their value is that they no
-// longer change.
+// This file freezes the pre-engine serial implementation of SweepLanes,
+// verbatim, as the reference the engine's sweep shape (Result.Sweep) is
+// tested against (see engine_test.go). Do not "improve" it: its value
+// is that it no longer changes.
 
 import (
 	"fmt"
@@ -69,44 +68,6 @@ func legacySweepLanes(mdl *costmodel.Model, bw *membw.Model, build VariantBuilde
 		if sw.Best == nil || p.EKIT > sw.Best.EKIT {
 			sw.Best = p
 		}
-	}
-	return sw, nil
-}
-
-func legacySweepLanesDV(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder,
-	lanes, dvs []int, w perf.Workload, form perf.Form) (*Sweep2D, error) {
-	if len(lanes) == 0 || len(dvs) == 0 {
-		return nil, fmt.Errorf("dse: empty lane or DV axis")
-	}
-	sw := &Sweep2D{Form: form, Lanes: lanes, DVs: dvs}
-	for _, l := range lanes {
-		m, err := build(l)
-		if err != nil {
-			return nil, fmt.Errorf("dse: building %d-lane variant: %w", l, err)
-		}
-		row := make([]Point, 0, len(dvs))
-		for _, dv := range dvs {
-			est, err := mdl.EstimateVectorised(m, dv)
-			if err != nil {
-				return nil, fmt.Errorf("dse: costing %d-lane dv=%d variant: %w", l, dv, err)
-			}
-			par, err := perf.Extract(est, bw, w)
-			if err != nil {
-				return nil, err
-			}
-			ekit, bd, err := par.EKIT(form)
-			if err != nil {
-				return nil, err
-			}
-			p := Point{Lanes: l, Est: est, Par: par, EKIT: ekit, Breakdown: bd, Fits: est.Fits()}
-			p.UtilALUT, p.UtilReg, p.UtilBRAM, p.UtilDSP = est.Utilisation()
-			row = append(row, p)
-			if p.Fits && (sw.Best == nil || p.EKIT > sw.Best.EKIT) {
-				best := p
-				sw.Best = &best
-			}
-		}
-		sw.Points = append(sw.Points, row)
 	}
 	return sw, nil
 }

@@ -68,6 +68,10 @@ func TestDifferentialSimVsModelOrdering(t *testing.T) {
 				t.Errorf("%s lanes=%d: sim fields not filled: %d cycles / %d items",
 					name, mp.Lanes, sp.SimCycles, sp.SimItems)
 			}
+			if mp.SimCycles != 0 || mp.SimItems != 0 || mp.SimEKIT != 0 {
+				t.Errorf("%s lanes=%d: model point carries sim fields: %d cycles / %d items / EKIT %g",
+					name, mp.Lanes, mp.SimCycles, mp.SimItems, mp.SimEKIT)
+			}
 		}
 
 		// Ordering consistency over fitting points. SimEKIT is the

@@ -6,28 +6,35 @@ import (
 	"repro/internal/perf"
 )
 
-func sweep2d(t *testing.T, form perf.Form) *Sweep2D {
+// lanesDVGrid explores lanes {1,2,4} × dv {1,2,4} exhaustively and
+// lays the points out as a grid: grid[i][j] has lanes[i] lanes at
+// dvs[j] ways.
+func lanesDVGrid(t *testing.T, form perf.Form) (lanes, dvs []int, grid [][]Point, res *Result) {
 	t.Helper()
 	mdl, bw := fixtures(t)
+	lanes, dvs = []int{1, 2, 4}, []int{1, 2, 4}
 	res, err := exhaustive(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, form,
-		LanesAxis([]int{1, 2, 4}), DVAxis([]int{1, 2, 4}))
+		LanesAxis(lanes), DVAxis(dvs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := res.Sweep2D(form)
-	if err != nil {
-		t.Fatal(err)
+	grid = make([][]Point, len(lanes))
+	for i := range grid {
+		grid[i] = make([]Point, len(dvs))
 	}
-	return sw
+	for i, v := range res.Variants {
+		grid[v[0]][v[1]] = *res.Points[i]
+	}
+	return lanes, dvs, grid, res
 }
 
 func TestVectorisationSharesControl(t *testing.T) {
 	// At the same work-items/cycle, (1 lane, DV=4) must cost less logic
 	// than (4 lanes, DV=1): the vectorised lane shares stream control
 	// and offset windows.
-	sw := sweep2d(t, perf.FormC)
-	lane1dv4 := sw.Points[0][2]
-	lane4dv1 := sw.Points[2][0]
+	_, _, grid, _ := lanesDVGrid(t, perf.FormC)
+	lane1dv4 := grid[0][2]
+	lane4dv1 := grid[2][0]
 	if lane1dv4.Est.Used.ALUTs >= lane4dv1.Est.Used.ALUTs {
 		t.Errorf("DV=4 (%d ALUTs) should undercut 4 lanes (%d ALUTs)",
 			lane1dv4.Est.Used.ALUTs, lane4dv1.Est.Used.ALUTs)
@@ -42,9 +49,9 @@ func TestVectorisationSharesControl(t *testing.T) {
 func TestVectorisationSameThroughputWhileComputeBound(t *testing.T) {
 	// While compute-bound, (1,4) and (4,1) deliver the same EKIT: both
 	// complete 4 work-items per cycle.
-	sw := sweep2d(t, perf.FormC)
-	e14 := sw.Points[0][2].EKIT
-	e41 := sw.Points[2][0].EKIT
+	_, _, grid, _ := lanesDVGrid(t, perf.FormC)
+	e14 := grid[0][2].EKIT
+	e41 := grid[2][0].EKIT
 	ratio := e14 / e41
 	if ratio < 0.95 || ratio > 1.05 {
 		t.Errorf("EKIT(1,4)/EKIT(4,1) = %.3f, want ~1", ratio)
@@ -52,30 +59,30 @@ func TestVectorisationSameThroughputWhileComputeBound(t *testing.T) {
 }
 
 func TestVectorisationMonotoneCostAndSpeed(t *testing.T) {
-	sw := sweep2d(t, perf.FormC)
-	for i := range sw.Lanes {
-		for j := 1; j < len(sw.DVs); j++ {
-			if sw.Points[i][j].Est.Used.ALUTs <= sw.Points[i][j-1].Est.Used.ALUTs {
-				t.Errorf("(%d lanes) ALUTs not increasing with DV", sw.Lanes[i])
+	lanes, dvs, grid, _ := lanesDVGrid(t, perf.FormC)
+	for i := range lanes {
+		for j := 1; j < len(dvs); j++ {
+			if grid[i][j].Est.Used.ALUTs <= grid[i][j-1].Est.Used.ALUTs {
+				t.Errorf("(%d lanes) ALUTs not increasing with DV", lanes[i])
 			}
-			if sw.Points[i][j].EKIT < sw.Points[i][j-1].EKIT {
-				t.Errorf("(%d lanes) EKIT decreasing with DV while compute-bound", sw.Lanes[i])
+			if grid[i][j].EKIT < grid[i][j-1].EKIT {
+				t.Errorf("(%d lanes) EKIT decreasing with DV while compute-bound", lanes[i])
 			}
 		}
 	}
 }
 
 func TestSweep2DBestFits(t *testing.T) {
-	sw := sweep2d(t, perf.FormB)
-	if sw.Best == nil {
+	_, _, grid, res := lanesDVGrid(t, perf.FormB)
+	if res.Best == nil {
 		t.Fatal("no best point")
 	}
-	if !sw.Best.Fits {
+	if !res.Best.Fits {
 		t.Error("best point does not fit")
 	}
-	for i := range sw.Points {
-		for _, p := range sw.Points[i] {
-			if p.Fits && p.EKIT > sw.Best.EKIT {
+	for i := range grid {
+		for _, p := range grid[i] {
+			if p.Fits && p.EKIT > res.Best.EKIT {
 				t.Errorf("(%d lanes, DV=%d) beats the selected best", p.Lanes, p.Est.DV)
 			}
 		}

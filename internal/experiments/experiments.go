@@ -458,3 +458,18 @@ func (r *SpeedResult) Table() *report.Table {
 	t.AddRow("paper's Perl prototype", r.PaperPerl.String(), "233x faster")
 	return t
 }
+
+// ---------------------------------------------------- pipesim workloads
+
+// PipesimBenchSpecs are the pipesim workloads the root BenchmarkPipesim
+// family and the opt-in perf gates (benchsmoke_test.go) share: the SOR
+// instance BenchmarkPipelineSimulator has always used plus mid-size
+// instances of the other golden kernels.
+func PipesimBenchSpecs() []kernels.LanedSpec {
+	return []kernels.LanedSpec{
+		kernels.SORSpec{IM: 15, JM: 10, KM: 16, Lanes: 1},
+		kernels.HotspotSpec{Rows: 64, Cols: 93, Lanes: 1},
+		kernels.LavaMDSpec{Pairs: 4096, Lanes: 1},
+		kernels.SRADSpec{Rows: 64, Cols: 75, Lanes: 1},
+	}
+}

@@ -1,16 +1,14 @@
-// DSE strategy-comparison report: best-EKIT-found versus
-// evaluations-spent for the exhaustive, wall-pruned and adaptive
-// strategies on the Fig 15 SOR lanes×form space, committed as
-// BENCH_DSE_STRAT.json at the repo root (see DESIGN.md). Unlike the
-// timing baselines, every figure here is deterministic — the engine
-// is pure, the adaptive searches are seeded, and the worker count is
-// pinned — so the committed file is bit-stable across machines and a
-// review diff means the search behaviour itself changed.
+// DSE strategy comparison (tytrabench -exp strat): best-EKIT-found
+// versus evaluations-spent for the exhaustive, wall-pruned and adaptive
+// strategies on the Fig 15 SOR lanes×form space. Every figure here is
+// deterministic — the engine is pure, the adaptive searches are
+// seeded, and the worker count is pinned — so testdata/strat.golden
+// pins the rows bit for bit and a diff there means the search
+// behaviour itself changed.
 
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/costmodel"
@@ -24,35 +22,34 @@ import (
 
 // DSEStratRow is one strategy's search outcome on the shared space.
 type DSEStratRow struct {
-	Strategy string `json:"strategy"`
+	Strategy string
 	// Evals is the number of evaluations the search charged; Coverage
 	// is the fraction of the space that is.
-	Evals    int     `json:"evals"`
-	Coverage float64 `json:"coverage"`
+	Evals    int
+	Coverage float64
 	// BestEKIT and BestVariant identify the best fitting design found.
-	BestEKIT    float64 `json:"best_ekit"`
-	BestVariant string  `json:"best_variant"`
+	BestEKIT    float64
+	BestVariant string
 	// FoundBest reports whether the strategy found the exhaustive
 	// sweep's best design.
-	FoundBest bool   `json:"found_best"`
-	Stop      string `json:"stop"`
+	FoundBest bool
+	Stop      string
 }
 
-// DSEStratResult is the whole report.
+// DSEStratResult is the whole comparison.
 type DSEStratResult struct {
-	Schema string `json:"schema"`
 	// Seed and Budget are the adaptive strategies' search options;
 	// Workers is the pinned engine parallelism (wall-pruned wave sizes
 	// — and so its speculative eval count — follow it).
-	Seed        int64         `json:"seed"`
-	Budget      int           `json:"budget"`
-	Workers     int           `json:"workers"`
-	SpacePoints int           `json:"space_points"`
-	Rows        []DSEStratRow `json:"strategies"`
+	Seed        int64
+	Budget      int
+	Workers     int
+	SpacePoints int
+	Rows        []DSEStratRow
 }
 
-// dseStratWorkers pins the engine parallelism of the committed
-// baseline: provenance must not vary with the host's core count.
+// dseStratWorkers pins the engine parallelism of the comparison: the
+// rows must not vary with the host's core count.
 const dseStratWorkers = 4
 
 // DSEStrat runs every registered strategy over the Fig 15 lanes×form
@@ -91,7 +88,6 @@ func DSEStrat(seed int64, budget int) (*DSEStratResult, error) {
 	eng := dse.NewEngine(space, eval, dseStratWorkers)
 
 	res := &DSEStratResult{
-		Schema:      "tytra-bench-dse-strat/v1",
 		Seed:        seed,
 		Budget:      budget,
 		Workers:     dseStratWorkers,
@@ -141,15 +137,4 @@ func (r *DSEStratResult) Table() *report.Table {
 			row.BestVariant, fmt.Sprintf("%v", row.FoundBest), row.Stop)
 	}
 	return t
-}
-
-// JSON renders the report for BENCH_DSE_STRAT.json. GOOS/GOARCH/CPU
-// are deliberately absent: nothing here is a timing, so the file must
-// not churn across machines.
-func (r *DSEStratResult) JSON() string {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return "{}" // cannot happen: the struct is plain data
-	}
-	return string(b) + "\n"
 }

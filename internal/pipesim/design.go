@@ -1,11 +1,8 @@
 package pipesim
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 
 	"repro/internal/tir"
@@ -629,81 +626,4 @@ func lanesShareMemory(progs []*program) bool {
 		}
 	}
 	return false
-}
-
-// designCacheBound caps the package-level design cache pipesim.Run and
-// pipesim.RunIterations compile through: plenty for the handful of
-// distinct modules a process sweeps in a hot loop, small enough that a
-// fuzzing run churning thousands of one-shot modules stays bounded.
-const designCacheBound = 32
-
-// designKey is the content fingerprint of a (module, executor level)
-// pair: SHA-256 over a length-prefixed encoding of the module's printed
-// IR and the config. An earlier revision keyed the cache by *tir.Module
-// pointer identity, which was wrong twice over: a freed module's
-// address can be reused by a structurally different allocation (a stale
-// design served for the wrong kernel), and two equal modules built
-// independently never shared an entry. Content keying fixes both — and
-// drops the old no-mutation-after-first-Run caveat, since a mutated
-// module simply hashes to a different key.
-func designKey(m *tir.Module, cfg Config) string {
-	h := sha256.New()
-	for _, part := range []string{m.String(), fmt.Sprintf("%+v", cfg)} {
-		h.Write([]byte(strconv.Itoa(len(part))))
-		h.Write([]byte{':'})
-		h.Write([]byte(part))
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// designCache memoises CompiledDesigns for the package-level one-shot
-// entry points, keyed by module content and executor level, with LRU
-// eviction at designCacheBound entries.
-var designCache = struct {
-	sync.Mutex
-	entries map[string]*CompiledDesign
-	order   []string // least recently used first
-}{entries: map[string]*CompiledDesign{}}
-
-// cachedDesign returns the memoised design for (m, cfg), compiling on
-// miss. Hot callers that own a module should hold a CompiledDesign
-// directly; this cache is what keeps the convenience entry points from
-// recompiling per call.
-func cachedDesign(m *tir.Module, cfg Config) (*CompiledDesign, error) {
-	key := designKey(m, cfg)
-	designCache.Lock()
-	if d, ok := designCache.entries[key]; ok {
-		for i, k := range designCache.order {
-			if k == key {
-				designCache.order = append(designCache.order[:i], designCache.order[i+1:]...)
-				break
-			}
-		}
-		designCache.order = append(designCache.order, key)
-		designCache.Unlock()
-		return d, nil
-	}
-	designCache.Unlock()
-
-	// Compile outside the lock: a slow compile must not serialise
-	// unrelated cache hits. Two goroutines racing the same cold key
-	// both compile; the first store wins and the results are
-	// interchangeable.
-	d, err := CompileConfig(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	designCache.Lock()
-	defer designCache.Unlock()
-	if prev, ok := designCache.entries[key]; ok {
-		return prev, nil
-	}
-	designCache.entries[key] = d
-	designCache.order = append(designCache.order, key)
-	if len(designCache.order) > designCacheBound {
-		evict := designCache.order[0]
-		designCache.order = designCache.order[1:]
-		delete(designCache.entries, evict)
-	}
-	return d, nil
 }

@@ -193,138 +193,6 @@ func TestRunOptionsWorkers(t *testing.T) {
 	requireIdenticalResult(t, "workers/oracle", seq, want)
 }
 
-// TestDesignCacheReuse: the package-level convenience entry points
-// (Run, RunIterations) must not recompile a module they have already
-// seen, distinct executor levels get distinct designs, and the cache
-// stays bounded under module churn.
-func TestDesignCacheReuse(t *testing.T) {
-	spec := kernels.HotspotSpec{Rows: 12, Cols: 17, Lanes: 1}
-	m, err := spec.Module()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, err := cachedDesign(m, defaultConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := cachedDesign(m, defaultConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 {
-		t.Errorf("cachedDesign compiled the same (module, config) twice")
-	}
-	scalar := Config{DisableBatch: true, DisableFuse: true}
-	d3, err := cachedDesign(m, scalar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Under -pipesim.scalar -pipesim.nofuse the default IS the scalar
-	// level, so the keys coincide by design.
-	if d3 == d1 && scalar != defaultConfig {
-		t.Errorf("cachedDesign shared one design across executor levels")
-	}
-
-	// Churn more distinct module CONTENTS than the bound (the cache is
-	// content-keyed, so re-building an equal module is a hit, not
-	// churn): the cache must stay at designCacheBound entries and
-	// evicted modules must recompile and still run correctly.
-	for i := 0; i < designCacheBound+8; i++ {
-		mi, err := kernels.SORSpec{IM: 5, JM: 4, KM: 3 + i, Lanes: 1}.Module()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cachedDesign(mi, defaultConfig); err != nil {
-			t.Fatal(err)
-		}
-	}
-	designCache.Lock()
-	n, ord := len(designCache.entries), len(designCache.order)
-	designCache.Unlock()
-	if n > designCacheBound || ord != n {
-		t.Errorf("design cache: %d entries, %d order slots, bound %d", n, ord, designCacheBound)
-	}
-	mem, err := kernels.BindInputs(spec.MakeInputs(5), spec.Lanes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(m, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunOracle(m, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalResult(t, "cache/evicted", got, want)
-}
-
-// TestDesignCacheContentKeyed: the package cache is keyed by module
-// CONTENT, not *tir.Module pointer identity. The fixed regression: a
-// pointer key could serve a stale design when a freed module's address
-// was reused by a structurally different allocation, and never shared
-// designs between equal modules built independently. Content keys make
-// the address irrelevant in both directions.
-func TestDesignCacheContentKeyed(t *testing.T) {
-	spec := kernels.SORSpec{IM: 6, JM: 5, KM: 4, Lanes: 2}
-	m1, err := spec.Module()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := spec.Module()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1 == m2 {
-		t.Fatal("spec.Module returned a shared module; the test needs distinct allocations")
-	}
-	d1, err := cachedDesign(m1, defaultConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := cachedDesign(m2, defaultConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 {
-		t.Errorf("equal modules built independently did not share a cached design")
-	}
-
-	// A structurally different module must never alias — whatever
-	// address it was allocated at.
-	otherSpec := kernels.SORSpec{IM: 6, JM: 5, KM: 7, Lanes: 2}
-	other, err := otherSpec.Module()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if designKey(other, defaultConfig) == designKey(m1, defaultConfig) {
-		t.Fatalf("structurally different modules share a content key")
-	}
-	d3, err := cachedDesign(other, defaultConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d3 == d1 {
-		t.Errorf("structurally different modules shared a cached design")
-	}
-	// And the design served through the cache must compute the module it
-	// was asked for: with a stale aliased entry these results would be
-	// the wrong kernel's.
-	mem, err := kernels.BindInputs(otherSpec.MakeInputs(9), otherSpec.Lanes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(other, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunOracle(other, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalResult(t, "content-key", got, want)
-}
-
 // TestReleaseForeignInstancePanics: cross-design Release would poison
 // both pools; it must fail loudly.
 func TestReleaseForeignInstancePanics(t *testing.T) {
@@ -355,72 +223,101 @@ func TestReleaseForeignInstancePanics(t *testing.T) {
 // TestPooledRunAllocations gates the perf claim of the instance pool:
 // a steady-state pooled Run allocates only the per-run outputs (the
 // Result, its maps, the fresh output arrays) — no compiled-program
-// scratch, no input copies. The bound is deliberately loose against
-// map-internals noise but far below one progState re-init, so a
-// regression that re-allocates scratch per run trips it immediately.
+// scratch, no input copies. Allocated bytes are read from the
+// runtime's monotonic malloc counters, not the wall clock, so the gate
+// is load-immune. Against the seed-equivalent run (a defensive copy of
+// every input array first) the pooled run must allocate at least 45%
+// fewer bytes on every kernel: the input share of the traffic is ~2/3
+// on 2-input kernels and exactly 1/2 on the 1-input ones (srad). The
+// 2-input SOR kernel keeps the stricter >= 50% and an allocation-count
+// cap that is loose against map-internals noise but far below one
+// progState re-init, so a regression that re-allocates scratch per run
+// trips it immediately.
 func TestPooledRunAllocations(t *testing.T) {
 	if Oracle {
 		t.Skip("oracle mode does not use the compiled instance pool")
 	}
-	spec := kernels.SORSpec{IM: 15, JM: 10, KM: 8, Lanes: 1}
-	m, err := spec.Module()
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		spec kernels.LanedSpec
+		seed int64
+	}{
+		{kernels.SORSpec{IM: 15, JM: 10, KM: 8, Lanes: 1}, 13},
+		// The workloads of experiments.PipesimBenchSpecs, which the root
+		// BenchmarkPipesim family times.
+		{kernels.SORSpec{IM: 15, JM: 10, KM: 16, Lanes: 1}, 1},
+		{kernels.HotspotSpec{Rows: 64, Cols: 93, Lanes: 1}, 1},
+		{kernels.LavaMDSpec{Pairs: 4096, Lanes: 1}, 1},
+		{kernels.SRADSpec{Rows: 64, Cols: 75, Lanes: 1}, 1},
 	}
-	mem, err := kernels.BindInputs(spec.MakeInputs(13), spec.Lanes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Compile(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Run(mem); err != nil { // warm the pool
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := d.Run(mem); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// One output array + Result + two small maps + pool bookkeeping.
-	const maxAllocs = 24
-	if allocs > maxAllocs {
-		t.Errorf("pooled Run: %.1f allocs/op, want <= %d", allocs, maxAllocs)
-	}
+	for _, c := range cases {
+		spec := c.spec
+		name := fmt.Sprintf("%s_%d", spec.Name(), spec.GlobalSize())
+		t.Run(name, func(t *testing.T) {
+			m, err := spec.Module()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem, err := kernels.BindInputs(spec.MakeInputs(c.seed), spec.LaneCount())
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := Compile(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Run(mem); err != nil { // warm the pool
+				t.Fatal(err)
+			}
+			sor := spec.Name() == "sor"
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, err := d.Run(mem); err != nil {
+					t.Fatal(err)
+				}
+			})
+			// One output array + Result + two small maps + pool bookkeeping.
+			const maxAllocs = 24
+			if sor && allocs > maxAllocs {
+				t.Errorf("pooled Run: %.1f allocs/op, want <= %d", allocs, maxAllocs)
+			}
 
-	// Bytes gate vs the seed-equivalent behaviour (defensive copy of
-	// every input array before the run): dropping the copies must cut
-	// allocated bytes by at least half on this 2-input/1-output kernel.
-	measure := func(f func()) uint64 {
-		const runs = 50
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			f()
-		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	seedBytes := measure(func() {
-		copied := make(map[string][]int64, len(mem))
-		for name, data := range mem {
-			c := make([]int64, len(data))
-			copy(c, data)
-			copied[name] = c
-		}
-		if _, err := d.Run(copied); err != nil {
-			t.Fatal(err)
-		}
-	})
-	pooledBytes := measure(func() {
-		if _, err := d.Run(mem); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if pooledBytes*2 > seedBytes {
-		t.Errorf("pooled Run allocated %d bytes / 50 runs, want <= 50%% of seed-equivalent %d",
-			pooledBytes, seedBytes)
+			measure := func(f func()) uint64 {
+				const runs = 50
+				runtime.GC()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < runs; i++ {
+					f()
+				}
+				runtime.ReadMemStats(&after)
+				return after.TotalAlloc - before.TotalAlloc
+			}
+			seedBytes := measure(func() {
+				copied := make(map[string][]int64, len(mem))
+				for name, data := range mem {
+					c := make([]int64, len(data))
+					copy(c, data)
+					copied[name] = c
+				}
+				if _, err := d.Run(copied); err != nil {
+					t.Fatal(err)
+				}
+			})
+			pooledBytes := measure(func() {
+				if _, err := d.Run(mem); err != nil {
+					t.Fatal(err)
+				}
+			})
+			minReduction := 0.45
+			if sor {
+				minReduction = 0.50
+			}
+			reduction := 1 - float64(pooledBytes)/float64(seedBytes)
+			t.Logf("%.1f allocs/op; %d pooled vs %d seed-equivalent bytes per 50 runs (reduction %.2f)",
+				allocs, pooledBytes, seedBytes, reduction)
+			if reduction < minReduction {
+				t.Errorf("pooled Run allocated %d bytes / 50 runs vs seed-equivalent %d: reduction %.2f, want >= %.2f",
+					pooledBytes, seedBytes, reduction, minReduction)
+			}
+		})
 	}
 }

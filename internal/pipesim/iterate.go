@@ -34,17 +34,17 @@ type IterationResult struct {
 // between instances each feedback target input is replaced by the
 // corresponding output of the previous instance.
 //
-// The module is validated and compiled once (through the bounded
-// design cache, so repeat callers do not even pay that); every instance
+// The module is validated and compiled once per call; every instance
 // reuses the compiled programs (or, under -pipesim.oracle, the
-// interpreter).
+// interpreter). A caller that iterates one module more than once should
+// hold a CompiledDesign and call its RunIterations.
 func RunIterations(m *tir.Module, mem map[string][]int64, nki int64, fb Feedback) (*IterationResult, error) {
 	if Oracle {
 		return runIterations(m, func(cur map[string][]int64) (*Result, error) {
 			return RunOracle(m, cur)
 		}, mem, nki, fb)
 	}
-	d, err := cachedDesign(m, defaultConfig)
+	d, err := CompileConfig(m, defaultConfig)
 	if err != nil {
 		return nil, err
 	}

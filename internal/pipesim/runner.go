@@ -34,16 +34,14 @@ var defaultConfig Config
 // processing element. Caller arrays are never written (see
 // Instance.Run); results come back in Result.Mem.
 //
-// Run compiles the module through a small bounded design cache
-// (cachedDesign), so a loop that calls Run on the same module pays
-// compilation once, not per call — the result is bit-identical to the
-// retained interpreter (RunOracle) either way. Callers that own the
-// module's lifetime should hold a CompiledDesign (Compile) directly.
+// Run compiles the module on every call; the result is bit-identical
+// to the retained interpreter (RunOracle). A caller that runs one
+// module more than once should Compile it and hold the CompiledDesign.
 func Run(m *tir.Module, mem map[string][]int64) (*Result, error) {
 	if Oracle {
 		return RunOracle(m, mem)
 	}
-	d, err := cachedDesign(m, defaultConfig)
+	d, err := CompileConfig(m, defaultConfig)
 	if err != nil {
 		return nil, err
 	}
