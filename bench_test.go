@@ -472,20 +472,17 @@ func BenchmarkPipesimCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkPipesimPooled prices the steady-state pooled-instance run on
-// a shared CompiledDesign — what a concurrent service pays per request
-// after warmup. Allocations are part of the contract (no scratch, no
-// input copies; pipesim's TestPooledRunAllocations gates them), so the
-// benchmark always reports them.
-func BenchmarkPipesimPooled(b *testing.B) {
+// BenchmarkPipesimRun prices d.Run on a shared CompiledDesign: a fresh
+// instance plus one run, what a caller holding only the design pays per
+// run. Allocations are reported: the instance scratch is the part a
+// caller saves by holding one instance (pipesim's
+// TestInstanceRunAllocations gates the reused-instance run).
+func BenchmarkPipesimRun(b *testing.B) {
 	for _, spec := range experiments.PipesimBenchSpecs() {
 		b.Run(spec.Name(), func(b *testing.B) {
 			m, mem := benchBind(b, spec)
 			d, err := pipesim.Compile(m)
 			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := d.Run(mem); err != nil { // warm the pool
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -500,10 +497,11 @@ func BenchmarkPipesimPooled(b *testing.B) {
 }
 
 // BenchmarkPipesimConcurrent drives ONE shared CompiledDesign from
-// GOMAXPROCS goroutines on pooled instances: the throughput-scaling
-// story of the compile/instance split. Compare items/s against
-// BenchmarkPipesimPooled to read the scaling on the host; the opt-in
-// TestConcurrentThroughputSmoke gate holds -j4 above -j1.
+// GOMAXPROCS goroutines, each run on a fresh instance: the
+// throughput-scaling story of the compile/instance split. Compare its
+// run rate against BenchmarkPipesimRun to read the scaling on the
+// host; the opt-in TestConcurrentThroughputSmoke gate holds -j4 above
+// -j1.
 func BenchmarkPipesimConcurrent(b *testing.B) {
 	for _, spec := range experiments.PipesimBenchSpecs() {
 		b.Run(spec.Name(), func(b *testing.B) {
@@ -513,7 +511,7 @@ func BenchmarkPipesimConcurrent(b *testing.B) {
 				b.Fatal(err)
 			}
 			var items int64
-			if res, err := d.Run(mem); err != nil { // warm the pool
+			if res, err := d.Run(mem); err != nil {
 				b.Fatal(err)
 			} else {
 				items = res.Items
@@ -532,16 +530,16 @@ func BenchmarkPipesimConcurrent(b *testing.B) {
 }
 
 // BenchmarkPipesimExecutors prices the hot path (a pre-built design's
-// dedicated instance) at both executor escalation levels: the scalar
-// per-item loop and the batched+fused sweep. The ratio between the two sub-benchmarks is the
-// isolated batching+fusion win; the opt-in TestPipesimBenchSmoke gate
-// in internal/experiments fails if it ever drops below 1.
+// dedicated instance) on both executors: the scalar per-item loop and
+// the batched sweep. The ratio between the two sub-benchmarks is the
+// isolated batching win; the opt-in TestPipesimBenchSmoke gate in
+// internal/experiments fails if it ever drops below 1.
 func BenchmarkPipesimExecutors(b *testing.B) {
 	levels := []struct {
 		name string
 		cfg  pipesim.Config
 	}{
-		{"scalar", pipesim.Config{DisableBatch: true, DisableFuse: true}},
+		{"scalar", pipesim.Config{DisableBatch: true}},
 		{"batched", pipesim.Config{}},
 	}
 	for _, spec := range experiments.PipesimBenchSpecs() {

@@ -48,7 +48,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	target, err := device.ByName(*targetName)
+	target, err := device.Lookup(*targetName)
 	if err != nil {
 		return err
 	}

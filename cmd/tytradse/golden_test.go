@@ -11,7 +11,7 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden tytradse outputs")
 
 // goldenCases is the flag matrix TestRunGolden pins: every -eval mode,
-// every registered strategy (the adaptive ones seeded and budgeted),
+// every strategy (the adaptive ones seeded and budgeted),
 // -csv, every -form, both -modeleval implementations, and -devices in
 // model and hybrid mode. sor-sim and sor-hybrid pin the Fig 15
 // simulated cycles the benchmark's sim-sweep scores.

@@ -12,7 +12,7 @@
 //	         [-j N] [-csv] [-devices name,name,...] [-cache DIR]
 //
 // The -strategy flag selects the exploration strategy from the dse
-// strategy registry (the flag help lists exactly what parses):
+// strategy table (the flag help lists exactly what parses):
 // "exhaustive" costs every variant, "wall-pruned" stops the lane
 // sweep once a compute/host/DRAM wall of Fig 15 is crossed and
 // throughput has saturated, "pareto" additionally reports the

@@ -67,7 +67,7 @@ func run(args []string, out, errOut io.Writer) (int, error) {
 	)
 	if *targetName != "" {
 		var err error
-		if target, err = device.ByName(*targetName); err != nil {
+		if target, err = device.Lookup(*targetName); err != nil {
 			return 0, err
 		}
 		if model, err = costmodel.Calibrate(target); err != nil {

@@ -39,8 +39,8 @@ func main() {
 
 	// Compile the design once into its immutable, shareable form: the
 	// solver loop below re-executes the same variant every sweep, so it
-	// runs on a pooled instance of the compiled design rather than
-	// re-validating and re-lowering the datapath per instance. (A
+	// runs every sweep on one instance of the compiled design rather
+	// than re-validating and re-lowering the datapath per instance. (A
 	// service could hand this same design to any number of goroutines.)
 	design, err := pipesim.Compile(m)
 	if err != nil {

@@ -123,20 +123,10 @@ func (c *Compiler) Synthesize(m *tir.Module) (*fabric.Netlist, error) {
 
 // Simulate executes the design variant cycle-accurately on the given
 // memory contents, producing outputs and the actual CPKI. It compiles
-// the module on every call; loops and concurrent consumers should hold
-// a SimDesign.
+// the module on every call; a caller that runs one variant many times
+// should hold a pipesim.Compile design and one Instance of it.
 func (c *Compiler) Simulate(m *tir.Module, mem map[string][]int64) (*pipesim.Result, error) {
 	return pipesim.Run(m, mem)
-}
-
-// SimDesign validates and compiles the design variant once into an
-// immutable, concurrency-safe artifact: iteration drivers,
-// simulation-backed exploration loops and concurrent services share
-// one SimDesign and execute it through cheap pooled instances
-// (design.Run, or design.Acquire/Release around Instance.Run) instead
-// of paying compilation per Simulate call or per goroutine.
-func (c *Compiler) SimDesign(m *tir.Module) (*pipesim.CompiledDesign, error) {
-	return pipesim.Compile(m)
 }
 
 // Explore runs one design-space exploration (Fig 15, §VI-A): the space

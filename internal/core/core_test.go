@@ -9,6 +9,7 @@ import (
 	"repro/internal/dse"
 	"repro/internal/kernels"
 	"repro/internal/perf"
+	"repro/internal/pipesim"
 	"repro/internal/tir"
 )
 
@@ -113,7 +114,7 @@ func TestCompilerSimulate(t *testing.T) {
 
 	// A compiled design with one dedicated instance must agree with the
 	// one-shot path across repeated kernel-instances.
-	d, err := c.SimDesign(m)
+	d, err := pipesim.Compile(m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,20 +157,20 @@ func TestValidateCatchesBadTargets(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
+func TestLookupAliases(t *testing.T) {
 	for _, alias := range []string{"stratix-v-gsd8", "stratix-v", "maia"} {
-		tgt, err := ByName(alias)
+		tgt, err := Lookup(alias)
 		if err != nil || tgt.Family != "stratix-v" {
-			t.Errorf("ByName(%q): %v", alias, err)
+			t.Errorf("Lookup(%q): %v", alias, err)
 		}
 	}
 	for _, alias := range []string{"virtex-7-690t", "virtex-7", "adm-pcie-7v3"} {
-		tgt, err := ByName(alias)
+		tgt, err := Lookup(alias)
 		if err != nil || tgt.Family != "virtex-7" {
-			t.Errorf("ByName(%q): %v", alias, err)
+			t.Errorf("Lookup(%q): %v", alias, err)
 		}
 	}
-	if _, err := ByName("cyclone-ii"); err == nil {
+	if _, err := Lookup("cyclone-ii"); err == nil {
 		t.Error("unknown target accepted")
 	}
 }

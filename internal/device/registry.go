@@ -104,10 +104,6 @@ func Lookup(name string) (*Target, error) {
 	return mk(), nil
 }
 
-// ByName is the historical name of Lookup, kept for callers of the
-// original two-device table.
-func ByName(name string) (*Target, error) { return Lookup(name) }
-
 // Shelf resolves a list of names to targets, rejecting duplicates — a
 // device axis with the same target twice would double-count its points.
 // Names may be canonical or aliases; duplicates are detected on the

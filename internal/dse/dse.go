@@ -13,7 +13,7 @@
 // budgeted ask/tell search core of Engine.Search: the core repeatedly
 // asks the strategy for a wave of variants, evaluates the wave on the
 // pool, and tells the strategy the outcomes, under an evaluation
-// budget and a seeded RNG (see search.go). The registered strategies:
+// budget and a seeded RNG (see search.go). The strategies:
 //
 //   - Exhaustive covers the full cross product;
 //   - WallPruned walks the lanes axis bottom-up and stops at the first

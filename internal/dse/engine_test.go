@@ -486,13 +486,31 @@ func TestParseStrategy(t *testing.T) {
 	if _, err := ParseStrategy("clairvoyant"); err == nil {
 		t.Error("unknown strategy accepted")
 	}
-	// Registered aliases resolve to their canonical strategy, and the
+	// Aliases resolve to their canonical strategy, and the
 	// adaptive classification agrees with the parser on them.
 	if st, err := ParseStrategy("simulated-annealing"); err != nil || st.Name() != "anneal" {
 		t.Errorf("ParseStrategy(simulated-annealing) = %v, %v", st, err)
 	}
 	if !StrategyIsAdaptive("sa") || StrategyIsAdaptive("pruned") || StrategyIsAdaptive("nope") {
 		t.Error("StrategyIsAdaptive disagrees with ParseStrategy on aliases")
+	}
+}
+
+// TestStrategyNamesDistinct: every entry of the strategy table is
+// complete, and every canonical name and alias resolves to exactly one
+// entry.
+func TestStrategyNamesDistinct(t *testing.T) {
+	owner := map[string]string{}
+	for _, sp := range strategies {
+		if sp.Name == "" || sp.New == nil {
+			t.Errorf("strategy %q: entry needs a name and a factory", sp.Name)
+		}
+		for _, name := range append([]string{sp.Name}, sp.Aliases...) {
+			if prev, ok := owner[name]; ok {
+				t.Errorf("%q names both %s and %s", name, prev, sp.Name)
+			}
+			owner[name] = sp.Name
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package dse
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -120,21 +119,6 @@ func (sc *Search) Workers() int { return sc.workers }
 // Rand is the run's seeded RNG: the only randomness source a strategy
 // may use.
 func (sc *Search) Rand() *rand.Rand { return sc.rng }
-
-// Budget returns the run's budget.
-func (sc *Search) Budget() Budget { return sc.budget }
-
-// Evals returns the evaluations charged so far.
-func (sc *Search) Evals() int { return sc.evals }
-
-// Remaining returns the evaluations left under MaxEvals, or MaxInt
-// when the budget is unlimited.
-func (sc *Search) Remaining() int {
-	if sc.budget.MaxEvals <= 0 {
-		return math.MaxInt
-	}
-	return sc.budget.MaxEvals - sc.evals
-}
 
 // Lookup returns the settled outcome of a variant this run has already
 // evaluated, letting a strategy read back any point it proposed

@@ -241,26 +241,24 @@ func TestSimEvaluatorDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestDifferentialSimExecBatchedVsScalar pins the sim-backed DSE
-// numbers to the pipeline simulator's executors at every escalation
-// level: for each kernel family and lane count, the cycles and items
-// the sim evaluator scores with (taken from CompiledDesign.Timing, no
-// data run) must equal what the batched+fused, batched-only and plain
-// scalar executors measure running the variant on SimInputs, with the
-// exploration at one worker and at all CPUs giving byte-identical
-// results. The executor level may change execution speed only, never
-// a number the DSE reports.
+// numbers to both of the pipeline simulator's executors: for each
+// kernel family and lane count, the cycles and items the sim evaluator
+// scores with (taken from CompiledDesign.Timing, no data run) must
+// equal what the batched and the scalar executor measure running the
+// variant on SimInputs, with the exploration at one worker and at all
+// CPUs giving byte-identical results. The executor may change
+// execution speed only, never a number the DSE reports.
 func TestDifferentialSimExecBatchedVsScalar(t *testing.T) {
 	mdl, bw := fixtures(t)
 	w := perf.Workload{NKI: 10}
 	levels := []pipesim.Config{
-		{},                                      // batched + fused
-		{DisableFuse: true},                     // batched only
-		{DisableBatch: true, DisableFuse: true}, // scalar
+		{},                   // batched
+		{DisableBatch: true}, // scalar
 	}
 	for name, family := range kernelFamilies() {
 		build := func(l int) (*tir.Module, error) { return family(l).Module() }
 
-		// What each executor level measures, per lane count.
+		// What each executor measures, per lane count.
 		type measured struct{ cycles, items int64 }
 		exec := map[int][]measured{}
 		for _, lanes := range diffLanes {

@@ -92,8 +92,8 @@ type Space struct {
 	axes  []Axis
 	index map[string]int
 	// strides are the row-major mixed-radix weights of each axis (first
-	// axis slowest, matching Enumerate), precomputed so Index and
-	// VariantAt are a handful of integer operations.
+	// axis slowest, matching Enumerate), precomputed so Index is a
+	// handful of integer operations.
 	strides []int
 	size    int
 }
@@ -287,19 +287,6 @@ func (s *Space) Index(v Variant) int {
 		i += idx * s.strides[ai]
 	}
 	return i
-}
-
-// VariantAt is the inverse of Index: the variant at position i of the
-// Enumerate order. It allocates the returned Variant; iteration-heavy
-// callers can decompose into a caller-owned slice via Enumerate
-// instead.
-func (s *Space) VariantAt(i int) Variant {
-	v := make(Variant, len(s.axes))
-	for ai := range s.axes {
-		v[ai] = i / s.strides[ai]
-		i -= v[ai] * s.strides[ai]
-	}
-	return v
 }
 
 // Variant identifies one point of a Space: the value index chosen

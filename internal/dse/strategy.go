@@ -3,6 +3,7 @@ package dse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -35,12 +36,12 @@ type searcher interface {
 	finish(sc *Search, r *Result) error
 }
 
-// StrategySpec is one entry of the strategy registry: the canonical
-// name the CLI flag parses and prints, accepted aliases, a one-line
-// usage string, whether the strategy is an adaptive search (budget and
-// seed matter, coverage is partial), and the factory returning a
-// fresh Strategy with default configuration.
-type StrategySpec struct {
+// strategySpec is one entry of the strategy table: the canonical name
+// the CLI flag parses and prints, accepted aliases, a one-line usage
+// string, whether the strategy is an adaptive search (budget and seed
+// matter, coverage is partial), and the factory returning a fresh
+// Strategy with default configuration.
+type strategySpec struct {
 	Name     string
 	Aliases  []string
 	Usage    string
@@ -48,130 +49,89 @@ type StrategySpec struct {
 	New      func() Strategy
 }
 
-// strategyRegistry holds the registered strategies in registration
-// order — the single source the flag parser, the name list and the
-// CLI help all read, so they cannot drift apart.
-var strategyRegistry []StrategySpec
-
-// RegisterStrategy adds a strategy to the registry. Names and aliases
-// must be unique across the registry; collisions and incomplete specs
-// come back as errors so a caller wiring strategies from configuration
-// cannot crash the process. A registered strategy must uphold the
-// core's determinism contract (randomness only from Search.Rand, no
-// state outside the searcher), which the in-package test suite
-// enforces for every registered entry.
-func RegisterStrategy(sp StrategySpec) error {
-	if sp.Name == "" || sp.New == nil {
-		return fmt.Errorf("dse: strategy spec needs a name and a factory")
-	}
-	for _, name := range append([]string{sp.Name}, sp.Aliases...) {
-		for _, have := range strategyRegistry {
-			if name == have.Name {
-				return fmt.Errorf("dse: strategy name %q already registered", name)
-			}
-			for _, a := range have.Aliases {
-				if name == a {
-					return fmt.Errorf("dse: strategy alias %q already registered", name)
-				}
-			}
-		}
-	}
-	strategyRegistry = append(strategyRegistry, sp)
-	return nil
-}
-
-// mustRegisterStrategy backs the init-time table below, where a
-// collision is a programming error.
-func mustRegisterStrategy(sp StrategySpec) {
-	if err := RegisterStrategy(sp); err != nil {
-		panic(err)
-	}
-}
-
-func init() {
-	mustRegisterStrategy(StrategySpec{
+// strategies is the strategy table in CLI order — the single source
+// the flag parser, the name list and the CLI help all read, so they
+// cannot drift apart. No two names or aliases may collide
+// (TestStrategyNamesDistinct).
+var strategies = []strategySpec{
+	{
 		Name:  "exhaustive",
 		Usage: "evaluate every point of the space",
 		New:   func() Strategy { return Exhaustive{} },
-	})
-	mustRegisterStrategy(StrategySpec{
+	},
+	{
 		Name:    "wall-pruned",
 		Aliases: []string{"wallpruned", "pruned"},
 		Usage:   "stop each lane sweep once a Fig 15 wall is crossed and throughput saturates",
 		New:     func() Strategy { return WallPruned{} },
-	})
-	mustRegisterStrategy(StrategySpec{
+	},
+	{
 		Name:    "pareto",
 		Aliases: []string{"pareto-frontier"},
 		Usage:   "exhaustive plus the EKIT-vs-peak-utilisation Pareto frontier",
 		New:     func() Strategy { return ParetoFrontier{} },
-	})
-	mustRegisterStrategy(StrategySpec{
+	},
+	{
 		Name:     "hillclimb",
 		Aliases:  []string{"hill-climb", "hc"},
 		Usage:    "restarted hill-climbing from model-seeded starts, ±1-step moves per axis",
 		Adaptive: true,
 		New:      func() Strategy { return HillClimb{} },
-	})
-	mustRegisterStrategy(StrategySpec{
+	},
+	{
 		Name:     "anneal",
 		Aliases:  []string{"annealing", "simulated-annealing", "sa"},
 		Usage:    "simulated annealing: geometric cooling, Metropolis acceptance on EKIT",
 		Adaptive: true,
 		New:      func() Strategy { return Anneal{} },
-	})
+	},
 }
 
-// ParseStrategy resolves a -strategy flag value against the registry;
-// the empty string selects the first registered strategy (exhaustive).
+// lookupStrategy resolves a canonical name or an alias against the
+// table.
+func lookupStrategy(name string) (strategySpec, bool) {
+	for _, sp := range strategies {
+		if name == sp.Name || slices.Contains(sp.Aliases, name) {
+			return sp, true
+		}
+	}
+	return strategySpec{}, false
+}
+
+// ParseStrategy resolves a -strategy flag value against the table; the
+// empty string selects the first strategy (exhaustive).
 func ParseStrategy(name string) (Strategy, error) {
 	if name == "" {
-		return strategyRegistry[0].New(), nil
+		return strategies[0].New(), nil
 	}
-	for _, sp := range strategyRegistry {
-		if name == sp.Name {
-			return sp.New(), nil
-		}
-		for _, a := range sp.Aliases {
-			if name == a {
-				return sp.New(), nil
-			}
-		}
+	if sp, ok := lookupStrategy(name); ok {
+		return sp.New(), nil
 	}
 	return nil, fmt.Errorf("dse: unknown strategy %q (have: %v)", name, StrategyNames())
 }
 
-// StrategyNames lists the canonical strategy names in registration
-// order — by construction exactly the names ParseStrategy accepts.
+// StrategyNames lists the canonical strategy names in table order — by
+// construction exactly the names ParseStrategy accepts.
 func StrategyNames() []string {
-	names := make([]string, len(strategyRegistry))
-	for i, sp := range strategyRegistry {
+	names := make([]string, len(strategies))
+	for i, sp := range strategies {
 		names[i] = sp.Name
 	}
 	return names
 }
 
-// StrategyIsAdaptive reports whether the named strategy is registered
-// as an adaptive search. Like ParseStrategy it resolves aliases, so
-// the two can never disagree about a flag value.
+// StrategyIsAdaptive reports whether the named strategy is an adaptive
+// search. Like ParseStrategy it resolves aliases, so the two can never
+// disagree about a flag value.
 func StrategyIsAdaptive(name string) bool {
-	for _, sp := range strategyRegistry {
-		if sp.Name == name {
-			return sp.Adaptive
-		}
-		for _, a := range sp.Aliases {
-			if a == name {
-				return sp.Adaptive
-			}
-		}
-	}
-	return false
+	sp, ok := lookupStrategy(name)
+	return ok && sp.Adaptive
 }
 
-// StrategyHelp renders the registry as the multi-line flag help text.
+// StrategyHelp renders the table as the multi-line flag help text.
 func StrategyHelp() string {
 	var b strings.Builder
-	for i, sp := range strategyRegistry {
+	for i, sp := range strategies {
 		if i > 0 {
 			b.WriteString("; ")
 		}

@@ -6,8 +6,8 @@
 //
 // Each Analyzer encodes one repository invariant that ordinary go vet
 // cannot know about — determinism of reported results, measurement
-// hygiene, pool discipline. Analyzers run per package over type-checked
-// syntax and report positioned findings; a finding is suppressed by a
+// hygiene. Analyzers run per package over type-checked syntax and
+// report positioned findings; a finding is suppressed by a
 // `//lint:allow <analyzer>` comment on the same line or the line above,
 // which is the escape hatch for the few deliberate violations (for
 // example the wall-clock reads inside the benchmark harness).
@@ -136,7 +136,7 @@ func collectAllows(fset *token.FileSet, files []*ast.File) map[allowKey]bool {
 // All returns every analyzer the tytralint driver runs, in a stable
 // order.
 func All() []*Analyzer {
-	return []*Analyzer{NoRandGlobal, SortedRange, NoTimeNow, PoolRelease}
+	return []*Analyzer{NoRandGlobal, SortedRange, NoTimeNow}
 }
 
 // isTestFile reports whether pos lies in a _test.go file; analyzers

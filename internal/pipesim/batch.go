@@ -1,10 +1,10 @@
 package pipesim
 
-// This file is the batching half of the executor escalation: instead of
-// sweeping the op program once per work-item, the batched executor
-// carries batchN work-items through one sweep using per-slot
-// [batchN]int64 lanes, hoisting the per-op dispatch switch (and the
-// register/accumulator operand branch in ld) out of the per-item loop.
+// This file is the batched executor: instead of sweeping the op
+// program once per work-item, it carries batchN work-items through one
+// sweep using per-slot [batchN]int64 lanes, hoisting the per-op
+// dispatch switch (and the register/accumulator operand branch in ld)
+// out of the per-item loop.
 // The interior region [loffLo, loffHi) — where every window load is in
 // bounds by construction — runs in full batches whose inner loops are
 // branch-light and bounds-check-free; the ragged head and tail run on
@@ -17,7 +17,7 @@ package pipesim
 // compile.go); accumulator-writing ops still run a sequential per-lane
 // loop in item order, so the committed accumulator sequence is the
 // scalar one. Determinism is untouched: batch boundaries depend only on
-// compile-time stream shapes, never on worker count or timing.
+// compile-time stream shapes, never on timing.
 
 // batchN is the number of work-items one sweep of the batched executor
 // carries through the op program.
@@ -26,12 +26,12 @@ const batchN = 64
 // lane is one register slot's batch of work-item values.
 type lane [batchN]int64
 
-// buildBatch lowers the (already fused) op program into its batched
-// form: operand encodings that read accumulators are remapped to
-// broadcast lanes appended after the register slots — legal because a
-// batchable program never writes an accumulator it reads outside the
-// reduction itself — and constant slots are broadcast once. Ops that
-// write accumulators keep their negative encodings and read the live
+// buildBatch lowers the op program into its batched form: operand
+// encodings that read accumulators are remapped to broadcast lanes
+// appended after the register slots — legal because a batchable
+// program never writes an accumulator it reads outside the reduction
+// itself — and constant slots are broadcast once. Ops that write
+// accumulators keep their negative encodings and read the live
 // accumulator slab per lane.
 func (p *program) buildBatch() {
 	nslots := p.nslots
@@ -58,17 +58,14 @@ func (p *program) buildBatch() {
 				}
 				return remap(e)
 			}
-			if o.code == uopMulAccU {
-				o.c = remapNonSelf(o.c)
-			}
 			o.a, o.b = remapNonSelf(o.a), remapNonSelf(o.b)
 			continue
 		}
 		switch o.code {
 		case uopLoadIn, uopLoadOff:
-		case uopUn, uopAbsU, uopOut, uopOutU, uopMove, uopMoveWrap, uopMoveWrapU, uopLoadOffBinU:
+		case uopUn, uopAbsU, uopOut, uopOutU, uopMove, uopMoveWrap, uopMoveWrapU:
 			o.a = remap(o.a)
-		case uopSel, uopMulAddU:
+		case uopSel:
 			o.a, o.b, o.c = remap(o.a), remap(o.b), remap(o.c)
 		default:
 			o.a, o.b = remap(o.a), remap(o.b)
@@ -178,68 +175,6 @@ func (p *program) execBatch(st *progState, base int64) {
 			for l := range d {
 				d[l] = int64(uint64(x[l]) & m)
 			}
-		case uopMulAddU:
-			x, y, z, d, m := &bregs[o.a], &bregs[o.b], &bregs[o.c], &bregs[o.dst], o.mask
-			for l := range d {
-				d[l] = int64(uint64(x[l]*y[l]+z[l]) & m)
-			}
-		case uopLoadOffBinU:
-			src := (*lane)(ins[o.sidx][base+o.off:])
-			x, y := src, &bregs[o.a]
-			if o.c != 0 {
-				x, y = y, x
-			}
-			d, m := &bregs[o.dst], o.mask
-			switch uop(o.b) {
-			case uopAddU:
-				for l := range d {
-					d[l] = int64(uint64(x[l]+y[l]) & m)
-				}
-			case uopSubU:
-				for l := range d {
-					d[l] = int64(uint64(x[l]-y[l]) & m)
-				}
-			case uopMulU:
-				for l := range d {
-					d[l] = int64(uint64(x[l]*y[l]) & m)
-				}
-			case uopAndU:
-				for l := range d {
-					d[l] = int64(uint64(x[l]&y[l]) & m)
-				}
-			case uopOrU:
-				for l := range d {
-					d[l] = int64(uint64(x[l]|y[l]) & m)
-				}
-			case uopXorU:
-				for l := range d {
-					d[l] = int64(uint64(x[l]^y[l]) & m)
-				}
-			case uopShlU:
-				for l := range d {
-					d[l] = int64(uint64(x[l]<<(uint64(y[l])&63)) & m)
-				}
-			case uopLshrU:
-				for l := range d {
-					d[l] = int64((uint64(x[l]) & m) >> (uint64(y[l]) & 63))
-				}
-			case uopMinU:
-				for l := range d {
-					a, b := uint64(x[l])&m, uint64(y[l])&m
-					if b < a {
-						a = b
-					}
-					d[l] = int64(a)
-				}
-			case uopMaxU:
-				for l := range d {
-					a, b := uint64(x[l])&m, uint64(y[l])&m
-					if b > a {
-						a = b
-					}
-					d[l] = int64(a)
-				}
-			}
 		case uopAccAddU:
 			// Accumulator writes run per lane in item order: the committed
 			// accumulator sequence is exactly the scalar one. The common
@@ -270,21 +205,6 @@ func (p *program) execBatch(st *progState, base int64) {
 				}
 			}
 			acc[o.dst] = v
-		case uopMulAccU:
-			m := o.mask
-			self := -1 - o.dst
-			if o.c == self && o.a >= 0 && o.b >= 0 {
-				x, y := &bregs[o.a], &bregs[o.b]
-				v := acc[o.dst]
-				for l := range x {
-					v = int64(uint64(x[l]*y[l]+v) & m)
-				}
-				acc[o.dst] = v
-			} else {
-				for l := 0; l < batchN; l++ {
-					acc[o.dst] = int64(uint64(bld(bregs, acc, o.a, l)*bld(bregs, acc, o.b, l)+bld(bregs, acc, o.c, l)) & m)
-				}
-			}
 		case uopBinAcc:
 			self := -1 - o.dst
 			switch {
@@ -352,6 +272,11 @@ func (p *program) execBatch(st *progState, base int64) {
 			}
 		}
 	}
+}
+
+// opWritesAcc reports whether o writes an accumulator.
+func opWritesAcc(o *op) bool {
+	return o.code == uopBinAcc || o.code == uopAccAddU
 }
 
 // bld reads an operand of an accumulator-writing op at lane l:

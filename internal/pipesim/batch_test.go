@@ -1,11 +1,10 @@
 package pipesim
 
-// Differential and golden tests for the batched executor and the
-// superinstruction fusion pass. The contract under test: every
-// escalation level of the compiled executor — scalar, scalar+fused,
-// batched, batched+fused — produces a Result bit-identical to the
-// retained interpreter oracle, at every work-item count around the
-// batch width, including programs the compiler must refuse to batch.
+// Differential and golden tests for the batched executor. The contract
+// under test: both compiled executors — scalar and batched — produce a
+// Result bit-identical to the retained interpreter oracle, at every
+// work-item count around the batch width, including programs the
+// compiler must refuse to batch.
 
 import (
 	"fmt"
@@ -15,13 +14,11 @@ import (
 	"repro/internal/tir"
 )
 
-// execConfigs spans the four executor escalation levels.
+// execConfigs spans the two compiled executors.
 func execConfigs() map[string]Config {
 	return map[string]Config{
-		"batched+fused": {},
-		"batched":       {DisableFuse: true},
-		"scalar+fused":  {DisableBatch: true},
-		"scalar":        {DisableBatch: true, DisableFuse: true},
+		"batched": {},
+		"scalar":  {DisableBatch: true},
 	}
 }
 
@@ -97,10 +94,9 @@ func (g *kernelGen) buildSized(seed uint64, size int64, accRead bool) (*tir.Modu
 	return b.MustModule(), mem
 }
 
-func TestDifferentialBatchSizesAndFusion(t *testing.T) {
-	// The tentpole contract: batched == compiled == oracle bit-exact
-	// across the work-item matrix, fusion on and off, with and without
-	// order-dependent accumulator reads.
+func TestDifferentialBatchSizes(t *testing.T) {
+	// batched == scalar == oracle bit-exact across the work-item
+	// matrix, with and without order-dependent accumulator reads.
 	g := &kernelGen{}
 	for _, size := range batchSizes() {
 		for _, accRead := range []bool{false, true} {
@@ -192,9 +188,9 @@ func TestLoadOffsetBoundaryGolden(t *testing.T) {
 func TestSelfAliasedStreamNotBatched(t *testing.T) {
 	// The self-wired LocalChannel from TestCompiledBindsArgsInOracleOrder:
 	// the input and output streams share one memory object, and the -1
-	// window reads the previous item's just-written output. Batching or
-	// load sinking would break that order, so the compiler must refuse
-	// both — and the scalar fallback must still match the oracle.
+	// window reads the previous item's just-written output. Batching
+	// would break that order, so the compiler must refuse it — and the
+	// scalar fallback must still match the oracle.
 	const n = 48
 	b := tir.NewBuilder("selfwire")
 	ty := tir.UIntT(16)
@@ -216,9 +212,6 @@ func TestSelfAliasedStreamNotBatched(t *testing.T) {
 	if batched, total := d.BatchedPrograms(); batched != 0 || total != 1 {
 		t.Fatalf("self-aliased program batched: %d of %d", batched, total)
 	}
-	if fs := d.FusionStats(); fs.LoadOp != 0 {
-		t.Fatalf("load sinking applied to a self-aliased program: %+v", fs)
-	}
 	got, err := d.NewInstance().Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -230,18 +223,9 @@ func TestSelfAliasedStreamNotBatched(t *testing.T) {
 	requireIdenticalResult(t, "selfwire-batchgate", got, want)
 }
 
-func TestGoldenKernelsBatchAndFuse(t *testing.T) {
+func TestGoldenKernelsBatched(t *testing.T) {
 	// Every golden kernel is pure streaming with mergeable reductions,
-	// so all of its lane programs must take the batched executor, and
-	// the corpus chains the fusion pass exists for (stencil loads into
-	// ALU ops, muls into adds) must actually fuse. Floors, not exact
-	// counts, so rule refinements don't churn this test.
-	floors := map[string]FusionStats{
-		"sor":     {LoadOp: 6},
-		"hotspot": {LoadOp: 4, MulAdd: 2},
-		"lavamd":  {LoadOp: 4, MulAdd: 2},
-		"srad":    {LoadOp: 4, MulAdd: 2},
-	}
+	// so all of its lane programs must take the batched executor.
 	for _, spec := range goldenSpecs() {
 		if spec.LaneCount() != 1 {
 			continue
@@ -250,8 +234,8 @@ func TestGoldenKernelsBatchAndFuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Explicit config: this test pins the fully escalated executor
-		// even when the suite runs under -pipesim.scalar/-pipesim.nofuse.
+		// Explicit config: this test pins the batched executor even
+		// when the suite runs under -pipesim.scalar.
 		d, err := CompileConfig(m, Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name(), err)
@@ -259,12 +243,6 @@ func TestGoldenKernelsBatchAndFuse(t *testing.T) {
 		batched, total := d.BatchedPrograms()
 		if batched != total || total == 0 {
 			t.Errorf("%s: %d of %d programs batched", spec.Name(), batched, total)
-		}
-		fs := d.FusionStats()
-		floor := floors[spec.Name()]
-		if fs.LoadOp < floor.LoadOp || fs.MulAdd < floor.MulAdd ||
-			fs.MulAcc < floor.MulAcc || fs.MaskFold < floor.MaskFold {
-			t.Errorf("%s: fusion %+v below floor %+v", spec.Name(), fs, floor)
 		}
 
 		mem, err := kernels.BindInputs(spec.MakeInputs(7), spec.LaneCount())

@@ -66,20 +66,6 @@ const (
 	uopAccAddU // acc[dst] = (a + b) & mask
 	uopOutU    // outs[sidx][i] = (a) & mask
 	uopMoveWrapU
-
-	// Fused superinstructions, produced only by the peephole pass in
-	// fuse.go — the compiler front end never emits them directly.
-
-	// uopMulAddU is the fused multiply-add: regs[dst] = (a*b + c) & mask.
-	uopMulAddU
-	// uopMulAccU is the fused multiply-accumulate:
-	// acc[dst] = (a*b + c) & mask.
-	uopMulAccU
-	// uopLoadOffBinU fuses a window load into a specialised unsigned
-	// binary op: the loaded element (zero-filled out of bounds) feeds
-	// side c (0: left, 1: right) of the opcode stored in b, the other
-	// operand comes from encoding a.
-	uopLoadOffBinU
 )
 
 // op is one compiled datapath step. Operand encoding: a non-negative
@@ -119,16 +105,13 @@ type bindStep struct {
 
 // accInfo describes one module-level accumulator the program touches.
 type accInfo struct {
-	name     string
-	written  bool
-	opc      tir.Opcode
-	ty       tir.Type
-	mergeOp  func(a, b int64) int64
-	identity int64
+	name    string
+	written bool
+	opc     tir.Opcode
+	ty      tir.Type
 	// mergeable reports that every write is the same
-	// commutative-associative opcode at the same type, so per-lane
-	// partials starting from the identity merge to the bit-exact
-	// sequential result.
+	// commutative-associative opcode at the same type, so the writes
+	// commit the bit-exact sequential result in any order.
 	mergeable bool
 	// readOutsideSelf reports a read of this accumulator anywhere but a
 	// reduction's own self-operand. Combined with written it pins the
@@ -152,7 +135,6 @@ type accInfo struct {
 // lives in the progState of an Instance (design.go), so one program
 // serves any number of concurrent instances.
 type program struct {
-	fn    *tir.Function
 	ops   []op
 	ins   []streamBind
 	outs  []streamBind
@@ -165,19 +147,12 @@ type program struct {
 	// fill is the invocation's non-streaming cycles: burst-aligned
 	// window priming + pipeline depth + handshake + accumulator drain.
 	fill int64
-	// parSafe reports the program may run as a concurrent lane: it
-	// reads no accumulator outside the reduction self-read and every
-	// accumulator it writes is mergeable.
-	parSafe bool
 
 	// [loffLo, loffHi) is the interior: the work-item range where every
-	// window load (uopLoadOff/uopLoadOffBinU) is in bounds, computed
-	// from the static stream shapes. The scalar executor runs it without
-	// the per-item bounds branch; the batched executor runs it in full
-	// batchN chunks.
+	// window load (uopLoadOff) is in bounds, computed from the static
+	// stream shapes. The scalar executor runs it without the per-item
+	// bounds branch; the batched executor runs it in full batchN chunks.
 	loffLo, loffHi int64
-	// fused counts the superinstruction rewrites fuse.go applied.
-	fused FusionStats
 	// bops is the batched form of the op program (nil when the program
 	// is not batch-safe or batching is disabled); see batch.go.
 	bops []op
@@ -237,8 +212,7 @@ type compiler struct {
 	inParams  map[string]int32 // input param -> stream index
 	outParams map[string]int32 // output param -> stream index
 
-	drain   int64 // max accumulator latency among parent-level reductions
-	parSafe bool
+	drain int64 // max accumulator latency among parent-level reductions
 }
 
 type constSlot struct {
@@ -248,19 +222,17 @@ type constSlot struct {
 
 // compileCall lowers the pipe function fn as invoked by call: it
 // performs bind()'s static port checks, resolves offset roots, flattens
-// comb children, pre-computes the fill terms, escalates the executor
-// (fusion, then batching — see cfg) and allocates the reusable
-// execution scratch.
+// comb children, pre-computes the fill terms and lowers the batched
+// form unless cfg disables it.
 func compileCall(m *tir.Module, call *tir.CallInstr, fn *tir.Function, cfg Config) (*program, error) {
 	c := &compiler{
 		m: m, fn: fn,
-		prog:      &program{fn: fn},
+		prog:      &program{},
 		slots:     map[string]int32{},
 		constIdx:  map[int64]int32{},
 		accIdx:    map[string]int32{},
 		inParams:  map[string]int32{},
 		outParams: map[string]int32{},
-		parSafe:   true,
 	}
 
 	// Port binding: the static half of bind().
@@ -396,28 +368,17 @@ func compileCall(m *tir.Module, call *tir.CallInstr, fn *tir.Function, cfg Confi
 	}
 	c.prog.fill = primed + int64(depth) + handshake + c.drain
 
-	c.prog.parSafe = c.parSafe
-	for _, a := range c.prog.accs {
-		if a.written && !a.mergeable {
-			c.prog.parSafe = false
-		}
-	}
-
 	// Record the register-file shape; instances allocate their own
 	// scratch from it (progState.init), the program itself stays
 	// immutable and shareable.
 	c.prog.nslots = c.nslots
 	c.prog.consts = c.consts
 
-	// Executor escalation: peephole fusion, then batch lowering. Both
-	// run after fill/parSafe are final — neither changes accounting.
+	// Batch lowering runs after fill is final: it never changes
+	// accounting.
 	p := c.prog
-	aliased := p.selfAliasedStreams()
-	if !cfg.DisableFuse {
-		p.ops, p.fused = fusePeephole(p.ops, aliased)
-	}
 	p.computeInterior()
-	if !cfg.DisableBatch && !aliased && p.batchSafe() {
+	if !cfg.DisableBatch && !p.selfAliasedStreams() && p.batchSafe() {
 		p.buildBatch()
 	}
 	return p, nil
@@ -427,7 +388,7 @@ func compileCall(m *tir.Module, call *tir.CallInstr, fn *tir.Function, cfg Confi
 // stream of this program share a memory object (the self-wired
 // LocalChannel pattern). Loads then observe earlier out-writes of the
 // same invocation, which pins execution to strict item order: no
-// batching, no load sinking.
+// batching.
 func (p *program) selfAliasedStreams() bool {
 	for _, ob := range p.outs {
 		for _, ib := range p.ins {
@@ -447,7 +408,7 @@ func (p *program) computeInterior() {
 	lo, hi := int64(0), p.items
 	for k := range p.ops {
 		o := &p.ops[k]
-		if o.code != uopLoadOff && o.code != uopLoadOffBinU {
+		if o.code != uopLoadOff {
 			continue
 		}
 		if -o.off > lo {
@@ -576,27 +537,24 @@ func (c *compiler) compileALU(in tir.Instr, scope map[string]int32, fname string
 }
 
 // compileAccWrite lowers the reduction idiom @acc = op v, @acc and
-// classifies the accumulator for parallel-lane mergeability.
+// classifies the accumulator for the batch-safety analysis.
 func (c *compiler) compileAccWrite(it *tir.BinInstr, a, b int32, fn2 func(int64, int64) int64, drainEligible bool) {
 	ai := c.accSlot(it.Dst)
 	info := c.prog.accs[ai]
-	id, mergeable := tir.AccIdentity(it.Op, it.Ty)
+	_, mergeable := tir.AccIdentity(it.Op, it.Ty)
 	first := !info.written
 	if first {
 		info.written = true
 		info.opc, info.ty = it.Op, it.Ty
-		info.mergeOp, info.identity, info.mergeable = fn2, id, mergeable
+		info.mergeable = mergeable
 	} else if info.opc != it.Op || info.ty != it.Ty {
 		info.mergeable = false
 	}
 	info.writeSites++
-	// Exactly one operand must be the self-read for partials to merge;
-	// any other accumulator operand is an order-dependent read.
+	// Any accumulator operand other than the self-read is an
+	// order-dependent read.
 	selfA := it.A.Kind == tir.OpGlobal && it.A.Name == it.Dst
 	selfB := it.B.Kind == tir.OpGlobal && it.B.Name == it.Dst
-	if selfA == selfB {
-		c.parSafe = false
-	}
 	if !selfA && it.A.Kind == tir.OpGlobal {
 		c.noteAccRead(a)
 	}
@@ -738,12 +696,10 @@ func (c *compiler) resolve(o tir.Operand, scope map[string]int32, fname string) 
 	}
 }
 
-// noteAccRead marks the program order-dependent when an operand reads
-// an accumulator outside the reduction self-read, and records the read
-// on the accumulator for the batch-safety analysis.
+// noteAccRead records, for the batch-safety analysis, an operand that
+// reads an accumulator outside the reduction self-read.
 func (c *compiler) noteAccRead(enc int32) {
 	if enc < 0 {
-		c.parSafe = false
 		c.prog.accs[-1-enc].readOutsideSelf = true
 	}
 }
@@ -823,25 +779,6 @@ func (p *program) execRange(st *progState, i0, i1 int64, checked bool) {
 				} else {
 					regs[o.dst] = ins[o.sidx][i+o.off]
 				}
-			case uopMulAddU:
-				regs[o.dst] = int64(uint64(ld(regs, acc, o.a)*ld(regs, acc, o.b)+ld(regs, acc, o.c)) & o.mask)
-			case uopMulAccU:
-				acc[o.dst] = int64(uint64(ld(regs, acc, o.a)*ld(regs, acc, o.b)+ld(regs, acc, o.c)) & o.mask)
-			case uopLoadOffBinU:
-				var v int64
-				if checked {
-					src := ins[o.sidx]
-					if j := i + o.off; j >= 0 && j < int64(len(src)) {
-						v = src[j]
-					}
-				} else {
-					v = ins[o.sidx][i+o.off]
-				}
-				w := ld(regs, acc, o.a)
-				if o.c != 0 {
-					v, w = w, v
-				}
-				regs[o.dst] = loadOffApply(uop(o.b), v, w, o.mask)
 			case uopAddU:
 				regs[o.dst] = int64(uint64(ld(regs, acc, o.a)+ld(regs, acc, o.b)) & o.mask)
 			case uopSubU:
@@ -910,41 +847,4 @@ func ld(regs, acc []int64, s int32) int64 {
 		return regs[s]
 	}
 	return acc[-1-s]
-}
-
-// loadOffApply evaluates the sub-opcode of a uopLoadOffBinU on the
-// scalar path, bit-identical to the corresponding specialised unsigned
-// case of execRange (operands already side-swapped by the caller).
-func loadOffApply(sub uop, x, y int64, mask uint64) int64 {
-	switch sub {
-	case uopAddU:
-		return int64(uint64(x+y) & mask)
-	case uopSubU:
-		return int64(uint64(x-y) & mask)
-	case uopMulU:
-		return int64(uint64(x*y) & mask)
-	case uopAndU:
-		return int64(uint64(x&y) & mask)
-	case uopOrU:
-		return int64(uint64(x|y) & mask)
-	case uopXorU:
-		return int64(uint64(x^y) & mask)
-	case uopShlU:
-		return int64(uint64(x<<(uint64(y)&63)) & mask)
-	case uopLshrU:
-		return int64((uint64(x) & mask) >> (uint64(y) & 63))
-	case uopMinU:
-		a, b := uint64(x)&mask, uint64(y)&mask
-		if b < a {
-			a = b
-		}
-		return int64(a)
-	case uopMaxU:
-		a, b := uint64(x)&mask, uint64(y)&mask
-		if b > a {
-			a = b
-		}
-		return int64(a)
-	}
-	return 0
 }

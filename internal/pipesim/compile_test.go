@@ -47,8 +47,8 @@ func requireIdenticalResult(t *testing.T, tag string, got, want *Result) {
 }
 
 // goldenSpecs spans all four golden kernels at single- and multi-lane
-// replication (multi-lane exercises the concurrent lane path and the
-// accumulator merge).
+// replication (multi-lane exercises the par lane loop and the shared
+// accumulators).
 func goldenSpecs() []kernels.LanedSpec {
 	return []kernels.LanedSpec{
 		kernels.SORSpec{IM: 15, JM: 10, KM: 8, Lanes: 1},
@@ -76,9 +76,7 @@ func TestCompiledMatchesOracleOnGoldenKernels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", spec.Name(), err)
 		}
-		// Force the concurrent lane path even on single-CPU hosts; the
-		// result must be bit-identical regardless.
-		got, err := d.NewInstance().RunWith(mem, RunOptions{Workers: 4})
+		got, err := d.NewInstance().Run(mem)
 		if err != nil {
 			t.Fatalf("%s: compiled run: %v", spec.Name(), err)
 		}
@@ -199,10 +197,9 @@ func TestCompiledBindsArgsInOracleOrder(t *testing.T) {
 	requireIdenticalResult(t, "selfwire", got, want)
 }
 
-// TestCrossLaneDependencyRunsSequential pins the lane-order gate: a par
-// lane consuming another lane's output stream is order-dependent, so
-// the compiled executor must fall back to the oracle's sequential lane
-// loop (not race the two lanes) and match it bit for bit.
+// TestCrossLaneDependencyRunsSequential pins lane order: a par lane
+// consuming another lane's output stream must see it completed, as in
+// the oracle's sequential lane loop, and match the oracle bit for bit.
 func TestCrossLaneDependencyRunsSequential(t *testing.T) {
 	const n = 32
 	b := tir.NewBuilder("lanechain")
@@ -233,15 +230,7 @@ func TestCrossLaneDependencyRunsSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parNode := d.tree.Children[0]
-	var progs []*program
-	for _, call := range d.calls[parNode] {
-		progs = append(progs, d.progs[call])
-	}
-	if !lanesShareMemory(progs) {
-		t.Fatal("cross-lane dependency not detected")
-	}
-	got, err := d.NewInstance().RunWith(mem, RunOptions{Workers: 4})
+	got, err := d.NewInstance().Run(mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,38 +249,10 @@ func TestCrossLaneDependencyRunsSequential(t *testing.T) {
 	}
 }
 
-// TestGoldenKernelsCompileParSafe guards the concurrent lane path
-// against silent sequential fallback: every golden kernel's datapath
-// uses only mergeable accumulation, so its compiled program must be
-// classified parallel-safe.
-func TestGoldenKernelsCompileParSafe(t *testing.T) {
-	for _, spec := range goldenSpecs() {
-		if spec.LaneCount() == 1 {
-			continue
-		}
-		m, err := spec.Module()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := Compile(m)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name(), err)
-		}
-		if len(d.progs) != spec.LaneCount() {
-			t.Fatalf("%s: %d compiled programs, want %d lanes", spec.Name(), len(d.progs), spec.LaneCount())
-		}
-		for _, p := range d.progs {
-			if !p.parSafe {
-				t.Errorf("%s: lane program @%s not parallel-safe", spec.Name(), p.fn.Name)
-			}
-		}
-	}
-}
-
-// TestCompiledAccReadFallsBackSequential pins the opposite: a datapath
-// that samples an accumulator mid-stream is order-dependent, so its
-// program must NOT be parallel-safe, and the sequential lane fallback
-// must still match the oracle bit for bit.
+// TestCompiledAccReadFallsBackSequential pins accumulator order across
+// lanes: a datapath that samples an accumulator mid-stream sees every
+// earlier lane's writes, so the lane-order run must match the oracle
+// bit for bit.
 func TestCompiledAccReadFallsBackSequential(t *testing.T) {
 	b := tir.NewBuilder("accread")
 	ty := tir.UIntT(16)
@@ -327,12 +288,7 @@ func TestCompiledAccReadFallsBackSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range d.progs {
-		if p.parSafe {
-			t.Error("accumulator-sampling program classified parallel-safe")
-		}
-	}
-	got, err := d.NewInstance().RunWith(mem, RunOptions{Workers: 4})
+	got, err := d.NewInstance().Run(mem)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,6 @@ package pipesim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/tir"
 )
@@ -12,13 +10,13 @@ import (
 // the wazero seam (CompileModule → shareable CompiledModule → cheap
 // per-call instance): a CompiledDesign holds everything that is
 // immutable after compilation — the validated module, its configuration
-// tree, the per-call-site op/bop programs, bind plans and fusion/batch
+// tree, the per-call-site op/bop programs, bind plans and batch
 // metadata — and is safe to share between any number of goroutines. All
 // mutable execution state (register and batch-lane scratch, bound
 // stream arrays, accumulator slabs, the per-run memory map) lives in an
-// Instance, which is cheap to create and pooled via Acquire/Release so
-// steady-state Instance.Run does near-zero allocation beyond the Result
-// it hands back.
+// Instance. A caller that runs one design many times holds one
+// Instance, whose Run then allocates little beyond the Result it hands
+// back.
 
 // CompiledDesign is the immutable compiled form of one design variant.
 // It carries no execution scratch; any number of Instances (and
@@ -27,7 +25,6 @@ import (
 type CompiledDesign struct {
 	m      *tir.Module
 	tree   *tir.ConfigNode
-	cfg    Config
 	progs  map[*tir.CallInstr]*program
 	calls  map[*tir.ConfigNode][]*tir.CallInstr // per-node call sites, resolved once
 	nprogs int
@@ -37,19 +34,15 @@ type CompiledDesign struct {
 	// (see Timing).
 	cycles, items int64
 	timingErr     error
-	// workers is the default par-lane goroutine bound instances start
-	// with: GOMAXPROCS at compile time. RunOptions overrides it per run.
-	workers int
-	pool    sync.Pool // of *Instance
 }
 
-// Compile validates and compiles the module at the default executor
-// escalation (fusion + batching). The returned design is immutable and
-// safe for concurrent use.
+// Compile validates and compiles the module with the default executor
+// (batched wherever the compiler proves it safe). The returned design
+// is immutable and safe for concurrent use.
 func Compile(m *tir.Module) (*CompiledDesign, error) { return CompileConfig(m, defaultConfig) }
 
-// CompileConfig validates and compiles the module at an explicit
-// executor escalation level. Validation runs the full static analysis
+// CompileConfig validates and compiles the module with an explicit
+// executor configuration. Validation runs the full static analysis
 // (tir.Analyze), so a rejected module reports every positioned TIR0xx
 // diagnostic — the same output tytravet prints — not just the first
 // compile obstacle. The compiled design also carries its timing (see
@@ -64,14 +57,12 @@ func CompileConfig(m *tir.Module, cfg Config) (*CompiledDesign, error) {
 		return nil, err
 	}
 	d := &CompiledDesign{
-		m:       m,
-		tree:    tree,
-		cfg:     cfg,
-		progs:   map[*tir.CallInstr]*program{},
-		calls:   map[*tir.ConfigNode][]*tir.CallInstr{},
-		workers: runtime.GOMAXPROCS(0),
+		m:     m,
+		tree:  tree,
+		progs: map[*tir.CallInstr]*program{},
+		calls: map[*tir.ConfigNode][]*tir.CallInstr{},
 	}
-	if err := d.compileTree(tree); err != nil {
+	if err := d.compileTree(tree, cfg); err != nil {
 		return nil, err
 	}
 	t := &timer{d: d, present: hostInputs(m)}
@@ -79,7 +70,6 @@ func CompileConfig(m *tir.Module, cfg Config) (*CompiledDesign, error) {
 	if t.bindErr != nil {
 		d.timingErr = t.bindErr
 	}
-	d.pool.New = func() any { return d.NewInstance() }
 	return d, nil
 }
 
@@ -87,7 +77,7 @@ func CompileConfig(m *tir.Module, cfg Config) (*CompiledDesign, error) {
 // configuration tree, assigning each program its progState slot. Comb
 // children are inlined by their parent's compilation, not compiled as
 // PEs.
-func (d *CompiledDesign) compileTree(n *tir.ConfigNode) error {
+func (d *CompiledDesign) compileTree(n *tir.ConfigNode, cfg Config) error {
 	calls := n.Func.Calls()
 	d.calls[n] = calls
 	for i, child := range n.Children {
@@ -95,7 +85,7 @@ func (d *CompiledDesign) compileTree(n *tir.ConfigNode) error {
 			continue
 		}
 		if child.Mode == tir.ModePipe && len(child.Func.Params) > 0 {
-			p, err := compileCall(d.m, calls[i], child.Func, d.cfg)
+			p, err := compileCall(d.m, calls[i], child.Func, cfg)
 			if err != nil {
 				return err
 			}
@@ -103,7 +93,7 @@ func (d *CompiledDesign) compileTree(n *tir.ConfigNode) error {
 			d.nprogs++
 			d.progs[calls[i]] = p
 		}
-		if err := d.compileTree(child); err != nil {
+		if err := d.compileTree(child, cfg); err != nil {
 			return err
 		}
 	}
@@ -266,22 +256,6 @@ func shapeErr(call *tir.CallInstr, n *tir.ConfigNode) error {
 	return fmt.Errorf("pipesim: unsupported call mode %s", n.Mode)
 }
 
-// Module returns the validated module the design was compiled from.
-func (d *CompiledDesign) Module() *tir.Module { return d.m }
-
-// Config returns the executor escalation level the design compiled at.
-func (d *CompiledDesign) Config() Config { return d.cfg }
-
-// FusionStats sums the superinstruction rewrites applied across every
-// compiled program of the design.
-func (d *CompiledDesign) FusionStats() FusionStats {
-	var s FusionStats
-	for _, p := range d.progs {
-		s.add(p.fused)
-	}
-	return s
-}
-
 // BatchedPrograms reports how many of the compiled programs run on the
 // batched executor; the rest fall back to the scalar loop (self-aliased
 // streams, order-dependent accumulator use, or DisableBatch).
@@ -299,17 +273,13 @@ func (d *CompiledDesign) BatchedPrograms() (batched, total int) {
 // CompiledDesign: per-program register/lane scratch and bound stream
 // arrays. An Instance is NOT safe for concurrent use — one goroutine
 // per Instance — but any number of Instances of the same design run
-// concurrently. (Within one Run, independent par lanes still execute
-// concurrently: each lane is a distinct call site with its own
-// progState.)
+// concurrently.
 type Instance struct {
 	d  *CompiledDesign
 	st []progState
 }
 
-// NewInstance allocates a fresh execution context for the design. Use
-// Acquire/Release instead when instances churn (one per request) so the
-// scratch is recycled through the design's pool.
+// NewInstance allocates a fresh execution context for the design.
 func (d *CompiledDesign) NewInstance() *Instance {
 	inst := &Instance{d: d, st: make([]progState, d.nprogs)}
 	for _, p := range d.progs {
@@ -318,59 +288,17 @@ func (d *CompiledDesign) NewInstance() *Instance {
 	return inst
 }
 
-// Acquire returns a pooled Instance of the design, creating one if the
-// pool is empty. Pair with Release.
-func (d *CompiledDesign) Acquire() *Instance { return d.pool.Get().(*Instance) }
-
-// Release returns an instance to the design's pool. Bound-array
-// references are dropped first so a pooled instance never retains a
-// caller's result arrays.
-func (d *CompiledDesign) Release(inst *Instance) {
-	if inst == nil {
-		return
-	}
-	if inst.d != d {
-		panic("pipesim: Release of an Instance belonging to a different CompiledDesign")
-	}
-	for i := range inst.st {
-		st := &inst.st[i]
-		for k := range st.inArrs {
-			st.inArrs[k] = nil
-		}
-		for k := range st.outArrs {
-			st.outArrs[k] = nil
-		}
-	}
-	d.pool.Put(inst)
-}
-
-// Run executes one kernel-instance on a pooled Instance: the
-// acquire/run/release convenience for callers that hold only the
-// shared design.
+// Run executes one kernel-instance on a fresh Instance: the convenience
+// for callers that hold only the shared design and run it once.
 func (d *CompiledDesign) Run(mem map[string][]int64) (*Result, error) {
-	inst := d.Acquire()
-	defer d.Release(inst)
-	return inst.Run(mem)
+	return d.NewInstance().Run(mem)
 }
 
-// RunIterations executes nki kernel-instances with feedback wiring on a
-// pooled Instance. See the package-level RunIterations for the
-// contract.
+// RunIterations executes nki kernel-instances with feedback wiring on
+// one fresh Instance, reused across the sweeps. See the package-level
+// RunIterations for the contract.
 func (d *CompiledDesign) RunIterations(mem map[string][]int64, nki int64, fb Feedback) (*IterationResult, error) {
-	inst := d.Acquire()
-	defer d.Release(inst)
-	return inst.RunIterations(mem, nki, fb)
-}
-
-// RunOptions carries per-execution knobs. The zero value selects the
-// defaults.
-type RunOptions struct {
-	// Workers bounds the goroutine pool used for concurrent par lanes
-	// of this execution. 0 selects the design default (GOMAXPROCS at
-	// compile time); 1 forces the sequential lane loop. The
-	// result is bit-identical at any bound — the knob exists for
-	// resource control, not semantics.
-	Workers int
+	return d.NewInstance().RunIterations(mem, nki, fb)
 }
 
 // runState is the per-Run mutable state: memory-object contents and
@@ -380,10 +308,9 @@ type runState struct {
 	acc map[string]int64
 }
 
-// Run executes one kernel-instance with default options. mem must
-// provide an array of exactly the declared size for every memory object
-// that feeds an input stream not produced by another processing
-// element.
+// Run executes one kernel-instance. mem must provide an array of
+// exactly the declared size for every memory object that feeds an
+// input stream not produced by another processing element.
 //
 // Input arrays are NOT copied: the design never writes a
 // caller-provided object (every design-written object is materialised
@@ -392,11 +319,6 @@ type runState struct {
 // fresh output arrays. Callers that mutate an input array after Run
 // mutate their view of Result.Mem with it.
 func (inst *Instance) Run(mem map[string][]int64) (*Result, error) {
-	return inst.RunWith(mem, RunOptions{})
-}
-
-// RunWith is Run with explicit per-execution options.
-func (inst *Instance) RunWith(mem map[string][]int64, opts RunOptions) (*Result, error) {
 	d := inst.d
 	st := &runState{mem: make(map[string][]int64, len(mem)+len(d.progs)), acc: map[string]int64{}}
 	for name, data := range mem {
@@ -410,14 +332,7 @@ func (inst *Instance) RunWith(mem map[string][]int64, opts RunOptions) (*Result,
 		}
 		st.mem[name] = data
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = d.workers
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if err := inst.runNode(st, d.tree, workers); err != nil {
+	if err := inst.runNode(st, d.tree); err != nil {
 		return nil, err
 	}
 	return &Result{Mem: st.mem, Acc: st.acc, Cycles: d.cycles, Items: d.items}, nil
@@ -435,25 +350,32 @@ func (inst *Instance) RunIterations(mem map[string][]int64, nki int64, fb Feedba
 // lanes, pipe nodes their datapath and then their coarse children. It
 // counts no cycles — the design's timer walk did that once, at compile
 // time.
-func (inst *Instance) runNode(st *runState, n *tir.ConfigNode, workers int) error {
+func (inst *Instance) runNode(st *runState, n *tir.ConfigNode) error {
 	if n.Mode != tir.ModeSeq {
-		return inst.runCall(st, nil, n, workers)
+		return inst.runCall(st, nil, n)
 	}
 	for i, c := range n.Children {
-		if err := inst.runCall(st, inst.d.calls[n][i], c, workers); err != nil {
+		if err := inst.runCall(st, inst.d.calls[n][i], c); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runCall executes the PE(s) reached through one call site.
-func (inst *Instance) runCall(st *runState, call *tir.CallInstr, n *tir.ConfigNode, workers int) error {
+// runCall executes the PE(s) reached through one call site. A par
+// node runs its lanes in lane order, as the oracle does: a lane that
+// consumes another lane's output sees the completed stream.
+func (inst *Instance) runCall(st *runState, call *tir.CallInstr, n *tir.ConfigNode) error {
 	if err := shapeErr(call, n); err != nil {
 		return err
 	}
 	if n.Mode == tir.ModePar {
-		return inst.runPar(st, n, workers)
+		for i, c := range n.Children {
+			if err := inst.runCall(st, inst.d.calls[n][i], c); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	if len(n.Func.Params) > 0 {
 		if err := inst.execPE(st, inst.d.progs[call]); err != nil {
@@ -464,7 +386,7 @@ func (inst *Instance) runCall(st *runState, call *tir.CallInstr, n *tir.ConfigNo
 		if c.Mode == tir.ModeComb {
 			continue // inlined in the parent program
 		}
-		if err := inst.runCall(st, inst.d.calls[n][i], c, workers); err != nil {
+		if err := inst.runCall(st, inst.d.calls[n][i], c); err != nil {
 			return err
 		}
 	}
@@ -520,110 +442,4 @@ func (inst *Instance) execPE(st *runState, p *program) error {
 		}
 	}
 	return nil
-}
-
-// runPar executes the lanes of a par node. Lanes that are pure PEs with
-// mergeable accumulators run concurrently on a bounded goroutine pool:
-// binding happens up front single-threaded, each lane accumulates into
-// a lane-local partial starting from the opcode's identity, and the
-// partials merge into the shared state in lane order at commit — the
-// bit-exact sequential result, by the commutativity/associativity
-// AccIdentity certifies. Anything else (coarse-pipe lanes, structural
-// lanes, order-dependent accumulator use) falls back to the oracle's
-// sequential lane loop.
-func (inst *Instance) runPar(st *runState, n *tir.ConfigNode, workers int) error {
-	calls := inst.d.calls[n]
-
-	parallel := workers > 1 && len(n.Children) > 1
-	progs := make([]*program, len(n.Children))
-	if parallel {
-		for i, c := range n.Children {
-			p := inst.d.progs[calls[i]]
-			if c.Mode != tir.ModePipe || len(c.Func.Params) == 0 || hasPeerChild(c) ||
-				p == nil || !p.parSafe {
-				parallel = false
-				break
-			}
-			progs[i] = p
-		}
-	}
-	if parallel && lanesShareMemory(progs) {
-		// A lane consuming another lane's output is order-dependent:
-		// the oracle runs lanes in sequence, so the consumer sees the
-		// producer's completed stream. Fall back to that order.
-		parallel = false
-	}
-
-	if !parallel {
-		for i, c := range n.Children {
-			if err := inst.runCall(st, calls[i], c, workers); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Bind all lanes first: memory-map mutation stays single-threaded
-	// and error order stays deterministic.
-	for _, p := range progs {
-		if err := inst.bindPE(st, p); err != nil {
-			return err
-		}
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for _, p := range progs {
-		ps := &inst.st[p.idx]
-		for k, a := range p.accs {
-			ps.accVals[k] = a.identity
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(p *program, ps *progState) {
-			defer wg.Done()
-			p.exec(ps)
-			<-sem
-		}(p, ps)
-	}
-	wg.Wait()
-
-	for _, p := range progs {
-		ps := &inst.st[p.idx]
-		for k, a := range p.accs {
-			st.acc[a.name] = a.mergeOp(ps.accVals[k], st.acc[a.name])
-		}
-	}
-	return nil
-}
-
-// hasPeerChild reports whether the node chains coarse-grained peer PEs
-// (anything beyond inlined comb blocks).
-func hasPeerChild(n *tir.ConfigNode) bool {
-	for _, c := range n.Children {
-		if c.Mode != tir.ModeComb {
-			return true
-		}
-	}
-	return false
-}
-
-// lanesShareMemory reports whether any lane's input stream is another
-// lane's output stream — a cross-lane data dependency that must run in
-// lane order. (A lane wired to its own output is fine: the dependency
-// stays inside one goroutine.)
-func lanesShareMemory(progs []*program) bool {
-	outOwner := map[string]int{}
-	for i, p := range progs {
-		for _, sb := range p.outs {
-			outOwner[sb.mem] = i
-		}
-	}
-	for i, p := range progs {
-		for _, sb := range p.ins {
-			if j, ok := outOwner[sb.mem]; ok && j != i {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -12,17 +12,14 @@ import "flag"
 // oracle, while the default run pins the compiled path; the
 // differential tests in fuzz_test.go pin the two against each other.
 //
-// -pipesim.scalar and -pipesim.nofuse replay the suite on the compiled
-// executor's fallback levels (batching off, fusion off), so every
-// escalation stage is pinned by the full suite, not just by the
-// dedicated differential tests:
+// -pipesim.scalar replays the suite on the compiled executor's scalar
+// fallback (batching off), so both executors are pinned by the full
+// suite, not just by the dedicated differential tests:
 //
-//	go test -race ./internal/pipesim -pipesim.scalar -pipesim.nofuse
+//	go test -race ./internal/pipesim -pipesim.scalar
 func init() {
 	flag.BoolVar(&Oracle, "pipesim.oracle", false,
 		"route pipesim.Run through the retained interpreter (oracle) instead of the compiled executor")
 	flag.BoolVar(&defaultConfig.DisableBatch, "pipesim.scalar", false,
 		"compile without the batched executor (scalar per-item loop only)")
-	flag.BoolVar(&defaultConfig.DisableFuse, "pipesim.nofuse", false,
-		"compile without the superinstruction fusion pass")
 }

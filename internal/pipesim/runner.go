@@ -10,18 +10,16 @@ import "repro/internal/tir"
 // in shipped binaries).
 var Oracle bool
 
-// Config selects the executor escalation level a design compiles with.
-// The zero value is the full escalation (fusion + batching), which is
-// what Run, RunIterations and Compile use; the Disable knobs
-// exist for differential testing and benchmarking of the fallback paths
-// (-pipesim.scalar and -pipesim.nofuse replay the whole suite on them).
-// Every level is bit-identical by construction — the knobs trade speed,
-// never semantics.
+// Config selects the executor a design compiles with. The zero value
+// batches every program the compiler proves batch-safe, which is what
+// Run, RunIterations and Compile use; DisableBatch exists for
+// differential testing and benchmarking of the scalar fallback
+// (-pipesim.scalar replays the whole suite on it). Both executors are
+// bit-identical by construction — the knob trades speed, never
+// semantics.
 type Config struct {
 	// DisableBatch keeps every program on the scalar per-item loop.
 	DisableBatch bool
-	// DisableFuse skips the superinstruction peephole pass (fuse.go).
-	DisableFuse bool
 }
 
 // defaultConfig is the package-wide compile configuration, flipped only

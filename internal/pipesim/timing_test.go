@@ -50,9 +50,9 @@ func hostMem(m *tir.Module, limit int64) (mem map[string][]int64, ok bool) {
 	return mem, true
 }
 
-// execLevels are the three executor escalation levels a design can
-// compile at.
-var execLevels = []Config{{}, {DisableFuse: true}, {DisableBatch: true, DisableFuse: true}}
+// execLevels are the two executors a design can compile for: batched
+// and scalar.
+var execLevels = []Config{{}, {DisableBatch: true}}
 
 // timingCorpus is the design corpus the timing differential sweeps:
 // the golden specs, every kernel family at lanes 1, 2, 3, 4, 6 and 8

@@ -5,9 +5,9 @@ import "repro/internal/diag"
 // Analyze runs Check plus the deeper static passes: conditions that
 // previously surfaced only at simulation time inside pipesim.Compile
 // (bad port wiring, unrooted or out-of-range offset windows) or
-// degraded silently there (non-mergeable par reductions forcing
-// sequential lanes, aliased streams disabling fusion and batching,
-// datapaths the simulator cannot execute). The deep passes assume a
+// degraded silently (non-mergeable par reductions forcing sequential
+// lanes, aliased streams disabling batching, datapaths the simulator
+// cannot execute). The deep passes assume a
 // well-formed module, so they only run when Check reports no errors.
 func (m *Module) Analyze() diag.List {
 	l := m.Check()
@@ -129,8 +129,8 @@ func (a *analysis) checkPipeCallSite(parent *Function, call *CallInstr) {
 	for op, om := range outMems {
 		for ip, im := range inMems {
 			if im == om {
-				a.l.Warnf(CodeFusionSafety, call.At,
-					"@%s: call @%s: output %%%s and input %%%s share memory object %%%s: execution pinned to item order (no fusion or batching)",
+				a.l.Warnf(CodeItemOrder, call.At,
+					"@%s: call @%s: output %%%s and input %%%s share memory object %%%s: execution pinned to item order (no batching)",
 					parent.Name, callee.Name, op, ip, im)
 			}
 		}
@@ -182,8 +182,8 @@ func (a *analysis) checkPipeCallSite(parent *Function, call *CallInstr) {
 
 // checkParReduction warns when a par-replicated kernel accumulates in a
 // form whose per-lane partials cannot merge to the sequential result:
-// the simulator then falls back to sequential lanes and the replication
-// buys nothing.
+// each lane then needs the others' running value, so the replicated
+// lanes must run one after another and the replication buys nothing.
 func (a *analysis) checkParReduction(f *Function) {
 	for _, in := range f.Body {
 		b, ok := in.(*BinInstr)

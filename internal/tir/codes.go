@@ -51,7 +51,7 @@ const (
 	CodeOffsetBounds = "TIR043" // offset window never intersects the bound stream (warning)
 	CodeAccIdentity  = "TIR044" // par-reduced accumulator lacks a merge identity (warning)
 	CodeDatapathEval = "TIR045" // datapath not executable by the pipeline simulator (warning)
-	CodeFusionSafety = "TIR046" // aliased in/out streams pin item order: no fusion/batching (warning)
+	CodeItemOrder    = "TIR046" // aliased in/out streams pin item order: no batching (warning)
 
 	// Programmatic construction (tir.Builder misuse).
 	CodeBuilderType = "TIR050" // builder binary operation over mismatched operand types
@@ -99,7 +99,7 @@ var CodeTable = []struct {
 	{CodeOffsetBounds, "offset window never intersects the bound stream"},
 	{CodeAccIdentity, "par-reduced accumulator lacks a merge identity"},
 	{CodeDatapathEval, "datapath not executable by the pipeline simulator"},
-	{CodeFusionSafety, "aliased in/out streams pin execution to item order"},
+	{CodeItemOrder, "aliased in/out streams pin execution to item order"},
 	{CodeBuilderType, "builder binary operation over mismatched operand types"},
 	{CodeDeviceFit, "static resource estimate exceeds the device capacity"},
 }

@@ -169,9 +169,10 @@ func CmpEval(pred string, ty Type) (func(a, b int64) int64, bool) {
 // semantics of EvalBin. The boolean reports whether op qualifies.
 //
 // An accumulator driven exclusively by such an opcode can be computed as
-// independent per-lane partials (each starting from the identity) merged
-// in any order, which is what lets the simulator run parallel lanes
-// concurrently without changing the bit-exact result.
+// independent partials (each starting from the identity) merged in any
+// order without changing the bit-exact result: replicated par lanes can
+// each keep their own, and the simulator's batched executor may
+// interleave several write sites.
 func AccIdentity(op Opcode, ty Type) (int64, bool) {
 	switch op {
 	case OpAdd, OpOr, OpXor:
