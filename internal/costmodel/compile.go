@@ -9,11 +9,13 @@ import (
 )
 
 // CompiledModel is one (kernel IR × calibrated target) pair compiled
-// into a flat estimate program: the IR is walked exactly once — call
-// tree, datapath instructions, schedules, offset windows, lane shape —
-// and every per-instruction fitted expression is evaluated once per
-// distinct operand width into dense per-width cost arrays. What remains
-// per variant is closed-form arithmetic over the dv axis scalar:
+// into a flat estimate program. Compilation has two halves. Lower
+// walks the IR exactly once — call tree, datapath instructions,
+// schedules, offset windows, lane shape — into a target-independent
+// Lowered. Bind prices that against one calibrated model: every
+// per-instruction fitted expression is evaluated once per distinct
+// operand width into dense per-width cost arrays. What remains per
+// variant is closed-form arithmetic over the dv axis scalar:
 // EstimateVectorised(dv) runs in O(distinct instruction classes) with a
 // single allocation (the returned Estimate), instead of re-walking the
 // IR and re-evaluating the fits like the tree-walk oracle.
@@ -24,48 +26,19 @@ import (
 // divisions applied last. The tree walk stays as the oracle —
 // cmd/tytradse reaches it with -modeleval=tree.
 //
-// A CompiledModel is immutable after Compile and safe for concurrent
-// use.
+// A CompiledModel is immutable after Bind and safe for concurrent use;
+// the Lowered it was bound from is shared, read-only, by every target's
+// CompiledModel of the same module.
 type CompiledModel struct {
 	mdl *Model
-	m   *tir.Module
+	low *Lowered
 
-	// Structural parameters, computed once: they depend on the IR and
-	// the lane count baked into it, never on dv.
-	kpd   int // includes the +2 ingress/egress registering
-	ni    int
-	noff  int64
-	lanes int
-	cfg   tir.Config
-
-	progs []funcProg
-}
-
-// funcProg is the flat estimate program of one function: the
-// dv-independent terms pre-accumulated, the dv-dependent terms kept as
-// coefficients the evaluator combines with the axis scalar. Programs
-// are stored in m.Funcs order so the saturating accumulation happens
-// in exactly the oracle's order.
-type funcProg struct {
-	n          int  // hardware instance count from the call tree
-	structural bool // par/seq node: cost is dv-independent
-
-	// base is the one-way datapath cost: per-instruction fitted
-	// expressions plus schedule-derived balancing registers. The
-	// evaluator scales it by dv (structural funcs use it verbatim).
-	base device.Resources
-
-	// Stream controllers: base cost per half-controller unit, already
-	// multiplied by the port count. The evaluator books
-	// ctrl·(2+(dv-1))/2 with the integer division last, exactly as the
-	// oracle writes it.
-	ctrlALUTs, ctrlRegs int
-
-	// Offset windows: total bits booked in registers (small windows)
-	// and block RAM (large windows), plus the per-way tap-mux cost of
-	// the BRAM windows, already multiplied by the window count.
-	winRegs, winBRAM        int
-	winMuxALUTs, winMuxRegs int
+	// base holds, per lowered function, its dv-independent cost against
+	// the model: for a datapath function the one-way datapath (priced
+	// instruction classes plus balancing delay lines), which the
+	// evaluator scales by dv; for a par/seq node its arbitration cost,
+	// used verbatim.
+	base []device.Resources
 }
 
 // instrClass identifies one distinct cost class of datapath
@@ -93,7 +66,7 @@ const (
 
 // opCostTable caches evaluated per-opcode fitted expressions in dense
 // per-width arrays, so each (opcode, width) pair is priced through the
-// Expr families exactly once per compilation.
+// Expr families exactly once per Bind.
 type opCostTable struct {
 	mdl   *Model
 	costs map[tir.Opcode][]device.Resources
@@ -180,12 +153,61 @@ func classify(in tir.Instr) (instrClass, bool) {
 	return instrClass{}, false
 }
 
-// Compile lowers the module against the calibrated model into a flat
-// estimate program: validation, classification, the call-tree instance
-// counts, every function's datapath walk and schedule, and the lane
-// shape all happen here, once. The result answers EstimateVectorised
-// for any dv without touching the IR again.
-func (mdl *Model) Compile(m *tir.Module) (*CompiledModel, error) {
+// Lowered is a module lowered for estimation: everything a compiled
+// estimate program needs that reads no calibrated Model — validation,
+// the Fig 7 classification, the call-tree instance counts, each
+// datapath function's instruction-class populations, balancing delay
+// lines, stream ports and offset windows, and the lane shape (KPD, NI,
+// Noff). Lowering depends only on the IR, so one Lowered serves every
+// target: Bind prices it against a calibrated model. A Lowered is
+// immutable and safe for concurrent use.
+type Lowered struct {
+	m     *tir.Module
+	cfg   tir.Config
+	kpd   int // includes the +2 ingress/egress registering
+	ni    int
+	noff  int64
+	lanes int
+
+	funcs []loweredFunc
+}
+
+// loweredFunc is what one function contributes to an estimate apart
+// from the model's prices. Functions are stored in m.Funcs order, so
+// the evaluator's saturating accumulation happens in exactly the
+// oracle's order.
+type loweredFunc struct {
+	n          int  // hardware instance count from the call tree
+	structural bool // par/seq node: cost is dv-independent
+	calls      int  // par/seq: the calls the node arbitrates
+
+	// Datapath functions: instruction classes with their populations
+	// (first-occurrence order) and the balancing delay lines' cost.
+	classes               []classCount
+	delayALUTs, delayRegs int
+	// ports is the stream-controller count. The evaluator books
+	// StreamCtrl·ports·(2+(dv-1))/2 with the integer division last,
+	// exactly as the oracle writes it.
+	ports int
+	// Offset windows: total bits booked in registers (small windows)
+	// and block RAM (large windows), and the number of BRAM-resident
+	// windows, each of which pays a dv-way tap multiplexer.
+	winRegs, winBRAM int
+	bramWindows      int
+}
+
+// classCount is one instruction class and how many datapath
+// instructions of a function fall into it.
+type classCount struct {
+	class instrClass
+	n     int
+}
+
+// Lower lowers the module for estimation: validation, classification,
+// the call-tree instance counts, every datapath function's class
+// populations and schedule (each function scheduled once), and the
+// lane shape all happen here, once per module, whatever the target.
+func Lower(m *tir.Module) (*Lowered, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -215,109 +237,146 @@ func (mdl *Model) Compile(m *tir.Module) (*CompiledModel, error) {
 		return nil, err
 	}
 
-	cm := &CompiledModel{
-		mdl:   mdl,
-		m:     m,
-		lanes: m.Lanes(),
-		cfg:   cfg,
-	}
-	table := newOpCostTable(mdl)
+	l := &Lowered{m: m, cfg: cfg, lanes: m.Lanes()}
+	shapes := map[*tir.Function]dpShape{}
 	for _, f := range m.Funcs {
 		n := instances[f.Name]
 		if n == 0 {
 			continue
 		}
-		p := funcProg{n: n}
+		lf := loweredFunc{n: n}
 		switch f.Mode {
 		case tir.ModePipe, tir.ModeComb:
-			if err := compileDatapath(mdl, m, f, table, &p); err != nil {
+			shape, err := lowerDatapath(m, f, &lf)
+			if err != nil {
 				return nil, err
 			}
+			shapes[f] = shape
 		case tir.ModePar, tir.ModeSeq:
-			calls := len(f.Calls())
-			p.structural = true
-			p.base = device.Resources{
-				ALUTs: mdl.ParNodeALUTs + mdl.ParCallALUTs*calls,
-				Regs:  mdl.ParNodeRegs + mdl.ParCallRegs*calls,
-			}
+			lf.structural = true
+			lf.calls = len(f.Calls())
 		}
-		cm.progs = append(cm.progs, p)
+		l.funcs = append(l.funcs, lf)
 	}
 
 	tree, err := m.ConfigTree()
 	if err != nil {
 		return nil, err
 	}
-	kpd, ni, noff, err := laneShape(m, tree)
+	kpd, ni, noff, err := laneShape(tree, func(f *tir.Function) (dpShape, error) {
+		if s, ok := shapes[f]; ok {
+			return s, nil
+		}
+		return scheduleShape(m, f)
+	})
 	if err != nil {
 		return nil, err
 	}
-	cm.kpd = kpd + 2 // ingress/egress stream-control registering
-	cm.ni = ni
-	cm.noff = noff
-	return cm, nil
+	l.kpd = kpd + 2 // ingress/egress stream-control registering
+	l.ni = ni
+	l.noff = noff
+	return l, nil
 }
 
-// compileDatapath lowers one pipe/comb function: instruction classes
-// priced through the dense tables and multiplied by their populations,
-// balancing delay lines, and the controller/window coefficients the
-// evaluator combines with dv.
-func compileDatapath(mdl *Model, m *tir.Module, f *tir.Function, table *opCostTable, p *funcProg) error {
-	// Per-instruction fitted expressions, priced once per distinct
-	// class. The class contributions are non-negative, so the
-	// class-grouped saturating sum is bit-identical to the oracle's
-	// per-instruction chained Add in any order.
-	counts := map[instrClass]int{}
-	for _, in := range f.DatapathInstrs() {
-		if c, ok := classify(in); ok {
-			counts[c]++
+// lowerDatapath lowers one pipe/comb function: its instruction-class
+// populations, balancing delay lines, port count and offset windows.
+// It returns the function's lane shape, read off the same schedule and
+// windows.
+func lowerDatapath(m *tir.Module, f *tir.Function, lf *loweredFunc) (dpShape, error) {
+	instrs := f.DatapathInstrs()
+	at := map[instrClass]int{}
+	for _, in := range instrs {
+		c, ok := classify(in)
+		if !ok {
+			continue
 		}
-	}
-	r := device.Resources{}
-	for c, n := range counts {
-		r = r.Add(table.classCost(c).Scale(n))
+		i, seen := at[c]
+		if !seen {
+			i = len(lf.classes)
+			at[c] = i
+			lf.classes = append(lf.classes, classCount{class: c})
+		}
+		lf.classes[i].n++
 	}
 
 	sch, err := schedule.ASAPIn(m, f)
 	if err != nil {
-		return err
+		return dpShape{}, err
 	}
 	for _, d := range sch.Delays {
 		if d.Cycles >= 4 {
-			r.ALUTs += d.Bits * (d.Cycles + 1) / 2 / 8
-			r.Regs += d.Bits
+			lf.delayALUTs += d.Bits * (d.Cycles + 1) / 2 / 8
+			lf.delayRegs += d.Bits
 		} else {
-			r.Regs += d.Bits * d.Cycles
+			lf.delayRegs += d.Bits * d.Cycles
 		}
 	}
-	p.base = r
+	lf.ports = len(f.Params)
 
-	// Stream-controller coefficient: the oracle books
-	// StreamCtrl·ports·(2+(dv-1))/2 with the division last; folding the
-	// port count into the coefficient keeps the expression identical.
-	p.ctrlALUTs = mdl.StreamCtrlALUTs * len(f.Params)
-	p.ctrlRegs = mdl.StreamCtrlRegs * len(f.Params)
-
-	// Offset windows: bits are dv-independent, the tap multiplexers of
-	// BRAM-resident windows scale per way.
+	shape := dpShape{depth: sch.Depth, ni: len(instrs)}
 	for _, w := range schedule.OffsetWindows(f) {
+		if w.MaxAhead > shape.noff {
+			shape.noff = w.MaxAhead
+		}
 		windowBits := w.Window() * int64(w.Bits)
 		if windowBits <= 0 {
 			continue
 		}
 		if windowBits <= 256 {
-			p.winRegs += int(windowBits)
+			lf.winRegs += int(windowBits)
 		} else {
-			p.winBRAM += int(windowBits)
-			p.winMuxALUTs += mdl.BRAMWindowALUTs
-			p.winMuxRegs += mdl.BRAMWindowRegs
+			lf.winBRAM += int(windowBits)
+			lf.bramWindows++
 		}
 	}
-	return nil
+	return shape, nil
+}
+
+// Bind prices a lowered module against the calibrated model: each
+// datapath function's instruction classes through the dense per-width
+// cost tables, and each par/seq node's arbitration constants. The
+// result answers EstimateVectorised for any dv without touching the IR
+// again.
+func (mdl *Model) Bind(l *Lowered) *CompiledModel {
+	cm := &CompiledModel{mdl: mdl, low: l, base: make([]device.Resources, len(l.funcs))}
+	table := newOpCostTable(mdl)
+	for i := range l.funcs {
+		lf := &l.funcs[i]
+		if lf.structural {
+			cm.base[i] = device.Resources{
+				ALUTs: mdl.ParNodeALUTs + mdl.ParCallALUTs*lf.calls,
+				Regs:  mdl.ParNodeRegs + mdl.ParCallRegs*lf.calls,
+			}
+			continue
+		}
+		// Per-instruction fitted expressions, priced once per distinct
+		// class. The class contributions are non-negative, so the
+		// class-grouped saturating sum is bit-identical to the oracle's
+		// per-instruction chained Add in any order.
+		r := device.Resources{}
+		for _, c := range lf.classes {
+			r = r.Add(table.classCost(c.class).Scale(c.n))
+		}
+		r.ALUTs += lf.delayALUTs
+		r.Regs += lf.delayRegs
+		cm.base[i] = r
+	}
+	return cm
+}
+
+// Compile lowers the module and binds it to the calibrated model:
+// Bind(Lower(m)). A caller pricing one module on several targets
+// lowers it once and binds it per target instead.
+func (mdl *Model) Compile(m *tir.Module) (*CompiledModel, error) {
+	l, err := Lower(m)
+	if err != nil {
+		return nil, err
+	}
+	return mdl.Bind(l), nil
 }
 
 // Module returns the module the program was compiled from.
-func (cm *CompiledModel) Module() *tir.Module { return cm.m }
+func (cm *CompiledModel) Module() *tir.Module { return cm.low.m }
 
 // Target returns the device the program prices against.
 func (cm *CompiledModel) Target() *device.Target { return cm.mdl.Target }
@@ -334,42 +393,43 @@ func (cm *CompiledModel) EstimateVectorised(dv int) (*Estimate, error) {
 	if dv < 1 {
 		return nil, fmt.Errorf("costmodel: vectorisation degree must be >= 1, got %d", dv)
 	}
+	mdl, l := cm.mdl, cm.low
 	total := device.Resources{}
-	for i := range cm.progs {
-		p := &cm.progs[i]
+	for i := range l.funcs {
+		lf := &l.funcs[i]
 		var r device.Resources
-		if p.structural {
-			r = p.base
+		if lf.structural {
+			r = cm.base[i]
 		} else {
 			// The oracle's estimateDatapath, with the walk pre-folded:
 			// replicate the datapath dv times, widen the controllers
 			// (integer division last), book the window bits and dv-way
 			// tap muxes.
-			r = p.base.Scale(dv)
+			r = cm.base[i].Scale(dv)
 			ctrlUnits := 2 + (dv - 1)
-			r.ALUTs += p.ctrlALUTs * ctrlUnits / 2
-			r.Regs += p.ctrlRegs * ctrlUnits / 2
-			r.Regs += p.winRegs
-			r.BRAM += p.winBRAM
-			r.ALUTs += p.winMuxALUTs * dv
-			r.Regs += p.winMuxRegs * dv
+			r.ALUTs += mdl.StreamCtrlALUTs * lf.ports * ctrlUnits / 2
+			r.Regs += mdl.StreamCtrlRegs * lf.ports * ctrlUnits / 2
+			r.Regs += lf.winRegs
+			r.BRAM += lf.winBRAM
+			r.ALUTs += mdl.BRAMWindowALUTs * lf.bramWindows * dv
+			r.Regs += mdl.BRAMWindowRegs * lf.bramWindows * dv
 		}
-		total = total.Add(r.Scale(p.n))
+		total = total.Add(r.Scale(lf.n))
 	}
-	total.ALUTs += cm.mdl.ShimALUTs
-	total.Regs += cm.mdl.ShimRegs
+	total.ALUTs += mdl.ShimALUTs
+	total.Regs += mdl.ShimRegs
 
 	return &Estimate{
-		Module: cm.m,
-		Target: cm.mdl.Target,
+		Module: l.m,
+		Target: mdl.Target,
 		Used:   total,
-		KPD:    cm.kpd,
-		Noff:   cm.noff,
-		NI:     cm.ni,
-		Lanes:  cm.lanes,
+		KPD:    l.kpd,
+		Noff:   l.noff,
+		NI:     l.ni,
+		Lanes:  l.lanes,
 		DV:     dv,
 		NTO:    1,
-		FmaxHz: cm.mdl.Target.FmaxHz,
-		Config: cm.cfg,
+		FmaxHz: mdl.Target.FmaxHz,
+		Config: l.cfg,
 	}, nil
 }

@@ -1,7 +1,9 @@
 package costmodel
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/device"
@@ -40,17 +42,40 @@ func compileCorpus(t testing.TB) map[string]*tir.Module {
 
 // TestCompiledMatchesOracle pins the flat estimate program bit-identical
 // to the tree-walk oracle: corpus × dv × devices, compared field by
-// field with DeepEqual.
+// field with DeepEqual. Each module is also lowered once and that one
+// Lowered is bound to the three targets from 8 goroutines (run with
+// -race), as the DSE evaluators share it; every bound program must
+// match both the per-target Compile and the oracle.
 func TestCompiledMatchesOracle(t *testing.T) {
 	targets := []*device.Target{device.StratixVGSD8(), device.Virtex7690T(), device.GSD8Edu()}
 	dvs := []int{1, 2, 3, 4, 5, 8, 13, 25}
 	mods := compileCorpus(t)
-	for _, tgt := range targets {
+	mdls := make([]*Model, len(targets))
+	for i, tgt := range targets {
 		mdl, err := Calibrate(tgt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, m := range mods {
+		mdls[i] = mdl
+	}
+	for name, m := range mods {
+		low, err := Lower(m)
+		if err != nil {
+			t.Fatalf("%s: Lower: %v", name, err)
+		}
+		bound := make([]*CompiledModel, 8)
+		var wg sync.WaitGroup
+		for g := range bound {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				bound[g] = mdls[g%len(mdls)].Bind(low)
+			}(g)
+		}
+		wg.Wait()
+		for g, shared := range bound {
+			mdl := mdls[g%len(mdls)]
+			tgt := mdl.Target
 			cm, err := mdl.Compile(m)
 			if err != nil {
 				t.Fatalf("%s on %s: Compile: %v", name, tgt.Name, err)
@@ -60,13 +85,18 @@ func TestCompiledMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s on %s dv=%d: oracle: %v", name, tgt.Name, dv, err)
 				}
-				got, err := cm.EstimateVectorised(dv)
-				if err != nil {
-					t.Fatalf("%s on %s dv=%d: compiled: %v", name, tgt.Name, dv, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s on %s dv=%d: compiled estimate diverges from oracle:\n got %+v\nwant %+v",
-						name, tgt.Name, dv, got, want)
+				for _, c := range []struct {
+					arm string
+					cm  *CompiledModel
+				}{{"compiled", cm}, {fmt.Sprintf("shared lowering (goroutine %d)", g), shared}} {
+					got, err := c.cm.EstimateVectorised(dv)
+					if err != nil {
+						t.Fatalf("%s on %s dv=%d: %s: %v", name, tgt.Name, dv, c.arm, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s on %s dv=%d: %s estimate diverges from oracle:\n got %+v\nwant %+v",
+							name, tgt.Name, dv, c.arm, got, want)
+					}
 				}
 			}
 		}

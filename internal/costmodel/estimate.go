@@ -194,7 +194,9 @@ func (mdl *Model) EstimateVectorised(m *tir.Module, dv int) (*Estimate, error) {
 	if err != nil {
 		return nil, err
 	}
-	kpd, ni, noff, err := laneShape(m, tree)
+	kpd, ni, noff, err := laneShape(tree, func(f *tir.Function) (dpShape, error) {
+		return scheduleShape(m, f)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -205,21 +207,37 @@ func (mdl *Model) EstimateVectorised(m *tir.Module, dv int) (*Estimate, error) {
 	return est, nil
 }
 
+// dpShape is what laneShape reads off one pipe/comb function: its ASAP
+// schedule depth, its datapath instruction count and its largest
+// stream look-ahead.
+type dpShape struct {
+	depth, ni int
+	noff      int64
+}
+
+// scheduleShape schedules f and reads its dpShape.
+func scheduleShape(m *tir.Module, f *tir.Function) (dpShape, error) {
+	sch, err := schedule.ASAPIn(m, f)
+	if err != nil {
+		return dpShape{}, err
+	}
+	return dpShape{depth: sch.Depth, ni: len(f.DatapathInstrs()), noff: schedule.MaxOffset(f)}, nil
+}
+
 // laneShape computes (pipeline depth, instruction count, max offset) of
 // one lane of the architecture under node n: par nodes contribute one
 // replica; pipe peers chain their depths; seq takes the worst child.
-func laneShape(m *tir.Module, n *tir.ConfigNode) (kpd, ni int, noff int64, err error) {
+// shape supplies each pipe/comb node's own dpShape.
+func laneShape(n *tir.ConfigNode, shape func(*tir.Function) (dpShape, error)) (kpd, ni int, noff int64, err error) {
 	switch n.Mode {
 	case tir.ModePipe, tir.ModeComb:
-		sch, e := schedule.ASAPIn(m, n.Func)
+		s, e := shape(n.Func)
 		if e != nil {
 			return 0, 0, 0, e
 		}
-		kpd = sch.Depth
-		ni = len(n.Func.DatapathInstrs())
-		noff = schedule.MaxOffset(n.Func)
+		kpd, ni, noff = s.depth, s.ni, s.noff
 		for _, c := range n.Children {
-			ck, cn, co, e := laneShape(m, c)
+			ck, cn, co, e := laneShape(c, shape)
 			if e != nil {
 				return 0, 0, 0, e
 			}
@@ -230,10 +248,10 @@ func laneShape(m *tir.Module, n *tir.ConfigNode) (kpd, ni int, noff int64, err e
 			}
 		}
 	case tir.ModePar:
-		return laneShape(m, n.Children[0])
+		return laneShape(n.Children[0], shape)
 	case tir.ModeSeq:
 		for _, c := range n.Children {
-			ck, cn, co, e := laneShape(m, c)
+			ck, cn, co, e := laneShape(c, shape)
 			if e != nil {
 				return 0, 0, 0, e
 			}

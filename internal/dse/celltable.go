@@ -1,36 +1,59 @@
 package dse
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// cellShardBits sizes the cell table's shards: 512 cells per shard
-// keeps a sparse search over a huge space from allocating memo slots
-// for points it never visits, while an exhaustive sweep touches each
-// shard's allocation exactly once per 512 points.
+// cellShardBits sizes the dense cell table's shards: 512 cells per
+// shard, so an exhaustive sweep touches each shard's allocation exactly
+// once per 512 points.
 const cellShardBits = 9
+
+// denseCellLimit is the largest space whose memo is a dense table. A
+// dense table pays a 20 KiB shard for each 512-point region a search
+// touches, and a directory entry per region up front; a sparse one
+// pays a map entry per cell and a hashed lookup per evaluation.
+// Measured on a 2-CPU x86-64 VM at one worker (DESIGN.md, "Dense
+// engine hot path"): a 2^18-point exhaustive sweep costs ~0.7 µs per
+// point dense and ~2.0 µs sparse, while budgeted searches over a
+// 1,536,000-point space allocate 44% less and run ~35% faster sparse.
+// A fully touched dense table at the limit holds 10 MiB of cells;
+// above it the dense cost grows with the space, not with the search.
+const denseCellLimit = 1 << 18
 
 // cellShard is one dense block of memo cells, allocated as a unit.
 type cellShard [1 << cellShardBits]onceCell[*Point]
 
-// cellTable is the engine's per-variant memo: a dense table over the
-// space's Index range, sharded so shards materialise lazily under a
-// single CAS. Compared to the former sync.Map of string-keyed cells,
-// a lookup is two array indexings and one atomic load — no key
-// formatting, no hashing, no per-variant allocation — and the cells
-// of an exhaustive sweep sit contiguously in memory.
+// cellTable is the engine's per-variant memo, keyed by Space.Index.
+// Up to denseCellLimit points it is dense and sharded: shards
+// materialise lazily under a single CAS, a lookup is two array
+// indexings and one atomic load — no key formatting, no hashing, no
+// per-variant allocation — and the cells of an exhaustive sweep sit
+// contiguously in memory. Above the limit it is sparse: one cell per
+// evaluated index in a sync.Map, so memory grows with the cells a
+// search touches, never with the space.
 type cellTable struct {
-	shards []atomic.Pointer[cellShard]
+	shards []atomic.Pointer[cellShard] // dense; nil when sparse
+	sparse sync.Map                    // index int -> *onceCell[*Point]
 }
 
-func newCellTable(size int) *cellTable {
-	n := (size + len(cellShard{}) - 1) >> cellShardBits
-	return &cellTable{shards: make([]atomic.Pointer[cellShard], n)}
+// init sizes the table for a space of size points.
+func (t *cellTable) init(size int) {
+	if size <= denseCellLimit {
+		t.shards = make([]atomic.Pointer[cellShard], (size+len(cellShard{})-1)>>cellShardBits)
+	}
 }
 
-// cell returns the memo slot of dense index i, materialising its shard
-// on first touch. Racing materialisers agree through CompareAndSwap:
-// exactly one shard wins, so a cell's identity is stable for the
-// table's lifetime (the sync.Once inside depends on it).
+// cell returns the memo slot of dense index i, creating it on first
+// touch. Racing creators agree — through CompareAndSwap on a dense
+// shard, through LoadOrStore on a sparse cell — so a cell's identity
+// is stable for the table's lifetime (the sync.Once inside depends on
+// it).
 func (t *cellTable) cell(i int) *onceCell[*Point] {
+	if t.shards == nil {
+		return loadCell[onceCell[*Point]](&t.sparse, i)
+	}
 	s := &t.shards[i>>cellShardBits]
 	sh := s.Load()
 	if sh == nil {

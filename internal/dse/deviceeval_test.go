@@ -3,6 +3,7 @@ package dse
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -241,6 +242,46 @@ func TestDeviceAxisSimSharedMeasurement(t *testing.T) {
 			t.Errorf("lanes=%d: SimEKIT identical across devices with different FD", lanes)
 		}
 	}
+}
+
+// TestShelfLowersEachLaneCountOnce: a 3-device exploration lowers
+// each lane count's module once, and every device binds that one
+// lowering to its own model (run with -race: eight workers race for
+// the same cells).
+func TestShelfLowersEachLaneCountOnce(t *testing.T) {
+	shelf := testShelf(t)
+	lanes := []int{1, 2, 4, 8}
+	space, err := NewSpace(LanesAxis(lanes), DVAxis([]int{1, 2, 4}), DeviceAxis(shelf...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	de, err := newEvaluator(EvalModel, shelf, nil, sorBuilder, perf.Workload{NKI: 10}, perf.FormB, SimConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewEngine(space, de.eval, 8).Run(Exhaustive{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := settledCells[*costmodel.Lowered](&de.mods.lowerings); n != len(lanes) {
+		t.Errorf("%d settled lowering cells for %d lane counts over a %d-device shelf", n, len(lanes), len(shelf))
+	}
+	for i, tgt := range shelf {
+		if n := settledCells[*costmodel.CompiledModel](&de.evals[i].val.compiled); n != len(lanes) {
+			t.Errorf("%s: %d bound programs for %d lane counts", tgt.Name, n, len(lanes))
+		}
+	}
+}
+
+// settledCells counts the memo cells in m that settled without error.
+func settledCells[T any](m *sync.Map) int {
+	n := 0
+	m.Range(func(_, v any) bool {
+		if v.(*onceCell[T]).err == nil {
+			n++
+		}
+		return true
+	})
+	return n
 }
 
 // TestDeviceEvaluatorRejections: mis-wired shelves and unsupported

@@ -7,7 +7,11 @@
 // points through a worker pool with a memoised per-variant cost cache
 // (the whole evaluation stack, costmodel.Estimate plus
 // perf.Extract/EKIT, is pure, which makes both the parallelism and
-// the caching sound).
+// the caching sound). The pool is the caller plus Workers−1 helper
+// goroutines that live for a whole search and are stopped before it
+// returns; the memo is a dense table over small spaces and a sparse
+// one over large spaces (celltable.go), so a budgeted search pays for
+// the points it evaluates, never for the size of the space.
 //
 // Which points get evaluated is a pluggable Strategy, driven by the
 // budgeted ask/tell search core of Engine.Search: the core repeatedly
@@ -37,10 +41,12 @@
 // per lane count next to the module build, so scoring runs no data.
 // Everything a point needs that does not depend on dv is memoised per
 // lane count — the module, its IR digest (the kernel part of every
-// evalstore estimate key), its compiled estimate program and, per
-// device, its stream inventory (perf.Inventory) — so with a store
-// attached a warm point costs a key hash over digests, one record read
-// and a Params assembly.
+// evalstore estimate key) and its cost-model lowering
+// (costmodel.Lower), shared by every device of the shelf, and, per
+// device, the lowering bound to that device's model
+// (costmodel.CompiledModel) and its stream inventory (perf.Inventory)
+// — so with a store attached a warm point costs a key hash over
+// digests, one record read and a Params assembly.
 //
 // A result over a lanes axis converts to the Sweep shape the report
 // tables and Advise read (Result.Sweep); that conversion is pinned to

@@ -40,15 +40,18 @@ func loadCell[C any, K comparable](m *sync.Map, k K) *C {
 }
 
 // moduleCache memoises the device-independent work of a lane count:
-// the variant-module build, its IR digest and its simulated timing. It
-// is its own type (rather than a field bundle on modelEval) so an
-// evaluator that holds several per-device modelEvals shares one build
-// and one timing per lane count across all of them.
+// the variant-module build, its IR digest, its cost-model lowering
+// (costmodel.Lower) and its simulated timing. It is its own type
+// (rather than a field bundle on modelEval) so an evaluator that holds
+// several per-device modelEvals shares one build, one lowering and one
+// timing per lane count across all of them; each device only binds the
+// shared, read-only lowering to its calibrated model.
 type moduleCache struct {
-	build   VariantBuilder
-	builds  sync.Map // lanes int -> *onceCell[*tir.Module]
-	digests sync.Map // lanes int -> *onceCell[string]
-	timings sync.Map // lanes int -> *onceCell[[2]int64]
+	build     VariantBuilder
+	builds    sync.Map // lanes int -> *onceCell[*tir.Module]
+	digests   sync.Map // lanes int -> *onceCell[string]
+	lowerings sync.Map // lanes int -> *onceCell[*costmodel.Lowered]
+	timings   sync.Map // lanes int -> *onceCell[[2]int64]
 }
 
 func newModuleCache(build VariantBuilder) *moduleCache {
@@ -63,6 +66,21 @@ func (mc *moduleCache) module(lanes int) (*tir.Module, error) {
 		if cell.err != nil {
 			cell.err = fmt.Errorf("dse: building %d-lane variant: %w", lanes, cell.err)
 		}
+	})
+	return cell.val, cell.err
+}
+
+// lowered lowers the lane count's module for the compiled cost model
+// once; every device of the shelf binds the same lowering.
+func (mc *moduleCache) lowered(lanes int) (*costmodel.Lowered, error) {
+	cell := loadCell[onceCell[*costmodel.Lowered]](&mc.lowerings, lanes)
+	cell.once.Do(func() {
+		m, err := mc.module(lanes)
+		if err != nil {
+			cell.err = err
+			return
+		}
+		cell.val, cell.err = costmodel.Lower(m)
 	})
 	return cell.val, cell.err
 }
@@ -125,9 +143,9 @@ func (mc *moduleCache) timing(lanes int) (cycles, items int64, err error) {
 type ModelEvalMode int
 
 const (
-	// ModelEvalCompiled compiles (kernel IR × target) once per lane
-	// count and answers every (lanes, dv) estimate with closed-form
-	// arithmetic.
+	// ModelEvalCompiled lowers the kernel IR once per lane count,
+	// binds the lowering to each target, and answers every (lanes, dv)
+	// estimate with closed-form arithmetic.
 	ModelEvalCompiled ModelEvalMode = iota
 	// ModelEvalTree walks the IR per estimate — the original oracle,
 	// kept reachable (tytradse -modeleval=tree) for differential runs.
@@ -160,9 +178,10 @@ func ParseModelEval(s string) (ModelEvalMode, error) {
 	return 0, fmt.Errorf("dse: unknown model evaluation mode %q (have: %v)", s, ModelEvalNames())
 }
 
-// modelEval is the memoised cost-model core of one shelf entry: module
-// builds, compiled estimate programs and stream inventories per lane
-// count, and estimates with their Table I parameters per (lanes, dv).
+// modelEval is the memoised cost-model core of one shelf entry: the
+// shared module builds and lowerings bound to its model, and stream
+// inventories, per lane count, and estimates with their Table I
+// parameters per (lanes, dv).
 // Every mode prices through it (the simulation-backed ones need the
 // same model-side point for the resource bars, the walls and the
 // calibration cross-check).
@@ -220,12 +239,19 @@ func newModelEval(mdl *costmodel.Model, bw *membw.Model, mods *moduleCache,
 	return me
 }
 
-// compiledModel compiles the lane count's module against the model
-// exactly once; every dv of the lane count evaluates the same flat
-// program.
-func (me *modelEval) compiledModel(lanes int, m *tir.Module) (*costmodel.CompiledModel, error) {
+// compiledModel binds the lane count's shared lowering to the device's
+// model exactly once; every dv of the lane count evaluates the same
+// flat program.
+func (me *modelEval) compiledModel(lanes int) (*costmodel.CompiledModel, error) {
 	cell := loadCell[onceCell[*costmodel.CompiledModel]](&me.compiled, lanes)
-	cell.once.Do(func() { cell.val, cell.err = me.mdl.Compile(m) })
+	cell.once.Do(func() {
+		l, err := me.mods.lowered(lanes)
+		if err != nil {
+			cell.err = err
+			return
+		}
+		cell.val = me.mdl.Bind(l)
+	})
 	return cell.val, cell.err
 }
 
@@ -289,7 +315,7 @@ func (me *modelEval) estimate(lanes, dv int) (*costmodel.Estimate, error) {
 			estimate = me.mdl.EstimateVectorised
 		} else {
 			estimate = func(m *tir.Module, dv int) (*costmodel.Estimate, error) {
-				cm, err := me.compiledModel(lanes, m)
+				cm, err := me.compiledModel(lanes)
 				if err != nil {
 					return nil, err
 				}
@@ -379,13 +405,12 @@ type Engine struct {
 	// Workers is the evaluation parallelism (the -j of cmd/tytradse).
 	Workers int
 
-	// cells is the per-variant memo: a sharded dense table over the
-	// space's Index range, built lazily so the zero-value Engine still
-	// works. String keys (Space.Key) are no longer touched per
-	// evaluation — they remain the cross-run identity for reports and
-	// the evalstore.
+	// cells is the per-variant memo keyed by Space.Index (celltable.go),
+	// sized on first use so the zero-value Engine still works. String
+	// keys (Space.Key) are never touched per evaluation — they remain
+	// the cross-run identity for reports and the evalstore.
 	cellsOnce sync.Once
-	cells     *cellTable
+	cells     cellTable
 }
 
 // NewEngine builds an engine; workers <= 0 selects GOMAXPROCS.
@@ -399,8 +424,8 @@ func NewEngine(space *Space, eval Evaluator, workers int) *Engine {
 // table returns the engine's cell table, sized to the space on first
 // use.
 func (e *Engine) table() *cellTable {
-	e.cellsOnce.Do(func() { e.cells = newCellTable(e.Space.Size()) })
-	return e.cells
+	e.cellsOnce.Do(func() { e.cells.init(e.Space.Size()) })
+	return &e.cells
 }
 
 // evalOne evaluates a single variant through the memo cache.
@@ -421,69 +446,131 @@ func (e *Engine) EvalAll(vs []Variant) ([]*Point, error) {
 			return nil, err
 		}
 	}
-	points, errs := e.evalAllKeep(vs)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	h := e.startHelpers(min(e.Workers, len(vs)) - 1)
+	defer h.stop()
+	outs := e.runWave(h, vs)
+	points := make([]*Point, len(outs))
+	for i, o := range outs {
+		if o.Err != nil {
+			return nil, o.Err
 		}
+		points[i] = o.Point
 	}
 	return points, nil
 }
 
-// evalAllKeep is EvalAll without the error short-circuit: it returns
-// every point alongside its per-variant error, letting callers that
-// prune (WallPruned) consume a wave's successful prefix and discard
-// failures past the cut — exactly what a serial sweep would never
-// have evaluated.
-func (e *Engine) evalAllKeep(vs []Variant) ([]*Point, []error) {
-	points := make([]*Point, len(vs))
-	errs := make([]error, len(vs))
-	workers := e.Workers
-	if workers > len(vs) {
-		workers = len(vs)
+// helpers are the evaluation goroutines of one Engine.Search (or one
+// EvalAll call): started once, parked between waves, and ended by stop
+// on every return path of their owner. The owner works each wave
+// alongside them, so n helpers give n+1 workers. A nil *helpers is
+// none: every wave runs on the owner alone.
+type helpers struct {
+	n    int
+	work chan *wave
+	quit chan struct{}
+	wg   sync.WaitGroup
+}
+
+// startHelpers starts n helpers for the engine; n <= 0 starts nothing.
+func (e *Engine) startHelpers(n int) *helpers {
+	if n <= 0 {
+		return nil
 	}
-	if workers <= 1 {
-		for i, v := range vs {
-			points[i], errs[i] = e.evalOne(v)
-		}
-	} else {
-		// Workers claim chunked index ranges off one atomic counter —
-		// one contended add per chunk instead of one channel send per
-		// variant, which at compiled-model evaluation speeds would
-		// otherwise dominate the wall clock. Results land at their input
-		// index, so output order is deterministic regardless of which
-		// worker claims which chunk.
-		chunk := len(vs) / (workers * 4)
-		if chunk < 1 {
-			chunk = 1
-		}
-		if chunk > 256 {
-			chunk = 256
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					hi := int(next.Add(int64(chunk)))
-					lo := hi - chunk
-					if lo >= len(vs) {
-						return
-					}
-					if hi > len(vs) {
-						hi = len(vs)
-					}
-					for i := lo; i < hi; i++ {
-						points[i], errs[i] = e.evalOne(vs[i])
-					}
+	h := &helpers{n: n, work: make(chan *wave), quit: make(chan struct{})}
+	h.wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer h.wg.Done()
+			for {
+				select {
+				case w := <-h.work:
+					e.work(w)
+				case <-h.quit:
+					return
 				}
-			}()
-		}
-		wg.Wait()
+			}
+		}()
 	}
-	return points, errs
+	return h
+}
+
+// stop ends the helpers and waits until each has returned.
+func (h *helpers) stop() {
+	if h == nil {
+		return
+	}
+	close(h.quit)
+	h.wg.Wait()
+}
+
+// wave is one batch of variants under evaluation. Its workers — the
+// owner and the helpers it woke — claim chunked index ranges off next,
+// and each outcome lands at its input index in outs, so the result is
+// the same whichever worker claims which chunk. left counts the
+// variants not yet settled; the worker that settles the last one
+// closes done, which exists only when helpers were woken.
+type wave struct {
+	outs  []Outcome
+	chunk int
+	next  atomic.Int64
+	left  atomic.Int64
+	done  chan struct{}
+}
+
+// runWave evaluates vs as one wave on the caller and as many of h's
+// helpers as the wave can use, and returns the outcomes in input
+// order once every variant has settled. Workers claim chunks off one
+// atomic counter — one contended add per chunk instead of one channel
+// send per variant, which at compiled-model evaluation speeds would
+// otherwise dominate the wall clock.
+func (e *Engine) runWave(h *helpers, vs []Variant) []Outcome {
+	w := &wave{outs: make([]Outcome, len(vs))}
+	for i, v := range vs {
+		w.outs[i].Variant = v
+	}
+	wake := 0
+	if h != nil && len(vs) > 1 {
+		wake = min(h.n, len(vs)-1)
+	}
+	w.chunk = min(max(len(vs)/((wake+1)*4), 1), 256)
+	w.left.Store(int64(len(vs)))
+	if wake > 0 {
+		w.done = make(chan struct{})
+	}
+	// A send waits at most for a helper to finish its claim loop on the
+	// previous, fully settled wave: helpers exit only on stop, which
+	// the owner calls after its last wave.
+	for i := 0; i < wake; i++ {
+		h.work <- w
+	}
+	e.work(w)
+	if w.done != nil {
+		<-w.done
+	}
+	return w.outs
+}
+
+// work claims chunks of w until none are left, evaluating each
+// variant through the memo into its outcome slot. A helper that wakes
+// after the last chunk was claimed returns at once: it never waits on
+// the wave and never touches a later one.
+func (e *Engine) work(w *wave) {
+	n := len(w.outs)
+	for {
+		hi := int(w.next.Add(int64(w.chunk)))
+		lo := hi - w.chunk
+		if lo >= n {
+			return
+		}
+		hi = min(hi, n)
+		for i := lo; i < hi; i++ {
+			o := &w.outs[i]
+			o.Point, o.Err = e.evalOne(o.Variant)
+		}
+		if w.left.Add(int64(lo-hi)) == 0 && w.done != nil {
+			close(w.done)
+		}
+	}
 }
 
 // Walls are the design-space bounds of Fig 15, as lane counts: the

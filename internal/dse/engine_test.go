@@ -430,7 +430,7 @@ func TestInvalidVariantsRejected(t *testing.T) {
 	}
 	e := NewEngine(space, eval, 2)
 	sc := &Search{space: space, cells: e.table()}
-	e.evalWave(sc, space.Enumerate())
+	e.evalWave(nil, sc, space.Enumerate())
 	calls.Store(0)
 
 	for _, c := range []struct {

@@ -67,6 +67,8 @@ func legacyExploreWallPruned(e *Engine) (*Result, error) {
 		waveSize = 1
 	}
 
+	h := e.startHelpers(e.Workers - 1)
+	defer h.stop()
 	var vs []Variant
 	var ps []*Point
 	for _, g := range groups {
@@ -78,12 +80,12 @@ func legacyExploreWallPruned(e *Engine) (*Result, error) {
 			if hi > len(g.vs) {
 				hi = len(g.vs)
 			}
-			wave, waveErrs := e.evalAllKeep(g.vs[lo:hi])
-			for i, p := range wave {
-				if waveErrs[i] != nil {
-					return nil, waveErrs[i]
+			for _, o := range e.runWave(h, g.vs[lo:hi]) {
+				if o.Err != nil {
+					return nil, o.Err
 				}
-				vs = append(vs, g.vs[lo+i])
+				p := o.Point
+				vs = append(vs, o.Variant)
 				ps = append(ps, p)
 				if !p.Fits {
 					break sweep

@@ -3,6 +3,7 @@ package dse
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Budget bounds a search run. The zero value is unlimited.
@@ -159,15 +160,13 @@ func (sc *Search) truncate(wave []Variant) (cut []Variant, truncated bool) {
 	return wave, false
 }
 
-// evalWave evaluates a wave through the engine's memoised pool and
-// settles each outcome in the run, charging one evaluation per variant
-// not seen before.
-func (e *Engine) evalWave(sc *Search, wave []Variant) []Outcome {
-	ps, errs := e.evalAllKeep(wave)
-	outs := make([]Outcome, len(wave))
-	for i, v := range wave {
-		outs[i] = Outcome{Variant: v, Point: ps[i], Err: errs[i]}
-		if !sc.charged.set(sc.space.Index(v)) {
+// evalWave evaluates a wave through the engine's memo on the run's
+// helpers and settles each outcome in the run, charging one evaluation
+// per variant not seen before.
+func (e *Engine) evalWave(h *helpers, sc *Search, wave []Variant) []Outcome {
+	outs := e.runWave(h, wave)
+	for _, o := range outs {
+		if !sc.charged.set(sc.space.Index(o.Variant)) {
 			sc.evals++
 			sc.barren++
 		}
@@ -176,8 +175,13 @@ func (e *Engine) evalWave(sc *Search, wave []Variant) []Outcome {
 }
 
 // commit appends the kept prefix of a wave to the run's trajectory,
-// skipping failed outcomes and variants already kept.
+// skipping failed outcomes and variants already kept. Room for the
+// whole wave is reserved up front, so a large wave (an exhaustive
+// sweep's one wave) grows the trajectory once instead of copying it
+// through every growth step of append.
 func (sc *Search) commit(outs []Outcome) {
+	sc.vs = slices.Grow(sc.vs, len(outs))
+	sc.ps = slices.Grow(sc.ps, len(outs))
 	for _, o := range outs {
 		if o.Err != nil || o.Point == nil {
 			continue
@@ -234,6 +238,9 @@ func (e *Engine) Search(st Strategy, opts SearchOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The run's helpers live until Search returns, whichever way.
+	h := e.startHelpers(e.Workers - 1)
+	defer h.stop()
 	stop := StopExhausted
 	for {
 		wave, err := run.ask(sc)
@@ -245,7 +252,7 @@ func (e *Engine) Search(st Strategy, opts SearchOptions) (*Result, error) {
 		}
 		wave, truncated := sc.truncate(wave)
 		if len(wave) > 0 {
-			outs := e.evalWave(sc, wave)
+			outs := e.evalWave(h, sc, wave)
 			keep, err := run.tell(sc, outs)
 			if err != nil {
 				return nil, err

@@ -3,14 +3,16 @@ package dse
 // Micro-benchmarks for the two WallPruned/Pareto hot spots the search
 // refactor replaced: the quadratic all-pairs frontier scan (now one
 // sort plus a linear pass) and the fmt.Sprintf-concatenated group keys
-// (now a mixed-radix int). Run with:
+// (now a mixed-radix int), and the budgeted shelf search at one and two
+// workers. Run with:
 //
-//	go test ./internal/dse -run xxx -bench 'ParetoFrontier|Grouping'
+//	go test ./internal/dse -run xxx -bench 'ParetoFrontier|Grouping|ShelfSearch' -benchmem
 
 import (
 	"fmt"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/kernels"
 	"repro/internal/perf"
 )
@@ -100,4 +102,63 @@ func BenchmarkWallPrunedGrouping(b *testing.B) {
 		}
 		b.ReportMetric(float64(groups), "groups")
 	})
+}
+
+// BenchmarkShelfSearch prices budgeted searches over a device shelf,
+// shaped like the end-to-end benchmark's shelf-search workload: 8
+// seeded hillclimb and 8 seeded anneal searches per op, budget 2,000
+// each, over lanes 1..16 × dv 1..16 × form {A,B} × 1,000 fclk values ×
+// the 3-device shelf (1,536,000 points). Every search builds a fresh
+// evaluator and engine, as tytradse does; calibration is shared and
+// untimed. Waves are small (1–2 variants for anneal, ~20 for
+// hillclimb), so j2 against j1 prices per-wave worker overhead.
+func BenchmarkShelfSearch(b *testing.B) {
+	shelf, err := device.Shelf("stratix-v-gsd8-edu", "stratix-v-gsd8", "virtex-7-690t")
+	if err != nil {
+		b.Fatal(err)
+	}
+	fclk := make([]int, 1000)
+	for i := range fclk {
+		fclk[i] = 100 + 2*i
+	}
+	space, err := NewSpace(
+		LanesAxis(LaneCounts(16)),
+		DVAxis(LaneCounts(16)),
+		FormAxis(perf.FormA, perf.FormB),
+		FclkAxis(fclk),
+		DeviceAxis(shelf...),
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cache := NewModelCache()
+	for _, t := range shelf {
+		if _, _, err := cache.Models(t); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("j%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			evals := 0
+			for i := 0; i < b.N; i++ {
+				for seed := int64(1); seed <= 8; seed++ {
+					for _, st := range []Strategy{HillClimb{}, Anneal{}} {
+						eval, err := NewDeviceModeEvaluatorCache(EvalModel, shelf, sorBuilder,
+							perf.Workload{NKI: 10}, perf.FormB, SimConfig{}, cache)
+						if err != nil {
+							b.Fatal(err)
+						}
+						r, err := NewEngine(space, eval, workers).Search(st,
+							SearchOptions{Seed: seed, Budget: Budget{MaxEvals: 2000}})
+						if err != nil {
+							b.Fatal(err)
+						}
+						evals += r.Evals
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(evals), "ns/eval")
+		})
+	}
 }

@@ -1,12 +1,15 @@
 package dse
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/kernels"
 	"repro/internal/perf"
@@ -563,4 +566,152 @@ func TestSearchScoreOrdering(t *testing.T) {
 	if !math.IsInf(searchScore(Outcome{}, false), -1) {
 		t.Error("unevaluated outcome must score -Inf")
 	}
+}
+
+// hugeSpace is a 10^12-point space: four 1000-value axes.
+func hugeSpace(t *testing.T) *Space {
+	t.Helper()
+	vals := make([]int, 1000)
+	for i := range vals {
+		vals[i] = i + 1
+	}
+	s, err := NewSpace(LanesAxis(vals), DVAxis(vals), FclkAxis(vals), Axis{Name: "x", Values: vals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestHugeSpaceSearchAllocs is the memo's memory gate: a budget-100
+// hillclimb over a 10^12-point space allocates a few MiB at most. The
+// memo grows with the cells the search evaluates; a table sized by the
+// space would ask for a 15.6 GB shard directory before the first
+// evaluation, which the runtime cannot satisfy and no recover catches.
+func TestHugeSpaceSearchAllocs(t *testing.T) {
+	space := hugeSpace(t)
+	eval := syntheticEval(
+		func(lanes int) float64 { return float64(lanes) },
+		func(int) float64 { return 0 },
+	)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := NewEngine(space, eval, 1).Search(HillClimb{}, SearchOptions{Seed: 1, Budget: Budget{MaxEvals: 100}})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Evals != 100 || r.Stop != StopBudget {
+		t.Errorf("charged %d evals, stop %q; want 100, %q", r.Evals, r.Stop, StopBudget)
+	}
+	const limit = 4 << 20
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > limit {
+		t.Errorf("budget-100 search over %d points allocated %d bytes, want <= %d", space.Size(), alloc, limit)
+	} else {
+		t.Logf("budget-100 search over %d points allocated %d bytes", space.Size(), alloc)
+	}
+}
+
+// tellErrStrategy proposes the whole space as one wave and fails in
+// tell.
+type tellErrStrategy struct{}
+
+func (tellErrStrategy) Name() string                    { return "tell-error" }
+func (tellErrStrategy) start(*Search) (searcher, error) { return tellErrRun{}, nil }
+
+type tellErrRun struct{}
+
+func (tellErrRun) ask(sc *Search) ([]Variant, error)    { return sc.Space().Enumerate(), nil }
+func (tellErrRun) tell(*Search, []Outcome) (int, error) { return 0, errors.New("tell failed") }
+func (tellErrRun) finish(*Search, *Result) error        { return nil }
+
+// TestEngineHelpersLifetime: at -j 8 a search or an EvalAll call runs
+// on exactly 7 helper goroutines beside its caller, started once for
+// the whole call, and none of them outlives it — after a normal end, a
+// budget stop, a failing evaluator or a strategy whose tell errors.
+func TestEngineHelpersLifetime(t *testing.T) {
+	space, err := NewSpace(LanesAxis(LaneCounts(16)), FclkAxis([]int{100, 150, 200, 250}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 8
+	good := syntheticEval(
+		func(lanes int) float64 { return float64(lanes) },
+		func(int) float64 { return 0 },
+	)
+	// peak is the most goroutines any evaluation saw running.
+	var peak atomic.Int64
+	watch := func(ev Evaluator) Evaluator {
+		return func(s *Space, v Variant) (*Point, error) {
+			for n := int64(runtime.NumGoroutine()); ; {
+				p := peak.Load()
+				if n <= p || peak.CompareAndSwap(p, n) {
+					break
+				}
+			}
+			return ev(s, v)
+		}
+	}
+	failing := func(s *Space, v Variant) (*Point, error) {
+		if s.ValueDefault(v, AxisLanes, 1) > 8 {
+			return nil, errors.New("evaluator failed")
+		}
+		return good(s, v)
+	}
+	search := func(ev Evaluator, st Strategy, b Budget) func() error {
+		return func() error {
+			r, err := NewEngine(space, watch(ev), workers).Search(st, SearchOptions{Seed: 1, Budget: b})
+			if err == nil && b.MaxEvals > 0 && r.Stop != StopBudget {
+				return fmt.Errorf("stopped on %q, not the budget", r.Stop)
+			}
+			return err
+		}
+	}
+	evalAll := func(ev Evaluator) func() error {
+		return func() error {
+			_, err := NewEngine(space, watch(ev), workers).EvalAll(space.Enumerate())
+			return err
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		run     func() error
+		wantErr string
+	}{
+		{"search/normal end", search(good, Exhaustive{}, Budget{}), ""},
+		{"search/budget stop", search(good, Exhaustive{}, Budget{MaxEvals: 20}), ""},
+		{"search/failing evaluator", search(failing, Exhaustive{}, Budget{}), "evaluator failed"},
+		{"search/tell error", search(good, tellErrStrategy{}, Budget{}), "tell failed"},
+		{"evalall/normal end", evalAll(good), ""},
+		{"evalall/failing evaluator", evalAll(failing), "evaluator failed"},
+	} {
+		base := settledGoroutines()
+		peak.Store(0)
+		err := c.run()
+		if c.wantErr == "" && err != nil || c.wantErr != "" && (err == nil || err.Error() != c.wantErr) {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.wantErr)
+		}
+		if p := peak.Load(); p != base+workers-1 {
+			t.Errorf("%s: %d goroutines ran during the call, want %d: the %d running before it plus %d helpers",
+				c.name, p, base+workers-1, base, workers-1)
+		}
+		if n := settledGoroutines(); n != base {
+			t.Errorf("%s: %d goroutines after the call returned, want %d", c.name, n, base)
+		}
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has held
+// still for five milliseconds (or after a second): a helper that has
+// signalled its exit is counted until it returns.
+func settledGoroutines() int64 {
+	n := int64(runtime.NumGoroutine())
+	for i, still := 0, 0; still < 5 && i < 1000; i++ {
+		time.Sleep(time.Millisecond)
+		if m := int64(runtime.NumGoroutine()); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
 }

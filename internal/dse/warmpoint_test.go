@@ -139,7 +139,7 @@ func TestDifferentialWarmPointParams(t *testing.T) {
 			w := perf.Workload{NKI: 10}
 			check := func(ctx string, ev Evaluator, workers int) {
 				t.Helper()
-				ps, errs := NewEngine(space, ev, workers).evalAllKeep(vs)
+				ps, errs := evalKeep(NewEngine(space, ev, workers), vs)
 				for i, v := range vs {
 					if errs[i] != nil {
 						t.Fatalf("%s: %s: %v", ctx, space.Describe(v), errs[i])
@@ -187,7 +187,7 @@ func TestDifferentialWarmPointParams(t *testing.T) {
 		wantErr := map[string]string{}
 		for _, workers := range []int{1, 4, 8} {
 			ctx := fmt.Sprintf("extract-failure/shelf=%v/j%d", onShelf, workers)
-			ps, errs := NewEngine(space, newEval(EvalModel, onShelf, badW, nil), workers).evalAllKeep(vs)
+			ps, errs := evalKeep(NewEngine(space, newEval(EvalModel, onShelf, badW, nil), workers), vs)
 			for i, v := range vs {
 				dv, _ := space.Value(v, AxisDV)
 				if dv == 1 {
@@ -217,6 +217,19 @@ func TestDifferentialWarmPointParams(t *testing.T) {
 			}
 		}
 	}
+}
+
+// evalKeep evaluates vs as one wave at the engine's worker count and
+// returns every point beside its error, failures included.
+func evalKeep(e *Engine, vs []Variant) ([]*Point, []error) {
+	h := e.startHelpers(e.Workers - 1)
+	defer h.stop()
+	outs := e.runWave(h, vs)
+	ps, errs := make([]*Point, len(outs)), make([]error, len(outs))
+	for i, o := range outs {
+		ps[i], errs[i] = o.Point, o.Err
+	}
+	return ps, errs
 }
 
 // shelfTarget returns the named shelf entry, or the first one for "".
