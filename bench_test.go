@@ -472,6 +472,31 @@ func BenchmarkPipesimCompile(b *testing.B) {
 	}
 }
 
+// BenchmarkPipesimCompileLanes prices compilation alone — validate,
+// bind every lane's call site, lower the PE function and sum the
+// timing — on the Fig 15 SOR workload at 1, 4 and 16 lanes: what
+// simulation-backed DSE pays per lane count before it reads Timing. The
+// lanes replicate one kernel, so the allocations should grow far slower
+// than the lane count (pipesim's TestCompileAllocsFlatInLanes gates the
+// 16-lane to 1-lane ratio).
+func BenchmarkPipesimCompileLanes(b *testing.B) {
+	for _, lanes := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			m, err := experiments.Fig15Spec(lanes).Module()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pipesim.Compile(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPipesimRun prices d.Run on a shared CompiledDesign: a fresh
 // instance plus one run, what a caller holding only the design pays per
 // run. Allocations are reported: the instance scratch is the part a

@@ -348,12 +348,17 @@ func (s *Space) Describe(v Variant) string {
 // Enumerate lists every point of the space in row-major order: the
 // first axis varies slowest, the last fastest. The order is
 // deterministic, so parallel evaluation returns results in a stable
-// order regardless of worker scheduling.
+// order regardless of worker scheduling. The variants share one backing
+// array; each is capped at its own length, so appending to one never
+// writes into the next.
 func (s *Space) Enumerate() []Variant {
+	n := len(s.axes)
 	out := make([]Variant, 0, s.Size())
-	cur := make(Variant, len(s.axes))
+	all := make([]int, s.Size()*n)
+	cur := make(Variant, n)
 	for {
-		v := make(Variant, len(cur))
+		k := len(out) * n
+		v := Variant(all[k : k+n : k+n])
 		copy(v, cur)
 		out = append(out, v)
 		i := len(cur) - 1

@@ -61,9 +61,12 @@ var DefaultDims = []int{100, 250, 500, 1000, 2000, 3000, 4000, 5000, 6000}
 // kernel-dispatch overhead that dominates small sizes.
 //
 // Every (dim, pattern) cell starts from precharged banks, so the cells
-// are independent: they run on up to GOMAXPROCS workers, each with its
-// own DRAM channel, largest first, and each result lands in its fixed
-// slot — the table is the same whatever the worker count.
+// are independent. The contiguous cells all stream from address 0, so
+// each is a prefix of the largest and one walk measures them all
+// (memsim.DRAM.ContiguousSeconds); each strided cell is a walk of its
+// own. The walks run on up to GOMAXPROCS workers, each with its own
+// DRAM channel, largest first, and each sample lands in its fixed slot —
+// the table is the same whatever the worker count.
 func RunStreamBenchmark(t *device.Target, dims []int) ([]Sample, error) {
 	if len(dims) == 0 {
 		dims = DefaultDims
@@ -73,15 +76,26 @@ func RunStreamBenchmark(t *device.Target, dims []int) ([]Sample, error) {
 			return nil, fmt.Errorf("membw: non-positive benchmark dimension %d", dim)
 		}
 	}
-	type cell struct {
-		dim int
-		pat tir.AccessPattern
+	// Job 0 walks the contiguous cells; job k >= 1 the strided cell of
+	// dims[k-1]. Largest first, by simulated accesses: the contiguous
+	// walk moves max(dim)²·elemBytes/BurstBytes bursts; a strided cell
+	// walks only the column passes whose rows or starting row buffers
+	// change, about a tenth of its dim² elements on the registered
+	// targets.
+	accesses := make([]int64, len(dims)+1)
+	for k, dim := range dims {
+		n := int64(dim) * int64(dim)
+		accesses[0] = max(accesses[0], n*elemBytes/int64(t.DRAM.BurstBytes))
+		accesses[k+1] = n / 10
 	}
-	cells := make([]cell, 0, 2*len(dims))
-	for _, dim := range dims {
-		cells = append(cells, cell{dim, tir.PatternContiguous}, cell{dim, tir.PatternStrided})
+	order := make([]int, len(accesses))
+	for i := range order {
+		order[i] = i
 	}
-	drams := make([]*memsim.DRAM, min(runtime.GOMAXPROCS(0), len(cells)))
+	sort.SliceStable(order, func(a, b int) bool {
+		return accesses[order[a]] > accesses[order[b]]
+	})
+	drams := make([]*memsim.DRAM, min(runtime.GOMAXPROCS(0), len(order)))
 	for w := range drams {
 		dram, err := memsim.NewDRAM(t.DRAM)
 		if err != nil {
@@ -89,38 +103,30 @@ func RunStreamBenchmark(t *device.Target, dims []int) ([]Sample, error) {
 		}
 		drams[w] = dram
 	}
-	// Largest first, by simulated accesses: a contiguous cell moves
-	// dim²·elemBytes/BurstBytes bursts; a strided cell walks only the
-	// column passes whose rows or starting row buffers change, about a
-	// tenth of its dim² elements on the registered targets.
-	accesses := func(c cell) int64 {
-		n := int64(c.dim) * int64(c.dim)
-		if c.pat == tir.PatternStrided {
-			return n / 10
-		}
-		return n * elemBytes / int64(t.DRAM.BurstBytes)
-	}
-	order := make([]int, len(cells))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return accesses(cells[order[a]]) > accesses(cells[order[b]])
-	})
 	queue := make(chan int, len(order))
 	for _, i := range order {
 		queue <- i
 	}
 	close(queue)
-	out := make([]Sample, len(cells))
-	errs := make([]error, len(cells))
+	// Table order: the contiguous then the strided sample of each dim.
+	out := make([]Sample, 2*len(dims))
+	errs := make([]error, len(order))
 	var wg sync.WaitGroup
 	for _, dram := range drams {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range queue {
-				out[i], errs[i] = streamCell(t, dram, cells[i].dim, cells[i].pat)
+			for job := range queue {
+				dram.Reset()
+				if job == 0 {
+					errs[job] = contiguousCells(t, dram, dims, out)
+					continue
+				}
+				k := job - 1
+				// Column walk: dim passes, each streaming dim elements at
+				// stride dim (wrapping to the next column between passes).
+				secs, err := dram.ColumnWalkSeconds(int64(dims[k]), elemBytes)
+				out[2*k+1], errs[job] = sample(t, dims[k], tir.PatternStrided, secs), err
 			}
 		}()
 	}
@@ -133,26 +139,28 @@ func RunStreamBenchmark(t *device.Target, dims []int) ([]Sample, error) {
 	return out, nil
 }
 
-// streamCell measures one benchmark cell: a dim×dim array streamed with
-// the given pattern from precharged banks.
-func streamCell(t *device.Target, dram *memsim.DRAM, dim int, pat tir.AccessPattern) (Sample, error) {
-	n := int64(dim) * int64(dim)
-	bytes := n * elemBytes
-	dram.Reset()
-	var secs float64
-	var err error
-	if pat == tir.PatternStrided {
-		// Column walk: dim passes, each streaming dim elements at
-		// stride dim (wrapping to the next column between passes).
-		secs, err = dram.ColumnWalkSeconds(int64(dim), elemBytes)
-	} else {
-		secs, err = dram.StreamSeconds(0, n, elemBytes, 1)
+// contiguousCells measures the contiguous cell of every dim in one
+// prefix walk from dram's precharged banks, into out's even slots.
+func contiguousCells(t *device.Target, dram *memsim.DRAM, dims []int, out []Sample) error {
+	ns := make([]int64, len(dims))
+	for k, dim := range dims {
+		ns[k] = int64(dim) * int64(dim)
 	}
+	secs, err := dram.ContiguousSeconds(ns, elemBytes)
 	if err != nil {
-		return Sample{}, err
+		return err
 	}
-	steady := secs
-	secs += t.LaunchOverheadSec
+	for k, dim := range dims {
+		out[2*k] = sample(t, dim, tir.PatternContiguous, secs[k])
+	}
+	return nil
+}
+
+// sample is the benchmark cell of a dim×dim array streamed with the
+// given pattern while the channel is busy for steady seconds.
+func sample(t *device.Target, dim int, pat tir.AccessPattern, steady float64) Sample {
+	bytes := int64(dim) * int64(dim) * elemBytes
+	secs := steady + t.LaunchOverheadSec
 	return Sample{
 		Dim:             dim,
 		Pattern:         pat,
@@ -161,7 +169,7 @@ func streamCell(t *device.Target, dram *memsim.DRAM, dim int, pat tir.AccessPatt
 		Sustained:       float64(bytes) / secs,
 		SteadySeconds:   steady,
 		SteadySustained: float64(bytes) / steady,
-	}, nil
+	}
 }
 
 // StrideSample is one point of the stride sweep: a fixed-size stream

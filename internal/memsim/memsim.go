@@ -14,6 +14,7 @@
 package memsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -128,7 +129,60 @@ func (d *DRAM) StreamSeconds(base, n int64, elemBytes int, strideElems int64) (f
 	if !ok {
 		return 0, errOverrun(base, n, elemBytes, strideElems)
 	}
-	return d.walk(base, count, step, hit)/d.spec.ClockHz + d.spec.SetupSeconds, nil
+	return d.walk(base, count, step, hit, 0)/d.spec.ClockHz + d.spec.SetupSeconds, nil
+}
+
+// ContiguousSeconds returns StreamSeconds(0, n, elemBytes, 1) for each n
+// of ns, bit for bit, as if each call started from the row buffers d
+// holds now, in one walk of the largest stream. Every such stream moves
+// the bursts at 0, BurstBytes, 2·BurstBytes, ... in that order, so a
+// shorter one is a prefix of a longer one, and the longer walk's running
+// cycle sum at the prefix's end is the shorter one's sum: the same
+// additions in the same order. ns may come in any order and repeat;
+// out[i] answers ns[i]. On success d's row buffers are as
+// StreamSeconds of the largest n leaves them; the error is the first
+// StreamSeconds would return over ns in order.
+func (d *DRAM) ContiguousSeconds(ns []int64, elemBytes int) ([]float64, error) {
+	burst := int64(d.spec.BurstBytes)
+	counts := make([]int64, len(ns)) // bursts per stream, 0 for an empty one
+	for i, n := range ns {
+		if n <= 0 {
+			continue
+		}
+		if elemBytes <= 0 {
+			return nil, fmt.Errorf("memsim: element size must be positive, got %d", elemBytes)
+		}
+		if n > math.MaxInt64/int64(elemBytes) {
+			return nil, errOverrun(0, n, elemBytes, 1)
+		}
+		// From address 0 the last burst starts below bytes, so the walk
+		// stays within int64.
+		bytes := n * int64(elemBytes)
+		counts[i] = bytes / burst
+		if bytes%burst != 0 {
+			counts[i]++
+		}
+	}
+	order := make([]int, len(ns))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(counts[a], counts[b]) })
+	out := make([]float64, len(ns))
+	bc := d.burstCycles()
+	var done int64 // bursts walked so far
+	cycles := 0.0
+	for _, i := range order {
+		if counts[i] == 0 {
+			continue
+		}
+		if counts[i] > done {
+			cycles = d.walk(done*burst, counts[i]-done, burst, bc, cycles)
+			done = counts[i]
+		}
+		out[i] = cycles/d.spec.ClockHz + d.spec.SetupSeconds
+	}
+	return out, nil
 }
 
 // walkStep returns the byte step stride·scale of a count-access walk
@@ -209,7 +263,7 @@ func (d *DRAM) ColumnWalkSeconds(dim int64, elemBytes int) (float64, error) {
 		if sameRows {
 			before = append(before[:0], d.openRow...)
 		}
-		passSecs = d.walk(base, dim, step, hit)/d.spec.ClockHz + d.spec.SetupSeconds
+		passSecs = d.walk(base, dim, step, hit, 0)/d.spec.ClockHz + d.spec.SetupSeconds
 		secs += passSecs
 		reuse = sameRows && slices.Equal(before, d.openRow)
 	}
@@ -227,12 +281,14 @@ func errOverrun(base, n int64, elemBytes int, strideElems int64) error {
 var walked atomic.Int64
 
 // walk accounts count >= 1 accesses at base, base+step, base+2·step, ...
-// (base >= 0, step >= 0, last address within int64) and returns their
-// cycles: hit per row-buffer hit, hit+RowMissCycles per miss, summed in
-// access order. It is touch applied to each address, bit for bit: the
-// row, the offset within it and the bank advance by the step's quotient
-// and remainder instead of being divided out of every address.
-func (d *DRAM) walk(base, count, step int64, hit float64) float64 {
+// (base >= 0, step >= 0, last address within int64), adds their cycles
+// to cycles in access order and returns the sum: hit per row-buffer
+// hit, hit+RowMissCycles per miss. A walk that continues where another
+// ended therefore sums what one walk over both would. It is touch
+// applied to each address, bit for bit: the row, the offset within it
+// and the bank advance by the step's quotient and remainder instead of
+// being divided out of every address.
+func (d *DRAM) walk(base, count, step int64, hit, cycles float64) float64 {
 	walked.Add(count)
 	rowBytes, banks := int64(d.spec.RowBytes), int64(d.spec.Banks)
 	miss := hit + float64(d.spec.RowMissCycles)
@@ -241,7 +297,6 @@ func (d *DRAM) walk(base, count, step int64, hit float64) float64 {
 	dRow, dOff := step/rowBytes, step%rowBytes
 	dBank := dRow % banks
 	open := d.openRow
-	cycles := 0.0
 	for i := int64(1); ; i++ {
 		if open[bank] == row {
 			cycles += hit

@@ -378,6 +378,102 @@ func TestStreamWalkMatchesPerAccess(t *testing.T) {
 	}
 }
 
+// TestContiguousSecondsMatchesPerStream checks the prefix walk of
+// ContiguousSeconds against a separate StreamSeconds call per size, each
+// on a copy of the channel's starting row buffers, over seeded random
+// channels, element sizes and size lists that are unsorted, repeat
+// sizes and hold empty streams: seconds bit for bit, and the row
+// buffers after the call against those the largest stream leaves.
+func TestContiguousSecondsMatchesPerStream(t *testing.T) {
+	r := rand.New(rand.NewPCG(23, 2024))
+	for trial := 0; trial < 120; trial++ {
+		spec := randomDRAMSpec(r)
+		got, err := NewDRAM(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.IntN(2) == 0 {
+			// Start from row buffers an earlier stream left.
+			if _, err := got.StreamSeconds(r.Int64N(1<<20), 1+r.Int64N(500), 4, r.Int64N(9)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		start := slices.Clone(got.openRow)
+		elem := 1 + r.IntN(16)
+		ns := make([]int64, 1+r.IntN(12))
+		for i := range ns {
+			switch r.IntN(6) {
+			case 0:
+				ns[i] = -r.Int64N(3) // empty
+			case 1:
+				if i > 0 {
+					ns[i] = ns[r.IntN(i)] // a repeat
+					break
+				}
+				fallthrough
+			default:
+				ns[i] = 1 + r.Int64N(5000)
+			}
+		}
+		secs, err := got.ContiguousSeconds(ns, elem)
+		if err != nil {
+			t.Fatalf("spec %+v: ContiguousSeconds(%v, %d): %v", spec, ns, elem, err)
+		}
+		var afterLargest []int64
+		largest := int64(0)
+		for i, n := range ns {
+			want := &DRAM{spec: spec, openRow: slices.Clone(start)}
+			wantSecs, err := want.StreamSeconds(0, n, elem, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(secs[i]) != math.Float64bits(wantSecs) {
+				t.Fatalf("spec %+v: ContiguousSeconds(%v, %d)[%d] = %v, StreamSeconds(0, %d, %d, 1) = %v",
+					spec, ns, elem, i, secs[i], n, elem, wantSecs)
+			}
+			if n > largest {
+				largest, afterLargest = n, want.openRow
+			}
+		}
+		if afterLargest == nil {
+			afterLargest = start
+		}
+		if !slices.Equal(got.openRow, afterLargest) {
+			t.Fatalf("spec %+v: after ContiguousSeconds(%v, %d) open rows %v, after the largest stream %v",
+				spec, ns, elem, got.openRow, afterLargest)
+		}
+	}
+}
+
+// TestContiguousSecondsErrors checks that ContiguousSeconds fails with
+// the first error StreamSeconds returns over the sizes in order, and
+// that empty streams need no valid element size.
+func TestContiguousSecondsErrors(t *testing.T) {
+	cases := []struct {
+		ns   []int64
+		elem int
+	}{
+		{[]int64{0, -5}, 0},
+		{[]int64{10, 20}, 0},
+		{[]int64{0, 10}, -4},
+		{[]int64{8, math.MaxInt64 / 2}, 4},
+		{[]int64{math.MaxInt64 / 2, math.MaxInt64}, 4},
+		{[]int64{16, -1, math.MaxInt64}, 2},
+	}
+	for _, c := range cases {
+		_, gotErr := testDRAM(t).ContiguousSeconds(c.ns, c.elem)
+		var wantErr error
+		for _, n := range c.ns {
+			if _, wantErr = testDRAM(t).StreamSeconds(0, n, c.elem, 1); wantErr != nil {
+				break
+			}
+		}
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("ContiguousSeconds(%v, %d) error %v, StreamSeconds in order %v", c.ns, c.elem, gotErr, wantErr)
+		}
+	}
+}
+
 func TestStreamSecondsRejectsBadAddresses(t *testing.T) {
 	cases := []struct {
 		name    string

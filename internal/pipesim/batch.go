@@ -26,23 +26,23 @@ const batchN = 64
 // lane is one register slot's batch of work-item values.
 type lane [batchN]int64
 
-// buildBatch lowers the op program into its batched form: operand
+// buildBatch lowers the body's op program into its batched form: operand
 // encodings that read accumulators are remapped to broadcast lanes
 // appended after the register slots — legal because a batchable
 // program never writes an accumulator it reads outside the reduction
 // itself — and constant slots are broadcast once. Ops that write
 // accumulators keep their negative encodings and read the live
 // accumulator slab per lane.
-func (p *program) buildBatch() {
-	nslots := p.nslots
+func (b *body) buildBatch() {
+	nslots := b.nslots
 	remap := func(e int32) int32 {
 		if e < 0 {
 			return nslots + (-1 - e)
 		}
 		return e
 	}
-	bops := make([]op, len(p.ops))
-	copy(bops, p.ops)
+	bops := make([]op, len(b.ops))
+	copy(bops, b.ops)
 	for k := range bops {
 		o := &bops[k]
 		if opWritesAcc(o) {
@@ -71,10 +71,11 @@ func (p *program) buildBatch() {
 			o.a, o.b = remap(o.a), remap(o.b)
 		}
 	}
-	p.bops = bops
+	b.bops = bops
 	// The broadcast lanes themselves live in each instance's progState
 	// (constant slots are broadcast by progState.init), keeping the
-	// program immutable and shareable across concurrent instances.
+	// body immutable and shareable across call sites and concurrent
+	// instances.
 }
 
 // execBatched runs the program: scalar head up to the interior, full

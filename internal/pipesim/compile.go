@@ -12,10 +12,14 @@ import (
 // register file. Everything the wave-by-wave interpreter re-derives per
 // work-item — string-keyed environments, offset-root resolution, port
 // binding, opcode dispatch, pipeline depth, accumulator drain — is
-// resolved here exactly once per call site, so the executor's inner
-// loop touches nothing but slices. The retained interpreter in
-// pipesim.go is the oracle this lowering is differentially tested
-// against (fuzz_test.go).
+// resolved here once, so the executor's inner loop touches nothing but
+// slices. The lowering is split along what it depends on: a body holds
+// what follows from the function and the direction of each parameter's
+// stream, and is compiled once per design for each such pair; a
+// program binds one call site's streams to a body. The lanes of a par
+// node replicate one kernel, so they share one body. The retained
+// interpreter in pipesim.go is the oracle this lowering is
+// differentially tested against (fuzz_test.go).
 
 // uop is the micro-operation code of one compiled datapath step.
 type uop uint8
@@ -128,38 +132,54 @@ type accInfo struct {
 	allSelfRead bool
 }
 
-// program is the compiled form of one PE call site: the slot-indexed
-// datapath plus everything runCall used to recompute per invocation
-// (items, fill cycles, port bindings, accumulator set). A program is
-// immutable once compileCall returns — all mutable execution state
-// lives in the progState of an Instance (design.go), so one program
-// serves any number of concurrent instances.
+// body is the compiled datapath of one pipe function under one
+// assignment of stream directions to its parameters: the op program,
+// its accumulators and register-file shape, and the fill cycles. Stream
+// indices in ops count a direction's parameters in declaration order,
+// so every call site with the same directions binds the same indices. A
+// body is immutable once compileBody returns and is shared by every
+// program that runs it.
+type body struct {
+	// dirs is each argument's port direction, the body's key within its
+	// function.
+	dirs []tir.Direction
+	ops  []op
+	accs []*accInfo
+	// fill is the invocation's non-streaming cycles: burst-aligned
+	// window priming + pipeline depth + handshake + accumulator drain.
+	fill int64
+	// bops is the batched form of the op program (nil when the body is
+	// not batch-safe or batching is disabled); see batch.go.
+	bops []op
+	// nslots is the register-file size a progState allocates; consts
+	// are the write-once constant slots it loads at construction.
+	nslots int32
+	consts []constSlot
+}
+
+// program is the compiled form of one PE call site: a shared body plus
+// the site's stream bindings and the work-item ranges they imply. A
+// program is immutable once compiled — all mutable execution state lives
+// in the progState of an Instance (design.go), so one program serves any
+// number of concurrent instances.
 type program struct {
-	ops   []op
+	*body
 	ins   []streamBind
 	outs  []streamBind
 	binds []bindStep // call-arg declaration order over ins/outs
-	accs  []*accInfo
 	items int64
 	// idx is the program's slot in an Instance's progState slice,
 	// assigned in compilation order by compileTree.
 	idx int
-	// fill is the invocation's non-streaming cycles: burst-aligned
-	// window priming + pipeline depth + handshake + accumulator drain.
-	fill int64
 
 	// [loffLo, loffHi) is the interior: the work-item range where every
 	// window load (uopLoadOff) is in bounds, computed from the static
 	// stream shapes. The scalar executor runs it without the per-item
 	// bounds branch; the batched executor runs it in full batchN chunks.
 	loffLo, loffHi int64
-	// bops is the batched form of the op program (nil when the program
-	// is not batch-safe or batching is disabled); see batch.go.
-	bops []op
-	// nslots is the register-file size a progState allocates; consts
-	// are the write-once constant slots it loads at construction.
-	nslots int32
-	consts []constSlot
+	// batched reports that the site runs bops: the body has a batched
+	// form and the site's streams are not self-aliased.
+	batched bool
 }
 
 // progState is the mutable execution scratch of one program inside one
@@ -186,7 +206,7 @@ func (st *progState) init(p *program) {
 	st.accVals = make([]int64, len(p.accs))
 	st.inArrs = make([][]int64, len(p.ins))
 	st.outArrs = make([][]int64, len(p.outs))
-	if p.bops != nil {
+	if p.batched {
 		st.bregs = make([]lane, int(p.nslots)+len(p.accs))
 		for _, cs := range p.consts {
 			bl := &st.bregs[cs.slot]
@@ -199,9 +219,9 @@ func (st *progState) init(p *program) {
 
 // compiler carries the state of one lowering.
 type compiler struct {
-	m    *tir.Module
-	fn   *tir.Function
-	prog *program
+	m  *tir.Module
+	fn *tir.Function
+	b  *body
 
 	nslots   int32
 	slots    map[string]int32 // parent-scope SSA name -> slot
@@ -220,65 +240,81 @@ type constSlot struct {
 	val  int64
 }
 
-// compileCall lowers the pipe function fn as invoked by call: it
-// performs bind()'s static port checks, resolves offset roots, flattens
-// comb children, pre-computes the fill terms and lowers the batched
-// form unless cfg disables it.
-func compileCall(m *tir.Module, call *tir.CallInstr, fn *tir.Function, cfg Config) (*program, error) {
-	c := &compiler{
-		m: m, fn: fn,
-		prog:      &program{},
-		slots:     map[string]int32{},
-		constIdx:  map[int64]int32{},
-		accIdx:    map[string]int32{},
-		inParams:  map[string]int32{},
-		outParams: map[string]int32{},
-	}
-
-	// Port binding: the static half of bind().
+// bindCall performs bind()'s static port checks for the call site of
+// the pipe function fn and resolves its stream bindings, in argument
+// order. It returns the site's program without a body, and dirs, each
+// argument's port direction: the key of the body the site runs.
+func bindCall(m *tir.Module, call *tir.CallInstr, fn *tir.Function) (p *program, dirs []tir.Direction, err error) {
+	p = &program{binds: make([]bindStep, 0, len(call.Args))}
+	dirs = make([]tir.Direction, len(call.Args))
 	items := int64(-1)
 	for k, a := range call.Args {
 		param := fn.Params[k]
 		if a.Kind != tir.OpGlobal {
-			return nil, fmt.Errorf("pipesim: call @%s: argument %d must wire a top-level port, got %s",
+			return nil, nil, fmt.Errorf("pipesim: call @%s: argument %d must wire a top-level port, got %s",
 				fn.Name, k, a)
 		}
 		port := m.Port(a.Name)
 		if port == nil {
-			return nil, fmt.Errorf("pipesim: call @%s: no port @%s", fn.Name, a.Name)
+			return nil, nil, fmt.Errorf("pipesim: call @%s: no port @%s", fn.Name, a.Name)
 		}
 		if port.Elem != param.Ty {
-			return nil, fmt.Errorf("pipesim: call @%s: port @%s type %s does not match parameter %%%s type %s",
+			return nil, nil, fmt.Errorf("pipesim: call @%s: port @%s type %s does not match parameter %%%s type %s",
 				fn.Name, a.Name, port.Elem, param.Name, param.Ty)
 		}
 		so := m.Stream(port.Stream)
 		if so == nil {
-			return nil, fmt.Errorf("pipesim: port @%s has no stream object", a.Name)
+			return nil, nil, fmt.Errorf("pipesim: port @%s has no stream object", a.Name)
 		}
 		mo := m.MemObject(so.Mem)
 		if mo == nil {
-			return nil, fmt.Errorf("pipesim: stream %%%s has no memory object", so.Name)
+			return nil, nil, fmt.Errorf("pipesim: stream %%%s has no memory object", so.Name)
 		}
+		dirs[k] = port.Dir
 		switch port.Dir {
 		case tir.DirIn:
-			idx := int32(len(c.prog.ins))
-			c.inParams[param.Name] = idx
-			c.prog.ins = append(c.prog.ins, streamBind{param: param.Name, mem: mo.Name, size: mo.Size})
-			c.prog.binds = append(c.prog.binds, bindStep{out: false, idx: idx})
+			p.binds = append(p.binds, bindStep{out: false, idx: int32(len(p.ins))})
+			p.ins = append(p.ins, streamBind{param: param.Name, mem: mo.Name, size: mo.Size})
 		case tir.DirOut:
-			idx := int32(len(c.prog.outs))
-			c.outParams[param.Name] = idx
-			c.prog.outs = append(c.prog.outs, streamBind{param: param.Name, mem: mo.Name, size: mo.Size})
-			c.prog.binds = append(c.prog.binds, bindStep{out: true, idx: idx})
+			p.binds = append(p.binds, bindStep{out: true, idx: int32(len(p.outs))})
+			p.outs = append(p.outs, streamBind{param: param.Name, mem: mo.Name, size: mo.Size})
 		}
 		if items < 0 || mo.Size < items {
 			items = mo.Size
 		}
 	}
 	if items < 0 {
-		return nil, fmt.Errorf("pipesim: call @%s binds no streams", fn.Name)
+		return nil, nil, fmt.Errorf("pipesim: call @%s binds no streams", fn.Name)
 	}
-	c.prog.items = items
+	p.items = items
+	return p, dirs, nil
+}
+
+// compileBody lowers the pipe function fn with its parameters bound to
+// streams of the directions dirs: it resolves offset roots, flattens
+// comb children, pre-computes the fill terms and lowers the batched
+// form unless cfg disables it or the body is not batch-safe.
+func compileBody(m *tir.Module, fn *tir.Function, dirs []tir.Direction, cfg Config) (*body, error) {
+	c := &compiler{
+		m: m, fn: fn,
+		b:         &body{dirs: dirs},
+		slots:     map[string]int32{},
+		constIdx:  map[int64]int32{},
+		accIdx:    map[string]int32{},
+		inParams:  map[string]int32{},
+		outParams: map[string]int32{},
+	}
+	var nin, nout int32
+	for k, dir := range dirs {
+		switch dir {
+		case tir.DirIn:
+			c.inParams[fn.Params[k].Name] = nin
+			nin++
+		case tir.DirOut:
+			c.outParams[fn.Params[k].Name] = nout
+			nout++
+		}
+	}
 
 	// Input parameters enter the register file once per work-item.
 	for _, p := range fn.Params {
@@ -366,22 +402,21 @@ func compileCall(m *tir.Module, call *tir.CallInstr, fn *tir.Function, cfg Confi
 	if rem := primed % burstElems; rem != 0 || primed == 0 {
 		primed += burstElems - rem
 	}
-	c.prog.fill = primed + int64(depth) + handshake + c.drain
+	b := c.b
+	b.fill = primed + int64(depth) + handshake + c.drain
 
 	// Record the register-file shape; instances allocate their own
-	// scratch from it (progState.init), the program itself stays
+	// scratch from it (progState.init), the body itself stays
 	// immutable and shareable.
-	c.prog.nslots = c.nslots
-	c.prog.consts = c.consts
+	b.nslots = c.nslots
+	b.consts = c.consts
 
 	// Batch lowering runs after fill is final: it never changes
 	// accounting.
-	p := c.prog
-	p.computeInterior()
-	if !cfg.DisableBatch && !p.selfAliasedStreams() && p.batchSafe() {
-		p.buildBatch()
+	if !cfg.DisableBatch && b.batchSafe() {
+		b.buildBatch()
 	}
-	return p, nil
+	return b, nil
 }
 
 // selfAliasedStreams reports whether an input stream and an output
@@ -432,8 +467,8 @@ func (p *program) computeInterior() {
 // written and read outside its own reduction pins item order, and
 // multiple write sites interleave differently under batching unless
 // every site is the same mergeable reduction in op(self, value) form.
-func (p *program) batchSafe() bool {
-	for _, a := range p.accs {
+func (b *body) batchSafe() bool {
+	for _, a := range b.accs {
 		if a.written && a.readOutsideSelf {
 			return false
 		}
@@ -540,7 +575,7 @@ func (c *compiler) compileALU(in tir.Instr, scope map[string]int32, fname string
 // classifies the accumulator for the batch-safety analysis.
 func (c *compiler) compileAccWrite(it *tir.BinInstr, a, b int32, fn2 func(int64, int64) int64, drainEligible bool) {
 	ai := c.accSlot(it.Dst)
-	info := c.prog.accs[ai]
+	info := c.b.accs[ai]
 	_, mergeable := tir.AccIdentity(it.Op, it.Ty)
 	first := !info.written
 	if first {
@@ -700,11 +735,11 @@ func (c *compiler) resolve(o tir.Operand, scope map[string]int32, fname string) 
 // reads an accumulator outside the reduction self-read.
 func (c *compiler) noteAccRead(enc int32) {
 	if enc < 0 {
-		c.prog.accs[-1-enc].readOutsideSelf = true
+		c.b.accs[-1-enc].readOutsideSelf = true
 	}
 }
 
-func (c *compiler) emit(o op) { c.prog.ops = append(c.prog.ops, o) }
+func (c *compiler) emit(o op) { c.b.ops = append(c.b.ops, o) }
 
 func (c *compiler) newSlot() int32 {
 	s := c.nslots
@@ -730,9 +765,9 @@ func (c *compiler) accSlot(name string) int32 {
 	if i, ok := c.accIdx[name]; ok {
 		return i
 	}
-	i := int32(len(c.prog.accs))
+	i := int32(len(c.b.accs))
 	c.accIdx[name] = i
-	c.prog.accs = append(c.prog.accs, &accInfo{name: name})
+	c.b.accs = append(c.b.accs, &accInfo{name: name})
 	return i
 }
 
@@ -744,7 +779,7 @@ func (c *compiler) accSlot(name string) int32 {
 // uopLoadOff bounds branch is paid only at the boundaries. Neither path
 // allocates or touches a map.
 func (p *program) exec(st *progState) {
-	if p.bops != nil {
+	if p.batched {
 		p.execBatched(st)
 		return
 	}

@@ -2,6 +2,7 @@ package pipesim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/tir"
 )
@@ -10,22 +11,25 @@ import (
 // the wazero seam (CompileModule → shareable CompiledModule → cheap
 // per-call instance): a CompiledDesign holds everything that is
 // immutable after compilation — the validated module, its configuration
-// tree, the per-call-site op/bop programs, bind plans and batch
-// metadata — and is safe to share between any number of goroutines. All
-// mutable execution state (register and batch-lane scratch, bound
-// stream arrays, accumulator slabs, the per-run memory map) lives in an
-// Instance. A caller that runs one design many times holds one
-// Instance, whose Run then allocates little beyond the Result it hands
-// back.
+// tree, the per-function op/bop bodies and the per-call-site programs
+// that bind them to streams — and is safe to share between any number
+// of goroutines. All mutable execution state (register and batch-lane
+// scratch, bound stream arrays, accumulator slabs, the per-run memory
+// map) lives in an Instance. A caller that runs one design many times
+// holds one Instance, whose Run then allocates little beyond the Result
+// it hands back.
 
 // CompiledDesign is the immutable compiled form of one design variant.
 // It carries no execution scratch; any number of Instances (and
 // therefore goroutines) can execute it concurrently. Compile once,
 // run everywhere.
 type CompiledDesign struct {
-	m      *tir.Module
-	tree   *tir.ConfigNode
-	progs  map[*tir.CallInstr]*program
+	m     *tir.Module
+	tree  *tir.ConfigNode
+	progs map[*tir.CallInstr]*program
+	// bodies holds each pipe function's compiled bodies, one per
+	// assignment of stream directions its call sites use.
+	bodies map[*tir.Function][]*body
 	calls  map[*tir.ConfigNode][]*tir.CallInstr // per-node call sites, resolved once
 	nprogs int
 	// cycles and items are one kernel-instance's cost, summed once at
@@ -57,10 +61,11 @@ func CompileConfig(m *tir.Module, cfg Config) (*CompiledDesign, error) {
 		return nil, err
 	}
 	d := &CompiledDesign{
-		m:     m,
-		tree:  tree,
-		progs: map[*tir.CallInstr]*program{},
-		calls: map[*tir.ConfigNode][]*tir.CallInstr{},
+		m:      m,
+		tree:   tree,
+		progs:  map[*tir.CallInstr]*program{},
+		bodies: map[*tir.Function][]*body{},
+		calls:  map[*tir.ConfigNode][]*tir.CallInstr{},
 	}
 	if err := d.compileTree(tree, cfg); err != nil {
 		return nil, err
@@ -85,7 +90,7 @@ func (d *CompiledDesign) compileTree(n *tir.ConfigNode, cfg Config) error {
 			continue
 		}
 		if child.Mode == tir.ModePipe && len(child.Func.Params) > 0 {
-			p, err := compileCall(d.m, calls[i], child.Func, cfg)
+			p, err := d.compileCall(calls[i], child.Func, cfg)
 			if err != nil {
 				return err
 			}
@@ -98,6 +103,34 @@ func (d *CompiledDesign) compileTree(n *tir.ConfigNode, cfg Config) error {
 		}
 	}
 	return nil
+}
+
+// compileCall compiles the call site of the pipe function fn: it binds
+// the site's streams, then attaches the body an earlier site of fn with
+// the same stream directions compiled, or compiles that body now. The
+// site binds first: a design fails with its first error in call order,
+// a site's port error before its body's error.
+func (d *CompiledDesign) compileCall(call *tir.CallInstr, fn *tir.Function, cfg Config) (*program, error) {
+	p, dirs, err := bindCall(d.m, call, fn)
+	if err != nil {
+		return nil, err
+	}
+	i := slices.IndexFunc(d.bodies[fn], func(b *body) bool { return slices.Equal(b.dirs, dirs) })
+	if i < 0 {
+		b, err := compileBody(d.m, fn, dirs, cfg)
+		if err != nil {
+			return nil, err
+		}
+		i = len(d.bodies[fn])
+		d.bodies[fn] = append(d.bodies[fn], b)
+	}
+	// The interior follows from the body's window loads and the site's
+	// stream sizes; the site runs the batched form unless its streams
+	// alias.
+	p.body = d.bodies[fn][i]
+	p.computeInterior()
+	p.batched = p.bops != nil && !p.selfAliasedStreams()
+	return p, nil
 }
 
 // Timing returns the cycles and work-items of one kernel-instance of
@@ -256,13 +289,14 @@ func shapeErr(call *tir.CallInstr, n *tir.ConfigNode) error {
 	return fmt.Errorf("pipesim: unsupported call mode %s", n.Mode)
 }
 
-// BatchedPrograms reports how many of the compiled programs run on the
-// batched executor; the rest fall back to the scalar loop (self-aliased
-// streams, order-dependent accumulator use, or DisableBatch).
+// BatchedPrograms reports how many of the compiled programs (one per
+// PE call site) run on the batched executor; the rest fall back to the
+// scalar loop (self-aliased streams, order-dependent accumulator use,
+// or DisableBatch).
 func (d *CompiledDesign) BatchedPrograms() (batched, total int) {
 	for _, p := range d.progs {
 		total++
-		if p.bops != nil {
+		if p.batched {
 			batched++
 		}
 	}

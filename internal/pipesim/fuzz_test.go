@@ -18,6 +18,10 @@ import (
 // cost model must stay mutually consistent.
 type kernelGen struct {
 	state uint64
+	// par, when set, wraps f0 in a par node of 2–4 lanes on about half
+	// the seeds, each lane on streams of its own: the lanes share one
+	// compiled body.
+	par bool
 }
 
 func (g *kernelGen) next() uint64 {
@@ -80,21 +84,41 @@ func (g *kernelGen) build(seed uint64) (*tir.Module, map[string][]int64, int64) 
 	f0.Out(out, last)
 	f0.Accumulate("acc", tir.OpAdd, last)
 
-	main := b.Func("main", tir.ModeSeq)
-	var ops []tir.Operand
-	for _, n := range inNames {
-		ops = append(ops, b.GlobalPort("main", n, ty, size, tir.DirIn, tir.PatternContiguous, 1))
+	lanes := 1
+	if g.par && g.intn(2) == 1 {
+		lanes = 2 + g.intn(3)
 	}
-	ops = append(ops, b.GlobalPort("main", "q", ty, size, tir.DirOut, tir.PatternContiguous, 1))
-	main.CallOperands("f0", tir.ModePipe, ops...)
+	// laneName suffixes lane l's port names; lane 0 keeps the bare ones.
+	laneName := func(name string, l int) string {
+		if l == 0 {
+			return name
+		}
+		return fmt.Sprintf("%s_%d", name, l)
+	}
+	main := b.Func("main", tir.ModeSeq)
+	caller := main
+	if lanes > 1 {
+		caller = b.Func("f_lanes", tir.ModePar)
+		main.CallOperands("f_lanes", tir.ModePar)
+	}
+	for l := 0; l < lanes; l++ {
+		var ops []tir.Operand
+		for _, n := range inNames {
+			ops = append(ops, b.GlobalPort("main", laneName(n, l), ty, size, tir.DirIn, tir.PatternContiguous, 1))
+		}
+		ops = append(ops, b.GlobalPort("main", laneName("q", l), ty, size, tir.DirOut, tir.PatternContiguous, 1))
+		caller.CallOperands("f0", tir.ModePipe, ops...)
+	}
 
 	mem := map[string][]int64{}
-	for _, n := range inNames {
-		data := make([]int64, size)
-		for i := range data {
-			data[i] = int64(g.next()) & int64(ty.Mask())
+	for l := 0; l < lanes; l++ {
+		for _, n := range inNames {
+			data := make([]int64, size)
+			for i := range data {
+				data[i] = int64(g.next()) & int64(ty.Mask())
+			}
+			mem["mem_main_"+laneName(n, l)] = data
 		}
-		mem["mem_main_"+n] = data
 	}
 	return b.MustModule(), mem, size
 }
@@ -192,8 +216,9 @@ func TestRandomKernelsCompiledMatchesOracle(t *testing.T) {
 	// express must produce an identical Result — memory contents,
 	// accumulators, cycles and item count — from the compiled executor
 	// and the retained interpreter. This is the contract that lets the
-	// compiled path replace the oracle everywhere.
-	g := &kernelGen{}
+	// compiled path replace the oracle everywhere. About half the
+	// kernels replicate f0 over par lanes that share its compiled body.
+	g := &kernelGen{par: true}
 	for seed := uint64(1); seed <= 80; seed++ {
 		m, mem, _ := g.build(seed)
 		d, err := Compile(m)

@@ -10,9 +10,16 @@ import (
 )
 
 // fuzzSeeds returns FuzzCompile's seed corpus: the tir surface corpus
-// (good and bad) plus cheap structural mutations of each file.
+// (good and bad) plus cheap structural mutations of each file, and
+// random kernels, some replicated over par lanes that share one
+// compiled body.
 func fuzzSeeds(tb testing.TB) []string {
 	var seeds []string
+	g := &kernelGen{par: true}
+	for seed := uint64(1); seed <= 8; seed++ {
+		m, _, _ := g.build(seed)
+		seeds = append(seeds, m.String())
+	}
 	for _, pattern := range []string{
 		filepath.Join("..", "tir", "testdata", "*.tirl"),
 		filepath.Join("..", "tir", "testdata", "bad", "*.tirl"),

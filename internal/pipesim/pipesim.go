@@ -19,13 +19,14 @@
 // of the NDRange. These are what make actual CPKI differ from estimated
 // CPKI by the small margins the paper reports.
 //
-// Two executors implement that model. Run lowers each PE once into a
-// slot-indexed program (compile.go) and streams work-items through a
-// tight allocation-free loop (design.go); hold a CompiledDesign
-// (Compile) to amortise the compilation across many instances. RunOracle is the retained
-// wave-by-wave interpreter in this file — the reference the compiled
-// path is differentially tested against, selectable suite-wide with the
-// -pipesim.oracle test flag.
+// Two executors implement that model. Run lowers each PE function once
+// into a slot-indexed body that every call site binds to its own
+// streams (compile.go) and streams work-items through a tight
+// allocation-free loop (design.go); hold a CompiledDesign (Compile) to
+// amortise the compilation across many instances. RunOracle is the
+// retained wave-by-wave interpreter in this file — the reference the
+// compiled path is differentially tested against, selectable
+// suite-wide with the -pipesim.oracle test flag.
 //
 // Timing never depends on data: every cycle term is fixed when a PE
 // compiles. So the compiled path has one cycle formula, summed once
