@@ -385,6 +385,7 @@ func BenchmarkSimEvaluator(b *testing.B) {
 			}
 			variant := space.Enumerate()[0]
 			b.Run(fmt.Sprintf("%s/lanes=%d", mode, lanes), func(b *testing.B) {
+				b.ReportAllocs()
 				var p *dse.Point
 				for i := 0; i < b.N; i++ {
 					eval, err := dse.NewDeviceModeEvaluatorCache(mode, shelf, build,
@@ -402,6 +403,35 @@ func BenchmarkSimEvaluator(b *testing.B) {
 					b.ReportMetric(float64(p.SimCycles), "sim_cycles")
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkVariantFrontEnd prices the per-variant front end of one
+// sim-scored sweep (tytradse -eval sim, bench/'s sim-sweep): Fig 15 sor
+// at lanes 1..8, each lane count's module built (one tir.Check),
+// lowered for the cost model (costmodel.Lower: a Check, one
+// configuration tree, one ASAP schedule), compiled for the simulator
+// (pipesim.Compile: tir.Analyze, one tree, one schedule) and timed
+// (Timing). One op is all eight lane counts; allocations are reported.
+func BenchmarkVariantFrontEnd(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for lanes := 1; lanes <= 8; lanes++ {
+			m, err := experiments.Fig15Spec(lanes).Module()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := costmodel.Lower(m); err != nil {
+				b.Fatal(err)
+			}
+			d, err := pipesim.Compile(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := d.Timing(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

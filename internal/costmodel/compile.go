@@ -207,40 +207,26 @@ type classCount struct {
 // the call-tree instance counts, every datapath function's class
 // populations and schedule (each function scheduled once), and the
 // lane shape all happen here, once per module, whatever the target.
+// The classification, the lane count, the instance counts and the lane
+// shape all read one configuration tree.
 func Lower(m *tir.Module) (*Lowered, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	cfg, err := m.Classify()
+	tree, err := m.ConfigTree()
 	if err != nil {
 		return nil, err
 	}
 
-	// Hardware instance counts implied by the call tree — the oracle's
-	// walk, verbatim.
-	instances := map[string]int{}
-	var count func(fn *tir.Function, n int) error
-	count = func(fn *tir.Function, n int) error {
-		instances[fn.Name] += n
-		for _, c := range fn.Calls() {
-			callee := m.Func(c.Callee)
-			if callee == nil {
-				return fmt.Errorf("costmodel: unknown callee @%s", c.Callee)
-			}
-			if err := count(callee, n); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := count(m.Main(), 1); err != nil {
-		return nil, err
-	}
+	// Hardware instance counts implied by the call tree: a function has
+	// one instance per node of the configuration tree.
+	instances := make(map[*tir.Function]int, len(m.Funcs))
+	countInstances(tree, instances)
 
-	l := &Lowered{m: m, cfg: cfg, lanes: m.Lanes()}
-	shapes := map[*tir.Function]dpShape{}
+	l := &Lowered{m: m, cfg: tree.Classify(), lanes: tree.KernelLanes()}
+	shapes := make(map[*tir.Function]dpShape, len(m.Funcs))
 	for _, f := range m.Funcs {
-		n := instances[f.Name]
+		n := instances[f]
 		if n == 0 {
 			continue
 		}
@@ -259,10 +245,6 @@ func Lower(m *tir.Module) (*Lowered, error) {
 		l.funcs = append(l.funcs, lf)
 	}
 
-	tree, err := m.ConfigTree()
-	if err != nil {
-		return nil, err
-	}
 	kpd, ni, noff, err := laneShape(tree, func(f *tir.Function) (dpShape, error) {
 		if s, ok := shapes[f]; ok {
 			return s, nil
@@ -278,14 +260,27 @@ func Lower(m *tir.Module) (*Lowered, error) {
 	return l, nil
 }
 
+// countInstances adds one hardware instance of n's function, and of
+// every function below it, per node of the tree under n.
+func countInstances(n *tir.ConfigNode, instances map[*tir.Function]int) {
+	instances[n.Func]++
+	for _, c := range n.Children {
+		countInstances(c, instances)
+	}
+}
+
 // lowerDatapath lowers one pipe/comb function: its instruction-class
 // populations, balancing delay lines, port count and offset windows.
 // It returns the function's lane shape, read off the same schedule and
 // windows.
 func lowerDatapath(m *tir.Module, f *tir.Function, lf *loweredFunc) (dpShape, error) {
-	instrs := f.DatapathInstrs()
+	ni := 0
 	at := map[instrClass]int{}
-	for _, in := range instrs {
+	for _, in := range f.Body {
+		if _, call := in.(*tir.CallInstr); call {
+			continue
+		}
+		ni++
 		c, ok := classify(in)
 		if !ok {
 			continue
@@ -313,7 +308,7 @@ func lowerDatapath(m *tir.Module, f *tir.Function, lf *loweredFunc) (dpShape, er
 	}
 	lf.ports = len(f.Params)
 
-	shape := dpShape{depth: sch.Depth, ni: len(instrs)}
+	shape := dpShape{depth: sch.Depth, ni: ni}
 	for _, w := range schedule.OffsetWindows(f) {
 		if w.MaxAhead > shape.noff {
 			shape.noff = w.MaxAhead

@@ -257,10 +257,12 @@ func (me *modelEval) compiledModel(lanes int) (*costmodel.CompiledModel, error) 
 
 // inventory returns the stream inventory of the lane count's module
 // against the device's bandwidth model, taken once: every dv of the
-// lane count prices its estimate through it.
-func (me *modelEval) inventory(lanes int, m *tir.Module) *perf.Inventory {
+// lane count prices its estimate through it. The estimate carries the
+// module and its lane count, so the inventory builds no configuration
+// tree of its own.
+func (me *modelEval) inventory(lanes int, est *costmodel.Estimate) *perf.Inventory {
 	cell := loadCell[onceCell[*perf.Inventory]](&me.inventories, lanes)
-	cell.once.Do(func() { cell.val = perf.NewInventory(m, m.Lanes(), me.bw) })
+	cell.once.Do(func() { cell.val = perf.NewInventory(est.Module, est.Lanes, me.bw) })
 	return cell.val
 }
 
@@ -280,7 +282,7 @@ func (me *modelEval) params(lanes, dv int) *estCell {
 		if c.est, c.err = me.estimate(lanes, dv); c.err != nil {
 			return
 		}
-		inv := me.inventory(lanes, c.est.Module)
+		inv := me.inventory(lanes, c.est)
 		if c.par, c.err = inv.Params(c.est, me.w); c.err != nil {
 			c.err = fmt.Errorf("dse: extracting %d-lane parameters: %w", lanes, c.err)
 		}

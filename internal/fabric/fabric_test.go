@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/device"
+	"repro/internal/diag"
 	"repro/internal/kernels"
 	"repro/internal/tir"
 )
@@ -189,5 +190,83 @@ func TestCyclesPerKernelInstance(t *testing.T) {
 	}
 	if cpki <= n || cpki > n+400 {
 		t.Errorf("structural CPKI = %d for %d items", cpki, n)
+	}
+}
+
+// rejectedHead declares one input stream for the rejected modules below.
+const rejectedHead = `%mem_a = memobj ui18, size 64, space global, pattern CONT
+%strobj_a = strobj %mem_a, dir in, port main.a
+@main.a = addrSpace(12) ui18, !"istream", !"CONT", !0, !"strobj_a"
+`
+
+// TestRejectedModulesAreErrors feeds modules that Check rejects to the
+// consumers that walk the call hierarchy: each must answer with an
+// error, never a panic or an unbounded recursion.
+func TestRejectedModulesAreErrors(t *testing.T) {
+	cases := []struct {
+		name, src string
+		// treeCode is the diagnostic code ConfigTree and Classify
+		// report; "" when the configuration tree builds.
+		treeCode string
+	}{
+		{"no main", rejectedHead + `define void @f0(ui18 %a) pipe {
+  ui18 %1 = add ui18 %a, 1
+}
+`, tir.CodeNoMain},
+		{"unknown callee", rejectedHead + `define void @main() {
+  call @nope() pipe
+}
+`, tir.CodeUnknownCallee},
+		{"comb call arity", rejectedHead + `define void @c(ui18 %x, ui18 %y) comb {
+  out ui18 %y, %x
+}
+define void @f0(ui18 %a) pipe {
+  call @c(%a, %b, %z) comb
+}
+define void @main() {
+  call @f0(@main.a) pipe
+}
+`, ""},
+		{"call cycle", rejectedHead + `define void @f0(ui18 %a) pipe {
+  call @f1() pipe
+}
+define void @f1() pipe {
+  call @f0(@main.a) pipe
+}
+define void @main() {
+  call @f0(@main.a) pipe
+}
+`, tir.CodeRecursion},
+	}
+	synth := New(device.StratixVGSD8())
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := tir.ParseOnly(c.name, c.src)
+			if err != nil {
+				t.Fatalf("ParseOnly: %v", err)
+			}
+			if m.Validate() == nil {
+				t.Fatal("Validate accepted the module")
+			}
+			_, treeErr := m.ConfigTree()
+			_, classErr := m.Classify()
+			for _, r := range []struct {
+				what string
+				err  error
+			}{{"ConfigTree", treeErr}, {"Classify", classErr}} {
+				switch {
+				case c.treeCode == "" && r.err != nil:
+					t.Errorf("%s: %v", r.what, r.err)
+				case c.treeCode != "" && (r.err == nil || diag.AsList(r.err, "")[0].Code != c.treeCode):
+					t.Errorf("%s: got %v, want a %s error", r.what, r.err, c.treeCode)
+				}
+			}
+			if got := m.Lanes(); got != 1 {
+				t.Errorf("Lanes = %d, want 1", got)
+			}
+			if _, err := synth.Synthesize(m); err == nil {
+				t.Error("Synthesize accepted the module")
+			}
+		})
 	}
 }

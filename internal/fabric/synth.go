@@ -32,8 +32,12 @@ func New(t *device.Target) *Synthesizer { return &Synthesizer{Target: t} }
 // once, then replicated per the par structure; stream controllers and
 // offset windows are added; finally the global packing pass applies the
 // cross-boundary optimisations (constant sharing, register retiming) a
-// real tool performs and a per-instruction cost model cannot see.
+// real tool performs and a per-instruction cost model cannot see. The
+// module is validated first, as for estimation and HDL emission.
 func (s *Synthesizer) Synthesize(m *tir.Module) (*Netlist, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
 	nl := &Netlist{Module: m, Target: s.Target, PerFunc: map[string]device.Resources{}}
 
 	// instances[f] = number of hardware copies of f implied by the call

@@ -64,9 +64,11 @@ func (s *Schedule) TotalDelayBits() int {
 	return total
 }
 
-// valueBits looks up the width of a named value from params and defs.
-type env struct {
-	width map[string]int
+// value is what the delay lines need of one named value: its width,
+// and lag, the maximum (consumeCycle - readyCycle) over all its
+// consumers, which is the length of the delay line it needs.
+type value struct {
+	bits, lag int
 }
 
 // ASAP schedules a function body that contains no calls. For bodies
@@ -90,11 +92,20 @@ func ASAPIn(m *tir.Module, f *tir.Function) (*Schedule, error) {
 	if f.Mode != tir.ModePipe && f.Mode != tir.ModeComb {
 		return nil, fmt.Errorf("schedule: @%s: only pipe and comb functions have datapaths (mode %s)", f.Name, f.Mode)
 	}
-	e := env{width: map[string]int{}}
-	ready := map[string]int{}
+	// Every table is sized from the function: each parameter and each
+	// instruction names at most one value (a comb call can name more),
+	// and each instruction is one node.
+	names := len(f.Params) + len(f.Body)
+	ready := make(map[string]int, names)
+	vals := make(map[string]value, names)
+	define := func(name string, at, bits int) {
+		ready[name] = at
+		v := vals[name]
+		v.bits = bits
+		vals[name] = v
+	}
 	for _, p := range f.Params {
-		e.width[p.Name] = p.Ty.Bits
-		ready[p.Name] = 0
+		define(p.Name, 0, p.Ty.Bits)
 	}
 
 	comb := f.Mode == tir.ModeComb
@@ -112,16 +123,19 @@ func ASAPIn(m *tir.Module, f *tir.Function) (*Schedule, error) {
 		return 0 // immediates and globals are always available
 	}
 
-	sched := &Schedule{Fn: f, ReadyAt: ready}
-	// consumerLag[v] is the maximum (consumeCycle - readyCycle) over all
-	// consumers of v: the length of the delay line v needs.
-	consumerLag := map[string]int{}
+	sched := &Schedule{Fn: f, Nodes: make([]Node, 0, len(f.Body)), ReadyAt: ready}
+	lagged := 0 // values with a delay line
 	noteUse := func(o tir.Operand, consumeAt int) {
 		if o.Kind != tir.OpReg {
 			return
 		}
-		if lag := consumeAt - ready[o.Name]; lag > consumerLag[o.Name] {
-			consumerLag[o.Name] = lag
+		v := vals[o.Name]
+		if lag := consumeAt - ready[o.Name]; lag > v.lag {
+			if v.lag == 0 {
+				lagged++
+			}
+			v.lag = lag
+			vals[o.Name] = v
 		}
 	}
 
@@ -144,10 +158,9 @@ func ASAPIn(m *tir.Module, f *tir.Function) (*Schedule, error) {
 			if callee == nil {
 				return nil, fmt.Errorf("schedule: @%s: unknown comb callee @%s", f.Name, it.Callee)
 			}
-			outs := callee.OutParams()
 			start := 0
 			for k, a := range it.Args {
-				if outs[callee.Params[k].Name] {
+				if drives(callee, callee.Params[k].Name) {
 					continue
 				}
 				if r := operandReady(a); r > start {
@@ -155,7 +168,7 @@ func ASAPIn(m *tir.Module, f *tir.Function) (*Schedule, error) {
 				}
 			}
 			for k, a := range it.Args {
-				if outs[callee.Params[k].Name] {
+				if drives(callee, callee.Params[k].Name) {
 					continue
 				}
 				noteUse(a, start)
@@ -168,9 +181,8 @@ func ASAPIn(m *tir.Module, f *tir.Function) (*Schedule, error) {
 			}
 			sched.Nodes = append(sched.Nodes, Node{Instr: in, Start: start, Latency: l})
 			for k, a := range it.Args {
-				if outs[callee.Params[k].Name] && a.Kind == tir.OpReg {
-					ready[a.Name] = start + l
-					e.width[a.Name] = callee.Params[k].Ty.Bits
+				if a.Kind == tir.OpReg && drives(callee, callee.Params[k].Name) {
+					define(a.Name, start+l, callee.Params[k].Ty.Bits)
 				}
 			}
 			if start+l > depth {
@@ -180,12 +192,10 @@ func ASAPIn(m *tir.Module, f *tir.Function) (*Schedule, error) {
 			// Offsets are realised in the stream controller; the value is
 			// available in the same wave as its source stream.
 			sched.Nodes = append(sched.Nodes, Node{Instr: in, Start: 0, Latency: 0})
-			ready[it.Dst] = operandReady(it.Src)
-			e.width[it.Dst] = it.Ty.Bits
+			define(it.Dst, operandReady(it.Src), it.Ty.Bits)
 		case *tir.ConstInstr:
 			sched.Nodes = append(sched.Nodes, Node{Instr: in, Start: 0, Latency: 0})
-			ready[it.Dst] = 0
-			e.width[it.Dst] = it.Ty.Bits
+			define(it.Dst, 0, it.Ty.Bits)
 		case *tir.BinInstr:
 			start := max(operandReady(it.A), operandReady(it.B))
 			l := lat(it.Op, it.Ty.Bits)
@@ -199,8 +209,7 @@ func ASAPIn(m *tir.Module, f *tir.Function) (*Schedule, error) {
 					depth = done
 				}
 			} else {
-				ready[it.Dst] = done
-				e.width[it.Dst] = it.Ty.Bits
+				define(it.Dst, done, it.Ty.Bits)
 			}
 			if done > depth {
 				depth = done
@@ -210,8 +219,7 @@ func ASAPIn(m *tir.Module, f *tir.Function) (*Schedule, error) {
 			l := lat(it.Op, it.Ty.Bits)
 			noteUse(it.A, start)
 			sched.Nodes = append(sched.Nodes, Node{Instr: in, Start: start, Latency: l})
-			ready[it.Dst] = start + l
-			e.width[it.Dst] = it.Ty.Bits
+			define(it.Dst, start+l, it.Ty.Bits)
 			if start+l > depth {
 				depth = start + l
 			}
@@ -224,8 +232,7 @@ func ASAPIn(m *tir.Module, f *tir.Function) (*Schedule, error) {
 			noteUse(it.A, start)
 			noteUse(it.B, start)
 			sched.Nodes = append(sched.Nodes, Node{Instr: in, Start: start, Latency: l})
-			ready[it.Dst] = start + l
-			e.width[it.Dst] = 1
+			define(it.Dst, start+l, 1)
 			if start+l > depth {
 				depth = start + l
 			}
@@ -239,8 +246,7 @@ func ASAPIn(m *tir.Module, f *tir.Function) (*Schedule, error) {
 			noteUse(it.A, start)
 			noteUse(it.B, start)
 			sched.Nodes = append(sched.Nodes, Node{Instr: in, Start: start, Latency: l})
-			ready[it.Dst] = start + l
-			e.width[it.Dst] = it.Ty.Bits
+			define(it.Dst, start+l, it.Ty.Bits)
 			if start+l > depth {
 				depth = start + l
 			}
@@ -265,21 +271,34 @@ func ASAPIn(m *tir.Module, f *tir.Function) (*Schedule, error) {
 	}
 	sched.Depth = depth
 
-	// Emit balancing delays in name order: consumerLag is a map, and the
+	// Emit balancing delays in name order: vals is a map, and the
 	// generated HDL must not reorder between runs.
-	lagged := make([]string, 0, len(consumerLag))
-	for name := range consumerLag {
-		lagged = append(lagged, name)
+	if lagged == 0 {
+		return sched, nil
 	}
-	sort.Strings(lagged)
-	for _, name := range lagged {
-		lag := consumerLag[name]
-		if lag <= 0 {
-			continue
+	delayed := make([]string, 0, lagged)
+	for name, v := range vals {
+		if v.lag > 0 {
+			delayed = append(delayed, name)
 		}
-		sched.Delays = append(sched.Delays, Delay{Value: name, Bits: e.width[name], Cycles: lag})
+	}
+	sort.Strings(delayed)
+	sched.Delays = make([]Delay, len(delayed))
+	for i, name := range delayed {
+		sched.Delays[i] = Delay{Value: name, Bits: vals[name].bits, Cycles: vals[name].lag}
 	}
 	return sched, nil
+}
+
+// drives reports whether the comb block f binds its parameter name with
+// an `out`: a wire the calling datapath receives a result on.
+func drives(f *tir.Function, name string) bool {
+	for _, in := range f.Body {
+		if o, ok := in.(*tir.OutInstr); ok && o.Port == name {
+			return true
+		}
+	}
+	return false
 }
 
 // OffsetWindow summarises the stream-offset buffering a function needs:

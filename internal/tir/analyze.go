@@ -9,50 +9,63 @@ import "repro/internal/diag"
 // lanes, aliased streams disabling batching, datapaths the simulator
 // cannot execute). The deep passes assume a
 // well-formed module, so they only run when Check reports no errors.
+// They resolve names through Check's tables and allocate nothing per
+// instruction or per call site.
 func (m *Module) Analyze() diag.List {
-	l := m.Check()
-	if l.HasErrors() {
-		return l
+	c := newChecker(m)
+	c.check()
+	if !c.l.HasErrors() {
+		c.analyze()
 	}
-	a := &analysis{m: m, l: &l}
-	a.run()
-	l.Sort()
-	return l
+	c.l.Sort()
+	return c.l
 }
 
-// analysis carries one Analyze run.
-type analysis struct {
-	m *Module
-	l *diag.List
-}
-
-func (a *analysis) run() {
+func (c *checker) analyze() {
 	// Par-replicated kernels: the pipe children of par functions. Their
 	// accumulators must merge across lanes for the replication to pay.
-	parLanes := map[string]bool{}
-	for _, f := range a.m.Funcs {
-		if f.Mode == ModePar {
-			for _, c := range f.Calls() {
-				parLanes[c.Callee] = true
-			}
-		}
-	}
-	for _, f := range a.m.Funcs {
-		switch f.Mode {
-		case ModePipe:
-			a.checkDatapathEval(f)
-			if parLanes[f.Name] {
-				a.checkParReduction(f)
-			}
-		case ModeComb:
-			a.checkDatapathEval(f)
+	replicated := make(map[string]bool, len(c.m.Funcs))
+	for _, f := range c.m.Funcs {
+		if f.Mode != ModePar {
+			continue
 		}
 		for _, in := range f.Body {
-			if c, ok := in.(*CallInstr); ok && c.Mode == ModePipe {
-				a.checkPipeCallSite(f, c)
+			if call, ok := in.(*CallInstr); ok {
+				replicated[call.Callee] = true
 			}
 		}
 	}
+	for _, f := range c.m.Funcs {
+		switch f.Mode {
+		case ModePipe:
+			c.checkDatapathEval(f)
+			if replicated[f.Name] {
+				c.checkParReduction(f)
+			}
+		case ModeComb:
+			c.checkDatapathEval(f)
+		}
+		for _, in := range f.Body {
+			if call, ok := in.(*CallInstr); ok && call.Mode == ModePipe {
+				c.checkPipeCallSite(f, call)
+			}
+		}
+	}
+}
+
+// boundArg is what one argument of a pipe call site binds: the memory
+// object behind its port's stream (nil when the argument does not
+// resolve to one) and the port's direction.
+type boundArg struct {
+	mem *MemObject
+	dir Direction
+}
+
+// streamRef resolves a chained offset to its root stream and the
+// cumulative element offset.
+type streamRef struct {
+	root string
+	off  int64
 }
 
 // checkPipeCallSite performs the static half of the simulator's bind():
@@ -62,8 +75,8 @@ func (a *analysis) run() {
 // this site (TIR042) with a window that intersects the bound stream at
 // least once (TIR043), and in/out streams sharing a memory object pin
 // the program to item order (TIR046, warning).
-func (a *analysis) checkPipeCallSite(parent *Function, call *CallInstr) {
-	callee := a.m.Func(call.Callee)
+func (c *checker) checkPipeCallSite(parent *Function, call *CallInstr) {
+	callee := c.fns[call.Callee]
 	if callee == nil || len(call.Args) != len(callee.Params) {
 		return // reported by Check
 	}
@@ -75,123 +88,132 @@ func (a *analysis) checkPipeCallSite(parent *Function, call *CallInstr) {
 	// items is the invocation's work-item count: the smallest bound
 	// stream, as in the simulator.
 	items := int64(-1)
-	inSize := map[string]int64{} // input param -> bound memobj size
-	inMems := map[string]string{}
-	outMems := map[string]string{}
+	if cap(c.bound) < len(call.Args) {
+		c.bound = make([]boundArg, len(call.Args))
+	}
+	c.bound = c.bound[:len(call.Args)]
+	clear(c.bound)
 	wired := true
 	for k, arg := range call.Args {
 		param := callee.Params[k]
 		if arg.Kind != OpGlobal {
-			a.l.Errorf(CodePortWiring, call.At,
+			c.l.Errorf(CodePortWiring, call.At,
 				"@%s: call @%s: argument %d must wire a top-level port, got %s",
 				parent.Name, callee.Name, k, arg)
 			wired = false
 			continue
 		}
-		port := a.m.Port(arg.Name)
+		port := c.ports[arg.Name]
 		if port == nil {
-			a.l.Errorf(CodePortWiring, call.At,
+			c.l.Errorf(CodePortWiring, call.At,
 				"@%s: call @%s: no port @%s", parent.Name, callee.Name, arg.Name)
 			wired = false
 			continue
 		}
 		if port.Elem != param.Ty {
-			a.l.Errorf(CodePortWiring, call.At,
+			c.l.Errorf(CodePortWiring, call.At,
 				"@%s: call @%s: port @%s type %s does not match parameter %%%s type %s",
 				parent.Name, callee.Name, arg.Name, port.Elem, param.Name, param.Ty)
 		}
-		so := a.m.Stream(port.Stream)
+		so := c.streams[port.Stream]
 		if so == nil {
 			continue // reported by Check (TIR019)
 		}
-		mo := a.m.MemObject(so.Mem)
+		mo := c.mems[so.Mem]
 		if mo == nil {
 			continue // reported by Check (TIR017)
 		}
-		switch port.Dir {
-		case DirIn:
-			inSize[param.Name] = mo.Size
-			inMems[param.Name] = mo.Name
-		case DirOut:
-			outMems[param.Name] = mo.Name
-		}
+		c.bound[k] = boundArg{mem: mo, dir: port.Dir}
 		if items < 0 || mo.Size < items {
 			items = mo.Size
 		}
 	}
 	if items < 0 {
 		if wired {
-			a.l.Errorf(CodeNoStreams, call.At,
+			c.l.Errorf(CodeNoStreams, call.At,
 				"@%s: call @%s binds no streams", parent.Name, callee.Name)
 		}
 		return
 	}
-	for op, om := range outMems {
-		for ip, im := range inMems {
-			if im == om {
-				a.l.Warnf(CodeItemOrder, call.At,
+	for k, out := range c.bound {
+		if out.mem == nil || out.dir != DirOut {
+			continue
+		}
+		for j, in := range c.bound {
+			if in.mem != nil && in.dir == DirIn && in.mem.Name == out.mem.Name {
+				c.l.Warnf(CodeItemOrder, call.At,
 					"@%s: call @%s: output %%%s and input %%%s share memory object %%%s: execution pinned to item order (no batching)",
-					parent.Name, callee.Name, op, ip, im)
+					parent.Name, callee.Name, callee.Params[k].Name, callee.Params[j].Name, in.mem.Name)
 			}
 		}
 	}
 
 	// Offset windows, resolved through chains to their root stream as
 	// the simulator's pre-pass does.
-	type streamRef struct {
-		root string
-		off  int64
+	if c.roots == nil {
+		c.roots = make(map[string]streamRef, len(callee.Body))
 	}
-	roots := map[string]streamRef{}
+	clear(c.roots)
 	for _, in := range callee.Body {
 		o, ok := in.(*OffsetInstr)
 		if !ok {
 			continue
 		}
 		r := streamRef{root: o.Src.Name, off: o.Offset}
-		if prev, chained := roots[o.Src.Name]; chained {
+		if prev, chained := c.roots[o.Src.Name]; chained {
 			r = streamRef{root: prev.root, off: prev.off + o.Offset}
 		}
-		size, isIn := inSize[r.root]
-		if !isIn {
-			a.l.Errorf(CodeOffsetRoot, o.At,
+		mo := c.input(callee, r.root)
+		if mo == nil {
+			c.l.Errorf(CodeOffsetRoot, o.At,
 				"@%s: offset %%%s is not rooted in an input stream of the call in @%s",
 				callee.Name, o.Dst, parent.Name)
 			continue
 		}
-		roots[o.Dst] = r
+		c.roots[o.Dst] = r
 		// In-bounds work-item range of a load at offset off over a
 		// stream of the bound size: [max(0,-off), min(items, size-off)).
 		lo, hi := int64(0), items
 		if -r.off > lo {
 			lo = -r.off
 		}
-		if s := size - r.off; s < hi {
+		if s := mo.Size - r.off; s < hi {
 			hi = s
 		}
 		if hi <= lo {
 			// Legal — the executor zero-fills out-of-bounds loads — but
 			// a window that never sees data is almost certainly a sizing
 			// mistake.
-			a.l.Warnf(CodeOffsetBounds, o.At,
+			c.l.Warnf(CodeOffsetBounds, o.At,
 				"@%s: offset %%%s (cumulative %+d) never intersects stream %%%s of size %d: every load is zero-filled",
-				callee.Name, o.Dst, r.off, inMems[r.root], size)
+				callee.Name, o.Dst, r.off, mo.Name, mo.Size)
 		}
 	}
+}
+
+// input returns the memory object the current call site binds to the
+// callee's input parameter name, or nil when name is no such parameter.
+func (c *checker) input(callee *Function, name string) *MemObject {
+	for k, p := range callee.Params {
+		if p.Name == name && c.bound[k].dir == DirIn {
+			return c.bound[k].mem
+		}
+	}
+	return nil
 }
 
 // checkParReduction warns when a par-replicated kernel accumulates in a
 // form whose per-lane partials cannot merge to the sequential result:
 // each lane then needs the others' running value, so the replicated
 // lanes must run one after another and the replication buys nothing.
-func (a *analysis) checkParReduction(f *Function) {
+func (c *checker) checkParReduction(f *Function) {
 	for _, in := range f.Body {
 		b, ok := in.(*BinInstr)
 		if !ok || !b.GlobalDst {
 			continue
 		}
 		if _, mergeable := AccIdentity(b.Op, b.Ty); !mergeable {
-			a.l.Warnf(CodeAccIdentity, b.At,
+			c.l.Warnf(CodeAccIdentity, b.At,
 				"@%s: par-reduced accumulator @%s: %s at %s has no merge identity, lanes will run sequentially",
 				f.Name, b.Dst, b.Op, b.Ty)
 			continue
@@ -199,7 +221,7 @@ func (a *analysis) checkParReduction(f *Function) {
 		selfA := b.A.Kind == OpGlobal && b.A.Name == b.Dst
 		selfB := b.B.Kind == OpGlobal && b.B.Name == b.Dst
 		if selfA == selfB {
-			a.l.Warnf(CodeAccIdentity, b.At,
+			c.l.Warnf(CodeAccIdentity, b.At,
 				"@%s: par-reduced accumulator @%s: write is not in op(self, value) form, lanes will run sequentially",
 				f.Name, b.Dst)
 		}
@@ -210,24 +232,24 @@ func (a *analysis) checkParReduction(f *Function) {
 // cannot evaluate (no integer evaluation closure at the type, e.g.
 // float arithmetic): the design still validates and costs, but cycle
 // simulation and DSE simulation-mode evaluation will reject it.
-func (a *analysis) checkDatapathEval(f *Function) {
+func (c *checker) checkDatapathEval(f *Function) {
 	for _, in := range f.Body {
 		switch it := in.(type) {
 		case *BinInstr:
-			if _, ok := BinEval(it.Op, it.Ty); !ok {
-				a.l.Warnf(CodeDatapathEval, it.At,
+			if !integerOp(it.Op, 2) {
+				c.l.Warnf(CodeDatapathEval, it.At,
 					"@%s: %s at %s is not executable by the pipeline simulator",
 					f.Name, it.Op, it.Ty)
 			}
 		case *UnInstr:
-			if _, ok := UnEval(it.Op, it.Ty); !ok {
-				a.l.Warnf(CodeDatapathEval, it.At,
+			if !integerOp(it.Op, 1) {
+				c.l.Warnf(CodeDatapathEval, it.At,
 					"@%s: %s at %s is not executable by the pipeline simulator",
 					f.Name, it.Op, it.Ty)
 			}
 		case *CmpInstr:
-			if _, ok := CmpEval(it.Pred, it.Ty); !ok {
-				a.l.Warnf(CodeDatapathEval, it.At,
+			if !ValidCmpPred(it.Pred) {
+				c.l.Warnf(CodeDatapathEval, it.At,
 					"@%s: icmp %s at %s is not executable by the pipeline simulator",
 					f.Name, it.Pred, it.Ty)
 			}

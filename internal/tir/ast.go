@@ -484,6 +484,28 @@ func (f *Function) OutParams() map[string]bool {
 	return outs
 }
 
+// callCount returns the number of call instructions in the body.
+func (f *Function) callCount() int {
+	n := 0
+	for _, in := range f.Body {
+		if _, ok := in.(*CallInstr); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// drives reports whether f binds its parameter name with an `out`: the
+// membership test of OutParams, without building the set.
+func (f *Function) drives(name string) bool {
+	for _, in := range f.Body {
+		if o, ok := in.(*OutInstr); ok && o.Port == name {
+			return true
+		}
+	}
+	return false
+}
+
 // DatapathInstrs returns the non-call instructions in the body, in order.
 func (f *Function) DatapathInstrs() []Instr {
 	var out []Instr

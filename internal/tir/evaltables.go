@@ -10,6 +10,13 @@ package tir
 // Eval* functions — the generated hardware has one semantics, not two —
 // and evaltables_test.go pins that equivalence exhaustively.
 
+// integerOp reports whether op is an integer opcode of the given arity:
+// BinEval resolves exactly the arity-2 ones and UnEval the arity-1 ones.
+// Static checks ask it instead of building a closure they would discard.
+func integerOp(op Opcode, arity int) bool {
+	return op >= 0 && op < numOpcodes && opTable[op].Arity == arity && !opTable[op].Float
+}
+
 // BinEval returns a closure evaluating the binary integer opcode op at
 // type ty, semantically identical to EvalBin(op, ty, a, b). The boolean
 // reports whether op is a binary integer opcode.

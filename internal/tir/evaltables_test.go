@@ -81,6 +81,25 @@ func TestUnEvalMatchesEvalUn(t *testing.T) {
 	}
 }
 
+// TestIntegerOpMatchesEvalClosures pins the static evaluability test
+// Analyze uses to the closures the simulator builds, out-of-range
+// opcodes included.
+func TestIntegerOpMatchesEvalClosures(t *testing.T) {
+	for op := Opcode(-1); op <= numOpcodes; op++ {
+		if _, ok := BinEval(op, UIntT(18)); integerOp(op, 2) != ok {
+			t.Errorf("integerOp(%s, 2) = %v, BinEval ok = %v", op, !ok, ok)
+		}
+		if _, ok := UnEval(op, UIntT(18)); integerOp(op, 1) != ok {
+			t.Errorf("integerOp(%s, 1) = %v, UnEval ok = %v", op, !ok, ok)
+		}
+	}
+	for _, pred := range []string{"eq", "ne", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge", "bogus", ""} {
+		if _, ok := CmpEval(pred, UIntT(18)); ValidCmpPred(pred) != ok {
+			t.Errorf("ValidCmpPred(%q) = %v, CmpEval ok = %v", pred, !ok, ok)
+		}
+	}
+}
+
 func TestCmpEvalMatchesEvalCmp(t *testing.T) {
 	preds := []string{"eq", "ne", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge"}
 	for _, pred := range preds {

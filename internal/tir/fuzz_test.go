@@ -42,12 +42,51 @@ func corpusSeeds(f *testing.F) {
 	}
 }
 
+// rejectedSeeds are modules the parser accepts and Check rejects whose
+// call hierarchy the configuration tree must answer with an error: no
+// @main, an unknown callee, a comb call with more arguments than its
+// callee has parameters, and a call cycle.
+var rejectedSeeds = []string{
+	`define void @f0(ui18 %a) pipe {
+  ui18 %1 = add ui18 %a, 1
+}
+`,
+	`define void @main() {
+  call @nope() pipe
+}
+`,
+	`define void @c(ui18 %x, ui18 %y) comb {
+  out ui18 %y, %x
+}
+define void @f0(ui18 %a) pipe {
+  call @c(%a, %b, %z) comb
+}
+define void @main() {
+  call @f0(@main.a) pipe
+}
+`,
+	`define void @f0() pipe {
+  call @f1() pipe
+}
+define void @f1() pipe {
+  call @f0() pipe
+}
+define void @main() {
+  call @f0() pipe
+}
+`,
+}
+
 // FuzzValidate asserts the whole front stage — lexer, parser, Check,
-// Analyze — never panics, whatever bytes arrive. Parser-rejected input
-// must come back as an error, parser-accepted input must flow through
-// both checking layers without crashing.
+// Analyze and the configuration tree — never panics, whatever bytes
+// arrive. Parser-rejected input must come back as an error,
+// parser-accepted input must flow through both checking layers and the
+// tree's consumers without crashing.
 func FuzzValidate(f *testing.F) {
 	corpusSeeds(f)
+	for _, src := range rejectedSeeds {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		m, err := ParseOnly("fuzz.tirl", src)
 		if err != nil {
@@ -61,5 +100,12 @@ func FuzzValidate(f *testing.F) {
 		_ = m.Check()
 		_ = m.Analyze()
 		_ = m.Validate()
+		// The tree and its consumers answer every accepted module,
+		// rejected ones included, with a tree or an error.
+		_, _ = m.ConfigTree()
+		_, _ = m.Classify()
+		if n := m.Lanes(); n < 1 {
+			t.Errorf("Lanes = %d, want at least 1", n)
+		}
 	})
 }

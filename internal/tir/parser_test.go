@@ -1,6 +1,7 @@
 package tir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -239,6 +240,61 @@ func TestConfigClassification(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("%s: classified %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestConfigTreeSharedCallees builds trees that expand a callee at
+// several call sites, more nodes than the module has call sites, and
+// checks each node's function, children and lanes.
+func TestConfigTreeSharedCallees(t *testing.T) {
+	cases := []struct{ name, src, want string }{
+		{"par-coarse", `define void @fa() pipe { ui8 %x = const ui8 1 }
+			define void @ftop() pipe { call @fa() pipe }
+			define void @f1() par { call @ftop() pipe
+			call @ftop() pipe
+			call @ftop() pipe }
+			define void @main() { call @f1() par }`,
+			"main(f1x3(ftop(fa) ftop(fa) ftop(fa)))"},
+		{"seq-twice", `define void @fa() pipe { ui8 %x = const ui8 1 }
+			define void @fb() pipe { ui8 %y = const ui8 2 }
+			define void @ftop() pipe { call @fa() pipe
+			call @fb() pipe }
+			define void @main() { call @ftop() pipe
+			call @ftop() pipe }`,
+			"main(ftop(fa fb) ftop(fa fb))"},
+	}
+	var render func(n *ConfigNode) string
+	render = func(n *ConfigNode) string {
+		s := n.Func.Name
+		if n.Mode == ModePar {
+			s += fmt.Sprintf("x%d", n.Lanes)
+		} else if n.Lanes != 1 {
+			s += fmt.Sprintf("(lanes %d)", n.Lanes)
+		}
+		if len(n.Children) == 0 {
+			return s
+		}
+		kids := make([]string, len(n.Children))
+		for i, c := range n.Children {
+			if c.Mode != c.Func.Mode {
+				t.Errorf("node @%s has mode %s, function is %s", c.Func.Name, c.Mode, c.Func.Mode)
+			}
+			kids[i] = render(c)
+		}
+		return s + "(" + strings.Join(kids, " ") + ")"
+	}
+	for _, c := range cases {
+		m, err := Parse(c.name, c.src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		tree, err := m.ConfigTree()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := render(tree); got != c.want {
+			t.Errorf("%s: tree %s, want %s", c.name, got, c.want)
 		}
 	}
 }

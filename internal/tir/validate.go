@@ -16,120 +16,15 @@ import (
 // with a stable TIR0xx code and the source position of the offending
 // declaration, so a single run of tytravet reports the whole state of a
 // design.
+//
+// Check makes one pass over each function body, then one walk of the
+// call hierarchy. Its tables are sized from the module and built once,
+// and it allocates nothing per instruction or per call site.
 func (m *Module) Check() diag.List {
-	var l diag.List
-	modPos := diag.Pos{File: m.Name}
-	if len(m.Funcs) == 0 {
-		l.Errorf(CodeNoFunctions, modPos, "module %s has no functions", m.Name)
-	} else if m.Main() == nil {
-		l.Errorf(CodeNoMain, modPos, "module %s has no @main entry function", m.Name)
-	}
-
-	// Manage-IR linkage.
-	memNames := map[string]bool{}
-	for _, mo := range m.MemObjects {
-		if memNames[mo.Name] {
-			l.Errorf(CodeDupMem, mo.At, "duplicate memory object %%%s", mo.Name)
-		}
-		memNames[mo.Name] = true
-		if mo.Size <= 0 {
-			l.Errorf(CodeMemSize, mo.At, "memory object %%%s has non-positive size %d", mo.Name, mo.Size)
-		}
-		if !mo.Elem.Valid() {
-			l.Errorf(CodeBadType, mo.At, "memory object %%%s has invalid element type", mo.Name)
-		}
-		if mo.Pattern == PatternStrided && mo.Stride <= 0 {
-			l.Errorf(CodeBadStride, mo.At, "strided memory object %%%s needs a positive stride", mo.Name)
-		}
-	}
-	strNames := map[string]*StreamObject{}
-	for _, so := range m.Streams {
-		if _, dup := strNames[so.Name]; dup {
-			l.Errorf(CodeDupStream, so.At, "duplicate stream object %%%s", so.Name)
-			continue
-		}
-		strNames[so.Name] = so
-		if !memNames[so.Mem] {
-			l.Errorf(CodeUnknownMem, so.At, "stream object %%%s references unknown memory object %%%s", so.Name, so.Mem)
-		}
-	}
-	portNames := map[string]bool{}
-	for _, p := range m.Ports {
-		if portNames[p.Name] {
-			l.Errorf(CodeDupPort, p.At, "duplicate port @%s", p.Name)
-		}
-		portNames[p.Name] = true
-		if !p.Elem.Valid() {
-			l.Errorf(CodeBadType, p.At, "port @%s has invalid element type", p.Name)
-		}
-		if so, ok := strNames[p.Stream]; !ok {
-			l.Errorf(CodeUnknownStr, p.At, "port @%s references unknown stream object %q", p.Name, p.Stream)
-		} else if so.Dir != p.Dir {
-			l.Errorf(CodeDirMismatch, p.At, "port @%s direction %s disagrees with stream %%%s direction %s",
-				p.Name, p.Dir, so.Name, so.Dir)
-		}
-		if p.Pattern == PatternStrided && p.Stride <= 0 {
-			l.Errorf(CodeBadStride, p.At, "strided port @%s needs a positive stride", p.Name)
-		}
-	}
-
-	// Function-level checks. First definition wins on duplicates so that
-	// body checks still run against a consistent table.
-	fnNames := map[string]*Function{}
-	linkOK := m.Main() != nil
-	for _, f := range m.Funcs {
-		if _, dup := fnNames[f.Name]; dup {
-			l.Errorf(CodeDupFunc, f.At, "duplicate function @%s", f.Name)
-			linkOK = false
-			continue
-		}
-		fnNames[f.Name] = f
-	}
-	for _, f := range m.Funcs {
-		m.checkBody(f, fnNames, &l)
-		for _, c := range f.Calls() {
-			if _, ok := fnNames[c.Callee]; !ok {
-				linkOK = false
-			}
-		}
-	}
-
-	// Acyclic call hierarchy reachable from main. Unknown callees were
-	// already reported per call site; visit just skips them.
-	recursive := false
-	if m.Main() != nil {
-		state := map[string]int{} // 0 unvisited, 1 in progress, 2 done
-		var visit func(name string, chain []string)
-		visit = func(name string, chain []string) {
-			switch state[name] {
-			case 1:
-				recursive = true
-				l.Errorf(CodeRecursion, fnNames[name].At,
-					"recursive call cycle: %s -> %s", strings.Join(chain, " -> "), name)
-				return
-			case 2:
-				return
-			}
-			state[name] = 1
-			for _, c := range fnNames[name].Calls() {
-				if _, ok := fnNames[c.Callee]; ok {
-					visit(c.Callee, append(chain, name))
-				}
-			}
-			state[name] = 2
-		}
-		visit("main", nil)
-	}
-
-	// Configuration legality per Fig 7. The tree builder recurses
-	// through resolved callees, so it only runs on sound linkage.
-	if linkOK && !recursive {
-		if _, err := m.ConfigTree(); err != nil {
-			l.Add(diag.AsList(err, CodeParStructure)...)
-		}
-	}
-	l.Sort()
-	return l
+	c := newChecker(m)
+	c.check()
+	c.l.Sort()
+	return c.l
 }
 
 // Validate reports the first-error view of Check, preserving the plain
@@ -138,58 +33,236 @@ func (m *Module) Validate() error {
 	return m.Check().ErrOrNil()
 }
 
-// checkBody checks SSA discipline and operand visibility inside one
-// function. Visible names are the function parameters and prior
-// definitions; global accumulators (@x) are visible everywhere and may
-// be read and re-accumulated but not used as plain locals.
-func (m *Module) checkBody(f *Function, fns map[string]*Function, l *diag.List) {
-	defined := map[string]Type{}
-	paramTypes := map[string]Type{}
-	outBound := map[string]bool{}
-	for _, p := range f.Params {
-		paramTypes[p.Name] = p.Ty
-		if !p.Ty.Valid() {
-			l.Errorf(CodeBadType, p.At, "@%s: parameter %%%s has invalid type", f.Name, p.Name)
-		}
-		if _, dup := defined[p.Name]; dup {
-			l.Errorf(CodeDupParam, p.At, "@%s: duplicate parameter %%%s", f.Name, p.Name)
-		}
-		defined[p.Name] = p.Ty
+// checker carries one Check or Analyze run. Its name tables are built
+// once per run, sized from the module; Analyze's deep passes resolve
+// names through the same tables.
+type checker struct {
+	m *Module
+	l diag.List
+	// Declarations by name. The first of duplicates wins, as in the
+	// Module lookups; the duplicates themselves are errors.
+	mems    map[string]*MemObject
+	streams map[string]*StreamObject
+	ports   map[string]*Port
+	fns     map[string]*Function
+	// locals holds the parameters and SSA definitions of the body being
+	// checked. Every body shares it: an entry belongs to the body whose
+	// tag it carries, so no body has to clear it.
+	locals map[string]local
+	// Per-call-site scratch of checkPipeCallSite, reused by every site.
+	bound []boundArg
+	roots map[string]streamRef
+}
+
+// local is a name visible in one function body.
+type local struct {
+	tag   int32 // the body that defined the name: 1 + its index in m.Funcs
+	param bool  // a parameter, rather than an SSA definition
+	bound bool  // an out instruction already drives the parameter
+}
+
+func newChecker(m *Module) *checker {
+	names := 0
+	for _, f := range m.Funcs {
+		names += len(f.Params) + len(f.Body)
 	}
-	define := func(at diag.Pos, name string, ty Type) {
-		if name == "" {
-			return
-		}
-		if _, dup := defined[name]; dup {
-			l.Errorf(CodeSSA, at, "@%s: SSA violation: %%%s assigned twice", f.Name, name)
-			return
-		}
-		defined[name] = ty
+	return &checker{
+		m:       m,
+		mems:    make(map[string]*MemObject, len(m.MemObjects)),
+		streams: make(map[string]*StreamObject, len(m.Streams)),
+		ports:   make(map[string]*Port, len(m.Ports)),
+		fns:     make(map[string]*Function, len(m.Funcs)),
+		locals:  make(map[string]local, names),
 	}
-	checkUse := func(at diag.Pos, o Operand) {
-		switch o.Kind {
-		case OpReg:
-			if _, ok := defined[o.Name]; !ok {
-				l.Errorf(CodeUndefined, at, "@%s: use of undefined value %%%s", f.Name, o.Name)
-			}
-		case OpGlobal, OpImm:
-			// Globals are module-level accumulators, always visible.
+}
+
+func (c *checker) check() {
+	m := c.m
+	main := m.Main()
+	modPos := diag.Pos{File: m.Name}
+	if len(m.Funcs) == 0 {
+		c.l.Errorf(CodeNoFunctions, modPos, "module %s has no functions", m.Name)
+	} else if main == nil {
+		c.l.Errorf(CodeNoMain, modPos, "module %s has no @main entry function", m.Name)
+	}
+
+	// Manage-IR linkage.
+	for _, mo := range m.MemObjects {
+		if _, dup := c.mems[mo.Name]; dup {
+			c.l.Errorf(CodeDupMem, mo.At, "duplicate memory object %%%s", mo.Name)
+		} else {
+			c.mems[mo.Name] = mo
+		}
+		if mo.Size <= 0 {
+			c.l.Errorf(CodeMemSize, mo.At, "memory object %%%s has non-positive size %d", mo.Name, mo.Size)
+		}
+		if !mo.Elem.Valid() {
+			c.l.Errorf(CodeBadType, mo.At, "memory object %%%s has invalid element type", mo.Name)
+		}
+		if mo.Pattern == PatternStrided && mo.Stride <= 0 {
+			c.l.Errorf(CodeBadStride, mo.At, "strided memory object %%%s needs a positive stride", mo.Name)
+		}
+	}
+	for _, so := range m.Streams {
+		if _, dup := c.streams[so.Name]; dup {
+			c.l.Errorf(CodeDupStream, so.At, "duplicate stream object %%%s", so.Name)
+			continue
+		}
+		c.streams[so.Name] = so
+		if _, ok := c.mems[so.Mem]; !ok {
+			c.l.Errorf(CodeUnknownMem, so.At, "stream object %%%s references unknown memory object %%%s", so.Name, so.Mem)
+		}
+	}
+	for _, p := range m.Ports {
+		if _, dup := c.ports[p.Name]; dup {
+			c.l.Errorf(CodeDupPort, p.At, "duplicate port @%s", p.Name)
+		} else {
+			c.ports[p.Name] = p
+		}
+		if !p.Elem.Valid() {
+			c.l.Errorf(CodeBadType, p.At, "port @%s has invalid element type", p.Name)
+		}
+		if so, ok := c.streams[p.Stream]; !ok {
+			c.l.Errorf(CodeUnknownStr, p.At, "port @%s references unknown stream object %q", p.Name, p.Stream)
+		} else if so.Dir != p.Dir {
+			c.l.Errorf(CodeDirMismatch, p.At, "port @%s direction %s disagrees with stream %%%s direction %s",
+				p.Name, p.Dir, so.Name, so.Dir)
+		}
+		if p.Pattern == PatternStrided && p.Stride <= 0 {
+			c.l.Errorf(CodeBadStride, p.At, "strided port @%s needs a positive stride", p.Name)
 		}
 	}
 
-	hasDatapath := false
+	// Function-level checks. First definition wins on duplicates so that
+	// body checks still run against a consistent table.
+	linked := main != nil
+	for _, f := range m.Funcs {
+		if _, dup := c.fns[f.Name]; dup {
+			c.l.Errorf(CodeDupFunc, f.At, "duplicate function @%s", f.Name)
+			linked = false
+			continue
+		}
+		c.fns[f.Name] = f
+	}
+	for i, f := range m.Funcs {
+		if !c.checkBody(int32(i+1), f) {
+			linked = false
+		}
+	}
+
+	// Acyclic call hierarchy reachable from main, and its configuration
+	// legality per Fig 7. The composition is judged only on sound
+	// linkage, as ConfigTree would judge it.
+	if main != nil {
+		w := callWalk{c: c, chain: make([]string, 0, len(c.fns))}
+		w.visit(main, make(map[*Function]uint8, len(c.fns)))
+		if linked && !w.recursive && w.parErr != nil {
+			c.l.Add(diag.AsList(w.parErr, CodeParStructure)...)
+		}
+	}
+}
+
+// callWalk is one depth-first walk of the call hierarchy from @main. It
+// visits each function once, reports every call cycle it closes
+// (TIR035), and keeps the first par-structure error in the order
+// ConfigTree's build meets them: after a function's callees, in call
+// order. Unknown callees were already reported per call site; the walk
+// skips them.
+type callWalk struct {
+	c         *checker
+	chain     []string // the calls that reached the function being visited
+	recursive bool
+	parErr    error
+}
+
+// visit walks the hierarchy under f; state records each function's
+// progress: 0 unvisited, 1 in progress, 2 done.
+func (w *callWalk) visit(f *Function, state map[*Function]uint8) {
+	switch state[f] {
+	case 1:
+		w.recursive = true
+		w.c.l.Errorf(CodeRecursion, f.At,
+			"recursive call cycle: %s -> %s", strings.Join(w.chain, " -> "), f.Name)
+		return
+	case 2:
+		return
+	}
+	state[f] = 1
+	w.chain = append(w.chain, f.Name)
 	for _, in := range f.Body {
-		at := in.Pos()
-		if _, isCall := in.(*CallInstr); !isCall {
-			for _, u := range in.Uses() {
-				checkUse(at, u)
+		if call, ok := in.(*CallInstr); ok {
+			if callee, known := w.c.fns[call.Callee]; known {
+				w.visit(callee, state)
 			}
 		}
+	}
+	w.chain = w.chain[:len(w.chain)-1]
+	state[f] = 2
+	if f.Mode == ModePar && w.parErr == nil {
+		w.parErr = parLanes(f)
+	}
+}
+
+// checkBody checks SSA discipline and operand visibility inside one
+// function, and the structure its mode demands, in one pass over the
+// body; tag identifies the body's entries in c.locals. Visible names are
+// the function parameters and prior definitions; global accumulators
+// (@x) are visible everywhere and may be read and re-accumulated but not
+// used as plain locals. It reports whether every callee resolves.
+func (c *checker) checkBody(tag int32, f *Function) (linked bool) {
+	l := &c.l
+	for _, p := range f.Params {
+		if !p.Ty.Valid() {
+			l.Errorf(CodeBadType, p.At, "@%s: parameter %%%s has invalid type", f.Name, p.Name)
+		}
+		if e, ok := c.locals[p.Name]; ok && e.tag == tag {
+			l.Errorf(CodeDupParam, p.At, "@%s: duplicate parameter %%%s", f.Name, p.Name)
+		}
+		c.locals[p.Name] = local{tag: tag, param: true}
+	}
+	define := func(at diag.Pos, name string) {
+		if name == "" {
+			return
+		}
+		if e, ok := c.locals[name]; ok && e.tag == tag {
+			l.Errorf(CodeSSA, at, "@%s: SSA violation: %%%s assigned twice", f.Name, name)
+			return
+		}
+		c.locals[name] = local{tag: tag}
+	}
+	use := func(at diag.Pos, o Operand) {
+		// Globals are module-level accumulators and immediates are
+		// constants: both are always visible.
+		if o.Kind != OpReg {
+			return
+		}
+		if e, ok := c.locals[o.Name]; !ok || e.tag != tag {
+			l.Errorf(CodeUndefined, at, "@%s: use of undefined value %%%s", f.Name, o.Name)
+		}
+	}
+
+	linked = true
+	hasDatapath, combCalls := false, false
+	for _, in := range f.Body {
+		at := in.Pos()
 		switch it := in.(type) {
 		case *CallInstr:
-			callee, ok := fns[it.Callee]
+			// Mode-specific structure (Fig 7 configurations).
+			switch f.Mode {
+			case ModePar:
+				if it.Mode != ModePipe {
+					l.Errorf(CodeParStructure, at, "@%s: par functions replicate pipe children, found %s", f.Name, it.Mode)
+				}
+			case ModeComb:
+				if !combCalls {
+					l.Errorf(CodeCombStructure, at, "@%s: comb functions must be pure datapath (no calls)", f.Name)
+				}
+				combCalls = true
+			}
+			callee, ok := c.fns[it.Callee]
 			if !ok {
 				l.Errorf(CodeUnknownCallee, at, "@%s calls unknown function @%s", f.Name, it.Callee)
+				linked = false
 				continue
 			}
 			if len(it.Args) != len(callee.Params) {
@@ -207,104 +280,103 @@ func (m *Module) checkBody(f *Function, fns map[string]*Function, l *diag.List) 
 			// in the parent; the rest are read. All other call modes wire
 			// top-level ports (globals), which are always visible.
 			if it.Mode == ModeComb {
-				outs := callee.OutParams()
 				for k, a := range it.Args {
-					if a.Kind != OpReg {
-						if a.Kind == OpImm && outs[callee.Params[k].Name] {
-							l.Errorf(CodeCombDrivesImm, at, "@%s: call @%s drives an immediate operand", f.Name, it.Callee)
-						}
-						continue
-					}
-					if outs[callee.Params[k].Name] {
-						define(at, a.Name, callee.Params[k].Ty)
-					} else {
-						checkUse(at, a)
+					out := callee.drives(callee.Params[k].Name)
+					switch {
+					case a.Kind == OpImm && out:
+						l.Errorf(CodeCombDrivesImm, at, "@%s: call @%s drives an immediate operand", f.Name, it.Callee)
+					case a.Kind != OpReg:
+					case out:
+						define(at, a.Name)
+					default:
+						use(at, a)
 					}
 				}
 			}
 		case *OffsetInstr:
 			hasDatapath = true
+			use(at, it.Src)
 			if it.Src.Kind == OpImm {
 				l.Errorf(CodeBadOffset, at, "@%s: offset source must be a stream value", f.Name)
 			}
 			if it.Offset == 0 {
 				l.Errorf(CodeBadOffset, at, "@%s: offset of 0 is meaningless for %%%s", f.Name, it.Dst)
 			}
-			define(at, it.Dst, it.Ty)
+			define(at, it.Dst)
 		case *ConstInstr:
 			hasDatapath = true
-			define(at, it.Dst, it.Ty)
+			define(at, it.Dst)
 		case *BinInstr:
 			hasDatapath = true
-			info := it.Op.Info()
-			if info.Float != it.Ty.IsFloat() {
+			use(at, it.A)
+			use(at, it.B)
+			if it.Op.Info().Float != it.Ty.IsFloat() {
 				l.Errorf(CodeOpcodeType, at, "@%s: opcode %s applied to type %s", f.Name, it.Op, it.Ty)
 			}
 			if it.GlobalDst {
 				// Reduction idiom: destination accumulator must also be
 				// read by the instruction.
-				reads := false
-				for _, u := range it.Uses() {
-					if u.Kind == OpGlobal && u.Name == it.Dst {
-						reads = true
-					}
-				}
+				reads := it.A.Kind == OpGlobal && it.A.Name == it.Dst ||
+					it.B.Kind == OpGlobal && it.B.Name == it.Dst
 				if !reads {
 					l.Errorf(CodeAccNoRead, at, "@%s: global @%s written without accumulation", f.Name, it.Dst)
 				}
 			} else {
-				define(at, it.Dst, it.Ty)
+				define(at, it.Dst)
 			}
 		case *UnInstr:
 			hasDatapath = true
-			info := it.Op.Info()
-			if info.Float != it.Ty.IsFloat() {
+			use(at, it.A)
+			if it.Op.Info().Float != it.Ty.IsFloat() {
 				l.Errorf(CodeOpcodeType, at, "@%s: opcode %s applied to type %s", f.Name, it.Op, it.Ty)
 			}
-			define(at, it.Dst, it.Ty)
+			define(at, it.Dst)
 		case *CmpInstr:
 			hasDatapath = true
-			define(at, it.Dst, UIntT(1))
+			use(at, it.A)
+			use(at, it.B)
+			define(at, it.Dst)
 		case *SelectInstr:
 			hasDatapath = true
-			define(at, it.Dst, it.Ty)
+			use(at, it.Cond)
+			use(at, it.A)
+			use(at, it.B)
+			define(at, it.Dst)
 		case *OutInstr:
 			hasDatapath = true
-			pty, ok := paramTypes[it.Port]
-			if !ok {
+			use(at, it.Val)
+			e, ok := c.locals[it.Port]
+			if !ok || e.tag != tag || !e.param {
 				l.Errorf(CodeBadOut, at, "@%s: out to %%%s which is not a parameter", f.Name, it.Port)
 				continue
+			}
+			// A duplicated parameter is typed by its last declaration.
+			var pty Type
+			for _, p := range f.Params {
+				if p.Name == it.Port {
+					pty = p.Ty
+				}
 			}
 			if pty != it.Ty {
 				l.Errorf(CodeBadOut, at, "@%s: out to %%%s with type %s, parameter is %s",
 					f.Name, it.Port, it.Ty, pty)
 			}
-			if outBound[it.Port] {
+			if e.bound {
 				l.Errorf(CodeBadOut, at, "@%s: output port %%%s bound twice", f.Name, it.Port)
 			}
-			outBound[it.Port] = true
+			e.bound = true
+			c.locals[it.Port] = e
 		default:
+			for _, u := range in.Uses() {
+				use(at, u)
+			}
 			l.Errorf(CodeUnknownInstr, at, "@%s: unknown instruction %T", f.Name, in)
 		}
 	}
-
-	// Mode-specific structural rules (Fig 7 configurations).
-	switch f.Mode {
-	case ModePar:
-		if hasDatapath {
-			l.Errorf(CodeParStructure, f.At, "@%s: par functions may only contain calls", f.Name)
-		}
-		for _, c := range f.Calls() {
-			if c.Mode != ModePipe {
-				l.Errorf(CodeParStructure, c.Pos(), "@%s: par functions replicate pipe children, found %s", f.Name, c.Mode)
-			}
-		}
-	case ModeComb:
-		for _, c := range f.Calls() {
-			l.Errorf(CodeCombStructure, c.Pos(), "@%s: comb functions must be pure datapath (no calls)", f.Name)
-			break
-		}
+	if f.Mode == ModePar && hasDatapath {
+		l.Errorf(CodeParStructure, f.At, "@%s: par functions may only contain calls", f.Name)
 	}
+	return linked
 }
 
 // ConfigNode is one node of the configuration tree the compiler extracts
@@ -356,41 +428,104 @@ func (c Config) String() string {
 }
 
 // ConfigTree builds the configuration tree rooted at @main and verifies
-// that the composition is one the compiler supports. Callers must have
-// checked linkage (callees resolve, no recursion) first; Check does.
+// that the composition is one the compiler supports. A module without
+// @main (TIR011), a call to an unknown function (TIR025) or a call cycle
+// (TIR035) is an error, so the tree is safe to ask of a module Check
+// rejects.
+//
+// The nodes and child lists come from two slabs sized for one node per
+// call site, which a tree that reaches each call site once fills
+// exactly; a tree that expands a shared callee more than once takes
+// further slabs.
 func (m *Module) ConfigTree() (*ConfigNode, error) {
-	fns := map[string]*Function{}
+	main := m.Main()
+	if main == nil {
+		return nil, diag.New(diag.Error, CodeNoMain, diag.Pos{File: m.Name},
+			"module %s has no @main entry function", m.Name)
+	}
+	sites := 0
+	b := treeBuilder{fns: make(map[string]*Function, len(m.Funcs)), depth: len(m.Funcs)}
 	for _, f := range m.Funcs {
-		fns[f.Name] = f
+		b.fns[f.Name] = f
+		sites += f.callCount()
 	}
-	var build func(f *Function) (*ConfigNode, error)
-	build = func(f *Function) (*ConfigNode, error) {
-		n := &ConfigNode{Func: f, Mode: f.Mode, Lanes: 1}
-		for _, c := range f.Calls() {
-			child, err := build(fns[c.Callee])
-			if err != nil {
-				return nil, err
-			}
-			n.Children = append(n.Children, child)
-		}
-		if f.Mode == ModePar {
-			n.Lanes = len(n.Children)
-			if n.Lanes == 0 {
-				return nil, diag.New(diag.Error, CodeParStructure, f.At,
-					"@%s: par function with no lanes", f.Name)
-			}
-			first := n.Children[0].Func.Name
-			for _, c := range n.Children[1:] {
-				if c.Func.Name != first {
-					return nil, diag.New(diag.Error, CodeParStructure, f.At,
-						"@%s: par lanes must replicate one kernel (found @%s and @%s)",
-						f.Name, first, c.Func.Name)
-				}
-			}
-		}
-		return n, nil
+	b.nodes = make([]ConfigNode, 0, sites+1)
+	b.kids = make([]*ConfigNode, 0, sites)
+	return b.build(main, 0)
+}
+
+// treeBuilder carries one ConfigTree build.
+type treeBuilder struct {
+	fns map[string]*Function
+	// depth bounds the call chain: one deeper than the module has
+	// functions must repeat a function, so it closes a cycle.
+	depth int
+	nodes []ConfigNode
+	kids  []*ConfigNode
+}
+
+func (b *treeBuilder) build(f *Function, depth int) (*ConfigNode, error) {
+	if depth >= b.depth {
+		return nil, diag.New(diag.Error, CodeRecursion, f.At, "@%s: recursive call cycle", f.Name)
 	}
-	return build(m.Main())
+	if len(b.nodes) == cap(b.nodes) {
+		b.nodes = make([]ConfigNode, 0, cap(b.nodes))
+	}
+	b.nodes = append(b.nodes, ConfigNode{Func: f, Mode: f.Mode, Lanes: 1})
+	n := &b.nodes[len(b.nodes)-1]
+	if k := f.callCount(); k > 0 {
+		if cap(b.kids)-len(b.kids) < k {
+			b.kids = make([]*ConfigNode, 0, max(cap(b.kids), k))
+		}
+		n.Children = b.kids[len(b.kids) : len(b.kids)+k : len(b.kids)+k]
+		b.kids = b.kids[:len(b.kids)+k]
+	}
+	i := 0
+	for _, in := range f.Body {
+		c, ok := in.(*CallInstr)
+		if !ok {
+			continue
+		}
+		callee := b.fns[c.Callee]
+		if callee == nil {
+			return nil, diag.New(diag.Error, CodeUnknownCallee, c.At,
+				"@%s calls unknown function @%s", f.Name, c.Callee)
+		}
+		child, err := b.build(callee, depth+1)
+		if err != nil {
+			return nil, err
+		}
+		n.Children[i] = child
+		i++
+	}
+	if f.Mode == ModePar {
+		if err := parLanes(f); err != nil {
+			return nil, err
+		}
+		n.Lanes = len(n.Children)
+	}
+	return n, nil
+}
+
+// parLanes checks the Fig 7 shape of the par function f: its calls are
+// its lanes, and there is at least one, all replicating one kernel.
+func parLanes(f *Function) error {
+	var first *CallInstr
+	for _, in := range f.Body {
+		c, ok := in.(*CallInstr)
+		switch {
+		case !ok:
+		case first == nil:
+			first = c
+		case c.Callee != first.Callee:
+			return diag.New(diag.Error, CodeParStructure, f.At,
+				"@%s: par lanes must replicate one kernel (found @%s and @%s)", f.Name, first.Callee, c.Callee)
+		}
+	}
+	if first == nil {
+		return diag.New(diag.Error, CodeParStructure, f.At, "@%s: par function with no lanes", f.Name)
+	}
+	return nil
 }
 
 // Classify names the Fig 7 configuration of the design.
@@ -399,59 +534,66 @@ func (m *Module) Classify() (Config, error) {
 	if err != nil {
 		return 0, err
 	}
+	return tree.Classify(), nil
+}
+
+// Classify names the Fig 7 configuration of the design whose
+// configuration tree is rooted at n.
+func (n *ConfigNode) Classify() Config {
 	// Skip the main(seq) wrapper: classification concerns the device
 	// architecture below it.
-	node := tree
+	node := n
 	if node.Mode == ModeSeq && len(node.Children) == 1 {
 		node = node.Children[0]
 	} else if node.Mode == ModeSeq && len(node.Children) > 1 {
-		return ConfigSeq, nil
+		return ConfigSeq
 	}
 	switch node.Mode {
 	case ModePipe:
 		for _, c := range node.Children {
 			if c.Mode == ModePipe {
-				return ConfigCoarsePipe, nil
+				return ConfigCoarsePipe
 			}
 		}
-		return ConfigPipe, nil
+		return ConfigPipe
 	case ModePar:
 		for _, lane := range node.Children {
 			for _, c := range lane.Children {
 				if c.Mode == ModePipe {
-					return ConfigParCoarse, nil
+					return ConfigParCoarse
 				}
 			}
 		}
-		return ConfigParPipes, nil
+		return ConfigParPipes
 	case ModeComb:
-		return ConfigPipe, nil
+		return ConfigPipe
 	}
-	return ConfigSeq, nil
+	return ConfigSeq
 }
 
-// Lanes returns KNL, the number of parallel kernel lanes of the design:
-// the product of par replication factors along the hierarchy (1 for a
-// single pipeline).
+// Lanes returns KNL, the number of parallel kernel lanes of the design
+// (see ConfigNode.KernelLanes); 1 when the design has no configuration
+// tree.
 func (m *Module) Lanes() int {
 	tree, err := m.ConfigTree()
 	if err != nil {
 		return 1
 	}
-	var walk func(n *ConfigNode) int
-	walk = func(n *ConfigNode) int {
-		if n.Mode == ModePar {
-			// All lanes are identical; replication factor times the
-			// lanes inside one child.
-			return n.Lanes * walk(n.Children[0])
-		}
-		best := 1
-		for _, c := range n.Children {
-			if l := walk(c); l > best {
-				best = l
-			}
-		}
-		return best
+	return tree.KernelLanes()
+}
+
+// KernelLanes returns KNL, the number of parallel kernel lanes under n:
+// the product of par replication factors along the hierarchy (1 for a
+// single pipeline).
+func (n *ConfigNode) KernelLanes() int {
+	if n.Mode == ModePar {
+		// All lanes are identical; replication factor times the lanes
+		// inside one child.
+		return n.Lanes * n.Children[0].KernelLanes()
 	}
-	return walk(tree)
+	best := 1
+	for _, c := range n.Children {
+		best = max(best, c.KernelLanes())
+	}
+	return best
 }
