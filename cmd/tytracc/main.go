@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -35,7 +36,8 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tytracc", flag.ContinueOnError)
-	targetName := fs.String("target", "stratix-v-gsd8", "FPGA target (stratix-v-gsd8 | virtex-7-690t)")
+	targetName := fs.String("target", "stratix-v-gsd8",
+		fmt.Sprintf("FPGA target (%s)", strings.Join(device.Names(), " | ")))
 	formName := fs.String("form", "B", "memory-execution form (A | B | C, Fig 6)")
 	nki := fs.Int64("nki", 1000, "kernel-instance repetitions (the SOR solver's nmaxp)")
 	hdlOut := fs.String("hdl", "", "write generated Verilog to this file")

@@ -63,10 +63,13 @@ var DefaultDims = []int{100, 250, 500, 1000, 2000, 3000, 4000, 5000, 6000}
 // Every (dim, pattern) cell starts from precharged banks, so the cells
 // are independent. The contiguous cells all stream from address 0, so
 // each is a prefix of the largest and one walk measures them all
-// (memsim.DRAM.ContiguousSeconds); each strided cell is a walk of its
-// own. The walks run on up to GOMAXPROCS workers, each with its own
-// DRAM channel, largest first, and each sample lands in its fixed slot —
-// the table is the same whatever the worker count.
+// (memsim.DRAM.ContiguousSeconds). Each strided cell is a column walk of
+// its own (memsim.DRAM.ColumnWalkSeconds), which walks only the passes
+// that repeat no earlier pass, in the same rows or moved by whole rows.
+// The walks run on up to GOMAXPROCS workers, each with its own DRAM
+// channel, largest first (the contiguous walk, on the registered
+// targets), and each sample lands in its fixed slot — the table is the
+// same whatever the worker count.
 func RunStreamBenchmark(t *device.Target, dims []int) ([]Sample, error) {
 	if len(dims) == 0 {
 		dims = DefaultDims
@@ -77,16 +80,18 @@ func RunStreamBenchmark(t *device.Target, dims []int) ([]Sample, error) {
 		}
 	}
 	// Job 0 walks the contiguous cells; job k >= 1 the strided cell of
-	// dims[k-1]. Largest first, by simulated accesses: the contiguous
-	// walk moves max(dim)²·elemBytes/BurstBytes bursts; a strided cell
-	// walks only the column passes whose rows or starting row buffers
-	// change, about a tenth of its dim² elements on the registered
-	// targets.
+	// dims[k-1]. Largest first, by expected walked accesses: the
+	// contiguous walk moves max(dim)²·elemBytes/BurstBytes bursts. A
+	// strided cell's passes repeat, moved by whole rows, about every
+	// RowBytes/elemBytes passes, so few are walked beyond the first such
+	// period: on the registered targets 33–91 passes of dim accesses for
+	// each dim from 1000 up, about a tenth of RowBytes/elemBytes (512).
+	period := int64(t.DRAM.RowBytes / elemBytes)
 	accesses := make([]int64, len(dims)+1)
 	for k, dim := range dims {
 		n := int64(dim) * int64(dim)
 		accesses[0] = max(accesses[0], n*elemBytes/int64(t.DRAM.BurstBytes))
-		accesses[k+1] = n / 10
+		accesses[k+1] = min(int64(dim), period) * int64(dim) / 10
 	}
 	order := make([]int, len(accesses))
 	for i := range order {
@@ -170,55 +175,6 @@ func sample(t *device.Target, dim int, pat tir.AccessPattern, steady float64) Sa
 		SteadySeconds:   steady,
 		SteadySustained: float64(bytes) / steady,
 	}
-}
-
-// StrideSample is one point of the stride sweep: a fixed-size stream
-// accessed at the given element stride.
-type StrideSample struct {
-	Stride    int64
-	Bytes     int64
-	Seconds   float64
-	Sustained float64 // bytes/second
-}
-
-// Gbps returns the sample in Fig 10's units.
-func (s StrideSample) Gbps() float64 { return s.Sustained * 8 / 1e9 }
-
-// RunStrideSweep performs the second axis of the §V-C experiments:
-// holding the stream size fixed and varying the stride. The paper
-// observes the bandwidth collapses as soon as accesses stop coalescing
-// and stays flat from there ("little difference between fixed-stride
-// and true random access"); the sweep exposes where the collapse
-// happens for a target (once the stride exceeds one burst).
-func RunStrideSweep(t *device.Target, elems int64, strides []int64) ([]StrideSample, error) {
-	if elems <= 0 {
-		return nil, fmt.Errorf("membw: stride sweep needs a positive element count")
-	}
-	if len(strides) == 0 {
-		strides = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
-	}
-	dram, err := memsim.NewDRAM(t.DRAM)
-	if err != nil {
-		return nil, err
-	}
-	bytes := elems * elemBytes
-	out := make([]StrideSample, 0, len(strides))
-	for _, st := range strides {
-		if st <= 0 {
-			return nil, fmt.Errorf("membw: non-positive stride %d", st)
-		}
-		dram.Reset()
-		secs, err := dram.StreamSeconds(0, elems, elemBytes, st)
-		if err != nil {
-			return nil, err
-		}
-		secs += t.LaunchOverheadSec
-		out = append(out, StrideSample{
-			Stride: st, Bytes: bytes, Seconds: secs,
-			Sustained: float64(bytes) / secs,
-		})
-	}
-	return out, nil
 }
 
 // Model is the interpolating sustained-bandwidth model built from the

@@ -1,6 +1,7 @@
 package membw
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -150,6 +151,52 @@ func TestRunStreamBenchmarkErrors(t *testing.T) {
 	if _, err := RunStreamBenchmark(device.Virtex7690T(), []int{-5}); err == nil {
 		t.Error("negative dim: want error")
 	}
+}
+
+// StrideSample is one point of the stride sweep: a fixed-size stream
+// accessed at the given element stride.
+type StrideSample struct {
+	Stride    int64
+	Bytes     int64
+	Seconds   float64
+	Sustained float64 // bytes/second
+}
+
+// RunStrideSweep performs the second axis of the §V-C experiments:
+// holding the stream size fixed and varying the stride. The paper
+// observes the bandwidth collapses as soon as accesses stop coalescing
+// and stays flat from there ("little difference between fixed-stride
+// and true random access"); the sweep exposes where the collapse
+// happens for a target (once the stride exceeds one burst).
+func RunStrideSweep(t *device.Target, elems int64, strides []int64) ([]StrideSample, error) {
+	if elems <= 0 {
+		return nil, fmt.Errorf("membw: stride sweep needs a positive element count")
+	}
+	if len(strides) == 0 {
+		strides = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
+	}
+	dram, err := memsim.NewDRAM(t.DRAM)
+	if err != nil {
+		return nil, err
+	}
+	bytes := elems * elemBytes
+	out := make([]StrideSample, 0, len(strides))
+	for _, st := range strides {
+		if st <= 0 {
+			return nil, fmt.Errorf("membw: non-positive stride %d", st)
+		}
+		dram.Reset()
+		secs, err := dram.StreamSeconds(0, elems, elemBytes, st)
+		if err != nil {
+			return nil, err
+		}
+		secs += t.LaunchOverheadSec
+		out = append(out, StrideSample{
+			Stride: st, Bytes: bytes, Seconds: secs,
+			Sustained: float64(bytes) / secs,
+		})
+	}
+	return out, nil
 }
 
 func TestStrideSweepCollapseAndFlatten(t *testing.T) {

@@ -72,18 +72,6 @@ func (d *DRAM) burstCycles() float64 {
 	return float64(d.spec.BurstBytes) * d.spec.ClockHz / d.spec.PeakBandwidth
 }
 
-// touch accounts a row activation if the address falls outside the open
-// row of its bank, returning the penalty cycles.
-func (d *DRAM) touch(addr int64) float64 {
-	row := addr / int64(d.spec.RowBytes)
-	bank := int(row % int64(d.spec.Banks))
-	if d.openRow[bank] == row {
-		return 0
-	}
-	d.openRow[bank] = row
-	return float64(d.spec.RowMissCycles)
-}
-
 // StreamSeconds simulates streaming n elements of elemBytes each,
 // starting at byte address base, with a fixed stride (in elements), and
 // returns the channel-occupancy time in seconds. Contiguous streams
@@ -207,16 +195,31 @@ func walkStep(base, count, stride, scale int64) (int64, bool) {
 // StreamSeconds call per pass, bit for bit and row buffers included.
 //
 // A walk depends only on the rows it touches and the row buffers it
-// starts from, so a pass with the previous pass's rows and starting row
-// buffers has the previous pass's seconds and leaves the row buffers as
-// it found them; such a pass is not walked. Pass c+1's addresses are
-// pass c's plus elemBytes, so it touches pass c's rows unless a pass-c
-// address lies within elemBytes of the end of its row. Pass c's offsets
-// within their rows are pass 0's shifted by c·elemBytes, so the test
-// needs pass 0's offsets only: O(dim) memory, whatever the row size,
-// plus one copy of the row buffers. Within a run of passes that share
-// their rows at most two are walked: the second starts from the row
-// buffers the first left, and so leaves them as it found them.
+// starts from, so a pass that repeats an earlier one is not walked: it
+// adds the earlier pass's seconds in its own place in the sum. Two kinds
+// of pass repeat one.
+//
+// A pass with the previous pass's rows and starting row buffers has the
+// previous pass's seconds and leaves the row buffers as it found them.
+// Pass c+1's addresses are pass c's plus elemBytes, so it touches pass
+// c's rows unless a pass-c address lies within elemBytes of the end of
+// its row. Pass c's offsets within their rows are pass 0's shifted by
+// c·elemBytes, so the test needs pass 0's offsets only: O(dim) memory,
+// whatever the row size. Within a run of passes that share their rows at
+// most two are walked: the second starts from the row buffers the first
+// left, and so leaves them as it found them.
+//
+// Moving every address of a walk by k whole rows, and its starting row
+// buffers with them (see movedFrom), keeps every access's hit or miss:
+// the walk adds the same addends in the same order and leaves the row
+// buffers moved by k. Pass c+P, with P = RowBytes/gcd(RowBytes,
+// elemBytes), is pass c moved by P·elemBytes/RowBytes rows. So each
+// residue of c mod P keeps its last walked pass: the row buffers it
+// started from and ended with, and its seconds. A later pass of that
+// residue that starts from the kept start moved by the rows between the
+// two passes adds the kept seconds and ends with the kept end, moved the
+// same way. Only arrays of more than P columns keep passes, at two
+// copies of the row buffers per residue walked.
 func (d *DRAM) ColumnWalkSeconds(dim int64, elemBytes int) (float64, error) {
 	if dim <= 1 {
 		// No pass, or one element streamed contiguously (stride 1).
@@ -245,9 +248,14 @@ func (d *DRAM) ColumnWalkSeconds(dim int64, elemBytes int) (float64, error) {
 		i, _ := slices.BinarySearch(offs, rowBytes-shift)
 		return offs[i-1]+shift >= rowBytes-elem
 	}
+	period := rowBytes / gcd(rowBytes, elem) // pass c+period is pass c moved by whole rows
+	var kept []keptPass                      // by c mod period
+	if dim > period {
+		kept = make([]keptPass, period)
+	}
 	hit := d.burstCycles() + float64(d.spec.TransCycles)
 	var secs, passSecs float64
-	var before []int64
+	before := make([]int64, len(d.openRow))
 	reuse := false // pass c has pass c-1's rows and starting row buffers
 	for c := int64(0); c < dim; c++ {
 		base := c * elem
@@ -260,14 +268,75 @@ func (d *DRAM) ColumnWalkSeconds(dim int64, elemBytes int) (float64, error) {
 			reuse = sameRows
 			continue
 		}
-		if sameRows {
-			before = append(before[:0], d.openRow...)
+		copy(before, d.openRow)
+		var k *keptPass // the kept pass of c's residue
+		var rows int64  // the whole rows from k's pass to pass c
+		if kept != nil {
+			k = &kept[c%period]
+			rows = (c - k.pass) * elem / rowBytes
 		}
-		passSecs = d.walk(base, dim, step, hit, 0)/d.spec.ClockHz + d.spec.SetupSeconds
+		if k != nil && k.start != nil && movedFrom(d.openRow, k.start, rows) {
+			passSecs = k.secs
+			moveTo(d.openRow, k.end, rows)
+		} else {
+			passSecs = d.walk(base, dim, step, hit, 0)/d.spec.ClockHz + d.spec.SetupSeconds
+			if k != nil {
+				k.pass, k.secs = c, passSecs
+				k.start = append(k.start[:0], before...)
+				k.end = append(k.end[:0], d.openRow...)
+			}
+		}
 		secs += passSecs
 		reuse = sameRows && slices.Equal(before, d.openRow)
 	}
 	return secs, nil
+}
+
+// keptPass is the last walked column pass of one residue mod the period
+// of ColumnWalkSeconds.
+type keptPass struct {
+	pass       int64
+	start, end []int64 // its starting and ending row buffers; nil until a pass is kept
+	secs       float64
+}
+
+// movedFrom reports whether rows are the row buffers from moved by k >= 0
+// whole rows: bank (b+k) mod Banks holds from[b]+k, or is precharged
+// where bank b is. A row is never below -1, so rows[j]-k cannot wrap.
+func movedFrom(rows, from []int64, k int64) bool {
+	j := int(k % int64(len(rows)))
+	for _, r := range from {
+		if r < 0 && rows[j] >= 0 || r >= 0 && rows[j]-k != r {
+			return false
+		}
+		if j++; j == len(rows) {
+			j = 0
+		}
+	}
+	return true
+}
+
+// moveTo sets rows to the row buffers from moved by k >= 0 whole rows,
+// the move movedFrom tests for.
+func moveTo(rows, from []int64, k int64) {
+	j := int(k % int64(len(rows)))
+	for _, r := range from {
+		if r >= 0 {
+			r += k
+		}
+		rows[j] = r
+		if j++; j == len(rows) {
+			j = 0
+		}
+	}
+}
+
+// gcd returns the greatest common divisor of a, b > 0.
+func gcd(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 func errOverrun(base, n int64, elemBytes int, strideElems int64) error {
@@ -319,34 +388,6 @@ func (d *DRAM) walk(base, count, step int64, hit, cycles float64) float64 {
 			bank -= banks
 		}
 	}
-}
-
-// RandomSeconds simulates n single-element accesses at pseudo-random
-// addresses within a window of windowBytes. The paper observes "little
-// difference in sustained bandwidth between fixed-stride and true
-// random access" (§V-C); the model reproduces that because both defeat
-// burst coalescing and pay the controller round trip — the row-buffer
-// hit rate differs only marginally once the stride exceeds the row size.
-func (d *DRAM) RandomSeconds(seed uint64, n int64, elemBytes int, windowBytes int64) (float64, error) {
-	if n <= 0 {
-		return 0, nil
-	}
-	if elemBytes <= 0 {
-		return 0, fmt.Errorf("memsim: element size must be positive, got %d", elemBytes)
-	}
-	if windowBytes <= int64(elemBytes) {
-		return 0, fmt.Errorf("memsim: random window must exceed one element")
-	}
-	cycles := 0.0
-	bc := d.burstCycles()
-	state := seed*6364136223846793005 + 1442695040888963407
-	slots := windowBytes / int64(elemBytes)
-	for i := int64(0); i < n; i++ {
-		state = state*6364136223846793005 + 1442695040888963407
-		addr := int64((state>>17)%uint64(slots)) * int64(elemBytes)
-		cycles += bc + float64(d.spec.TransCycles) + d.touch(addr)
-	}
-	return cycles/d.spec.ClockHz + d.spec.SetupSeconds, nil
 }
 
 // Link simulates the host-device link (PCIe on both boards).

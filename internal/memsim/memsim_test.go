@@ -161,6 +161,34 @@ func TestRowBufferLocality(t *testing.T) {
 	}
 }
 
+// RandomSeconds simulates n single-element accesses at pseudo-random
+// addresses within a window of windowBytes. The paper observes "little
+// difference in sustained bandwidth between fixed-stride and true
+// random access" (§V-C); the model reproduces that because both defeat
+// burst coalescing and pay the controller round trip — the row-buffer
+// hit rate differs only marginally once the stride exceeds the row size.
+func (d *DRAM) RandomSeconds(seed uint64, n int64, elemBytes int, windowBytes int64) (float64, error) {
+	if n <= 0 {
+		return 0, nil
+	}
+	if elemBytes <= 0 {
+		return 0, fmt.Errorf("memsim: element size must be positive, got %d", elemBytes)
+	}
+	if windowBytes <= int64(elemBytes) {
+		return 0, fmt.Errorf("memsim: random window must exceed one element")
+	}
+	cycles := 0.0
+	bc := d.burstCycles()
+	state := seed*6364136223846793005 + 1442695040888963407
+	slots := windowBytes / int64(elemBytes)
+	for i := int64(0); i < n; i++ {
+		state = state*6364136223846793005 + 1442695040888963407
+		addr := int64((state>>17)%uint64(slots)) * int64(elemBytes)
+		cycles += bc + float64(d.spec.TransCycles) + d.touch(addr)
+	}
+	return cycles/d.spec.ClockHz + d.spec.SetupSeconds, nil
+}
+
 func TestRandomAccessMatchesStrided(t *testing.T) {
 	// The paper's §V-C observation: "there is little difference in
 	// sustained bandwidth between fixed-stride and true random access".
@@ -238,6 +266,18 @@ func TestLinkRejectsBadSpec(t *testing.T) {
 	if _, err := NewLink(device.LinkSpec{PeakBandwidth: 1e9, PacketBytes: 256, Overhead: 1.5}); err == nil {
 		t.Error("overhead >= 1: want error")
 	}
+}
+
+// touch accounts a row activation if the address falls outside the open
+// row of its bank, returning the penalty cycles.
+func (d *DRAM) touch(addr int64) float64 {
+	row := addr / int64(d.spec.RowBytes)
+	bank := int(row % int64(d.spec.Banks))
+	if d.openRow[bank] == row {
+		return 0
+	}
+	d.openRow[bank] = row
+	return float64(d.spec.RowMissCycles)
 }
 
 // streamSecondsPerAccess is StreamSeconds computed the direct way, each
@@ -529,14 +569,23 @@ func columnWalkPerPass(d *DRAM, dim int64, elemBytes int) (float64, error) {
 	return secs, nil
 }
 
+// maxShiftDim bounds the dims TestColumnWalkMatchesPerPass draws to
+// cross two whole-row shifts, and so the per-pass reference's cost.
+const maxShiftDim = 4096
+
 // TestColumnWalkMatchesPerPass checks ColumnWalkSeconds against the
 // per-pass reference over seeded random channels (rows and banks that
 // are not powers of two, rows shorter than an element), element sizes
 // 1..16 and dims 1..1000, bit for bit, with the row buffers compared
 // after every call of a chain that shares them, so calls also start
-// from row buffers a previous walk left.
+// from row buffers a previous walk left. Some dims lie in [2P, 3P],
+// where P = RowBytes/gcd(RowBytes, elemBytes) is the period after which
+// a pass is an earlier one moved by whole rows, so those walks reach
+// passes moved by one row shift and by two; the test fails unless every
+// element size gets such a walk.
 func TestColumnWalkMatchesPerPass(t *testing.T) {
 	r := rand.New(rand.NewPCG(19, 2024))
+	var shifted [17]bool // by element size: a walk of at least two periods
 	for trial := 0; trial < 60; trial++ {
 		spec := randomDRAMSpec(r)
 		got, err := NewDRAM(spec)
@@ -544,6 +593,7 @@ func TestColumnWalkMatchesPerPass(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, _ := NewDRAM(spec)
+		row := int64(spec.RowBytes)
 		for call := 0; call < 6; call++ {
 			if r.IntN(3) == 0 {
 				got.Reset()
@@ -551,12 +601,27 @@ func TestColumnWalkMatchesPerPass(t *testing.T) {
 			}
 			elem := 1 + r.IntN(16)
 			var dim int64
-			switch r.IntN(4) {
+			switch r.IntN(5) {
 			case 0:
 				dim = 1 + r.Int64N(8)
 			case 1: // a column stride of about one to three rows
-				dim = max(1, int64(spec.RowBytes)*(1+r.Int64N(3))/int64(elem))
+				dim = max(1, row*(1+r.Int64N(3))/int64(elem))
 				dim = min(dim, 1000)
+			case 2: // two to three periods of whole-row shifts
+				var fit []int
+				for e := 1; e <= 16; e++ {
+					if 3*(row/gcd(row, int64(e))) <= maxShiftDim {
+						fit = append(fit, e)
+					}
+				}
+				if len(fit) == 0 {
+					dim = 1 + r.Int64N(1000)
+					break
+				}
+				elem = fit[r.IntN(len(fit))]
+				p := row / gcd(row, int64(elem))
+				dim = 2*p + r.Int64N(p+1)
+				shifted[elem] = true
 			default:
 				dim = 1 + r.Int64N(1000)
 			}
@@ -576,6 +641,11 @@ func TestColumnWalkMatchesPerPass(t *testing.T) {
 				t.Fatalf("spec %+v: after ColumnWalkSeconds(%d, %d) open rows %v, reference %v",
 					spec, dim, elem, got.openRow, want.openRow)
 			}
+		}
+	}
+	for elem := 1; elem <= 16; elem++ {
+		if !shifted[elem] {
+			t.Errorf("no walk of %d-byte elements crossed two whole-row shifts", elem)
 		}
 	}
 }
