@@ -167,7 +167,7 @@ func BenchmarkEstimatorSpeed(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mdl.Estimate(m); err != nil {
+		if _, err := mdl.Estimate(elaborate(b, m)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -186,7 +186,7 @@ func BenchmarkEstimatorEndToEnd(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := mdl.Estimate(m); err != nil {
+		if _, err := mdl.Estimate(elaborate(b, m)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -307,9 +307,7 @@ func BenchmarkSynthesisSubstrate(b *testing.B) {
 	s := fabric.New(device.StratixVGSD8())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Synthesize(m); err != nil {
-			b.Fatal(err)
-		}
+		_ = s.Synthesize(elaborate(b, m))
 	}
 }
 
@@ -410,10 +408,10 @@ func BenchmarkSimEvaluator(b *testing.B) {
 // BenchmarkVariantFrontEnd prices the per-variant front end of one
 // sim-scored sweep (tytradse -eval sim, bench/'s sim-sweep): Fig 15 sor
 // at lanes 1..8, each lane count's module built (one tir.Check),
-// lowered for the cost model (costmodel.Lower: a Check, one
-// configuration tree, one ASAP schedule), compiled for the simulator
-// (pipesim.Compile: tir.Analyze, one tree, one schedule) and timed
-// (Timing). One op is all eight lane counts; allocations are reported.
+// elaborated once (tir.Analyze, the call DAG, one ASAP schedule per
+// datapath), lowered for the cost model (costmodel.Lower), compiled for
+// the simulator (pipesim.Compile) and timed (Timing). One op is all
+// eight lane counts; allocations are reported.
 func BenchmarkVariantFrontEnd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -422,10 +420,11 @@ func BenchmarkVariantFrontEnd(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := costmodel.Lower(m); err != nil {
+			ed := elaborate(b, m)
+			if _, err := costmodel.Lower(ed); err != nil {
 				b.Fatal(err)
 			}
-			d, err := pipesim.Compile(m)
+			d, err := pipesim.Compile(ed)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -519,7 +518,7 @@ func BenchmarkPipesimCompileLanes(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := pipesim.Compile(m); err != nil {
+				if _, err := pipesim.Compile(elaborate(b, m)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -536,7 +535,7 @@ func BenchmarkPipesimRun(b *testing.B) {
 	for _, spec := range experiments.PipesimBenchSpecs() {
 		b.Run(spec.Name(), func(b *testing.B) {
 			m, mem := benchBind(b, spec)
-			d, err := pipesim.Compile(m)
+			d, err := pipesim.Compile(elaborate(b, m))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -561,7 +560,7 @@ func BenchmarkPipesimConcurrent(b *testing.B) {
 	for _, spec := range experiments.PipesimBenchSpecs() {
 		b.Run(spec.Name(), func(b *testing.B) {
 			m, mem := benchBind(b, spec)
-			d, err := pipesim.Compile(m)
+			d, err := pipesim.Compile(elaborate(b, m))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/elab"
 	"repro/internal/hdl"
 	"repro/internal/kernels"
 	"repro/internal/perf"
@@ -75,7 +76,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		m, err = tir.Parse(fs.Arg(0), string(src))
+		m, err = tir.ParseOnly(fs.Arg(0), string(src))
 		if err != nil {
 			return err
 		}
@@ -83,22 +84,25 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("need exactly one .tirl file or -kernel (got %d args)", fs.NArg())
 	}
 
+	// One elaboration serves every stage below: the verdict, the call
+	// graph and the datapath schedules are derived once.
+	d, err := elab.Elaborate(m)
+	if err != nil {
+		return err
+	}
 	c, err := newCompiler(out, target, *bwCache)
 	if err != nil {
 		return err
 	}
 
-	rep, err := c.Cost(m, perf.Workload{NKI: *nki}, form)
+	rep, err := c.Cost(d, perf.Workload{NKI: *nki}, form)
 	if err != nil {
 		return err
 	}
 	printReport(out, rep)
 
 	if *synth {
-		nl, err := c.Synthesize(m)
-		if err != nil {
-			return err
-		}
+		nl := c.Synthesize(d)
 		tab := report.NewTable("Estimated vs synthesised", "row", "ALUT", "REG", "BRAM", "DSP")
 		tab.AddRow("estimated", rep.Est.Used.ALUTs, rep.Est.Used.Regs, rep.Est.Used.BRAM, rep.Est.Used.DSPs)
 		tab.AddRow("actual", nl.Used.ALUTs, nl.Used.Regs, nl.Used.BRAM, nl.Used.DSPs)
@@ -111,7 +115,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *hdlOut != "" {
-		src, err := c.EmitHDL(m)
+		src, err := c.EmitHDL(d)
 		if err != nil {
 			return err
 		}
@@ -137,7 +141,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		sim, err := c.Simulate(m, mem)
+		sim, err := c.Simulate(d, mem)
 		if err != nil {
 			return err
 		}
@@ -153,7 +157,7 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 		latency := int(rep.Est.Noff) + rep.Est.KPD + 64
-		tb, err := hdl.EmitTestbench(m, mem, expected, latency)
+		tb, err := hdl.EmitTestbench(d, mem, expected, latency)
 		if err != nil {
 			return err
 		}

@@ -124,3 +124,38 @@ func TestTestbenchEmission(t *testing.T) {
 		t.Error("-tb without -kernel accepted")
 	}
 }
+
+// TestRunRejectsPortArgs: a module whose seq function @g passes its own
+// parameters to a pipe call is rejected with TIR040 before anything is
+// costed or synthesised, as tytravet and every back end reject it.
+func TestRunRejectsPortArgs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.tirl")
+	src := `%mem_a = memobj ui16, size 64, space global, pattern CONT
+%mem_b = memobj ui16, size 64, space global, pattern CONT
+%str_a = strobj %mem_a, dir in, port main.a
+%str_b = strobj %mem_b, dir out, port main.b
+@main.a = addrSpace(12) ui16, !"istream", !"CONT", !0, !"str_a"
+@main.b = addrSpace(12) ui16, !"ostream", !"CONT", !0, !"str_b"
+define void @f0(ui16 %a, ui16 %b) pipe {
+  ui16 %x = add ui16 %a, 1
+  out ui16 %b, %x
+}
+define void @g(ui16 %a, ui16 %b) seq {
+  call @f0(%a, %b) pipe
+}
+define void @main() {
+  call @g(@main.a, @main.b) seq
+}
+`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err := run([]string{"-synth", path}, &out)
+	if err == nil || !strings.Contains(err.Error(), "TIR040") {
+		t.Errorf("tytracc -synth: got %v, want a TIR040 error", err)
+	}
+	if strings.Contains(out.String(), "Estimated vs synthesised") {
+		t.Errorf("rejected module was synthesised:\n%s", out.String())
+	}
+}

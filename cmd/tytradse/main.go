@@ -68,6 +68,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/dse"
+	"repro/internal/elab"
 	"repro/internal/evalstore"
 	"repro/internal/experiments"
 	"repro/internal/kernels"
@@ -122,7 +123,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Sprintf("FPGA target (%s)", strings.Join(device.Names(), " | ")))
 	devices := fs.String("devices", "",
 		"comma-separated device shelf for a cross-device sweep (overrides -target)")
-	maxLanes := fs.Int("maxlanes", 16, "largest lane count to sweep")
+	maxLanes := fs.Int("maxlanes", 16, fmt.Sprintf("largest lane count to sweep (at most %d)", elab.MaxInstances))
 	formName := fs.String("form", "B", "memory-execution form (A | B | C)")
 	nki := fs.Int64("nki", 10, "kernel-instance repetitions")
 	strategy := fs.String("strategy", "exhaustive",
@@ -143,6 +144,11 @@ func run(args []string, out io.Writer) error {
 	}
 	if *jobs < 0 {
 		return fmt.Errorf("-j %d: the worker count must be positive, or 0 for all CPUs", *jobs)
+	}
+	// Every lane count builds a module that materialises each lane, so
+	// the axis stops where the simulator and the HDL back end stop.
+	if *maxLanes > elab.MaxInstances {
+		return fmt.Errorf("-maxlanes %d: above the %d lanes a design may materialise", *maxLanes, elab.MaxInstances)
 	}
 
 	st, err := dse.ParseStrategy(*strategy)

@@ -85,6 +85,27 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsHugeLaneAxis: a lane axis above the instance bound is
+// an error before anything is built or calibrated, so nothing prints.
+// Each lane count builds a module that materialises every lane: without
+// the bound, -maxlanes 1000000 builds one per divisor of the NDRange
+// and runs out of memory.
+func TestRunRejectsHugeLaneAxis(t *testing.T) {
+	for _, args := range [][]string{
+		{"-kernel", "sor", "-maxlanes", "1000000"},
+		{"-kernel", "sor", "-maxlanes", "1000000", "-devices", "edu,virtex-7-690t"},
+	} {
+		var out strings.Builder
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), "-maxlanes 1000000") {
+			t.Errorf("%v: got %v, want a -maxlanes error", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed before rejecting:\n%s", args, out.String())
+		}
+	}
+}
+
 // TestRunUnknownTargetListsNames: the registry-backed lookup must name
 // the valid targets instead of leaving the user to guess (the old
 // parser silently special-cased "edu" and then listed only two names).

@@ -1,7 +1,8 @@
 // Command tytravet is the static verifier of the TyTra-IR front stage:
 // it parses one or more .tirl files and reports every finding of the
-// semantic checks (tir.Check) and the deeper static passes
-// (tir.Analyze) with stable TIR0xx codes and source positions. With
+// semantic checks (tir.Check), the deeper static passes (tir.Analyze)
+// and elaboration (internal/elab: an instance count that overflows) with
+// stable TIR0xx codes and source positions. With
 // -target it additionally checks the static resource estimate against
 // the device capacity (TIR090), so a design that cannot fit is rejected
 // before any simulation or synthesis is attempted.
@@ -24,6 +25,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/diag"
+	"repro/internal/elab"
 	"repro/internal/tir"
 	"repro/internal/verify"
 )
@@ -100,16 +102,22 @@ func run(args []string, out, errOut io.Writer) (int, error) {
 	return 0, nil
 }
 
-// check verifies one input: parse, full static analysis, then — when a
-// target is given and the module is otherwise clean — device fit.
+// check verifies one input: parse, then elaboration — the full static
+// analysis, the call graph and the datapath schedules every back end
+// reads — then, when a target is given and the design elaborated,
+// device fit.
 func check(file, src string, model *costmodel.Model, target *device.Target) diag.List {
 	m, err := tir.ParseOnly(file, src)
 	if err != nil {
 		return diag.AsList(err, tir.CodeSyntax)
 	}
-	l := m.Analyze()
-	if target != nil && !l.HasErrors() {
-		l.Add(verify.DeviceFitModel(m, model, target)...)
+	d, err := elab.Elaborate(m)
+	if err != nil {
+		return diag.AsList(err, tir.CodeInstanceBound)
+	}
+	l := d.Warnings()
+	if target != nil {
+		l.Add(verify.DeviceFitModel(d, model, target)...)
 	}
 	return l
 }

@@ -53,21 +53,21 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Parse and validate the design variant.
-	m, err := compiler.Parse("movavg", design)
+	// Parse and elaborate the design variant.
+	d, err := compiler.Parse("movavg", design)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Cost it: resource estimate, Table I parameters, EKIT throughput
 	// under form B (data resident in device DRAM across iterations).
-	rep, err := compiler.Cost(m, perf.Workload{NKI: 1000}, perf.FormB)
+	rep, err := compiler.Cost(d, perf.Workload{NKI: 1000}, perf.FormB)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	est := rep.Est
-	fmt.Printf("design %q (%v) on %s\n", m.Name, est.Config, target.Name)
+	fmt.Printf("design %q (%v) on %s\n", rep.Module.Name, est.Config, target.Name)
 	fmt.Printf("  resources: %v\n", est.Used)
 	fmt.Printf("  pipeline depth %d cycles, max offset %d elements, %d instructions/PE\n",
 		est.KPD, est.Noff, est.NI)
@@ -76,9 +76,9 @@ func main() {
 	fmt.Printf("  estimated CPKI for 65536 items: %d cycles\n", est.CPKI(65536))
 
 	// Emit the synthesisable Verilog for HLS integration (§VII).
-	hdl, err := compiler.EmitHDL(m)
+	hdl, err := compiler.EmitHDL(d)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  generated %d bytes of Verilog (module tytra_top_%s)\n", len(hdl), m.Name)
+	fmt.Printf("  generated %d bytes of Verilog (module tytra_top_%s)\n", len(hdl), rep.Module.Name)
 }

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/elab"
 	"repro/internal/perf"
 	"repro/internal/tir"
 )
@@ -76,8 +77,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg, _ := m.Classify()
-	fmt.Printf("built %q: %v, 3 stages over on-chip channels\n", m.Name, cfg)
+	d, err := elab.Elaborate(m)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("built %q: %v, 3 stages over on-chip channels\n", m.Name, d.Config())
 
 	compiler, err := core.New(device.StratixVGSD8())
 	if err != nil {
@@ -86,7 +90,7 @@ func main() {
 
 	// Cost it: KPD accumulates along the chain; the channels live in
 	// block RAM; throughput stays one sample per cycle.
-	rep, err := compiler.Cost(m, perf.Workload{NKI: 100}, perf.FormC)
+	rep, err := compiler.Cost(d, perf.Workload{NKI: 100}, perf.FormC)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,7 +107,7 @@ func main() {
 		}
 		samples[i] = base
 	}
-	res, err := compiler.Simulate(m, map[string][]int64{"mem_main_x": samples})
+	res, err := compiler.Simulate(d, map[string][]int64{"mem_main_x": samples})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -114,7 +118,7 @@ func main() {
 	fmt.Printf("spike at sample 97: raw %d -> filtered %d\n", samples[97], y[97])
 
 	// And the Verilog for HLS integration.
-	hdl, err := compiler.EmitHDL(m)
+	hdl, err := compiler.EmitHDL(d)
 	if err != nil {
 		log.Fatal(err)
 	}

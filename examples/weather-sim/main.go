@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/elab"
 	"repro/internal/hlsbase"
 	"repro/internal/kernels"
 	"repro/internal/pipesim"
@@ -42,7 +43,11 @@ func main() {
 	// runs every sweep on one instance of the compiled design rather
 	// than re-validating and re-lowering the datapath per instance. (A
 	// service could hand this same design to any number of goroutines.)
-	design, err := pipesim.Compile(m)
+	d, err := elab.Elaborate(m)
+	if err != nil {
+		log.Fatal(err)
+	}
+	design, err := pipesim.Compile(d)
 	if err != nil {
 		log.Fatal(err)
 	}

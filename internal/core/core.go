@@ -1,7 +1,7 @@
 // Package core is the TyTra back-end compiler façade (Fig 11): one
 // handle that bundles the calibrated resource cost model, the empirical
 // bandwidth model and the target description, and drives the
-// Parse → Validate → Cost → Emit-HDL pipeline the command-line tools
+// Parse → Elaborate → Cost → Emit-HDL pipeline the command-line tools
 // and examples use, plus Explore, the one entry point of the
 // design-space exploration over a shelf of targets.
 //
@@ -21,6 +21,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/dse"
+	"repro/internal/elab"
 	"repro/internal/fabric"
 	"repro/internal/hdl"
 	"repro/internal/membw"
@@ -73,9 +74,14 @@ func NewFromCalibration(target *device.Target, r io.Reader) (*Compiler, error) {
 	return &Compiler{Target: target, Model: mdl, BW: bw}, nil
 }
 
-// Parse parses and validates TyTra-IR surface syntax.
-func (c *Compiler) Parse(name, src string) (*tir.Module, error) {
-	return tir.Parse(name, src)
+// Parse parses TyTra-IR surface syntax and elaborates the module: the
+// design every other stage of the compiler reads.
+func (c *Compiler) Parse(name, src string) (*elab.Design, error) {
+	m, err := tir.ParseOnly(name, src)
+	if err != nil {
+		return nil, err
+	}
+	return elab.Elaborate(m)
 }
 
 // Report is the full costing of one design variant: the Fig 2 outputs.
@@ -88,11 +94,11 @@ type Report struct {
 	Breakdown perf.Breakdown
 }
 
-// Cost evaluates a design variant: resource estimate, Table I parameter
-// extraction, and the EKIT throughput under the given memory-execution
-// form.
-func (c *Compiler) Cost(m *tir.Module, w perf.Workload, form perf.Form) (*Report, error) {
-	est, err := c.Model.Estimate(m)
+// Cost evaluates an elaborated design variant: resource estimate,
+// Table I parameter extraction, and the EKIT throughput under the given
+// memory-execution form.
+func (c *Compiler) Cost(d *elab.Design, w perf.Workload, form perf.Form) (*Report, error) {
+	est, err := c.Model.Estimate(d)
 	if err != nil {
 		return nil, err
 	}
@@ -109,24 +115,28 @@ func (c *Compiler) Cost(m *tir.Module, w perf.Workload, form perf.Form) (*Report
 	if err != nil {
 		return nil, err
 	}
-	return &Report{Module: m, Est: est, Params: params, Form: form, EKIT: ekit, Breakdown: bd}, nil
+	return &Report{Module: d.Module(), Est: est, Params: params, Form: form, EKIT: ekit, Breakdown: bd}, nil
 }
 
 // EmitHDL generates the synthesisable Verilog of the design variant.
-func (c *Compiler) EmitHDL(m *tir.Module) (string, error) { return hdl.Emit(m) }
+func (c *Compiler) EmitHDL(d *elab.Design) (string, error) { return hdl.Emit(d) }
 
 // Synthesize runs the synthesis substrate, producing the "actual"
 // resource numbers the cost model is validated against (Table II).
-func (c *Compiler) Synthesize(m *tir.Module) (*fabric.Netlist, error) {
-	return fabric.New(c.Target).Synthesize(m)
+func (c *Compiler) Synthesize(d *elab.Design) *fabric.Netlist {
+	return fabric.New(c.Target).Synthesize(d)
 }
 
 // Simulate executes the design variant cycle-accurately on the given
 // memory contents, producing outputs and the actual CPKI. It compiles
-// the module on every call; a caller that runs one variant many times
+// the design on every call; a caller that runs one variant many times
 // should hold a pipesim.Compile design and one Instance of it.
-func (c *Compiler) Simulate(m *tir.Module, mem map[string][]int64) (*pipesim.Result, error) {
-	return pipesim.Run(m, mem)
+func (c *Compiler) Simulate(d *elab.Design, mem map[string][]int64) (*pipesim.Result, error) {
+	cd, err := pipesim.Compile(d)
+	if err != nil {
+		return nil, err
+	}
+	return cd.Run(mem)
 }
 
 // Explore runs one design-space exploration (Fig 15, §VI-A): the space

@@ -47,12 +47,12 @@ func TestEndToEndParseCostEmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.Parse("sor.tirl", m0.String())
+	d, err := c.Parse("sor.tirl", m0.String())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	rep, err := c.Cost(m, perf.Workload{NKI: 1000}, perf.FormB)
+	rep, err := c.Cost(d, perf.Workload{NKI: 1000}, perf.FormB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestEndToEndParseCostEmit(t *testing.T) {
 		t.Errorf("Noff = %d", rep.Params.Noff)
 	}
 
-	hdlSrc, err := c.EmitHDL(m)
+	hdlSrc, err := c.EmitHDL(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +74,7 @@ func TestEndToEndParseCostEmit(t *testing.T) {
 		t.Error("HDL missing top module")
 	}
 
-	nl, err := c.Synthesize(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl := c.Synthesize(d)
 	if nl.Used.ALUTs <= 0 {
 		t.Error("synthesis produced no logic")
 	}
@@ -94,7 +91,7 @@ func TestCompilerSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Simulate(m, mem)
+	res, err := c.Simulate(elaborate(t, m), mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +111,7 @@ func TestCompilerSimulate(t *testing.T) {
 
 	// A compiled design with one dedicated instance must agree with the
 	// one-shot path across repeated kernel-instances.
-	d, err := pipesim.Compile(m)
+	d, err := pipesim.Compile(elaborate(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +159,7 @@ func TestCostRejectsBrokenWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Cost(m, perf.Workload{NKI: 0}, perf.FormA); err == nil {
+	if _, err := c.Cost(elaborate(t, m), perf.Workload{NKI: 0}, perf.FormA); err == nil {
 		t.Error("NKI=0 accepted")
 	}
 }
@@ -174,7 +171,7 @@ func TestFormCFeasibilityGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Cost(small, perf.Workload{NKI: 10}, perf.FormC); err != nil {
+	if _, err := c.Cost(elaborate(t, small), perf.Workload{NKI: 10}, perf.FormC); err != nil {
 		t.Errorf("small working set rejected for form C: %v", err)
 	}
 	// A huge NDRange cannot be staged in block RAM: form C refused,
@@ -183,10 +180,10 @@ func TestFormCFeasibilityGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Cost(huge, perf.Workload{NKI: 10}, perf.FormC); err == nil {
+	if _, err := c.Cost(elaborate(t, huge), perf.Workload{NKI: 10}, perf.FormC); err == nil {
 		t.Error("14M-point working set accepted for form C")
 	}
-	if _, err := c.Cost(huge, perf.Workload{NKI: 10}, perf.FormB); err != nil {
+	if _, err := c.Cost(elaborate(t, huge), perf.Workload{NKI: 10}, perf.FormB); err != nil {
 		t.Errorf("form B rejected: %v", err)
 	}
 }

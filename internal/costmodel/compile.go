@@ -4,15 +4,16 @@ import (
 	"fmt"
 
 	"repro/internal/device"
+	"repro/internal/elab"
 	"repro/internal/schedule"
 	"repro/internal/tir"
 )
 
 // CompiledModel is one (kernel IR × calibrated target) pair compiled
 // into a flat estimate program. Compilation has two halves. Lower
-// walks the IR exactly once — call tree, datapath instructions,
-// schedules, offset windows, lane shape — into a target-independent
-// Lowered. Bind prices that against one calibrated model: every
+// reads the elaborated design exactly once — instance multiplicities,
+// datapath instructions, schedules, offset windows, lane shape — into a
+// target-independent Lowered. Bind prices that against one calibrated model: every
 // per-instruction fitted expression is evaluated once per distinct
 // operand width into dense per-width cost arrays. What remains per
 // variant is closed-form arithmetic over the dv axis scalar:
@@ -153,11 +154,11 @@ func classify(in tir.Instr) (instrClass, bool) {
 	return instrClass{}, false
 }
 
-// Lowered is a module lowered for estimation: everything a compiled
-// estimate program needs that reads no calibrated Model — validation,
-// the Fig 7 classification, the call-tree instance counts, each
-// datapath function's instruction-class populations, balancing delay
-// lines, stream ports and offset windows, and the lane shape (KPD, NI,
+// Lowered is a design lowered for estimation: everything a compiled
+// estimate program needs that reads no calibrated Model — the Fig 7
+// classification, the instance multiplicities, each datapath
+// function's instruction-class populations, balancing delay lines,
+// stream ports and offset windows, and the lane shape (KPD, NI,
 // Noff). Lowering depends only on the IR, so one Lowered serves every
 // target: Bind prices it against a calibrated model. A Lowered is
 // immutable and safe for concurrent use.
@@ -177,7 +178,7 @@ type Lowered struct {
 // the evaluator's saturating accumulation happens in exactly the
 // oracle's order.
 type loweredFunc struct {
-	n          int  // hardware instance count from the call tree
+	n          int  // hardware instance multiplicity
 	structural bool // par/seq node: cost is dv-independent
 	calls      int  // par/seq: the calls the node arbitrates
 
@@ -203,84 +204,42 @@ type classCount struct {
 	n     int
 }
 
-// Lower lowers the module for estimation: validation, classification,
-// the call-tree instance counts, every datapath function's class
-// populations and schedule (each function scheduled once), and the
-// lane shape all happen here, once per module, whatever the target.
-// The classification, the lane count, the instance counts and the lane
-// shape all read one configuration tree.
-func Lower(m *tir.Module) (*Lowered, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	tree, err := m.ConfigTree()
+// Lower lowers an elaborated design for estimation: every reachable
+// datapath function's class populations, read with its schedule's
+// delay lines and its offset windows, each function's instance
+// multiplicity, and the lane shape all happen here, once per design,
+// whatever the target.
+func Lower(d *elab.Design) (*Lowered, error) {
+	shape, err := laneShape(d)
 	if err != nil {
 		return nil, err
 	}
-
-	// Hardware instance counts implied by the call tree: a function has
-	// one instance per node of the configuration tree.
-	instances := make(map[*tir.Function]int, len(m.Funcs))
-	countInstances(tree, instances)
-
-	l := &Lowered{m: m, cfg: tree.Classify(), lanes: tree.KernelLanes()}
-	shapes := make(map[*tir.Function]dpShape, len(m.Funcs))
+	m := d.Module()
+	l := &Lowered{m: m, cfg: d.Config(), lanes: d.Lanes(), kpd: shape.depth, ni: shape.ni, noff: shape.noff}
 	for _, f := range m.Funcs {
-		n := instances[f]
-		if n == 0 {
+		n := d.Node(f)
+		if n == nil {
 			continue
 		}
-		lf := loweredFunc{n: n}
+		lf := loweredFunc{n: int(n.Mult)}
 		switch f.Mode {
 		case tir.ModePipe, tir.ModeComb:
-			shape, err := lowerDatapath(m, f, &lf)
-			if err != nil {
-				return nil, err
-			}
-			shapes[f] = shape
+			lowerDatapath(n, &lf)
 		case tir.ModePar, tir.ModeSeq:
 			lf.structural = true
-			lf.calls = len(f.Calls())
+			lf.calls = len(n.Calls)
 		}
 		l.funcs = append(l.funcs, lf)
 	}
-
-	kpd, ni, noff, err := laneShape(tree, func(f *tir.Function) (dpShape, error) {
-		if s, ok := shapes[f]; ok {
-			return s, nil
-		}
-		return scheduleShape(m, f)
-	})
-	if err != nil {
-		return nil, err
-	}
-	l.kpd = kpd + 2 // ingress/egress stream-control registering
-	l.ni = ni
-	l.noff = noff
 	return l, nil
-}
-
-// countInstances adds one hardware instance of n's function, and of
-// every function below it, per node of the tree under n.
-func countInstances(n *tir.ConfigNode, instances map[*tir.Function]int) {
-	instances[n.Func]++
-	for _, c := range n.Children {
-		countInstances(c, instances)
-	}
 }
 
 // lowerDatapath lowers one pipe/comb function: its instruction-class
 // populations, balancing delay lines, port count and offset windows.
-// It returns the function's lane shape, read off the same schedule and
-// windows.
-func lowerDatapath(m *tir.Module, f *tir.Function, lf *loweredFunc) (dpShape, error) {
-	ni := 0
+func lowerDatapath(n *elab.Node, lf *loweredFunc) {
+	f := n.Func
 	at := map[instrClass]int{}
 	for _, in := range f.Body {
-		if _, call := in.(*tir.CallInstr); call {
-			continue
-		}
-		ni++
 		c, ok := classify(in)
 		if !ok {
 			continue
@@ -294,11 +253,7 @@ func lowerDatapath(m *tir.Module, f *tir.Function, lf *loweredFunc) (dpShape, er
 		lf.classes[i].n++
 	}
 
-	sch, err := schedule.ASAPIn(m, f)
-	if err != nil {
-		return dpShape{}, err
-	}
-	for _, d := range sch.Delays {
+	for _, d := range n.Sched.Delays {
 		if d.Cycles >= 4 {
 			lf.delayALUTs += d.Bits * (d.Cycles + 1) / 2 / 8
 			lf.delayRegs += d.Bits
@@ -308,11 +263,7 @@ func lowerDatapath(m *tir.Module, f *tir.Function, lf *loweredFunc) (dpShape, er
 	}
 	lf.ports = len(f.Params)
 
-	shape := dpShape{depth: sch.Depth, ni: ni}
 	for _, w := range schedule.OffsetWindows(f) {
-		if w.MaxAhead > shape.noff {
-			shape.noff = w.MaxAhead
-		}
 		windowBits := w.Window() * int64(w.Bits)
 		if windowBits <= 0 {
 			continue
@@ -324,7 +275,6 @@ func lowerDatapath(m *tir.Module, f *tir.Function, lf *loweredFunc) (dpShape, er
 			lf.bramWindows++
 		}
 	}
-	return shape, nil
 }
 
 // Bind prices a lowered module against the calibrated model: each
@@ -359,11 +309,16 @@ func (mdl *Model) Bind(l *Lowered) *CompiledModel {
 	return cm
 }
 
-// Compile lowers the module and binds it to the calibrated model:
-// Bind(Lower(m)). A caller pricing one module on several targets
-// lowers it once and binds it per target instead.
+// Compile elaborates the module, lowers it and binds it to the
+// calibrated model. It stays only for the benchmark's replay; a caller
+// pricing one design on several targets lowers it once and binds it per
+// target instead.
 func (mdl *Model) Compile(m *tir.Module) (*CompiledModel, error) {
-	l, err := Lower(m)
+	d, err := elab.Elaborate(m)
+	if err != nil {
+		return nil, err
+	}
+	l, err := Lower(d)
 	if err != nil {
 		return nil, err
 	}

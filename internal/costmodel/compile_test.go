@@ -59,7 +59,7 @@ func TestCompiledMatchesOracle(t *testing.T) {
 		mdls[i] = mdl
 	}
 	for name, m := range mods {
-		low, err := Lower(m)
+		low, err := Lower(elaborate(t, m))
 		if err != nil {
 			t.Fatalf("%s: Lower: %v", name, err)
 		}
@@ -81,7 +81,7 @@ func TestCompiledMatchesOracle(t *testing.T) {
 				t.Fatalf("%s on %s: Compile: %v", name, tgt.Name, err)
 			}
 			for _, dv := range dvs {
-				want, err := mdl.EstimateVectorised(m, dv)
+				want, err := mdl.EstimateVectorised(elaborate(t, m), dv)
 				if err != nil {
 					t.Fatalf("%s on %s dv=%d: oracle: %v", name, tgt.Name, dv, err)
 				}
@@ -180,7 +180,7 @@ func BenchmarkCompiledEstimate(b *testing.B) {
 		b.Run(spec.Name()+"/tree", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := mdl.EstimateVectorised(m, i%8+1); err != nil {
+				if _, err := mdl.EstimateVectorised(elaborate(b, m), i%8+1); err != nil {
 					b.Fatal(err)
 				}
 			}

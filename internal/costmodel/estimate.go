@@ -1,9 +1,12 @@
 package costmodel
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/device"
+	"repro/internal/elab"
 	"repro/internal/schedule"
 	"repro/internal/tir"
 )
@@ -100,13 +103,13 @@ func (e *Estimate) FormCFeasible() bool {
 	return e.WorkingSetBits()+int64(e.Used.BRAM) <= int64(e.Target.Capacity.BRAM)
 }
 
-// Estimate costs a design variant by parsing its IR: per-instruction
-// fitted expressions accumulated over the function hierarchy plus the
+// Estimate costs an elaborated design variant: per-instruction fitted
+// expressions accumulated over the function hierarchy plus the
 // structural blocks (stream controllers, offset windows, lane arbiters)
-// implied by the function types (§V-A). It does not synthesise anything;
-// this is the fast path the whole TyTra flow depends on.
-func (mdl *Model) Estimate(m *tir.Module) (*Estimate, error) {
-	return mdl.EstimateVectorised(m, 1)
+// implied by the function types (§V-A). It does not synthesise
+// anything; this is the fast path the whole TyTra flow depends on.
+func (mdl *Model) Estimate(d *elab.Design) (*Estimate, error) {
+	return mdl.EstimateVectorised(d, 1)
 }
 
 // EstimateVectorised costs the design with each lane vectorised to dv
@@ -116,68 +119,37 @@ func (mdl *Model) Estimate(m *tir.Module) (*Estimate, error) {
 // replicates (one address generator fetching dv-element words, costed at
 // half a controller per extra way); offset windows keep their total
 // bits (same elements buffered) but pay dv-way tap multiplexers.
-func (mdl *Model) EstimateVectorised(m *tir.Module, dv int) (*Estimate, error) {
+//
+// This is the per-instruction oracle the compiled program (Lower,
+// Bind) is pinned to: each reachable function is priced once, in
+// m.Funcs order, and scaled by its instance multiplicity.
+func (mdl *Model) EstimateVectorised(d *elab.Design, dv int) (*Estimate, error) {
 	if dv < 1 {
 		return nil, fmt.Errorf("costmodel: vectorisation degree must be >= 1, got %d", dv)
 	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	cfg, err := m.Classify()
+	shape, err := laneShape(d)
 	if err != nil {
 		return nil, err
 	}
-	est := &Estimate{
-		Module: m,
-		Target: mdl.Target,
-		Lanes:  m.Lanes(),
-		DV:     dv,
-		NTO:    1,
-		FmaxHz: mdl.Target.FmaxHz,
-		Config: cfg,
-	}
-
-	// Hardware instance counts implied by the call tree.
-	instances := map[string]int{}
-	var count func(fn *tir.Function, n int) error
-	count = func(fn *tir.Function, n int) error {
-		instances[fn.Name] += n
-		for _, c := range fn.Calls() {
-			callee := m.Func(c.Callee)
-			if callee == nil {
-				return fmt.Errorf("costmodel: unknown callee @%s", c.Callee)
-			}
-			if err := count(callee, n); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := count(m.Main(), 1); err != nil {
-		return nil, err
-	}
-
+	m := d.Module()
 	total := device.Resources{}
 	for _, f := range m.Funcs {
-		n := instances[f.Name]
-		if n == 0 {
+		n := d.Node(f)
+		if n == nil {
 			continue
 		}
 		var r device.Resources
 		switch f.Mode {
 		case tir.ModePipe, tir.ModeComb:
-			r, err = mdl.estimateDatapath(m, f, dv)
-			if err != nil {
-				return nil, err
-			}
+			r = mdl.estimateDatapath(n, dv)
 		case tir.ModePar, tir.ModeSeq:
-			calls := len(f.Calls())
+			calls := len(n.Calls)
 			r = device.Resources{
 				ALUTs: mdl.ParNodeALUTs + mdl.ParCallALUTs*calls,
 				Regs:  mdl.ParNodeRegs + mdl.ParCallRegs*calls,
 			}
 		}
-		total = total.Add(r.Scale(n))
+		total = total.Add(r.Scale(int(n.Mult)))
 	}
 	// Design-level constant: clock/reset distribution and the host
 	// interface shim, measured once during calibration. The model does
@@ -185,104 +157,104 @@ func (mdl *Model) EstimateVectorised(m *tir.Module, dv int) (*Estimate, error) {
 	// which is where its residual error comes from.
 	total.ALUTs += mdl.ShimALUTs
 	total.Regs += mdl.ShimRegs
-	est.Used = total
 
-	// Structural parameters from the configuration tree: pipeline depth
-	// accumulates along coarse-grained chains; Noff is the worst
-	// look-ahead anywhere in a lane.
-	tree, err := m.ConfigTree()
-	if err != nil {
-		return nil, err
-	}
-	kpd, ni, noff, err := laneShape(tree, func(f *tir.Function) (dpShape, error) {
-		return scheduleShape(m, f)
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Ingress/egress stream-control registering adds a fixed two cycles.
-	est.KPD = kpd + 2
-	est.NI = ni
-	est.Noff = noff
-	return est, nil
+	return &Estimate{
+		Module: m,
+		Target: mdl.Target,
+		Used:   total,
+		KPD:    shape.depth,
+		Noff:   shape.noff,
+		NI:     shape.ni,
+		Lanes:  d.Lanes(),
+		DV:     dv,
+		NTO:    1,
+		FmaxHz: mdl.Target.FmaxHz,
+		Config: d.Config(),
+	}, nil
 }
 
-// dpShape is what laneShape reads off one pipe/comb function: its ASAP
-// schedule depth, its datapath instruction count and its largest
-// stream look-ahead.
+// dpShape is the lane shape of Table I read off the IR: pipeline
+// depth, datapath instruction count and largest stream look-ahead.
 type dpShape struct {
 	depth, ni int
 	noff      int64
 }
 
-// scheduleShape schedules f and reads its dpShape.
-func scheduleShape(m *tir.Module, f *tir.Function) (dpShape, error) {
-	sch, err := schedule.ASAPIn(m, f)
-	if err != nil {
-		return dpShape{}, err
+// errShapeOverflow is the error of a lane whose KPD or NI overflows.
+var errShapeOverflow = errors.New("costmodel: the lane's pipeline depth or instruction count overflows int")
+
+// laneShape computes the shape of one lane of the design, memoised per
+// function over the call DAG in post-order: a pipe or comb function
+// adds its own schedule depth and datapath instructions to its
+// children's and takes the worst look-ahead (pipe peers chain their
+// depths); a par function is one replica of its lane; a seq function
+// takes its deepest child and sums their instructions. The depth
+// includes the fixed two cycles of ingress/egress stream-control
+// registering. A sum that overflows is an error.
+func laneShape(d *elab.Design) (dpShape, error) {
+	nodes := d.Nodes()
+	memo := make(map[*elab.Node]dpShape, len(nodes))
+	ok := true
+	for i := range nodes {
+		n := &nodes[i]
+		var s dpShape
+		switch n.Func.Mode {
+		case tir.ModePar:
+			s = memo[n.Calls[0].Callee]
+		case tir.ModePipe, tir.ModeComb:
+			s = dpShape{depth: n.Sched.Depth, noff: schedule.MaxOffset(n.Func)}
+			for _, in := range n.Func.Body {
+				if _, call := in.(*tir.CallInstr); !call {
+					s.ni++
+				}
+			}
+			for _, c := range n.Calls {
+				cs := memo[c.Callee]
+				s.depth, ok = sumInts(s.depth, cs.depth, ok)
+				s.ni, ok = sumInts(s.ni, cs.ni, ok)
+				s.noff = max(s.noff, cs.noff)
+			}
+		case tir.ModeSeq:
+			for _, c := range n.Calls {
+				cs := memo[c.Callee]
+				s.depth = max(s.depth, cs.depth)
+				s.ni, ok = sumInts(s.ni, cs.ni, ok)
+				s.noff = max(s.noff, cs.noff)
+			}
+		}
+		memo[n] = s
 	}
-	return dpShape{depth: sch.Depth, ni: len(f.DatapathInstrs()), noff: schedule.MaxOffset(f)}, nil
+	s := memo[d.Root()]
+	if s.depth, ok = sumInts(s.depth, 2, ok); !ok {
+		return dpShape{}, errShapeOverflow
+	}
+	return s, nil
 }
 
-// laneShape computes (pipeline depth, instruction count, max offset) of
-// one lane of the architecture under node n: par nodes contribute one
-// replica; pipe peers chain their depths; seq takes the worst child.
-// shape supplies each pipe/comb node's own dpShape.
-func laneShape(n *tir.ConfigNode, shape func(*tir.Function) (dpShape, error)) (kpd, ni int, noff int64, err error) {
-	switch n.Mode {
-	case tir.ModePipe, tir.ModeComb:
-		s, e := shape(n.Func)
-		if e != nil {
-			return 0, 0, 0, e
-		}
-		kpd, ni, noff = s.depth, s.ni, s.noff
-		for _, c := range n.Children {
-			ck, cn, co, e := laneShape(c, shape)
-			if e != nil {
-				return 0, 0, 0, e
-			}
-			kpd += ck
-			ni += cn
-			if co > noff {
-				noff = co
-			}
-		}
-	case tir.ModePar:
-		return laneShape(n.Children[0], shape)
-	case tir.ModeSeq:
-		for _, c := range n.Children {
-			ck, cn, co, e := laneShape(c, shape)
-			if e != nil {
-				return 0, 0, 0, e
-			}
-			if ck > kpd {
-				kpd = ck
-			}
-			ni += cn
-			if co > noff {
-				noff = co
-			}
-		}
+// sumInts adds two non-negative counts, clearing ok when the sum
+// overflows an int (ok stays false once cleared).
+func sumInts(a, b int, ok bool) (int, bool) {
+	if a > math.MaxInt-b {
+		return 0, false
 	}
-	return kpd, ni, noff, nil
+	return a + b, ok
 }
 
 // estimateDatapath costs one pipe/comb function: fitted per-instruction
 // expressions, schedule-derived balancing registers, stream controllers
 // and offset windows.
-func (mdl *Model) estimateDatapath(m *tir.Module, f *tir.Function, dv int) (device.Resources, error) {
+func (mdl *Model) estimateDatapath(n *elab.Node, dv int) device.Resources {
+	f := n.Func
 	r := device.Resources{}
-	for _, in := range f.DatapathInstrs() {
-		r = r.Add(mdl.InstrCost(in))
+	for _, in := range f.Body {
+		if _, call := in.(*tir.CallInstr); !call {
+			r = r.Add(mdl.InstrCost(in))
+		}
 	}
 
-	sch, err := schedule.ASAPIn(m, f)
-	if err != nil {
-		return device.Resources{}, err
-	}
 	// Balancing delay lines, same extraction rule the back-end applies:
 	// long runs become LUT shift registers, short runs flip-flops.
-	for _, d := range sch.Delays {
+	for _, d := range n.Sched.Delays {
 		if d.Cycles >= 4 {
 			r.ALUTs += d.Bits * (d.Cycles + 1) / 2 / 8
 			r.Regs += d.Bits
@@ -320,7 +292,7 @@ func (mdl *Model) estimateDatapath(m *tir.Module, f *tir.Function, dv int) (devi
 			r.Regs += mdl.BRAMWindowRegs * dv
 		}
 	}
-	return r, nil
+	return r
 }
 
 // InstrCost is the fitted per-instruction estimate — one row of the

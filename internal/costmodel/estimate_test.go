@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/elab"
 	"repro/internal/fabric"
 	"repro/internal/kernels"
 	"repro/internal/tir"
@@ -39,14 +40,11 @@ func TestEstimateAccuracyTableII(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			est, err := mdl.Estimate(m)
+			est, err := mdl.Estimate(elaborate(t, m))
 			if err != nil {
 				t.Fatal(err)
 			}
-			nl, err := synth.Synthesize(m)
-			if err != nil {
-				t.Fatal(err)
-			}
+			nl := synth.Synthesize(elaborate(t, m))
 			type row struct {
 				name        string
 				est, actual int
@@ -87,14 +85,11 @@ func TestSORBRAMWindowMatchesPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := mdl.Estimate(m)
+	est, err := mdl.Estimate(elaborate(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl, err := fabric.New(tgt).Synthesize(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl := fabric.New(tgt).Synthesize(elaborate(t, m))
 	if est.Used.BRAM != 5418 {
 		t.Errorf("estimated BRAM = %d bits, want 5418", est.Used.BRAM)
 	}
@@ -118,7 +113,7 @@ func TestEstimateStructuralParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := mdl.Estimate(m)
+	est, err := mdl.Estimate(elaborate(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +157,11 @@ func TestEstimateLaneScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, err := mdl.Estimate(one)
+	e1, err := mdl.Estimate(elaborate(t, one))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e4, err := mdl.Estimate(four)
+	e4, err := mdl.Estimate(elaborate(t, four))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +190,7 @@ func TestEstimateFitsAndUtilisation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := mdl.Estimate(m)
+	est, err := mdl.Estimate(elaborate(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +205,11 @@ func TestEstimateFitsAndUtilisation(t *testing.T) {
 	}
 }
 
+// TestEstimateRejectsInvalidModule: an invalid module never reaches
+// the estimate, because it has no design; pipesim's TestGeneratedChain
+// checks that an overflowing lane shape is an error.
 func TestEstimateRejectsInvalidModule(t *testing.T) {
-	tgt := device.StratixVGSD8()
-	mdl, err := Calibrate(tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mdl.Estimate(&tir.Module{Name: "empty"}); err == nil {
-		t.Error("empty module accepted")
+	if _, err := elab.Elaborate(&tir.Module{Name: "empty"}); err == nil {
+		t.Error("empty module elaborated")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/costmodel"
+	"repro/internal/elab"
 	"repro/internal/evalstore"
 	"repro/internal/membw"
 	"repro/internal/perf"
@@ -40,15 +41,17 @@ func loadCell[C any, K comparable](m *sync.Map, k K) *C {
 }
 
 // moduleCache memoises the device-independent work of a lane count:
-// the variant-module build, its IR digest, its cost-model lowering
-// (costmodel.Lower) and its simulated timing. It is its own type
-// (rather than a field bundle on modelEval) so an evaluator that holds
-// several per-device modelEvals shares one build, one lowering and one
-// timing per lane count across all of them; each device only binds the
-// shared, read-only lowering to its calibrated model.
+// the variant-module build, its IR digest, its elaboration, its
+// cost-model lowering (costmodel.Lower) and its simulated timing. It is
+// its own type (rather than a field bundle on modelEval) so an
+// evaluator that holds several per-device modelEvals shares one build,
+// one elaboration, one lowering and one timing per lane count across
+// all of them; each device only binds the shared, read-only lowering to
+// its calibrated model.
 type moduleCache struct {
 	build     VariantBuilder
 	builds    sync.Map // lanes int -> *onceCell[*tir.Module]
+	designs   sync.Map // lanes int -> *onceCell[*elab.Design]
 	digests   sync.Map // lanes int -> *onceCell[string]
 	lowerings sync.Map // lanes int -> *onceCell[*costmodel.Lowered]
 	timings   sync.Map // lanes int -> *onceCell[[2]int64]
@@ -70,17 +73,34 @@ func (mc *moduleCache) module(lanes int) (*tir.Module, error) {
 	return cell.val, cell.err
 }
 
-// lowered lowers the lane count's module for the compiled cost model
-// once; every device of the shelf binds the same lowering.
-func (mc *moduleCache) lowered(lanes int) (*costmodel.Lowered, error) {
-	cell := loadCell[onceCell[*costmodel.Lowered]](&mc.lowerings, lanes)
+// design elaborates the lane count's module once: the lowering, the
+// tree-walk estimate and the simulator's compile all read the same
+// design, so each datapath is checked and scheduled once per lane
+// count.
+func (mc *moduleCache) design(lanes int) (*elab.Design, error) {
+	cell := loadCell[onceCell[*elab.Design]](&mc.designs, lanes)
 	cell.once.Do(func() {
 		m, err := mc.module(lanes)
 		if err != nil {
 			cell.err = err
 			return
 		}
-		cell.val, cell.err = costmodel.Lower(m)
+		cell.val, cell.err = elab.Elaborate(m)
+	})
+	return cell.val, cell.err
+}
+
+// lowered lowers the lane count's design for the compiled cost model
+// once; every device of the shelf binds the same lowering.
+func (mc *moduleCache) lowered(lanes int) (*costmodel.Lowered, error) {
+	cell := loadCell[onceCell[*costmodel.Lowered]](&mc.lowerings, lanes)
+	cell.once.Do(func() {
+		d, err := mc.design(lanes)
+		if err != nil {
+			cell.err = err
+			return
+		}
+		cell.val, cell.err = costmodel.Lower(d)
 	})
 	return cell.val, cell.err
 }
@@ -110,12 +130,14 @@ func (mc *moduleCache) irDigest(lanes int) (string, error) {
 func (mc *moduleCache) timing(lanes int) (cycles, items int64, err error) {
 	cell := loadCell[onceCell[[2]int64]](&mc.timings, lanes)
 	cell.once.Do(func() {
-		m, err := mc.module(lanes)
-		if err != nil {
-			cell.err = err
+		if _, cell.err = mc.module(lanes); cell.err != nil {
 			return
 		}
-		d, err := pipesim.Compile(m)
+		ed, err := mc.design(lanes)
+		var d *pipesim.CompiledDesign
+		if err == nil {
+			d, err = pipesim.Compile(ed)
+		}
 		if err != nil {
 			cell.err = fmt.Errorf("dse: compiling %d-lane variant: %w", lanes, err)
 			return
@@ -208,7 +230,7 @@ type modelEval struct {
 	// estimateFn is a test seam wrapping the estimator; the warm==cold
 	// differential tests count recomputations through it. nil selects
 	// the estimator emode names.
-	estimateFn func(m *tir.Module, dv int) (*costmodel.Estimate, error)
+	estimateFn func(d *elab.Design, dv int) (*costmodel.Estimate, error)
 
 	ests        sync.Map // [2]int{lanes, dv} -> *estCell
 	compiled    sync.Map // lanes int -> *onceCell[*costmodel.CompiledModel]
@@ -258,8 +280,8 @@ func (me *modelEval) compiledModel(lanes int) (*costmodel.CompiledModel, error) 
 // inventory returns the stream inventory of the lane count's module
 // against the device's bandwidth model, taken once: every dv of the
 // lane count prices its estimate through it. The estimate carries the
-// module and its lane count, so the inventory builds no configuration
-// tree of its own.
+// module and its lane count, so the inventory walks no call hierarchy
+// of its own.
 func (me *modelEval) inventory(lanes int, est *costmodel.Estimate) *perf.Inventory {
 	cell := loadCell[onceCell[*perf.Inventory]](&me.inventories, lanes)
 	cell.once.Do(func() { cell.val = perf.NewInventory(est.Module, est.Lanes, me.bw) })
@@ -316,7 +338,7 @@ func (me *modelEval) estimate(lanes, dv int) (*costmodel.Estimate, error) {
 		if me.emode == ModelEvalTree {
 			estimate = me.mdl.EstimateVectorised
 		} else {
-			estimate = func(m *tir.Module, dv int) (*costmodel.Estimate, error) {
+			estimate = func(*elab.Design, int) (*costmodel.Estimate, error) {
 				cm, err := me.compiledModel(lanes)
 				if err != nil {
 					return nil, err
@@ -325,7 +347,11 @@ func (me *modelEval) estimate(lanes, dv int) (*costmodel.Estimate, error) {
 			}
 		}
 	}
-	est, err := estimate(m, dv)
+	d, err := me.mods.design(lanes)
+	var est *costmodel.Estimate
+	if err == nil {
+		est, err = estimate(d, dv)
+	}
 	if err != nil {
 		if dv == 1 {
 			return nil, fmt.Errorf("dse: costing %d-lane variant: %w", lanes, err)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/device"
+	"repro/internal/elab"
 	"repro/internal/evalstore"
 	"repro/internal/membw"
 	"repro/internal/perf"
@@ -46,9 +47,9 @@ func instrumentedEval(t *testing.T, mode EvalMode, mdl *costmodel.Model, bw *mem
 	if err != nil {
 		t.Fatal(err)
 	}
-	me.estimateFn = func(m *tir.Module, dv int) (*costmodel.Estimate, error) {
+	me.estimateFn = func(d *elab.Design, dv int) (*costmodel.Estimate, error) {
 		c.estimates.Add(1)
-		return mdl.EstimateVectorised(m, dv)
+		return mdl.EstimateVectorised(d, dv)
 	}
 	return de.eval
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/costmodel"
+	"repro/internal/elab"
 	"repro/internal/membw"
 	"repro/internal/perf"
 )
@@ -24,7 +25,11 @@ func legacySweepLanes(mdl *costmodel.Model, bw *membw.Model, build VariantBuilde
 		if err != nil {
 			return nil, fmt.Errorf("dse: building %d-lane variant: %w", l, err)
 		}
-		est, err := mdl.Estimate(m)
+		d, err := elab.Elaborate(m)
+		if err != nil {
+			return nil, fmt.Errorf("dse: costing %d-lane variant: %w", l, err)
+		}
+		est, err := mdl.Estimate(d)
 		if err != nil {
 			return nil, fmt.Errorf("dse: costing %d-lane variant: %w", l, err)
 		}

@@ -119,7 +119,7 @@ func TestDifferentialRunnerVsOracleCycles(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: %v", name, lanes, err)
 			}
-			d, err := pipesim.Compile(m)
+			d, err := pipesim.Compile(elaborate(t, m))
 			if err != nil {
 				t.Fatalf("%s/%d: compile: %v", name, lanes, err)
 			}
@@ -353,7 +353,7 @@ func TestSimEvaluatorCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		lanes := m.Lanes()
+		lanes := elaborate(t, m).Lanes()
 		build := func(l int) (*tir.Module, error) {
 			if l != lanes {
 				return nil, fmt.Errorf("corpus module has %d lanes, not %d", lanes, l)

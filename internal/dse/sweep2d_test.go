@@ -107,7 +107,7 @@ func TestEstimateVectorisedRejectsBadDV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mdl.EstimateVectorised(m, 0); err == nil {
+	if _, err := mdl.EstimateVectorised(elaborate(t, m), 0); err == nil {
 		t.Error("DV=0 accepted")
 	}
 }
@@ -118,7 +118,7 @@ func TestExtractUsesEstimateDV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := mdl.EstimateVectorised(m, 4)
+	est, err := mdl.EstimateVectorised(elaborate(t, m), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

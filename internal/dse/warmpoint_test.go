@@ -256,7 +256,7 @@ func scratchExtractErr(t *testing.T, tgt *device.Target, cache *ModelCache, buil
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := mdl.EstimateVectorised(m, dv)
+	est, err := mdl.EstimateVectorised(elaborate(t, m), dv)
 	if err != nil {
 		t.Fatal(err)
 	}

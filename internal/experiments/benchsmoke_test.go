@@ -92,7 +92,7 @@ func TestConcurrentThroughputSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := pipesim.Compile(m)
+	d, err := pipesim.Compile(elaborate(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestDSEModelBenchSmoke(t *testing.T) {
 				t.Fatal(err)
 			}
 			treeNs, err := timeIt(20*time.Millisecond, func() error {
-				_, err := mdl.EstimateVectorised(m, dv)
+				_, err := mdl.EstimateVectorised(elaborate(t, m), dv)
 				return err
 			})
 			if err != nil {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/dse"
+	"repro/internal/elab"
 	"repro/internal/fabric"
 	"repro/internal/hlsbase"
 	"repro/internal/kernels"
@@ -320,14 +321,15 @@ func Table2(full bool) (*Table2Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", spec.Name(), err)
 		}
-		est, err := mdl.Estimate(m)
+		d, err := elab.Elaborate(m)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", spec.Name(), err)
+		}
+		est, err := mdl.Estimate(d)
 		if err != nil {
 			return nil, err
 		}
-		nl, err := synth.Synthesize(m)
-		if err != nil {
-			return nil, err
-		}
+		nl := synth.Synthesize(d)
 		lanes := 1
 		if ls, ok := spec.(kernels.LanedSpec); ok {
 			lanes = ls.LaneCount()
@@ -336,7 +338,11 @@ func Table2(full bool) (*Table2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		sim, err := pipesim.Run(m, mem)
+		cd, err := pipesim.Compile(d)
+		if err != nil {
+			return nil, err
+		}
+		sim, err := cd.Run(mem)
 		if err != nil {
 			return nil, err
 		}
@@ -435,7 +441,11 @@ func EstimatorSpeed(mdl *costmodel.Model) (*SpeedResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := mdl.Estimate(m); err != nil {
+		d, err := elab.Elaborate(m)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := mdl.Estimate(d); err != nil {
 			return nil, err
 		}
 		n++

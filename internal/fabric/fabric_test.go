@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/diag"
+	"repro/internal/elab"
 	"repro/internal/kernels"
 	"repro/internal/tir"
 )
@@ -113,10 +114,7 @@ func TestSynthesizeSOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl, err := New(tgt).Synthesize(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl := New(tgt).Synthesize(elaborate(t, m))
 	if nl.Used.DSPs != 0 {
 		t.Errorf("integer SOR uses %d DSPs, want 0 (constant multiplies)", nl.Used.DSPs)
 	}
@@ -138,14 +136,8 @@ func TestSynthesizeLaneScaling(t *testing.T) {
 	tgt := device.StratixVGSD8()
 	one, _ := kernels.SORSpec{IM: 15, JM: 10, KM: 16, Lanes: 1}.Module()
 	four, _ := kernels.SORSpec{IM: 15, JM: 10, KM: 16, Lanes: 4}.Module()
-	n1, err := New(tgt).Synthesize(one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n4, err := New(tgt).Synthesize(four)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n1 := New(tgt).Synthesize(elaborate(t, one))
+	n4 := New(tgt).Synthesize(elaborate(t, four))
 	if n4.Used.BRAM != 4*n1.Used.BRAM {
 		t.Errorf("4-lane BRAM = %d, want exactly 4x %d", n4.Used.BRAM, n1.Used.BRAM)
 	}
@@ -162,34 +154,10 @@ func TestSynthesizeLaneScaling(t *testing.T) {
 func TestSynthesizeDeterministic(t *testing.T) {
 	tgt := device.StratixVGSD8()
 	m, _ := kernels.DefaultHotspot().Module()
-	a, err := New(tgt).Synthesize(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(tgt).Synthesize(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := New(tgt).Synthesize(elaborate(t, m))
+	b := New(tgt).Synthesize(elaborate(t, m))
 	if a.Used != b.Used || a.FmaxHz != b.FmaxHz {
 		t.Error("synthesis is not deterministic")
-	}
-}
-
-func TestCyclesPerKernelInstance(t *testing.T) {
-	tgt := device.StratixVGSD8()
-	spec := kernels.DefaultSOR()
-	m, _ := spec.Module()
-	nl, err := New(tgt).Synthesize(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := spec.GlobalSize()
-	cpki, err := nl.CyclesPerKernelInstance(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cpki <= n || cpki > n+400 {
-		t.Errorf("structural CPKI = %d for %d items", cpki, n)
 	}
 }
 
@@ -199,15 +167,14 @@ const rejectedHead = `%mem_a = memobj ui18, size 64, space global, pattern CONT
 @main.a = addrSpace(12) ui18, !"istream", !"CONT", !0, !"strobj_a"
 `
 
-// TestRejectedModulesAreErrors feeds modules that Check rejects to the
-// consumers that walk the call hierarchy: each must answer with an
-// error, never a panic or an unbounded recursion.
+// TestRejectedModulesAreErrors feeds modules that Check rejects to
+// elaboration, which walks the call hierarchy: each must have no design
+// to synthesise and answer with an error carrying its Check code, never
+// a panic or an unbounded recursion.
 func TestRejectedModulesAreErrors(t *testing.T) {
 	cases := []struct {
 		name, src string
-		// treeCode is the diagnostic code ConfigTree and Classify
-		// report; "" when the configuration tree builds.
-		treeCode string
+		code      string // a code the rejection carries
 	}{
 		{"no main", rejectedHead + `define void @f0(ui18 %a) pipe {
   ui18 %1 = add ui18 %a, 1
@@ -226,7 +193,7 @@ define void @f0(ui18 %a) pipe {
 define void @main() {
   call @f0(@main.a) pipe
 }
-`, ""},
+`, tir.CodeArity},
 		{"call cycle", rejectedHead + `define void @f0(ui18 %a) pipe {
   call @f1() pipe
 }
@@ -238,7 +205,6 @@ define void @main() {
 }
 `, tir.CodeRecursion},
 	}
-	synth := New(device.StratixVGSD8())
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			m, err := tir.ParseOnly(c.name, c.src)
@@ -248,24 +214,16 @@ define void @main() {
 			if m.Validate() == nil {
 				t.Fatal("Validate accepted the module")
 			}
-			_, treeErr := m.ConfigTree()
-			_, classErr := m.Classify()
-			for _, r := range []struct {
-				what string
-				err  error
-			}{{"ConfigTree", treeErr}, {"Classify", classErr}} {
-				switch {
-				case c.treeCode == "" && r.err != nil:
-					t.Errorf("%s: %v", r.what, r.err)
-				case c.treeCode != "" && (r.err == nil || diag.AsList(r.err, "")[0].Code != c.treeCode):
-					t.Errorf("%s: got %v, want a %s error", r.what, r.err, c.treeCode)
-				}
+			d, err := elab.Elaborate(m)
+			if d != nil || err == nil {
+				t.Fatal("Elaborate accepted the module")
 			}
-			if got := m.Lanes(); got != 1 {
-				t.Errorf("Lanes = %d, want 1", got)
+			found := false
+			for _, f := range diag.AsList(err, "") {
+				found = found || f.Code == c.code
 			}
-			if _, err := synth.Synthesize(m); err == nil {
-				t.Error("Synthesize accepted the module")
+			if !found {
+				t.Errorf("Elaborate: got %v, want a %s error", err, c.code)
 			}
 		})
 	}

@@ -1,10 +1,10 @@
 package fabric
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/device"
+	"repro/internal/elab"
 	"repro/internal/schedule"
 	"repro/internal/tir"
 )
@@ -28,64 +28,40 @@ type Synthesizer struct {
 // New returns a synthesizer for the target.
 func New(t *device.Target) *Synthesizer { return &Synthesizer{Target: t} }
 
-// Synthesize maps the whole module: every pipe/comb function is mapped
-// once, then replicated per the par structure; stream controllers and
-// offset windows are added; finally the global packing pass applies the
-// cross-boundary optimisations (constant sharing, register retiming) a
-// real tool performs and a per-instruction cost model cannot see. The
-// module is validated first, as for estimation and HDL emission.
-func (s *Synthesizer) Synthesize(m *tir.Module) (*Netlist, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
+// Synthesize maps the elaborated design: every reachable pipe/comb
+// function is mapped once and replicated by its instance multiplicity;
+// stream controllers and offset windows are added; finally the global
+// packing pass applies the cross-boundary optimisations (constant
+// sharing, register retiming) a real tool performs and a
+// per-instruction cost model cannot see.
+func (s *Synthesizer) Synthesize(d *elab.Design) *Netlist {
+	m := d.Module()
 	nl := &Netlist{Module: m, Target: s.Target, PerFunc: map[string]device.Resources{}}
-
-	// instances[f] = number of hardware copies of f implied by the call
-	// tree (par parents replicate their children).
-	instances := map[string]int{}
-	var count func(fn *tir.Function, n int) error
-	count = func(fn *tir.Function, n int) error {
-		instances[fn.Name] += n
-		for _, c := range fn.Calls() {
-			callee := m.Func(c.Callee)
-			if callee == nil {
-				return fmt.Errorf("fabric: unknown callee @%s", c.Callee)
-			}
-			if err := count(callee, n); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := count(m.Main(), 1); err != nil {
-		return nil, err
-	}
 
 	total := device.Resources{}
 	critPathNs := 0.0
-	totalNodes := 0
+	// The node count only sets the congestion penalty; a float sum
+	// cannot wrap, and is exact for any design below 2^53 nodes.
+	totalNodes := 0.0
 	for _, f := range m.Funcs {
-		n := instances[f.Name]
-		if n == 0 {
+		n := d.Node(f)
+		if n == nil {
 			continue
 		}
 		switch f.Mode {
 		case tir.ModePipe, tir.ModeComb:
-			r, ns, nodes, err := s.mapDatapath(m, f)
-			if err != nil {
-				return nil, err
-			}
+			r, ns, nodes := s.mapDatapath(n)
 			nl.PerFunc[f.Name] = r
-			total = total.Add(r.Scale(n))
+			total = total.Add(r.Scale(int(n.Mult)))
 			if ns > critPathNs {
 				critPathNs = ns
 			}
-			totalNodes += nodes * n
+			totalNodes += float64(nodes) * float64(n.Mult)
 		case tir.ModePar, tir.ModeSeq:
 			// Structural only: a small arbiter/sequencer per instance.
-			r := device.Resources{ALUTs: 24 + 8*len(f.Calls()), Regs: 32 + 6*len(f.Calls())}
+			r := device.Resources{ALUTs: 24 + 8*len(n.Calls), Regs: 32 + 6*len(n.Calls)}
 			nl.PerFunc[f.Name] = r
-			total = total.Add(r.Scale(n))
+			total = total.Add(r.Scale(int(n.Mult)))
 		}
 	}
 
@@ -107,23 +83,27 @@ func (s *Synthesizer) Synthesize(m *tir.Module) (*Netlist, error) {
 	if critPathNs == 0 {
 		critPathNs = 2.0
 	}
-	congestion := 1.0 + 0.015*math.Log2(1+float64(totalNodes))
+	congestion := 1.0 + 0.015*math.Log2(1+totalNodes)
 	f := 1e9 / (critPathNs * congestion)
 	if f > s.Target.FmaxHz {
 		f = s.Target.FmaxHz
 	}
 	nl.FmaxHz = f
-	return nl, nil
+	return nl
 }
 
 // mapDatapath maps one pipe/comb function to resources: per-instruction
 // functional units, schedule-derived balancing registers, stream
 // controllers and offset buffers.
-func (s *Synthesizer) mapDatapath(m *tir.Module, f *tir.Function) (device.Resources, float64, int, error) {
+func (s *Synthesizer) mapDatapath(n *elab.Node) (device.Resources, float64, int) {
+	f := n.Func
 	r := device.Resources{}
 	worstNs := 0.0
 	nodes := 0
-	for _, in := range f.DatapathInstrs() {
+	for _, in := range f.Body {
+		if _, call := in.(*tir.CallInstr); call {
+			continue
+		}
 		c := opCost(s.Target, in)
 		r = r.Add(c)
 		nodes++
@@ -132,14 +112,10 @@ func (s *Synthesizer) mapDatapath(m *tir.Module, f *tir.Function) (device.Resour
 		}
 	}
 
-	sched, err := schedule.ASAPIn(m, f)
-	if err != nil {
-		return device.Resources{}, 0, 0, err
-	}
 	// Balancing delay lines: runs of >= 4 cycles are extracted into
 	// LUT-based shift registers (1 ALUT per 2 bits stands in for the
 	// SRL/MLAB packing real mappers do); shorter runs burn flip-flops.
-	for _, d := range sched.Delays {
+	for _, d := range n.Sched.Delays {
 		if d.Cycles >= 4 {
 			r.ALUTs += d.Bits * (d.Cycles + 1) / 2 / 8
 			r.Regs += d.Bits // output register of the chain
@@ -150,12 +126,8 @@ func (s *Synthesizer) mapDatapath(m *tir.Module, f *tir.Function) (device.Resour
 
 	// Stream controllers: one per port of this function — address
 	// generator, counter and handshake.
-	ports := 0
-	for range f.Params {
-		ports++
-	}
-	r.ALUTs += 14 * ports
-	r.Regs += 22 * ports
+	r.ALUTs += 14 * len(f.Params)
+	r.Regs += 22 * len(f.Params)
 
 	// Offset windows: the stream controller holds Window() elements per
 	// offset stream. Small windows pack into registers; larger ones are
@@ -175,7 +147,7 @@ func (s *Synthesizer) mapDatapath(m *tir.Module, f *tir.Function) (device.Resour
 			r.Regs += 24
 		}
 	}
-	return r, worstNs, nodes, nil
+	return r, worstNs, nodes
 }
 
 // primDelayNs is the post-routing critical delay of a primitive: the
@@ -215,31 +187,4 @@ func primDelayNs(in tir.Instr) float64 {
 		return 1.5
 	}
 	return 1.2
-}
-
-// CyclesPerKernelInstance executes nothing: it derives the actual CPKI
-// of the synthesised design structurally. The real cycle count comes
-// from the pipeline simulator (internal/pipesim); this helper provides
-// the fabric's own static view used for cross-checks.
-func (nl *Netlist) CyclesPerKernelInstance(globalSize int64) (int64, error) {
-	m := nl.Module
-	lanes := int64(m.Lanes())
-	var kpd, noff int64
-	for _, f := range m.Funcs {
-		if f.Mode != tir.ModePipe && f.Mode != tir.ModeComb {
-			continue
-		}
-		sch, err := schedule.ASAPIn(m, f)
-		if err != nil {
-			return 0, err
-		}
-		kpd += int64(sch.Depth)
-		if n := schedule.MaxOffset(f); n > noff {
-			noff = n
-		}
-	}
-	if lanes <= 0 {
-		lanes = 1
-	}
-	return noff + kpd + (globalSize+lanes-1)/lanes, nil
 }

@@ -17,15 +17,19 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/elab"
 	"repro/internal/schedule"
 	"repro/internal/tir"
 )
 
-// Emit renders the whole design variant as one Verilog source file.
-func Emit(m *tir.Module) (string, error) {
-	if err := m.Validate(); err != nil {
+// Emit renders the elaborated design as one Verilog source file. A
+// design with more than elab.MaxInstances instances is rejected
+// (TIR060) before any lane instance is emitted.
+func Emit(d *elab.Design) (string, error) {
+	if err := d.CheckBound(); err != nil {
 		return "", err
 	}
+	m := d.Module()
 	g := &generator{m: m}
 	var b strings.Builder
 	fmt.Fprintf(&b, "// Generated by the TyTra back-end compiler from module %q.\n", m.Name)
@@ -34,43 +38,22 @@ func Emit(m *tir.Module) (string, error) {
 
 	// Emit datapath (and stream-control) modules for every pipe/comb
 	// function reachable from main, children first.
-	emitted := map[string]bool{}
-	var walk func(f *tir.Function) error
-	walk = func(f *tir.Function) error {
-		for _, c := range f.Calls() {
-			if err := walk(m.Func(c.Callee)); err != nil {
-				return err
-			}
-		}
-		if emitted[f.Name] {
-			return nil
-		}
-		emitted[f.Name] = true
-		switch f.Mode {
+	nodes := d.Nodes()
+	for i := range nodes {
+		var src string
+		var err error
+		switch n := &nodes[i]; n.Func.Mode {
 		case tir.ModePipe:
-			src, err := g.pipeModule(f)
-			if err != nil {
-				return err
-			}
-			b.WriteString(src)
+			src, err = g.pipeModule(n)
 		case tir.ModeComb:
-			src, err := g.combModule(f)
-			if err != nil {
-				return err
-			}
-			b.WriteString(src)
+			src, err = g.combModule(n.Func)
 		}
-		return nil
+		if err != nil {
+			return "", err
+		}
+		b.WriteString(src)
 	}
-	if err := walk(m.Main()); err != nil {
-		return "", err
-	}
-
-	top, err := g.topModule()
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(top)
+	b.WriteString(g.topModule(d.Root()))
 	return b.String(), nil
 }
 
@@ -246,12 +229,8 @@ func (g *generator) opExpr(in tir.Instr, ref func(o tir.Operand, at int) string,
 // stage registers, balancing delay lines, inlined comb children, output
 // registers and accumulators, plus its stream-control wrapper when the
 // function taps offset streams.
-func (g *generator) pipeModule(f *tir.Function) (string, error) {
-	sch, err := schedule.ASAPIn(g.m, f)
-	if err != nil {
-		return "", err
-	}
-
+func (g *generator) pipeModule(n *elab.Node) (string, error) {
+	f, sch := n.Func, n.Sched
 	var b strings.Builder
 	outs := f.OutParams()
 
@@ -360,6 +339,7 @@ func (g *generator) pipeModule(f *tir.Function) (string, error) {
 
 	// Datapath: walk the scheduled nodes in program order.
 	var logic strings.Builder
+	var err error
 	for _, node := range sch.Nodes {
 		switch it := node.Instr.(type) {
 		case *tir.OffsetInstr:
@@ -415,12 +395,15 @@ func (g *generator) pipeModule(f *tir.Function) (string, error) {
 				} else {
 					cond = "in_valid"
 				}
-				fmt.Fprintf(&logic, "        else if (%s) acc_%s <= %s;\n",
-					cond, vname(it.Dst), mustExpr(g, it, ref, node.Start))
+				e, err := g.opExpr(it, ref, node.Start)
+				if err != nil {
+					return "", err
+				}
+				fmt.Fprintf(&logic, "        else if (%s) acc_%s <= %s;\n", cond, vname(it.Dst), e)
 				fmt.Fprintf(&logic, "    end\n")
 				continue
 			}
-			g.emitStaged(&logic, it.Dst, it.Ty.Bits, node, it, ref, base, ready, width)
+			err = g.emitStaged(&logic, it.Dst, it.Ty.Bits, node, it, ref, base, ready, width)
 		case *tir.UnInstr:
 			if it.Op == tir.OpSqrt {
 				w := vname(it.Dst)
@@ -430,11 +413,14 @@ func (g *generator) pipeModule(f *tir.Function) (string, error) {
 				g.emitRegChain(&logic, it.Dst, it.Ty.Bits, w+"_c", node, base, ready, width)
 				continue
 			}
-			g.emitStaged(&logic, it.Dst, it.Ty.Bits, node, it, ref, base, ready, width)
+			err = g.emitStaged(&logic, it.Dst, it.Ty.Bits, node, it, ref, base, ready, width)
 		case *tir.CmpInstr:
-			g.emitStaged(&logic, it.Dst, 1, node, it, ref, base, ready, width)
+			err = g.emitStaged(&logic, it.Dst, 1, node, it, ref, base, ready, width)
 		case *tir.SelectInstr:
-			g.emitStaged(&logic, it.Dst, it.Ty.Bits, node, it, ref, base, ready, width)
+			err = g.emitStaged(&logic, it.Dst, it.Ty.Bits, node, it, ref, base, ready, width)
+		}
+		if err != nil {
+			return "", err
 		}
 	}
 
@@ -466,11 +452,7 @@ func (g *generator) pipeModule(f *tir.Function) (string, error) {
 	b.WriteString(logic.String())
 	b.WriteString("endmodule\n\n")
 
-	sc, err := g.streamControl(f, offsetIns2windows(f))
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(sc)
+	b.WriteString(g.streamControl(f, schedule.OffsetWindows(f)))
 	return b.String(), nil
 }
 
@@ -478,11 +460,15 @@ func (g *generator) pipeModule(f *tir.Function) (string, error) {
 // plus a register chain of the node's latency.
 func (g *generator) emitStaged(b *strings.Builder, dst string, bits int, node schedule.Node,
 	in tir.Instr, ref func(tir.Operand, int) string,
-	base map[string]string, ready, width map[string]int) {
-	expr := mustExpr(g, in, ref, node.Start)
+	base map[string]string, ready, width map[string]int) error {
+	expr, err := g.opExpr(in, ref, node.Start)
+	if err != nil {
+		return err
+	}
 	comb := vname(dst) + "_c"
 	fmt.Fprintf(b, "    wire [%d:0] %s = %s;\n", bits-1, comb, expr)
 	g.emitRegChain(b, dst, bits, comb, node, base, ready, width)
+	return nil
 }
 
 // emitRegChain registers a combinational result through the node's
@@ -508,24 +494,10 @@ func (g *generator) emitRegChain(b *strings.Builder, dst string, bits int, comb 
 	width[dst] = bits
 }
 
-func mustExpr(g *generator, in tir.Instr, ref func(tir.Operand, int) string, at int) string {
-	e, err := g.opExpr(in, ref, at)
-	if err != nil {
-		// All opcodes are covered; reaching here is a generator bug.
-		panic(err)
-	}
-	return e
-}
-
-// offsetIns2windows summarises the offset windows of a function.
-func offsetIns2windows(f *tir.Function) []schedule.OffsetWindow {
-	return schedule.OffsetWindows(f)
-}
-
 // streamControl emits the per-lane stream controller: window buffers for
 // every offset stream and the pass-through wiring for plain streams
 // (Fig 13's "stream control" and "offset buffers" blocks).
-func (g *generator) streamControl(f *tir.Function, windows []schedule.OffsetWindow) (string, error) {
+func (g *generator) streamControl(f *tir.Function, windows []schedule.OffsetWindow) string {
 	var b strings.Builder
 	outs := f.OutParams()
 
@@ -618,7 +590,7 @@ func (g *generator) streamControl(f *tir.Function, windows []schedule.OffsetWind
 	b.WriteString(strings.Join(conns, ",\n"))
 	b.WriteString(");\n")
 	b.WriteString("endmodule\n\n")
-	return b.String(), nil
+	return b.String()
 }
 
 // combModule emits a comb function as a purely combinational module.
@@ -658,41 +630,56 @@ func (g *generator) combModule(f *tir.Function) (string, error) {
 		return base[o.Name]
 	}
 	for _, in := range f.Body {
+		// decl is the declaration of the wire an expression defines.
+		var dst, decl string
 		switch it := in.(type) {
 		case *tir.ConstInstr:
 			fmt.Fprintf(&b, "    wire [%d:0] %s = %d;\n", it.Ty.Bits-1, vname(it.Dst), it.Ty.Wrap(it.Val))
 			base[it.Dst] = vname(it.Dst)
+			continue
 		case *tir.OutInstr:
 			fmt.Fprintf(&b, "    assign out_%s = %s;\n", vname(it.Port), ref(it.Val, 0))
-		case *tir.BinInstr:
-			fmt.Fprintf(&b, "    wire [%d:0] %s = %s;\n", it.Ty.Bits-1, vname(it.Dst), mustExpr(g, it, ref, 0))
-			base[it.Dst] = vname(it.Dst)
+			continue
 		case *tir.UnInstr:
-			fmt.Fprintf(&b, "    wire [%d:0] %s = %s;\n", it.Ty.Bits-1, vname(it.Dst), mustExpr(g, it, ref, 0))
-			base[it.Dst] = vname(it.Dst)
+			if it.Op == tir.OpSqrt {
+				// The same primitive core a pipe datapath instantiates.
+				w := vname(it.Dst)
+				fmt.Fprintf(&b, "    wire [%d:0] %s;\n", it.Ty.Bits-1, w)
+				fmt.Fprintf(&b, "    tytra_isqrt #(.WIDTH(%d)) u_sqrt_%s (.a(%s), .q(%s));\n", it.Ty.Bits, w, ref(it.A, 0), w)
+				base[it.Dst] = w
+				continue
+			}
+			dst, decl = it.Dst, fmt.Sprintf("wire [%d:0]", it.Ty.Bits-1)
+		case *tir.BinInstr:
+			dst, decl = it.Dst, fmt.Sprintf("wire [%d:0]", it.Ty.Bits-1)
 		case *tir.CmpInstr:
-			fmt.Fprintf(&b, "    wire %s = %s;\n", vname(it.Dst), mustExpr(g, it, ref, 0))
-			base[it.Dst] = vname(it.Dst)
+			dst, decl = it.Dst, "wire"
 		case *tir.SelectInstr:
-			fmt.Fprintf(&b, "    wire [%d:0] %s = %s;\n", it.Ty.Bits-1, vname(it.Dst), mustExpr(g, it, ref, 0))
-			base[it.Dst] = vname(it.Dst)
+			dst, decl = it.Dst, fmt.Sprintf("wire [%d:0]", it.Ty.Bits-1)
 		default:
 			return "", fmt.Errorf("hdl: instruction %T not allowed in comb @%s", in, f.Name)
 		}
+		e, err := g.opExpr(in, ref, 0)
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintf(&b, "    %s %s = %s;\n", decl, vname(dst), e)
+		base[dst] = vname(dst)
 	}
 	b.WriteString("endmodule\n\n")
 	return b.String(), nil
 }
 
-// topModule wires the lane instances to the design's external streaming
-// ports (the boundary handed to the HLS base platform).
-func (g *generator) topModule() (string, error) {
+// topModule wires the lane instances to the design's external
+// streaming ports (the boundary handed to the HLS base platform): one
+// stream-controller instance per pipe call path from root, wired to the
+// ports named at the call.
+func (g *generator) topModule(root *elab.Node) string {
 	m := g.m
 	var b strings.Builder
 	fmt.Fprintf(&b, "// Top: kernel boundary of module %q for HLS integration.\n", m.Name)
 	fmt.Fprintf(&b, "module tytra_top_%s (\n", vname(m.Name))
 	b.WriteString("    input  wire clk,\n    input  wire rst,\n    input  wire in_valid,\n")
-	var portDecls []string
 	for _, p := range m.Ports {
 		dir := "input "
 		prefix := "p_in_"
@@ -700,59 +687,47 @@ func (g *generator) topModule() (string, error) {
 			dir = "output"
 			prefix = "p_out_"
 		}
-		portDecls = append(portDecls, fmt.Sprintf("    %s wire [%d:0] %s%s", dir, p.Elem.Bits-1, prefix, vname(p.Name)))
+		fmt.Fprintf(&b, "    %s wire [%d:0] %s%s,\n", dir, p.Elem.Bits-1, prefix, vname(p.Name))
 	}
-	b.WriteString(strings.Join(portDecls, ",\n"))
-	b.WriteString(",\n    output wire out_valid\n);\n")
+	b.WriteString("    output wire out_valid\n);\n")
 
-	// One stream-controller instance per pipe call site reachable from
-	// the hierarchy, wired to the ports named at the call.
-	lane := 0
+	// Every argument of a pipe call wires a port (tir.Analyze, TIR040).
 	var valids []string
-	var emit func(f *tir.Function) error
-	emit = func(f *tir.Function) error {
-		for _, c := range f.Calls() {
-			callee := m.Func(c.Callee)
-			switch c.Mode {
+	var emit func(n *elab.Node)
+	emit = func(n *elab.Node) {
+		for _, c := range n.Calls {
+			switch c.Site.Mode {
 			case tir.ModePar, tir.ModeSeq:
-				if err := emit(callee); err != nil {
-					return err
-				}
+				emit(c.Callee)
 			case tir.ModePipe:
+				callee := c.Callee.Func
 				outs := callee.OutParams()
-				var conns []string
-				for k, a := range c.Args {
+				conns := make([]string, len(c.Site.Args))
+				for k, a := range c.Site.Args {
 					param := callee.Params[k]
-					if a.Kind != tir.OpGlobal {
-						return fmt.Errorf("hdl: lane call @%s arg %d is not a port", c.Callee, k)
-					}
 					if outs[param.Name] {
-						conns = append(conns, fmt.Sprintf(".s_out_%s(p_out_%s)", vname(param.Name), vname(a.Name)))
+						conns[k] = fmt.Sprintf(".s_out_%s(p_out_%s)", vname(param.Name), vname(a.Name))
 					} else {
-						conns = append(conns, fmt.Sprintf(".s_in_%s(p_in_%s)", vname(param.Name), vname(a.Name)))
+						conns[k] = fmt.Sprintf(".s_in_%s(p_in_%s)", vname(param.Name), vname(a.Name))
 					}
 				}
+				lane := len(valids)
 				v := fmt.Sprintf("lane_valid_%d", lane)
 				fmt.Fprintf(&b, "    wire %s;\n", v)
 				fmt.Fprintf(&b, "    tytra_%s_sc u_lane_%d (.clk(clk), .rst(rst), .in_valid(in_valid), %s, .out_valid(%s));\n",
-					vname(c.Callee), lane, strings.Join(conns, ", "), v)
+					vname(c.Site.Callee), lane, strings.Join(conns, ", "), v)
 				valids = append(valids, v)
-				lane++
 				// Coarse-grained pipe children of this lane.
-				if err := emit(callee); err != nil {
-					return err
-				}
+				emit(c.Callee)
 			}
 		}
-		return nil
 	}
-	if err := emit(m.Main()); err != nil {
-		return "", err
-	}
+	emit(root)
 	if len(valids) == 0 {
-		return "", fmt.Errorf("hdl: design has no kernel lanes")
+		// A design without kernel lanes never produces a valid output.
+		valids = []string{"1'b0"}
 	}
 	fmt.Fprintf(&b, "    assign out_valid = %s;\n", strings.Join(valids, " & "))
 	b.WriteString("endmodule\n")
-	return b.String(), nil
+	return b.String()
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/elab"
 	"repro/internal/kernels"
 	"repro/internal/tir"
 )
@@ -15,7 +16,7 @@ func emitSOR(t *testing.T, lanes int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := Emit(m)
+	src, err := Emit(elaborate(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestEmitAllKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := Emit(m)
+		src, err := Emit(elaborate(t, m))
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name(), err)
 		}
@@ -159,7 +160,7 @@ func TestEmitCombBlock(t *testing.T) {
 	pq := b.GlobalPort("main", "q", ty, 64, tir.DirOut, tir.PatternContiguous, 1)
 	main.CallOperands("f0", tir.ModePipe, pa, pq)
 
-	src, err := Emit(b.MustModule())
+	src, err := Emit(elaborate(t, b.MustModule()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +175,52 @@ func TestEmitCombBlock(t *testing.T) {
 	}
 }
 
+// TestEmitRejectsInvalidModule: an invalid module has no design to
+// emit; pipesim's TestGeneratedChain checks that a design over the
+// instance bound is rejected with TIR060.
 func TestEmitRejectsInvalidModule(t *testing.T) {
-	if _, err := Emit(&tir.Module{Name: "nope"}); err == nil {
-		t.Error("invalid module accepted")
+	if _, err := elab.Elaborate(&tir.Module{Name: "nope"}); err == nil {
+		t.Error("invalid module elaborated")
+	}
+}
+
+// TestEmitCombSqrt: a comb block computing sqrt, called from a pipe,
+// emits through the same tytra_isqrt core a pipe datapath instantiates;
+// every checker accepts the module, and emission once panicked on it.
+func TestEmitCombSqrt(t *testing.T) {
+	m, err := tir.Parse("combsqrt", `%mem_x = memobj ui16, size 64, space global, pattern CONT
+%mem_y = memobj ui16, size 64, space global, pattern CONT
+%str_x = strobj %mem_x, dir in, port main.x
+%str_y = strobj %mem_y, dir out, port main.y
+@main.x = addrSpace(12) ui16, !"istream", !"CONT", !0, !"str_x"
+@main.y = addrSpace(12) ui16, !"ostream", !"CONT", !0, !"str_y"
+define void @root(ui16 %a, ui16 %r) comb {
+  ui16 %s = sqrt ui16 %a
+  out ui16 %r, %s
+}
+define void @f0(ui16 %x, ui16 %y) pipe {
+  call @root(%x, %q) comb
+  ui16 %z = add ui16 %q, 1
+  out ui16 %y, %z
+}
+define void @main() {
+  call @f0(@main.x, @main.y) pipe
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := Emit(elaborate(t, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"    wire [15:0] s;\n",
+		"    tytra_isqrt #(.WIDTH(16)) u_sqrt_s (.a(in_a), .q(s));\n",
+		"    assign out_r = s;\n",
+	} {
+		if !strings.Contains(src, want) {
+			t.Errorf("comb block missing %q", want)
+		}
 	}
 }

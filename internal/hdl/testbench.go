@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/elab"
 	"repro/internal/tir"
 )
 
@@ -20,10 +21,8 @@ import (
 // latency is the number of cycles to wait after the last input before
 // checking is abandoned (use the estimated KPD plus the priming depth,
 // with margin).
-func EmitTestbench(m *tir.Module, mem map[string][]int64, expected map[string][]int64, latency int) (string, error) {
-	if err := m.Validate(); err != nil {
-		return "", err
-	}
+func EmitTestbench(d *elab.Design, mem map[string][]int64, expected map[string][]int64, latency int) (string, error) {
+	m := d.Module()
 	if latency < 1 {
 		latency = 1
 	}

@@ -29,7 +29,7 @@ func TestEmitTestbenchSOR(t *testing.T) {
 	expected := map[string][]int64{
 		kernels.MemName("p_new", -1): res.Mem[kernels.MemName("p_new", -1)],
 	}
-	tb, err := EmitTestbench(m, mem, expected, 200)
+	tb, err := EmitTestbench(elaborate(t, m), mem, expected, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +67,14 @@ func TestEmitTestbenchErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EmitTestbench(m, nil, nil, 10); err == nil {
+	if _, err := EmitTestbench(elaborate(t, m), nil, nil, 10); err == nil {
 		t.Error("missing stimulus accepted")
 	}
-	if _, err := EmitTestbench(m, mem, nil, 10); err == nil {
+	if _, err := EmitTestbench(elaborate(t, m), mem, nil, 10); err == nil {
 		t.Error("missing expectations accepted")
 	}
 	short := map[string][]int64{kernels.MemName("p_new", -1): {1, 2}}
-	if _, err := EmitTestbench(m, mem, short, 10); err == nil {
+	if _, err := EmitTestbench(elaborate(t, m), mem, short, 10); err == nil {
 		t.Error("length mismatch accepted")
 	}
 }
@@ -97,7 +97,7 @@ func TestEmitTestbenchSkipsLocalChannels(t *testing.T) {
 		kernels.MemName("pot", -1): res.Mem[kernels.MemName("pot", -1)],
 		kernels.MemName("fx", -1):  res.Mem[kernels.MemName("fx", -1)],
 	}
-	tb, err := EmitTestbench(m, mem, expected, 100)
+	tb, err := EmitTestbench(elaborate(t, m), mem, expected, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,15 +8,15 @@ func TestSmokeModules(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		cfg, _ := m.Classify()
-		t.Logf("%s ok %v lanes=%d", s.Name(), cfg, m.Lanes())
+		d := elaborate(t, m)
+		t.Logf("%s ok %v lanes=%d", s.Name(), d.Config(), d.Lanes())
 	}
 	s4 := SORSpec{IM: 15, JM: 10, KM: 16, Lanes: 4}
 	m, err := s4.Module()
 	if err != nil {
 		t.Fatalf("sor4: %v", err)
 	}
-	if m.Lanes() != 4 {
-		t.Errorf("sor4 lanes = %d", m.Lanes())
+	if n := elaborate(t, m).Lanes(); n != 4 {
+		t.Errorf("sor4 lanes = %d", n)
 	}
 }

@@ -15,16 +15,16 @@ func TestSORF32Builds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Lanes() != 1 {
-		t.Errorf("lanes = %d", m.Lanes())
+	if n := elaborate(t, m).Lanes(); n != 1 {
+		t.Errorf("lanes = %d", n)
 	}
 	// Multi-lane variant too.
 	m4, err := SORF32Spec{IM: 96, JM: 96, KM: 96, Lanes: 4}.Module()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m4.Lanes() != 4 {
-		t.Errorf("lanes = %d", m4.Lanes())
+	if n := elaborate(t, m4).Lanes(); n != 4 {
+		t.Errorf("lanes = %d", n)
 	}
 }
 
@@ -38,14 +38,11 @@ func TestSORF32CostsAndSynthesises(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := mdl.Estimate(m)
+	est, err := mdl.Estimate(elaborate(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl, err := fabric.New(tgt).Synthesize(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl := fabric.New(tgt).Synthesize(elaborate(t, m))
 	// Float units dominate: an f32 lane is DSP- and ALUT-heavy.
 	if est.Used.DSPs == 0 || nl.Used.DSPs == 0 {
 		t.Error("f32 multipliers should map to DSP elements")
@@ -61,7 +58,7 @@ func TestSORF32CostsAndSynthesises(t *testing.T) {
 		}
 	}
 	// Deeper pipeline: IEEE cores are multi-cycle.
-	intEst, _ := mdl.Estimate(mustModule(t, DefaultSOR()))
+	intEst, _ := mdl.Estimate(elaborate(t, mustModule(t, DefaultSOR())))
 	if est.KPD <= intEst.KPD {
 		t.Errorf("f32 KPD %d should exceed integer KPD %d", est.KPD, intEst.KPD)
 	}
@@ -78,11 +75,11 @@ func TestF32LaneJustifiesEduScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	intSpec := SORSpec{IM: 15, JM: 10, KM: 16, Lanes: 1}
-	fEst, err := mdl.Estimate(mustModule(t, DefaultSORF32()))
+	fEst, err := mdl.Estimate(elaborate(t, mustModule(t, DefaultSORF32())))
 	if err != nil {
 		t.Fatal(err)
 	}
-	iEst, err := mdl.Estimate(mustModule(t, intSpec))
+	iEst, err := mdl.Estimate(elaborate(t, mustModule(t, intSpec)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +97,7 @@ func TestSORF32EmitsHDL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := hdl.Emit(m)
+	src, err := hdl.Emit(elaborate(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}

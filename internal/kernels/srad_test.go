@@ -83,14 +83,11 @@ func TestSRADAccuracyTableIIStyle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := mdl.Estimate(m)
+	est, err := mdl.Estimate(elaborate(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl, err := fabric.New(tgt).Synthesize(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl := fabric.New(tgt).Synthesize(elaborate(t, m))
 	check := func(name string, e, a, maxPct int) {
 		t.Helper()
 		err := 0.0

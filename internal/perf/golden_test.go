@@ -64,7 +64,7 @@ func goldenExtractErrors(t *testing.T, mdl *costmodel.Model, bw *membw.Model) []
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := mdl.EstimateVectorised(m, dv)
+		est, err := mdl.EstimateVectorised(elaborate(t, m), dv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestParamsGolden(t *testing.T) {
 				}
 				for _, dv := range []int{1, 2, 4, 16} {
 					prefix := fmt.Sprintf("%s %s lanes=%d dv=%d:", name, k.name, lanes, dv)
-					est, err := mdl.EstimateVectorised(m, dv)
+					est, err := mdl.EstimateVectorised(elaborate(t, m), dv)
 					if err != nil {
 						lines = append(lines, fmt.Sprintf("%s estimate error: %v", prefix, err))
 						continue

@@ -260,7 +260,7 @@ func TestExtractFromSOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := mdl.Estimate(m)
+	est, err := mdl.Estimate(elaborate(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestExtractRejectsBadWorkload(t *testing.T) {
 	mdl, bw := extractFixtures(t)
 	spec := kernels.DefaultLavaMD()
 	m, _ := spec.Module()
-	est, err := mdl.Estimate(m)
+	est, err := mdl.Estimate(elaborate(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestInventoryParamsRejectsOtherDesign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := mdl.Estimate(m)
+		est, err := mdl.Estimate(elaborate(t, m))
 		if err != nil {
 			t.Fatal(err)
 		}

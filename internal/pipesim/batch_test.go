@@ -205,7 +205,7 @@ func TestSelfAliasedStreamNotBatched(t *testing.T) {
 	main.CallOperands("f0", tir.ModePipe, chW, chR)
 	m := b.MustModule()
 
-	d, err := Compile(m)
+	d, err := CompileConfig(m, defaultConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestBatchedIterationsMatchOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	fb := Feedback{kernels.MemName("p_new", -1): kernels.MemName("p", -1)}
-	d, err := Compile(m)
+	d, err := CompileConfig(m, defaultConfig)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func fig15SOR(t testing.TB, lanes int) *tir.Module {
 // one program per lane that runs that body's ops.
 func TestParLanesShareOneBody(t *testing.T) {
 	for _, lanes := range []int{1, 8, 16} {
-		d, err := Compile(fig15SOR(t, lanes))
+		d, err := CompileConfig(fig15SOR(t, lanes), defaultConfig)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestCompileAllocsFlatInLanes(t *testing.T) {
 	allocs := func(lanes int) float64 {
 		m := fig15SOR(t, lanes)
 		return testing.AllocsPerRun(20, func() {
-			if _, err := Compile(m); err != nil {
+			if _, err := CompileConfig(m, defaultConfig); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -1,6 +1,7 @@
 package pipesim
 
 import (
+	"repro/internal/elab"
 	"strings"
 	"testing"
 
@@ -51,12 +52,11 @@ func coarseModule(t *testing.T, n int64) *tir.Module {
 }
 
 func TestCoarsePipelineClassifies(t *testing.T) {
-	m := coarseModule(t, 64)
-	cfg, err := m.Classify()
+	d, err := elab.Elaborate(coarseModule(t, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg != tir.ConfigCoarsePipe {
+	if cfg := d.Config(); cfg != tir.ConfigCoarsePipe {
 		t.Errorf("config = %v, want C3 coarse-grained pipeline", cfg)
 	}
 }
@@ -106,7 +106,7 @@ func TestCoarsePipelineCosting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := mdl.Estimate(m)
+	est, err := mdl.Estimate(elaborate(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestCoarsePipelineCosting(t *testing.T) {
 
 func TestCoarsePipelineEmitsHDL(t *testing.T) {
 	m := coarseModule(t, 64)
-	src, err := hdl.Emit(m)
+	src, err := hdl.Emit(elaborate(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}

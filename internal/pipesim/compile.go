@@ -240,36 +240,20 @@ type constSlot struct {
 	val  int64
 }
 
-// bindCall performs bind()'s static port checks for the call site of
-// the pipe function fn and resolves its stream bindings, in argument
-// order. It returns the site's program without a body, and dirs, each
-// argument's port direction: the key of the body the site runs.
-func bindCall(m *tir.Module, call *tir.CallInstr, fn *tir.Function) (p *program, dirs []tir.Direction, err error) {
+// bindCall resolves the stream bindings of the call site of the pipe
+// function fn, in argument order; tir.Analyze has checked that every
+// argument wires a port of the parameter's type whose stream and memory
+// object exist (TIR040, TIR041). It returns the site's program without
+// a body, and dirs, each argument's port direction: the key of the body
+// the site runs.
+func bindCall(m *tir.Module, call *tir.CallInstr, fn *tir.Function) (p *program, dirs []tir.Direction) {
 	p = &program{binds: make([]bindStep, 0, len(call.Args))}
 	dirs = make([]tir.Direction, len(call.Args))
 	items := int64(-1)
 	for k, a := range call.Args {
 		param := fn.Params[k]
-		if a.Kind != tir.OpGlobal {
-			return nil, nil, fmt.Errorf("pipesim: call @%s: argument %d must wire a top-level port, got %s",
-				fn.Name, k, a)
-		}
 		port := m.Port(a.Name)
-		if port == nil {
-			return nil, nil, fmt.Errorf("pipesim: call @%s: no port @%s", fn.Name, a.Name)
-		}
-		if port.Elem != param.Ty {
-			return nil, nil, fmt.Errorf("pipesim: call @%s: port @%s type %s does not match parameter %%%s type %s",
-				fn.Name, a.Name, port.Elem, param.Name, param.Ty)
-		}
-		so := m.Stream(port.Stream)
-		if so == nil {
-			return nil, nil, fmt.Errorf("pipesim: port @%s has no stream object", a.Name)
-		}
-		mo := m.MemObject(so.Mem)
-		if mo == nil {
-			return nil, nil, fmt.Errorf("pipesim: stream %%%s has no memory object", so.Name)
-		}
+		mo := m.MemObject(m.Stream(port.Stream).Mem)
 		dirs[k] = port.Dir
 		switch port.Dir {
 		case tir.DirIn:
@@ -283,18 +267,16 @@ func bindCall(m *tir.Module, call *tir.CallInstr, fn *tir.Function) (p *program,
 			items = mo.Size
 		}
 	}
-	if items < 0 {
-		return nil, nil, fmt.Errorf("pipesim: call @%s binds no streams", fn.Name)
-	}
 	p.items = items
-	return p, dirs, nil
+	return p, dirs
 }
 
-// compileBody lowers the pipe function fn with its parameters bound to
-// streams of the directions dirs: it resolves offset roots, flattens
-// comb children, pre-computes the fill terms and lowers the batched
-// form unless cfg disables it or the body is not batch-safe.
-func compileBody(m *tir.Module, fn *tir.Function, dirs []tir.Direction, cfg Config) (*body, error) {
+// compileBody lowers the pipe function fn, of scheduled depth depth,
+// with its parameters bound to streams of the directions dirs: it
+// resolves offset roots, flattens comb children, pre-computes the fill
+// terms and lowers the batched form unless cfg disables it or the body
+// is not batch-safe.
+func compileBody(m *tir.Module, fn *tir.Function, depth int, dirs []tir.Direction, cfg Config) (*body, error) {
 	c := &compiler{
 		m: m, fn: fn,
 		b:         &body{dirs: dirs},
@@ -394,10 +376,6 @@ func compileBody(m *tir.Module, fn *tir.Function, dirs []tir.Direction, cfg Conf
 	// Fill terms, hoisted out of execute(): priming completes at a DMA
 	// burst boundary; drain is constant because every work-item runs
 	// every reduction.
-	depth, err := pipelineDepth(m, fn)
-	if err != nil {
-		return nil, err
-	}
 	primed := maxAhead
 	if rem := primed % burstElems; rem != 0 || primed == 0 {
 		primed += burstElems - rem

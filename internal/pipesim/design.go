@@ -4,16 +4,17 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/elab"
 	"repro/internal/tir"
 )
 
 // This file is the share-everything half of the simulator, split along
 // the wazero seam (CompileModule → shareable CompiledModule → cheap
 // per-call instance): a CompiledDesign holds everything that is
-// immutable after compilation — the validated module, its configuration
-// tree, the per-function op/bop bodies and the per-call-site programs
-// that bind them to streams — and is safe to share between any number
-// of goroutines. All mutable execution state (register and batch-lane
+// immutable after compilation — the elaborated design, the
+// per-function op/bop bodies and the per-call-site programs that bind
+// them to streams — and is safe to share between any number of
+// goroutines. All mutable execution state (register and batch-lane
 // scratch, bound stream arrays, accumulator slabs, the per-run memory
 // map) lives in an Instance. A caller that runs one design many times
 // holds one Instance, whose Run then allocates little beyond the Result
@@ -25,99 +26,101 @@ import (
 // run everywhere.
 type CompiledDesign struct {
 	m     *tir.Module
-	tree  *tir.ConfigNode
+	root  *elab.Node
 	progs map[*tir.CallInstr]*program
 	// bodies holds each pipe function's compiled bodies, one per
 	// assignment of stream directions its call sites use.
 	bodies map[*tir.Function][]*body
-	calls  map[*tir.ConfigNode][]*tir.CallInstr // per-node call sites, resolved once
 	nprogs int
 	// cycles and items are one kernel-instance's cost, summed once at
 	// compile time by the timer walk; every successful Run reports
 	// them. timingErr is the first error Run fails with on host inputs
-	// (see Timing).
+	// (see Timing); compileErr, the first datapath the executor cannot
+	// run, fails every Run.
 	cycles, items int64
 	timingErr     error
+	compileErr    error
 }
 
-// Compile validates and compiles the module with the default executor
-// (batched wherever the compiler proves it safe). The returned design
-// is immutable and safe for concurrent use.
-func Compile(m *tir.Module) (*CompiledDesign, error) { return CompileConfig(m, defaultConfig) }
+// Compile compiles the elaborated design with the default executor
+// (batched wherever the compiler proves it safe). A design with more
+// than elab.MaxInstances instances is rejected (TIR060) before any
+// instance is expanded; every other design compiles. A datapath the
+// executor cannot run — an operation with no integer evaluation (the
+// TIR045 warning), a stream operation inside a comb block, an out to a
+// parameter bound to an input stream — is what Timing and Run report.
+// The returned design is immutable and safe for concurrent use.
+func Compile(d *elab.Design) (*CompiledDesign, error) { return compile(d, defaultConfig) }
 
-// CompileConfig validates and compiles the module with an explicit
-// executor configuration. Validation runs the full static analysis
-// (tir.Analyze), so a rejected module reports every positioned TIR0xx
-// diagnostic — the same output tytravet prints — not just the first
-// compile obstacle. The compiled design also carries its timing (see
-// Timing); a structural error that walk meets does not fail the
-// compile, it is what Timing and Run report.
+// CompileConfig elaborates the module and compiles it with an explicit
+// executor configuration: a rejected module reports every positioned
+// TIR0xx diagnostic, the same output tytravet prints.
 func CompileConfig(m *tir.Module, cfg Config) (*CompiledDesign, error) {
-	if err := m.Analyze().ErrOrNil(); err != nil {
-		return nil, err
-	}
-	tree, err := m.ConfigTree()
+	d, err := elab.Elaborate(m)
 	if err != nil {
 		return nil, err
 	}
-	d := &CompiledDesign{
-		m:      m,
-		tree:   tree,
-		progs:  map[*tir.CallInstr]*program{},
-		bodies: map[*tir.Function][]*body{},
-		calls:  map[*tir.ConfigNode][]*tir.CallInstr{},
-	}
-	if err := d.compileTree(tree, cfg); err != nil {
+	return compile(d, cfg)
+}
+
+func compile(ed *elab.Design, cfg Config) (*CompiledDesign, error) {
+	if err := ed.CheckBound(); err != nil {
 		return nil, err
 	}
-	t := &timer{d: d, present: hostInputs(m)}
-	d.cycles, d.items, d.timingErr = t.node(tree)
+	d := &CompiledDesign{
+		m:      ed.Module(),
+		root:   ed.Root(),
+		progs:  map[*tir.CallInstr]*program{},
+		bodies: map[*tir.Function][]*body{},
+	}
+	if d.compileErr = d.compileCalls(d.root, cfg); d.compileErr != nil {
+		d.timingErr = d.compileErr
+		return d, nil
+	}
+	t := &timer{d: d, present: hostInputs(d.m)}
+	d.cycles, d.items, d.timingErr = t.node(d.root)
 	if t.bindErr != nil {
 		d.timingErr = t.bindErr
 	}
 	return d, nil
 }
 
-// compileTree compiles every PE call site reachable in the
-// configuration tree, assigning each program its progState slot. Comb
-// children are inlined by their parent's compilation, not compiled as
-// PEs.
-func (d *CompiledDesign) compileTree(n *tir.ConfigNode, cfg Config) error {
-	calls := n.Func.Calls()
-	d.calls[n] = calls
-	for i, child := range n.Children {
-		if child.Mode == tir.ModeComb {
+// compileCalls compiles every PE call site under n, in call order,
+// assigning each program its progState slot; a site reached again
+// through another call path keeps its program. Comb children are
+// inlined by their parent's compilation, not compiled as PEs.
+func (d *CompiledDesign) compileCalls(n *elab.Node, cfg Config) error {
+	for _, c := range n.Calls {
+		child := c.Callee.Func
+		if child.Mode == tir.ModeComb || d.progs[c.Site] != nil {
 			continue
 		}
-		if child.Mode == tir.ModePipe && len(child.Func.Params) > 0 {
-			p, err := d.compileCall(calls[i], child.Func, cfg)
+		if child.Mode == tir.ModePipe && len(child.Params) > 0 {
+			p, err := d.compileCall(c, cfg)
 			if err != nil {
 				return err
 			}
 			p.idx = d.nprogs
 			d.nprogs++
-			d.progs[calls[i]] = p
+			d.progs[c.Site] = p
 		}
-		if err := d.compileTree(child, cfg); err != nil {
+		if err := d.compileCalls(c.Callee, cfg); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// compileCall compiles the call site of the pipe function fn: it binds
-// the site's streams, then attaches the body an earlier site of fn with
-// the same stream directions compiled, or compiles that body now. The
-// site binds first: a design fails with its first error in call order,
-// a site's port error before its body's error.
-func (d *CompiledDesign) compileCall(call *tir.CallInstr, fn *tir.Function, cfg Config) (*program, error) {
-	p, dirs, err := bindCall(d.m, call, fn)
-	if err != nil {
-		return nil, err
-	}
+// compileCall compiles the call site of a pipe function: it binds the
+// site's streams, then attaches the body an earlier site of the
+// function with the same stream directions compiled, or compiles that
+// body now. A design fails with its first body error in call order.
+func (d *CompiledDesign) compileCall(c elab.Call, cfg Config) (*program, error) {
+	fn := c.Callee.Func
+	p, dirs := bindCall(d.m, c.Site, fn)
 	i := slices.IndexFunc(d.bodies[fn], func(b *body) bool { return slices.Equal(b.dirs, dirs) })
 	if i < 0 {
-		b, err := compileBody(d.m, fn, dirs, cfg)
+		b, err := compileBody(d.m, fn, c.Callee.Sched.Depth, dirs, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -145,8 +148,8 @@ func (d *CompiledDesign) compileCall(call *tir.CallInstr, fn *tir.Function, cfg 
 // Timing fails exactly where Run fails on host inputs — every
 // input-stream object that no output port produces, the workload
 // dse.SimInputs generates — with Run's error: an input object with no
-// provider, an object written twice, or a structural error in the
-// configuration tree.
+// provider, an object written twice, a structural error in the call
+// hierarchy, or a datapath the executor cannot run.
 func (d *CompiledDesign) Timing() (cycles, items int64, err error) {
 	if d.timingErr != nil {
 		return 0, 0, d.timingErr
@@ -172,8 +175,8 @@ func hostInputs(m *tir.Module) map[string]bool {
 	return host
 }
 
-// timer is the compiled executor's one cycle-summing walk: it visits
-// the configuration tree in Run's order and replays bindPE's checks
+// timer is the compiled executor's one cycle-summing walk: it expands
+// the design's instances in Run's order and replays bindPE's checks
 // statically against the objects present so far. A bind failure does
 // not stop the sum — a caller's own inputs may bind where host inputs
 // do not — but a structural error does, exactly as it stops Run.
@@ -184,12 +187,12 @@ type timer struct {
 }
 
 // node mirrors Instance.runNode: a sequential root sums its children.
-func (t *timer) node(n *tir.ConfigNode) (cycles, items int64, err error) {
-	if n.Mode != tir.ModeSeq {
+func (t *timer) node(n *elab.Node) (cycles, items int64, err error) {
+	if n.Func.Mode != tir.ModeSeq {
 		return t.call(nil, n)
 	}
-	for i, c := range n.Children {
-		cy, it, err := t.call(t.d.calls[n][i], c)
+	for _, c := range n.Calls {
+		cy, it, err := t.call(c.Site, c.Callee)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -203,14 +206,14 @@ func (t *timer) node(n *tir.ConfigNode) (cycles, items int64, err error) {
 // pipe node costs its own PE (or ctrlStartup for a purely structural
 // parent) and chains its coarse children — their fills add, the item
 // stream already flowing through the chain overlaps.
-func (t *timer) call(call *tir.CallInstr, n *tir.ConfigNode) (cycles, items int64, err error) {
+func (t *timer) call(call *tir.CallInstr, n *elab.Node) (cycles, items int64, err error) {
 	if err := shapeErr(call, n); err != nil {
 		return 0, 0, err
 	}
-	if n.Mode == tir.ModePar {
+	if n.Func.Mode == tir.ModePar {
 		var worst int64
-		for i, c := range n.Children {
-			cy, it, err := t.call(t.d.calls[n][i], c)
+		for _, c := range n.Calls {
+			cy, it, err := t.call(c.Site, c.Callee)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -225,11 +228,11 @@ func (t *timer) call(call *tir.CallInstr, n *tir.ConfigNode) (cycles, items int6
 		t.bind(p)
 		cycles, items = p.fill+p.items+ctrlStartup, p.items
 	}
-	for i, c := range n.Children {
-		if c.Mode == tir.ModeComb {
+	for _, c := range n.Calls {
+		if c.Callee.Func.Mode == tir.ModeComb {
 			continue // inlined in the parent program
 		}
-		cy, it, err := t.call(t.d.calls[n][i], c)
+		cy, it, err := t.call(c.Site, c.Callee)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -271,22 +274,22 @@ func errNoContents(mem string) error {
 // shapeErr returns the structural error Run fails with on reaching n
 // through call, or nil: a root pipe, a pipe with neither streams nor
 // stages, a comb block used as a PE, or a nested seq node.
-func shapeErr(call *tir.CallInstr, n *tir.ConfigNode) error {
-	switch n.Mode {
+func shapeErr(call *tir.CallInstr, n *elab.Node) error {
+	switch n.Func.Mode {
 	case tir.ModePar:
 		return nil
 	case tir.ModePipe:
 		if call == nil {
 			return fmt.Errorf("pipesim: pipe function @%s must be invoked through a call site", n.Func.Name)
 		}
-		if len(n.Func.Params) == 0 && len(n.Func.Calls()) == 0 {
+		if len(n.Func.Params) == 0 && len(n.Calls) == 0 {
 			return fmt.Errorf("pipesim: pipe function @%s has neither streams nor stages", n.Func.Name)
 		}
 		return nil
 	case tir.ModeComb:
 		return fmt.Errorf("pipesim: comb function @%s cannot be a processing element; inline it in a pipe", n.Func.Name)
 	}
-	return fmt.Errorf("pipesim: unsupported call mode %s", n.Mode)
+	return fmt.Errorf("pipesim: unsupported call mode %s", n.Func.Mode)
 }
 
 // BatchedPrograms reports how many of the compiled programs (one per
@@ -354,6 +357,9 @@ type runState struct {
 // mutate their view of Result.Mem with it.
 func (inst *Instance) Run(mem map[string][]int64) (*Result, error) {
 	d := inst.d
+	if d.compileErr != nil {
+		return nil, d.compileErr
+	}
 	st := &runState{mem: make(map[string][]int64, len(mem)+len(d.progs)), acc: map[string]int64{}}
 	for name, data := range mem {
 		mo := d.m.MemObject(name)
@@ -366,7 +372,7 @@ func (inst *Instance) Run(mem map[string][]int64) (*Result, error) {
 		}
 		st.mem[name] = data
 	}
-	if err := inst.runNode(st, d.tree); err != nil {
+	if err := inst.runNode(st, d.root); err != nil {
 		return nil, err
 	}
 	return &Result{Mem: st.mem, Acc: st.acc, Cycles: d.cycles, Items: d.items}, nil
@@ -379,17 +385,17 @@ func (inst *Instance) RunIterations(mem map[string][]int64, nki int64, fb Feedba
 	return runIterations(inst.d.m, inst.Run, mem, nki, fb)
 }
 
-// runNode executes the configuration tree in the oracle's order:
+// runNode executes the design's instances in the oracle's order:
 // sequential nodes run their children in turn, parallel nodes their
 // lanes, pipe nodes their datapath and then their coarse children. It
 // counts no cycles — the design's timer walk did that once, at compile
 // time.
-func (inst *Instance) runNode(st *runState, n *tir.ConfigNode) error {
-	if n.Mode != tir.ModeSeq {
+func (inst *Instance) runNode(st *runState, n *elab.Node) error {
+	if n.Func.Mode != tir.ModeSeq {
 		return inst.runCall(st, nil, n)
 	}
-	for i, c := range n.Children {
-		if err := inst.runCall(st, inst.d.calls[n][i], c); err != nil {
+	for _, c := range n.Calls {
+		if err := inst.runCall(st, c.Site, c.Callee); err != nil {
 			return err
 		}
 	}
@@ -399,13 +405,13 @@ func (inst *Instance) runNode(st *runState, n *tir.ConfigNode) error {
 // runCall executes the PE(s) reached through one call site. A par
 // node runs its lanes in lane order, as the oracle does: a lane that
 // consumes another lane's output sees the completed stream.
-func (inst *Instance) runCall(st *runState, call *tir.CallInstr, n *tir.ConfigNode) error {
+func (inst *Instance) runCall(st *runState, call *tir.CallInstr, n *elab.Node) error {
 	if err := shapeErr(call, n); err != nil {
 		return err
 	}
-	if n.Mode == tir.ModePar {
-		for i, c := range n.Children {
-			if err := inst.runCall(st, inst.d.calls[n][i], c); err != nil {
+	if n.Func.Mode == tir.ModePar {
+		for _, c := range n.Calls {
+			if err := inst.runCall(st, c.Site, c.Callee); err != nil {
 				return err
 			}
 		}
@@ -416,11 +422,11 @@ func (inst *Instance) runCall(st *runState, call *tir.CallInstr, n *tir.ConfigNo
 			return err
 		}
 	}
-	for i, c := range n.Children {
-		if c.Mode == tir.ModeComb {
+	for _, c := range n.Calls {
+		if c.Callee.Func.Mode == tir.ModeComb {
 			continue // inlined in the parent program
 		}
-		if err := inst.runCall(st, inst.d.calls[n][i], c); err != nil {
+		if err := inst.runCall(st, c.Site, c.Callee); err != nil {
 			return err
 		}
 	}

@@ -109,7 +109,7 @@ func TestRunDoesNotCopyOrMutateInputs(t *testing.T) {
 			snapshot[name] = c
 		}
 
-		d, err := Compile(m)
+		d, err := CompileConfig(m, defaultConfig)
 		if err != nil {
 			t.Fatalf("%s: compile: %v", spec.Name(), err)
 		}
@@ -195,7 +195,7 @@ func TestInstanceRunAllocations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := Compile(m)
+			d, err := CompileConfig(m, defaultConfig)
 			if err != nil {
 				t.Fatal(err)
 			}

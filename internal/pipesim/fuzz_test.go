@@ -221,7 +221,7 @@ func TestRandomKernelsCompiledMatchesOracle(t *testing.T) {
 	g := &kernelGen{par: true}
 	for seed := uint64(1); seed <= 80; seed++ {
 		m, mem, _ := g.build(seed)
-		d, err := Compile(m)
+		d, err := CompileConfig(m, defaultConfig)
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v\n%s", seed, err, m)
 		}
@@ -253,7 +253,7 @@ func TestRandomKernelsCPKIConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		est, err := mdl.Estimate(m)
+		est, err := mdl.Estimate(elaborate(t, m))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

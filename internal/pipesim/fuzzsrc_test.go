@@ -59,7 +59,7 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		d, err := Compile(m)
+		d, err := CompileConfig(m, defaultConfig)
 		if err != nil {
 			// Rejected with a diagnostic: the acceptable failure mode.
 			return

@@ -40,7 +40,7 @@ package pipesim
 import (
 	"fmt"
 
-	"repro/internal/schedule"
+	"repro/internal/elab"
 	"repro/internal/tir"
 )
 
@@ -73,6 +73,7 @@ type Result struct {
 // function's parameters to memory objects.
 type pe struct {
 	fn    *tir.Function
+	depth int               // scheduled pipeline depth of fn
 	in    map[string]string // param -> memobj (input streams)
 	out   map[string]string // param -> memobj (output streams)
 	items int64
@@ -92,7 +93,11 @@ type sim struct {
 // is differentially tested against — Run must produce a bit-identical
 // Result. Same contract as Run.
 func RunOracle(m *tir.Module, mem map[string][]int64) (*Result, error) {
-	if err := m.Validate(); err != nil {
+	d, err := elab.Elaborate(m)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.CheckBound(); err != nil {
 		return nil, err
 	}
 	s := &sim{m: m, mem: map[string][]int64{}, acc: map[string]int64{}}
@@ -110,31 +115,25 @@ func RunOracle(m *tir.Module, mem map[string][]int64) (*Result, error) {
 		s.mem[name] = cp
 	}
 
-	tree, err := m.ConfigTree()
-	if err != nil {
-		return nil, err
-	}
-
-	cycles, items, err := s.runNode(tree)
+	cycles, items, err := s.runNode(d.Root())
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Mem: s.mem, Acc: s.acc, Cycles: cycles, Items: items}, nil
 }
 
-// runNode executes the architecture under one configuration-tree node
-// and returns its cycle cost and work-item count. Sequential nodes sum
-// their children; parallel nodes take the slowest lane; a pipe node
+// runNode executes one instance of the architecture under a design
+// node and returns its cycle cost and work-item count. Sequential nodes
+// sum their children; parallel nodes take the slowest lane; a pipe node
 // executes its own datapath and chains any coarse-grained pipe children
 // (fills add, streaming overlaps).
-func (s *sim) runNode(n *tir.ConfigNode) (cycles, items int64, err error) {
-	switch n.Mode {
+func (s *sim) runNode(n *elab.Node) (cycles, items int64, err error) {
+	switch n.Func.Mode {
 	case tir.ModeSeq:
 		total := int64(0)
 		var all int64
-		for i, c := range n.Children {
-			call := n.Func.Calls()[i]
-			cy, it, err := s.runCall(call, c)
+		for _, c := range n.Calls {
+			cy, it, err := s.runCall(c.Site, c.Callee)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -147,19 +146,18 @@ func (s *sim) runNode(n *tir.ConfigNode) (cycles, items int64, err error) {
 		// invocation.
 		return s.runCall(nil, n)
 	}
-	return 0, 0, fmt.Errorf("pipesim: unsupported root mode %s", n.Mode)
+	return 0, 0, fmt.Errorf("pipesim: unsupported root mode %s", n.Func.Mode)
 }
 
 // runCall executes the PE(s) reached through one call site.
-func (s *sim) runCall(call *tir.CallInstr, n *tir.ConfigNode) (cycles, items int64, err error) {
-	switch n.Mode {
+func (s *sim) runCall(call *tir.CallInstr, n *elab.Node) (cycles, items int64, err error) {
+	switch n.Func.Mode {
 	case tir.ModePar:
 		// Lanes run concurrently: the kernel-instance finishes when the
 		// slowest lane drains.
 		var worst, all int64
-		for i, c := range n.Children {
-			laneCall := n.Func.Calls()[i]
-			cy, it, err := s.runCall(laneCall, c)
+		for _, c := range n.Calls {
+			cy, it, err := s.runCall(c.Site, c.Callee)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -181,6 +179,7 @@ func (s *sim) runCall(call *tir.CallInstr, n *tir.ConfigNode) (cycles, items int
 			if err != nil {
 				return 0, 0, err
 			}
+			p.depth = n.Sched.Depth
 			if err := s.execute(p); err != nil {
 				return 0, 0, err
 			}
@@ -190,7 +189,7 @@ func (s *sim) runCall(call *tir.CallInstr, n *tir.ConfigNode) (cycles, items int
 			// A purely structural coarse-pipeline parent (Fig 7
 			// configuration 3: pipe { pipeA(); pipeB() }): only its
 			// children move data.
-			if len(n.Func.Calls()) == 0 {
+			if len(n.Calls) == 0 {
 				return 0, 0, fmt.Errorf("pipesim: pipe function @%s has neither streams nor stages", n.Func.Name)
 			}
 			total = ctrlStartup
@@ -198,12 +197,11 @@ func (s *sim) runCall(call *tir.CallInstr, n *tir.ConfigNode) (cycles, items int
 		// Coarse-grained pipeline children: peers streaming through
 		// shared memory objects. Their fills add; the portion of the
 		// item stream already flowing through the chain overlaps.
-		for i, c := range n.Children {
-			if c.Mode == tir.ModeComb {
+		for _, c := range n.Calls {
+			if c.Callee.Func.Mode == tir.ModeComb {
 				continue // inlined in the parent wave, not a peer PE
 			}
-			childCall := n.Func.Calls()[i]
-			cy, it, err := s.runCall(childCall, c)
+			cy, it, err := s.runCall(c.Site, c.Callee)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -224,7 +222,7 @@ func (s *sim) runCall(call *tir.CallInstr, n *tir.ConfigNode) (cycles, items int
 	case tir.ModeComb:
 		return 0, 0, fmt.Errorf("pipesim: comb function @%s cannot be a processing element; inline it in a pipe", n.Func.Name)
 	}
-	return 0, 0, fmt.Errorf("pipesim: unsupported call mode %s", n.Mode)
+	return 0, 0, fmt.Errorf("pipesim: unsupported call mode %s", n.Func.Mode)
 }
 
 // bind resolves a pipe call's arguments to memory objects and sizes the
@@ -306,10 +304,6 @@ func (s *sim) execute(p *pe) error {
 
 	// Wave-by-wave execution.
 	env := make(map[string]int64, len(fn.Body)+len(fn.Params))
-	depth, err := pipelineDepth(s.m, fn)
-	if err != nil {
-		return err
-	}
 	var drain int64
 	for i := int64(0); i < p.items; i++ {
 		clear(env)
@@ -330,7 +324,7 @@ func (s *sim) execute(p *pe) error {
 	if rem := primed % burstElems; rem != 0 || primed == 0 {
 		primed += burstElems - rem
 	}
-	p.fill = primed + int64(depth) + handshake + drain
+	p.fill = primed + int64(p.depth) + handshake + drain
 	return nil
 }
 
@@ -584,13 +578,4 @@ func (s *sim) inlineComb(parent *tir.Function, call *tir.CallInstr, env map[stri
 type streamRef struct {
 	root string
 	off  int64
-}
-
-// pipelineDepth returns the scheduled depth of the PE's datapath.
-func pipelineDepth(m *tir.Module, fn *tir.Function) (int, error) {
-	sch, err := schedule.ASAPIn(m, fn)
-	if err != nil {
-		return 0, err
-	}
-	return sch.Depth, nil
 }

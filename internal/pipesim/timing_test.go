@@ -163,7 +163,7 @@ func TestDifferentialTimingMatchesOracle(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		d, err := Compile(m)
+		d, err := CompileConfig(m, defaultConfig)
 		if err != nil {
 			continue
 		}
@@ -181,7 +181,7 @@ func TestDifferentialTimingMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		d, err := Compile(m)
+		d, err := CompileConfig(m, defaultConfig)
 		if err != nil {
 			t.Fatalf("%s: compile: %v", name, err)
 		}

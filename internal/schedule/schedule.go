@@ -3,9 +3,10 @@
 // data/control delay lines needed to balance the datapath (the "Create
 // data and control delay lines" stage of the back-end flow, Fig 11).
 //
-// The schedule is shared infrastructure: the HDL generator emits one
-// stage register per scheduled cycle, the pipeline simulator executes
-// stage-by-stage, the synthesis substrate counts the balancing registers
+// The schedule is shared infrastructure, computed once per datapath by
+// elaboration (internal/elab): the HDL generator emits one stage
+// register per scheduled cycle, the pipeline simulator takes its fill
+// depth from it, the synthesis substrate counts the balancing registers
 // the schedule implies, and the cost model derives the kernel pipeline
 // depth (KPD of Table I) from it.
 package schedule
@@ -71,23 +72,18 @@ type value struct {
 	bits, lag int
 }
 
-// ASAP schedules a function body that contains no calls. For bodies
-// with comb-block calls (Fig 7 configuration 1) use ASAPIn, which can
-// resolve the callee.
-func ASAP(f *tir.Function) (*Schedule, error) { return ASAPIn(nil, f) }
-
 // ASAPIn schedules the function body. Offsets are handled by the stream
 // controller (they do not consume datapath stages), so they are
 // scheduled with latency 0 at cycle 0; everything else starts as soon as
 // its operands are ready. comb functions are checked to collapse to a
 // single combinatorial stage (every op latency contributes 0).
 //
-// Calls are handled structurally: calls to pipe children are peer
-// processing elements, not part of this datapath, and are skipped; a
-// call to a comb child is a registered custom combinatorial block that
-// reads its in-args and defines its out-args one cycle later. Resolving
-// which args are outputs requires the module; ASAPIn returns an error if
-// a comb call appears and m is nil.
+// Calls are handled structurally: calls to pipe, par and seq children
+// are peer processing elements, not part of this datapath, and are
+// skipped; a call to a comb child is a registered custom combinatorial
+// block that reads its in-args and defines its out-args one cycle
+// later. Resolving which args are outputs requires the module; ASAPIn
+// returns an error if a comb call appears and m is nil.
 func ASAPIn(m *tir.Module, f *tir.Function) (*Schedule, error) {
 	if f.Mode != tir.ModePipe && f.Mode != tir.ModeComb {
 		return nil, fmt.Errorf("schedule: @%s: only pipe and comb functions have datapaths (mode %s)", f.Name, f.Mode)
@@ -143,16 +139,12 @@ func ASAPIn(m *tir.Module, f *tir.Function) (*Schedule, error) {
 	for _, in := range f.Body {
 		switch it := in.(type) {
 		case *tir.CallInstr:
-			if it.Mode == tir.ModePipe {
+			if it.Mode != tir.ModeComb {
 				// A peer processing element with its own schedule.
 				continue
 			}
-			if it.Mode != tir.ModeComb {
-				return nil, fmt.Errorf("schedule: @%s: cannot schedule a %s call to @%s inside a datapath",
-					f.Name, it.Mode, it.Callee)
-			}
 			if m == nil {
-				return nil, fmt.Errorf("schedule: @%s: comb call @%s needs module context (use ASAPIn)", f.Name, it.Callee)
+				return nil, fmt.Errorf("schedule: @%s: comb call @%s needs module context", f.Name, it.Callee)
 			}
 			callee := m.Func(it.Callee)
 			if callee == nil {

@@ -37,7 +37,7 @@ func chainFunc(t *testing.T) (*tir.Module, *tir.Function) {
 
 func TestASAPDepthFollowsCriticalPath(t *testing.T) {
 	_, f := chainFunc(t)
-	sch, err := ASAP(f)
+	sch, err := ASAPIn(nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestASAPDelayLines(t *testing.T) {
 	// c is consumed at cycle 2 (after the multiply) and d at cycle 3:
 	// both need balancing delay lines of those lengths.
 	_, f := chainFunc(t)
-	sch, err := ASAP(f)
+	sch, err := ASAPIn(nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestASAPCombCollapses(t *testing.T) {
 	a := f.Param("a", ty)
 	q := f.Param("q", ty)
 	f.Out(q, f.Mul(f.Add(a, a), a))
-	sch, err := ASAP(f.Fn())
+	sch, err := ASAPIn(nil, f.Fn())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestASAPCombCollapses(t *testing.T) {
 func TestASAPRejectsNonDatapathModes(t *testing.T) {
 	b := tir.NewBuilder("x")
 	f := b.Func("p", tir.ModePar)
-	if _, err := ASAP(f.Fn()); err == nil {
+	if _, err := ASAPIn(nil, f.Fn()); err == nil {
 		t.Error("par function scheduled")
 	}
 }
@@ -154,7 +154,7 @@ func TestASAPCombCallSchedules(t *testing.T) {
 	m := b.MustModule()
 
 	// Without module context the comb call cannot be resolved.
-	if _, err := ASAP(m.Func("f0")); err == nil {
+	if _, err := ASAPIn(nil, m.Func("f0")); err == nil {
 		t.Error("comb call scheduled without module context")
 	}
 	sch, err := ASAPIn(m, m.Func("f0"))

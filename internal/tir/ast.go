@@ -194,15 +194,6 @@ type Port struct {
 	At        diag.Pos // declaration position; zero for built modules
 }
 
-// LocalName returns the port's name within its function ("p" for
-// "main.p").
-func (p *Port) LocalName() string {
-	if i := strings.LastIndexByte(p.Name, '.'); i >= 0 {
-		return p.Name[i+1:]
-	}
-	return p.Name
-}
-
 // FuncName returns the function component of the port name ("main" for
 // "main.p"), or "" if unqualified.
 func (p *Port) FuncName() string {
@@ -484,17 +475,6 @@ func (f *Function) OutParams() map[string]bool {
 	return outs
 }
 
-// callCount returns the number of call instructions in the body.
-func (f *Function) callCount() int {
-	n := 0
-	for _, in := range f.Body {
-		if _, ok := in.(*CallInstr); ok {
-			n++
-		}
-	}
-	return n
-}
-
 // drives reports whether f binds its parameter name with an `out`: the
 // membership test of OutParams, without building the set.
 func (f *Function) drives(name string) bool {
@@ -558,18 +538,6 @@ func (m *Module) Stream(name string) *StreamObject {
 		}
 	}
 	return nil
-}
-
-// PortsOf returns the ports declared for the named function, in
-// declaration order.
-func (m *Module) PortsOf(fn string) []*Port {
-	var out []*Port
-	for _, p := range m.Ports {
-		if p.FuncName() == fn {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // Port returns the port with the given qualified name, or nil.

@@ -47,9 +47,6 @@ func (b *Builder) MustModule() *Module {
 	return m
 }
 
-// RawModule returns the module without validation.
-func (b *Builder) RawModule() *Module { return b.mod }
-
 // MemObject declares a Manage-IR memory object and returns its name.
 func (b *Builder) MemObject(name string, elem Type, size int64, space MemSpace, pattern AccessPattern, stride int64) string {
 	if stride <= 0 {

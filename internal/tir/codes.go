@@ -6,8 +6,9 @@ package tir
 // meaning. TIR001 is the syntax family, TIR01x-TIR03x the semantic
 // validation of Validate, TIR04x the deeper static passes of Analyze
 // (conditions that previously only failed at runtime or degraded
-// silently inside pipesim.Compile), and TIR09x checks that need a
-// target description (cmd/tytravet, internal/verify).
+// silently inside pipesim.Compile), TIR06x the elaborated design's
+// instance count (internal/elab), and TIR09x checks that need a target
+// description (cmd/tytravet, internal/verify).
 const (
 	// CodeSyntax is any lexical or syntactic error.
 	CodeSyntax = "TIR001"
@@ -56,6 +57,9 @@ const (
 	// Programmatic construction (tir.Builder misuse).
 	CodeBuilderType = "TIR050" // builder binary operation over mismatched operand types
 
+	// Elaboration (internal/elab).
+	CodeInstanceBound = "TIR060" // instance count overflows int64, or exceeds what a back end materialises
+
 	// Target-dependent checks (cmd/tytravet -target, internal/verify).
 	CodeDeviceFit = "TIR090" // static resource estimate exceeds the device capacity
 )
@@ -101,5 +105,6 @@ var CodeTable = []struct {
 	{CodeDatapathEval, "datapath not executable by the pipeline simulator"},
 	{CodeItemOrder, "aliased in/out streams pin execution to item order"},
 	{CodeBuilderType, "builder binary operation over mismatched operand types"},
+	{CodeInstanceBound, "design instance count overflows int64 or exceeds the materialisation bound"},
 	{CodeDeviceFit, "static resource estimate exceeds the device capacity"},
 }

@@ -1,10 +1,13 @@
-package tir
+package tir_test
 
 import (
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/elab"
+	"repro/internal/tir"
 )
 
 // TestCorpus parses, validates and round-trips every .tirl file under
@@ -25,21 +28,21 @@ func TestCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			name := strings.TrimSuffix(filepath.Base(path), ".tirl")
-			m, err := Parse(name, string(src))
+			m, err := tir.Parse(name, string(src))
 			if err != nil {
 				t.Fatalf("parse+validate: %v", err)
 			}
 			// Round trip through the printer.
-			m2, err := Parse(name, m.String())
+			m2, err := tir.Parse(name, m.String())
 			if err != nil {
 				t.Fatalf("printed form does not re-parse: %v", err)
 			}
 			if m.String() != m2.String() {
 				t.Error("print/parse is not a fixed point")
 			}
-			// Every corpus design classifies to a supported config.
-			if _, err := m.Classify(); err != nil {
-				t.Errorf("classification: %v", err)
+			// Every corpus design elaborates to a supported config.
+			if _, err := elab.Elaborate(m); err != nil {
+				t.Errorf("elaboration: %v", err)
 			}
 		})
 	}
@@ -48,31 +51,39 @@ func TestCorpus(t *testing.T) {
 // TestCorpusShapes pins the structural highlights each corpus file
 // exists to demonstrate.
 func TestCorpusShapes(t *testing.T) {
-	load := func(name string) *Module {
+	load := func(name string) *tir.Module {
 		t.Helper()
 		src, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Parse(name, string(src))
+		m, err := tir.Parse(name, string(src))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
+	design := func(m *tir.Module) *elab.Design {
+		t.Helper()
+		d, err := elab.Elaborate(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
 
-	if m := load("parlanes.tirl"); m.Lanes() != 2 {
-		t.Errorf("parlanes: %d lanes, want 2", m.Lanes())
-	} else if cfg, _ := m.Classify(); cfg != ConfigParPipes {
+	if d := design(load("parlanes.tirl")); d.Lanes() != 2 {
+		t.Errorf("parlanes: %d lanes, want 2", d.Lanes())
+	} else if cfg := d.Config(); cfg != tir.ConfigParPipes {
 		t.Errorf("parlanes: config %v", cfg)
 	}
 
 	m := load("combblock.tirl")
-	if cfg, _ := m.Classify(); cfg != ConfigPipe {
+	if cfg := design(m).Config(); cfg != tir.ConfigPipe {
 		t.Errorf("combblock: config %v, want C1 (comb blocks stay inside the pipe)", cfg)
 	}
 	clamp := m.Func("clamp")
-	if clamp == nil || clamp.Mode != ModeComb {
+	if clamp == nil || clamp.Mode != tir.ModeComb {
 		t.Fatal("combblock: missing comb function")
 	}
 	if !clamp.OutParams()["r"] {
@@ -82,7 +93,7 @@ func TestCorpusShapes(t *testing.T) {
 	fp := load("floatpipe.tirl")
 	hasFloat := false
 	for _, in := range fp.Func("f0").Body {
-		if bi, ok := in.(*BinInstr); ok && bi.Op.Info().Float {
+		if bi, ok := in.(*tir.BinInstr); ok && bi.Op.Info().Float {
 			hasFloat = true
 		}
 	}
@@ -96,12 +107,12 @@ func TestCorpusShapes(t *testing.T) {
 	}
 }
 
-// schedulelessMaxOffset recomputes the look-ahead without importing the
-// schedule package (tir must stay dependency-free).
-func schedulelessMaxOffset(f *Function) int64 {
+// schedulelessMaxOffset recomputes the look-ahead without the schedule
+// package, independently of the code under test.
+func schedulelessMaxOffset(f *tir.Function) int64 {
 	var max int64
 	for _, in := range f.Body {
-		if o, ok := in.(*OffsetInstr); ok && o.Offset > max {
+		if o, ok := in.(*tir.OffsetInstr); ok && o.Offset > max {
 			max = o.Offset
 		}
 	}

@@ -1,10 +1,13 @@
-package tir
+package tir_test
 
 import (
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/elab"
+	"repro/internal/tir"
 )
 
 // corpusSeeds feeds every .tirl file under testdata (good corpus and
@@ -43,9 +46,9 @@ func corpusSeeds(f *testing.F) {
 }
 
 // rejectedSeeds are modules the parser accepts and Check rejects whose
-// call hierarchy the configuration tree must answer with an error: no
-// @main, an unknown callee, a comb call with more arguments than its
-// callee has parameters, and a call cycle.
+// call hierarchy elaboration must answer with an error: no @main, an
+// unknown callee, a comb call with more arguments than its callee has
+// parameters, and a call cycle.
 var rejectedSeeds = []string{
 	`define void @f0(ui18 %a) pipe {
   ui18 %1 = add ui18 %a, 1
@@ -78,17 +81,19 @@ define void @main() {
 }
 
 // FuzzValidate asserts the whole front stage — lexer, parser, Check,
-// Analyze and the configuration tree — never panics, whatever bytes
-// arrive. Parser-rejected input must come back as an error,
-// parser-accepted input must flow through both checking layers and the
-// tree's consumers without crashing.
+// Analyze and elaboration — never panics, whatever bytes arrive.
+// Parser-rejected input must come back as an error, parser-accepted
+// input must flow through both checking layers and elaboration without
+// crashing, and elaboration must accept exactly what Analyze accepts,
+// bar an instance count that overflows or a datapath it cannot
+// schedule.
 func FuzzValidate(f *testing.F) {
 	corpusSeeds(f)
 	for _, src := range rejectedSeeds {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		m, err := ParseOnly("fuzz.tirl", src)
+		m, err := tir.ParseOnly("fuzz.tirl", src)
 		if err != nil {
 			if m != nil {
 				t.Errorf("ParseOnly returned both a module and error %v", err)
@@ -98,14 +103,16 @@ func FuzzValidate(f *testing.F) {
 		// Check and Analyze must always terminate and never panic, even
 		// on degenerate accepted modules.
 		_ = m.Check()
-		_ = m.Analyze()
+		analyzed := m.Analyze()
 		_ = m.Validate()
-		// The tree and its consumers answer every accepted module,
-		// rejected ones included, with a tree or an error.
-		_, _ = m.ConfigTree()
-		_, _ = m.Classify()
-		if n := m.Lanes(); n < 1 {
-			t.Errorf("Lanes = %d, want at least 1", n)
+		d, err := elab.Elaborate(m)
+		switch {
+		case analyzed.HasErrors() && err == nil:
+			t.Error("Elaborate accepted a module Analyze rejects")
+		case err == nil && d.Lanes() < 1:
+			t.Errorf("Lanes = %d, want at least 1", d.Lanes())
+		case err == nil:
+			_ = d.Config()
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package tir
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -40,31 +39,6 @@ define void @main() {
   call @f0(@main.p, @main.rhs, @main.p_new) pipe
 }
 `
-
-func TestParseFullModule(t *testing.T) {
-	m, err := Parse("sor", sorIR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.MemObjects) != 3 || len(m.Streams) != 3 || len(m.Ports) != 3 {
-		t.Errorf("manage-IR counts: %d mem, %d stream, %d port",
-			len(m.MemObjects), len(m.Streams), len(m.Ports))
-	}
-	f0 := m.Func("f0")
-	if f0 == nil || f0.Mode != ModePipe {
-		t.Fatal("f0 missing or wrong mode")
-	}
-	if len(f0.Body) != 11 {
-		t.Errorf("f0 has %d instructions, want 11", len(f0.Body))
-	}
-	cfg, err := m.Classify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg != ConfigPipe {
-		t.Errorf("config = %v", cfg)
-	}
-}
 
 func TestPrintParseRoundTrip(t *testing.T) {
 	m1, err := Parse("sor", sorIR)
@@ -147,6 +121,11 @@ func TestValidateCatches(t *testing.T) {
 		"comb with call": `define void @f1() pipe { ui8 %x = const ui8 1 }
 			define void @f0() comb { call @f1() pipe }
 			define void @main() { call @f0() comb }`,
+		"comb with offset": `define void @f0(ui8 %a, ui8 %r) comb {
+			ui8 %o = ui8 %a, !offset, !+1
+			out ui8 %r, %o }
+			define void @f1(ui8 %x) pipe { call @f0(%x, %y) comb }
+			define void @main() { call @f1(@main.x) pipe }`,
 		"arity mismatch": `define void @f0(ui8 %a) pipe { ui8 %x = add ui8 %a, 1 }
 			define void @main() { call @f0() pipe }`,
 		"mode mismatch": `define void @f0() pipe { ui8 %x = const ui8 1 }
@@ -203,114 +182,6 @@ func TestValidateManageIRLinkage(t *testing.T) {
 	}
 	if err := base(func(m *Module) { m.MemObjects = append(m.MemObjects, m.MemObjects[0]) }); err == nil {
 		t.Error("duplicate memory object accepted")
-	}
-}
-
-func TestConfigClassification(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want Config
-	}{
-		{"pipe", `define void @f0() pipe { ui8 %x = const ui8 1 }
-			define void @main() { call @f0() pipe }`, ConfigPipe},
-		{"par-pipes", `define void @f0() pipe { ui8 %x = const ui8 1 }
-			define void @f1() par { call @f0() pipe
-			call @f0() pipe }
-			define void @main() { call @f1() par }`, ConfigParPipes},
-		{"coarse", `define void @fa() pipe { ui8 %x = const ui8 1 }
-			define void @f0() pipe { call @fa() pipe }
-			define void @main() { call @f0() pipe }`, ConfigCoarsePipe},
-		{"par-coarse", `define void @fa() pipe { ui8 %x = const ui8 1 }
-			define void @ftop() pipe { call @fa() pipe }
-			define void @f1() par { call @ftop() pipe
-			call @ftop() pipe }
-			define void @main() { call @f1() par }`, ConfigParCoarse},
-	}
-	for _, c := range cases {
-		m, err := Parse(c.name, c.src)
-		if err != nil {
-			t.Errorf("%s: %v", c.name, err)
-			continue
-		}
-		got, err := m.Classify()
-		if err != nil {
-			t.Errorf("%s: %v", c.name, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("%s: classified %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-// TestConfigTreeSharedCallees builds trees that expand a callee at
-// several call sites, more nodes than the module has call sites, and
-// checks each node's function, children and lanes.
-func TestConfigTreeSharedCallees(t *testing.T) {
-	cases := []struct{ name, src, want string }{
-		{"par-coarse", `define void @fa() pipe { ui8 %x = const ui8 1 }
-			define void @ftop() pipe { call @fa() pipe }
-			define void @f1() par { call @ftop() pipe
-			call @ftop() pipe
-			call @ftop() pipe }
-			define void @main() { call @f1() par }`,
-			"main(f1x3(ftop(fa) ftop(fa) ftop(fa)))"},
-		{"seq-twice", `define void @fa() pipe { ui8 %x = const ui8 1 }
-			define void @fb() pipe { ui8 %y = const ui8 2 }
-			define void @ftop() pipe { call @fa() pipe
-			call @fb() pipe }
-			define void @main() { call @ftop() pipe
-			call @ftop() pipe }`,
-			"main(ftop(fa fb) ftop(fa fb))"},
-	}
-	var render func(n *ConfigNode) string
-	render = func(n *ConfigNode) string {
-		s := n.Func.Name
-		if n.Mode == ModePar {
-			s += fmt.Sprintf("x%d", n.Lanes)
-		} else if n.Lanes != 1 {
-			s += fmt.Sprintf("(lanes %d)", n.Lanes)
-		}
-		if len(n.Children) == 0 {
-			return s
-		}
-		kids := make([]string, len(n.Children))
-		for i, c := range n.Children {
-			if c.Mode != c.Func.Mode {
-				t.Errorf("node @%s has mode %s, function is %s", c.Func.Name, c.Mode, c.Func.Mode)
-			}
-			kids[i] = render(c)
-		}
-		return s + "(" + strings.Join(kids, " ") + ")"
-	}
-	for _, c := range cases {
-		m, err := Parse(c.name, c.src)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		tree, err := m.ConfigTree()
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if got := render(tree); got != c.want {
-			t.Errorf("%s: tree %s, want %s", c.name, got, c.want)
-		}
-	}
-}
-
-func TestLanes(t *testing.T) {
-	src := `define void @f0() pipe { ui8 %x = const ui8 1 }
-		define void @f1() par { call @f0() pipe
-		call @f0() pipe
-		call @f0() pipe }
-		define void @main() { call @f1() par }`
-	m, err := Parse("lanes", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Lanes(); got != 3 {
-		t.Errorf("Lanes() = %d, want 3", got)
 	}
 }
 

@@ -62,9 +62,6 @@ func (t Type) Valid() bool {
 	return false
 }
 
-// IsInt reports whether t is an integer type.
-func (t Type) IsInt() bool { return t.Kind == UInt || t.Kind == SInt }
-
 // IsFloat reports whether t is a float type.
 func (t Type) IsFloat() bool { return t.Kind == Float }
 

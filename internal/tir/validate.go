@@ -152,7 +152,7 @@ func (c *checker) check() {
 
 	// Acyclic call hierarchy reachable from main, and its configuration
 	// legality per Fig 7. The composition is judged only on sound
-	// linkage, as ConfigTree would judge it.
+	// linkage.
 	if main != nil {
 		w := callWalk{c: c, chain: make([]string, 0, len(c.fns))}
 		w.visit(main, make(map[*Function]uint8, len(c.fns)))
@@ -164,10 +164,9 @@ func (c *checker) check() {
 
 // callWalk is one depth-first walk of the call hierarchy from @main. It
 // visits each function once, reports every call cycle it closes
-// (TIR035), and keeps the first par-structure error in the order
-// ConfigTree's build meets them: after a function's callees, in call
-// order. Unknown callees were already reported per call site; the walk
-// skips them.
+// (TIR035), and keeps the first par-structure error in post-order:
+// after a function's callees, in call order. Unknown callees were
+// already reported per call site; the walk skips them.
 type callWalk struct {
 	c         *checker
 	chain     []string // the calls that reached the function being visited
@@ -295,6 +294,9 @@ func (c *checker) checkBody(tag int32, f *Function) (linked bool) {
 			}
 		case *OffsetInstr:
 			hasDatapath = true
+			if f.Mode == ModeComb {
+				l.Errorf(CodeCombStructure, at, "@%s: comb functions must be pure datapath (no stream offsets)", f.Name)
+			}
 			use(at, it.Src)
 			if it.Src.Kind == OpImm {
 				l.Errorf(CodeBadOffset, at, "@%s: offset source must be a stream value", f.Name)
@@ -379,18 +381,6 @@ func (c *checker) checkBody(tag int32, f *Function) (linked bool) {
 	return linked
 }
 
-// ConfigNode is one node of the configuration tree the compiler extracts
-// from the IR (Fig 8): the architecture implied by the function
-// hierarchy and call modes.
-type ConfigNode struct {
-	Func     *Function
-	Mode     ParMode
-	Children []*ConfigNode
-	// Lanes is the replication factor this node contributes: for a par
-	// node, the number of pipe children.
-	Lanes int
-}
-
 // Config classifies whole-design configurations following Fig 7.
 type Config int
 
@@ -427,86 +417,6 @@ func (c Config) String() string {
 	return "C?:unknown"
 }
 
-// ConfigTree builds the configuration tree rooted at @main and verifies
-// that the composition is one the compiler supports. A module without
-// @main (TIR011), a call to an unknown function (TIR025) or a call cycle
-// (TIR035) is an error, so the tree is safe to ask of a module Check
-// rejects.
-//
-// The nodes and child lists come from two slabs sized for one node per
-// call site, which a tree that reaches each call site once fills
-// exactly; a tree that expands a shared callee more than once takes
-// further slabs.
-func (m *Module) ConfigTree() (*ConfigNode, error) {
-	main := m.Main()
-	if main == nil {
-		return nil, diag.New(diag.Error, CodeNoMain, diag.Pos{File: m.Name},
-			"module %s has no @main entry function", m.Name)
-	}
-	sites := 0
-	b := treeBuilder{fns: make(map[string]*Function, len(m.Funcs)), depth: len(m.Funcs)}
-	for _, f := range m.Funcs {
-		b.fns[f.Name] = f
-		sites += f.callCount()
-	}
-	b.nodes = make([]ConfigNode, 0, sites+1)
-	b.kids = make([]*ConfigNode, 0, sites)
-	return b.build(main, 0)
-}
-
-// treeBuilder carries one ConfigTree build.
-type treeBuilder struct {
-	fns map[string]*Function
-	// depth bounds the call chain: one deeper than the module has
-	// functions must repeat a function, so it closes a cycle.
-	depth int
-	nodes []ConfigNode
-	kids  []*ConfigNode
-}
-
-func (b *treeBuilder) build(f *Function, depth int) (*ConfigNode, error) {
-	if depth >= b.depth {
-		return nil, diag.New(diag.Error, CodeRecursion, f.At, "@%s: recursive call cycle", f.Name)
-	}
-	if len(b.nodes) == cap(b.nodes) {
-		b.nodes = make([]ConfigNode, 0, cap(b.nodes))
-	}
-	b.nodes = append(b.nodes, ConfigNode{Func: f, Mode: f.Mode, Lanes: 1})
-	n := &b.nodes[len(b.nodes)-1]
-	if k := f.callCount(); k > 0 {
-		if cap(b.kids)-len(b.kids) < k {
-			b.kids = make([]*ConfigNode, 0, max(cap(b.kids), k))
-		}
-		n.Children = b.kids[len(b.kids) : len(b.kids)+k : len(b.kids)+k]
-		b.kids = b.kids[:len(b.kids)+k]
-	}
-	i := 0
-	for _, in := range f.Body {
-		c, ok := in.(*CallInstr)
-		if !ok {
-			continue
-		}
-		callee := b.fns[c.Callee]
-		if callee == nil {
-			return nil, diag.New(diag.Error, CodeUnknownCallee, c.At,
-				"@%s calls unknown function @%s", f.Name, c.Callee)
-		}
-		child, err := b.build(callee, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		n.Children[i] = child
-		i++
-	}
-	if f.Mode == ModePar {
-		if err := parLanes(f); err != nil {
-			return nil, err
-		}
-		n.Lanes = len(n.Children)
-	}
-	return n, nil
-}
-
 // parLanes checks the Fig 7 shape of the par function f: its calls are
 // its lanes, and there is at least one, all replicating one kernel.
 func parLanes(f *Function) error {
@@ -526,74 +436,4 @@ func parLanes(f *Function) error {
 		return diag.New(diag.Error, CodeParStructure, f.At, "@%s: par function with no lanes", f.Name)
 	}
 	return nil
-}
-
-// Classify names the Fig 7 configuration of the design.
-func (m *Module) Classify() (Config, error) {
-	tree, err := m.ConfigTree()
-	if err != nil {
-		return 0, err
-	}
-	return tree.Classify(), nil
-}
-
-// Classify names the Fig 7 configuration of the design whose
-// configuration tree is rooted at n.
-func (n *ConfigNode) Classify() Config {
-	// Skip the main(seq) wrapper: classification concerns the device
-	// architecture below it.
-	node := n
-	if node.Mode == ModeSeq && len(node.Children) == 1 {
-		node = node.Children[0]
-	} else if node.Mode == ModeSeq && len(node.Children) > 1 {
-		return ConfigSeq
-	}
-	switch node.Mode {
-	case ModePipe:
-		for _, c := range node.Children {
-			if c.Mode == ModePipe {
-				return ConfigCoarsePipe
-			}
-		}
-		return ConfigPipe
-	case ModePar:
-		for _, lane := range node.Children {
-			for _, c := range lane.Children {
-				if c.Mode == ModePipe {
-					return ConfigParCoarse
-				}
-			}
-		}
-		return ConfigParPipes
-	case ModeComb:
-		return ConfigPipe
-	}
-	return ConfigSeq
-}
-
-// Lanes returns KNL, the number of parallel kernel lanes of the design
-// (see ConfigNode.KernelLanes); 1 when the design has no configuration
-// tree.
-func (m *Module) Lanes() int {
-	tree, err := m.ConfigTree()
-	if err != nil {
-		return 1
-	}
-	return tree.KernelLanes()
-}
-
-// KernelLanes returns KNL, the number of parallel kernel lanes under n:
-// the product of par replication factors along the hierarchy (1 for a
-// single pipeline).
-func (n *ConfigNode) KernelLanes() int {
-	if n.Mode == ModePar {
-		// All lanes are identical; replication factor times the lanes
-		// inside one child.
-		return n.Lanes * n.Children[0].KernelLanes()
-	}
-	best := 1
-	for _, c := range n.Children {
-		best = max(best, c.KernelLanes())
-	}
-	return best
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/elab"
 	"repro/internal/pipesim"
 	"repro/internal/tir"
 )
@@ -153,15 +154,15 @@ func TestLowerBaselineValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := m.Classify()
+	d, err := elab.Elaborate(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg != tir.ConfigPipe {
+	if cfg := d.Config(); cfg != tir.ConfigPipe {
 		t.Errorf("config = %v, want C1 pipeline", cfg)
 	}
-	if m.Lanes() != 1 {
-		t.Errorf("lanes = %d", m.Lanes())
+	if d.Lanes() != 1 {
+		t.Errorf("lanes = %d", d.Lanes())
 	}
 }
 
@@ -178,15 +179,15 @@ func TestLowerParVariantValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := m.Classify()
+	d, err := elab.Elaborate(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg != tir.ConfigParPipes {
+	if cfg := d.Config(); cfg != tir.ConfigParPipes {
 		t.Errorf("config = %v, want C2 data-parallel pipelines", cfg)
 	}
-	if m.Lanes() != 4 {
-		t.Errorf("lanes = %d, want 4", m.Lanes())
+	if d.Lanes() != 4 {
+		t.Errorf("lanes = %d, want 4", d.Lanes())
 	}
 }
 

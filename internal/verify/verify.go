@@ -7,39 +7,27 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/diag"
+	"repro/internal/elab"
 	"repro/internal/tir"
 )
 
-// DeviceFit statically checks that the design's resource estimate fits
-// the target device (TIR090). The estimate is the same fast cost-model
-// path the DSE uses, so a design rejected here would be rejected by
-// every downstream flow; catching it at vet time saves a simulation or
-// synthesis round trip. The module must already pass tir.Check.
-func DeviceFit(m *tir.Module, target *device.Target) diag.List {
-	mdl, err := costmodel.Calibrate(target)
-	if err != nil {
-		return diag.AsList(err, tir.CodeDeviceFit)
-	}
-	return DeviceFitModel(m, mdl, target)
-}
-
-// DeviceFitModel is DeviceFit with a pre-calibrated model, for callers
-// checking many modules against one target.
-func DeviceFitModel(m *tir.Module, mdl *costmodel.Model, target *device.Target) diag.List {
-	est, err := mdl.Estimate(m)
+// DeviceFitModel statically checks that the elaborated design's
+// resource estimate, priced by a model calibrated for target, fits the
+// device (TIR090). The estimate is the same fast cost-model path the
+// DSE uses, so a design rejected here would be rejected by every
+// downstream flow; catching it at vet time saves a simulation or
+// synthesis round trip.
+func DeviceFitModel(d *elab.Design, mdl *costmodel.Model, target *device.Target) diag.List {
+	est, err := mdl.Estimate(d)
 	if err != nil {
 		return diag.AsList(err, tir.CodeDeviceFit)
 	}
 	if est.Used.FitsIn(target.Capacity) {
 		return nil
 	}
-	pos := diag.Pos{File: m.Name}
-	if main := m.Main(); main != nil {
-		pos = main.At
-	}
 	util, worst := est.Used.MaxUtilisation(target.Capacity)
 	var l diag.List
-	l.Errorf(tir.CodeDeviceFit, pos,
+	l.Errorf(tir.CodeDeviceFit, d.Root().Func.At,
 		"design does not fit %s: needs %s of %s (%.0f%% of %s)",
 		target.Name, est.Used, target.Capacity, util*100, worst)
 	return l

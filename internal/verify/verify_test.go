@@ -6,25 +6,37 @@ import (
 
 	"repro/internal/costmodel"
 	"repro/internal/device"
+	"repro/internal/elab"
 	"repro/internal/kernels"
 	"repro/internal/tir"
 )
 
-func TestDeviceFitAcceptsRealKernel(t *testing.T) {
+// sorDesign elaborates the default SOR kernel.
+func sorDesign(t *testing.T) *elab.Design {
+	t.Helper()
 	m, err := kernels.DefaultSOR().Module()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l := DeviceFit(m, device.StratixVGSD8()); len(l) != 0 {
+	d, err := elab.Elaborate(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func TestDeviceFitAcceptsRealKernel(t *testing.T) {
+	target := device.StratixVGSD8()
+	mdl, err := costmodel.Calibrate(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := DeviceFitModel(sorDesign(t), mdl, target); len(l) != 0 {
 		t.Errorf("SOR on GSD8 should fit, got %v", l)
 	}
 }
 
 func TestDeviceFitRejectsOversizedDesign(t *testing.T) {
-	m, err := kernels.DefaultSOR().Module()
-	if err != nil {
-		t.Fatal(err)
-	}
 	target := device.StratixVGSD8()
 	mdl, err := costmodel.Calibrate(target)
 	if err != nil {
@@ -33,7 +45,7 @@ func TestDeviceFitRejectsOversizedDesign(t *testing.T) {
 	tiny := *target
 	tiny.Name = "tiny"
 	tiny.Capacity = device.Resources{ALUTs: 10, Regs: 10, BRAM: 10, DSPs: 0}
-	l := DeviceFitModel(m, mdl, &tiny)
+	l := DeviceFitModel(sorDesign(t), mdl, &tiny)
 	if len(l) != 1 || l[0].Code != tir.CodeDeviceFit {
 		t.Fatalf("want one TIR090 finding, got %v", l)
 	}
