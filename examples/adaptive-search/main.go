@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -23,8 +25,16 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run explores the Fig 15 space exhaustively and under a budget, and
+// writes the trajectories to out.
+func run(out io.Writer) error {
 	target := device.GSD8Edu()
-	fmt.Printf("calibrating models for %s...\n", target.Name)
+	fmt.Fprintf(out, "calibrating models for %s...\n", target.Name)
 	// One model cache across the three explorations: the target is
 	// calibrated by the first and reused by the other two.
 	shelf, cache := []*device.Target{target}, dse.NewModelCache()
@@ -37,44 +47,47 @@ func main() {
 		dse.FormAxis(perf.FormA, perf.FormB),
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	w := perf.Workload{NKI: 10}
 
-	explore := func(st dse.Strategy, opts dse.SearchOptions) *dse.Result {
-		res, err := core.Explore(dse.EvalModel, shelf, cache, build, space, w, perf.FormB,
+	explore := func(st dse.Strategy, opts dse.SearchOptions) (*dse.Result, error) {
+		return core.Explore(dse.EvalModel, shelf, cache, build, space, w, perf.FormB,
 			st, 0, dse.SimConfig{}, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res
 	}
 
-	full := explore(dse.Exhaustive{}, dse.SearchOptions{})
-	if full.Best == nil {
-		log.Fatal("no variant of the full sweep fits the device")
+	full, err := explore(dse.Exhaustive{}, dse.SearchOptions{})
+	if err != nil {
+		return err
 	}
-	fmt.Printf("\nexhaustive: %d evaluations, best %s (EKIT %.3g/s)\n",
+	if full.Best == nil {
+		return fmt.Errorf("no variant of the full sweep fits the device")
+	}
+	fmt.Fprintf(out, "\nexhaustive: %d evaluations, best %s (EKIT %.3g/s)\n",
 		full.Evals, space.Describe(full.BestVariant), full.Best.EKIT)
 
 	// The same space under a 24-evaluation budget and a fixed seed.
 	opts := dse.SearchOptions{Seed: 1, Budget: dse.Budget{MaxEvals: 24}}
 	for _, st := range []dse.Strategy{dse.HillClimb{}, dse.Anneal{}} {
-		res := explore(st, opts)
-		fmt.Println()
-		fmt.Println(report.SearchTable(
+		res, err := explore(st, opts)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(out)
+		fmt.Fprintln(out, report.SearchTable(
 			fmt.Sprintf("%s trajectory: best EKIT found vs evaluations spent", st.Name()), res))
-		fmt.Print(report.SearchSummary(res))
+		fmt.Fprint(out, report.SearchSummary(res))
 		if res.Best == nil {
-			fmt.Println("no fitting design found under the budget")
+			fmt.Fprintln(out, "no fitting design found under the budget")
 			continue
 		}
 		verdict := "a DIFFERENT design than"
 		if res.Best.EKIT == full.Best.EKIT {
 			verdict = "the SAME best design as"
 		}
-		fmt.Printf("%s found %s the full sweep with %d of %d evaluations (%.0f%%)\n",
+		fmt.Fprintf(out, "%s found %s the full sweep with %d of %d evaluations (%.0f%%)\n",
 			st.Name(), verdict, res.Evals, full.Evals,
 			float64(res.Evals)/float64(full.Evals)*100)
 	}
+	return nil
 }

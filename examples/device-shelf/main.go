@@ -13,7 +13,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -38,17 +41,29 @@ func nextGenGSD8() *device.Target {
 	return t
 }
 
+// registerNextGen adds the synthetic entry to the registry, once per
+// process.
+var registerNextGen = sync.OnceValue(func() error { return device.Register(nextGenGSD8) })
+
 func main() {
-	if err := device.Register(nextGenGSD8); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// run sweeps the kernel family across the shelf and writes the
+// summary to w.
+func run(w io.Writer) error {
+	if err := registerNextGen(); err != nil {
+		return err
 	}
 	// The registry now knows the synthetic entry by name, exactly like
 	// the built-ins.
 	shelf, err := device.Shelf("stratix-v-gsd8-edu", "stratix-v-gsd8", "virtex-7-690t", "gsd8-nextgen-2x")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("device shelf:", device.Names())
+	fmt.Fprintln(w, "device shelf:", device.Names())
 
 	// The swept family: the SOR relaxation kernel at every reshape-legal
 	// lane count up to 16.
@@ -63,38 +78,39 @@ func main() {
 		dse.DeviceAxis(shelf...),
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("exploring %d points (%d lane variants x %d devices)...\n\n",
+	fmt.Fprintf(w, "exploring %d points (%d lane variants x %d devices)...\n\n",
 		space.Size(), space.Size()/len(shelf), len(shelf))
 	res, err := core.Explore(dse.EvalModel, shelf, nil, build, space,
 		perf.Workload{NKI: 10}, perf.FormB, dse.ParetoFrontier{}, 0, dse.SimConfig{}, dse.SearchOptions{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	summary, err := report.DeviceSummaryTable("cross-device summary (SOR, form B)", res)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println(summary)
+	fmt.Fprintln(w, summary)
 	if line := report.FrontierLine(res); line != "" {
-		fmt.Print(line)
+		fmt.Fprint(w, line)
 	}
 	if res.Best != nil {
-		fmt.Printf("\nbest hosting for the kernel: %s at %d lanes (EKIT %.3g/s, %.0f%% peak utilisation)\n",
+		fmt.Fprintf(w, "\nbest hosting for the kernel: %s at %d lanes (EKIT %.3g/s, %.0f%% peak utilisation)\n",
 			res.Best.Device, res.Best.Lanes, res.Best.EKIT, res.Best.PeakUtil()*100)
 	}
 
 	// The per-device walls, one Fig 15 story per shelf entry.
-	fmt.Println("\nwalls per device (lane count where each limit bites; 0 = outside the sweep):")
+	fmt.Fprintln(w, "\nwalls per device (lane count where each limit bites; 0 = outside the sweep):")
 	for i, tgt := range shelf {
 		slice, err := res.Slice(dse.AxisDevice, i)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  %-20s host=%-3d dram=%-3d compute=%d\n",
+		fmt.Fprintf(w, "  %-20s host=%-3d dram=%-3d compute=%d\n",
 			tgt.Name, slice.Walls.Host, slice.Walls.DRAM, slice.Walls.Compute)
 	}
+	return nil
 }

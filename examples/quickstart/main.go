@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -45,40 +47,48 @@ define void @main() {
 `
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run costs the design and writes the report to w.
+func run(w io.Writer) error {
 	// One-time per-target setup: calibrate the resource cost model
 	// against the synthesis substrate and run the bandwidth benchmark.
 	target := device.StratixVGSD8()
 	compiler, err := core.New(target)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Parse and elaborate the design variant.
 	d, err := compiler.Parse("movavg", design)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Cost it: resource estimate, Table I parameters, EKIT throughput
 	// under form B (data resident in device DRAM across iterations).
 	rep, err := compiler.Cost(d, perf.Workload{NKI: 1000}, perf.FormB)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	est := rep.Est
-	fmt.Printf("design %q (%v) on %s\n", rep.Module.Name, est.Config, target.Name)
-	fmt.Printf("  resources: %v\n", est.Used)
-	fmt.Printf("  pipeline depth %d cycles, max offset %d elements, %d instructions/PE\n",
+	fmt.Fprintf(w, "design %q (%v) on %s\n", rep.Module.Name, est.Config, target.Name)
+	fmt.Fprintf(w, "  resources: %v\n", est.Used)
+	fmt.Fprintf(w, "  pipeline depth %d cycles, max offset %d elements, %d instructions/PE\n",
 		est.KPD, est.Noff, est.NI)
-	fmt.Printf("  fits device: %v\n", est.Fits())
-	fmt.Printf("  EKIT: %.3g kernel-instances/s (limited by %s)\n", rep.EKIT, rep.Breakdown.Limiter)
-	fmt.Printf("  estimated CPKI for 65536 items: %d cycles\n", est.CPKI(65536))
+	fmt.Fprintf(w, "  fits device: %v\n", est.Fits())
+	fmt.Fprintf(w, "  EKIT: %.3g kernel-instances/s (limited by %s)\n", rep.EKIT, rep.Breakdown.Limiter)
+	fmt.Fprintf(w, "  estimated CPKI for 65536 items: %d cycles\n", est.CPKI(65536))
 
 	// Emit the synthesisable Verilog for HLS integration (§VII).
 	hdl, err := compiler.EmitHDL(d)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  generated %d bytes of Verilog (module tytra_top_%s)\n", len(hdl), rep.Module.Name)
+	fmt.Fprintf(w, "  generated %d bytes of Verilog (module tytra_top_%s)\n", len(hdl), rep.Module.Name)
+	return nil
 }

@@ -13,7 +13,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -73,29 +75,37 @@ func buildChain() (*tir.Module, error) {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run builds, costs, simulates and emits the chain, and writes the
+// report to w.
+func run(w io.Writer) error {
 	m, err := buildChain()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	d, err := elab.Elaborate(m)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("built %q: %v, 3 stages over on-chip channels\n", m.Name, d.Config())
+	fmt.Fprintf(w, "built %q: %v, 3 stages over on-chip channels\n", m.Name, d.Config())
 
 	compiler, err := core.New(device.StratixVGSD8())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Cost it: KPD accumulates along the chain; the channels live in
 	// block RAM; throughput stays one sample per cycle.
 	rep, err := compiler.Cost(d, perf.Workload{NKI: 100}, perf.FormC)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("cost: %v\n", rep.Est.Used)
-	fmt.Printf("chain pipeline depth %d cycles, EKIT %.4g instances/s (%s)\n",
+	fmt.Fprintf(w, "cost: %v\n", rep.Est.Used)
+	fmt.Fprintf(w, "chain pipeline depth %d cycles, EKIT %.4g instances/s (%s)\n",
 		rep.Est.KPD, rep.EKIT, rep.Breakdown.Limiter)
 
 	// Run a kernel-instance through the cycle-accurate simulator.
@@ -109,19 +119,19 @@ func main() {
 	}
 	res, err := compiler.Simulate(d, map[string][]int64{"mem_main_x": samples})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	y := res.Mem["mem_main_y"]
-	fmt.Printf("simulated %d samples in %d cycles (%.3f cycles/sample)\n",
+	fmt.Fprintf(w, "simulated %d samples in %d cycles (%.3f cycles/sample)\n",
 		n, res.Cycles, float64(res.Cycles)/float64(n))
-	fmt.Printf("signal energy accumulator: %d\n", res.Acc["energy"])
-	fmt.Printf("spike at sample 97: raw %d -> filtered %d\n", samples[97], y[97])
+	fmt.Fprintf(w, "signal energy accumulator: %d\n", res.Acc["energy"])
+	fmt.Fprintf(w, "spike at sample 97: raw %d -> filtered %d\n", samples[97], y[97])
 
 	// And the Verilog for HLS integration.
 	hdl, err := compiler.EmitHDL(d)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("emitted %d bytes of Verilog (3 datapath + 3 stream-control modules)\n", len(hdl))
-
+	fmt.Fprintf(w, "emitted %d bytes of Verilog (3 datapath + 3 stream-control modules)\n", len(hdl))
+	return nil
 }

@@ -13,7 +13,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -53,14 +55,22 @@ func movingLaplace() *typetrans.Kernel {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run generates, scores and ranks the lane variants, and writes the
+// design space to w.
+func run(w io.Writer) error {
 	const n = 1 << 20 // stream elements per kernel-instance
 
 	// 1. Generate program variants through type transformations.
 	variants, err := typetrans.EnumerateLaneVariants(movingLaplace(), n, 16)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("front-end generated %d variants of the baseline `map laplace1d u`\n", len(variants))
+	fmt.Fprintf(w, "front-end generated %d variants of the baseline `map laplace1d u`\n", len(variants))
 
 	// 2. The target: the scaled educational device, so the walls are
 	// visible with this small integer kernel.
@@ -78,13 +88,13 @@ func main() {
 	}
 	space, err := dse.NewSpace(dse.LanesAxis(laneVals))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	build := func(lanes int) (*tir.Module, error) { return byLanes[lanes].Lower() }
 	res, err := core.Explore(dse.EvalHybrid, []*device.Target{target}, nil, build, space,
 		perf.Workload{NKI: 100}, perf.FormB, dse.Exhaustive{}, 0, dse.SimConfig{}, dse.SearchOptions{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	tab := report.NewTable(
@@ -102,17 +112,18 @@ func main() {
 		tab.AddRow(v.Lanes(), modeStr, p.Est.Used.ALUTs, p.UtilALUT*100, p.EKIT, p.SimEKIT,
 			fmt.Sprintf("%v", p.Fits), p.Breakdown.Limiter)
 	}
-	fmt.Println(tab)
+	fmt.Fprintln(w, tab)
 
 	// The cross-check the hybrid scorer buys: does the model's CPKI
 	// estimate track the simulator's cycles on every variant?
-	fmt.Println(report.CalibrationTable(
+	fmt.Fprintln(w, report.CalibrationTable(
 		"calibration: model CPKI vs simulated cycles", res, 0))
 
 	// 4. The guided search's answer.
 	if res.Best == nil {
-		fmt.Println("no variant fits the device")
-		return
+		fmt.Fprintln(w, "no variant fits the device")
+		return nil
 	}
-	fmt.Printf("selected variant: %d lanes (EKIT %.3g/s)\n", res.Best.Lanes, res.Best.EKIT)
+	fmt.Fprintf(w, "selected variant: %d lanes (EKIT %.3g/s)\n", res.Best.Lanes, res.Best.EKIT)
+	return nil
 }

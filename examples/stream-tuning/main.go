@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/device"
 	"repro/internal/membw"
@@ -20,11 +22,19 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run calibrates the bandwidth model and writes the layout comparison
+// to w.
+func run(w io.Writer) error {
 	target := device.Virtex7690T() // the paper's Fig 10 board
-	fmt.Printf("running the one-time STREAM benchmark on %s...\n\n", target.Name)
+	fmt.Fprintf(w, "running the one-time STREAM benchmark on %s...\n\n", target.Name)
 	model, err := membw.Build(target)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	tab := report.NewTable("Measured sustained bandwidth (Fig 10)",
@@ -32,7 +42,7 @@ func main() {
 	for _, s := range model.Table {
 		tab.AddRow(s.Dim, s.Pattern.String(), s.Gbps())
 	}
-	fmt.Println(tab)
+	fmt.Fprintln(w, tab)
 
 	// A kernel streaming a dim x dim ui32 array, once per kernel
 	// instance: compare the two layouts.
@@ -41,19 +51,20 @@ func main() {
 		rowMajor := model.SustainedDRAM(bytes, tir.PatternContiguous)
 		colMajor := model.SustainedDRAM(bytes, tir.PatternStrided)
 		ratio := rowMajor / colMajor
-		fmt.Printf("%dx%d ui32 array (%d MB):\n", dim, dim, bytes>>20)
-		fmt.Printf("  row-major walk: %7.3f Gbps sustained (rhoG %.2f)\n",
+		fmt.Fprintf(w, "%dx%d ui32 array (%d MB):\n", dim, dim, bytes>>20)
+		fmt.Fprintf(w, "  row-major walk: %7.3f Gbps sustained (rhoG %.2f)\n",
 			rowMajor*8/1e9, model.RhoG(bytes, tir.PatternContiguous))
-		fmt.Printf("  column walk:    %7.3f Gbps sustained (rhoG %.3f)\n",
+		fmt.Fprintf(w, "  column walk:    %7.3f Gbps sustained (rhoG %.3f)\n",
 			colMajor*8/1e9, model.RhoG(bytes, tir.PatternStrided))
-		fmt.Printf("  -> keep streams contiguous: %.0fx faster; a transpose stage\n", ratio)
-		fmt.Printf("     pays for itself whenever the kernel re-reads the array more than once\n\n")
+		fmt.Fprintf(w, "  -> keep streams contiguous: %.0fx faster; a transpose stage\n", ratio)
+		fmt.Fprintf(w, "     pays for itself whenever the kernel re-reads the array more than once\n\n")
 	}
 
 	// The model also prices the host link for form-A designs.
 	for _, mb := range []int64{1, 16, 256} {
 		b := mb << 20
-		fmt.Printf("host link, %4d MB transfer: %.2f GB/s sustained (rhoH %.2f)\n",
+		fmt.Fprintf(w, "host link, %4d MB transfer: %.2f GB/s sustained (rhoH %.2f)\n",
 			mb, model.SustainedHost(b)/1e9, model.RhoH(b))
 	}
+	return nil
 }

@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/elab"
 	"repro/internal/hlsbase"
@@ -21,6 +23,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run solves, validates and projects the LES pressure solver, and
+// writes the log to w.
+func run(w io.Writer) error {
 	// A small LES grid so the example runs in moments; the solver
 	// behaviour (stencil sweep + residual reduction) is the real thing.
 	spec := kernels.SORSpec{IM: 15, JM: 10, KM: 16, Lanes: 4}
@@ -28,9 +38,9 @@ func main() {
 
 	m, err := spec.Module()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("LES pressure solver: %dx%dx%d grid, %d lanes, %d SOR iterations\n",
+	fmt.Fprintf(w, "LES pressure solver: %dx%dx%d grid, %d lanes, %d SOR iterations\n",
 		spec.IM, spec.JM, spec.KM, spec.Lanes, nmaxp)
 
 	// Initial pressure and source fields.
@@ -45,26 +55,26 @@ func main() {
 	// service could hand this same design to any number of goroutines.)
 	d, err := elab.Elaborate(m)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	design, err := pipesim.Compile(d)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Validate the first sweep against the golden kernel on the interior
 	// (lane-slab boundaries read zero-fill halos).
 	mem, err := kernels.BindInputs(map[string][]int64{"p": p, "rhs": rhs}, spec.Lanes)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	first, err := design.Run(mem)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	firstP, err := kernels.CollectOutput(first.Mem, "p_new", spec.Lanes)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	want, _ := spec.Golden(map[string][]int64{"p": p, "rhs": rhs})
 	checked := 0
@@ -73,11 +83,11 @@ func main() {
 			continue
 		}
 		if firstP[i] != want["p_new"][i] {
-			log.Fatalf("validation failed at point %d: %d != %d", i, firstP[i], want["p_new"][i])
+			return fmt.Errorf("validation failed at point %d: %d != %d", i, firstP[i], want["p_new"][i])
 		}
 		checked++
 	}
-	fmt.Printf("iteration 0 validated against the golden kernel (%d interior points)\n", checked)
+	fmt.Fprintf(w, "iteration 0 validated against the golden kernel (%d interior points)\n", checked)
 
 	// The solver loop: the pressure field feeds back into the next sweep
 	// (form B of Fig 6), handled by the iteration driver.
@@ -91,21 +101,22 @@ func main() {
 	}
 	res, err := design.RunIterations(mem, nmaxp, fb)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for k, acc := range res.AccHistory {
 		if k == 0 || (k+1)%10 == 0 {
-			fmt.Printf("  iter %3d: residual accumulator %d\n", k+1, acc["sorErrAcc"])
+			fmt.Fprintf(w, "  iter %3d: residual accumulator %d\n", k+1, acc["sorErrAcc"])
 		}
 	}
-	fmt.Printf("solver done: %d total cycles for %d sweeps\n\n", res.TotalCycles, res.Instances)
+	fmt.Fprintf(w, "solver done: %d total cycles for %d sweeps\n\n", res.TotalCycles, res.Instances)
 
 	// How would this job fare on the three §VII platforms at production
 	// scale? (grid 96³, nmaxp=1000, the weather model's typical size.)
 	cs := hlsbase.NewCaseStudy(nil)
-	fmt.Println("projected production run (96x96x96 grid, 1000 iterations):")
+	fmt.Fprintln(w, "projected production run (96x96x96 grid, 1000 iterations):")
 	for _, pf := range hlsbase.Platforms {
 		sec := cs.Seconds(pf, 96, 1000)
-		fmt.Printf("  %-11s %7.2f s  %7.1f J above idle\n", pf, sec, cs.Joules(pf, 96, 1000))
+		fmt.Fprintf(w, "  %-11s %7.2f s  %7.1f J above idle\n", pf, sec, cs.Joules(pf, 96, 1000))
 	}
+	return nil
 }
