@@ -11,15 +11,13 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden tytradse outputs")
 
 // goldenCases is the flag matrix TestRunGolden pins: every -eval mode,
-// every strategy (the adaptive ones seeded and budgeted),
-// -csv, every -form, both -modeleval implementations, and -devices in
-// model and hybrid mode. sor-sim and sor-hybrid pin the Fig 15
-// simulated cycles the benchmark's sim-sweep scores.
+// every strategy (the adaptive ones seeded and budgeted), -csv, every
+// -form, and -devices in model and hybrid mode. sor-sim and sor-hybrid
+// pin the Fig 15 simulated cycles the benchmark's sim-sweep scores.
 var goldenCases = map[string][]string{
 	"model-sor":        {"-kernel", "sor", "-maxlanes", "8"},
 	"form-a":           {"-kernel", "sor", "-maxlanes", "8", "-form", "A"},
 	"form-c":           {"-kernel", "sor", "-maxlanes", "4", "-form", "C"},
-	"modeleval-tree":   {"-kernel", "sor", "-maxlanes", "8", "-modeleval", "tree"},
 	"csv":              {"-kernel", "lavamd", "-maxlanes", "4", "-csv", "-target", "stratix-v-gsd8"},
 	"sim":              {"-kernel", "hotspot", "-maxlanes", "4", "-eval", "sim"},
 	"hybrid":           {"-kernel", "lavamd", "-maxlanes", "4", "-eval", "hybrid"},

@@ -8,7 +8,7 @@
 //
 //	tytradse [-kernel sor] [-target stratix-v-gsd8-edu] [-maxlanes 16] [-form A|B|C] [-nki 10]
 //	         [-strategy exhaustive|wall-pruned|pareto|hillclimb|anneal] [-budget N] [-seed N]
-//	         [-eval model|sim|hybrid] [-modeleval compiled|tree]
+//	         [-eval model|sim|hybrid]
 //	         [-j N] [-csv] [-devices name,name,...] [-cache DIR]
 //
 // The -strategy flag selects the exploration strategy from the dse
@@ -33,13 +33,6 @@
 // sweep. Simulated cycles never depend on data, so both take them
 // from the compiled design's structure (pipesim.CompiledDesign.Timing)
 // without running the NDRange.
-//
-// The -modeleval flag selects the cost-model implementation under any
-// -eval mode: "compiled" (the default) prices variants through the
-// flat estimate program costmodel.Compile builds once per (kernel,
-// device), "tree" walks the original recursive estimator. The two are
-// pinned bit-identical, so this is purely a speed knob — "tree" exists
-// as the differential oracle.
 //
 // -devices sweeps the variant family across a shelf of targets in one
 // lanes×device engine run instead of a single -target: the cost and
@@ -91,7 +84,6 @@ type options struct {
 	kernel   string
 	form     perf.Form
 	mode     dse.EvalMode
-	emode    dse.ModelEvalMode
 	strategy dse.Strategy
 	search   dse.SearchOptions
 	nki      int64
@@ -101,12 +93,6 @@ type options struct {
 	// cache supplies every target's models and carries the -cache
 	// store, if any.
 	cache *dse.ModelCache
-}
-
-// simConfig is the evaluator configuration both the single- and
-// multi-device paths hand to core.Explore.
-func (o options) simConfig() dse.SimConfig {
-	return dse.SimConfig{ModelEval: o.emode}
 }
 
 // showSearch reports whether the run's search provenance (trajectory
@@ -132,9 +118,6 @@ func run(args []string, out io.Writer) error {
 	budget := fs.Int("budget", 0, "max design-point evaluations the search may charge (0 = unlimited)")
 	seed := fs.Int64("seed", 0, "search RNG seed for the adaptive strategies (0 = default seed 1)")
 	evalName := fs.String("eval", "model", "variant scorer (model | sim | hybrid)")
-	modelEval := fs.String("modeleval", "compiled",
-		fmt.Sprintf("cost-model implementation (%s) — estimates are bit-identical, only the evaluation speed changes",
-			strings.Join(dse.ModelEvalNames(), " | ")))
 	jobs := fs.Int("j", 0, "parallel evaluation workers (0 = all CPUs)")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	cacheDir := fs.String("cache", "",
@@ -159,10 +142,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	emode, err := dse.ParseModelEval(*modelEval)
-	if err != nil {
-		return err
-	}
 	form, err := perf.ParseForm(*formName)
 	if err != nil {
 		return err
@@ -173,7 +152,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	opt := options{kernel: *kernel, form: form, mode: mode, emode: emode, strategy: st,
+	opt := options{kernel: *kernel, form: form, mode: mode, strategy: st,
 		search: dse.SearchOptions{Budget: dse.Budget{MaxEvals: *budget}, Seed: *seed},
 		nki:    *nki, maxLanes: *maxLanes, jobs: *jobs, csv: *csv,
 		cache: dse.NewModelCacheStore(store)}
@@ -205,7 +184,7 @@ func runSingle(out io.Writer, opt options, targetName string) error {
 		return err
 	}
 	res, err := core.Explore(opt.mode, []*device.Target{target}, opt.cache, build, space,
-		perf.Workload{NKI: opt.nki}, opt.form, opt.strategy, opt.jobs, opt.simConfig(), opt.search)
+		perf.Workload{NKI: opt.nki}, opt.form, opt.strategy, opt.jobs, opt.search)
 	if err != nil {
 		return err
 	}
@@ -260,7 +239,7 @@ func runDevices(out io.Writer, opt options, names []string) error {
 		return err
 	}
 	res, err := core.Explore(opt.mode, shelf, opt.cache, build, space, perf.Workload{NKI: opt.nki},
-		opt.form, opt.strategy, opt.jobs, opt.simConfig(), opt.search)
+		opt.form, opt.strategy, opt.jobs, opt.search)
 	if err != nil {
 		return err
 	}

@@ -77,6 +77,7 @@ func TestRunErrors(t *testing.T) {
 		{"-budget", "-1"},
 		{"-budget", "-1", "-devices", "edu,virtex-7-690t"},
 		{"-j", "-2"},
+		{"-modeleval", "tree"}, // one cost-model implementation: no switch
 	}
 	for i, args := range cases {
 		if err := run(args, &out); err == nil {

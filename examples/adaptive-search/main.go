@@ -53,7 +53,7 @@ func run(out io.Writer) error {
 
 	explore := func(st dse.Strategy, opts dse.SearchOptions) (*dse.Result, error) {
 		return core.Explore(dse.EvalModel, shelf, cache, build, space, w, perf.FormB,
-			st, 0, dse.SimConfig{}, opts)
+			st, 0, opts)
 	}
 
 	full, err := explore(dse.Exhaustive{}, dse.SearchOptions{})

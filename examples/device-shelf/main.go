@@ -84,7 +84,7 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "exploring %d points (%d lane variants x %d devices)...\n\n",
 		space.Size(), space.Size()/len(shelf), len(shelf))
 	res, err := core.Explore(dse.EvalModel, shelf, nil, build, space,
-		perf.Workload{NKI: 10}, perf.FormB, dse.ParetoFrontier{}, 0, dse.SimConfig{}, dse.SearchOptions{})
+		perf.Workload{NKI: 10}, perf.FormB, dse.ParetoFrontier{}, 0, dse.SearchOptions{})
 	if err != nil {
 		return err
 	}

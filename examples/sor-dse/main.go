@@ -92,7 +92,7 @@ func run(w io.Writer) error {
 	}
 	build := func(lanes int) (*tir.Module, error) { return byLanes[lanes].Lower() }
 	res, err := core.Explore(dse.EvalHybrid, []*device.Target{target}, nil, build, space,
-		perf.Workload{NKI: 100}, perf.FormB, dse.Exhaustive{}, 0, dse.SimConfig{}, dse.SearchOptions{})
+		perf.Workload{NKI: 100}, perf.FormB, dse.Exhaustive{}, 0, dse.SearchOptions{})
 	if err != nil {
 		return err
 	}

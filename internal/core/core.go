@@ -143,9 +143,8 @@ func (c *Compiler) Simulate(d *elab.Design, mem map[string][]int64) (*pipesim.Re
 // (lanes × dv × form × fclk × device, see dse.NewSpace) is searched
 // under st and opts on workers goroutines (<= 0 selects GOMAXPROCS),
 // every point scored by mode (the EKIT model, the pipeline simulator,
-// or the hybrid cross-check), with sim configuring the simulation
-// workload and the cost-model implementation. form is the default when
-// the space has no form axis.
+// or the hybrid cross-check). form is the default when the space has
+// no form axis.
 //
 // A single target is a one-entry shelf; a device axis must be built
 // from the same shelf (dse.DeviceAxis(shelf...)). cache runs each
@@ -155,8 +154,8 @@ func (c *Compiler) Simulate(d *elab.Design, mem map[string][]int64) (*pipesim.Re
 // across runs. A nil cache is a fresh in-memory one.
 func Explore(mode dse.EvalMode, shelf []*device.Target, cache *dse.ModelCache, build dse.VariantBuilder,
 	space *dse.Space, w perf.Workload, form perf.Form, st dse.Strategy, workers int,
-	sim dse.SimConfig, opts dse.SearchOptions) (*dse.Result, error) {
-	eval, err := dse.NewDeviceModeEvaluatorCache(mode, shelf, build, w, form, sim, cache)
+	opts dse.SearchOptions) (*dse.Result, error) {
+	eval, err := dse.NewDeviceModeEvaluatorCache(mode, shelf, build, w, form, dse.SimConfig{}, cache)
 	if err != nil {
 		return nil, err
 	}

@@ -137,7 +137,7 @@ func TestCompilerExplore(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Explore(dse.EvalModel, []*device.Target{c.Target}, nil, build, space,
-		perf.Workload{NKI: 100}, perf.FormB, dse.Exhaustive{}, 0, dse.SimConfig{}, dse.SearchOptions{})
+		perf.Workload{NKI: 100}, perf.FormB, dse.Exhaustive{}, 0, dse.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,12 @@ import (
 // single allocation (the returned Estimate), instead of re-walking the
 // IR and re-evaluating the fits like the tree-walk oracle.
 //
-// The compiled program is pinned bit-identical to Model.
-// EstimateVectorised for every dv (the differential tests): the same
-// saturating Resources arithmetic in the same order, the same integer
-// divisions applied last. The tree walk stays as the oracle —
-// cmd/tytradse reaches it with -modeleval=tree.
+// This is the only estimator production code runs: Model.Estimate is
+// Bind(Lower(d)) evaluated at dv = 1. The program is pinned
+// bit-identical to the tree walk, Model.EstimateOracle, for every dv
+// (the differential tests): the same saturating Resources arithmetic
+// in the same order, the same integer divisions applied last. Only
+// tests call the tree walk.
 //
 // A CompiledModel is immutable after Bind and safe for concurrent use;
 // the Lowered it was bound from is shared, read-only, by every target's
@@ -128,7 +129,7 @@ func (t *opCostTable) classCost(c instrClass) device.Resources {
 }
 
 // classify maps one datapath instruction to its cost class, mirroring
-// Model.InstrCost's dispatch exactly. ok=false marks the zero-cost
+// the oracle's per-instruction dispatch (instrCost) exactly. ok=false marks the zero-cost
 // instructions (constants, offsets) the compiler skips.
 func classify(in tir.Instr) (instrClass, bool) {
 	switch it := in.(type) {
@@ -310,9 +311,9 @@ func (mdl *Model) Bind(l *Lowered) *CompiledModel {
 }
 
 // Compile elaborates the module, lowers it and binds it to the
-// calibrated model. It stays only for the benchmark's replay; a caller
-// pricing one design on several targets lowers it once and binds it per
-// target instead.
+// calibrated model, for the benchmark's replay and for tests that price
+// a module at several dv. A caller pricing one design on several
+// targets lowers it once and binds it per target instead.
 func (mdl *Model) Compile(m *tir.Module) (*CompiledModel, error) {
 	d, err := elab.Elaborate(m)
 	if err != nil {
@@ -331,14 +332,17 @@ func (cm *CompiledModel) Module() *tir.Module { return cm.low.m }
 // Target returns the device the program prices against.
 func (cm *CompiledModel) Target() *device.Target { return cm.mdl.Target }
 
-// Estimate evaluates the program at dv=1, mirroring Model.Estimate.
-func (cm *CompiledModel) Estimate() (*Estimate, error) { return cm.EstimateVectorised(1) }
-
-// EstimateVectorised evaluates the flat program at vectorisation
-// degree dv: closed-form arithmetic over the pre-compiled
-// coefficients, one allocation (the returned Estimate), no IR access.
-// The result is bit-identical to the tree-walk
-// Model.EstimateVectorised on the same module.
+// EstimateVectorised evaluates the flat program with each lane
+// vectorised to dv work-items per cycle — the C3/C5 axis of the Fig 5
+// design space. The vectorised lane model: the datapath and its
+// balancing delay lines replicate dv times; the stream controller
+// widens rather than replicates (one address generator fetching
+// dv-element words, costed at half a controller per extra way); offset
+// windows keep their total bits (same elements buffered) but pay dv-way
+// tap multiplexers. Evaluation is closed-form arithmetic over the
+// pre-compiled coefficients, one allocation (the returned Estimate), no
+// IR access; the result is bit-identical to Model.EstimateOracle on the
+// same design.
 func (cm *CompiledModel) EstimateVectorised(dv int) (*Estimate, error) {
 	if dv < 1 {
 		return nil, fmt.Errorf("costmodel: vectorisation degree must be >= 1, got %d", dv)

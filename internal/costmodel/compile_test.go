@@ -13,8 +13,9 @@ import (
 
 // compileCorpus is the kernel corpus the compiled-vs-oracle
 // differential sweeps: the three scientific kernels at several lane
-// counts, plus the float SOR variant (exercising the fixed-format
-// float op costs).
+// counts, the float SOR variant (exercising the fixed-format float op
+// costs), and srad, whose clamps are the corpus's compares and
+// selects.
 func compileCorpus(t testing.TB) map[string]*tir.Module {
 	t.Helper()
 	specs := map[string]interface {
@@ -28,6 +29,8 @@ func compileCorpus(t testing.TB) map[string]*tir.Module {
 		"lavamd-l1":  kernels.DefaultLavaMD(),
 		"lavamd-l2":  kernels.LavaMDSpec{Pairs: 96, Lanes: 2},
 		"sorf32-l1":  kernels.DefaultSORF32(),
+		"srad-l1":    kernels.DefaultSRAD(),
+		"srad-l8":    kernels.SRADSpec{Rows: 24, Cols: 19, Lanes: 8},
 	}
 	mods := make(map[string]*tir.Module, len(specs))
 	for name, spec := range specs {
@@ -81,7 +84,7 @@ func TestCompiledMatchesOracle(t *testing.T) {
 				t.Fatalf("%s on %s: Compile: %v", name, tgt.Name, err)
 			}
 			for _, dv := range dvs {
-				want, err := mdl.EstimateVectorised(elaborate(t, m), dv)
+				want, err := mdl.EstimateOracle(elaborate(t, m), dv)
 				if err != nil {
 					t.Fatalf("%s on %s dv=%d: oracle: %v", name, tgt.Name, dv, err)
 				}
@@ -180,7 +183,7 @@ func BenchmarkCompiledEstimate(b *testing.B) {
 		b.Run(spec.Name()+"/tree", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := mdl.EstimateVectorised(elaborate(b, m), i%8+1); err != nil {
+				if _, err := mdl.EstimateOracle(elaborate(b, m), i%8+1); err != nil {
 					b.Fatal(err)
 				}
 			}

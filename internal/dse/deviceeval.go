@@ -136,7 +136,6 @@ type deviceEval struct {
 	mods  *moduleCache
 	w     perf.Workload
 	form  perf.Form
-	emode ModelEvalMode
 	axes  *axisGuard
 
 	evals []onceCell[*modelEval] // one per shelf entry
@@ -218,7 +217,8 @@ func supplied(mode EvalMode, mdl *costmodel.Model, bw *membw.Model, build Varian
 
 // newEvaluator assembles every evaluator: mode selects the scorer, the
 // shelf the targets, cache their models (and the optional persistent
-// store), cfg the cost-model implementation.
+// store). cfg is read by nothing: SimConfig's fields stay only until
+// the benchmark stops setting them.
 func newEvaluator(mode EvalMode, shelf []*device.Target, cache *ModelCache, build VariantBuilder,
 	w perf.Workload, form perf.Form, cfg SimConfig) (*deviceEval, error) {
 	switch mode {
@@ -249,7 +249,6 @@ func newEvaluator(mode EvalMode, shelf []*device.Target, cache *ModelCache, buil
 		mods:  newModuleCache(build),
 		w:     w,
 		form:  form,
-		emode: cfg.ModelEval,
 		evals: make([]onceCell[*modelEval], len(shelf)),
 		axes:  axisGuardFor(mode),
 	}
@@ -289,7 +288,7 @@ func (de *deviceEval) modelEvalFor(idx int) (*modelEval, error) {
 			cell.err = err
 			return
 		}
-		cell.val = newModelEval(mdl, bw, de.mods, de.w, de.form, de.emode, de.cache.store)
+		cell.val = newModelEval(mdl, bw, de.mods, de.w, de.form, de.cache.store)
 	})
 	return cell.val, cell.err
 }

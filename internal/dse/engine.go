@@ -73,10 +73,9 @@ func (mc *moduleCache) module(lanes int) (*tir.Module, error) {
 	return cell.val, cell.err
 }
 
-// design elaborates the lane count's module once: the lowering, the
-// tree-walk estimate and the simulator's compile all read the same
-// design, so each datapath is checked and scheduled once per lane
-// count.
+// design elaborates the lane count's module once: the lowering and
+// the simulator's compile both read the same design, so each datapath
+// is checked and scheduled once per lane count.
 func (mc *moduleCache) design(lanes int) (*elab.Design, error) {
 	cell := loadCell[onceCell[*elab.Design]](&mc.designs, lanes)
 	cell.once.Do(func() {
@@ -156,50 +155,6 @@ func (mc *moduleCache) timing(lanes int) (cycles, items int64, err error) {
 	return cell.val[0], cell.val[1], cell.err
 }
 
-// ModelEvalMode selects which implementation of the cost model scores
-// variants: the compiled flat estimate program (the default — see
-// costmodel.CompiledModel) or the tree-walk oracle it is pinned
-// bit-identical to. The two produce the same estimates on every input
-// (the differential tests enforce it), so this is a speed knob and a
-// cross-check lever, never a result knob.
-type ModelEvalMode int
-
-const (
-	// ModelEvalCompiled lowers the kernel IR once per lane count,
-	// binds the lowering to each target, and answers every (lanes, dv)
-	// estimate with closed-form arithmetic.
-	ModelEvalCompiled ModelEvalMode = iota
-	// ModelEvalTree walks the IR per estimate — the original oracle,
-	// kept reachable (tytradse -modeleval=tree) for differential runs.
-	ModelEvalTree
-)
-
-// String names the mode as the -modeleval flag spells it.
-func (m ModelEvalMode) String() string {
-	switch m {
-	case ModelEvalCompiled:
-		return "compiled"
-	case ModelEvalTree:
-		return "tree"
-	}
-	return fmt.Sprintf("modeleval-?(%d)", int(m))
-}
-
-// ModelEvalNames lists the canonical -modeleval flag values.
-func ModelEvalNames() []string { return []string{"compiled", "tree"} }
-
-// ParseModelEval resolves a -modeleval flag value; the empty string
-// selects the compiled default.
-func ParseModelEval(s string) (ModelEvalMode, error) {
-	switch s {
-	case "compiled", "":
-		return ModelEvalCompiled, nil
-	case "tree", "oracle":
-		return ModelEvalTree, nil
-	}
-	return 0, fmt.Errorf("dse: unknown model evaluation mode %q (have: %v)", s, ModelEvalNames())
-}
-
 // modelEval is the memoised cost-model core of one shelf entry: the
 // shared module builds and lowerings bound to its model, and stream
 // inventories, per lane count, and estimates with their Table I
@@ -214,12 +169,6 @@ type modelEval struct {
 	w    perf.Workload
 	form perf.Form
 
-	// emode selects the compiled estimate program or the tree-walk
-	// oracle for cold estimates (warm paths — the in-memory memo and
-	// the store — are mode-independent, which the differential tests
-	// rely on).
-	emode ModelEvalMode
-
 	// store is the optional persistent tier: estimates are read through
 	// it (content-keyed by kernel IR, dv and target) and written back on
 	// recompute. nil keeps the evaluator purely in-memory.
@@ -227,9 +176,10 @@ type modelEval struct {
 	// targetDigest is the Fingerprint of the target description, the
 	// target part of every estimate key, hashed once (store only).
 	targetDigest string
-	// estimateFn is a test seam wrapping the estimator; the warm==cold
-	// differential tests count recomputations through it. nil selects
-	// the estimator emode names.
+	// estimateFn is a test seam replacing the estimator: the warm==cold
+	// tests count recomputations through it and the engine-level
+	// differentials inject the tree-walk oracle. nil selects the
+	// compiled program.
 	estimateFn func(d *elab.Design, dv int) (*costmodel.Estimate, error)
 
 	ests        sync.Map // [2]int{lanes, dv} -> *estCell
@@ -253,8 +203,8 @@ type estCell struct {
 // (every shelf entry's modelEval builds each lane count once over one
 // cache, which also holds the lane count's simulated timing).
 func newModelEval(mdl *costmodel.Model, bw *membw.Model, mods *moduleCache,
-	w perf.Workload, form perf.Form, emode ModelEvalMode, store *evalstore.Store) *modelEval {
-	me := &modelEval{mdl: mdl, bw: bw, mods: mods, w: w, form: form, emode: emode, store: store}
+	w perf.Workload, form perf.Form, store *evalstore.Store) *modelEval {
+	me := &modelEval{mdl: mdl, bw: bw, mods: mods, w: w, form: form, store: store}
 	if store != nil {
 		me.targetDigest = evalstore.Fingerprint(evalstore.TargetDesc(mdl.Target))
 	}
@@ -335,16 +285,12 @@ func (me *modelEval) estimate(lanes, dv int) (*costmodel.Estimate, error) {
 	}
 	estimate := me.estimateFn
 	if estimate == nil {
-		if me.emode == ModelEvalTree {
-			estimate = me.mdl.EstimateVectorised
-		} else {
-			estimate = func(*elab.Design, int) (*costmodel.Estimate, error) {
-				cm, err := me.compiledModel(lanes)
-				if err != nil {
-					return nil, err
-				}
-				return cm.EstimateVectorised(dv)
+		estimate = func(*elab.Design, int) (*costmodel.Estimate, error) {
+			cm, err := me.compiledModel(lanes)
+			if err != nil {
+				return nil, err
 			}
+			return cm.EstimateVectorised(dv)
 		}
 	}
 	d, err := me.mods.design(lanes)

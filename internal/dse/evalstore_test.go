@@ -20,7 +20,7 @@ import (
 // counters tallies the expensive recomputations a warm-cache run must
 // never perform, and the data runs no scoring path may perform.
 type counters struct {
-	estimates atomic.Int64 // costmodel.EstimateVectorised calls
+	estimates atomic.Int64 // cost-model estimates computed
 	inputs    atomic.Int64 // SimConfig.Inputs calls: zero, cold and warm
 }
 
@@ -49,7 +49,11 @@ func instrumentedEval(t *testing.T, mode EvalMode, mdl *costmodel.Model, bw *mem
 	}
 	me.estimateFn = func(d *elab.Design, dv int) (*costmodel.Estimate, error) {
 		c.estimates.Add(1)
-		return mdl.EstimateVectorised(d, dv)
+		l, err := costmodel.Lower(d)
+		if err != nil {
+			return nil, err
+		}
+		return mdl.Bind(l).EstimateVectorised(dv)
 	}
 	return de.eval
 }

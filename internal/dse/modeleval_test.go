@@ -10,6 +10,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/membw"
 	"repro/internal/perf"
+	"repro/internal/tir"
 )
 
 // TestSpaceIndexRoundTrip is the dense-index property test: over a set
@@ -72,41 +73,81 @@ func modelDiffSpace(t *testing.T) *Space {
 	return s
 }
 
+// diffFamilies are the kernel families the engine-level differentials
+// price: sor, and srad, whose clamps are compares and selects, which
+// sor lacks. Every lane count of the differential spaces divides srad's
+// 24x19 image.
+var diffFamilies = []struct {
+	name  string
+	build VariantBuilder
+}{
+	{"sor", sorBuilder},
+	{"srad", func(lanes int) (*tir.Module, error) {
+		return kernels.SRADSpec{Rows: 24, Cols: 19, Lanes: lanes}.Module()
+	}},
+}
+
+// oracleEval returns the model-mode evaluator over the shelf with
+// every entry's estimator replaced, through the estimateFn seam, by the
+// tree-walk oracle: the reference the engine-level differentials
+// compare the production evaluator against.
+func oracleEval(t *testing.T, shelf []*device.Target, cache *ModelCache, build VariantBuilder,
+	w perf.Workload) Evaluator {
+	t.Helper()
+	de, err := newEvaluator(EvalModel, shelf, cache, build, w, perf.FormB, SimConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range shelf {
+		me, err := de.modelEvalFor(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		me.estimateFn = me.mdl.EstimateOracle
+	}
+	return de.eval
+}
+
+// evalAll evaluates every point of the space on a fresh engine.
+func evalAll(t *testing.T, space *Space, ev Evaluator, workers int) []*Point {
+	t.Helper()
+	ps, err := NewEngine(space, ev, workers).EvalAll(space.Enumerate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
+}
+
 // TestCompiledTreeEngineDifferential pins the compiled estimate
 // program bit-identical to the tree-walk oracle through the whole
-// engine assembly: the same space evaluated under ModelEvalCompiled
-// and ModelEvalTree must produce deeply equal points — estimates,
-// utilisations, EKIT, everything — at every worker count.
+// engine assembly: the same space evaluated by the production
+// evaluator and by one whose estimator is the oracle must produce
+// deeply equal points — estimates, utilisations, EKIT, everything — at
+// every worker count.
 func TestCompiledTreeEngineDifferential(t *testing.T) {
 	mdl, bw := fixtures(t)
 	space := modelDiffSpace(t)
 	w := perf.Workload{NKI: 10}
-
-	run := func(emode ModelEvalMode, workers int) []*Point {
-		ev := supplied(EvalModel, mdl, bw, sorBuilder, w, perf.FormB, SimConfig{ModelEval: emode})
-		ps, err := NewEngine(space, ev, workers).EvalAll(space.Enumerate())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ps
-	}
-
-	want := run(ModelEvalTree, 1)
-	for _, workers := range []int{1, 4, 8} {
-		got := run(ModelEvalCompiled, workers)
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("j=%d: point %d (%s) differs: compiled %+v tree %+v",
-					workers, i, space.Describe(space.Enumerate()[i]), got[i], want[i])
+	for _, fam := range diffFamilies {
+		t.Run(fam.name, func(t *testing.T) {
+			want := evalAll(t, space, oracleEval(t, []*device.Target{mdl.Target}, seeded(mdl, bw), fam.build, w), 1)
+			for _, workers := range []int{1, 4, 8} {
+				got := evalAll(t, space, supplied(EvalModel, mdl, bw, fam.build, w, perf.FormB, SimConfig{}), workers)
+				for i := range want {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Fatalf("j=%d: point %d (%s) differs: compiled %+v tree %+v",
+							workers, i, space.Describe(space.Enumerate()[i]), got[i], want[i])
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
 // TestCompiledTreeDeviceDifferential extends the differential across a
 // device shelf: per-device compiled models must price identically to
 // the oracle on every shelf entry. One shared ModelCache keeps the
-// shelf calibrated once across both modes.
+// shelf calibrated once across both evaluators.
 func TestCompiledTreeDeviceDifferential(t *testing.T) {
 	shelf := []*device.Target{device.GSD8Edu(), device.StratixVGSD8()}
 	space, err := NewSpace(
@@ -119,59 +160,24 @@ func TestCompiledTreeDeviceDifferential(t *testing.T) {
 	}
 	cache := NewModelCache()
 	w := perf.Workload{NKI: 10}
-
-	run := func(emode ModelEvalMode, workers int) []*Point {
-		ev, err := NewDeviceModeEvaluatorCache(EvalModel, shelf, sorBuilder, w, perf.FormB,
-			SimConfig{ModelEval: emode}, cache)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps, err := NewEngine(space, ev, workers).EvalAll(space.Enumerate())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ps
-	}
-
-	want := run(ModelEvalTree, 1)
-	for _, workers := range []int{1, 4, 8} {
-		got := run(ModelEvalCompiled, workers)
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("j=%d: point %d (%s) differs across modes",
-					workers, i, space.Describe(space.Enumerate()[i]))
+	for _, fam := range diffFamilies {
+		t.Run(fam.name, func(t *testing.T) {
+			want := evalAll(t, space, oracleEval(t, shelf, cache, fam.build, w), 1)
+			for _, workers := range []int{1, 4, 8} {
+				ev, err := NewDeviceModeEvaluatorCache(EvalModel, shelf, fam.build, w, perf.FormB,
+					SimConfig{}, cache)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := evalAll(t, space, ev, workers)
+				for i := range want {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Fatalf("j=%d: point %d (%s) differs from the oracle",
+							workers, i, space.Describe(space.Enumerate()[i]))
+					}
+				}
 			}
-		}
-	}
-}
-
-// TestParseModelEval pins the flag surface of -modeleval.
-func TestParseModelEval(t *testing.T) {
-	cases := []struct {
-		in   string
-		want ModelEvalMode
-		err  bool
-	}{
-		{"", ModelEvalCompiled, false},
-		{"compiled", ModelEvalCompiled, false},
-		{"tree", ModelEvalTree, false},
-		{"oracle", ModelEvalTree, false},
-		{"fast", 0, true},
-	}
-	for _, c := range cases {
-		got, err := ParseModelEval(c.in)
-		if c.err {
-			if err == nil {
-				t.Errorf("ParseModelEval(%q): no error", c.in)
-			}
-			continue
-		}
-		if err != nil || got != c.want {
-			t.Errorf("ParseModelEval(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-	if got := ModelEvalNames(); len(got) != 2 || got[0] != "compiled" || got[1] != "tree" {
-		t.Errorf("ModelEvalNames() = %v", got)
+		})
 	}
 }
 

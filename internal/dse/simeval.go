@@ -68,12 +68,6 @@ type SimConfig struct {
 	Seed int64
 	// Inputs is never called.
 	Inputs func(m *tir.Module, seed int64) (map[string][]int64, error)
-	// ModelEval selects the cost-model implementation every evaluator's
-	// model half runs on: the compiled flat estimate program (zero
-	// value) or the tree-walk oracle (the -modeleval flag of
-	// cmd/tytradse). A speed knob, never a result knob — the two are
-	// pinned bit-identical.
-	ModelEval ModelEvalMode
 }
 
 // SimInputs generates the deterministic host workload for a variant

@@ -107,7 +107,11 @@ func TestEstimateVectorisedRejectsBadDV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mdl.EstimateVectorised(elaborate(t, m), 0); err == nil {
+	cm, err := mdl.Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cm.EstimateVectorised(0); err == nil {
 		t.Error("DV=0 accepted")
 	}
 }
@@ -118,7 +122,11 @@ func TestExtractUsesEstimateDV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := mdl.EstimateVectorised(elaborate(t, m), 4)
+	cm, err := mdl.Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := cm.EstimateVectorised(4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -244,7 +244,7 @@ func shelfTarget(shelf []*device.Target, name string) *device.Target {
 
 // scratchExtractErr returns the error the evaluators must report when
 // perf.Extract fails on the (lanes, dv) estimate of the target, built
-// from scratch with the tree-walk estimator.
+// from scratch with a fresh compiled estimate program.
 func scratchExtractErr(t *testing.T, tgt *device.Target, cache *ModelCache, build VariantBuilder,
 	lanes, dv int, w perf.Workload) string {
 	t.Helper()
@@ -256,7 +256,11 @@ func scratchExtractErr(t *testing.T, tgt *device.Target, cache *ModelCache, buil
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := mdl.EstimateVectorised(elaborate(t, m), dv)
+	cm, err := mdl.Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := cm.EstimateVectorised(dv)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ const (
 	// costmodel coefficients and the membw benchmark table.
 	KindModels    = "models"
 	ModelsVersion = 1
-	// KindEstimate archives one costmodel.EstimateVectorised outcome
+	// KindEstimate archives one CompiledModel.EstimateVectorised outcome
 	// per (kernel IR, dv, target). v2: the per-function resource map
 	// left the Estimate (and with it the payload) when the compiled
 	// estimate program landed. v3: the key hashes the digests of the
@@ -152,7 +152,7 @@ func LoadEstimate(s *Store, key string, m *tir.Module, t *device.Target) (*costm
 		return nil, false
 	}
 	// A record these sanity bounds reject decoded but cannot have come
-	// from EstimateVectorised; recompute rather than propagate it.
+	// from the cost model; recompute rather than propagate it.
 	if p.Lanes < 1 || p.DV < 1 || p.NTO < 1 || p.FmaxHz <= 0 || p.KPD < 0 || p.Noff < 0 || p.NI < 0 {
 		return nil, false
 	}

@@ -59,7 +59,7 @@ func TestModelsRoundtrip(t *testing.T) {
 }
 
 // TestEstimateSanityBounds: an estimate record that decodes but carries
-// values EstimateVectorised cannot produce is a miss.
+// values the cost model cannot produce is a miss.
 func TestEstimateSanityBounds(t *testing.T) {
 	s := mustOpen(t)
 	tgt := device.GSD8Edu()

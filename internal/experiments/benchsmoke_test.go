@@ -145,7 +145,7 @@ func TestDSEModelBenchSmoke(t *testing.T) {
 				t.Fatal(err)
 			}
 			treeNs, err := timeIt(20*time.Millisecond, func() error {
-				_, err := mdl.EstimateVectorised(elaborate(t, m), dv)
+				_, err := mdl.EstimateOracle(elaborate(t, m), dv)
 				return err
 			})
 			if err != nil {

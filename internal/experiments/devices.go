@@ -52,7 +52,7 @@ func Fig15Devices() (*Fig15DevicesResult, error) {
 		return nil, err
 	}
 	res, err := core.Explore(dse.EvalModel, shelf, nil, build, space,
-		perf.Workload{NKI: 10}, perf.FormB, dse.Exhaustive{}, 0, dse.SimConfig{}, dse.SearchOptions{})
+		perf.Workload{NKI: 10}, perf.FormB, dse.Exhaustive{}, 0, dse.SearchOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -64,7 +64,11 @@ func goldenExtractErrors(t *testing.T, mdl *costmodel.Model, bw *membw.Model) []
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := mdl.EstimateVectorised(elaborate(t, m), dv)
+		cm, err := mdl.Compile(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := cm.EstimateVectorised(dv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,9 +131,13 @@ func TestParamsGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				cm, err := mdl.Compile(m)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for _, dv := range []int{1, 2, 4, 16} {
 					prefix := fmt.Sprintf("%s %s lanes=%d dv=%d:", name, k.name, lanes, dv)
-					est, err := mdl.EstimateVectorised(elaborate(t, m), dv)
+					est, err := cm.EstimateVectorised(dv)
 					if err != nil {
 						lines = append(lines, fmt.Sprintf("%s estimate error: %v", prefix, err))
 						continue
