@@ -342,10 +342,8 @@ func compileBody(m *tir.Module, fn *tir.Function, depth int, dirs []tir.Directio
 		case *tir.ConstInstr:
 			c.slots[it.Dst] = c.constSlot(it.Ty.Wrap(it.Val))
 		case *tir.OutInstr:
-			sidx, ok := c.outParams[it.Port]
-			if !ok {
-				return nil, fmt.Errorf("pipesim: @%s: out to %%%s which is not an output stream", fn.Name, it.Port)
-			}
+			// Analyze's TIR040 guarantees the port is wired to an output.
+			sidx := c.outParams[it.Port]
 			a, err := c.resolve(it.Val, c.slots, fn.Name)
 			if err != nil {
 				return nil, err

@@ -35,6 +35,29 @@ define void @main() {
 }
 `
 
+// outToInputModule drives the pipe parameter %a, which its call site
+// wires to an input port. Before TIR040 checked directions, every back
+// end accepted it: the model priced it and hdl.Emit wrote a lane
+// instance on nets the top module never declares.
+const outToInputModule = `%mem_a = memobj ui18, size 64, space global, pattern CONT
+%mem_b = memobj ui18, size 64, space global, pattern CONT
+%strobj_a = strobj %mem_a, dir in, port main.a
+%strobj_b = strobj %mem_b, dir out, port main.b
+@main.a = addrSpace(12) ui18, !"istream", !"CONT", !0, !"strobj_a"
+@main.b = addrSpace(12) ui18, !"ostream", !"CONT", !0, !"strobj_b"
+define void @f0(ui18 %a, ui18 %b) pipe {
+  ui18 %1 = add ui18 %a, 1
+  out ui18 %a, %1
+}
+define void @main() {
+  call @f0(@main.a, @main.b) pipe
+}
+`
+
+// readOutputModule reads the pipe parameter %b, which its call site
+// wires to an output port.
+var readOutputModule = strings.Replace(outToInputModule, "%a, 1\n  out ui18 %a", "%b, 1\n  out ui18 %b", 1)
+
 // combSqrtModule is a pipe that calls a comb block computing sqrt:
 // every checker accepts it, and the HDL back end once panicked on it.
 const combSqrtModule = `%mem_x = memobj ui16, size 64, space global, pattern CONT
@@ -88,7 +111,7 @@ func backEnds(mdl *costmodel.Model, synth *fabric.Synthesizer, d *elab.Design) (
 // (Model.Compile, CompileConfig) reject exactly what Elaborate
 // rejects. The corpus is FuzzCompile's (the IR corpora, good and bad,
 // with their mutations, and par-lane random kernels), single-lane
-// random kernels, and the two modules above.
+// random kernels, and the modules above.
 func FuzzAcceptanceParity(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -99,6 +122,8 @@ func FuzzAcceptanceParity(f *testing.F) {
 		f.Add(m.String())
 	}
 	f.Add(portArgsModule)
+	f.Add(outToInputModule)
+	f.Add(readOutputModule)
 	f.Add(combSqrtModule)
 	// A stream offset inside a comb block: Check rejects it (TIR034).
 	f.Add(strings.Replace(combSqrtModule, "sqrt ui16 %a", "ui16 %a, !offset, !+1", 1))
@@ -134,27 +159,32 @@ func FuzzAcceptanceParity(f *testing.F) {
 	})
 }
 
-// TestPortArgsRejectedEverywhere: the @g module is rejected with TIR040
-// on every path from a module to a back end.
+// TestPortArgsRejectedEverywhere: the @g module, and the two modules
+// whose wiring contradicts how the callee uses a parameter, are
+// rejected with TIR040 on every path from a module to a back end.
 func TestPortArgsRejectedEverywhere(t *testing.T) {
-	m, err := tir.ParseOnly("g.tirl", portArgsModule)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mdl, err := costmodel.Calibrate(device.StratixVGSD8())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, elabErr := elab.Elaborate(m)
-	_, cmErr := mdl.Compile(m)
-	_, ccErr := CompileConfig(m, defaultConfig)
-	_, runErr := RunOracle(m, nil)
-	for what, err := range map[string]error{
-		"Elaborate": elabErr, "Model.Compile": cmErr, "CompileConfig": ccErr, "RunOracle": runErr,
+	for name, src := range map[string]string{
+		"g": portArgsModule, "out-to-input": outToInputModule, "read-output": readOutputModule,
 	} {
-		l := diag.AsList(err, "")
-		if len(l) == 0 || l[0].Code != tir.CodePortWiring {
-			t.Errorf("%s: got %v, want a %s error", what, err, tir.CodePortWiring)
+		m, err := tir.ParseOnly(name+".tirl", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, elabErr := elab.Elaborate(m)
+		_, cmErr := mdl.Compile(m)
+		_, ccErr := CompileConfig(m, defaultConfig)
+		_, runErr := RunOracle(m, nil)
+		for what, err := range map[string]error{
+			"Elaborate": elabErr, "Model.Compile": cmErr, "CompileConfig": ccErr, "RunOracle": runErr,
+		} {
+			l := diag.AsList(err, "")
+			if len(l) == 0 || l[0].Code != tir.CodePortWiring {
+				t.Errorf("%s: %s: got %v, want a %s error", name, what, err, tir.CodePortWiring)
+			}
 		}
 	}
 }

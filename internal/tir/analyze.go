@@ -70,7 +70,8 @@ type streamRef struct {
 
 // checkPipeCallSite performs the static half of the simulator's bind():
 // every argument of a pipe call must wire an existing top-level port of
-// the parameter's type (TIR040), the site must bind at least one stream
+// the parameter's type, in the direction the callee uses the parameter
+// (TIR040), the site must bind at least one stream
 // (TIR041), offsets in the callee must be rooted in an input stream of
 // this site (TIR042) with a window that intersects the bound stream at
 // least once (TIR043), and in/out streams sharing a memory object pin
@@ -126,6 +127,25 @@ func (c *checker) checkPipeCallSite(parent *Function, call *CallInstr) {
 		c.bound[k] = boundArg{mem: mo, dir: port.Dir}
 		if items < 0 || mo.Size < items {
 			items = mo.Size
+		}
+	}
+	// The wiring must agree with how the callee uses each parameter: it
+	// drives only those wired to output ports and reads only those wired
+	// to input ports.
+	for k, b := range c.bound {
+		if b.mem == nil {
+			continue
+		}
+		name := callee.Params[k].Name
+		switch {
+		case b.dir == DirIn && callee.drives(name):
+			c.l.Errorf(CodePortWiring, call.At,
+				"@%s: call @%s: out to parameter %%%s, which is wired to input port @%s",
+				parent.Name, callee.Name, name, call.Args[k].Name)
+		case b.dir == DirOut && callee.reads(name):
+			c.l.Errorf(CodePortWiring, call.At,
+				"@%s: call @%s: parameter %%%s is read, but is wired to output port @%s",
+				parent.Name, callee.Name, name, call.Args[k].Name)
 		}
 	}
 	if items < 0 {
