@@ -291,7 +291,11 @@ func BenchmarkPipelineSimulator(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runSim(m, mem); err != nil {
+		d, err := pipesim.Compile(elaborate(b, m))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.Run(mem); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -670,13 +674,4 @@ func BenchmarkPipesimIterations(b *testing.B) {
 			b.ReportMetric(float64(res.Instances)*float64(b.N)/b.Elapsed().Seconds(), "instances/s")
 		})
 	}
-}
-
-// runSim is a thin indirection so the benchmark body stays readable.
-func runSim(m *tir.Module, mem map[string][]int64) (int64, error) {
-	res, err := pipesim.Run(m, mem)
-	if err != nil {
-		return 0, err
-	}
-	return res.Cycles, nil
 }

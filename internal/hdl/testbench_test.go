@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/kernels"
-	"repro/internal/pipesim"
 )
 
 func TestEmitTestbenchSOR(t *testing.T) {
@@ -22,10 +21,7 @@ func TestEmitTestbenchSOR(t *testing.T) {
 	}
 	// Expected outputs from the simulator (bit-exact vs golden, already
 	// proven in pipesim's tests).
-	res, err := pipesim.Run(m, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulate(t, m, mem)
 	expected := map[string][]int64{
 		kernels.MemName("p_new", -1): res.Mem[kernels.MemName("p_new", -1)],
 	}
@@ -89,10 +85,7 @@ func TestEmitTestbenchSkipsLocalChannels(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem, _ := kernels.BindInputs(spec.MakeInputs(1), 1)
-	res, err := pipesim.Run(m, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulate(t, m, mem)
 	expected := map[string][]int64{
 		kernels.MemName("pot", -1): res.Mem[kernels.MemName("pot", -1)],
 		kernels.MemName("fx", -1):  res.Mem[kernels.MemName("fx", -1)],

@@ -6,7 +6,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/fabric"
-	"repro/internal/pipesim"
 )
 
 func TestSRADMatchesGolden(t *testing.T) {
@@ -20,10 +19,7 @@ func TestSRADMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pipesim.Run(m, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulate(t, m, mem)
 	want, wantAcc := spec.Golden(full)
 	got, err := CollectOutput(res.Mem, "img_new", 1)
 	if err != nil {
@@ -113,10 +109,7 @@ func TestSRADAccuracyTableIIStyle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := pipesim.Run(m, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := simulate(t, m, mem)
 	cpki := est.CPKI(spec.GlobalSize())
 	diff := 100 * abs64(cpki-sim.Cycles) / float64(sim.Cycles)
 	t.Logf("CPKI est=%d actual=%d err=%.2f%%", cpki, sim.Cycles, diff)
@@ -136,10 +129,7 @@ func TestSRADMultiLaneInterior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pipesim.Run(m, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulate(t, m, mem)
 	want, _ := spec.Golden(full)
 	got, err := CollectOutput(res.Mem, "img_new", 4)
 	if err != nil {

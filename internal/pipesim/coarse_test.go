@@ -68,7 +68,7 @@ func TestCoarsePipelineExecutes(t *testing.T) {
 	for i := range x {
 		x[i] = int64(i * 37 % 1400)
 	}
-	res, err := Run(m, map[string][]int64{"mem_main_x": x})
+	res, err := run(m, map[string][]int64{"mem_main_x": x})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestCompiledMatchesOracleOnGoldenKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := CompileConfig(m, defaultConfig)
+		d, err := CompileConfig(m, testConfig)
 		if err != nil {
 			t.Fatalf("%s: compile: %v", spec.Name(), err)
 		}
@@ -100,7 +100,7 @@ func TestCompiledMatchesOracleOnCoarsePipeline(t *testing.T) {
 		x[i] = int64(i * 53 % 1400)
 	}
 	mem := map[string][]int64{"mem_main_x": x}
-	d, err := CompileConfig(m, defaultConfig)
+	d, err := CompileConfig(m, testConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestCompiledMatchesOracleOnIterations(t *testing.T) {
 		fb[kernels.MemName("p_new", l)] = kernels.MemName("p", l)
 	}
 	const nki = 6
-	d, err := CompileConfig(m, defaultConfig)
+	d, err := CompileConfig(m, testConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestCompiledBindsArgsInOracleOrder(t *testing.T) {
 	main.CallOperands("f0", tir.ModePipe, chW, chR)
 	m := b.MustModule()
 
-	d, err := CompileConfig(m, defaultConfig)
+	d, err := CompileConfig(m, testConfig)
 	if err != nil {
 		t.Fatalf("compiled path rejected self-wired call: %v", err)
 	}
@@ -226,7 +226,7 @@ func TestCrossLaneDependencyRunsSequential(t *testing.T) {
 	}
 	mem := map[string][]int64{"mem_main_x": data}
 
-	d, err := CompileConfig(m, defaultConfig)
+	d, err := CompileConfig(m, testConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestCompiledAccReadFallsBackSequential(t *testing.T) {
 		mem["mem_main_x"+string(rune('0'+l))] = data
 	}
 
-	d, err := CompileConfig(m, defaultConfig)
+	d, err := CompileConfig(m, testConfig)
 	if err != nil {
 		t.Fatal(err)
 	}

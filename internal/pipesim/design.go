@@ -47,10 +47,21 @@ type CompiledDesign struct {
 // than elab.MaxInstances instances is rejected (TIR060) before any
 // instance is expanded; every other design compiles. A datapath the
 // executor cannot run — an operation with no integer evaluation (the
-// TIR045 warning), a stream operation inside a comb block, an out to a
-// parameter bound to an input stream — is what Timing and Run report.
-// The returned design is immutable and safe for concurrent use.
-func Compile(d *elab.Design) (*CompiledDesign, error) { return compile(d, defaultConfig) }
+// TIR045 warning), a stream operation inside a comb block — is what
+// Timing and Run report. The returned design is immutable and safe for
+// concurrent use.
+func Compile(d *elab.Design) (*CompiledDesign, error) { return compile(d, Config{}) }
+
+// Config selects the executor a design compiles with. The zero value
+// batches every program the compiler proves batch-safe, which is what
+// Compile uses; DisableBatch exists for differential testing and
+// benchmarking of the scalar fallback (the tests' -pipesim.scalar flag
+// replays the suite on it). Both executors are bit-identical by
+// construction — the knob trades speed, never semantics.
+type Config struct {
+	// DisableBatch keeps every program on the scalar per-item loop.
+	DisableBatch bool
+}
 
 // CompileConfig elaborates the module and compiles it with an explicit
 // executor configuration: a rejected module reports every positioned
@@ -331,9 +342,11 @@ func (d *CompiledDesign) Run(mem map[string][]int64) (*Result, error) {
 	return d.NewInstance().Run(mem)
 }
 
-// RunIterations executes nki kernel-instances with feedback wiring on
-// one fresh Instance, reused across the sweeps. See the package-level
-// RunIterations for the contract.
+// RunIterations executes nki kernel-instances with the given feedback
+// wiring on one fresh Instance, reused across the sweeps, reproducing a
+// form-B execution: host data is bound once, and between instances
+// each feedback target input is replaced by the corresponding output
+// of the previous instance.
 func (d *CompiledDesign) RunIterations(mem map[string][]int64, nki int64, fb Feedback) (*IterationResult, error) {
 	return d.NewInstance().RunIterations(mem, nki, fb)
 }

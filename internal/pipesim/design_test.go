@@ -109,7 +109,7 @@ func TestRunDoesNotCopyOrMutateInputs(t *testing.T) {
 			snapshot[name] = c
 		}
 
-		d, err := CompileConfig(m, defaultConfig)
+		d, err := CompileConfig(m, testConfig)
 		if err != nil {
 			t.Fatalf("%s: compile: %v", spec.Name(), err)
 		}
@@ -168,7 +168,7 @@ func TestRunDoesNotCopyOrMutateInputs(t *testing.T) {
 // the count cap (11 allocs/op on SOR) but cuts the byte saving to ~0.39
 // on the small SOR and ~0.40 on srad, so the byte bounds catch it.
 func TestInstanceRunAllocations(t *testing.T) {
-	if Oracle {
+	if oracle {
 		t.Skip("the allocation gate prices the compiled executor, not the oracle")
 	}
 	cases := []struct {
@@ -195,7 +195,7 @@ func TestInstanceRunAllocations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := CompileConfig(m, defaultConfig)
+			d, err := CompileConfig(m, testConfig)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -194,7 +194,7 @@ func TestRandomKernelsSimMatchesInterpreter(t *testing.T) {
 	g := &kernelGen{}
 	for seed := uint64(1); seed <= 60; seed++ {
 		m, mem, size := g.build(seed)
-		res, err := Run(m, mem)
+		res, err := run(m, mem)
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, m)
 		}
@@ -221,7 +221,7 @@ func TestRandomKernelsCompiledMatchesOracle(t *testing.T) {
 	g := &kernelGen{par: true}
 	for seed := uint64(1); seed <= 80; seed++ {
 		m, mem, _ := g.build(seed)
-		d, err := CompileConfig(m, defaultConfig)
+		d, err := CompileConfig(m, testConfig)
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v\n%s", seed, err, m)
 		}
@@ -249,7 +249,7 @@ func TestRandomKernelsCPKIConsistent(t *testing.T) {
 	g := &kernelGen{}
 	for seed := uint64(100); seed < 140; seed++ {
 		m, mem, size := g.build(seed)
-		res, err := Run(m, mem)
+		res, err := run(m, mem)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

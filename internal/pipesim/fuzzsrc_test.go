@@ -59,7 +59,7 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		d, err := CompileConfig(m, defaultConfig)
+		d, err := CompileConfig(m, testConfig)
 		if err != nil {
 			// Rejected with a diagnostic: the acceptable failure mode.
 			return

@@ -29,31 +29,9 @@ type IterationResult struct {
 	Instances int64
 }
 
-// RunIterations executes nki kernel-instances with the given feedback
-// wiring, reproducing a form-B execution: host data is bound once, and
-// between instances each feedback target input is replaced by the
-// corresponding output of the previous instance.
-//
-// The module is validated and compiled once per call; every instance
-// reuses the compiled programs (or, under -pipesim.oracle, the
-// interpreter). A caller that iterates one module more than once should
-// hold a CompiledDesign and call its RunIterations.
-func RunIterations(m *tir.Module, mem map[string][]int64, nki int64, fb Feedback) (*IterationResult, error) {
-	if Oracle {
-		return runIterations(m, func(cur map[string][]int64) (*Result, error) {
-			return RunOracle(m, cur)
-		}, mem, nki, fb)
-	}
-	d, err := CompileConfig(m, defaultConfig)
-	if err != nil {
-		return nil, err
-	}
-	return d.RunIterations(mem, nki, fb)
-}
-
 // runIterations is the executor-agnostic feedback loop, shared by the
-// compiled and oracle paths so the iteration semantics cannot drift
-// between them.
+// compiled executor and the tests' oracle replay so the iteration
+// semantics cannot drift between them.
 func runIterations(m *tir.Module, run func(map[string][]int64) (*Result, error),
 	mem map[string][]int64, nki int64, fb Feedback) (*IterationResult, error) {
 	if nki <= 0 {

@@ -21,7 +21,7 @@ func TestRunIterationsMatchesManualLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunIterations(m, mem, nki, Feedback{
+	res, err := iterate(m, mem, nki, Feedback{
 		kernels.MemName("p_new", -1): kernels.MemName("p", -1),
 	})
 	if err != nil {
@@ -56,7 +56,7 @@ func TestRunIterationsMatchesManualLoop(t *testing.T) {
 	if res.TotalCycles%nki != 0 {
 		t.Logf("total cycles %d over %d instances", res.TotalCycles, nki)
 	}
-	single, err := Run(m, mem)
+	single, err := run(m, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,16 +73,16 @@ func TestRunIterationsErrors(t *testing.T) {
 	}
 	mem, _ := kernels.BindInputs(spec.MakeInputs(1), 1)
 
-	if _, err := RunIterations(m, mem, 0, nil); err == nil {
+	if _, err := iterate(m, mem, 0, nil); err == nil {
 		t.Error("nki=0 accepted")
 	}
-	if _, err := RunIterations(m, mem, 2, Feedback{"ghost": "mem_main_p"}); err == nil {
+	if _, err := iterate(m, mem, 2, Feedback{"ghost": "mem_main_p"}); err == nil {
 		t.Error("unknown feedback source accepted")
 	}
-	if _, err := RunIterations(m, mem, 2, Feedback{"mem_main_p_new": "ghost"}); err == nil {
+	if _, err := iterate(m, mem, 2, Feedback{"mem_main_p_new": "ghost"}); err == nil {
 		t.Error("unknown feedback target accepted")
 	}
-	if _, err := RunIterations(m, mem, 2, Feedback{"mem_main_p_new": "mem_main_rhs"}); err == nil {
+	if _, err := iterate(m, mem, 2, Feedback{"mem_main_p_new": "mem_main_rhs"}); err == nil {
 		// p_new and rhs have the same shape in SOR, so wire to a
 		// mismatched object instead: reuse the input as source.
 		t.Log("same-shape feedback accepted (fine); checking mismatched shapes below")
@@ -104,7 +104,7 @@ func TestRunIterationsMultiLane(t *testing.T) {
 		kernels.MemName("pot", 0): kernels.MemName("qi", 0),
 		kernels.MemName("pot", 1): kernels.MemName("qi", 1),
 	}
-	res, err := RunIterations(m, mem, 3, fb)
+	res, err := iterate(m, mem, 3, fb)
 	if err != nil {
 		t.Fatal(err)
 	}

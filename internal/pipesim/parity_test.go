@@ -140,7 +140,7 @@ func FuzzAcceptanceParity(f *testing.F) {
 		}
 		d, err := elab.Elaborate(m)
 		_, cmErr := mdl.Compile(m)
-		_, ccErr := CompileConfig(m, defaultConfig)
+		_, ccErr := CompileConfig(m, testConfig)
 		if err != nil {
 			if cmErr == nil || ccErr == nil {
 				t.Errorf("Elaborate rejects (%v), Model.Compile %v, CompileConfig %v", err, cmErr, ccErr)
@@ -176,7 +176,7 @@ func TestPortArgsRejectedEverywhere(t *testing.T) {
 		}
 		_, elabErr := elab.Elaborate(m)
 		_, cmErr := mdl.Compile(m)
-		_, ccErr := CompileConfig(m, defaultConfig)
+		_, ccErr := CompileConfig(m, testConfig)
 		_, runErr := RunOracle(m, nil)
 		for what, err := range map[string]error{
 			"Elaborate": elabErr, "Model.Compile": cmErr, "CompileConfig": ccErr, "RunOracle": runErr,

@@ -19,19 +19,19 @@
 // of the NDRange. These are what make actual CPKI differ from estimated
 // CPKI by the small margins the paper reports.
 //
-// Two executors implement that model. Run lowers each PE function once
-// into a slot-indexed body that every call site binds to its own
-// streams (compile.go) and streams work-items through a tight
-// allocation-free loop (design.go); hold a CompiledDesign (Compile) to
-// amortise the compilation across many instances. RunOracle is the
-// retained wave-by-wave interpreter in this file — the reference the
-// compiled path is differentially tested against, selectable
-// suite-wide with the -pipesim.oracle test flag.
+// Two executors implement that model. Compile lowers each PE function
+// once into a slot-indexed body that every call site binds to its own
+// streams (compile.go), and a CompiledDesign streams work-items through
+// a tight allocation-free loop (design.go); hold one to amortise the
+// compilation across many instances. RunOracle is the retained
+// wave-by-wave interpreter in this file — the reference the compiled
+// path is differentially tested against, selectable suite-wide with the
+// tests' -pipesim.oracle flag.
 //
 // Timing never depends on data: every cycle term is fixed when a PE
 // compiles. So the compiled path has one cycle formula, summed once
 // per design at compile time, and CompiledDesign.Timing returns it
-// without executing anything; Run reports the same numbers alongside
+// without executing anything; a run reports the same numbers alongside
 // the outputs it computes. The oracle keeps its own derivation, and
 // TestDifferentialTimingMatchesOracle pins the two together: a change
 // that makes timing data-dependent must break that test first.
@@ -89,9 +89,9 @@ type sim struct {
 
 // RunOracle executes the design variant through the wave-by-wave
 // interpreter: the original, map-based reference implementation. It is
-// retained as the oracle the compiled executor (compile.go, runner.go)
-// is differentially tested against — Run must produce a bit-identical
-// Result. Same contract as Run.
+// retained as the oracle the compiled executor (compile.go, design.go)
+// is differentially tested against — CompiledDesign.Run must produce a
+// bit-identical Result. Same contract as Instance.Run.
 func RunOracle(m *tir.Module, mem map[string][]int64) (*Result, error) {
 	d, err := elab.Elaborate(m)
 	if err != nil {

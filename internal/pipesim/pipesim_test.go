@@ -20,7 +20,7 @@ func runSpec(t *testing.T, spec kernels.LanedSpec, seed int64) (*Result, map[str
 	if err != nil {
 		t.Fatalf("%s: bind: %v", spec.Name(), err)
 	}
-	res, err := Run(m, mem)
+	res, err := run(m, mem)
 	if err != nil {
 		t.Fatalf("%s: run: %v", spec.Name(), err)
 	}
@@ -175,20 +175,20 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Missing inputs.
-	if _, err := Run(m, nil); err == nil {
+	if _, err := run(m, nil); err == nil {
 		t.Error("want error for missing input streams")
 	}
 	// Wrong length.
 	full := spec.MakeInputs(1)
 	mem, _ := kernels.BindInputs(full, 1)
 	mem[kernels.MemName("xi", -1)] = mem[kernels.MemName("xi", -1)][:3]
-	if _, err := Run(m, mem); err == nil {
+	if _, err := run(m, mem); err == nil {
 		t.Error("want error for wrong-sized input")
 	}
 	// Unknown memory object.
 	mem2, _ := kernels.BindInputs(spec.MakeInputs(1), 1)
 	mem2["no_such_object"] = []int64{1}
-	if _, err := Run(m, mem2); err == nil {
+	if _, err := run(m, mem2); err == nil {
 		t.Error("want error for unknown memory object")
 	}
 }
@@ -256,11 +256,11 @@ func TestCombInlining(t *testing.T) {
 	in["mem_main_a"] = av
 	in["mem_main_b"] = bv
 
-	flat, err := Run(build(false), in)
+	flat, err := run(build(false), in)
 	if err != nil {
 		t.Fatalf("flat: %v", err)
 	}
-	comb, err := Run(build(true), in)
+	comb, err := run(build(true), in)
 	if err != nil {
 		t.Fatalf("comb: %v", err)
 	}

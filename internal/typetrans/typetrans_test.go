@@ -236,7 +236,15 @@ func TestLoweredVariantsComputeSameResult(t *testing.T) {
 				mem[names("b", l)] = bb[l*chunk : (l+1)*chunk]
 			}
 		}
-		res, err := pipesim.Run(m, mem)
+		d, err := elab.Elaborate(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cd, err := pipesim.Compile(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cd.Run(mem)
 		if err != nil {
 			t.Fatal(err)
 		}
