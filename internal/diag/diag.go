@@ -72,9 +72,6 @@ type Pos struct {
 	Col  int    `json:"col,omitempty"`
 }
 
-// IsValid reports whether the position carries line information.
-func (p Pos) IsValid() bool { return p.Line > 0 }
-
 // String renders "file:line:col", omitting the file when unknown, or
 // "file" / "" when no line information exists.
 func (p Pos) String() string {
@@ -137,17 +134,6 @@ func (l List) HasErrors() bool {
 		}
 	}
 	return false
-}
-
-// Errors returns only the error-severity findings.
-func (l List) Errors() List {
-	var out List
-	for _, d := range l {
-		if d.Severity == Error {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // ErrOrNil returns the list as an error when it contains at least one

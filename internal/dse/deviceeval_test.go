@@ -352,6 +352,16 @@ func TestDeviceEvaluatorRejections(t *testing.T) {
 
 // TestDeviceAxisKeysAndLabels: the device axis keys and renders by
 // device name, and labelled spaces validate their labels.
+// axisLabel returns the label the variant takes on the named axis, or
+// false when the space has no such axis or the axis is unlabelled.
+func axisLabel(s *Space, v Variant, name string) (string, bool) {
+	i, ok := s.index[name]
+	if !ok || len(s.axes[i].Labels) == 0 {
+		return "", false
+	}
+	return s.axes[i].Labels[v[i]], true
+}
+
 func TestDeviceAxisKeysAndLabels(t *testing.T) {
 	shelf := testShelf(t)
 	space, err := NewSpace(LanesAxis([]int{1, 2}), DeviceAxis(shelf...))
@@ -365,10 +375,10 @@ func TestDeviceAxisKeysAndLabels(t *testing.T) {
 	if d := space.Describe(vs[1]); d != "lanes=1 device=stratix-v-gsd8" {
 		t.Errorf("describe = %q", d)
 	}
-	if l, ok := space.Label(vs[0], AxisDevice); !ok || l != "stratix-v-gsd8-edu" {
-		t.Errorf("Label = %q,%v", l, ok)
+	if l, ok := axisLabel(space, vs[0], AxisDevice); !ok || l != "stratix-v-gsd8-edu" {
+		t.Errorf("device label = %q,%v", l, ok)
 	}
-	if _, ok := space.Label(vs[0], AxisLanes); ok {
+	if _, ok := axisLabel(space, vs[0], AxisLanes); ok {
 		t.Error("unlabelled axis reported a label")
 	}
 	for _, bad := range []Axis{

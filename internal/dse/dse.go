@@ -103,15 +103,6 @@ type Point struct {
 	SimEKIT float64
 }
 
-// SimCPI is the simulated cycles-per-work-item of the point, or 0
-// when it was not simulated.
-func (p *Point) SimCPI() float64 {
-	if p.SimItems == 0 {
-		return 0
-	}
-	return float64(p.SimCycles) / float64(p.SimItems)
-}
-
 // PeakUtil is the binding resource fraction of the point: the largest
 // of its four resource-utilisation bars. It is the cost objective of
 // the Pareto frontier and the figure the CLI prints beside it.

@@ -381,7 +381,7 @@ func TestSimEvaluatorCorpus(t *testing.T) {
 		}
 		p := ps[0]
 		for what, v := range map[string]float64{
-			"EKIT": p.EKIT, "ModelEKIT": p.ModelEKIT, "SimEKIT": p.SimEKIT, "SimCPI": p.SimCPI(),
+			"EKIT": p.EKIT, "ModelEKIT": p.ModelEKIT, "SimEKIT": p.SimEKIT, "SimCPI": float64(p.SimCycles) / float64(p.SimItems),
 		} {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
 				t.Errorf("%s: degenerate %s = %v", name, what, v)

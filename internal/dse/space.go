@@ -311,16 +311,6 @@ func (s *Space) ValueDefault(v Variant, name string, def int) int {
 	return def
 }
 
-// Label returns the label the variant takes on the named axis, or
-// false when the space has no such axis or the axis is unlabelled.
-func (s *Space) Label(v Variant, name string) (string, bool) {
-	i, ok := s.index[name]
-	if !ok || len(s.axes[i].Labels) == 0 {
-		return "", false
-	}
-	return s.axes[i].Labels[v[i]], true
-}
-
 // Key is the canonical cache key of a variant: identical keys mean
 // identical evaluation inputs, which is what makes memoisation sound.
 // Labelled axes key on the label (the shelf entry's identity), not the

@@ -95,7 +95,7 @@ func TestDifferentialWarmPointParams(t *testing.T) {
 	}
 	// deviceOf names the shelf entry that priced v ("" off the shelf).
 	deviceOf := func(s *Space, v Variant) string {
-		name, _ := s.Label(v, AxisDevice)
+		name, _ := axisLabel(s, v, AxisDevice)
 		return name
 	}
 	bwFor := func(device string) *membw.Model {

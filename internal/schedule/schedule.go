@@ -55,16 +55,6 @@ type Schedule struct {
 	ReadyAt map[string]int
 }
 
-// TotalDelayBits returns the number of register bits occupied by
-// balancing delay lines.
-func (s *Schedule) TotalDelayBits() int {
-	total := 0
-	for _, d := range s.Delays {
-		total += d.Bits * d.Cycles
-	}
-	return total
-}
-
 // value is what the delay lines need of one named value: its width,
 // and lag, the maximum (consumeCycle - readyCycle) over all its
 // consumers, which is the length of the delay line it needs.

@@ -65,8 +65,10 @@ func TestASAPDelayLines(t *testing.T) {
 	if lags["d"] != tir.OpMul.Latency(16)+1 {
 		t.Errorf("delay for d = %d, want %d", lags["d"], tir.OpMul.Latency(16)+1)
 	}
-	if sch.TotalDelayBits() <= 0 {
-		t.Error("no delay bits accounted")
+	for _, d := range sch.Delays {
+		if d.Bits <= 0 {
+			t.Errorf("delay for %s has %d bits", d.Value, d.Bits)
+		}
 	}
 }
 

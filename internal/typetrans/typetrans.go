@@ -44,23 +44,6 @@ func (s Shape) Clone() Shape {
 	return out
 }
 
-// FlatIndex maps a multi-index (outermost first) to the flat element
-// position. Reshaping never changes this mapping — that is the order-
-// preservation property the tests verify.
-func (s Shape) FlatIndex(idx []int64) (int64, error) {
-	if len(idx) != len(s) {
-		return 0, fmt.Errorf("typetrans: index rank %d does not match shape rank %d", len(idx), len(s))
-	}
-	flat := int64(0)
-	for k, d := range s {
-		if idx[k] < 0 || idx[k] >= d {
-			return 0, fmt.Errorf("typetrans: index %d out of range for dimension %d (size %d)", idx[k], k, d)
-		}
-		flat = flat*d + idx[k]
-	}
-	return flat, nil
-}
-
 // Vect is a vector type in the front-end's shape algebra.
 type Vect struct {
 	Shape Shape
