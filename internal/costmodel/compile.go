@@ -129,8 +129,9 @@ func (t *opCostTable) classCost(c instrClass) device.Resources {
 }
 
 // classify maps one datapath instruction to its cost class, mirroring
-// the oracle's per-instruction dispatch (instrCost) exactly. ok=false marks the zero-cost
-// instructions (constants, offsets) the compiler skips.
+// the oracle's per-instruction dispatch (instrCost) exactly. ok=false
+// marks the zero-cost instructions (constants, offsets) the compiler
+// skips.
 func classify(in tir.Instr) (instrClass, bool) {
 	switch it := in.(type) {
 	case *tir.ConstInstr, *tir.OffsetInstr:

@@ -36,9 +36,9 @@ define void @main() {
 `
 
 // outToInputModule drives the pipe parameter %a, which its call site
-// wires to an input port. Before TIR040 checked directions, every back
-// end accepted it: the model priced it and hdl.Emit wrote a lane
-// instance on nets the top module never declares.
+// wires to an input port: TIR040. A back end that accepted it would
+// price it, and hdl.Emit would write a lane instance on nets the top
+// module never declares.
 const outToInputModule = `%mem_a = memobj ui18, size 64, space global, pattern CONT
 %mem_b = memobj ui18, size 64, space global, pattern CONT
 %strobj_a = strobj %mem_a, dir in, port main.a
