@@ -159,3 +159,27 @@ define void @main() {
 		t.Errorf("rejected module was synthesised:\n%s", out.String())
 	}
 }
+
+// TestRunRejectsUnexecutableShapes: the five call structures the
+// pipeline cannot execute, from the bad corpus, are rejected with their
+// code plain, with -synth and with -hdl, and no Verilog is written.
+func TestRunRejectsUnexecutableShapes(t *testing.T) {
+	for name, code := range map[string]string{
+		"rootpipe": "TIR047", "emptypipe": "TIR047", "seqcomb": "TIR047", "pipepar": "TIR047", "combreads": "TIR048",
+	} {
+		path := filepath.Join("..", "..", "internal", "tir", "testdata", "bad", name+".tirl")
+		hdl := filepath.Join(t.TempDir(), "out.v")
+		for _, args := range [][]string{{path}, {"-synth", path}, {"-hdl", hdl, path}} {
+			var out strings.Builder
+			if err := run(args, &out); err == nil || !strings.Contains(err.Error(), code) {
+				t.Errorf("tytracc %v: got %v, want a %s error", args, err, code)
+			}
+			if out.Len() != 0 {
+				t.Errorf("tytracc %v printed a report for a rejected module:\n%s", args, out.String())
+			}
+		}
+		if _, err := os.Stat(hdl); !os.IsNotExist(err) {
+			t.Errorf("%s: Verilog written for a rejected module (%v)", name, err)
+		}
+	}
+}

@@ -1,8 +1,8 @@
 // Command tytravet is the static verifier of the TyTra-IR front stage:
-// it parses one or more .tirl files and reports every finding of the
-// semantic checks (tir.Check), the deeper static passes (tir.Analyze)
-// and elaboration (internal/elab: an instance count that overflows) with
-// stable TIR0xx codes and source positions. With
+// it parses one or more .tirl files and reports every finding of
+// elaboration (internal/elab) — the verdict of tir.Analyze, its
+// semantic checks and deeper static passes, and an instance count that
+// overflows — with stable TIR0xx codes and source positions. With
 // -target it additionally checks the static resource estimate against
 // the device capacity (TIR090), so a design that cannot fit is rejected
 // before any simulation or synthesis is attempted.

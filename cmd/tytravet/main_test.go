@@ -60,7 +60,7 @@ func TestBadCorpusCoversCodes(t *testing.T) {
 	for _, code := range []string{
 		"TIR001", "TIR011", "TIR012", "TIR013", "TIR017", "TIR019", "TIR020",
 		"TIR023", "TIR024", "TIR025", "TIR026", "TIR035",
-		"TIR040", "TIR042", "TIR043", "TIR044",
+		"TIR040", "TIR042", "TIR043", "TIR044", "TIR047", "TIR048",
 	} {
 		if !seen[code] {
 			t.Errorf("bad corpus exercises no %s finding", code)

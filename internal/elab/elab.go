@@ -172,22 +172,14 @@ func (b *builder) visit(i int32) *Node {
 // classify names the Fig 7 configuration of the design rooted at n.
 func classify(n *Node) tir.Config {
 	// Skip the main(seq) wrapper: classification concerns the device
-	// architecture below it.
+	// architecture below it, which is a pipe or a par node (TIR047).
 	if n.Func.Mode == tir.ModeSeq {
 		if len(n.Calls) != 1 {
 			return tir.ConfigSeq
 		}
 		n = n.Calls[0].Callee
 	}
-	switch n.Func.Mode {
-	case tir.ModePipe:
-		for _, c := range n.Calls {
-			if c.Callee.Func.Mode == tir.ModePipe {
-				return tir.ConfigCoarsePipe
-			}
-		}
-		return tir.ConfigPipe
-	case tir.ModePar:
+	if n.Func.Mode == tir.ModePar {
 		for _, lane := range n.Calls {
 			for _, c := range lane.Callee.Calls {
 				if c.Callee.Func.Mode == tir.ModePipe {
@@ -196,10 +188,13 @@ func classify(n *Node) tir.Config {
 			}
 		}
 		return tir.ConfigParPipes
-	case tir.ModeComb:
-		return tir.ConfigPipe
 	}
-	return tir.ConfigSeq
+	for _, c := range n.Calls {
+		if c.Callee.Func.Mode == tir.ModePipe {
+			return tir.ConfigCoarsePipe
+		}
+	}
+	return tir.ConfigPipe
 }
 
 // add returns a+b for non-negative counts and whether it fits an int64.

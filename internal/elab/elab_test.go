@@ -11,9 +11,9 @@ import (
 	"repro/internal/tir"
 )
 
-// chainSrc is a module of k functions: @main and k-2 further seq
-// functions, each calling the next twice, down to the pipe @f0, which
-// so has 2^(k-1) instances.
+// chainSrc is a module of k functions: the seq @main and k-2 coarse
+// pipelines (pipe functions without streams), each calling the next
+// twice, down to the pipe kernel @f0, which so has 2^(k-1) instances.
 func chainSrc(k int) string {
 	var b strings.Builder
 	b.WriteString(`%mem_a = memobj ui16, size 64, space global, pattern CONT
@@ -29,12 +29,12 @@ define void @f0(ui16 %a, ui16 %b) pipe {
 `)
 	call := "call @f0(@main.a, @main.b) pipe"
 	for i := 1; i < k; i++ {
-		name := fmt.Sprintf("s%d", i)
+		name, mode := fmt.Sprintf("s%d", i), "pipe"
 		if i == k-1 {
-			name = "main"
+			name, mode = "main", "seq"
 		}
-		fmt.Fprintf(&b, "define void @%s() seq {\n  %s\n  %s\n}\n", name, call, call)
-		call = "call @" + name + "() seq"
+		fmt.Fprintf(&b, "define void @%s() %s {\n  %s\n  %s\n}\n", name, mode, call, call)
+		call = "call @" + name + "() pipe"
 	}
 	return b.String()
 }
@@ -79,7 +79,7 @@ func TestMultiplicitiesMatchPathCount(t *testing.T) {
 		srcs[fmt.Sprintf("chain-%d", k)] = chainSrc(k)
 	}
 	for name, src := range srcs {
-		m, err := tir.Parse(name, src)
+		m, err := tir.ParseOnly(name, src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -108,6 +108,21 @@ func TestMultiplicitiesMatchPathCount(t *testing.T) {
 	}
 }
 
+// stagesHeader declares two ports of @main and two pipe kernels, @fa
+// and @fb, that stream one into the other.
+const stagesHeader = `%mem_a = memobj ui8, size 16, space global, pattern CONT
+%mem_b = memobj ui8, size 16, space global, pattern CONT
+%str_a = strobj %mem_a, dir in, port main.a
+%str_b = strobj %mem_b, dir out, port main.b
+@main.a = addrSpace(12) ui8, !"istream", !"CONT", !0, !"str_a"
+@main.b = addrSpace(12) ui8, !"ostream", !"CONT", !0, !"str_b"
+define void @fa(ui8 %a, ui8 %b) pipe { out ui8 %b, %a }
+define void @fb(ui8 %a, ui8 %b) pipe {
+  ui8 %y = add ui8 %a, 2
+  out ui8 %b, %y
+}
+`
+
 // TestSharedCallees elaborates designs that reach a callee through
 // several call sites: one node per function, its call sites resolved
 // to the shared callee node, and the multiplicity, lanes and
@@ -118,23 +133,20 @@ func TestSharedCallees(t *testing.T) {
 		lanes           int
 		config          tir.Config
 	}{
-		{"par-coarse", `define void @fa() pipe { ui8 %x = const ui8 1 }
-			define void @ftop() pipe { call @fa() pipe }
+		{"par-coarse", `define void @ftop() pipe { call @fa(@main.a, @main.b) pipe }
 			define void @f1() par { call @ftop() pipe
 			call @ftop() pipe
 			call @ftop() pipe }
 			define void @main() { call @f1() par }`,
 			"fa*3 ftop*3(fa) f1*1(ftop ftop ftop) main*1(f1)", 3, tir.ConfigParCoarse},
-		{"seq-twice", `define void @fa() pipe { ui8 %x = const ui8 1 }
-			define void @fb() pipe { ui8 %y = const ui8 2 }
-			define void @ftop() pipe { call @fa() pipe
-			call @fb() pipe }
+		{"seq-twice", `define void @ftop() pipe { call @fa(@main.a, @main.b) pipe
+			call @fb(@main.a, @main.b) pipe }
 			define void @main() { call @ftop() pipe
 			call @ftop() pipe }`,
 			"fa*2 fb*2 ftop*2(fa fb) main*1(ftop ftop)", 1, tir.ConfigSeq},
 	}
 	for _, c := range cases {
-		m, err := tir.Parse(c.name, c.src)
+		m, err := tir.ParseOnly(c.name, stagesHeader+c.src)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -178,7 +190,7 @@ func TestSharedCallees(t *testing.T) {
 func TestInstanceBound(t *testing.T) {
 	elaborate := func(k int) (*Design, error) {
 		t.Helper()
-		m, err := tir.Parse("chain", chainSrc(k))
+		m, err := tir.ParseOnly("chain", chainSrc(k))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -612,12 +612,10 @@ func (g *generator) combModule(f *tir.Function) (string, error) {
 	b.WriteString(strings.Join(decls, ",\n"))
 	b.WriteString("\n);\n")
 
-	ready := map[string]int{}
 	base := map[string]string{}
 	for _, p := range f.Params {
 		if !outs[p.Name] {
 			base[p.Name] = "in_" + vname(p.Name)
-			ready[p.Name] = 0
 		}
 	}
 	ref := func(o tir.Operand, at int) string {
@@ -656,8 +654,6 @@ func (g *generator) combModule(f *tir.Function) (string, error) {
 			dst, decl = it.Dst, "wire"
 		case *tir.SelectInstr:
 			dst, decl = it.Dst, fmt.Sprintf("wire [%d:0]", it.Ty.Bits-1)
-		default:
-			return "", fmt.Errorf("hdl: instruction %T not allowed in comb @%s", in, f.Name)
 		}
 		e, err := g.opExpr(in, ref, 0)
 		if err != nil {

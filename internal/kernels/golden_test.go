@@ -32,15 +32,18 @@ func TestGoldenIR(t *testing.T) {
 			}
 			got := m.String()
 
-			// The printed IR must re-parse to an identical module
+			// The module must elaborate, and the printed IR must
+			// re-parse to an identical module that elaborates too,
 			// regardless of the golden comparison.
-			m2, err := tir.Parse(m.Name, got)
+			elaborate(t, m)
+			m2, err := tir.ParseOnly(m.Name, got)
 			if err != nil {
 				t.Fatalf("printed IR does not re-parse: %v", err)
 			}
 			if m2.String() != got {
 				t.Fatal("printed IR is not a print/parse fixed point")
 			}
+			elaborate(t, m2)
 
 			path := filepath.Join("testdata", name)
 			if *update {

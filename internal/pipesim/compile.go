@@ -310,7 +310,8 @@ func compileBody(m *tir.Module, fn *tir.Function, depth int, dirs []tir.Directio
 	}
 
 	// Offset resolution: dst -> (root input stream, cumulative offset),
-	// exactly the pre-pass execute() performs per invocation.
+	// exactly the pre-pass execute() performs per invocation; Analyze
+	// has rooted every offset in an input stream (TIR042).
 	roots := map[string]streamRef{}
 	var maxAhead int64
 	for _, in := range fn.Body {
@@ -321,9 +322,6 @@ func compileBody(m *tir.Module, fn *tir.Function, depth int, dirs []tir.Directio
 		r := streamRef{root: o.Src.Name, off: o.Offset}
 		if prev, chained := roots[o.Src.Name]; chained {
 			r = streamRef{root: prev.root, off: prev.off + o.Offset}
-		}
-		if _, isIn := c.inParams[r.root]; !isIn {
-			return nil, fmt.Errorf("pipesim: @%s: offset %%%s is not rooted in an input stream", fn.Name, o.Dst)
 		}
 		roots[o.Dst] = r
 		if r.off > maxAhead {
@@ -344,10 +342,7 @@ func compileBody(m *tir.Module, fn *tir.Function, depth int, dirs []tir.Directio
 		case *tir.OutInstr:
 			// Analyze's TIR040 guarantees the port is wired to an output.
 			sidx := c.outParams[it.Port]
-			a, err := c.resolve(it.Val, c.slots, fn.Name)
-			if err != nil {
-				return nil, err
-			}
+			a := c.resolve(it.Val, c.slots)
 			c.noteAccRead(a)
 			if it.Ty.Kind == tir.UInt {
 				c.emit(op{code: uopOutU, sidx: sidx, a: a, mask: it.Ty.Mask()})
@@ -355,11 +350,10 @@ func compileBody(m *tir.Module, fn *tir.Function, depth int, dirs []tir.Directio
 				c.emit(op{code: uopOut, sidx: sidx, a: a, wrap: it.Ty.Wrap})
 			}
 		case *tir.CallInstr:
+			// A pipe calls only pipe stages, simulated separately as
+			// peer PEs, and comb blocks (TIR047).
 			if it.Mode == tir.ModePipe {
-				continue // peer PE, simulated separately
-			}
-			if it.Mode != tir.ModeComb {
-				return nil, fmt.Errorf("pipesim: @%s: cannot execute %s call inside a datapath", fn.Name, it.Mode)
+				continue
 			}
 			if err := c.inlineComb(it); err != nil {
 				return nil, err
@@ -456,9 +450,12 @@ func (b *body) batchSafe() bool {
 }
 
 // compileALU lowers the pure-datapath instructions shared by pipe
-// bodies and inlined comb blocks. drainEligible is true only at the
-// parent level: the interpreter accounts accumulator drain for the
-// parent wave, not for comb sub-blocks.
+// bodies and inlined comb blocks: binary, unary, icmp and select (the
+// only other instructions Analyze accepts in a datapath, TIR036).
+// drainEligible is true only at the parent level: the interpreter
+// accounts accumulator drain for the parent wave, not for comb
+// sub-blocks. It fails only on an operation with no integer evaluation,
+// which Analyze reports as a warning (TIR045).
 func (c *compiler) compileALU(in tir.Instr, scope map[string]int32, fname string, drainEligible bool) error {
 	switch it := in.(type) {
 	case *tir.BinInstr:
@@ -466,14 +463,7 @@ func (c *compiler) compileALU(in tir.Instr, scope map[string]int32, fname string
 		if !ok {
 			return fmt.Errorf("pipesim: @%s: %s is not a binary integer opcode", fname, it.Op)
 		}
-		a, err := c.resolve(it.A, scope, fname)
-		if err != nil {
-			return err
-		}
-		b, err := c.resolve(it.B, scope, fname)
-		if err != nil {
-			return err
-		}
+		a, b := c.resolve(it.A, scope), c.resolve(it.B, scope)
 		if it.GlobalDst {
 			c.compileAccWrite(it, a, b, fn2, drainEligible)
 			return nil
@@ -492,10 +482,7 @@ func (c *compiler) compileALU(in tir.Instr, scope map[string]int32, fname string
 		if !ok {
 			return fmt.Errorf("pipesim: @%s: %s is not a unary integer opcode", fname, it.Op)
 		}
-		a, err := c.resolve(it.A, scope, fname)
-		if err != nil {
-			return err
-		}
+		a := c.resolve(it.A, scope)
 		c.noteAccRead(a)
 		dst := c.newSlot()
 		scope[it.Dst] = dst
@@ -509,40 +496,20 @@ func (c *compiler) compileALU(in tir.Instr, scope map[string]int32, fname string
 		if !ok {
 			return fmt.Errorf("pipesim: @%s: invalid icmp predicate %q", fname, it.Pred)
 		}
-		a, err := c.resolve(it.A, scope, fname)
-		if err != nil {
-			return err
-		}
-		b, err := c.resolve(it.B, scope, fname)
-		if err != nil {
-			return err
-		}
+		a, b := c.resolve(it.A, scope), c.resolve(it.B, scope)
 		c.noteAccRead(a)
 		c.noteAccRead(b)
 		dst := c.newSlot()
 		scope[it.Dst] = dst
 		c.emit(op{code: uopCmp, dst: dst, a: a, b: b, fn2: fn2})
 	case *tir.SelectInstr:
-		cond, err := c.resolve(it.Cond, scope, fname)
-		if err != nil {
-			return err
-		}
-		a, err := c.resolve(it.A, scope, fname)
-		if err != nil {
-			return err
-		}
-		b, err := c.resolve(it.B, scope, fname)
-		if err != nil {
-			return err
-		}
+		cond, a, b := c.resolve(it.Cond, scope), c.resolve(it.A, scope), c.resolve(it.B, scope)
 		c.noteAccRead(cond)
 		c.noteAccRead(a)
 		c.noteAccRead(b)
 		dst := c.newSlot()
 		scope[it.Dst] = dst
 		c.emit(op{code: uopSel, dst: dst, c: cond, a: a, b: b})
-	default:
-		return fmt.Errorf("pipesim: @%s: unknown instruction %T", fname, in)
 	}
 	return nil
 }
@@ -625,12 +592,12 @@ func uintBinUop(opc tir.Opcode, ty tir.Type) (uop, bool) {
 // inlineComb flattens a comb child into the parent program: in-args
 // alias parent slots (or constant slots), the child body lowers into
 // fresh slots, and `out`-bound parameters define the parent wires the
-// call site names.
+// call site names. Analyze has resolved the callee (TIR025), defined
+// every argument the child reads (TIR024), kept streams and calls out
+// of the child (TIR034) and its driven parameters out of its reads
+// (TIR048).
 func (c *compiler) inlineComb(call *tir.CallInstr) error {
 	callee := c.m.Func(call.Callee)
-	if callee == nil {
-		return fmt.Errorf("pipesim: @%s: unknown comb callee @%s", c.fn.Name, call.Callee)
-	}
 	outs := callee.OutParams()
 	scope := map[string]int32{}
 	for k, a := range call.Args {
@@ -649,11 +616,7 @@ func (c *compiler) inlineComb(call *tir.CallInstr) error {
 			scope[param.Name] = dst
 			c.emit(op{code: uopMove, dst: dst, a: enc})
 		default:
-			s, ok := c.slots[a.Name]
-			if !ok {
-				return fmt.Errorf("pipesim: @%s: value %%%s not available", c.fn.Name, a.Name)
-			}
-			scope[param.Name] = s
+			scope[param.Name] = c.slots[a.Name]
 		}
 	}
 	for _, in := range callee.Body {
@@ -661,10 +624,7 @@ func (c *compiler) inlineComb(call *tir.CallInstr) error {
 		case *tir.ConstInstr:
 			scope[it.Dst] = c.constSlot(it.Ty.Wrap(it.Val))
 		case *tir.OutInstr:
-			val, err := c.resolve(it.Val, scope, callee.Name)
-			if err != nil {
-				return err
-			}
+			val := c.resolve(it.Val, scope)
 			c.noteAccRead(val)
 			for k, a := range call.Args {
 				if callee.Params[k].Name != it.Port || a.Kind != tir.OpReg {
@@ -678,12 +638,10 @@ func (c *compiler) inlineComb(call *tir.CallInstr) error {
 					c.emit(op{code: uopMoveWrap, dst: dst, a: val, wrap: it.Ty.Wrap})
 				}
 			}
-		case *tir.BinInstr, *tir.UnInstr, *tir.CmpInstr, *tir.SelectInstr:
+		default:
 			if err := c.compileALU(in, scope, callee.Name, false); err != nil {
 				return err
 			}
-		default:
-			return fmt.Errorf("pipesim: @%s: instruction %T not allowed in a comb block", callee.Name, in)
 		}
 	}
 	return nil
@@ -691,19 +649,15 @@ func (c *compiler) inlineComb(call *tir.CallInstr) error {
 
 // resolve encodes an operand: immediates become constant slots,
 // globals become negative accumulator encodings, registers look up the
-// scope.
-func (c *compiler) resolve(o tir.Operand, scope map[string]int32, fname string) (int32, error) {
+// scope, where Analyze has defined them (TIR024, TIR040, TIR048).
+func (c *compiler) resolve(o tir.Operand, scope map[string]int32) int32 {
 	switch o.Kind {
 	case tir.OpImm:
-		return c.constSlot(o.Imm), nil
+		return c.constSlot(o.Imm)
 	case tir.OpGlobal:
-		return c.accEnc(o.Name), nil
+		return c.accEnc(o.Name)
 	default:
-		s, ok := scope[o.Name]
-		if !ok {
-			return 0, fmt.Errorf("pipesim: @%s: value %%%s not available", fname, o.Name)
-		}
-		return s, nil
+		return scope[o.Name]
 	}
 }
 

@@ -47,9 +47,8 @@ type CompiledDesign struct {
 // than elab.MaxInstances instances is rejected (TIR060) before any
 // instance is expanded; every other design compiles. A datapath the
 // executor cannot run — an operation with no integer evaluation (the
-// TIR045 warning), a stream operation inside a comb block — is what
-// Timing and Run report. The returned design is immutable and safe for
-// concurrent use.
+// TIR045 warning) — is what Timing and Run report. The returned design
+// is immutable and safe for concurrent use.
 func Compile(d *elab.Design) (*CompiledDesign, error) { return compile(d, Config{}) }
 
 // Config selects the executor a design compiles with. The zero value
@@ -89,10 +88,8 @@ func compile(ed *elab.Design, cfg Config) (*CompiledDesign, error) {
 		return d, nil
 	}
 	t := &timer{d: d, present: hostInputs(d.m)}
-	d.cycles, d.items, d.timingErr = t.node(d.root)
-	if t.bindErr != nil {
-		d.timingErr = t.bindErr
-	}
+	d.cycles, d.items = t.node(d.root)
+	d.timingErr = t.bindErr
 	return d, nil
 }
 
@@ -159,8 +156,9 @@ func (d *CompiledDesign) compileCall(c elab.Call, cfg Config) (*program, error) 
 // Timing fails exactly where Run fails on host inputs — every
 // input-stream object that no output port produces, the workload
 // dse.SimInputs generates — with Run's error: an input object with no
-// provider, an object written twice, a structural error in the call
-// hierarchy, or a datapath the executor cannot run.
+// provider, an object written twice, or a datapath the executor cannot
+// run (the TIR045 warning). Every call structure Elaborate accepts
+// executes.
 func (d *CompiledDesign) Timing() (cycles, items int64, err error) {
 	if d.timingErr != nil {
 		return 0, 0, d.timingErr
@@ -189,8 +187,8 @@ func hostInputs(m *tir.Module) map[string]bool {
 // timer is the compiled executor's one cycle-summing walk: it expands
 // the design's instances in Run's order and replays bindPE's checks
 // statically against the objects present so far. A bind failure does
-// not stop the sum — a caller's own inputs may bind where host inputs
-// do not — but a structural error does, exactly as it stops Run.
+// not stop the sum: a caller's own inputs may bind where host inputs
+// do not.
 type timer struct {
 	d       *CompiledDesign
 	present map[string]bool // memory objects with contents so far
@@ -198,40 +196,31 @@ type timer struct {
 }
 
 // node mirrors Instance.runNode: a sequential root sums its children.
-func (t *timer) node(n *elab.Node) (cycles, items int64, err error) {
+func (t *timer) node(n *elab.Node) (cycles, items int64) {
 	if n.Func.Mode != tir.ModeSeq {
 		return t.call(nil, n)
 	}
 	for _, c := range n.Calls {
-		cy, it, err := t.call(c.Site, c.Callee)
-		if err != nil {
-			return 0, 0, err
-		}
+		cy, it := t.call(c.Site, c.Callee)
 		cycles += cy
 		items += it
 	}
-	return cycles, items, nil
+	return cycles, items
 }
 
 // call mirrors Instance.runCall: a par node takes its slowest lane, a
 // pipe node costs its own PE (or ctrlStartup for a purely structural
 // parent) and chains its coarse children — their fills add, the item
 // stream already flowing through the chain overlaps.
-func (t *timer) call(call *tir.CallInstr, n *elab.Node) (cycles, items int64, err error) {
-	if err := shapeErr(call, n); err != nil {
-		return 0, 0, err
-	}
+func (t *timer) call(call *tir.CallInstr, n *elab.Node) (cycles, items int64) {
 	if n.Func.Mode == tir.ModePar {
 		var worst int64
 		for _, c := range n.Calls {
-			cy, it, err := t.call(c.Site, c.Callee)
-			if err != nil {
-				return 0, 0, err
-			}
+			cy, it := t.call(c.Site, c.Callee)
 			worst = max(worst, cy)
 			items += it
 		}
-		return worst + ctrlStartup, items, nil
+		return worst + ctrlStartup, items
 	}
 	cycles = ctrlStartup
 	if len(n.Func.Params) > 0 {
@@ -243,14 +232,11 @@ func (t *timer) call(call *tir.CallInstr, n *elab.Node) (cycles, items int64, er
 		if c.Callee.Func.Mode == tir.ModeComb {
 			continue // inlined in the parent program
 		}
-		cy, it, err := t.call(c.Site, c.Callee)
-		if err != nil {
-			return 0, 0, err
-		}
+		cy, it := t.call(c.Site, c.Callee)
 		cycles += cy - min(it, items, cy)
 		items = max(items, it)
 	}
-	return cycles, items, nil
+	return cycles, items
 }
 
 // bind is bindPE without data: the same checks, in call-argument
@@ -280,27 +266,6 @@ func errWrittenTwice(mem string) error {
 
 func errNoContents(mem string) error {
 	return fmt.Errorf("pipesim: input memory object %%%s has no contents (missing input or producer)", mem)
-}
-
-// shapeErr returns the structural error Run fails with on reaching n
-// through call, or nil: a root pipe, a pipe with neither streams nor
-// stages, a comb block used as a PE, or a nested seq node.
-func shapeErr(call *tir.CallInstr, n *elab.Node) error {
-	switch n.Func.Mode {
-	case tir.ModePar:
-		return nil
-	case tir.ModePipe:
-		if call == nil {
-			return fmt.Errorf("pipesim: pipe function @%s must be invoked through a call site", n.Func.Name)
-		}
-		if len(n.Func.Params) == 0 && len(n.Calls) == 0 {
-			return fmt.Errorf("pipesim: pipe function @%s has neither streams nor stages", n.Func.Name)
-		}
-		return nil
-	case tir.ModeComb:
-		return fmt.Errorf("pipesim: comb function @%s cannot be a processing element; inline it in a pipe", n.Func.Name)
-	}
-	return fmt.Errorf("pipesim: unsupported call mode %s", n.Func.Mode)
 }
 
 // BatchedPrograms reports how many of the compiled programs (one per
@@ -419,9 +384,6 @@ func (inst *Instance) runNode(st *runState, n *elab.Node) error {
 // node runs its lanes in lane order, as the oracle does: a lane that
 // consumes another lane's output sees the completed stream.
 func (inst *Instance) runCall(st *runState, call *tir.CallInstr, n *elab.Node) error {
-	if err := shapeErr(call, n); err != nil {
-		return err
-	}
 	if n.Func.Mode == tir.ModePar {
 		for _, c := range n.Calls {
 			if err := inst.runCall(st, c.Site, c.Callee); err != nil {

@@ -19,9 +19,9 @@ func elaborate(tb testing.TB, m *tir.Module) *elab.Design {
 	return d
 }
 
-// chainSrc is a module of k functions: @main and k-2 further seq
-// functions, each calling the next twice, down to the pipe @f0, which
-// so has 2^(k-1) instances.
+// chainSrc is a module of k functions: the seq @main and k-2 coarse
+// pipelines (pipe functions without streams), each calling the next
+// twice, down to the pipe kernel @f0, which so has 2^(k-1) instances.
 func chainSrc(k int) string {
 	var b strings.Builder
 	b.WriteString(`%mem_a = memobj ui16, size 64, space global, pattern CONT
@@ -37,12 +37,12 @@ define void @f0(ui16 %a, ui16 %b) pipe {
 `)
 	call := "call @f0(@main.a, @main.b) pipe"
 	for i := 1; i < k; i++ {
-		name := fmt.Sprintf("s%d", i)
+		name, mode := fmt.Sprintf("s%d", i), "pipe"
 		if i == k-1 {
-			name = "main"
+			name, mode = "main", "seq"
 		}
-		fmt.Fprintf(&b, "define void @%s() seq {\n  %s\n  %s\n}\n", name, call, call)
-		call = "call @" + name + "() seq"
+		fmt.Fprintf(&b, "define void @%s() %s {\n  %s\n  %s\n}\n", name, mode, call, call)
+		call = "call @" + name + "() pipe"
 	}
 	return b.String()
 }

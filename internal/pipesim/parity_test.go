@@ -2,6 +2,8 @@ package pipesim
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -81,27 +83,30 @@ define void @main() {
 `
 
 // backEnds runs every back end on the design and returns the first
-// error, or a description of a panic.
-func backEnds(mdl *costmodel.Model, synth *fabric.Synthesizer, d *elab.Design) (err error) {
+// error, or a description of a panic, and the error of the compiled
+// design's Timing.
+func backEnds(mdl *costmodel.Model, synth *fabric.Synthesizer, d *elab.Design) (timingErr, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
 	if _, err := costmodel.Lower(d); err != nil {
-		return fmt.Errorf("Lower: %w", err)
+		return nil, fmt.Errorf("Lower: %w", err)
 	}
 	if _, err := mdl.Estimate(d); err != nil {
-		return fmt.Errorf("Estimate: %w", err)
+		return nil, fmt.Errorf("Estimate: %w", err)
 	}
-	if _, err := Compile(d); err != nil {
-		return fmt.Errorf("Compile: %w", err)
+	cd, err := Compile(d)
+	if err != nil {
+		return nil, fmt.Errorf("Compile: %w", err)
 	}
+	_, _, timingErr = cd.Timing()
 	synth.Synthesize(d)
 	if _, err := hdl.Emit(d); err != nil {
-		return fmt.Errorf("Emit: %w", err)
+		return nil, fmt.Errorf("Emit: %w", err)
 	}
-	return nil
+	return timingErr, nil
 }
 
 // FuzzAcceptanceParity asserts one verdict: below the instance bound,
@@ -109,9 +114,12 @@ func backEnds(mdl *costmodel.Model, synth *fabric.Synthesizer, d *elab.Design) (
 // hdl.Emit each accept a design exactly when elab.Elaborate accepts
 // its module, and none of them panics; the module-taking entries
 // (Model.Compile, CompileConfig) reject exactly what Elaborate
-// rejects. The corpus is FuzzCompile's (the IR corpora, good and bad,
-// with their mutations, and par-lane random kernels), single-lane
-// random kernels, and the modules above.
+// rejects. The compiled simulator trusts the verdict, so on a design
+// whose memory objects total at most 1<<20 elements Timing fails
+// exactly when the oracle, which checks every structure itself, fails
+// on host inputs. The corpus is FuzzCompile's (the IR corpora, good
+// and bad, with their mutations, and par-lane random kernels),
+// single-lane random kernels, and the modules above.
 func FuzzAcceptanceParity(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -121,11 +129,11 @@ func FuzzAcceptanceParity(f *testing.F) {
 		m, _, _ := g.build(seed)
 		f.Add(m.String())
 	}
-	f.Add(portArgsModule)
-	f.Add(outToInputModule)
-	f.Add(readOutputModule)
+	for _, src := range rejectedModules(f) {
+		f.Add(src)
+	}
 	f.Add(combSqrtModule)
-	// A stream offset inside a comb block: Check rejects it (TIR034).
+	// A stream offset inside a comb block: Analyze rejects it (TIR034).
 	f.Add(strings.Replace(combSqrtModule, "sqrt ui16 %a", "ui16 %a, !offset, !+1", 1))
 	tgt := device.StratixVGSD8()
 	mdl, err := costmodel.Calibrate(tgt)
@@ -153,23 +161,69 @@ func FuzzAcceptanceParity(f *testing.F) {
 		if cmErr != nil || ccErr != nil {
 			t.Errorf("Elaborate accepts, Model.Compile %v, CompileConfig %v", cmErr, ccErr)
 		}
-		if err := backEnds(mdl, synth, d); err != nil {
+		timingErr, err := backEnds(mdl, synth, d)
+		if err != nil {
 			t.Errorf("Elaborate accepts, %v\n%s", err, src)
+			return
+		}
+		mem, ok := hostMem(m, 1<<20)
+		if !ok {
+			return
+		}
+		if _, oracleErr := RunOracle(m, mem); (timingErr == nil) != (oracleErr == nil) {
+			t.Errorf("Timing error %v, RunOracle error %v\n%s", timingErr, oracleErr, src)
 		}
 	})
 }
 
-// TestPortArgsRejectedEverywhere: the @g module, and the two modules
-// whose wiring contradicts how the callee uses a parameter, are
-// rejected with TIR040 on every path from a module to a back end.
-func TestPortArgsRejectedEverywhere(t *testing.T) {
+// rejectedModules are the modules every path from a module to a back
+// end must reject, by the code of the first finding each carries: the @g
+// module and the two whose wiring contradicts how the callee uses a
+// parameter (TIR040), the five call structures the pipeline cannot
+// execute from the bad corpus (TIR047, TIR048), and two mutations of
+// the par-lanes corpus design, a root pipe and a pipe stage with
+// neither streams nor stages (TIR047).
+func rejectedModules(tb testing.TB) map[string]string {
+	tb.Helper()
+	src, err := os.ReadFile(filepath.Join("..", "tir", "testdata", "parlanes.tirl"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	par := string(src)
+	mods := map[string]string{
+		"g":                   portArgsModule,
+		"out-to-input":        outToInputModule,
+		"read-output":         readOutputModule,
+		"root pipe":           strings.Replace(par, "define void @main() {", "define void @main() pipe {", 1),
+		"pipe without stages": strings.Replace(par, "call @f_lanes() par", "call @f_lanes() par\n  call @nothing() pipe", 1) + "define void @nothing() pipe {\n}\n",
+	}
+	for _, name := range []string{"rootpipe", "emptypipe", "seqcomb", "pipepar", "combreads"} {
+		src, err := os.ReadFile(filepath.Join("..", "tir", "testdata", "bad", name+".tirl"))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		mods[name] = string(src)
+	}
+	return mods
+}
+
+// TestRejectedEverywhere: each of rejectedModules is rejected with its
+// code on every path from a module to a back end, the oracle's
+// included.
+func TestRejectedEverywhere(t *testing.T) {
 	mdl, err := costmodel.Calibrate(device.StratixVGSD8())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, src := range map[string]string{
-		"g": portArgsModule, "out-to-input": outToInputModule, "read-output": readOutputModule,
-	} {
+	codes := map[string]string{
+		"g": tir.CodePortWiring, "out-to-input": tir.CodePortWiring, "read-output": tir.CodePortWiring,
+		"combreads": tir.CodeCombReadsOut,
+	}
+	for name, src := range rejectedModules(t) {
+		want := codes[name]
+		if want == "" {
+			want = tir.CodeExecStructure
+		}
 		m, err := tir.ParseOnly(name+".tirl", src)
 		if err != nil {
 			t.Fatal(err)
@@ -182,8 +236,8 @@ func TestPortArgsRejectedEverywhere(t *testing.T) {
 			"Elaborate": elabErr, "Model.Compile": cmErr, "CompileConfig": ccErr, "RunOracle": runErr,
 		} {
 			l := diag.AsList(err, "")
-			if len(l) == 0 || l[0].Code != tir.CodePortWiring {
-				t.Errorf("%s: %s: got %v, want a %s error", name, what, err, tir.CodePortWiring)
+			if len(l) == 0 || l[0].Code != want {
+				t.Errorf("%s: %s: got %v, want a %s error", name, what, err, want)
 			}
 		}
 	}
@@ -202,7 +256,7 @@ func TestGeneratedChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	parse := func(k int) *tir.Module {
-		m, err := tir.Parse("chain", chainSrc(k))
+		m, err := tir.ParseOnly("chain", chainSrc(k))
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}

@@ -97,7 +97,7 @@ func requireTimingMatchesRun(t *testing.T, tag string, d *CompiledDesign, res *R
 
 // failingDesigns are designs Compile accepts but Run rejects on host
 // inputs, mutated from the par-lanes corpus design and the coarse
-// pipeline; the last two pin which of two errors comes first.
+// pipeline: each binds an object twice or before its producer runs.
 func failingDesigns(t *testing.T) map[string]string {
 	t.Helper()
 	src, err := os.ReadFile(filepath.Join("..", "tir", "testdata", "parlanes.tirl"))
@@ -106,7 +106,6 @@ func failingDesigns(t *testing.T) map[string]string {
 	}
 	par := string(src)
 	const lanes = "call @f_lanes() par"
-	const empty = "define void @nothing() pipe {\n}\n"
 	twice := "call @f0(@main.x0, @main.y0) pipe\n  call @f0(@main.x1, @main.y0) pipe"
 	coarse := coarseModule(t, 64).String()
 	const stageA, stageB = "call @stageA(@main.x, @main.mid_w) pipe", "call @stageB(@main.mid_r, @main.y) pipe"
@@ -114,10 +113,6 @@ func failingDesigns(t *testing.T) map[string]string {
 		"written twice by a lane":  strings.Replace(par, "@f0(@main.x1, @main.y1)", "@f0(@main.x1, @main.y0)", 1),
 		"written twice in seq":     strings.Replace(par, lanes, twice, 1),
 		"consumer before producer": strings.Replace(coarse, stageA+"\n  "+stageB, stageB+"\n  "+stageA, 1),
-		"pipe without stages":      strings.Replace(par, lanes, lanes+"\n  call @nothing() pipe", 1) + empty,
-		"root pipe":                strings.Replace(par, "define void @main() {", "define void @main() pipe {", 1),
-		"bind error first":         strings.Replace(par, lanes, twice+"\n  call @nothing() pipe", 1) + empty,
-		"structural error first":   strings.Replace(par, lanes, "call @nothing() pipe\n  "+twice, 1) + empty,
 	}
 }
 

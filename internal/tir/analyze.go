@@ -2,14 +2,23 @@ package tir
 
 import "repro/internal/diag"
 
-// Analyze runs Check plus the deeper static passes: conditions that
-// previously surfaced only at simulation time inside pipesim.Compile
-// (bad port wiring, unrooted or out-of-range offset windows) or
-// degraded silently (non-mergeable par reductions forcing sequential
-// lanes, aliased streams disabling batching, datapaths the simulator
-// cannot execute). The deep passes assume a
-// well-formed module, so they only run when Check reports no errors.
-// They resolve names through Check's tables and allocate nothing per
+// Analyze is the one verdict on a module, reached through
+// elab.Elaborate: every back end trusts what it accepts. Unlike a
+// fail-fast validator it collects every finding, each tagged with a
+// stable TIR0xx code and the source position of the offending
+// declaration, so a single run of tytravet reports the whole state of a
+// design.
+//
+// Its first pass is the front stage's semantic checks (check). The deep
+// passes then judge conditions that previously surfaced only at
+// simulation time inside pipesim (bad port wiring, unrooted or
+// out-of-range offset windows, call structures the pipeline cannot
+// execute, comb blocks that read their own results) or degraded
+// silently (non-mergeable par reductions forcing sequential lanes,
+// aliased streams disabling batching, datapaths the simulator cannot
+// execute). The deep passes assume a well-formed module, so they only
+// run when the first pass reports no errors. Both resolve names through
+// tables sized from the module once and allocate nothing per
 // instruction or per call site.
 func (m *Module) Analyze() diag.List {
 	c := newChecker(m)
@@ -22,6 +31,10 @@ func (m *Module) Analyze() diag.List {
 }
 
 func (c *checker) analyze() {
+	if main := c.fns["main"]; main.Mode != ModeSeq && main.Mode != ModePar {
+		c.l.Errorf(CodeExecStructure, main.At,
+			"@main: a design's root must be seq or par, not %s", main.Mode)
+	}
 	// Par-replicated kernels: the pipe children of par functions. Their
 	// accumulators must merge across lanes for the replication to pay.
 	replicated := make(map[string]bool, len(c.m.Funcs))
@@ -44,11 +57,56 @@ func (c *checker) analyze() {
 			}
 		case ModeComb:
 			c.checkDatapathEval(f)
+			c.checkCombReads(f)
 		}
+		calls := 0
 		for _, in := range f.Body {
-			if call, ok := in.(*CallInstr); ok && call.Mode == ModePipe {
+			call, ok := in.(*CallInstr)
+			if !ok {
+				continue
+			}
+			calls++
+			c.checkChildMode(f, call)
+			if call.Mode == ModePipe {
 				c.checkPipeCallSite(f, call)
 			}
+		}
+		if f.Mode == ModePipe && len(f.Params) == 0 && calls == 0 {
+			c.l.Errorf(CodeExecStructure, f.At, "@%s: pipe function has neither streams nor stages", f.Name)
+		}
+	}
+}
+
+// checkChildMode reports a call the parent's execution has no place for
+// (TIR047): a seq function runs its pipe and par children in turn, and
+// a pipe function chains pipe stages and inlines comb blocks. Par
+// children are pipe kernels (TIR033) and comb blocks call nothing
+// (TIR034). The first pass has matched every call's mode to its callee
+// (TIR027).
+func (c *checker) checkChildMode(parent *Function, call *CallInstr) {
+	switch {
+	case parent.Mode == ModeSeq && (call.Mode == ModeSeq || call.Mode == ModeComb):
+		c.l.Errorf(CodeExecStructure, call.At,
+			"@%s: call @%s: a seq function runs pipe and par kernels, not %s functions",
+			parent.Name, call.Callee, call.Mode)
+	case parent.Mode == ModePipe && (call.Mode == ModeSeq || call.Mode == ModePar):
+		c.l.Errorf(CodeExecStructure, call.At,
+			"@%s: call @%s: a pipe function chains pipe stages and inlines comb blocks, not %s functions",
+			parent.Name, call.Callee, call.Mode)
+	}
+}
+
+// checkCombReads reports a comb block that reads a parameter it drives
+// (TIR048): a driven parameter is the block's result wire, which holds
+// no value inside the block.
+func (c *checker) checkCombReads(f *Function) {
+	for _, p := range f.Params {
+		if !f.drives(p.Name) {
+			continue
+		}
+		if in := f.reader(p.Name); in != nil {
+			c.l.Errorf(CodeCombReadsOut, in.Pos(),
+				"@%s: reads %%%s, a parameter the comb block drives", f.Name, p.Name)
 		}
 	}
 }
@@ -79,7 +137,7 @@ type streamRef struct {
 func (c *checker) checkPipeCallSite(parent *Function, call *CallInstr) {
 	callee := c.fns[call.Callee]
 	if callee == nil || len(call.Args) != len(callee.Params) {
-		return // reported by Check
+		return // reported by the first pass
 	}
 	if len(callee.Params) == 0 {
 		// A parameter-less pipe callee is a container stage (coarse
@@ -118,11 +176,11 @@ func (c *checker) checkPipeCallSite(parent *Function, call *CallInstr) {
 		}
 		so := c.streams[port.Stream]
 		if so == nil {
-			continue // reported by Check (TIR019)
+			continue // reported by the first pass (TIR019)
 		}
 		mo := c.mems[so.Mem]
 		if mo == nil {
-			continue // reported by Check (TIR017)
+			continue // reported by the first pass (TIR017)
 		}
 		c.bound[k] = boundArg{mem: mo, dir: port.Dir}
 		if items < 0 || mo.Size < items {
@@ -142,7 +200,7 @@ func (c *checker) checkPipeCallSite(parent *Function, call *CallInstr) {
 			c.l.Errorf(CodePortWiring, call.At,
 				"@%s: call @%s: out to parameter %%%s, which is wired to input port @%s",
 				parent.Name, callee.Name, name, call.Args[k].Name)
-		case b.dir == DirOut && callee.reads(name):
+		case b.dir == DirOut && callee.reader(name) != nil:
 			c.l.Errorf(CodePortWiring, call.At,
 				"@%s: call @%s: parameter %%%s is read, but is wired to output port @%s",
 				parent.Name, callee.Name, name, call.Args[k].Name)
@@ -250,7 +308,7 @@ func (c *checker) checkParReduction(f *Function) {
 
 // checkDatapathEval warns about instructions the pipeline simulator
 // cannot evaluate (no integer evaluation closure at the type, e.g.
-// float arithmetic): the design still validates and costs, but cycle
+// float arithmetic): the design still elaborates and costs, but cycle
 // simulation and DSE simulation-mode evaluation will reject it.
 func (c *checker) checkDatapathEval(f *Function) {
 	for _, in := range f.Body {

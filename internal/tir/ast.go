@@ -486,43 +486,43 @@ func (f *Function) drives(name string) bool {
 	return false
 }
 
-// reads reports whether the body reads the value name: as an operand of
-// a datapath instruction, the value of an out, or an argument of a call.
-// An offset's source does not count; where offsets are rooted is
-// checked on its own (TIR042).
-func (f *Function) reads(name string) bool {
+// reader returns the first instruction of the body that reads the
+// value name, or nil: as an operand of a datapath instruction, the value
+// of an out, or an argument of a call. An offset's source does not
+// count; where offsets are rooted is checked on its own (TIR042).
+func (f *Function) reader(name string) Instr {
 	is := func(o Operand) bool { return o.Kind == OpReg && o.Name == name }
 	for _, in := range f.Body {
 		switch it := in.(type) {
 		case *BinInstr:
 			if is(it.A) || is(it.B) {
-				return true
+				return in
 			}
 		case *UnInstr:
 			if is(it.A) {
-				return true
+				return in
 			}
 		case *CmpInstr:
 			if is(it.A) || is(it.B) {
-				return true
+				return in
 			}
 		case *SelectInstr:
 			if is(it.Cond) || is(it.A) || is(it.B) {
-				return true
+				return in
 			}
 		case *OutInstr:
 			if is(it.Val) {
-				return true
+				return in
 			}
 		case *CallInstr:
 			for _, a := range it.Args {
 				if is(a) {
-					return true
+					return in
 				}
 			}
 		}
 	}
-	return false
+	return nil
 }
 
 // DatapathInstrs returns the non-call instructions in the body, in order.

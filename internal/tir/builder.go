@@ -24,20 +24,19 @@ func NewBuilder(name string) *Builder {
 	return &Builder{mod: &Module{Name: name}}
 }
 
-// Module finalises and validates the module. Misuse recorded during
-// construction (e.g. a Bin over mismatched operand types) surfaces
-// here as diagnostics rather than crashing at the call site.
+// Module finalises the module. It fails only on builder misuse
+// recorded during construction (TIR050, e.g. a Bin over mismatched
+// operand types), which surfaces here as diagnostics rather than
+// crashing at the call site; whether the module is legal is the
+// verdict of elab.Elaborate.
 func (b *Builder) Module() (*Module, error) {
 	if err := b.errs.ErrOrNil(); err != nil {
-		return nil, err
-	}
-	if err := b.mod.Validate(); err != nil {
 		return nil, err
 	}
 	return b.mod, nil
 }
 
-// MustModule finalises the module and panics on validation failure; for
+// MustModule finalises the module and panics on builder misuse; for
 // use by statically-known-correct builders (the kernel library).
 func (b *Builder) MustModule() *Module {
 	m, err := b.Module()

@@ -30,7 +30,7 @@ func TestBuilderBinTypeMismatch(t *testing.T) {
 }
 
 // TestBuilderCleanModule guards the happy path around the new error
-// plumbing: a well-typed builder module still validates.
+// plumbing: a well-typed builder module builds.
 func TestBuilderCleanModule(t *testing.T) {
 	b := NewBuilder("clean")
 	fb := b.Func("main", ModePipe)

@@ -4,16 +4,16 @@ package tir
 // of the tool contract: tytravet output, the golden diagnostics corpus
 // and CI greps key on them, so once assigned a code never changes
 // meaning. TIR001 is the syntax family, TIR01x-TIR03x the semantic
-// validation of Validate, TIR04x the deeper static passes of Analyze
+// checks of Analyze's first pass, TIR04x its deeper static passes
 // (conditions that previously only failed at runtime or degraded
-// silently inside pipesim.Compile), TIR06x the elaborated design's
+// silently inside pipesim), TIR05x builder misuse, TIR06x the elaborated design's
 // instance count (internal/elab), and TIR09x checks that need a target
 // description (cmd/tytravet, internal/verify).
 const (
 	// CodeSyntax is any lexical or syntactic error.
 	CodeSyntax = "TIR001"
 
-	// Validate: module and Manage-IR structure.
+	// First pass: module and Manage-IR structure.
 	CodeNoFunctions = "TIR010" // module has no functions
 	CodeNoMain      = "TIR011" // module has no @main entry function
 	CodeDupMem      = "TIR012" // duplicate memory object
@@ -26,7 +26,7 @@ const (
 	CodeUnknownStr  = "TIR019" // port references unknown stream object
 	CodeDirMismatch = "TIR020" // port/stream direction disagreement
 
-	// Validate: Compute-IR functions and bodies.
+	// First pass: Compute-IR functions and bodies.
 	CodeDupFunc       = "TIR021" // duplicate function
 	CodeDupParam      = "TIR022" // duplicate parameter
 	CodeSSA           = "TIR023" // SSA violation: name assigned twice
@@ -44,15 +44,17 @@ const (
 	CodeRecursion     = "TIR035" // recursive call cycle
 	CodeUnknownInstr  = "TIR036" // unknown instruction kind
 
-	// Analyze: static passes over conditions that previously failed only
-	// at runtime, or degraded silently, inside pipesim.Compile.
-	CodePortWiring   = "TIR040" // pipe call argument does not wire a matching top-level port
-	CodeNoStreams    = "TIR041" // pipe call site binds no streams
-	CodeOffsetRoot   = "TIR042" // offset not rooted in an input stream
-	CodeOffsetBounds = "TIR043" // offset window never intersects the bound stream (warning)
-	CodeAccIdentity  = "TIR044" // par-reduced accumulator lacks a merge identity (warning)
-	CodeDatapathEval = "TIR045" // datapath not executable by the pipeline simulator (warning)
-	CodeItemOrder    = "TIR046" // aliased in/out streams pin item order: no batching (warning)
+	// Deep passes: conditions that previously failed only at runtime, or
+	// degraded silently, inside pipesim.
+	CodePortWiring    = "TIR040" // pipe call argument does not wire a matching top-level port
+	CodeNoStreams     = "TIR041" // pipe call site binds no streams
+	CodeOffsetRoot    = "TIR042" // offset not rooted in an input stream
+	CodeOffsetBounds  = "TIR043" // offset window never intersects the bound stream (warning)
+	CodeAccIdentity   = "TIR044" // par-reduced accumulator lacks a merge identity (warning)
+	CodeDatapathEval  = "TIR045" // datapath not executable by the pipeline simulator (warning)
+	CodeItemOrder     = "TIR046" // aliased in/out streams pin item order: no batching (warning)
+	CodeExecStructure = "TIR047" // call structure the pipeline cannot execute
+	CodeCombReadsOut  = "TIR048" // comb block reads a parameter it drives
 
 	// Programmatic construction (tir.Builder misuse).
 	CodeBuilderType = "TIR050" // builder binary operation over mismatched operand types
@@ -104,6 +106,8 @@ var CodeTable = []struct {
 	{CodeAccIdentity, "par-reduced accumulator lacks a merge identity"},
 	{CodeDatapathEval, "datapath not executable by the pipeline simulator"},
 	{CodeItemOrder, "aliased in/out streams pin execution to item order"},
+	{CodeExecStructure, "call structure the pipeline cannot execute (root mode, child mode, empty pipe)"},
+	{CodeCombReadsOut, "comb block reads a parameter it drives"},
 	{CodeBuilderType, "builder binary operation over mismatched operand types"},
 	{CodeInstanceBound, "design instance count overflows int64 or exceeds the materialisation bound"},
 	{CodeDeviceFit, "static resource estimate exceeds the device capacity"},

@@ -12,7 +12,7 @@ import (
 // they live in the external test package.
 
 func TestParseFullModule(t *testing.T) {
-	m, err := tir.Parse("sor", tir.SorIR)
+	m, err := tir.ParseOnly("sor", tir.SorIR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,29 +36,38 @@ func TestParseFullModule(t *testing.T) {
 	}
 }
 
+// kernelHeader declares the two ports of @main and the pipe kernel
+// @f0 that streams one into the other: the leaf every classified
+// design below reaches.
+const kernelHeader = `%mem_a = memobj ui8, size 16, space global, pattern CONT
+%mem_b = memobj ui8, size 16, space global, pattern CONT
+%str_a = strobj %mem_a, dir in, port main.a
+%str_b = strobj %mem_b, dir out, port main.b
+@main.a = addrSpace(12) ui8, !"istream", !"CONT", !0, !"str_a"
+@main.b = addrSpace(12) ui8, !"ostream", !"CONT", !0, !"str_b"
+define void @f0(ui8 %a, ui8 %b) pipe { out ui8 %b, %a }
+`
+
 func TestConfigClassification(t *testing.T) {
+	const lane = "call @f0(@main.a, @main.b) pipe"
 	cases := []struct {
 		name string
 		src  string
 		want tir.Config
 	}{
-		{"pipe", `define void @f0() pipe { ui8 %x = const ui8 1 }
-			define void @main() { call @f0() pipe }`, tir.ConfigPipe},
-		{"par-pipes", `define void @f0() pipe { ui8 %x = const ui8 1 }
-			define void @f1() par { call @f0() pipe
-			call @f0() pipe }
+		{"pipe", `define void @main() { ` + lane + ` }`, tir.ConfigPipe},
+		{"par-pipes", `define void @f1() par { ` + lane + `
+			` + lane + ` }
 			define void @main() { call @f1() par }`, tir.ConfigParPipes},
-		{"coarse", `define void @fa() pipe { ui8 %x = const ui8 1 }
-			define void @f0() pipe { call @fa() pipe }
-			define void @main() { call @f0() pipe }`, tir.ConfigCoarsePipe},
-		{"par-coarse", `define void @fa() pipe { ui8 %x = const ui8 1 }
-			define void @ftop() pipe { call @fa() pipe }
+		{"coarse", `define void @fc() pipe { ` + lane + ` }
+			define void @main() { call @fc() pipe }`, tir.ConfigCoarsePipe},
+		{"par-coarse", `define void @ftop() pipe { ` + lane + ` }
 			define void @f1() par { call @ftop() pipe
 			call @ftop() pipe }
 			define void @main() { call @f1() par }`, tir.ConfigParCoarse},
 	}
 	for _, c := range cases {
-		m, err := tir.Parse(c.name, c.src)
+		m, err := tir.ParseOnly(c.name, kernelHeader+c.src)
 		if err != nil {
 			t.Errorf("%s: %v", c.name, err)
 			continue
@@ -75,12 +84,12 @@ func TestConfigClassification(t *testing.T) {
 }
 
 func TestLanes(t *testing.T) {
-	src := `define void @f0() pipe { ui8 %x = const ui8 1 }
-		define void @f1() par { call @f0() pipe
-		call @f0() pipe
-		call @f0() pipe }
+	const lane = "call @f0(@main.a, @main.b) pipe"
+	src := `define void @f1() par { ` + lane + `
+		` + lane + `
+		` + lane + ` }
 		define void @main() { call @f1() par }`
-	m, err := tir.Parse("lanes", src)
+	m, err := tir.ParseOnly("lanes", kernelHeader+src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/elab"
 	"repro/internal/tir"
 )
 
@@ -28,9 +29,14 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
-		// The corpus is read back by Parse, so pin the round-trip here.
-		if _, err := tir.Parse(m.Name, m.String()); err != nil {
+		// The corpus is read back by ParseOnly and must elaborate, so
+		// pin both here.
+		m2, err := tir.ParseOnly(m.Name, m.String())
+		if err != nil {
 			log.Fatalf("%s: printed form does not re-parse: %v", name, err)
+		}
+		if _, err := elab.Elaborate(m2); err != nil {
+			log.Fatalf("%s: %v", name, err)
 		}
 		path := filepath.Join("testdata", name)
 		if err := os.WriteFile(path, []byte(m.String()), 0o644); err != nil {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/tir"
 )
 
-// TestCorpus parses, validates and round-trips every .tirl file under
+// TestCorpus parses, elaborates and round-trips every .tirl file under
 // testdata: the corpus doubles as user-facing surface-syntax examples,
 // so it must stay accepted by the compiler front stage.
 func TestCorpus(t *testing.T) {
@@ -28,21 +28,24 @@ func TestCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			name := strings.TrimSuffix(filepath.Base(path), ".tirl")
-			m, err := tir.Parse(name, string(src))
+			m, err := tir.ParseOnly(name, string(src))
 			if err != nil {
-				t.Fatalf("parse+validate: %v", err)
+				t.Fatalf("parse: %v", err)
+			}
+			// Every corpus design elaborates to a supported config.
+			if _, err := elab.Elaborate(m); err != nil {
+				t.Errorf("elaboration: %v", err)
 			}
 			// Round trip through the printer.
-			m2, err := tir.Parse(name, m.String())
+			m2, err := tir.ParseOnly(name, m.String())
 			if err != nil {
 				t.Fatalf("printed form does not re-parse: %v", err)
 			}
 			if m.String() != m2.String() {
 				t.Error("print/parse is not a fixed point")
 			}
-			// Every corpus design elaborates to a supported config.
-			if _, err := elab.Elaborate(m); err != nil {
-				t.Errorf("elaboration: %v", err)
+			if _, err := elab.Elaborate(m2); err != nil {
+				t.Errorf("printed form does not elaborate: %v", err)
 			}
 		})
 	}
@@ -57,7 +60,7 @@ func TestCorpusShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := tir.Parse(name, string(src))
+		m, err := tir.ParseOnly(name, string(src))
 		if err != nil {
 			t.Fatal(err)
 		}

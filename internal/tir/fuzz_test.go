@@ -45,7 +45,7 @@ func corpusSeeds(f *testing.F) {
 	}
 }
 
-// rejectedSeeds are modules the parser accepts and Check rejects whose
+// rejectedSeeds are modules the parser accepts and Analyze rejects whose
 // call hierarchy elaboration must answer with an error: no @main, an
 // unknown callee, a comb call with more arguments than its callee has
 // parameters, and a call cycle.
@@ -80,13 +80,12 @@ define void @main() {
 `,
 }
 
-// FuzzValidate asserts the whole front stage — lexer, parser, Check,
-// Analyze and elaboration — never panics, whatever bytes arrive.
+// FuzzValidate asserts the whole front stage — lexer, parser, Analyze
+// and elaboration — never panics, whatever bytes arrive.
 // Parser-rejected input must come back as an error, parser-accepted
-// input must flow through both checking layers and elaboration without
-// crashing, and elaboration must accept exactly what Analyze accepts,
-// bar an instance count that overflows or a datapath it cannot
-// schedule.
+// input must flow through Analyze and elaboration without crashing,
+// and elaboration must accept exactly what Analyze accepts, bar an
+// instance count that overflows or a datapath it cannot schedule.
 func FuzzValidate(f *testing.F) {
 	corpusSeeds(f)
 	for _, src := range rejectedSeeds {
@@ -100,11 +99,9 @@ func FuzzValidate(f *testing.F) {
 			}
 			return
 		}
-		// Check and Analyze must always terminate and never panic, even
-		// on degenerate accepted modules.
-		_ = m.Check()
+		// Analyze must always terminate and never panic, even on
+		// degenerate accepted modules.
 		analyzed := m.Analyze()
-		_ = m.Validate()
 		d, err := elab.Elaborate(m)
 		switch {
 		case analyzed.HasErrors() && err == nil:

@@ -6,21 +6,10 @@ import (
 	"repro/internal/diag"
 )
 
-// Parse parses TyTra-IR source into a Module and validates it. name is
-// used for error messages and as the module name.
-func Parse(name, src string) (*Module, error) {
-	m, err := ParseOnly(name, src)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// ParseOnly parses without semantic validation; useful for tests that
-// deliberately construct invalid modules.
+// ParseOnly parses TyTra-IR source into a Module; name is used for
+// error messages and as the module name. It reports only lexical and
+// syntax errors (TIR001): whether the module is legal is the verdict of
+// elab.Elaborate, which every back end reads.
 func ParseOnly(name, src string) (*Module, error) {
 	toks, err := lex(name, src)
 	if err != nil {

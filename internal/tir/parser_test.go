@@ -40,13 +40,27 @@ define void @main() {
 }
 `
 
+// parseAnalyzed parses src and holds the module to Analyze's verdict,
+// the one elab.Elaborate runs; the package's own tests cannot import
+// elab.
+func parseAnalyzed(name, src string) (*Module, error) {
+	m, err := ParseOnly(name, src)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.Analyze().ErrOrNil(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 func TestPrintParseRoundTrip(t *testing.T) {
-	m1, err := Parse("sor", sorIR)
+	m1, err := parseAnalyzed("sor", sorIR)
 	if err != nil {
 		t.Fatal(err)
 	}
 	text1 := m1.String()
-	m2, err := Parse("sor", text1)
+	m2, err := parseAnalyzed("sor", text1)
 	if err != nil {
 		t.Fatalf("re-parse of printed module failed: %v\n%s", err, text1)
 	}
@@ -72,8 +86,11 @@ func TestBuilderPrintParseRoundTrip(t *testing.T) {
 	main.CallOperands("f0", ModePipe, Global("f0.x"), Global("f0.q"))
 
 	m1 := b.MustModule()
+	if err := m1.Analyze().ErrOrNil(); err != nil {
+		t.Fatal(err)
+	}
 	text1 := m1.String()
-	m2, err := Parse("rt", text1)
+	m2, err := parseAnalyzed("rt", text1)
 	if err != nil {
 		t.Fatalf("re-parse failed: %v\n%s", err, text1)
 	}
@@ -147,11 +164,11 @@ func TestValidateCatches(t *testing.T) {
 	for name, src := range cases {
 		m, err := ParseOnly("bad", src)
 		if err != nil {
-			t.Errorf("%s: parse error (should fail in validate): %v", name, err)
+			t.Errorf("%s: parse error (should fail in Analyze): %v", name, err)
 			continue
 		}
-		if err := m.Validate(); err == nil {
-			t.Errorf("%s: validated", name)
+		if !m.Analyze().HasErrors() {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }
@@ -163,7 +180,7 @@ func TestValidateManageIRLinkage(t *testing.T) {
 			t.Fatal(err)
 		}
 		mod(m)
-		return m.Validate()
+		return m.Analyze().ErrOrNil()
 	}
 	if err := base(func(m *Module) {}); err != nil {
 		t.Fatalf("baseline invalid: %v", err)
@@ -195,7 +212,7 @@ func TestParLanesMustMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "replicate") {
+	if err := m.Analyze().ErrOrNil(); err == nil || !strings.Contains(err.Error(), "replicate") {
 		t.Errorf("heterogeneous par lanes accepted (err=%v)", err)
 	}
 }

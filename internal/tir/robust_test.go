@@ -6,9 +6,9 @@ import (
 	"testing/quick"
 )
 
-// TestParserNeverPanics mutates valid source randomly: the parser must
-// always return (module, nil) or (nil, error) — never panic, whatever
-// the corruption.
+// TestParserNeverPanics mutates valid source randomly: the parser and
+// Analyze must always return (module, nil) or (nil, error) — never
+// panic, whatever the corruption.
 func TestParserNeverPanics(t *testing.T) {
 	base := []byte(sorIR)
 	f := func(pos uint16, b byte, cut uint8) (ok bool) {
@@ -24,7 +24,7 @@ func TestParserNeverPanics(t *testing.T) {
 		if cut%4 == 0 {
 			src = src[:int(pos)%len(src)]
 		}
-		m, err := Parse("mut", string(src))
+		m, err := parseAnalyzed("mut", string(src))
 		return (m == nil) != (err == nil)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -33,7 +33,7 @@ func TestParserNeverPanics(t *testing.T) {
 }
 
 // TestLexerNeverPanics feeds arbitrary bytes through the full parse
-// path.
+// and analysis path.
 func TestLexerNeverPanics(t *testing.T) {
 	f := func(raw []byte) (ok bool) {
 		defer func() {
@@ -41,7 +41,7 @@ func TestLexerNeverPanics(t *testing.T) {
 				ok = false
 			}
 		}()
-		Parse("junk", string(raw))
+		parseAnalyzed("junk", string(raw))
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -74,7 +74,7 @@ func TestParserHandlesAdversarialSnippets(t *testing.T) {
 					t.Errorf("snippet %d panicked: %v", i, r)
 				}
 			}()
-			Parse("adv", s)
+			parseAnalyzed("adv", s)
 		}()
 	}
 }

@@ -1,10 +1,11 @@
 // Package tir implements the TyTra Intermediate Representation language
 // of §IV of the paper: a strongly, statically typed, SSA, LLVM-inspired
 // IR with parallelism extensions (pipe, par, seq, comb) for an FPGA
-// target. The package provides the lexer, parser, AST, semantic
-// validation, a printer whose output re-parses to the same module, and a
-// programmatic builder used by the kernel library and the type-transform
-// front-end.
+// target. The package provides the lexer, parser, AST, the static
+// analysis that is the one verdict on a module (Analyze, reached
+// through elab.Elaborate), a printer whose output re-parses to the same
+// module, and a programmatic builder used by the kernel library and the
+// type-transform front-end.
 //
 // A TyTra-IR design has two components. The Manage-IR declares memory
 // objects (sources/sinks of streams — arrays in device or host memory)

@@ -6,36 +6,9 @@ import (
 	"repro/internal/diag"
 )
 
-// Check performs the semantic checks of the TyTra compiler front stage:
-// SSA single assignment, def-before-use, type agreement, the Manage-IR /
-// Compute-IR linkage (every port backed by a stream object backed by a
-// memory object), acyclic call hierarchy, and configuration legality
-// (Fig 7: the supported parent/child mode combinations).
-//
-// Unlike a fail-fast validator it collects every finding, each tagged
-// with a stable TIR0xx code and the source position of the offending
-// declaration, so a single run of tytravet reports the whole state of a
-// design.
-//
-// Check makes one pass over each function body, then one walk of the
-// call hierarchy. Its tables are sized from the module and built once,
-// and it allocates nothing per instruction or per call site.
-func (m *Module) Check() diag.List {
-	c := newChecker(m)
-	c.check()
-	c.l.Sort()
-	return c.l
-}
-
-// Validate reports the first-error view of Check, preserving the plain
-// error API: nil when the module is legal (warnings do not count).
-func (m *Module) Validate() error {
-	return m.Check().ErrOrNil()
-}
-
-// checker carries one Check or Analyze run. Its name tables are built
-// once per run, sized from the module; Analyze's deep passes resolve
-// names through the same tables.
+// checker carries one Analyze run. Its name tables are built once per
+// run, sized from the module; the deep passes resolve names through the
+// same tables.
 type checker struct {
 	m *Module
 	l diag.List
@@ -76,6 +49,14 @@ func newChecker(m *Module) *checker {
 	}
 }
 
+// check is Analyze's first pass, the semantic checks of the TyTra
+// compiler front stage: SSA single assignment, def-before-use, type
+// agreement, the Manage-IR / Compute-IR linkage (every port backed by a
+// stream object backed by a memory object), acyclic call hierarchy, and
+// configuration legality (Fig 7: the supported parent/child mode
+// combinations). It makes one pass over each function body, then one
+// walk of the call hierarchy, and allocates nothing per instruction or
+// per call site.
 func (c *checker) check() {
 	m := c.m
 	main := m.Main()
