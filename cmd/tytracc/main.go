@@ -76,7 +76,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		m, err = tir.ParseOnly(fs.Arg(0), string(src))
+		m, err = tir.Parse(fs.Arg(0), string(src))
 		if err != nil {
 			return err
 		}

@@ -107,7 +107,7 @@ func run(args []string, out, errOut io.Writer) (int, error) {
 // reads — then, when a target is given and the design elaborated,
 // device fit.
 func check(file, src string, model *costmodel.Model, target *device.Target) diag.List {
-	m, err := tir.ParseOnly(file, src)
+	m, err := tir.Parse(file, src)
 	if err != nil {
 		return diag.AsList(err, tir.CodeSyntax)
 	}

@@ -77,7 +77,7 @@ func NewFromCalibration(target *device.Target, r io.Reader) (*Compiler, error) {
 // Parse parses TyTra-IR surface syntax and elaborates the module: the
 // design every other stage of the compiler reads.
 func (c *Compiler) Parse(name, src string) (*elab.Design, error) {
-	m, err := tir.ParseOnly(name, src)
+	m, err := tir.Parse(name, src)
 	if err != nil {
 		return nil, err
 	}

@@ -349,7 +349,7 @@ func TestSimEvaluatorCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := tir.ParseOnly(name, string(src))
+		m, err := tir.Parse(name, string(src))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -79,7 +79,7 @@ func TestMultiplicitiesMatchPathCount(t *testing.T) {
 		srcs[fmt.Sprintf("chain-%d", k)] = chainSrc(k)
 	}
 	for name, src := range srcs {
-		m, err := tir.ParseOnly(name, src)
+		m, err := tir.Parse(name, src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -146,7 +146,7 @@ func TestSharedCallees(t *testing.T) {
 			"fa*2 fb*2 ftop*2(fa fb) main*1(ftop ftop)", 1, tir.ConfigSeq},
 	}
 	for _, c := range cases {
-		m, err := tir.ParseOnly(c.name, stagesHeader+c.src)
+		m, err := tir.Parse(c.name, stagesHeader+c.src)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -190,7 +190,7 @@ func TestSharedCallees(t *testing.T) {
 func TestInstanceBound(t *testing.T) {
 	elaborate := func(k int) (*Design, error) {
 		t.Helper()
-		m, err := tir.ParseOnly("chain", chainSrc(k))
+		m, err := tir.Parse("chain", chainSrc(k))
 		if err != nil {
 			t.Fatal(err)
 		}

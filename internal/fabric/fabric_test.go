@@ -207,9 +207,9 @@ define void @main() {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			m, err := tir.ParseOnly(c.name, c.src)
+			m, err := tir.Parse(c.name, c.src)
 			if err != nil {
-				t.Fatalf("ParseOnly: %v", err)
+				t.Fatalf("Parse: %v", err)
 			}
 			d, err := elab.Elaborate(m)
 			if d != nil || err == nil {

@@ -188,7 +188,7 @@ func TestEmitRejectsInvalidModule(t *testing.T) {
 // emits through the same tytra_isqrt core a pipe datapath instantiates;
 // every checker accepts the module, and emission once panicked on it.
 func TestEmitCombSqrt(t *testing.T) {
-	m, err := tir.ParseOnly("combsqrt", `%mem_x = memobj ui16, size 64, space global, pattern CONT
+	m, err := tir.Parse("combsqrt", `%mem_x = memobj ui16, size 64, space global, pattern CONT
 %mem_y = memobj ui16, size 64, space global, pattern CONT
 %str_x = strobj %mem_x, dir in, port main.x
 %str_y = strobj %mem_y, dir out, port main.y

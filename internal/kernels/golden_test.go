@@ -36,7 +36,7 @@ func TestGoldenIR(t *testing.T) {
 			// re-parse to an identical module that elaborates too,
 			// regardless of the golden comparison.
 			elaborate(t, m)
-			m2, err := tir.ParseOnly(m.Name, got)
+			m2, err := tir.Parse(m.Name, got)
 			if err != nil {
 				t.Fatalf("printed IR does not re-parse: %v", err)
 			}

@@ -55,7 +55,7 @@ func FuzzCompile(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		m, err := tir.ParseOnly("fuzz.tirl", src)
+		m, err := tir.Parse("fuzz.tirl", src)
 		if err != nil {
 			return
 		}

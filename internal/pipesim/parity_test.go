@@ -142,7 +142,7 @@ func FuzzAcceptanceParity(f *testing.F) {
 	}
 	synth := fabric.New(tgt)
 	f.Fuzz(func(t *testing.T, src string) {
-		m, err := tir.ParseOnly("fuzz.tirl", src)
+		m, err := tir.Parse("fuzz.tirl", src)
 		if err != nil {
 			return
 		}
@@ -224,7 +224,7 @@ func TestRejectedEverywhere(t *testing.T) {
 		if want == "" {
 			want = tir.CodeExecStructure
 		}
-		m, err := tir.ParseOnly(name+".tirl", src)
+		m, err := tir.Parse(name+".tirl", src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestGeneratedChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	parse := func(k int) *tir.Module {
-		m, err := tir.ParseOnly("chain", chainSrc(k))
+		m, err := tir.Parse("chain", chainSrc(k))
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}

@@ -154,7 +154,7 @@ func TestDifferentialTimingMatchesOracle(t *testing.T) {
 	}
 	compiled := 0
 	for i, src := range srcs {
-		m, err := tir.ParseOnly("seed.tirl", src)
+		m, err := tir.Parse("seed.tirl", src)
 		if err != nil {
 			continue
 		}
@@ -172,7 +172,7 @@ func TestDifferentialTimingMatchesOracle(t *testing.T) {
 	}
 
 	for name, src := range failingDesigns(t) {
-		m, err := tir.ParseOnly(name, src)
+		m, err := tir.Parse(name, src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -12,7 +12,7 @@ import (
 // they live in the external test package.
 
 func TestParseFullModule(t *testing.T) {
-	m, err := tir.ParseOnly("sor", tir.SorIR)
+	m, err := tir.Parse("sor", tir.SorIR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestConfigClassification(t *testing.T) {
 			define void @main() { call @f1() par }`, tir.ConfigParCoarse},
 	}
 	for _, c := range cases {
-		m, err := tir.ParseOnly(c.name, kernelHeader+c.src)
+		m, err := tir.Parse(c.name, kernelHeader+c.src)
 		if err != nil {
 			t.Errorf("%s: %v", c.name, err)
 			continue
@@ -89,7 +89,7 @@ func TestLanes(t *testing.T) {
 		` + lane + `
 		` + lane + ` }
 		define void @main() { call @f1() par }`
-	m, err := tir.ParseOnly("lanes", kernelHeader+src)
+	m, err := tir.Parse("lanes", kernelHeader+src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,9 +29,9 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
-		// The corpus is read back by ParseOnly and must elaborate, so
+		// The corpus is read back by Parse and must elaborate, so
 		// pin both here.
-		m2, err := tir.ParseOnly(m.Name, m.String())
+		m2, err := tir.Parse(m.Name, m.String())
 		if err != nil {
 			log.Fatalf("%s: printed form does not re-parse: %v", name, err)
 		}

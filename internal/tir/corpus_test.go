@@ -28,7 +28,7 @@ func TestCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			name := strings.TrimSuffix(filepath.Base(path), ".tirl")
-			m, err := tir.ParseOnly(name, string(src))
+			m, err := tir.Parse(name, string(src))
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
@@ -37,7 +37,7 @@ func TestCorpus(t *testing.T) {
 				t.Errorf("elaboration: %v", err)
 			}
 			// Round trip through the printer.
-			m2, err := tir.ParseOnly(name, m.String())
+			m2, err := tir.Parse(name, m.String())
 			if err != nil {
 				t.Fatalf("printed form does not re-parse: %v", err)
 			}
@@ -60,7 +60,7 @@ func TestCorpusShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := tir.ParseOnly(name, string(src))
+		m, err := tir.Parse(name, string(src))
 		if err != nil {
 			t.Fatal(err)
 		}

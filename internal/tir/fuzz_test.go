@@ -92,10 +92,10 @@ func FuzzValidate(f *testing.F) {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		m, err := tir.ParseOnly("fuzz.tirl", src)
+		m, err := tir.Parse("fuzz.tirl", src)
 		if err != nil {
 			if m != nil {
-				t.Errorf("ParseOnly returned both a module and error %v", err)
+				t.Errorf("Parse returned both a module and error %v", err)
 			}
 			return
 		}

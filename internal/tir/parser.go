@@ -6,11 +6,11 @@ import (
 	"repro/internal/diag"
 )
 
-// ParseOnly parses TyTra-IR source into a Module; name is used for
+// Parse parses TyTra-IR source into a Module; name is used for
 // error messages and as the module name. It reports only lexical and
 // syntax errors (TIR001): whether the module is legal is the verdict of
 // elab.Elaborate, which every back end reads.
-func ParseOnly(name, src string) (*Module, error) {
+func Parse(name, src string) (*Module, error) {
 	toks, err := lex(name, src)
 	if err != nil {
 		return nil, err

@@ -44,7 +44,7 @@ define void @main() {
 // the one elab.Elaborate runs; the package's own tests cannot import
 // elab.
 func parseAnalyzed(name, src string) (*Module, error) {
-	m, err := ParseOnly(name, src)
+	m, err := Parse(name, src)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +113,7 @@ func TestParseErrors(t *testing.T) {
 		"offset type":    `define void @main() { ui8 %x = ui9 %y, !offset, !+1 }`,
 	}
 	for name, src := range cases {
-		if _, err := ParseOnly("bad", src); err == nil {
+		if _, err := Parse("bad", src); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -162,7 +162,7 @@ func TestValidateCatches(t *testing.T) {
 			out ui8 %q, %p }`,
 	}
 	for name, src := range cases {
-		m, err := ParseOnly("bad", src)
+		m, err := Parse("bad", src)
 		if err != nil {
 			t.Errorf("%s: parse error (should fail in Analyze): %v", name, err)
 			continue
@@ -175,7 +175,7 @@ func TestValidateCatches(t *testing.T) {
 
 func TestValidateManageIRLinkage(t *testing.T) {
 	base := func(mod func(*Module)) error {
-		m, err := ParseOnly("x", sorIR)
+		m, err := Parse("x", sorIR)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestParLanesMustMatch(t *testing.T) {
 		define void @f1() par { call @fa() pipe
 		call @fb() pipe }
 		define void @main() { call @f1() par }`
-	m, err := ParseOnly("mixed", src)
+	m, err := Parse("mixed", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestInstrStringRoundTrip(t *testing.T) {
 	}
 	src := "define void @main(ui18 %p, ui18 %q) pipe {\n  " +
 		strings.Join(instrs, "\n  ") + "\n}"
-	m, err := ParseOnly("instr", src)
+	m, err := Parse("instr", src)
 	if err != nil {
 		t.Fatal(err)
 	}
