@@ -5,10 +5,13 @@
 //
 // Usage:
 //
-//	tytracc [-target stratix-v-gsd8] [-form B] [-nki 1000] [-hdl out.v] [-synth] design.tirl
+//	tytracc [-target stratix-v-gsd8] [-form B] [-nki 1000] [-hdl out.v] [-synth] [-cache DIR] design.tirl
 //
-// With -kernel (sor|hotspot|lavamd) a built-in kernel is costed instead
-// of reading a file; -lanes picks its variant.
+// With -kernel (sor|hotspot|lavamd|srad) a built-in kernel is costed
+// instead of reading a file; -lanes picks its variant. -cache DIR is the
+// persistent evaluation store tytradse -cache uses: the target's
+// calibrated models are read from it when present and written to it
+// otherwise, and a warm run prints byte-identical output.
 package main
 
 import (
@@ -20,7 +23,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/dse"
 	"repro/internal/elab"
+	"repro/internal/evalstore"
 	"repro/internal/hdl"
 	"repro/internal/kernels"
 	"repro/internal/perf"
@@ -45,7 +50,7 @@ func run(args []string, out io.Writer) error {
 	synth := fs.Bool("synth", false, "also run the synthesis substrate and compare (Table II style)")
 	kernel := fs.String("kernel", "", "cost a built-in kernel (sor | hotspot | lavamd | srad) instead of a file")
 	lanes := fs.Int("lanes", 1, "lane count for -kernel variants")
-	bwCache := fs.String("bwcache", "", "bandwidth-calibration cache file: loaded if present, written after a fresh benchmark")
+	cacheDir := fs.String("cache", "", "persistent evaluation cache directory: the target's calibrated models are reused across runs (warm runs print byte-identical output)")
 	tbOut := fs.String("tb", "", "with -kernel: write a self-checking Verilog testbench (stimulus + simulator-derived expectations)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -90,7 +95,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	c, err := newCompiler(out, target, *bwCache)
+	c, err := newCompiler(out, target, *cacheDir)
 	if err != nil {
 		return err
 	}
@@ -170,38 +175,25 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// newCompiler performs the one-time per-target calibration, reusing an
-// archived bandwidth table when available (the bandwidth sweep is the
-// slow part of Fig 2's one-time experiments).
-func newCompiler(out io.Writer, target *device.Target, bwCache string) (*core.Compiler, error) {
-	if bwCache != "" {
-		if f, err := os.Open(bwCache); err == nil {
-			defer f.Close()
-			c, err := core.NewFromCalibration(target, f)
-			if err != nil {
-				return nil, fmt.Errorf("loading %s: %w", bwCache, err)
-			}
-			fmt.Fprintf(out, "loaded bandwidth calibration for %s from %s\n", target.Name, bwCache)
-			return c, nil
+// newCompiler performs the one-time per-target calibration, or reads
+// its result from the evaluation store in cacheDir: the models record
+// tytradse -cache shares, keyed by the whole target description. The
+// calibration line prints warm and cold alike, so a warm run's output is
+// byte-identical to the cold run's.
+func newCompiler(out io.Writer, target *device.Target, cacheDir string) (*core.Compiler, error) {
+	fmt.Fprintf(out, "calibrating cost model for %s (one-time per target)...\n", target.Name)
+	var store *evalstore.Store
+	if cacheDir != "" {
+		var err error
+		if store, err = evalstore.Open(cacheDir); err != nil {
+			return nil, err
 		}
 	}
-	fmt.Fprintf(out, "calibrating cost model for %s (one-time per target)...\n", target.Name)
-	c, err := core.New(target)
+	mdl, bw, err := dse.NewModelCacheStore(store).Models(target)
 	if err != nil {
 		return nil, err
 	}
-	if bwCache != "" {
-		f, err := os.Create(bwCache)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if err := c.BW.SaveTable(f); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(out, "saved bandwidth calibration to %s\n", bwCache)
-	}
-	return c, nil
+	return &core.Compiler{Target: target, Model: mdl, BW: bw}, nil
 }
 
 func builtinSpec(name string, lanes int) (kernels.Spec, error) {

@@ -55,34 +55,34 @@ define void @main() {
 	}
 }
 
-func TestBandwidthCache(t *testing.T) {
-	cache := filepath.Join(t.TempDir(), "gsd8.bwcal")
-	var first strings.Builder
-	if err := run([]string{"-kernel", "lavamd", "-bwcache", cache}, &first); err != nil {
-		t.Fatal(err)
+// TestCacheWarmMatchesCold: with -cache, the cold run archives the
+// target's calibrated models in the evaluation store and prints exactly
+// what a run without the store prints; the warm run reads them back and
+// prints the same bytes again. A store holding another target's models
+// is a miss for this one, not an error.
+func TestCacheWarmMatchesCold(t *testing.T) {
+	dir := t.TempDir()
+	runOut := func(args ...string) string {
+		t.Helper()
+		var out strings.Builder
+		if err := run(args, &out); err != nil {
+			t.Fatalf("tytracc %v: %v", args, err)
+		}
+		return out.String()
 	}
-	if !strings.Contains(first.String(), "saved bandwidth calibration") {
-		t.Error("first run should write the cache")
+	plain := runOut("-kernel", "lavamd")
+	cold := runOut("-kernel", "lavamd", "-cache", dir)
+	if files, _ := filepath.Glob(filepath.Join(dir, "models-*")); len(files) != 1 {
+		t.Fatalf("the cold run archived %d models records, want 1", len(files))
 	}
-	var second strings.Builder
-	if err := run([]string{"-kernel", "lavamd", "-bwcache", cache}, &second); err != nil {
-		t.Fatal(err)
+	warm := runOut("-kernel", "lavamd", "-cache", dir)
+	if cold != plain || warm != cold {
+		t.Errorf("outputs differ:\n--- no cache\n%s\n--- cold\n%s\n--- warm\n%s", plain, cold, warm)
 	}
-	if !strings.Contains(second.String(), "loaded bandwidth calibration") {
-		t.Error("second run should load the cache")
-	}
-	// Same cost report either way.
-	extract := func(s string) string {
-		i := strings.Index(s, "Cost report")
-		return s[i:]
-	}
-	if extract(first.String()) != extract(second.String()) {
-		t.Error("cached calibration changed the cost report")
-	}
-	// A cache for the wrong target is refused.
-	var out strings.Builder
-	if err := run([]string{"-kernel", "lavamd", "-target", "virtex-7", "-bwcache", cache}, &out); err == nil {
-		t.Error("cross-target cache accepted")
+
+	other := runOut("-kernel", "lavamd", "-target", "virtex-7-690t", "-cache", dir)
+	if want := runOut("-kernel", "lavamd", "-target", "virtex-7-690t"); other != want {
+		t.Errorf("another target's run against the store:\n%s\nwant\n%s", other, want)
 	}
 }
 

@@ -16,7 +16,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/costmodel"
 	"repro/internal/device"
@@ -50,26 +49,6 @@ func New(target *device.Target) (*Compiler, error) {
 	bw, err := membw.Build(target)
 	if err != nil {
 		return nil, fmt.Errorf("core: building bandwidth model: %w", err)
-	}
-	return &Compiler{Target: target, Model: mdl, BW: bw}, nil
-}
-
-// NewFromCalibration builds a compiler from an archived bandwidth
-// benchmark table (see membw.SaveTable) instead of re-running the
-// one-time sweep. The resource-model calibration is recomputed — it is
-// microseconds of work — while the bandwidth table, the slow part, is
-// reused.
-func NewFromCalibration(target *device.Target, r io.Reader) (*Compiler, error) {
-	if target == nil {
-		return nil, fmt.Errorf("core: nil target")
-	}
-	mdl, err := costmodel.Calibrate(target)
-	if err != nil {
-		return nil, fmt.Errorf("core: calibrating cost model: %w", err)
-	}
-	bw, err := membw.LoadModel(target, r)
-	if err != nil {
-		return nil, fmt.Errorf("core: loading bandwidth calibration: %w", err)
 	}
 	return &Compiler{Target: target, Model: mdl, BW: bw}, nil
 }

@@ -14,10 +14,12 @@ import (
 )
 
 // The bandwidth benchmark is the slow part of per-target calibration
-// (Fig 2's one-time experiments). SaveTable/LoadModel let a deployment
-// archive the measured table per target and rebuild the interpolating
-// model without re-running the sweep — the workflow the paper implies
-// ("a one-time set of benchmark experiments ... for each FPGA target").
+// (Fig 2's one-time experiments). SaveTable/LoadModel are the bandwidth
+// half of the evaluation store's models record (internal/evalstore),
+// which tytradse -cache and tytracc -cache read: a warm run rebuilds
+// the interpolating model from the archived table without re-running
+// the sweep — the workflow the paper implies ("a one-time set of
+// benchmark experiments ... for each FPGA target").
 
 // SaveTable writes the benchmark table in a line-oriented text format:
 //
