@@ -1,8 +1,10 @@
 package main
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,6 +42,40 @@ func TestRunGolden(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestTestbenchGolden pins the self-checking testbench -tb writes for
+// every built-in kernel at lanes 1, 2 and 4 by its SHA-256, in
+// testdata/golden/tb.sha256: the stimulus and the expected outputs
+// pipesim derives, and the design hdl instantiates, so a change to
+// either moves a hash. The hotspot testbenches are ~55 MB each, too
+// large to commit. Regenerate intentionally with
+//
+//	go test ./cmd/tytracc -run TestTestbenchGolden -update
+func TestTestbenchGolden(t *testing.T) {
+	var got strings.Builder
+	for _, kernel := range []string{"sor", "hotspot", "lavamd", "srad"} {
+		for _, lanes := range []int{1, 2, 4} {
+			tb := filepath.Join(t.TempDir(), "tb.v")
+			args := []string{"-kernel", kernel, "-lanes", fmt.Sprint(lanes), "-tb", tb}
+			var out strings.Builder
+			if err := run(args, &out); err != nil {
+				t.Fatalf("tytracc %s: %v", strings.Join(args, " "), err)
+			}
+			f, err := os.Open(tb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			_, err = io.Copy(h, f)
+			f.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "%x  %s-%d_tb.v\n", h.Sum(nil), kernel, lanes)
+		}
+	}
+	checkGolden(t, filepath.Join("testdata", "golden", "tb.sha256"), got.String())
 }
 
 // checkGolden compares got with the golden file at path, or rewrites
