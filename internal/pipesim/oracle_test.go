@@ -13,7 +13,8 @@ import (
 //	go test ./internal/pipesim -pipesim.oracle
 //
 // Every golden-kernel, coarse-pipeline and iteration test then pins the
-// oracle, while the default run pins the compiled path; the
+// oracle, the golden-kernel tests its cycles and items too
+// (specTiming), while the default run pins the compiled path; the
 // differential tests in fuzz_test.go pin the two against each other.
 //
 // -pipesim.scalar replays the suite on the compiled executor's scalar

@@ -1,14 +1,32 @@
 package pipesim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/kernels"
 	"repro/internal/tir"
 )
 
+// specTiming pins the cycles and work-items one kernel-instance of
+// each spec runSpec runs takes, keyed by name, NDRange and lanes. Timing
+// never depends on data, so the seed does not enter the key. Under
+// -pipesim.oracle these pin the interpreter's own cycle accounting,
+// which the default run pins only through the compiled-vs-oracle
+// differentials.
+var specTiming = map[string]struct{ cycles, items int64 }{
+	"sor/600/lanes=1":     {787, 600},
+	"sor/1200/lanes=1":    {1387, 1200},
+	"sor/2400/lanes=1":    {2587, 2400},
+	"sor/2400/lanes=4":    {795, 2400},
+	"hotspot/744/lanes=1": {798, 744},
+	"lavamd/64/lanes=1":   {124, 64},
+	"lavamd/64/lanes=4":   {84, 64},
+}
+
 // runSpec executes a kernel spec end to end: build the module, bind the
-// workload, run, and gather outputs.
+// workload, run, check the cycles and items against specTiming, and
+// gather outputs.
 func runSpec(t *testing.T, spec kernels.LanedSpec, seed int64) (*Result, map[string][]int64, map[string][]int64, map[string]int64) {
 	t.Helper()
 	m, err := spec.Module()
@@ -23,6 +41,10 @@ func runSpec(t *testing.T, spec kernels.LanedSpec, seed int64) (*Result, map[str
 	res, err := run(m, mem)
 	if err != nil {
 		t.Fatalf("%s: run: %v", spec.Name(), err)
+	}
+	key := fmt.Sprintf("%s/%d/lanes=%d", spec.Name(), spec.GlobalSize(), spec.LaneCount())
+	if want, ok := specTiming[key]; !ok || res.Cycles != want.cycles || res.Items != want.items {
+		t.Errorf("%s: %d cycles, %d items; want %d, %d", key, res.Cycles, res.Items, want.cycles, want.items)
 	}
 	wantOut, wantAcc := spec.Golden(full)
 	return res, full, wantOut, wantAcc
