@@ -687,13 +687,14 @@ func (g *generator) topModule(root *elab.Node) string {
 	}
 	b.WriteString("    output wire out_valid\n);\n")
 
-	// Every argument of a pipe call wires a port (tir.Analyze, TIR040).
+	// Every argument of a pipe call wires a port (tir.Analyze, TIR040),
+	// and only a seq root calls a par function (TIR033, TIR047).
 	var valids []string
 	var emit func(n *elab.Node)
 	emit = func(n *elab.Node) {
 		for _, c := range n.Calls {
 			switch c.Site.Mode {
-			case tir.ModePar, tir.ModeSeq:
+			case tir.ModePar:
 				emit(c.Callee)
 			case tir.ModePipe:
 				callee := c.Callee.Func
