@@ -471,7 +471,7 @@ func BenchmarkStrategyComparison(b *testing.B) {
 // benchBind builds the module and bound inputs for one spec. The
 // BenchmarkPipesim family runs experiments.PipesimBenchSpecs — the same
 // workloads the opt-in perf gates in internal/experiments time.
-func benchBind(b *testing.B, spec kernels.LanedSpec) (*tir.Module, map[string][]int64) {
+func benchBind(b *testing.B, spec kernels.Spec) (*tir.Module, map[string][]int64) {
 	b.Helper()
 	m, err := spec.Module()
 	if err != nil {

@@ -7,8 +7,10 @@
 //
 //	tytracc [-target stratix-v-gsd8] [-form B] [-nki 1000] [-hdl out.v] [-synth] [-cache DIR] design.tirl
 //
-// With -kernel (sor|hotspot|lavamd|srad) a built-in kernel is costed
-// instead of reading a file; -lanes picks its variant. -cache DIR is the
+// With -kernel (sor|hotspot|lavamd|srad, the kernels package's
+// built-ins) a built-in kernel is costed at its Table II configuration
+// instead of reading a file; -lanes picks its variant, which must
+// divide the kernel's NDRange. -cache DIR is the
 // persistent evaluation store tytradse -cache uses: the target's
 // calibrated models are read from it when present and written to it
 // otherwise, and a warm run prints byte-identical output.
@@ -48,7 +50,8 @@ func run(args []string, out io.Writer) error {
 	nki := fs.Int64("nki", 1000, "kernel-instance repetitions (the SOR solver's nmaxp)")
 	hdlOut := fs.String("hdl", "", "write generated Verilog to this file")
 	synth := fs.Bool("synth", false, "also run the synthesis substrate and compare (Table II style)")
-	kernel := fs.String("kernel", "", "cost a built-in kernel (sor | hotspot | lavamd | srad) instead of a file")
+	kernel := fs.String("kernel", "",
+		fmt.Sprintf("cost a built-in kernel (%s) instead of a file", strings.Join(kernels.Names(), " | ")))
 	lanes := fs.Int("lanes", 1, "lane count for -kernel variants")
 	cacheDir := fs.String("cache", "", "persistent evaluation cache directory: the target's calibrated models are reused across runs (warm runs print byte-identical output)")
 	tbOut := fs.String("tb", "", "with -kernel: write a self-checking Verilog testbench (stimulus + simulator-derived expectations)")
@@ -66,13 +69,15 @@ func run(args []string, out io.Writer) error {
 	}
 
 	var m *tir.Module
+	var spec kernels.Spec
 	switch {
 	case *kernel != "":
-		spec, err := builtinSpec(*kernel, *lanes)
+		k, err := kernels.Lookup(*kernel)
 		if err != nil {
 			return err
 		}
-		m, err = spec.Module()
+		spec = k.Table2
+		m, err = kernels.Variant(spec, *lanes)
 		if err != nil {
 			return err
 		}
@@ -131,18 +136,10 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *tbOut != "" {
-		if *kernel == "" {
+		if spec == nil {
 			return fmt.Errorf("-tb needs -kernel (the testbench derives its expectations from the built-in workload)")
 		}
-		spec, err := builtinSpec(*kernel, *lanes)
-		if err != nil {
-			return err
-		}
-		laneCount := 1
-		if ls, ok := spec.(kernels.LanedSpec); ok {
-			laneCount = ls.LaneCount()
-		}
-		mem, err := kernels.BindInputs(spec.MakeInputs(1), laneCount)
+		mem, err := kernels.BindInputs(spec.MakeInputs(1), *lanes)
 		if err != nil {
 			return err
 		}
@@ -151,13 +148,13 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		expected := map[string][]int64{}
-		for _, name := range spec.OutputNames() {
-			for l := 0; l < laneCount; l++ {
+		for _, sig := range spec.Kernel().Outputs {
+			for l := 0; l < *lanes; l++ {
 				lane := l
-				if laneCount == 1 {
+				if *lanes == 1 {
 					lane = -1
 				}
-				mn := kernels.MemName(name, lane)
+				mn := kernels.MemName(sig.Name, lane)
 				expected[mn] = sim.Mem[mn]
 			}
 		}
@@ -194,28 +191,6 @@ func newCompiler(out io.Writer, target *device.Target, cacheDir string) (*core.C
 		return nil, err
 	}
 	return &core.Compiler{Target: target, Model: mdl, BW: bw}, nil
-}
-
-func builtinSpec(name string, lanes int) (kernels.Spec, error) {
-	switch name {
-	case "sor":
-		s := kernels.DefaultSOR()
-		s.Lanes = lanes
-		return s, nil
-	case "hotspot":
-		s := kernels.DefaultHotspot()
-		s.Lanes = lanes
-		return s, nil
-	case "lavamd":
-		s := kernels.DefaultLavaMD()
-		s.Lanes = lanes
-		return s, nil
-	case "srad":
-		s := kernels.DefaultSRAD()
-		s.Lanes = lanes
-		return s, nil
-	}
-	return nil, fmt.Errorf("unknown kernel %q (want sor, hotspot, lavamd or srad)", name)
 }
 
 func printReport(out io.Writer, rep *core.Report) {

@@ -63,7 +63,6 @@ import (
 	"repro/internal/dse"
 	"repro/internal/elab"
 	"repro/internal/evalstore"
-	"repro/internal/experiments"
 	"repro/internal/kernels"
 	"repro/internal/perf"
 	"repro/internal/report"
@@ -104,7 +103,8 @@ func (o options) showSearch() bool {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tytradse", flag.ContinueOnError)
-	kernel := fs.String("kernel", "sor", "kernel family to explore (sor | hotspot | lavamd)")
+	kernel := fs.String("kernel", "sor",
+		fmt.Sprintf("kernel family to explore (%s)", strings.Join(kernels.Names(), " | ")))
 	targetName := fs.String("target", "stratix-v-gsd8-edu",
 		fmt.Sprintf("FPGA target (%s)", strings.Join(device.Names(), " | ")))
 	devices := fs.String("devices", "",
@@ -170,7 +170,7 @@ func runSingle(out io.Writer, opt options, targetName string) error {
 		return err
 	}
 
-	build, ngs, err := variantFamily(opt.kernel)
+	build, ngs, err := family(opt.kernel)
 	if err != nil {
 		return err
 	}
@@ -227,7 +227,7 @@ func runDevices(out io.Writer, opt options, names []string) error {
 	if err != nil {
 		return err
 	}
-	build, ngs, err := variantFamily(opt.kernel)
+	build, ngs, err := family(opt.kernel)
 	if err != nil {
 		return err
 	}
@@ -327,31 +327,14 @@ func emitTable(out io.Writer, csv bool, t *report.Table) {
 	}
 }
 
-// variantFamily returns the lane-parameterised builder for a kernel and
-// the NDRange size used to pick reshape-legal lane counts.
-func variantFamily(kernel string) (dse.VariantBuilder, int64, error) {
-	switch kernel {
-	case "sor":
-		spec := experiments.Fig15Spec(1)
-		return func(lanes int) (*tir.Module, error) {
-			s := spec
-			s.Lanes = lanes
-			return s.Module()
-		}, spec.GlobalSize(), nil
-	case "hotspot":
-		spec := kernels.HotspotSpec{Rows: 384, Cols: 682, Lanes: 1}
-		return func(lanes int) (*tir.Module, error) {
-			s := spec
-			s.Lanes = lanes
-			return s.Module()
-		}, spec.GlobalSize(), nil
-	case "lavamd":
-		spec := kernels.LavaMDSpec{Pairs: 720720, Lanes: 1}
-		return func(lanes int) (*tir.Module, error) {
-			s := spec
-			s.Lanes = lanes
-			return s.Module()
-		}, spec.GlobalSize(), nil
+// family returns the variant builder of a built-in kernel at the
+// NDRange tytradse explores, and that NDRange's size, which picks the
+// reshape-legal lane counts.
+func family(kernel string) (dse.VariantBuilder, int64, error) {
+	k, err := kernels.Lookup(kernel)
+	if err != nil {
+		return nil, 0, err
 	}
-	return nil, 0, fmt.Errorf("unknown kernel %q", kernel)
+	spec := k.Explore
+	return func(lanes int) (*tir.Module, error) { return kernels.Variant(spec, lanes) }, spec.GlobalSize(), nil
 }

@@ -67,12 +67,8 @@ func run(w io.Writer) error {
 
 	// The swept family: the SOR relaxation kernel at every reshape-legal
 	// lane count up to 16.
-	spec := kernels.SORSpec{IM: 15, JM: 10, KM: 96096, Lanes: 1}
-	build := func(lanes int) (*tir.Module, error) {
-		s := spec
-		s.Lanes = lanes
-		return s.Module()
-	}
+	spec := kernels.Fig15SOR()
+	build := func(lanes int) (*tir.Module, error) { return kernels.Variant(spec, lanes) }
 	space, err := dse.NewSpace(
 		dse.LanesAxis(dse.DivisorLaneCounts(spec.GlobalSize(), 16)),
 		dse.DeviceAxis(shelf...),

@@ -109,11 +109,14 @@ func (r *Fig10Result) Table() *report.Table {
 
 // --------------------------------------------------------------- Fig 15
 
-// Fig15Spec is the swept workload: the SOR kernel over a ~14.4M-point
-// NDRange (KM divisible by every lane count in 1..16) on the scaled
-// educational target (see device.GSD8Edu for the substitution note).
+// Fig15Spec is the swept workload at the given lane count: the SOR
+// kernel over kernels.Fig15SOR's ~14.4M-point NDRange, explored on the
+// scaled educational target (see device.GSD8Edu for the substitution
+// note).
 func Fig15Spec(lanes int) kernels.SORSpec {
-	return kernels.SORSpec{IM: 15, JM: 10, KM: 96096, Lanes: lanes}
+	s := kernels.Fig15SOR()
+	s.Lanes = lanes
+	return s
 }
 
 // Fig15Result holds the variant sweep under forms A and B.
@@ -330,11 +333,7 @@ func Table2(full bool) (*Table2Result, error) {
 			return nil, err
 		}
 		nl := synth.Synthesize(d)
-		lanes := 1
-		if ls, ok := spec.(kernels.LanedSpec); ok {
-			lanes = ls.LaneCount()
-		}
-		mem, err := kernels.BindInputs(spec.MakeInputs(1), lanes)
+		mem, err := kernels.BindInputs(spec.MakeInputs(1), spec.LaneCount())
 		if err != nil {
 			return nil, err
 		}
@@ -475,8 +474,8 @@ func (r *SpeedResult) Table() *report.Table {
 // family and the opt-in perf gates (benchsmoke_test.go) share: the SOR
 // instance BenchmarkPipelineSimulator has always used plus mid-size
 // instances of the other golden kernels.
-func PipesimBenchSpecs() []kernels.LanedSpec {
-	return []kernels.LanedSpec{
+func PipesimBenchSpecs() []kernels.Spec {
+	return []kernels.Spec{
 		kernels.SORSpec{IM: 15, JM: 10, KM: 16, Lanes: 1},
 		kernels.HotspotSpec{Rows: 64, Cols: 93, Lanes: 1},
 		kernels.LavaMDSpec{Pairs: 4096, Lanes: 1},

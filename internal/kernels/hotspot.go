@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/tir"
+	"repro/internal/typetrans"
 )
 
 // Hotspot fixed-point parameters: ui24 datapath (two DSP elements per
@@ -39,94 +40,74 @@ func DefaultHotspot() HotspotSpec { return HotspotSpec{Rows: 384, Cols: 682, Lan
 // Name implements Spec.
 func (h HotspotSpec) Name() string { return "hotspot" }
 
-// LaneCount implements LanedSpec.
+// LaneCount implements Spec.
 func (h HotspotSpec) LaneCount() int { return h.Lanes }
 
 // GlobalSize implements Spec.
 func (h HotspotSpec) GlobalSize() int64 { return int64(h.Rows) * int64(h.Cols) }
-
-// WordsPerItem implements Spec: t, power, rx, ry, rz in; t_new out.
-func (h HotspotSpec) WordsPerItem() int { return 6 }
-
-// InputNames implements Spec.
-func (h HotspotSpec) InputNames() []string { return []string{"t", "power", "rx", "ry", "rz"} }
-
-// OutputNames implements Spec.
-func (h HotspotSpec) OutputNames() []string { return []string{"t_new"} }
 
 // Validate checks the geometry.
 func (h HotspotSpec) Validate() error {
 	if h.Rows < 2 || h.Cols < 2 {
 		return fmt.Errorf("kernels: hotspot grid %dx%d too small", h.Rows, h.Cols)
 	}
-	if h.Lanes < 1 {
-		return fmt.Errorf("kernels: hotspot lane count %d", h.Lanes)
-	}
-	if n := h.GlobalSize(); n%int64(h.Lanes) != 0 {
-		return fmt.Errorf("kernels: hotspot %d points do not divide into %d lanes", n, h.Lanes)
-	}
 	return nil
 }
 
-// Module implements Spec. The datapath computes
+// Module implements Spec.
+func (h HotspotSpec) Module() (*tir.Module, error) { return Variant(h, h.Lanes) }
+
+// Kernel implements Spec: t, power, rx, ry, rz in; t_new out. The
+// datapath computes
 //
 //	t_new = t + (step · ((Σ flux) >> s1)) >> s2
 //	flux  = (t_e−t)·rx + (t_w−t)·rx + (t_n−t)·ry + (t_s−t)·ry
 //	      + (amb−t)·rz + power·rz
 //
 // with every flux product a variable×variable multiplier.
-func (h HotspotSpec) Module() (*tir.Module, error) {
-	if err := h.Validate(); err != nil {
-		return nil, err
-	}
-	b := tir.NewBuilder("hotspot")
+func (h HotspotSpec) Kernel() *typetrans.Kernel {
 	ty := tir.UIntT(hotspotBits)
+	return &typetrans.Kernel{
+		Name:    "hotspot",
+		Inputs:  streams(ty, "t", "power", "rx", "ry", "rz"),
+		Outputs: streams(ty, "t_new"),
+		Body: func(f0 *tir.FuncBuilder, ins, outs []tir.Value) {
+			t, power, rx, ry, rz := ins[0], ins[1], ins[2], ins[3], ins[4]
+			tnew := outs[0]
 
-	f0 := b.Func("f0", tir.ModePipe)
-	t := f0.Param("t", ty)
-	power := f0.Param("power", ty)
-	rx := f0.Param("rx", ty)
-	ry := f0.Param("ry", ty)
-	rz := f0.Param("rz", ty)
-	tnew := f0.Param("t_new", ty)
+			te := f0.NamedOffset("te", t, 1)
+			tw := f0.NamedOffset("tw", t, -1)
+			tn := f0.NamedOffset("tn", t, -int64(h.Cols))
+			ts := f0.NamedOffset("ts", t, int64(h.Cols))
 
-	te := f0.NamedOffset("te", t, 1)
-	tw := f0.NamedOffset("tw", t, -1)
-	tn := f0.NamedOffset("tn", t, -int64(h.Cols))
-	ts := f0.NamedOffset("ts", t, int64(h.Cols))
+			amb := f0.NamedConst("amb", ty, hotspotAmb)
 
-	amb := f0.NamedConst("amb", ty, hotspotAmb)
+			de := f0.Sub(te, t)
+			dw := f0.Sub(tw, t)
+			dn := f0.Sub(tn, t)
+			dsouth := f0.Sub(ts, t)
+			dz := f0.Sub(amb, t)
 
-	de := f0.Sub(te, t)
-	dw := f0.Sub(tw, t)
-	dn := f0.Sub(tn, t)
-	dsouth := f0.Sub(ts, t)
-	dz := f0.Sub(amb, t)
+			ve := f0.Mul(de, rx)
+			vw := f0.Mul(dw, rx)
+			vn := f0.Mul(dn, ry)
+			vs := f0.Mul(dsouth, ry)
+			vz := f0.Mul(dz, rz)
+			vp := f0.Mul(power, rz)
 
-	ve := f0.Mul(de, rx)
-	vw := f0.Mul(dw, rx)
-	vn := f0.Mul(dn, ry)
-	vs := f0.Mul(dsouth, ry)
-	vz := f0.Mul(dz, rz)
-	vp := f0.Mul(power, rz)
+			sew := f0.Add(ve, vw)
+			sns := f0.Add(vn, vs)
+			szp := f0.Add(vz, vp)
+			s1 := f0.Add(sew, sns)
+			flux := f0.Add(s1, szp)
 
-	sew := f0.Add(ve, vw)
-	sns := f0.Add(vn, vs)
-	szp := f0.Add(vz, vp)
-	s1 := f0.Add(sew, sns)
-	flux := f0.Add(s1, szp)
-
-	fs := f0.BinImm(tir.OpLshr, flux, hotspotShft1)
-	dlt := f0.MulImm(fs, hotspotStep)
-	dls := f0.BinImm(tir.OpLshr, dlt, hotspotShft2)
-	res := f0.Add(t, dls)
-	f0.Out(tnew, res)
-
-	laneSize := h.GlobalSize() / int64(h.Lanes)
-	if err := wirePorts(b, "f0", h.Lanes, ty, laneSize, h.InputNames(), h.OutputNames()); err != nil {
-		return nil, err
+			fs := f0.BinImm(tir.OpLshr, flux, hotspotShft1)
+			dlt := f0.MulImm(fs, hotspotStep)
+			dls := f0.BinImm(tir.OpLshr, dlt, hotspotShft2)
+			res := f0.Add(t, dls)
+			f0.Out(tnew, res)
+		},
 	}
-	return b.Module()
 }
 
 // MakeInputs implements Spec.

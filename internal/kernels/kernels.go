@@ -1,5 +1,6 @@
-// Package kernels provides the three HPC scientific kernels the paper
-// evaluates its cost model on (§VI-B, Table II):
+// Package kernels provides the HPC scientific kernels the cost model is
+// evaluated on: the paper's three (§VI-B, Table II), SRAD, and an f32
+// form of SOR.
 //
 //   - SOR: the successive over-relaxation pressure solver from the Large
 //     Eddy Simulator weather model — a 7-point 3-D stencil.
@@ -7,13 +8,17 @@
 //     2-D stencil with per-cell material coefficients.
 //   - LavaMD: the Rodinia molecular-dynamics benchmark — an element-wise
 //     particle-pair potential/force computation.
+//   - SRAD: Rodinia's speckle-reducing anisotropic diffusion, a 5-point
+//     stencil with data-dependent control.
 //
 // Each kernel comes in three coupled forms that the tests hold to the
 // same behaviour: a golden Go implementation (the scientific reference,
 // computed with the same fixed-width wrap-around semantics as the
-// generated hardware), a TyTra-IR builder parameterised by the number of
-// parallel lanes (the design variants of §II), and a deterministic
-// workload generator.
+// generated hardware), a scalar pipe function declared once as a
+// typetrans.Kernel, whose lane variants (§II) Variant builds through
+// the front end's reshapeTo lowering, and a deterministic workload
+// generator. One table lists the kernels the command-line tools name
+// (Names, Lookup).
 //
 // As in the paper, the kernels are integer (fixed-point) versions of the
 // original floating-point codes.
@@ -21,25 +26,28 @@ package kernels
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/tir"
+	"repro/internal/typetrans"
 )
 
 // Spec is a kernel specification: enough to build the IR design variant,
 // generate a workload, and predict the correct output.
 type Spec interface {
-	// Name identifies the kernel ("sor", "hotspot", "lavamd").
+	// Name identifies the kernel ("sor", "hotspot", "lavamd", "srad").
 	Name() string
-	// Module builds the TyTra-IR design variant.
+	// Validate checks the geometry.
+	Validate() error
+	// Kernel declares the pipe function mapped over the NDRange: its
+	// input and output streams, in parameter order, and its datapath.
+	Kernel() *typetrans.Kernel
+	// Module builds the design variant: Variant at LaneCount lanes.
 	Module() (*tir.Module, error)
 	// GlobalSize is NGS: the number of work-items in one kernel-instance.
 	GlobalSize() int64
-	// WordsPerItem is NWPT: words streamed per work-item (inputs+outputs).
-	WordsPerItem() int
-	// InputNames lists the logical input streams in declaration order.
-	InputNames() []string
-	// OutputNames lists the logical output streams in declaration order.
-	OutputNames() []string
+	// LaneCount returns the number of parallel kernel lanes (KNL).
+	LaneCount() int
 	// MakeInputs generates a deterministic workload keyed by logical
 	// stream name, each array of length GlobalSize.
 	MakeInputs(seed int64) map[string][]int64
@@ -48,12 +56,78 @@ type Spec interface {
 	Golden(in map[string][]int64) (out map[string][]int64, acc map[string]int64)
 }
 
-// LanedSpec is implemented by kernels whose Module replicates the
-// pipeline into parallel lanes.
-type LanedSpec interface {
-	Spec
-	// LaneCount returns the number of parallel kernel lanes (KNL).
-	LaneCount() int
+// Variant returns s's design variant with the given number of lanes:
+// the baseline map of s's kernel over the NDRange, reshaped into lanes
+// contiguous slabs under a par map (mappar (mappipe f), §II, Fig 14).
+// The lane count must divide the NDRange; one lane is the baseline
+// single pipeline (Fig 12).
+func Variant(s Spec, lanes int) (*tir.Module, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return lower(s.Kernel(), s.GlobalSize(), lanes)
+}
+
+// lower lowers kernel k mapped over n work-items at the given lane
+// count through typetrans.
+func lower(k *typetrans.Kernel, n int64, lanes int) (*tir.Module, error) {
+	p, err := typetrans.Baseline(k, n)
+	if err != nil {
+		return nil, err
+	}
+	if p, err = p.Reshape(int64(lanes), tir.ModePar); err != nil {
+		return nil, err
+	}
+	return p.Lower()
+}
+
+// streams declares one stream of element type ty per name.
+func streams(ty tir.Type, names ...string) []typetrans.StreamSig {
+	out := make([]typetrans.StreamSig, len(names))
+	for i, name := range names {
+		out[i] = typetrans.StreamSig{Name: name, Ty: ty}
+	}
+	return out
+}
+
+// Builtin is a kernel the command-line tools name with -kernel, at the
+// two sizes they use. Both are one-lane specs; Variant builds their
+// other lane counts.
+type Builtin struct {
+	// Table2 is the Table II accuracy configuration: what tytracc
+	// -kernel prices.
+	Table2 Spec
+	// Explore is the NDRange tytradse -kernel explores.
+	Explore Spec
+}
+
+// builtins lists each built-in kernel once. srad has only its Table II
+// size, and is explored at it.
+var builtins = []Builtin{
+	{Table2: DefaultSOR(), Explore: Fig15SOR()},
+	{Table2: DefaultHotspot(), Explore: DefaultHotspot()},
+	{Table2: DefaultLavaMD(), Explore: LavaMDSpec{Pairs: 720720, Lanes: 1}},
+	{Table2: DefaultSRAD(), Explore: DefaultSRAD()},
+}
+
+// Names lists the built-in kernels in table order.
+func Names() []string {
+	out := make([]string, len(builtins))
+	for i, b := range builtins {
+		out[i] = b.Table2.Name()
+	}
+	return out
+}
+
+// Lookup returns the built-in kernel called name; the error for an
+// unknown name lists the valid ones.
+func Lookup(name string) (Builtin, error) {
+	for _, b := range builtins {
+		if b.Table2.Name() == name {
+			return b, nil
+		}
+	}
+	return Builtin{}, fmt.Errorf("unknown kernel %q (want %s)", name, strings.Join(Names(), " | "))
 }
 
 // LCG is the deterministic linear congruential generator every
@@ -170,39 +244,4 @@ func CollectOutput(mem map[string][]int64, name string, lanes int) ([]int64, err
 		parts[l] = d
 	}
 	return Gather(parts), nil
-}
-
-// wirePorts declares per-lane top-level ports for every logical stream
-// and emits the call structure: a single pipe call for one lane, or a
-// par wrapper replicating the kernel across lanes (Fig 14).
-func wirePorts(b *tir.Builder, kernelFn string, lanes int, elem tir.Type, laneSize int64,
-	ins, outs []string) error {
-	if lanes < 1 {
-		return fmt.Errorf("kernels: lane count must be >= 1, got %d", lanes)
-	}
-	main := b.Func("main", tir.ModeSeq)
-	portOps := func(lane int) []tir.Operand {
-		suffix := ""
-		if lane >= 0 {
-			suffix = fmt.Sprintf("%d", lane)
-		}
-		var ops []tir.Operand
-		for _, name := range ins {
-			ops = append(ops, b.GlobalPort("main", name+suffix, elem, laneSize, tir.DirIn, tir.PatternContiguous, 1))
-		}
-		for _, name := range outs {
-			ops = append(ops, b.GlobalPort("main", name+suffix, elem, laneSize, tir.DirOut, tir.PatternContiguous, 1))
-		}
-		return ops
-	}
-	if lanes == 1 {
-		main.CallOperands(kernelFn, tir.ModePipe, portOps(-1)...)
-		return nil
-	}
-	par := b.Func("f_lanes", tir.ModePar)
-	for l := 0; l < lanes; l++ {
-		par.CallOperands(kernelFn, tir.ModePipe, portOps(l)...)
-	}
-	main.CallOperands("f_lanes", tir.ModePar)
-	return nil
 }

@@ -154,42 +154,45 @@ func TestGoldenBoundaryZeroFill(t *testing.T) {
 }
 
 func TestSpecValidation(t *testing.T) {
-	bad := []error{
-		SORSpec{IM: 1, JM: 1, KM: 1, Lanes: 1}.Validate(),
-		SORSpec{IM: 15, JM: 10, KM: 16, Lanes: 0}.Validate(),
-		SORSpec{IM: 15, JM: 10, KM: 16, Lanes: 7}.Validate(),
-		HotspotSpec{Rows: 1, Cols: 1, Lanes: 1}.Validate(),
-		HotspotSpec{Rows: 8, Cols: 9, Lanes: 5}.Validate(),
-		LavaMDSpec{Pairs: 0, Lanes: 1}.Validate(),
-		LavaMDSpec{Pairs: 10, Lanes: 3}.Validate(),
-	}
-	for i, err := range bad {
-		if err == nil {
-			t.Errorf("bad spec %d accepted", i)
-		}
-	}
-	for i, err := range []error{
-		DefaultSOR().Validate(), DefaultHotspot().Validate(), DefaultLavaMD().Validate(),
+	for i, spec := range []Spec{
+		SORSpec{IM: 1, JM: 1, KM: 1, Lanes: 1},
+		HotspotSpec{Rows: 1, Cols: 1, Lanes: 1},
+		LavaMDSpec{Pairs: 0, Lanes: 1},
+		SRADSpec{Rows: 1, Cols: 5, Lanes: 1},
 	} {
-		if err != nil {
-			t.Errorf("default spec %d rejected: %v", i, err)
+		if spec.Validate() == nil {
+			t.Errorf("bad geometry %d accepted", i)
 		}
 	}
-	// Invalid specs refuse to build modules.
-	if _, err := (SORSpec{}).Module(); err == nil {
-		t.Error("zero SORSpec built a module")
+	// A lane count must be positive and divide the NDRange; the front
+	// end's reshapeTo refuses the others when the module is built.
+	for i, spec := range []Spec{
+		SORSpec{},
+		SORSpec{IM: 15, JM: 10, KM: 16, Lanes: 0},
+		SORSpec{IM: 15, JM: 10, KM: 16, Lanes: 7},
+		HotspotSpec{Rows: 8, Cols: 9, Lanes: 5},
+		LavaMDSpec{Pairs: 10, Lanes: 3},
+	} {
+		if _, err := spec.Module(); err == nil {
+			t.Errorf("bad spec %d built a module", i)
+		}
+	}
+	for _, b := range builtins {
+		for _, spec := range []Spec{b.Table2, b.Explore} {
+			if err := spec.Validate(); err != nil {
+				t.Errorf("built-in %s rejected: %v", spec.Name(), err)
+			}
+		}
 	}
 }
 
 func TestSpecMetadata(t *testing.T) {
-	for _, spec := range []Spec{DefaultSOR(), DefaultHotspot(), DefaultLavaMD()} {
-		if len(spec.InputNames())+len(spec.OutputNames()) != spec.WordsPerItem() {
-			t.Errorf("%s: NWPT %d does not match stream inventory", spec.Name(), spec.WordsPerItem())
-		}
+	for _, b := range builtins {
+		spec := b.Table2
 		in := spec.MakeInputs(1)
-		for _, name := range spec.InputNames() {
-			if _, ok := in[name]; !ok {
-				t.Errorf("%s: MakeInputs missing %s", spec.Name(), name)
+		for _, sig := range spec.Kernel().Inputs {
+			if _, ok := in[sig.Name]; !ok {
+				t.Errorf("%s: MakeInputs missing %s", spec.Name(), sig.Name)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/tir"
+	"repro/internal/typetrans"
 )
 
 // LavaMD fixed-point parameters: ui32 datapath (wide enough for squared
@@ -34,38 +35,25 @@ func DefaultLavaMD() LavaMDSpec { return LavaMDSpec{Pairs: 96, Lanes: 1} }
 // Name implements Spec.
 func (l LavaMDSpec) Name() string { return "lavamd" }
 
-// LaneCount implements LanedSpec.
+// LaneCount implements Spec.
 func (l LavaMDSpec) LaneCount() int { return l.Lanes }
 
 // GlobalSize implements Spec.
 func (l LavaMDSpec) GlobalSize() int64 { return int64(l.Pairs) }
-
-// WordsPerItem implements Spec: 8 in, 2 out.
-func (l LavaMDSpec) WordsPerItem() int { return 10 }
-
-// InputNames implements Spec.
-func (l LavaMDSpec) InputNames() []string {
-	return []string{"xi", "yi", "zi", "qi", "xj", "yj", "zj", "qj"}
-}
-
-// OutputNames implements Spec.
-func (l LavaMDSpec) OutputNames() []string { return []string{"pot", "fx"} }
 
 // Validate checks the configuration.
 func (l LavaMDSpec) Validate() error {
 	if l.Pairs < 1 {
 		return fmt.Errorf("kernels: lavamd needs at least one pair")
 	}
-	if l.Lanes < 1 {
-		return fmt.Errorf("kernels: lavamd lane count %d", l.Lanes)
-	}
-	if l.Pairs%l.Lanes != 0 {
-		return fmt.Errorf("kernels: lavamd %d pairs do not divide into %d lanes", l.Pairs, l.Lanes)
-	}
 	return nil
 }
 
-// Module implements Spec. The datapath computes, per particle pair,
+// Module implements Spec.
+func (l LavaMDSpec) Module() (*tir.Module, error) { return Variant(l, l.Lanes) }
+
+// Kernel implements Spec: 8 streams in, 2 out. The datapath computes,
+// per particle pair,
 //
 //	r²  = dx² + dy² + dz² + eps
 //	pot = (qi·qj) · recip(r²) >> s
@@ -74,49 +62,37 @@ func (l LavaMDSpec) Validate() error {
 // and accumulates the total potential into @potAcc. Unlike the stencil
 // kernels there are no stream offsets, so the design uses no block RAM —
 // the BRAM=0 row of Table II.
-func (l LavaMDSpec) Module() (*tir.Module, error) {
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	b := tir.NewBuilder("lavamd")
+func (l LavaMDSpec) Kernel() *typetrans.Kernel {
 	ty := tir.UIntT(lavaBits)
+	return &typetrans.Kernel{
+		Name:    "lavamd",
+		Inputs:  streams(ty, "xi", "yi", "zi", "qi", "xj", "yj", "zj", "qj"),
+		Outputs: streams(ty, "pot", "fx"),
+		Body: func(f0 *tir.FuncBuilder, ins, outs []tir.Value) {
+			xi, yi, zi, qi := ins[0], ins[1], ins[2], ins[3]
+			xj, yj, zj, qj := ins[4], ins[5], ins[6], ins[7]
+			potOut, fxOut := outs[0], outs[1]
 
-	f0 := b.Func("f0", tir.ModePipe)
-	xi := f0.Param("xi", ty)
-	yi := f0.Param("yi", ty)
-	zi := f0.Param("zi", ty)
-	qi := f0.Param("qi", ty)
-	xj := f0.Param("xj", ty)
-	yj := f0.Param("yj", ty)
-	zj := f0.Param("zj", ty)
-	qj := f0.Param("qj", ty)
-	potOut := f0.Param("pot", ty)
-	fxOut := f0.Param("fx", ty)
+			dx := f0.Sub(xi, xj)
+			dy := f0.Sub(yi, yj)
+			dz := f0.Sub(zi, zj)
+			dx2 := f0.Mul(dx, dx)
+			dy2 := f0.Mul(dy, dy)
+			dz2 := f0.Mul(dz, dz)
+			sxy := f0.Add(dx2, dy2)
+			r2 := f0.Add(sxy, dz2)
+			rr := f0.BinImm(tir.OpAdd, r2, lavaEps)
+			u := f0.Un(tir.OpRecip, rr)
+			qq := f0.Mul(qi, qj)
+			pv := f0.Mul(qq, u)
+			ps := f0.BinImm(tir.OpLshr, pv, lavaShft1)
+			fx := f0.Mul(ps, dx)
 
-	dx := f0.Sub(xi, xj)
-	dy := f0.Sub(yi, yj)
-	dz := f0.Sub(zi, zj)
-	dx2 := f0.Mul(dx, dx)
-	dy2 := f0.Mul(dy, dy)
-	dz2 := f0.Mul(dz, dz)
-	sxy := f0.Add(dx2, dy2)
-	r2 := f0.Add(sxy, dz2)
-	rr := f0.BinImm(tir.OpAdd, r2, lavaEps)
-	u := f0.Un(tir.OpRecip, rr)
-	qq := f0.Mul(qi, qj)
-	pv := f0.Mul(qq, u)
-	ps := f0.BinImm(tir.OpLshr, pv, lavaShft1)
-	fx := f0.Mul(ps, dx)
-
-	f0.Out(potOut, ps)
-	f0.Out(fxOut, fx)
-	f0.Accumulate("potAcc", tir.OpAdd, ps)
-
-	laneSize := l.GlobalSize() / int64(l.Lanes)
-	if err := wirePorts(b, "f0", l.Lanes, ty, laneSize, l.InputNames(), l.OutputNames()); err != nil {
-		return nil, err
+			f0.Out(potOut, ps)
+			f0.Out(fxOut, fx)
+			f0.Accumulate("potAcc", tir.OpAdd, ps)
+		},
 	}
-	return b.Module()
 }
 
 // MakeInputs implements Spec.

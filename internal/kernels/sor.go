@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/tir"
+	"repro/internal/typetrans"
 )
 
 // SOR fixed-point constants. The weights are the Q0.4 (×16) encodings of
@@ -39,100 +40,87 @@ type SORSpec struct {
 // ±150 elements produces the ~5.4 Kbit offset window the paper reports.
 func DefaultSOR() SORSpec { return SORSpec{IM: 15, JM: 10, KM: 16, Lanes: 1} }
 
+// Fig15SOR returns the workload of the Fig 15 design-space exploration,
+// single pipeline: a ~14.4M-point NDRange whose KM = 96,096 is divisible
+// by every lane count in 1..16.
+func Fig15SOR() SORSpec { return SORSpec{IM: 15, JM: 10, KM: 96096, Lanes: 1} }
+
 // Name implements Spec.
 func (s SORSpec) Name() string { return "sor" }
 
-// LaneCount implements LanedSpec.
+// LaneCount implements Spec.
 func (s SORSpec) LaneCount() int { return s.Lanes }
 
 // GlobalSize implements Spec: NGS = im·jm·km.
 func (s SORSpec) GlobalSize() int64 { return int64(s.IM) * int64(s.JM) * int64(s.KM) }
-
-// WordsPerItem implements Spec: p and rhs in, p_new out.
-func (s SORSpec) WordsPerItem() int { return 3 }
-
-// InputNames implements Spec.
-func (s SORSpec) InputNames() []string { return []string{"p", "rhs"} }
-
-// OutputNames implements Spec.
-func (s SORSpec) OutputNames() []string { return []string{"p_new"} }
 
 // Validate checks the geometry.
 func (s SORSpec) Validate() error {
 	if s.IM < 2 || s.JM < 2 || s.KM < 1 {
 		return fmt.Errorf("kernels: sor grid %dx%dx%d too small", s.IM, s.JM, s.KM)
 	}
-	if s.Lanes < 1 {
-		return fmt.Errorf("kernels: sor lane count %d", s.Lanes)
-	}
-	if n := s.GlobalSize(); n%int64(s.Lanes) != 0 {
-		return fmt.Errorf("kernels: sor %d points do not divide into %d lanes", n, s.Lanes)
-	}
 	return nil
 }
 
-// Module implements Spec: the TyTra-IR of the SOR design variant. The
-// body follows Fig 12: offset streams for the six cardinal neighbours,
+// Module implements Spec.
+func (s SORSpec) Module() (*tir.Module, error) { return Variant(s, s.Lanes) }
+
+// Kernel implements Spec: p and rhs in, p_new out. The body follows
+// Fig 12: offset streams for the six cardinal neighbours,
 // constant-multiply/add datapath, output stream and the global
 // sorErrAcc reduction.
-func (s SORSpec) Module() (*tir.Module, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	b := tir.NewBuilder("sor")
+func (s SORSpec) Kernel() *typetrans.Kernel {
 	ty := tir.UIntT(sorBits)
+	return &typetrans.Kernel{
+		Name:    "sor",
+		Inputs:  streams(ty, "p", "rhs"),
+		Outputs: streams(ty, "p_new"),
+		Body: func(f0 *tir.FuncBuilder, ins, outs []tir.Value) {
+			p, rhs, pnew := ins[0], ins[1], outs[0]
 
-	f0 := b.Func("f0", tir.ModePipe)
-	p := f0.Param("p", ty)
-	rhs := f0.Param("rhs", ty)
-	pnew := f0.Param("p_new", ty)
+			// Stream offsets: the six cardinal neighbours of the 7-point
+			// stencil (lines 6-9 of Fig 12).
+			pip1 := f0.NamedOffset("pip1", p, 1)
+			pin1 := f0.NamedOffset("pin1", p, -1)
+			pjp1 := f0.NamedOffset("pjp1", p, int64(s.IM))
+			pjn1 := f0.NamedOffset("pjn1", p, -int64(s.IM))
+			pkp1 := f0.NamedOffset("pkp1", p, int64(s.IM*s.JM))
+			pkn1 := f0.NamedOffset("pkn1", p, -int64(s.IM*s.JM))
 
-	// Stream offsets: the six cardinal neighbours of the 7-point stencil
-	// (lines 6-9 of Fig 12).
-	pip1 := f0.NamedOffset("pip1", p, 1)
-	pin1 := f0.NamedOffset("pin1", p, -1)
-	pjp1 := f0.NamedOffset("pjp1", p, int64(s.IM))
-	pjn1 := f0.NamedOffset("pjn1", p, -int64(s.IM))
-	pkp1 := f0.NamedOffset("pkp1", p, int64(s.IM*s.JM))
-	pkn1 := f0.NamedOffset("pkn1", p, -int64(s.IM*s.JM))
+			// Weighted neighbour sum (Q10.4).
+			m2l := f0.MulImm(pip1, sorCn2l)
+			m2s := f0.MulImm(pin1, sorCn2s)
+			m3l := f0.MulImm(pjp1, sorCn3l)
+			m3s := f0.MulImm(pjn1, sorCn3s)
+			m4l := f0.MulImm(pkp1, sorCn4l)
+			m4s := f0.MulImm(pkn1, sorCn4s)
+			s2 := f0.Add(m2l, m2s)
+			s3 := f0.Add(m3l, m3s)
+			s4 := f0.Add(m4l, m4s)
+			s23 := f0.Add(s2, s3)
+			sum := f0.Add(s23, s4)
 
-	// Weighted neighbour sum (Q10.4).
-	m2l := f0.MulImm(pip1, sorCn2l)
-	m2s := f0.MulImm(pin1, sorCn2s)
-	m3l := f0.MulImm(pjp1, sorCn3l)
-	m3s := f0.MulImm(pjn1, sorCn3s)
-	m4l := f0.MulImm(pkp1, sorCn4l)
-	m4s := f0.MulImm(pkn1, sorCn4s)
-	s2 := f0.Add(m2l, m2s)
-	s3 := f0.Add(m3l, m3s)
-	s4 := f0.Add(m4l, m4s)
-	s23 := f0.Add(s2, s3)
-	sum := f0.Add(s23, s4)
+			// reltmp = omega*(cn1*(sum - rhs)) - p, rescaled between
+			// stages so the Q10.x intermediates stay inside the ui18
+			// datapath.
+			rhss := f0.MulImm(rhs, 1<<sorQ)
+			diff := f0.Sub(sum, rhss)
+			ds := f0.BinImm(tir.OpLshr, diff, sorQ)
+			t1 := f0.MulImm(ds, sorCn1)
+			t1s := f0.BinImm(tir.OpLshr, t1, sorQ)
+			t2 := f0.MulImm(t1s, sorOmega)
+			reltmp := f0.BinImm(tir.OpLshr, t2, sorQ)
+			rel := f0.Sub(reltmp, p)
 
-	// reltmp = omega*(cn1*(sum - rhs)) - p, rescaled between stages so
-	// the Q10.x intermediates stay inside the ui18 datapath.
-	rhss := f0.MulImm(rhs, 1<<sorQ)
-	diff := f0.Sub(sum, rhss)
-	ds := f0.BinImm(tir.OpLshr, diff, sorQ)
-	t1 := f0.MulImm(ds, sorCn1)
-	t1s := f0.BinImm(tir.OpLshr, t1, sorQ)
-	t2 := f0.MulImm(t1s, sorOmega)
-	reltmp := f0.BinImm(tir.OpLshr, t2, sorQ)
-	rel := f0.Sub(reltmp, p)
+			// p_new = reltmp + p (the paper's formulation keeps the -p / +p
+			// pair explicit; the back-end does not fold it).
+			res := f0.Add(rel, p)
+			f0.Out(pnew, res)
 
-	// p_new = reltmp + p (the paper's formulation keeps the -p / +p pair
-	// explicit; the back-end does not fold it).
-	res := f0.Add(rel, p)
-	f0.Out(pnew, res)
-
-	// Residual reduction (line 15 of Fig 12).
-	f0.Accumulate("sorErrAcc", tir.OpAdd, rel)
-
-	laneSize := s.GlobalSize() / int64(s.Lanes)
-	if err := wirePorts(b, "f0", s.Lanes, ty, laneSize, s.InputNames(), s.OutputNames()); err != nil {
-		return nil, err
+			// Residual reduction (line 15 of Fig 12).
+			f0.Accumulate("sorErrAcc", tir.OpAdd, rel)
+		},
 	}
-	return b.Module()
 }
 
 // MakeInputs implements Spec: pressures in [0, 2^10), right-hand sides

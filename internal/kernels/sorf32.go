@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/tir"
+	"repro/internal/typetrans"
 )
 
 // SORF32Spec is the single-precision floating-point formulation of the
@@ -40,71 +41,71 @@ func (s SORF32Spec) Validate() error {
 	if s.IM < 2 || s.JM < 2 || s.KM < 1 {
 		return fmt.Errorf("kernels: sor-f32 grid %dx%dx%d too small", s.IM, s.JM, s.KM)
 	}
-	if s.Lanes < 1 || s.GlobalSize()%int64(s.Lanes) != 0 {
-		return fmt.Errorf("kernels: sor-f32 lanes %d do not divide %d points", s.Lanes, s.GlobalSize())
-	}
 	return nil
 }
 
-// Module builds the f32 design variant: the same dataflow as Fig 12/13
-// with IEEE-754 operators and genuinely fractional coefficients.
+// Module builds the design variant at s.Lanes lanes, as Variant does for
+// a Spec.
 func (s SORF32Spec) Module() (*tir.Module, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	b := tir.NewBuilder("sorf32")
+	return lower(s.Kernel(), s.GlobalSize(), s.Lanes)
+}
+
+// Kernel declares the f32 pipe function: the same dataflow as Fig 12/13
+// with IEEE-754 operators and genuinely fractional coefficients.
+func (s SORF32Spec) Kernel() *typetrans.Kernel {
 	ty := tir.FloatT(32)
+	return &typetrans.Kernel{
+		Name:    "sorf32",
+		Inputs:  streams(ty, "p", "rhs"),
+		Outputs: streams(ty, "p_new"),
+		Body: func(f0 *tir.FuncBuilder, ins, outs []tir.Value) {
+			p, rhs, pnew := ins[0], ins[1], outs[0]
 
-	f0 := b.Func("f0", tir.ModePipe)
-	p := f0.Param("p", ty)
-	rhs := f0.Param("rhs", ty)
-	pnew := f0.Param("p_new", ty)
+			pip1 := f0.NamedOffset("pip1", p, 1)
+			pin1 := f0.NamedOffset("pin1", p, -1)
+			pjp1 := f0.NamedOffset("pjp1", p, int64(s.IM))
+			pjn1 := f0.NamedOffset("pjn1", p, -int64(s.IM))
+			pkp1 := f0.NamedOffset("pkp1", p, int64(s.IM*s.JM))
+			pkn1 := f0.NamedOffset("pkn1", p, -int64(s.IM*s.JM))
 
-	pip1 := f0.NamedOffset("pip1", p, 1)
-	pin1 := f0.NamedOffset("pin1", p, -1)
-	pjp1 := f0.NamedOffset("pjp1", p, int64(s.IM))
-	pjn1 := f0.NamedOffset("pjn1", p, -int64(s.IM))
-	pkp1 := f0.NamedOffset("pkp1", p, int64(s.IM*s.JM))
-	pkn1 := f0.NamedOffset("pkn1", p, -int64(s.IM*s.JM))
+			// Coefficient streams would be scalars in MaxJ; here they are
+			// constants folded at the call boundary, so each weight is a
+			// full variable f32 multiplier (the paper's kernel does the
+			// same).
+			weights := []struct {
+				v    tir.Value
+				bits int64
+			}{
+				{pip1, 0x3F900000}, // 1.125
+				{pin1, 0x3F600000}, // 0.875
+				{pjp1, 0x3F880000}, // 1.0625
+				{pjn1, 0x3F700000}, // 0.9375
+				{pkp1, 0x3F980000}, // 1.1875
+				{pkn1, 0x3F500000}, // 0.8125
+			}
+			var terms []tir.Value
+			for i, w := range weights {
+				c := f0.NamedConst(fmt.Sprintf("w%d", i), ty, w.bits)
+				terms = append(terms, f0.Bin(tir.OpFMul, w.v, c))
+			}
+			s2 := f0.Bin(tir.OpFAdd, terms[0], terms[1])
+			s3 := f0.Bin(tir.OpFAdd, terms[2], terms[3])
+			s4 := f0.Bin(tir.OpFAdd, terms[4], terms[5])
+			s23 := f0.Bin(tir.OpFAdd, s2, s3)
+			sum := f0.Bin(tir.OpFAdd, s23, s4)
 
-	// Coefficient streams would be scalars in MaxJ; here they are
-	// constants folded at the call boundary, so each weight is a full
-	// variable f32 multiplier (the paper's kernel does the same).
-	weights := []struct {
-		v    tir.Value
-		bits int64
-	}{
-		{pip1, 0x3F900000}, // 1.125
-		{pin1, 0x3F600000}, // 0.875
-		{pjp1, 0x3F880000}, // 1.0625
-		{pjn1, 0x3F700000}, // 0.9375
-		{pkp1, 0x3F980000}, // 1.1875
-		{pkn1, 0x3F500000}, // 0.8125
+			diff := f0.Bin(tir.OpFSub, sum, rhs)
+			cn1 := f0.NamedConst("cn1", ty, 0x3F500000)     // 0.8125
+			omega := f0.NamedConst("omega", ty, 0x3F980000) // 1.1875
+			t1 := f0.Bin(tir.OpFMul, diff, cn1)
+			t2 := f0.Bin(tir.OpFMul, t1, omega)
+			rel := f0.Bin(tir.OpFSub, t2, p)
+			res := f0.Bin(tir.OpFAdd, rel, p)
+			f0.Out(pnew, res)
+			f0.Accumulate("sorErrAcc", tir.OpFAdd, rel)
+		},
 	}
-	var terms []tir.Value
-	for i, w := range weights {
-		c := f0.NamedConst(fmt.Sprintf("w%d", i), ty, w.bits)
-		terms = append(terms, f0.Bin(tir.OpFMul, w.v, c))
-	}
-	s2 := f0.Bin(tir.OpFAdd, terms[0], terms[1])
-	s3 := f0.Bin(tir.OpFAdd, terms[2], terms[3])
-	s4 := f0.Bin(tir.OpFAdd, terms[4], terms[5])
-	s23 := f0.Bin(tir.OpFAdd, s2, s3)
-	sum := f0.Bin(tir.OpFAdd, s23, s4)
-
-	diff := f0.Bin(tir.OpFSub, sum, rhs)
-	cn1 := f0.NamedConst("cn1", ty, 0x3F500000)     // 0.8125
-	omega := f0.NamedConst("omega", ty, 0x3F980000) // 1.1875
-	t1 := f0.Bin(tir.OpFMul, diff, cn1)
-	t2 := f0.Bin(tir.OpFMul, t1, omega)
-	rel := f0.Bin(tir.OpFSub, t2, p)
-	res := f0.Bin(tir.OpFAdd, rel, p)
-	f0.Out(pnew, res)
-	f0.Accumulate("sorErrAcc", tir.OpFAdd, rel)
-
-	laneSize := s.GlobalSize() / int64(s.Lanes)
-	if err := wirePorts(b, "f0", s.Lanes, ty, laneSize, []string{"p", "rhs"}, []string{"p_new"}); err != nil {
-		return nil, err
-	}
-	return b.Module()
 }

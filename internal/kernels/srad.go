@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/tir"
+	"repro/internal/typetrans"
 )
 
 // SRAD fixed-point parameters (ui24 datapath, image samples in
@@ -35,33 +36,24 @@ func DefaultSRAD() SRADSpec { return SRADSpec{Rows: 128, Cols: 229, Lanes: 1} }
 // Name implements Spec.
 func (s SRADSpec) Name() string { return "srad" }
 
-// LaneCount implements LanedSpec.
+// LaneCount implements Spec.
 func (s SRADSpec) LaneCount() int { return s.Lanes }
 
 // GlobalSize implements Spec.
 func (s SRADSpec) GlobalSize() int64 { return int64(s.Rows) * int64(s.Cols) }
-
-// WordsPerItem implements Spec: image in, image out.
-func (s SRADSpec) WordsPerItem() int { return 2 }
-
-// InputNames implements Spec.
-func (s SRADSpec) InputNames() []string { return []string{"img"} }
-
-// OutputNames implements Spec.
-func (s SRADSpec) OutputNames() []string { return []string{"img_new"} }
 
 // Validate checks the geometry.
 func (s SRADSpec) Validate() error {
 	if s.Rows < 2 || s.Cols < 2 {
 		return fmt.Errorf("kernels: srad image %dx%d too small", s.Rows, s.Cols)
 	}
-	if s.Lanes < 1 || s.GlobalSize()%int64(s.Lanes) != 0 {
-		return fmt.Errorf("kernels: srad %d pixels do not divide into %d lanes", s.GlobalSize(), s.Lanes)
-	}
 	return nil
 }
 
-// Module implements Spec. Per pixel:
+// Module implements Spec.
+func (s SRADSpec) Module() (*tir.Module, error) { return Variant(s, s.Lanes) }
+
+// Kernel implements Spec: image in, image out. Per pixel:
 //
 //	dN..dW = neighbour differences
 //	g2     = (dN² + dS² + dE² + dW²) >> s1   (gradient magnitude)
@@ -70,53 +62,47 @@ func (s SRADSpec) Validate() error {
 //	out    = img + (c·lap) >> s2
 //
 // with the total diffusion coefficient accumulated into @cSum.
-func (s SRADSpec) Module() (*tir.Module, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	b := tir.NewBuilder("srad")
+func (s SRADSpec) Kernel() *typetrans.Kernel {
 	ty := tir.UIntT(sradBits)
+	return &typetrans.Kernel{
+		Name:    "srad",
+		Inputs:  streams(ty, "img"),
+		Outputs: streams(ty, "img_new"),
+		Body: func(f0 *tir.FuncBuilder, ins, outs []tir.Value) {
+			img, out := ins[0], outs[0]
 
-	f0 := b.Func("f0", tir.ModePipe)
-	img := f0.Param("img", ty)
-	out := f0.Param("img_new", ty)
+			jn := f0.NamedOffset("jn", img, -int64(s.Cols))
+			js := f0.NamedOffset("js", img, int64(s.Cols))
+			je := f0.NamedOffset("je", img, 1)
+			jw := f0.NamedOffset("jw", img, -1)
 
-	jn := f0.NamedOffset("jn", img, -int64(s.Cols))
-	js := f0.NamedOffset("js", img, int64(s.Cols))
-	je := f0.NamedOffset("je", img, 1)
-	jw := f0.NamedOffset("jw", img, -1)
+			dn := f0.Sub(jn, img)
+			dsx := f0.Sub(js, img)
+			de := f0.Sub(je, img)
+			dw := f0.Sub(jw, img)
 
-	dn := f0.Sub(jn, img)
-	dsx := f0.Sub(js, img)
-	de := f0.Sub(je, img)
-	dw := f0.Sub(jw, img)
+			g2 := f0.BinImm(tir.OpLshr,
+				f0.Add(f0.Add(f0.Mul(dn, dn), f0.Mul(dsx, dsx)),
+					f0.Add(f0.Mul(de, de), f0.Mul(dw, dw))),
+				sradShft1)
+			lap := f0.BinImm(tir.OpLshr, f0.Add(f0.Add(dn, dsx), f0.Add(de, dw)), 2)
 
-	g2 := f0.BinImm(tir.OpLshr,
-		f0.Add(f0.Add(f0.Mul(dn, dn), f0.Mul(dsx, dsx)),
-			f0.Add(f0.Mul(de, de), f0.Mul(dw, dw))),
-		sradShft1)
-	lap := f0.BinImm(tir.OpLshr, f0.Add(f0.Add(dn, dsx), f0.Add(de, dw)), 2)
+			kconst := f0.NamedConst("kappa", ty, sradK)
+			zero := f0.NamedConst("zero", ty, 0)
+			cmax := f0.NamedConst("cmax", ty, sradCMax)
 
-	kconst := f0.NamedConst("kappa", ty, sradK)
-	zero := f0.NamedConst("zero", ty, 0)
-	cmax := f0.NamedConst("cmax", ty, sradCMax)
+			raw := f0.Sub(kconst, g2)
+			// Wrapped-negative detection: a result above K means g2 > K.
+			neg := f0.Cmp("ugt", raw, kconst)
+			lo := f0.Select(neg, zero, raw)
+			high := f0.Cmp("ugt", lo, cmax)
+			c := f0.Select(high, cmax, lo)
 
-	raw := f0.Sub(kconst, g2)
-	// Wrapped-negative detection: a result above K means g2 > K.
-	neg := f0.Cmp("ugt", raw, kconst)
-	lo := f0.Select(neg, zero, raw)
-	high := f0.Cmp("ugt", lo, cmax)
-	c := f0.Select(high, cmax, lo)
-
-	upd := f0.BinImm(tir.OpLshr, f0.Mul(c, lap), sradShft2)
-	f0.Out(out, f0.Add(img, upd))
-	f0.Accumulate("cSum", tir.OpAdd, c)
-
-	laneSize := s.GlobalSize() / int64(s.Lanes)
-	if err := wirePorts(b, "f0", s.Lanes, ty, laneSize, s.InputNames(), s.OutputNames()); err != nil {
-		return nil, err
+			upd := f0.BinImm(tir.OpLshr, f0.Mul(c, lap), sradShft2)
+			f0.Out(out, f0.Add(img, upd))
+			f0.Accumulate("cSum", tir.OpAdd, c)
+		},
 	}
-	return b.Module()
 }
 
 // MakeInputs implements Spec.

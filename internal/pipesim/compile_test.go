@@ -49,8 +49,8 @@ func requireIdenticalResult(t *testing.T, tag string, got, want *Result) {
 // goldenSpecs spans all four golden kernels at single- and multi-lane
 // replication (multi-lane exercises the par lane loop and the shared
 // accumulators).
-func goldenSpecs() []kernels.LanedSpec {
-	return []kernels.LanedSpec{
+func goldenSpecs() []kernels.Spec {
+	return []kernels.Spec{
 		kernels.SORSpec{IM: 15, JM: 10, KM: 8, Lanes: 1},
 		kernels.SORSpec{IM: 15, JM: 10, KM: 16, Lanes: 4},
 		kernels.HotspotSpec{Rows: 24, Cols: 31, Lanes: 1},

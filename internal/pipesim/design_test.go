@@ -172,7 +172,7 @@ func TestInstanceRunAllocations(t *testing.T) {
 		t.Skip("the allocation gate prices the compiled executor, not the oracle")
 	}
 	cases := []struct {
-		spec kernels.LanedSpec
+		spec kernels.Spec
 		seed int64
 	}{
 		{kernels.SORSpec{IM: 15, JM: 10, KM: 8, Lanes: 1}, 13},

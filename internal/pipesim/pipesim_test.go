@@ -27,7 +27,7 @@ var specTiming = map[string]struct{ cycles, items int64 }{
 // runSpec executes a kernel spec end to end: build the module, bind the
 // workload, run, check the cycles and items against specTiming, and
 // gather outputs.
-func runSpec(t *testing.T, spec kernels.LanedSpec, seed int64) (*Result, map[string][]int64, map[string][]int64, map[string]int64) {
+func runSpec(t *testing.T, spec kernels.Spec, seed int64) (*Result, map[string][]int64, map[string][]int64, map[string]int64) {
 	t.Helper()
 	m, err := spec.Module()
 	if err != nil {
@@ -86,7 +86,8 @@ func TestHotspotMatchesGolden(t *testing.T) {
 func TestLavaMDMatchesGolden(t *testing.T) {
 	spec := kernels.LavaMDSpec{Pairs: 64, Lanes: 1}
 	res, _, wantOut, wantAcc := runSpec(t, spec, 13)
-	for _, name := range spec.OutputNames() {
+	for _, sig := range spec.Kernel().Outputs {
+		name := sig.Name
 		got, err := kernels.CollectOutput(res.Mem, name, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -110,7 +111,8 @@ func TestLavaMDMultiLaneExact(t *testing.T) {
 	// 2^32).
 	spec := kernels.LavaMDSpec{Pairs: 64, Lanes: 4}
 	res, _, wantOut, wantAcc := runSpec(t, spec, 13)
-	for _, name := range spec.OutputNames() {
+	for _, sig := range spec.Kernel().Outputs {
+		name := sig.Name
 		got, err := kernels.CollectOutput(res.Mem, name, 4)
 		if err != nil {
 			t.Fatal(err)
