@@ -12,8 +12,9 @@ var update = flag.Bool("update", false, "rewrite the golden tytradse outputs")
 
 // goldenCases is the flag matrix TestRunGolden pins: every -eval mode,
 // every strategy (the adaptive ones seeded and budgeted), -csv, every
-// -form, and -devices in model and hybrid mode. sor-sim and sor-hybrid
-// pin the Fig 15 simulated cycles the benchmark's sim-sweep scores.
+// -form, -devices in model and hybrid mode, and every built-in kernel.
+// sor-sim and sor-hybrid pin the Fig 15 simulated cycles the
+// benchmark's sim-sweep scores.
 var goldenCases = map[string][]string{
 	"model-sor":        {"-kernel", "sor", "-maxlanes", "8"},
 	"form-a":           {"-kernel", "sor", "-maxlanes", "8", "-form", "A"},
@@ -23,6 +24,7 @@ var goldenCases = map[string][]string{
 	"hybrid":           {"-kernel", "lavamd", "-maxlanes", "4", "-eval", "hybrid"},
 	"sor-sim":          {"-kernel", "sor", "-maxlanes", "8", "-eval", "sim"},
 	"sor-hybrid":       {"-kernel", "sor", "-maxlanes", "16", "-eval", "hybrid"},
+	"srad":             {"-kernel", "srad", "-maxlanes", "16", "-eval", "hybrid"},
 	"wall-pruned":      {"-kernel", "sor", "-maxlanes", "8", "-form", "A", "-strategy", "wall-pruned"},
 	"pareto":           {"-kernel", "sor", "-maxlanes", "8", "-strategy", "pareto"},
 	"hillclimb":        {"-kernel", "sor", "-maxlanes", "16", "-strategy", "hillclimb", "-seed", "1", "-budget", "8"},
