@@ -10,7 +10,8 @@
 // With -kernel (sor|hotspot|lavamd|srad, the kernels package's
 // built-ins) a built-in kernel is costed at its Table II configuration
 // instead of reading a file; -lanes picks its variant, which must
-// divide the kernel's NDRange. -cache DIR is the
+// divide the kernel's NDRange and stay within the elab.MaxInstances
+// lanes a design may materialise. -cache DIR is the
 // persistent evaluation store tytradse -cache uses: the target's
 // calibrated models are read from it when present and written to it
 // otherwise, and a warm run prints byte-identical output.
@@ -57,6 +58,11 @@ func run(args []string, out io.Writer) error {
 	tbOut := fs.String("tb", "", "with -kernel: write a self-checking Verilog testbench (stimulus + simulator-derived expectations)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// A variant materialises each lane, so the lane count stops where
+	// the simulator and the HDL back end stop.
+	if *lanes > elab.MaxInstances {
+		return fmt.Errorf("-lanes %d: above the %d lanes a design may materialise", *lanes, elab.MaxInstances)
 	}
 
 	target, err := device.Lookup(*targetName)

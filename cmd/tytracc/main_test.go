@@ -95,6 +95,11 @@ func TestRunErrors(t *testing.T) {
 		{"-form", "Z", "-kernel", "sor"},      // unknown form
 		{"/does/not/exist.tirl"},              // missing file
 		{"a.tirl", "b.tirl"},                  // too many args
+		{"-kernel", "sor", "-lanes", "7"},     // does not divide the NDRange
+		{"-kernel", "sor", "-lanes", "0"},
+		// Divides hotspot's 261,888 items but exceeds the lanes a
+		// design may materialise.
+		{"-kernel", "hotspot", "-lanes", "2816"},
 	}
 	for i, args := range cases {
 		if err := run(args, &out); err == nil {
