@@ -34,7 +34,7 @@ func movingLaplace() *typetrans.Kernel {
 	return &typetrans.Kernel{
 		Name: "laplace1d",
 		Inputs: []typetrans.StreamSig{
-			{Name: "u", Ty: ty, Offsets: []int64{1, -1}},
+			{Name: "u", Ty: ty},
 			{Name: "f", Ty: ty},
 		},
 		Outputs: []typetrans.StreamSig{{Name: "u_new", Ty: ty}},

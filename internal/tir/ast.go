@@ -247,8 +247,6 @@ func (o Operand) String() string {
 // below implements it.
 type Instr interface {
 	isInstr()
-	// Defs returns the SSA name defined, or "" (calls define nothing).
-	Defs() string
 	// Uses returns the operands read.
 	Uses() []Operand
 	// Pos returns the instruction's source position (zero for built
@@ -272,7 +270,6 @@ type OffsetInstr struct {
 }
 
 func (*OffsetInstr) isInstr()          {}
-func (i *OffsetInstr) Defs() string    { return i.Dst }
 func (i *OffsetInstr) Uses() []Operand { return []Operand{i.Src} }
 func (i *OffsetInstr) Pos() diag.Pos   { return i.At }
 func (i *OffsetInstr) String() string {
@@ -295,7 +292,6 @@ type ConstInstr struct {
 }
 
 func (*ConstInstr) isInstr()          {}
-func (i *ConstInstr) Defs() string    { return i.Dst }
 func (i *ConstInstr) Uses() []Operand { return nil }
 func (i *ConstInstr) Pos() diag.Pos   { return i.At }
 func (i *ConstInstr) String() string {
@@ -320,7 +316,6 @@ type BinInstr struct {
 }
 
 func (*BinInstr) isInstr()          {}
-func (i *BinInstr) Defs() string    { return i.Dst }
 func (i *BinInstr) Uses() []Operand { return []Operand{i.A, i.B} }
 func (i *BinInstr) Pos() diag.Pos   { return i.At }
 func (i *BinInstr) String() string {
@@ -341,7 +336,6 @@ type UnInstr struct {
 }
 
 func (*UnInstr) isInstr()          {}
-func (i *UnInstr) Defs() string    { return i.Dst }
 func (i *UnInstr) Uses() []Operand { return []Operand{i.A} }
 func (i *UnInstr) Pos() diag.Pos   { return i.At }
 func (i *UnInstr) String() string {
@@ -360,7 +354,6 @@ type CmpInstr struct {
 }
 
 func (*CmpInstr) isInstr()          {}
-func (i *CmpInstr) Defs() string    { return i.Dst }
 func (i *CmpInstr) Uses() []Operand { return []Operand{i.A, i.B} }
 func (i *CmpInstr) Pos() diag.Pos   { return i.At }
 func (i *CmpInstr) String() string {
@@ -379,7 +372,6 @@ type SelectInstr struct {
 }
 
 func (*SelectInstr) isInstr()          {}
-func (i *SelectInstr) Defs() string    { return i.Dst }
 func (i *SelectInstr) Uses() []Operand { return []Operand{i.Cond, i.A, i.B} }
 func (i *SelectInstr) Pos() diag.Pos   { return i.At }
 func (i *SelectInstr) String() string {
@@ -403,7 +395,6 @@ type OutInstr struct {
 }
 
 func (*OutInstr) isInstr()          {}
-func (i *OutInstr) Defs() string    { return "" }
 func (i *OutInstr) Uses() []Operand { return []Operand{i.Val} }
 func (i *OutInstr) Pos() diag.Pos   { return i.At }
 func (i *OutInstr) String() string {
@@ -421,7 +412,6 @@ type CallInstr struct {
 }
 
 func (*CallInstr) isInstr()          {}
-func (i *CallInstr) Defs() string    { return "" }
 func (i *CallInstr) Uses() []Operand { return i.Args }
 func (i *CallInstr) Pos() diag.Pos   { return i.At }
 func (i *CallInstr) String() string {

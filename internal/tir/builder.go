@@ -37,7 +37,8 @@ func (b *Builder) Module() (*Module, error) {
 }
 
 // MustModule finalises the module and panics on builder misuse; for
-// use by statically-known-correct builders (the kernel library).
+// tests whose builders are known correct (in tir, pipesim, hdl and
+// schedule).
 func (b *Builder) MustModule() *Module {
 	m, err := b.Module()
 	if err != nil {

@@ -6,8 +6,9 @@ import (
 )
 
 // String renders the module in TyTra-IR surface syntax. The output
-// re-parses to an equivalent module (round-trip property, tested with
-// testing/quick in print_test.go).
+// re-parses to an equivalent module: TestPrintParseRoundTrip and
+// TestBuilderPrintParseRoundTrip (parser_test.go) check the round trip,
+// as do kernels' TestGoldenIR and TestCorpus on every golden module.
 func (m *Module) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "; module %s\n", m.Name)

@@ -6,6 +6,11 @@
 // parallelism metadata (par, pipe, seq) to each map level selects a
 // point in the FPGA design space (Fig 3).
 //
+// Program.Lower is the repository's one lane replicator: every built-in
+// kernel (package kernels, through kernels.Variant) and the sor-dse
+// example declare a Kernel once and get each lane variant from it, with
+// one contiguous slab and one set of stream ports per lane (Fig 14).
+//
 // The paper uses Idris' dependent types to make the transformations
 // correct by construction; here the same guarantees — the reshaped type
 // has the same size, and flattening restores the original element order
@@ -85,9 +90,6 @@ func ReshapeTo(v Vect, k int64) (Vect, error) {
 type StreamSig struct {
 	Name string
 	Ty   tir.Type
-	// Offsets lists the stream offsets the kernel body taps (stencil
-	// neighbours); empty for element-wise streams.
-	Offsets []int64
 }
 
 // Kernel is the scalar function mapped over the vector — the paper's
