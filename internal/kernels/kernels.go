@@ -72,11 +72,11 @@ func Variant(s Spec, lanes int) (*tir.Module, error) {
 // count through typetrans.
 func lower(k *typetrans.Kernel, n int64, lanes int) (*tir.Module, error) {
 	p, err := typetrans.Baseline(k, n)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		p, err = p.Reshape(int64(lanes), tir.ModePar)
 	}
-	if p, err = p.Reshape(int64(lanes), tir.ModePar); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, fmt.Errorf("kernels: %s at %d lanes: %w", k.Name, lanes, err)
 	}
 	return p.Lower()
 }
