@@ -11,6 +11,13 @@
 //	         [-eval model|sim|hybrid]
 //	         [-j N] [-csv] [-devices name,name,...] [-cache DIR]
 //
+// -kernel names a built-in kernel from the kernels package's table
+// (sor | hotspot | lavamd | srad), the list tytracc -kernel reads too.
+// Each is explored at the NDRange the table gives it: sor over Fig 15's
+// 15×10×96,096 grid, hotspot over 384×682, lavamd over 720,720 pairs
+// and srad over its 128×229 Table II image. The lane axis holds every
+// count up to -maxlanes that divides the NDRange.
+//
 // The -strategy flag selects the exploration strategy from the dse
 // strategy table (the flag help lists exactly what parses):
 // "exhaustive" costs every variant, "wall-pruned" stops the lane
