@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/elab"
 	"repro/internal/tir"
+	"repro/internal/typetrans"
 )
 
 func main() {
@@ -47,26 +48,27 @@ func main() {
 }
 
 // parlanes is the Fig 14 idiom: a par wrapper replicating one pipeline
-// kernel across two lanes, each with its own top-level stream ports.
+// kernel across two lanes, each with its own top-level stream ports,
+// lowered by the front end as reshapeTo 2 under a par map.
 func parlanes() (*tir.Module, error) {
-	b := tir.NewBuilder("parlanes")
 	ty := tir.UIntT(18)
-
-	f0 := b.Func("f0", tir.ModePipe)
-	x := f0.Param("x", ty)
-	y := f0.Param("y", ty)
-	scaled := f0.MulImm(x, 5)
-	f0.Out(y, f0.BinImm(tir.OpLshr, scaled, 2))
-
-	main := b.Func("main", tir.ModeSeq)
-	par := b.Func("f_lanes", tir.ModePar)
-	for l := 0; l < 2; l++ {
-		in := b.GlobalPort("main", fmt.Sprintf("x%d", l), ty, 512, tir.DirIn, tir.PatternContiguous, 1)
-		out := b.GlobalPort("main", fmt.Sprintf("y%d", l), ty, 512, tir.DirOut, tir.PatternContiguous, 1)
-		par.CallOperands("f0", tir.ModePipe, in, out)
+	k := &typetrans.Kernel{
+		Name:    "parlanes",
+		Inputs:  []typetrans.StreamSig{{Name: "x", Ty: ty}},
+		Outputs: []typetrans.StreamSig{{Name: "y", Ty: ty}},
+		Body: func(f0 *tir.FuncBuilder, ins, outs []tir.Value) {
+			scaled := f0.MulImm(ins[0], 5)
+			f0.Out(outs[0], f0.BinImm(tir.OpLshr, scaled, 2))
+		},
 	}
-	main.CallOperands("f_lanes", tir.ModePar)
-	return b.Module()
+	p, err := typetrans.Baseline(k, 2*512)
+	if err != nil {
+		return nil, err
+	}
+	if p, err = p.Reshape(2, tir.ModePar); err != nil {
+		return nil, err
+	}
+	return p.Lower()
 }
 
 // combblock inlines a custom single-cycle combinatorial block (Fig 8)
