@@ -11,7 +11,8 @@
 // built-ins) a built-in kernel is costed at its Table II configuration
 // instead of reading a file; -lanes picks its variant, which must
 // divide the kernel's NDRange and stay within the elab.MaxInstances
-// lanes a design may materialise. -cache DIR is the
+// lanes a design may materialise, and -tb writes its testbench. Both
+// need -kernel and are refused with a file. -cache DIR is the
 // persistent evaluation store tytradse -cache uses: the target's
 // calibrated models are read from it when present and written to it
 // otherwise, and a warm run prints byte-identical output.
@@ -58,6 +59,18 @@ func run(args []string, out io.Writer) error {
 	tbOut := fs.String("tb", "", "with -kernel: write a self-checking Verilog testbench (stimulus + simulator-derived expectations)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// -lanes and -tb act on a built-in kernel: a .tirl file fixes its
+	// own lane count and carries no workload to derive expectations from.
+	if *kernel == "" {
+		lanesSet := false
+		fs.Visit(func(f *flag.Flag) { lanesSet = lanesSet || f.Name == "lanes" })
+		switch {
+		case lanesSet:
+			return fmt.Errorf("-lanes needs -kernel (a .tirl file fixes its own lane count)")
+		case *tbOut != "":
+			return fmt.Errorf("-tb needs -kernel (the testbench derives its expectations from the built-in workload)")
+		}
 	}
 	// A variant materialises each lane, so the lane count stops where
 	// the simulator and the HDL back end stop.
@@ -142,9 +155,6 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *tbOut != "" {
-		if spec == nil {
-			return fmt.Errorf("-tb needs -kernel (the testbench derives its expectations from the built-in workload)")
-		}
 		mem, err := kernels.BindInputs(spec.MakeInputs(1), *lanes)
 		if err != nil {
 			return err

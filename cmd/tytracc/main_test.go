@@ -86,6 +86,9 @@ func TestCacheWarmMatchesCold(t *testing.T) {
 	}
 }
 
+// sorFile is the one-lane SOR design in TyTra-IR surface syntax.
+var sorFile = filepath.Join("..", "..", "internal", "kernels", "testdata", "sor_1lane.tirl")
+
 func TestRunErrors(t *testing.T) {
 	var out strings.Builder
 	cases := [][]string{
@@ -100,6 +103,8 @@ func TestRunErrors(t *testing.T) {
 		// Divides hotspot's 261,888 items but exceeds the lanes a
 		// design may materialise.
 		{"-kernel", "hotspot", "-lanes", "2816"},
+		// A file fixes its own lane count.
+		{"-lanes", "4", sorFile},
 	}
 	for i, args := range cases {
 		if err := run(args, &out); err == nil {
@@ -124,9 +129,18 @@ func TestTestbenchEmission(t *testing.T) {
 			t.Errorf("testbench missing %q", want)
 		}
 	}
-	// -tb without -kernel is refused.
-	if err := run([]string{"-tb", tb, "/does/not/exist.tirl"}, &out); err == nil {
+	// -tb without -kernel is refused before anything runs: nothing is
+	// calibrated or printed, and -hdl writes no Verilog.
+	hdl := filepath.Join(dir, "sor.v")
+	var refused strings.Builder
+	if err := run([]string{"-tb", tb, "-hdl", hdl, sorFile}, &refused); err == nil {
 		t.Error("-tb without -kernel accepted")
+	}
+	if refused.Len() != 0 {
+		t.Errorf("-tb without -kernel ran before refusing:\n%s", refused.String())
+	}
+	if _, err := os.Stat(hdl); !os.IsNotExist(err) {
+		t.Errorf("-tb without -kernel wrote %s (%v)", hdl, err)
 	}
 }
 
