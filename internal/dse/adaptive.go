@@ -1,7 +1,6 @@
 package dse
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -73,7 +72,7 @@ func randomVariant(sc *Search) Variant {
 	return v
 }
 
-// HillClimb is restarted local search: a probe wave seeds Restarts
+// HillClimb is restarted local search: a probe wave seeds numClimbers
 // independent climbers at the most promising candidates — ranked by
 // the cost model's EKIT, which every evaluation mode carries, so the
 // model's microsecond points steer even a simulation-backed run — and
@@ -81,32 +80,24 @@ func randomVariant(sc *Search) Variant {
 // ±1-step neighbour until it sits on a local optimum. Neighbourhoods
 // are proposed as one wave per round, so the memoised pool evaluates
 // them concurrently and re-visited points are free.
-type HillClimb struct {
-	// Restarts is the number of independent climbers (default 3).
-	Restarts int
-	// Probes is the size of the seeding wave (default 3·Restarts); the
-	// space centre is always probed, the rest are seeded draws.
-	Probes int
-}
+type HillClimb struct{}
+
+// The climb's shape: numClimbers independent climbers, seeded from a
+// probe wave of probeWaveSize candidates (capped at the space size) —
+// the space centre plus seeded draws.
+const (
+	numClimbers   = 3
+	probeWaveSize = 3 * numClimbers
+)
 
 // Name implements Strategy.
 func (HillClimb) Name() string { return "hillclimb" }
 
-func (st HillClimb) start(sc *Search) (searcher, error) {
-	restarts := st.Restarts
-	if restarts <= 0 {
-		restarts = 3
-	}
-	probes := st.Probes
-	if probes <= 0 {
-		probes = 3 * restarts
-	}
-	if size := sc.Space().Size(); probes > size {
-		probes = size
-	}
+func (HillClimb) start(sc *Search) (searcher, error) {
+	space := sc.Space()
+	probes := min(probeWaveSize, space.Size())
 	// The probe set: the centre plus seeded uniform draws, deduplicated.
 	// The draw loop is bounded so a tiny space cannot spin it forever.
-	space := sc.Space()
 	seen := map[int]bool{}
 	var wave []Variant
 	add := func(v Variant) {
@@ -120,12 +111,11 @@ func (st HillClimb) start(sc *Search) (searcher, error) {
 	for tries := 0; len(wave) < probes && tries < 32*probes; tries++ {
 		add(randomVariant(sc))
 	}
-	return &hillClimbRun{restarts: restarts, probe: wave}, nil
+	return &hillClimbRun{probe: wave}, nil
 }
 
 // hillClimbRun is the per-run climber state.
 type hillClimbRun struct {
-	restarts int
 	probe    []Variant // pending seeding wave; nil once told
 	climbers []Variant // current position of each active climber
 }
@@ -162,7 +152,7 @@ func (r *hillClimbRun) tell(sc *Search, wave []Outcome) (int, error) {
 }
 
 // seed ranks the probe outcomes by the model's EKIT and starts one
-// climber at each of the top Restarts candidates.
+// climber at each of the top numClimbers candidates.
 func (r *hillClimbRun) seed(sc *Search, wave []Outcome) {
 	r.probe = nil
 	scores := make([]float64, len(wave))
@@ -183,7 +173,7 @@ func (r *hillClimbRun) seed(sc *Search, wave []Outcome) {
 	// Stable sort by descending model score: probe order breaks ties,
 	// so the seeding is deterministic.
 	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	for i := 0; i < len(idx) && i < r.restarts; i++ {
+	for i := 0; i < len(idx) && i < numClimbers; i++ {
 		if o := wave[idx[i]]; o.Err == nil && o.Point != nil {
 			r.climbers = append(r.climbers, o.Variant)
 		}
@@ -220,57 +210,39 @@ func (r *hillClimbRun) climb(sc *Search) {
 
 func (r *hillClimbRun) finish(sc *Search, res *Result) error { return nil }
 
-// Anneal is simulated annealing over the space: Chains independent
-// walkers each propose one random ±1-step move per wave, accepted by
-// the Metropolis rule on the relative EKIT change at the current
-// temperature, which cools geometrically every wave. Early wave
+// Anneal is simulated annealing over the space: annealChains
+// independent walkers each propose one random ±1-step move per wave,
+// accepted by the Metropolis rule on the relative EKIT change at the
+// current temperature, which cools geometrically every wave. Early wave
 // acceptances cross throughput valleys a hill-climber cannot; by the
 // final waves the walk is effectively greedy. The run ends after
-// Steps waves (or earlier, under the search budget).
-type Anneal struct {
-	// Chains is the number of independent walkers (default 2).
-	Chains int
-	// Steps is the number of cooling waves (default 64).
-	Steps int
-	// T0 is the initial temperature as a relative score delta
-	// (default 0.2: a 20% worse point starts ~e⁻¹ likely to be taken).
-	T0 float64
-	// Cooling is the geometric temperature factor per wave
-	// (default 0.95).
-	Cooling float64
-}
+// annealSteps waves (or earlier, under the search budget).
+type Anneal struct{}
+
+// The annealing schedule: annealChains walkers over annealSteps cooling
+// waves, starting at temperature annealT0 as a relative score delta (a
+// 20% worse point starts ~e⁻¹ likely to be taken) and cooling by the
+// factor annealCooling per wave.
+const (
+	annealChains  = 2
+	annealSteps   = 64
+	annealT0      = 0.2
+	annealCooling = 0.95
+)
 
 // Name implements Strategy.
 func (Anneal) Name() string { return "anneal" }
 
-func (st Anneal) withDefaults() Anneal {
-	if st.Chains <= 0 {
-		st.Chains = 2
-	}
-	if st.Steps <= 0 {
-		st.Steps = 64
-	}
-	if st.T0 <= 0 {
-		st.T0 = 0.2
-	}
-	if st.Cooling <= 0 || st.Cooling >= 1 {
-		st.Cooling = 0.95
-	}
-	return st
-}
-
-func (st Anneal) start(sc *Search) (searcher, error) {
-	cfg := st.withDefaults()
-	starts := make([]Variant, cfg.Chains)
+func (Anneal) start(sc *Search) (searcher, error) {
+	starts := make([]Variant, annealChains)
 	for i := range starts {
 		starts[i] = randomVariant(sc)
 	}
-	return &annealRun{cfg: cfg, temp: cfg.T0, starts: starts, current: make([]Variant, cfg.Chains)}, nil
+	return &annealRun{temp: annealT0, starts: starts, current: make([]Variant, annealChains)}, nil
 }
 
 // annealRun is the per-run walker state.
 type annealRun struct {
-	cfg    Anneal
 	temp   float64
 	step   int
 	starts []Variant // pending start wave; nil once told
@@ -283,7 +255,7 @@ func (r *annealRun) ask(sc *Search) ([]Variant, error) {
 	if r.starts != nil {
 		return r.starts, nil
 	}
-	if r.step >= r.cfg.Steps {
+	if r.step >= annealSteps {
 		return nil, nil
 	}
 	// One proposal per chain, drawn in chain order so the RNG stream —
@@ -331,7 +303,7 @@ func (r *annealRun) tell(sc *Search, wave []Outcome) (int, error) {
 		}
 	}
 	r.step++
-	r.temp *= r.cfg.Cooling
+	r.temp *= annealCooling
 	return len(wave), nil
 }
 
@@ -357,9 +329,3 @@ func (r *annealRun) accept(sc *Search, cur, next float64) bool {
 }
 
 func (r *annealRun) finish(sc *Search, res *Result) error { return nil }
-
-// String renders the configured strategy for error messages.
-func (st Anneal) String() string {
-	c := st.withDefaults()
-	return fmt.Sprintf("anneal(chains=%d steps=%d T0=%g cooling=%g)", c.Chains, c.Steps, c.T0, c.Cooling)
-}

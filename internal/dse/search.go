@@ -15,22 +15,13 @@ type Budget struct {
 	// exactly: a wave that would overrun is cut at the first variant the
 	// budget cannot afford.
 	MaxEvals int
-	// Patience ends the run once this many consecutive charged
-	// evaluations fail to improve the best fitting EKIT. It is checked
-	// between waves (a wave is the atomic unit of the search), so a run
-	// can overshoot by at most one wave. 0 disables; negative is
-	// rejected.
-	Patience int
 }
 
-// check rejects a negative field: 0 is the only spelling of "off", so
-// a negative value is a caller's mistake, never an unlimited run.
+// check rejects a negative cap: 0 is the only spelling of "off", so a
+// negative value is a caller's mistake, never an unlimited run.
 func (b Budget) check() error {
 	if b.MaxEvals < 0 {
 		return fmt.Errorf("dse: Budget.MaxEvals must be >= 0 (0 = unlimited), got %d", b.MaxEvals)
-	}
-	if b.Patience < 0 {
-		return fmt.Errorf("dse: Budget.Patience must be >= 0 (0 = disabled), got %d", b.Patience)
 	}
 	return nil
 }
@@ -43,9 +34,6 @@ const (
 	StopExhausted StopReason = "exhausted"
 	// StopBudget: Budget.MaxEvals was reached.
 	StopBudget StopReason = "budget"
-	// StopPatience: Budget.Patience charged evaluations passed without
-	// improving the best fitting EKIT.
-	StopPatience StopReason = "patience"
 )
 
 // SearchOptions configure one Engine.Search run.
@@ -96,8 +84,6 @@ type Search struct {
 	charged flagTable
 	cells   *cellTable
 	evals   int
-	// barren counts charged evaluations since the kept best improved.
-	barren int
 
 	// The kept trajectory: outcomes the strategy accepted, deduplicated
 	// (kept flags them by Space.Index), in tell order. This becomes
@@ -168,7 +154,6 @@ func (e *Engine) evalWave(h *helpers, sc *Search, wave []Variant) []Outcome {
 	for _, o := range outs {
 		if !sc.charged.set(sc.space.Index(o.Variant)) {
 			sc.evals++
-			sc.barren++
 		}
 	}
 	return outs
@@ -193,7 +178,6 @@ func (sc *Search) commit(outs []Outcome) {
 		sc.ps = append(sc.ps, o.Point)
 		if o.Point.Fits && (sc.best == nil || o.Point.EKIT > sc.best.EKIT) {
 			sc.best = o.Point
-			sc.barren = 0
 		}
 	}
 }
@@ -211,8 +195,8 @@ func (sc *Search) sample() {
 // Search explores the engine's space under the given strategy and
 // options: the core repeatedly asks the strategy for the next wave of
 // variants, evaluates the wave through the memoised worker pool, and
-// tells the strategy the outcomes — until the strategy is done, the
-// budget is spent, or patience runs out. The returned Result carries
+// tells the strategy the outcomes — until the strategy is done or the
+// budget is spent. The returned Result carries
 // the run's provenance (evaluations charged, coverage fraction, stop
 // reason, seed) alongside the usual points, walls and best.
 func (e *Engine) Search(st Strategy, opts SearchOptions) (*Result, error) {
@@ -265,10 +249,6 @@ func (e *Engine) Search(st Strategy, opts SearchOptions) (*Result, error) {
 		}
 		if truncated {
 			stop = StopBudget
-			break
-		}
-		if sc.budget.Patience > 0 && sc.barren >= sc.budget.Patience {
-			stop = StopPatience
 			break
 		}
 	}

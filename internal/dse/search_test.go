@@ -303,36 +303,9 @@ func TestSearchBudgetExact(t *testing.T) {
 	}
 }
 
-// TestSearchPatience: a run with no improvement after its first wave
-// stops with StopPatience before exhausting the space.
-func TestSearchPatience(t *testing.T) {
-	space, err := NewSpace(LanesAxis(LaneCounts(16)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Monotonically decreasing EKIT: nothing ever improves on the first
-	// kept point.
-	eval := syntheticEval(
-		func(lanes int) float64 { return 1000 - float64(lanes) },
-		func(lanes int) float64 { return 0 },
-	)
-	r, err := NewEngine(space, eval, 2).Search(Anneal{Chains: 1, Steps: 64}, SearchOptions{
-		Budget: Budget{Patience: 3}, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Stop != StopPatience {
-		t.Errorf("stop = %q, want %q", r.Stop, StopPatience)
-	}
-	if r.Evals >= space.Size() {
-		t.Errorf("patience did not stop the search early (%d evals)", r.Evals)
-	}
-}
-
-// TestSearchRejectsNegativeBudget: a negative MaxEvals or Patience is
-// an error that names the field, raised before anything is evaluated,
-// for every strategy; 0 stays the spelling of "off".
+// TestSearchRejectsNegativeBudget: a negative MaxEvals is an error
+// that names the field, raised before anything is evaluated, for every
+// strategy; 0 stays the spelling of "off".
 func TestSearchRejectsNegativeBudget(t *testing.T) {
 	space, err := NewSpace(LanesAxis(LaneCounts(4)))
 	if err != nil {
@@ -343,11 +316,8 @@ func TestSearchRejectsNegativeBudget(t *testing.T) {
 		field  string // "" = accepted
 	}{
 		{Budget{MaxEvals: -1}, "MaxEvals"},
-		{Budget{MaxEvals: -1, Patience: 2}, "MaxEvals"},
-		{Budget{Patience: -3}, "Patience"},
-		{Budget{MaxEvals: 2, Patience: -1}, "Patience"},
 		{Budget{}, ""},
-		{Budget{MaxEvals: 2, Patience: 1}, ""},
+		{Budget{MaxEvals: 2}, ""},
 	}
 	for _, stName := range StrategyNames() {
 		st, err := ParseStrategy(stName)

@@ -44,9 +44,6 @@ func SearchSummary(r *dse.Result) string {
 	if r.Budget.MaxEvals > 0 {
 		fmt.Fprintf(&b, ", budget=%d", r.Budget.MaxEvals)
 	}
-	if r.Budget.Patience > 0 {
-		fmt.Fprintf(&b, ", patience=%d", r.Budget.Patience)
-	}
 	b.WriteByte('\n')
 	return b.String()
 }

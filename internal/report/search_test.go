@@ -20,7 +20,7 @@ func searchResult(t *testing.T) *dse.Result {
 		Coverage: 0.75,
 		Stop:     dse.StopBudget,
 		Seed:     7,
-		Budget:   dse.Budget{MaxEvals: 3, Patience: 2},
+		Budget:   dse.Budget{MaxEvals: 3},
 		Trajectory: []dse.TrajectorySample{
 			{Wave: 1, Evals: 2, BestEKIT: 0},
 			{Wave: 2, Evals: 3, BestEKIT: 12.5},
@@ -55,7 +55,7 @@ func TestSearchSummary(t *testing.T) {
 	s := SearchSummary(searchResult(t))
 	for _, want := range []string{
 		"hillclimb", "3 of 4 points", "75.0% coverage",
-		"stop=budget", "seed=7", "budget=3", "patience=2",
+		"stop=budget", "seed=7", "budget=3",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary %q missing %q", s, want)
