@@ -34,7 +34,7 @@ func BenchmarkFig9ResourceCurves(b *testing.B) {
 	var r *experiments.Fig9Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = experiments.Fig9(device.StratixVGSD8())
+		r, err = experiments.Fig9()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func BenchmarkFig10StreamBandwidth(b *testing.B) {
 	var r *experiments.Fig10Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = experiments.Fig10(device.Virtex7690T())
+		r, err = experiments.Fig10()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func BenchmarkTable2Accuracy(b *testing.B) {
 	var r *experiments.Table2Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = experiments.Table2(true)
+		r, err = experiments.Table2()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func BenchmarkTable2Accuracy(b *testing.B) {
 func BenchmarkFig17CaseStudyRuntime(b *testing.B) {
 	var r *experiments.CaseStudyResult
 	for i := 0; i < b.N; i++ {
-		r = experiments.CaseStudy(nil, 1000)
+		r = experiments.CaseStudy()
 	}
 	bestVsMaxJ, bestVsCPU := 0.0, 0.0
 	for _, row := range r.Rows {
@@ -138,7 +138,7 @@ func BenchmarkFig17CaseStudyRuntime(b *testing.B) {
 func BenchmarkFig18CaseStudyEnergy(b *testing.B) {
 	var r *experiments.CaseStudyResult
 	for i := 0; i < b.N; i++ {
-		r = experiments.CaseStudy(nil, 1000)
+		r = experiments.CaseStudy()
 	}
 	bestVsCPU, bestVsMaxJ := 0.0, 0.0
 	for _, row := range r.Rows {
@@ -451,7 +451,7 @@ func BenchmarkStrategyComparison(b *testing.B) {
 	var r *experiments.DSEStratResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = experiments.DSEStrat(0, 0)
+		r, err = experiments.DSEStrat()
 		if err != nil {
 			b.Fatal(err)
 		}

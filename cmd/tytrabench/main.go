@@ -13,6 +13,12 @@
 //	tytrabench -exp strat    DSE strategy comparison (best found vs evals spent)
 //	tytrabench -exp all      everything, in paper order
 //
+// Each experiment runs the paper's one configuration of it at full
+// scale (Table II at the kernels' Table II sizes, both Fig 15 sweeps
+// over the ~14.4M-item SOR NDRange), so -exp all prints exactly the
+// tables the experiments print by name. -csv emits CSV instead of
+// aligned tables.
+//
 // -cpuprofile and -memprofile wrap any of the above in the standard
 // pprof collectors, for chasing hot spots:
 //
@@ -32,8 +38,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"repro/internal/costmodel"
-	"repro/internal/device"
 	"repro/internal/experiments"
 )
 
@@ -48,7 +52,6 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tytrabench", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment: fig9|fig10|fig15|fig15h|fig15d|table2|fig17|fig18|speed|strat|all")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
-	full := fs.Bool("full", true, "use the paper-scale workloads (slower)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the selected run to this file (inspect with `go tool pprof`)")
 	memProfile := fs.String("memprofile", "", "write a heap profile (taken after the run, post-GC) to this file (inspect with `go tool pprof`)")
 	if err := fs.Parse(args); err != nil {
@@ -97,7 +100,7 @@ func run(args []string, out io.Writer) error {
 
 	if want("fig9") {
 		ran = true
-		r, err := experiments.Fig9(device.StratixVGSD8())
+		r, err := experiments.Fig9()
 		if err != nil {
 			return err
 		}
@@ -105,7 +108,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if want("fig10") {
 		ran = true
-		r, err := experiments.Fig10(device.Virtex7690T())
+		r, err := experiments.Fig10()
 		if err != nil {
 			return err
 		}
@@ -113,7 +116,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if want("table2") {
 		ran = true
-		r, err := experiments.Table2(*full)
+		r, err := experiments.Table2()
 		if err != nil {
 			return err
 		}
@@ -129,14 +132,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if want("fig15h") {
 		ran = true
-		// The full 14.4M-work-item NDRange is only simulated when
-		// fig15h is asked for by name: inside "-exp all" the trimmed
-		// workload keeps the default report run fast. The trimmed
-		// sweep is a smaller workload (its DRAM wall and lane set can
-		// differ from the full fig15 table above it); the calibration
-		// verdict — model CPKI tracking simulated cycles per variant
-		// — is what carries over.
-		r, err := experiments.Fig15Hybrid(*full && *exp == "fig15h")
+		r, err := experiments.Fig15Hybrid()
 		if err != nil {
 			return err
 		}
@@ -156,7 +152,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if want("fig17") || want("fig18") {
 		ran = true
-		r := experiments.CaseStudy(nil, 1000)
+		r := experiments.CaseStudy()
 		if want("fig17") {
 			emit(r.Fig17Table())
 		}
@@ -166,7 +162,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if want("strat") {
 		ran = true
-		r, err := experiments.DSEStrat(0, 0)
+		r, err := experiments.DSEStrat()
 		if err != nil {
 			return err
 		}
@@ -174,11 +170,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if want("speed") {
 		ran = true
-		mdl, err := costmodel.Calibrate(device.StratixVGSD8())
-		if err != nil {
-			return err
-		}
-		r, err := experiments.EstimatorSpeed(mdl)
+		r, err := experiments.EstimatorSpeed()
 		if err != nil {
 			return err
 		}

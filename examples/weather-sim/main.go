@@ -112,7 +112,7 @@ func run(w io.Writer) error {
 
 	// How would this job fare on the three §VII platforms at production
 	// scale? (grid 96³, nmaxp=1000, the weather model's typical size.)
-	cs := hlsbase.NewCaseStudy(nil)
+	cs := hlsbase.NewCaseStudy()
 	fmt.Fprintln(w, "projected production run (96x96x96 grid, 1000 iterations):")
 	for _, pf := range hlsbase.Platforms {
 		sec := cs.Seconds(pf, 96, 1000)

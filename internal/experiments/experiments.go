@@ -1,11 +1,15 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (the per-experiment index of DESIGN.md): Fig 9 (resource
-// cost curves), Fig 10 (sustained stream bandwidth), Fig 15 (the SOR
-// variant sweep with its walls), Table II (estimated vs actual resources
-// and CPKI for the three kernels), and Figs 17/18 (the case-study
-// runtime and energy comparisons). Each driver returns structured
-// results plus a rendered table, and is shared by cmd/tytrabench, the
-// root benchmark harness, and the EXPERIMENTS.md record.
+// cost curves, Fig9), Fig 10 (sustained stream bandwidth, Fig10),
+// Fig 15 (the SOR variant sweep with its walls, Fig15, re-run under the
+// hybrid evaluator by Fig15Hybrid and across the device shelf by
+// Fig15Devices), Table II (estimated vs actual resources and CPKI for
+// the three kernels, Table2), Figs 17/18 (the case-study runtime and
+// energy comparisons, CaseStudy), the §VI-A estimator speed
+// (EstimatorSpeed) and the DSE strategy comparison (DSEStrat). Each
+// driver runs the paper's one configuration of its experiment, so none
+// takes an argument, and returns structured results plus a rendered
+// table; cmd/tytrabench and the root benchmark harness share them.
 package experiments
 
 import (
@@ -47,8 +51,10 @@ type Fig9Result struct {
 	Check24Actual int
 }
 
-// Fig9 calibrates the model on the target and samples the curves.
-func Fig9(t *device.Target) (*Fig9Result, error) {
+// Fig9 calibrates the model on the Stratix V GSD8, the device of the
+// paper's §V-A check, and samples the curves.
+func Fig9() (*Fig9Result, error) {
+	t := device.StratixVGSD8()
 	mdl, err := costmodel.Calibrate(t)
 	if err != nil {
 		return nil, err
@@ -86,10 +92,11 @@ type Fig10Result struct {
 	Samples []membw.Sample
 }
 
-// Fig10 runs the STREAM-style benchmark on the target (the paper uses
-// the ADM-PCIE-7V3 / Virtex-7 board).
-func Fig10(t *device.Target) (*Fig10Result, error) {
-	samples, err := membw.RunStreamBenchmark(t, nil)
+// Fig10 runs the STREAM-style benchmark on the paper's ADM-PCIE-7V3 /
+// Virtex-7 board.
+func Fig10() (*Fig10Result, error) {
+	t := device.Virtex7690T()
+	samples, err := membw.RunStreamBenchmark(t)
 	if err != nil {
 		return nil, err
 	}
@@ -184,39 +191,16 @@ type Fig15HybridResult struct {
 	Calibration []report.CalibrationRow
 }
 
-// fig15HybridSpec is the Fig 15 workload of the hybrid experiment: the
-// full NDRange (KM = 96096, ~14.4M work-items) is what the paper
-// sweeps, and the small variant keeps the kernel and the per-item
-// widths and trims KM to 1456 = 2^4·7·13 planes (218400 work-items).
-// Sim-backed scoring takes cycles from the compiled design's
-// structure, so both sizes cost about the same; the small one is the
-// default so the committed experiment output stays put. It is a
-// smaller workload, not a disguised copy of the full one: the trimmed streams
-// sit lower on the sustained-bandwidth curve (the DRAM wall can land
-// at a different lane count than the full sweep's) and 1456 lacks the
-// factors 9 and 11, so those lane counts drop out of the divisor
-// sweep. What the experiment pins is internal consistency at the
-// chosen scale — the hybrid walls must equal a model-only sweep of
-// the same spec, and every calibration row must hold the model/sim
-// cycle ratio (TestFig15HybridExperiment).
-func fig15HybridSpec(full bool, lanes int) kernels.SORSpec {
-	s := Fig15Spec(lanes)
-	if !full {
-		s.KM = 1456
-	}
-	return s
-}
-
-// Fig15Hybrid runs the SOR lane sweep under form B with the hybrid
-// evaluator: every reshape-legal lane count in 1..16 is costed by the
-// EKIT model and simulated cycle-accurately, and the calibration rows
-// report the model/sim cycle ratio per variant (flagged past the
-// report.DefaultCalibrationTol band).
-func Fig15Hybrid(full bool) (*Fig15HybridResult, error) {
+// Fig15Hybrid runs Fig 15's form-B lane sweep (Fig15Spec on the scaled
+// educational target, lanes 1..16) with the hybrid evaluator: every
+// variant is costed by the EKIT model and its cycles are taken from the
+// compiled design, and the calibration rows report the model/sim cycle
+// ratio per variant (flagged past the report.DefaultCalibrationTol
+// band). The ranking is the model's, so the walls are Fig 15's.
+func Fig15Hybrid() (*Fig15HybridResult, error) {
 	t := device.GSD8Edu()
-	build := func(lanes int) (*tir.Module, error) { return fig15HybridSpec(full, lanes).Module() }
-	lanes := dse.DivisorLaneCounts(fig15HybridSpec(full, 1).GlobalSize(), 16)
-	space, err := dse.NewSpace(dse.LanesAxis(lanes))
+	build := func(lanes int) (*tir.Module, error) { return Fig15Spec(lanes).Module() }
+	space, err := dse.NewSpace(dse.LanesAxis(dse.LaneCounts(16)))
 	if err != nil {
 		return nil, err
 	}
@@ -297,21 +281,14 @@ type Table2Result struct {
 }
 
 // Table2Specs returns the three kernels at their Table II
-// configurations. The small variant trims the NDRanges so the full
-// drivers stay fast in tests; the benchmark harness uses the full sizes.
-func Table2Specs(full bool) []kernels.Spec {
-	if full {
-		return []kernels.Spec{kernels.DefaultHotspot(), kernels.DefaultLavaMD(), kernels.DefaultSOR()}
-	}
-	return []kernels.Spec{
-		kernels.HotspotSpec{Rows: 24, Cols: 682, Lanes: 1},
-		kernels.DefaultLavaMD(),
-		kernels.DefaultSOR(),
-	}
+// configurations.
+func Table2Specs() []kernels.Spec {
+	return []kernels.Spec{kernels.DefaultHotspot(), kernels.DefaultLavaMD(), kernels.DefaultSOR()}
 }
 
-// Table2 estimates and "measures" (synthesises + simulates) each kernel.
-func Table2(full bool) (*Table2Result, error) {
+// Table2 estimates and "measures" (synthesises + simulates) each kernel
+// on the Stratix V GSD8.
+func Table2() (*Table2Result, error) {
 	t := device.StratixVGSD8()
 	mdl, err := costmodel.Calibrate(t)
 	if err != nil {
@@ -319,7 +296,7 @@ func Table2(full bool) (*Table2Result, error) {
 	}
 	synth := fabric.New(t)
 	res := &Table2Result{Target: t}
-	for _, spec := range Table2Specs(full) {
+	for _, spec := range Table2Specs() {
 		m, err := spec.Module()
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", spec.Name(), err)
@@ -380,12 +357,14 @@ type CaseStudyResult struct {
 	Rows  []hlsbase.Row
 }
 
-// CaseStudy evaluates the three platforms across the grid sweep. When
-// bw is nil a flat sustained-bandwidth assumption is used (the FPGA
-// platforms are compute-bound either way).
-func CaseStudy(bw *membw.Model, iters int64) *CaseStudyResult {
-	cs := hlsbase.NewCaseStudy(bw)
-	return &CaseStudyResult{Iters: iters, Rows: cs.Evaluate(iters)}
+// caseStudyIters is the case study's solver iteration count: the
+// paper fixes nmaxp = 1000.
+const caseStudyIters = 1000
+
+// CaseStudy evaluates the three platforms across the grid sweep at the
+// paper's nmaxp.
+func CaseStudy() *CaseStudyResult {
+	return &CaseStudyResult{Iters: caseStudyIters, Rows: hlsbase.NewCaseStudy().Evaluate(caseStudyIters)}
 }
 
 // Fig17Table renders the normalised-runtime comparison.
@@ -428,11 +407,15 @@ type SpeedResult struct {
 	PaperPerl time.Duration
 }
 
-// EstimatorSpeed costs the 16-variant SOR family once and times it.
-// The calibrated model is passed in so only the per-variant estimation
-// is measured, matching the paper's methodology (calibration is
-// one-time per target).
-func EstimatorSpeed(mdl *costmodel.Model) (*SpeedResult, error) {
+// EstimatorSpeed calibrates the model on the Stratix V GSD8, then costs
+// the 16-variant SOR family once and times it. The clock starts after
+// calibration, so only the per-variant estimation is measured, matching
+// the paper's methodology (calibration is one-time per target).
+func EstimatorSpeed() (*SpeedResult, error) {
+	mdl, err := costmodel.Calibrate(device.StratixVGSD8())
+	if err != nil {
+		return nil, err
+	}
 	start := time.Now() //lint:allow notimenow
 	n := 0
 	for lanes := 1; lanes <= 16; lanes++ {

@@ -9,17 +9,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/costmodel"
-	"repro/internal/device"
 	"repro/internal/dse"
 	"repro/internal/hlsbase"
-	"repro/internal/membw"
-	"repro/internal/perf"
-	"repro/internal/tir"
 )
 
 func TestFig9Experiment(t *testing.T) {
-	r, err := Fig9(device.StratixVGSD8())
+	r, err := Fig9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +41,7 @@ func TestFig9Experiment(t *testing.T) {
 }
 
 func TestFig10Experiment(t *testing.T) {
-	r, err := Fig10(device.Virtex7690T())
+	r, err := Fig10()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +54,7 @@ func TestFig10Experiment(t *testing.T) {
 }
 
 func TestTable2Experiment(t *testing.T) {
-	r, err := Table2(false)
+	r, err := Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +81,7 @@ func TestTable2Experiment(t *testing.T) {
 }
 
 func TestCaseStudyExperiment(t *testing.T) {
-	r := CaseStudy(nil, 1000)
+	r := CaseStudy()
 	if len(r.Rows) != 5 {
 		t.Fatalf("got %d rows, want 5 grid sizes", len(r.Rows))
 	}
@@ -103,11 +98,7 @@ func TestCaseStudyExperiment(t *testing.T) {
 }
 
 func TestEstimatorSpeedExperiment(t *testing.T) {
-	mdl, err := costmodel.Calibrate(device.StratixVGSD8())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := EstimatorSpeed(mdl)
+	r, err := EstimatorSpeed()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,12 +115,12 @@ func TestEstimatorSpeedExperiment(t *testing.T) {
 	}
 }
 
-// TestFig15HybridExperiment runs the hybrid-mode Fig 15 sweep at the
-// trimmed NDRange and cross-checks it against a model-only exploration
-// of the same spec: identical walls, identical model scores, and every
+// TestFig15HybridExperiment runs the hybrid-mode Fig 15 sweep and
+// cross-checks it against Fig15's model-only form-B sweep of the same
+// spec: identical walls, identical model scores lane by lane, and every
 // calibration row inside the tolerance band with no drift flags.
 func TestFig15HybridExperiment(t *testing.T) {
-	r, err := Fig15Hybrid(false)
+	r, err := Fig15Hybrid()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,39 +139,24 @@ func TestFig15HybridExperiment(t *testing.T) {
 		}
 	}
 
-	mdl, err := costmodel.Calibrate(r.Target)
+	fig15, err := Fig15()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw, err := membw.Build(r.Target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func(lanes int) (*tir.Module, error) { return fig15HybridSpec(false, lanes).Module() }
-	lanes := dse.DivisorLaneCounts(fig15HybridSpec(false, 1).GlobalSize(), 16)
-	space, err := dse.NewSpace(dse.LanesAxis(lanes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := dse.NewEngine(space, dse.NewEvaluator(mdl, bw, build, perf.Workload{NKI: 10}, perf.FormB), 0).
-		Run(dse.Exhaustive{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := res.Sweep(perf.FormB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := fig15.B
 	if r.B.ComputeWall != model.ComputeWall || r.B.DRAMWall != model.DRAMWall ||
 		r.B.HostWall != model.HostWall {
 		t.Errorf("hybrid walls (%d,%d,%d) != model walls (%d,%d,%d)",
 			r.B.ComputeWall, r.B.HostWall, r.B.DRAMWall,
 			model.ComputeWall, model.HostWall, model.DRAMWall)
 	}
+	if len(r.B.Points) != len(model.Points) {
+		t.Fatalf("hybrid sweep has %d points, Fig15 has %d", len(r.B.Points), len(model.Points))
+	}
 	for i := range model.Points {
-		if r.B.Points[i].EKIT != model.Points[i].EKIT {
-			t.Errorf("lanes=%d: hybrid EKIT %g != model EKIT %g",
-				model.Points[i].Lanes, r.B.Points[i].EKIT, model.Points[i].EKIT)
+		if r.B.Points[i].Lanes != model.Points[i].Lanes || r.B.Points[i].EKIT != model.Points[i].EKIT {
+			t.Errorf("point %d: hybrid lanes=%d EKIT %g != model lanes=%d EKIT %g", i,
+				r.B.Points[i].Lanes, r.B.Points[i].EKIT, model.Points[i].Lanes, model.Points[i].EKIT)
 		}
 	}
 
@@ -276,7 +252,7 @@ func stratGolden(r *DSEStratResult) string {
 // enumeration, and the rows are deterministic and pinned by
 // testdata/strat.golden, so a change in search behaviour fails here.
 func TestDSEStratReport(t *testing.T) {
-	r, err := DSEStrat(0, 0)
+	r, err := DSEStrat()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +283,7 @@ func TestDSEStratReport(t *testing.T) {
 		}
 	}
 	// Determinism: a second run yields identical rows.
-	again, err := DSEStrat(0, 0)
+	again, err := DSEStrat()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,25 +48,22 @@ type DSEStratResult struct {
 	Rows        []DSEStratRow
 }
 
-// dseStratWorkers pins the engine parallelism of the comparison: the
-// rows must not vary with the host's core count.
-const dseStratWorkers = 4
+// The comparison's fixed settings. dseStratWorkers pins the engine
+// parallelism, so the rows do not vary with the host's core count; the
+// adaptive searches run at seed dseStratSeed, capped at dseStratBudget
+// evaluations, three quarters of the space.
+const (
+	dseStratWorkers = 4
+	dseStratSeed    = 1
+	dseStratBudget  = 24
+)
 
-// DSEStrat runs every registered strategy over the Fig 15 lanes×form
-// space (32 points on the scaled educational target) through one
-// shared engine: the memoised cache means each variant is costed once
-// no matter how many strategies visit it, so the rows differ only in
-// what the issue at hand is — search behaviour. seed and budget apply
-// to the adaptive strategies (seed <= 0 selects 1; budget <= 0 caps
-// the adaptive searches at 24 evaluations, three quarters of the
-// space).
-func DSEStrat(seed int64, budget int) (*DSEStratResult, error) {
-	if seed <= 0 {
-		seed = 1
-	}
-	if budget <= 0 {
-		budget = 24
-	}
+// DSEStrat runs every strategy of dse.StrategyNames over the Fig 15
+// lanes×form space (32 points on the scaled educational target) through
+// one shared engine: the memoised cache means each variant is costed
+// once no matter how many strategies visit it, so the rows differ only
+// in search behaviour.
+func DSEStrat() (*DSEStratResult, error) {
 	t := device.GSD8Edu()
 	mdl, err := costmodel.Calibrate(t)
 	if err != nil {
@@ -88,8 +85,8 @@ func DSEStrat(seed int64, budget int) (*DSEStratResult, error) {
 	eng := dse.NewEngine(space, eval, dseStratWorkers)
 
 	res := &DSEStratResult{
-		Seed:        seed,
-		Budget:      budget,
+		Seed:        dseStratSeed,
+		Budget:      dseStratBudget,
 		Workers:     dseStratWorkers,
 		SpacePoints: space.Size(),
 	}
@@ -99,9 +96,9 @@ func DSEStrat(seed int64, budget int) (*DSEStratResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := dse.SearchOptions{Seed: seed}
+		opts := dse.SearchOptions{Seed: dseStratSeed}
 		if dse.StrategyIsAdaptive(name) {
-			opts.Budget = dse.Budget{MaxEvals: budget}
+			opts.Budget = dse.Budget{MaxEvals: dseStratBudget}
 		}
 		r, err := eng.Search(st, opts)
 		if err != nil {

@@ -25,8 +25,6 @@ import (
 	"fmt"
 
 	"repro/internal/device"
-	"repro/internal/membw"
-	"repro/internal/tir"
 )
 
 // Defaults for the case-study platforms, standing in for the measured
@@ -59,9 +57,6 @@ const (
 type CaseStudy struct {
 	CPU    *device.HostCPU
 	Target *device.Target
-	// BW predicts sustained DRAM bandwidth for the FPGA platforms; when
-	// nil a flat 70% of peak is assumed.
-	BW *membw.Model
 
 	// OpsPerPoint is the scalar instruction count of one stencil update
 	// on the CPU (after -O2 strength reduction and CSE).
@@ -71,11 +66,10 @@ type CaseStudy struct {
 }
 
 // NewCaseStudy returns the §VII configuration: the Maia desktop node.
-func NewCaseStudy(bw *membw.Model) *CaseStudy {
+func NewCaseStudy() *CaseStudy {
 	return &CaseStudy{
 		CPU:              device.IntelI7Quad16(),
 		Target:           device.StratixVGSD8(),
-		BW:               bw,
 		OpsPerPoint:      15.5,
 		CPUBytesPerPoint: 16,
 	}
@@ -119,15 +113,13 @@ func (cs *CaseStudy) CPUSeconds(points, iters int64) float64 {
 }
 
 // fpgaSeconds models a pipelined FPGA implementation: lanes accepting
-// one point per cycle, bounded by sustained DRAM bandwidth, plus the
-// per-call dispatch and per-stream setup overheads. Host transfer
+// one point per cycle, bounded by sustained DRAM bandwidth (a flat 70%
+// of peak: the FPGA platforms are compute-bound on every grid), plus
+// the per-call dispatch and per-stream setup overheads. Host transfer
 // happens once (form B): the grids fit device DRAM.
 func (cs *CaseStudy) fpgaSeconds(points, iters int64, lanes int, clockHz float64, streams int) float64 {
 	bytesPerIter := float64(points) * WordsPerPoint * fpgaWordBytes
 	sustained := 0.7 * cs.Target.DRAM.PeakBandwidth
-	if cs.BW != nil {
-		sustained = cs.BW.SustainedSteady(int64(bytesPerIter), tir.PatternContiguous)
-	}
 	compute := float64(points) / (clockHz * float64(lanes))
 	stream := bytesPerIter / sustained
 	per := compute

@@ -1,17 +1,12 @@
 package hlsbase
 
-import (
-	"testing"
-
-	"repro/internal/device"
-	"repro/internal/membw"
-)
+import "testing"
 
 const iters = 1000 // the paper's nmaxp
 
 func evaluate(t *testing.T) []Row {
 	t.Helper()
-	return NewCaseStudy(nil).Evaluate(iters)
+	return NewCaseStudy().Evaluate(iters)
 }
 
 func rowAt(t *testing.T, rows []Row, dim int) Row {
@@ -125,7 +120,7 @@ func TestRelativeResultsHoldAcrossNmaxp(t *testing.T) {
 	// Footnote 4: "the relative performance and energy consumption
 	// results hold across different values of nmaxp ... and changes only
 	// with changing grid-size."
-	cs := NewCaseStudy(nil)
+	cs := NewCaseStudy()
 	for _, dim := range []int{48, 192} {
 		base := cs.Seconds(PlatformTytra, dim, 1000) / cs.Seconds(PlatformCPU, dim, 1000)
 		for _, n := range []int64{100, 5000} {
@@ -138,27 +133,12 @@ func TestRelativeResultsHoldAcrossNmaxp(t *testing.T) {
 }
 
 func TestPowerModel(t *testing.T) {
-	cs := NewCaseStudy(nil)
+	cs := NewCaseStudy()
 	cpu := cs.DeltaWatts(PlatformCPU)
 	mj := cs.DeltaWatts(PlatformMaxJ)
 	ty := cs.DeltaWatts(PlatformTytra)
 	if !(cpu > ty && ty > mj && mj > 0) {
 		t.Errorf("power ordering: cpu %.1fW, tytra %.1fW, maxJ %.1fW; want cpu > tytra > maxJ > 0", cpu, ty, mj)
-	}
-}
-
-func TestCaseStudyWithEmpiricalBW(t *testing.T) {
-	// Wiring the real bandwidth model in must not change the qualitative
-	// result at the big grid.
-	bw, err := membw.Build(device.StratixVGSD8())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := NewCaseStudy(bw)
-	r := cs.Seconds(PlatformTytra, 192, iters)
-	c := cs.Seconds(PlatformCPU, 192, iters)
-	if r >= c {
-		t.Errorf("with empirical BW, tytra (%.2fs) lost to cpu (%.2fs) at 192³", r, c)
 	}
 }
 

@@ -46,7 +46,7 @@ func TestStreamBenchmarkGolden(t *testing.T) {
 		var first []Sample
 		for _, procs := range []int{1, 2, 8} {
 			prev := runtime.GOMAXPROCS(procs)
-			samples, err := RunStreamBenchmark(tgt, nil)
+			samples, err := RunStreamBenchmark(tgt)
 			runtime.GOMAXPROCS(prev)
 			if err != nil {
 				t.Fatalf("%s, GOMAXPROCS %d: %v", name, procs, err)

@@ -12,7 +12,6 @@
 package membw
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -56,9 +55,9 @@ func (s Sample) Gbps() float64 { return s.Sustained * 8 / 1e9 }
 var DefaultDims = []int{100, 250, 500, 1000, 2000, 3000, 4000, 5000, 6000}
 
 // RunStreamBenchmark performs the one-time per-target bandwidth
-// experiments: for each dimension, stream a Dim² array contiguously and
-// with stride Dim, measuring the sustained rate including the
-// kernel-dispatch overhead that dominates small sizes.
+// experiments: for each of DefaultDims, stream a Dim² array
+// contiguously and with stride Dim, measuring the sustained rate
+// including the kernel-dispatch overhead that dominates small sizes.
 //
 // Every (dim, pattern) cell starts from precharged banks, so the cells
 // are independent. The contiguous cells all stream from address 0, so
@@ -70,15 +69,8 @@ var DefaultDims = []int{100, 250, 500, 1000, 2000, 3000, 4000, 5000, 6000}
 // channel, largest first (the contiguous walk, on the registered
 // targets), and each sample lands in its fixed slot — the table is the
 // same whatever the worker count.
-func RunStreamBenchmark(t *device.Target, dims []int) ([]Sample, error) {
-	if len(dims) == 0 {
-		dims = DefaultDims
-	}
-	for _, dim := range dims {
-		if dim <= 0 {
-			return nil, fmt.Errorf("membw: non-positive benchmark dimension %d", dim)
-		}
-	}
+func RunStreamBenchmark(t *device.Target) ([]Sample, error) {
+	dims := DefaultDims
 	// Job 0 walks the contiguous cells; job k >= 1 the strided cell of
 	// dims[k-1]. Largest first, by expected walked accesses: the
 	// contiguous walk moves max(dim)²·elemBytes/BurstBytes bursts. A
@@ -220,7 +212,7 @@ func (c curve) eval(bytes float64) float64 {
 // Build runs the one-time benchmark and assembles the model for the
 // target (Fig 2's "one-time input for each unique FPGA target").
 func Build(t *device.Target) (*Model, error) {
-	samples, err := RunStreamBenchmark(t, nil)
+	samples, err := RunStreamBenchmark(t)
 	if err != nil {
 		return nil, err
 	}

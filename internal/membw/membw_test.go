@@ -147,12 +147,6 @@ func TestRhoFactorsInUnitRange(t *testing.T) {
 	}
 }
 
-func TestRunStreamBenchmarkErrors(t *testing.T) {
-	if _, err := RunStreamBenchmark(device.Virtex7690T(), []int{-5}); err == nil {
-		t.Error("negative dim: want error")
-	}
-}
-
 // StrideSample is one point of the stride sweep: a fixed-size stream
 // accessed at the given element stride.
 type StrideSample struct {

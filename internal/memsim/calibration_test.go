@@ -66,7 +66,7 @@ func TestCalibrationWalkCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := memsim.WalkedAccesses()
-		if _, err := membw.RunStreamBenchmark(tgt, nil); err != nil {
+		if _, err := membw.RunStreamBenchmark(tgt); err != nil {
 			t.Fatal(err)
 		}
 		n := memsim.WalkedAccesses() - before
