@@ -51,28 +51,22 @@ const (
 	WordsPerPoint = 3
 	cpuWordBytes  = 4
 	fpgaWordBytes = 3
+	// OpsPerPoint is the scalar instruction count of one stencil update
+	// on the CPU (after -O2 strength reduction and CSE).
+	OpsPerPoint = 15.5
+	// CPUBytesPerPoint is the CPU's memory traffic per point.
+	CPUBytesPerPoint = 16
 )
 
 // CaseStudy evaluates the three platforms on a common workload.
 type CaseStudy struct {
-	CPU    *device.HostCPU
-	Target *device.Target
-
-	// OpsPerPoint is the scalar instruction count of one stencil update
-	// on the CPU (after -O2 strength reduction and CSE).
-	OpsPerPoint float64
-	// CPUBytesPerPoint is the CPU's memory traffic per point.
-	CPUBytesPerPoint float64
+	cpu    *device.HostCPU
+	target *device.Target
 }
 
 // NewCaseStudy returns the §VII configuration: the Maia desktop node.
 func NewCaseStudy() *CaseStudy {
-	return &CaseStudy{
-		CPU:              device.IntelI7Quad16(),
-		Target:           device.StratixVGSD8(),
-		OpsPerPoint:      15.5,
-		CPUBytesPerPoint: 16,
-	}
+	return &CaseStudy{cpu: device.IntelI7Quad16(), target: device.StratixVGSD8()}
 }
 
 // Platform identifies one of the three case-study implementations.
@@ -103,8 +97,8 @@ var Platforms = []Platform{PlatformCPU, PlatformMaxJ, PlatformTytra}
 // CPUSeconds models the single-threaded baseline: per grid sweep, the
 // slower of the compute time and the streaming-memory time.
 func (cs *CaseStudy) CPUSeconds(points, iters int64) float64 {
-	compute := float64(points) * cs.OpsPerPoint / (cs.CPU.ClockHz * cs.CPU.IPC)
-	memory := float64(points) * cs.CPUBytesPerPoint / cs.CPU.MemBWBytesPerS
+	compute := float64(points) * OpsPerPoint / (cs.cpu.ClockHz * cs.cpu.IPC)
+	memory := float64(points) * CPUBytesPerPoint / cs.cpu.MemBWBytesPerS
 	per := compute
 	if memory > per {
 		per = memory
@@ -119,7 +113,7 @@ func (cs *CaseStudy) CPUSeconds(points, iters int64) float64 {
 // happens once (form B): the grids fit device DRAM.
 func (cs *CaseStudy) fpgaSeconds(points, iters int64, lanes int, clockHz float64, streams int) float64 {
 	bytesPerIter := float64(points) * WordsPerPoint * fpgaWordBytes
-	sustained := 0.7 * cs.Target.DRAM.PeakBandwidth
+	sustained := 0.7 * cs.target.DRAM.PeakBandwidth
 	compute := float64(points) / (clockHz * float64(lanes))
 	stream := bytesPerIter / sustained
 	per := compute
@@ -130,7 +124,7 @@ func (cs *CaseStudy) fpgaSeconds(points, iters int64, lanes int, clockHz float64
 
 	// One-time host transfer over PCIe (in and out), amortised over the
 	// solver iterations.
-	link := cs.Target.Link
+	link := cs.target.Link
 	host := 2 * bytesPerIter / (link.PeakBandwidth * (1 - link.Overhead))
 	return per*float64(iters) + host
 }
@@ -158,11 +152,11 @@ func (cs *CaseStudy) Seconds(p Platform, dim int, iters int64) float64 {
 func (cs *CaseStudy) DeltaWatts(p Platform) float64 {
 	switch p {
 	case PlatformCPU:
-		return cs.CPU.DeltaWatts
+		return cs.cpu.DeltaWatts
 	case PlatformMaxJ:
-		return cs.Target.Power.StaticDeltaWatts + 1*cs.Target.Power.DynamicWattsPerPE
+		return cs.target.Power.StaticDeltaWatts + 1*cs.target.Power.DynamicWattsPerPE
 	case PlatformTytra:
-		return cs.Target.Power.StaticDeltaWatts + TytraLanes*cs.Target.Power.DynamicWattsPerPE
+		return cs.target.Power.StaticDeltaWatts + TytraLanes*cs.target.Power.DynamicWattsPerPE
 	}
 	return 0
 }
