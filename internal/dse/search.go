@@ -196,9 +196,9 @@ func (sc *Search) sample() {
 // options: the core repeatedly asks the strategy for the next wave of
 // variants, evaluates the wave through the memoised worker pool, and
 // tells the strategy the outcomes — until the strategy is done or the
-// budget is spent. The returned Result carries
-// the run's provenance (evaluations charged, coverage fraction, stop
-// reason, seed) alongside the usual points, walls and best.
+// budget is spent. The returned Result carries the run's provenance
+// (evaluations charged, coverage fraction, stop reason, seed) alongside
+// the usual points, walls and best.
 func (e *Engine) Search(st Strategy, opts SearchOptions) (*Result, error) {
 	if e.Space == nil {
 		return nil, fmt.Errorf("dse: engine has no space")

@@ -40,7 +40,7 @@ type searcher interface {
 // the CLI flag parses and prints, accepted aliases, a one-line usage
 // string, whether the strategy is an adaptive search (budget and seed
 // matter, coverage is partial), and the factory returning a fresh
-// Strategy with default configuration.
+// Strategy.
 type strategySpec struct {
 	Name     string
 	Aliases  []string
