@@ -6,10 +6,11 @@
 // Fig15Devices), Table II (estimated vs actual resources and CPKI for
 // the three kernels, Table2), Figs 17/18 (the case-study runtime and
 // energy comparisons, CaseStudy), the §VI-A estimator speed
-// (EstimatorSpeed) and the DSE strategy comparison (DSEStrat). Each
-// driver runs the paper's one configuration of its experiment, so none
-// takes an argument, and returns structured results plus a rendered
-// table; cmd/tytrabench and the root benchmark harness share them.
+// (EstimatorSpeed) and the DSE strategy comparison (DSEStrat). Each of
+// these functions runs the paper's one configuration of its experiment,
+// so none takes an argument, and returns structured results plus a
+// rendered table; cmd/tytrabench and the root benchmark harness share
+// them.
 package experiments
 
 import (
