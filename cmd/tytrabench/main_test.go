@@ -8,7 +8,6 @@ import (
 func TestRunSingleExperiments(t *testing.T) {
 	cases := map[string]string{
 		"fig9":   "resource cost curves",
-		"table2": "Table II",
 		"fig15h": "Fig 15 (hybrid)",
 		"fig15d": "Fig 15 per device",
 		"fig17":  "normalised to cpu",
@@ -23,6 +22,21 @@ func TestRunSingleExperiments(t *testing.T) {
 		}
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("%s output missing %q", exp, want)
+		}
+	}
+}
+
+// TestRunTable2Small checks that Table II reports every kernel of the
+// paper's case study with its error row. The table is small enough to
+// run at the paper's scale here; TestRunGolden pins its figures.
+func TestRunTable2Small(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-exp", "table2"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"Table II", "sor", "hotspot", "lavamd", "% error"} {
+		if !strings.Contains(out.String(), k) {
+			t.Errorf("table2 output missing %q", k)
 		}
 	}
 }
