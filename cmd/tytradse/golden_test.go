@@ -12,7 +12,8 @@ var update = flag.Bool("update", false, "rewrite the golden tytradse outputs")
 
 // goldenCases is the flag matrix TestRunGolden pins: every -eval mode,
 // every strategy (the adaptive ones seeded and budgeted), -csv, every
-// -form, -devices in model and hybrid mode, and every built-in kernel.
+// -form, -devices in model and hybrid mode, a budget that leaves a
+// device unreached, and every built-in kernel.
 // sor-sim and sor-hybrid pin the Fig 15 simulated cycles the
 // benchmark's sim-sweep scores.
 var goldenCases = map[string][]string{
@@ -33,6 +34,7 @@ var goldenCases = map[string][]string{
 	"devices-model":    {"-kernel", "sor", "-maxlanes", "4", "-devices", "stratix-v-gsd8-edu,virtex-7-690t"},
 	"devices-hybrid":   {"-kernel", "hotspot", "-maxlanes", "2", "-devices", "edu,virtex-7-690t", "-eval", "hybrid"},
 	"devices-pareto-j": {"-kernel", "lavamd", "-maxlanes", "4", "-devices", "stratix-v-gsd8,virtex-7-690t", "-strategy", "pareto", "-j", "1"},
+	"devices-budget":   {"-kernel", "sor", "-maxlanes", "4", "-devices", "edu,virtex-7-690t", "-budget", "1"},
 }
 
 // TestRunGolden pins tytradse's complete stdout for each case in
