@@ -84,8 +84,7 @@ func main() {
 	}
 }
 
-// options is the parsed flag set shared by the single- and
-// multi-device paths.
+// options is the parsed flag set explore reads.
 type options struct {
 	kernel   string
 	form     perf.Form
@@ -164,72 +163,18 @@ func run(args []string, out io.Writer) error {
 		nki:    *nki, maxLanes: *maxLanes, jobs: *jobs, csv: *csv,
 		cache: dse.NewModelCacheStore(store)}
 
+	names, multi := []string{*targetName}, false
 	if *devices != "" {
-		return runDevices(out, opt, strings.Split(*devices, ","))
+		names, multi = strings.Split(*devices, ","), true
 	}
-	return runSingle(out, opt, *targetName)
+	return explore(out, opt, names, multi)
 }
 
-// runSingle is the classic single-target exploration.
-func runSingle(out io.Writer, opt options, targetName string) error {
-	target, err := device.Lookup(targetName)
-	if err != nil {
-		return err
-	}
-
-	build, ngs, err := family(opt.kernel)
-	if err != nil {
-		return err
-	}
-
-	// The line prints warm and cold alike: warm-cache output must stay
-	// byte-identical to the cold run (the CI smoke byte-diffs them).
-	fmt.Fprintf(out, "calibrating models for %s...\n", target.Name)
-	lanes := dse.DivisorLaneCounts(ngs, opt.maxLanes)
-	space, err := dse.NewSpace(dse.LanesAxis(lanes))
-	if err != nil {
-		return err
-	}
-	res, err := core.Explore(opt.mode, []*device.Target{target}, opt.cache, build, space,
-		perf.Workload{NKI: opt.nki}, opt.form, opt.strategy, opt.jobs, opt.search)
-	if err != nil {
-		return err
-	}
-	sw, err := res.Sweep(opt.form)
-	if err != nil {
-		return err
-	}
-
-	printSweepBlock(out, opt, target.Name, sw)
-	if opt.mode == dse.EvalHybrid {
-		cal := report.CalibrationTable("hybrid calibration: model CPKI vs simulated cycles per variant",
-			res, 0)
-		emitTable(out, opt.csv, cal)
-	}
-	if line := report.FrontierLine(res); line != "" {
-		fmt.Fprint(out, line)
-	}
-	printSearchBlock(out, opt, res)
-	// The feedback path: what to transform next (§I's targeted tuning).
-	fmt.Fprint(out, dse.Advise(sw))
-	return nil
-}
-
-// printSearchBlock appends the search trajectory and provenance for
-// budgeted and adaptive runs.
-func printSearchBlock(out io.Writer, opt options, res *dse.Result) {
-	if !opt.showSearch() {
-		return
-	}
-	emitTable(out, opt.csv, report.SearchTable(
-		fmt.Sprintf("search trajectory (%s): best EKIT found vs evaluations spent", res.Strategy), res))
-	fmt.Fprint(out, report.SearchSummary(res))
-}
-
-// runDevices is the cross-device exploration: one lanes×device engine
-// run over the named shelf, printed as per-device sweeps (identical to
-// the single-device output) plus the shelf-wide comparison.
-func runDevices(out io.Writer, opt options, names []string) error {
+// explore runs one exploration over the named targets. A single
+// -target is a one-entry shelf with no device axis; a -devices shelf
+// (multi) adds the device axis, and its output adds the per-device
+// slices, the cross-device summary and the shelf-wide best.
+func explore(out io.Writer, opt options, names []string, multi bool) error {
 	shelf, err := device.Shelf(names...)
 	if err != nil {
 		return err
@@ -239,9 +184,17 @@ func runDevices(out io.Writer, opt options, names []string) error {
 		return err
 	}
 
-	fmt.Fprintf(out, "exploring across %d devices (models calibrated once per device)...\n", len(shelf))
-	lanes := dse.DivisorLaneCounts(ngs, opt.maxLanes)
-	space, err := dse.NewSpace(dse.LanesAxis(lanes), dse.DeviceAxis(shelf...))
+	axes := []dse.Axis{dse.LanesAxis(dse.DivisorLaneCounts(ngs, opt.maxLanes))}
+	if multi {
+		fmt.Fprintf(out, "exploring across %d devices (models calibrated once per device)...\n", len(shelf))
+		axes = append(axes, dse.DeviceAxis(shelf...))
+	} else {
+		// The line prints warm and cold alike: warm-cache output must
+		// stay byte-identical to the cold run (the CI smoke byte-diffs
+		// them).
+		fmt.Fprintf(out, "calibrating models for %s...\n", shelf[0].Name)
+	}
+	space, err := dse.NewSpace(axes...)
 	if err != nil {
 		return err
 	}
@@ -253,15 +206,18 @@ func runDevices(out io.Writer, opt options, names []string) error {
 
 	sweeps := make([]*dse.Sweep, len(shelf))
 	for i, tgt := range shelf {
-		slice, err := res.Slice(dse.AxisDevice, i)
-		if err != nil {
-			return err
-		}
-		if len(slice.Points) == 0 {
-			// A pruning strategy may never reach a device; keep the shelf
-			// order but say so instead of printing an empty table.
-			fmt.Fprintf(out, "%s: no variants evaluated (pruned)\n", tgt.Name)
-			continue
+		slice := res
+		if multi {
+			if slice, err = res.Slice(dse.AxisDevice, i); err != nil {
+				return err
+			}
+			if len(slice.Points) == 0 {
+				// A pruning strategy may never reach a device; keep the
+				// shelf order but say so instead of printing an empty
+				// table.
+				fmt.Fprintf(out, "%s: no variants evaluated (pruned)\n", tgt.Name)
+				continue
+			}
 		}
 		sw, err := slice.Sweep(opt.form)
 		if err != nil {
@@ -275,36 +231,46 @@ func runDevices(out io.Writer, opt options, names []string) error {
 			res, 0)
 		emitTable(out, opt.csv, cal)
 	}
-
-	summary, err := report.DeviceSummaryTable(
-		fmt.Sprintf("cross-device summary: %s on %d devices (%s, scored by %s)",
-			opt.kernel, len(shelf), opt.form, opt.mode), res)
-	if err != nil {
-		return err
+	if multi {
+		summary, err := report.DeviceSummaryTable(
+			fmt.Sprintf("cross-device summary: %s on %d devices (%s, scored by %s)",
+				opt.kernel, len(shelf), opt.form, opt.mode), res)
+		if err != nil {
+			return err
+		}
+		emitTable(out, opt.csv, summary)
 	}
-	emitTable(out, opt.csv, summary)
 	if line := report.FrontierLine(res); line != "" {
 		fmt.Fprint(out, line)
 	}
-	printSearchBlock(out, opt, res)
-	if res.Best != nil {
-		fmt.Fprintf(out, "best overall: %s with %d lanes (EKIT %.3g/s)\n",
-			res.Best.Device, res.Best.Lanes, res.Best.EKIT)
-		for i, tgt := range shelf {
-			if tgt.Name == res.Best.Device && sweeps[i] != nil {
-				fmt.Fprint(out, dse.Advise(sweeps[i]))
-			}
-		}
-	} else {
+	if opt.showSearch() {
+		emitTable(out, opt.csv, report.SearchTable(
+			fmt.Sprintf("search trajectory (%s): best EKIT found vs evaluations spent", res.Strategy), res))
+		fmt.Fprint(out, report.SearchSummary(res))
+	}
+
+	// The feedback path: what to transform next (§I's targeted tuning).
+	if !multi {
+		fmt.Fprint(out, dse.Advise(sweeps[0]))
+		return nil
+	}
+	if res.Best == nil {
 		fmt.Fprintln(out, "no variant fits any device on the shelf")
+		return nil
+	}
+	fmt.Fprintf(out, "best overall: %s with %d lanes (EKIT %.3g/s)\n",
+		res.Best.Device, res.Best.Lanes, res.Best.EKIT)
+	for i, tgt := range shelf {
+		if tgt.Name == res.Best.Device && sweeps[i] != nil {
+			fmt.Fprint(out, dse.Advise(sweeps[i]))
+		}
 	}
 	return nil
 }
 
-// printSweepBlock prints one device's sweep exactly as the
-// single-target run prints it: table, best-variant lines, roofline.
-// The cross-device path reuses it per shelf entry, which is what makes
-// per-device rows bit-identical between the two paths.
+// printSweepBlock prints one device's sweep: table, best-variant
+// lines, roofline. A -devices run prints it per shelf entry, which is
+// what makes its per-device rows bit-identical to a -target run.
 func printSweepBlock(out io.Writer, opt options, targetName string, sw *dse.Sweep) {
 	tab := report.SweepTable(
 		fmt.Sprintf("%s variant sweep on %s (%s, scored by %s; walls: host=%d dram=%d compute=%d)",
