@@ -1,18 +1,15 @@
 // Command tytralint runs the repository's custom determinism and
-// hygiene analyzers (internal/lint) over Go packages.
+// hygiene analyzers (internal/lint) over Go packages as a go vet tool:
 //
-// It speaks two dialects:
+//	go build -o /tmp/tytralint ./cmd/tytralint
+//	go vet -vettool=/tmp/tytralint ./...
 //
-//   - As a vettool: `go vet -vettool=$(which tytralint) ./...`. The go
-//     command probes `-V=full` and `-flags`, then invokes the tool once
-//     per package with a single vet.cfg argument describing the files
-//     and export data. Findings go to stderr and the exit status is 2,
-//     matching golang.org/x/tools' unitchecker contract.
-//
-//   - Standalone: `tytralint ./...` walks the package tree itself,
-//     type-checks each package with the source importer and prints
-//     findings to stdout, exiting 1 when any survive. This needs no go
-//     build cache and is what the unit tests drive.
+// The go command probes `-V=full` and `-flags`, then invokes the tool
+// once per package with a single vet.cfg argument describing the files
+// and export data. Every analyzer of lint.All runs; findings go to
+// stderr and the exit status is 2, matching golang.org/x/tools'
+// unitchecker contract. Any other invocation prints this usage and
+// exits 2.
 package main
 
 import (
@@ -26,8 +23,6 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/lint"
@@ -42,7 +37,6 @@ func realMain(args []string, out, errOut io.Writer) int {
 	fs.SetOutput(errOut)
 	version := fs.String("V", "", "print version and exit (go vet protocol)")
 	printFlags := fs.Bool("flags", false, "print analyzer flags as JSON (go vet protocol)")
-	runFilter := fs.String("run", "", "comma-separated analyzer names to run (default all)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -55,39 +49,11 @@ func realMain(args []string, out, errOut io.Writer) int {
 		fmt.Fprintln(out, "[]")
 		return 0
 	}
-
-	analyzers, err := selectAnalyzers(*runFilter)
-	if err != nil {
-		fmt.Fprintln(errOut, err)
-		return 2
+	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
+		return runVetCfg(rest[0], errOut)
 	}
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runVetCfg(rest[0], analyzers, errOut)
-	}
-	return runStandalone(rest, analyzers, out, errOut)
-}
-
-// selectAnalyzers resolves a -run filter against the registry.
-func selectAnalyzers(filter string) ([]*lint.Analyzer, error) {
-	all := lint.All()
-	if filter == "" {
-		return all, nil
-	}
-	byName := map[string]*lint.Analyzer{}
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*lint.Analyzer
-	for _, name := range strings.Split(filter, ",") {
-		a, ok := byName[strings.TrimSpace(name)]
-		if !ok {
-			return nil, fmt.Errorf("tytralint: unknown analyzer %q", name)
-		}
-		out = append(out, a)
-	}
-	return out, nil
+	fmt.Fprintln(errOut, "usage: go vet -vettool=$(which tytralint) [packages]")
+	return 2
 }
 
 // vetConfig is the JSON the go command writes for each package when the
@@ -110,7 +76,7 @@ type vetConfig struct {
 }
 
 // runVetCfg handles one `go vet` unit of work.
-func runVetCfg(cfgPath string, analyzers []*lint.Analyzer, errOut io.Writer) int {
+func runVetCfg(cfgPath string, errOut io.Writer) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
 		fmt.Fprintf(errOut, "tytralint: %v\n", err)
@@ -175,7 +141,7 @@ func runVetCfg(cfgPath string, analyzers []*lint.Analyzer, errOut io.Writer) int
 		return 1
 	}
 
-	findings, err := lint.Run(fset, files, pkg, info, analyzers)
+	findings, err := lint.Run(fset, files, pkg, info, lint.All())
 	if err != nil {
 		fmt.Fprintf(errOut, "tytralint: %v\n", err)
 		return 1
@@ -193,184 +159,6 @@ func runVetCfg(cfgPath string, analyzers []*lint.Analyzer, errOut io.Writer) int
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// runStandalone loads packages from the working tree and lints them.
-func runStandalone(patterns []string, analyzers []*lint.Analyzer, out, errOut io.Writer) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	dirs, err := expandPatterns(patterns)
-	if err != nil {
-		fmt.Fprintf(errOut, "tytralint: %v\n", err)
-		return 1
-	}
-	modRoot, modPath := moduleInfo()
-
-	total := 0
-	for _, dir := range dirs {
-		findings, err := lintDir(dir, modRoot, modPath, analyzers)
-		if err != nil {
-			fmt.Fprintf(errOut, "tytralint: %s: %v\n", dir, err)
-			return 1
-		}
-		for _, f := range findings {
-			fmt.Fprintln(out, f)
-		}
-		total += len(findings)
-	}
-	if total > 0 {
-		return 1
-	}
-	return 0
-}
-
-// expandPatterns resolves `dir` and `dir/...` arguments into the sorted
-// list of directories containing Go files.
-func expandPatterns(patterns []string) ([]string, error) {
-	seen := map[string]bool{}
-	var dirs []string
-	add := func(dir string) {
-		if !seen[dir] && hasGoFiles(dir) {
-			seen[dir] = true
-			dirs = append(dirs, dir)
-		}
-	}
-	for _, pat := range patterns {
-		if root, ok := strings.CutSuffix(pat, "/..."); ok {
-			if root == "." || root == "" {
-				root = "."
-			}
-			err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				name := d.Name()
-				if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-					return filepath.SkipDir
-				}
-				add(path)
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		add(pat)
-	}
-	sort.Strings(dirs)
-	return dirs, nil
-}
-
-func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			return true
-		}
-	}
-	return false
-}
-
-// moduleInfo finds the enclosing go.mod so packages get their real
-// import paths (notimenow keys its perf-package exemption on them).
-func moduleInfo() (root, path string) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", ""
-	}
-	for {
-		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				if rest, ok := strings.CutPrefix(line, "module "); ok {
-					return dir, strings.TrimSpace(rest)
-				}
-			}
-			return dir, ""
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", ""
-		}
-		dir = parent
-	}
-}
-
-// lintDir type-checks the non-test Go files of one directory as a
-// package and runs the analyzers over it.
-func lintDir(dir, modRoot, modPath string, analyzers []*lint.Analyzer) ([]lint.Finding, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		src, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		if buildIgnored(src) {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), src, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, nil
-	}
-
-	importPath := dir
-	if modRoot != "" && modPath != "" {
-		if abs, err := filepath.Abs(dir); err == nil {
-			if rel, err := filepath.Rel(modRoot, abs); err == nil {
-				if rel == "." {
-					importPath = modPath
-				} else {
-					importPath = modPath + "/" + filepath.ToSlash(rel)
-				}
-			}
-		}
-	}
-
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	info := newInfo()
-	pkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck: %v", err)
-	}
-	return lint.Run(fset, files, pkg, info, analyzers)
-}
-
-// buildIgnored reports whether a file opts out of the build via a
-// `//go:build ignore` constraint (scripts run with `go run file.go`).
-func buildIgnored(src []byte) bool {
-	for _, line := range strings.Split(string(src), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "//") {
-			if strings.HasPrefix(line, "//go:build") && strings.Contains(line, "ignore") {
-				return true
-			}
-			continue
-		}
-		break
-	}
-	return false
-}
 
 func newInfo() *types.Info {
 	return &types.Info{

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -26,34 +27,43 @@ func TestFlagsProbe(t *testing.T) {
 	}
 }
 
-func TestStandaloneFindsViolation(t *testing.T) {
-	var out, errOut strings.Builder
-	code := realMain([]string{filepath.Join("testdata", "standalone", "bad")}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("exit %d, stderr %q", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "[norandglobal]") {
-		t.Errorf("expected a norandglobal finding, got %q", out.String())
-	}
-}
-
-func TestStandaloneCleanPackage(t *testing.T) {
-	var out, errOut strings.Builder
-	code := realMain([]string{filepath.Join("testdata", "standalone", "good")}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit %d, stdout %q stderr %q", code, out.String(), errOut.String())
-	}
-	if out.String() != "" {
-		t.Errorf("expected no findings, got %q", out.String())
+// TestOtherArgsPrintUsage: tytralint runs only under go vet, so package
+// patterns and a bare invocation print the vettool usage and exit 2.
+func TestOtherArgsPrintUsage(t *testing.T) {
+	for _, args := range [][]string{nil, {"./..."}, {"a.cfg", "b.cfg"}} {
+		var out, errOut strings.Builder
+		if code := realMain(args, &out, &errOut); code != 2 {
+			t.Errorf("%q: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(errOut.String(), "go vet -vettool=") || out.Len() != 0 {
+			t.Errorf("%q: stdout %q, stderr %q; want the usage on stderr", args, out.String(), errOut.String())
+		}
 	}
 }
 
-func TestRunFilterRejectsUnknown(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := realMain([]string{"-run", "bogus", "."}, &out, &errOut); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
+// TestVetTool drives the go vet protocol end to end: the tool is built,
+// go vet probes it and hands it one vet.cfg per package. The bad
+// package's global rand call must fail the run; the good package passes.
+func TestVetTool(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the tool and runs go vet")
 	}
-	if !strings.Contains(errOut.String(), "unknown analyzer") {
-		t.Errorf("stderr %q", errOut.String())
+	tool := filepath.Join(t.TempDir(), "tytralint")
+	if out, err := exec.Command("go", "build", "-o", tool, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	vet := func(pkg string) (string, error) {
+		out, err := exec.Command("go", "vet", "-vettool="+tool, pkg).CombinedOutput()
+		return string(out), err
+	}
+	out, err := vet("./testdata/vet/bad")
+	if err == nil {
+		t.Errorf("go vet passed the bad package:\n%s", out)
+	}
+	if !strings.Contains(out, "bad.go:6:") || !strings.Contains(out, "call to rand.Intn uses the shared global source") {
+		t.Errorf("go vet output lacks the rand finding:\n%s", out)
+	}
+	if out, err := vet("./testdata/vet/good"); err != nil {
+		t.Errorf("go vet failed the good package: %v\n%s", err, out)
 	}
 }
