@@ -26,13 +26,17 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/dse"
 	"repro/internal/elab"
 	"repro/internal/evalstore"
+	"repro/internal/fabric"
 	"repro/internal/hdl"
 	"repro/internal/kernels"
+	"repro/internal/membw"
 	"repro/internal/perf"
+	"repro/internal/pipesim"
 	"repro/internal/report"
 	"repro/internal/tir"
 )
@@ -119,19 +123,19 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	c, err := newCompiler(out, target, *cacheDir)
+	mdl, bw, err := models(out, target, *cacheDir)
 	if err != nil {
 		return err
 	}
 
-	rep, err := c.Cost(d, perf.Workload{NKI: *nki}, form)
+	rep, err := core.Cost(mdl, bw, d, perf.Workload{NKI: *nki}, form)
 	if err != nil {
 		return err
 	}
 	printReport(out, rep)
 
 	if *synth {
-		nl := c.Synthesize(d)
+		nl := fabric.New(target).Synthesize(d)
 		tab := report.NewTable("Estimated vs synthesised", "row", "ALUT", "REG", "BRAM", "DSP")
 		tab.AddRow("estimated", rep.Est.Used.ALUTs, rep.Est.Used.Regs, rep.Est.Used.BRAM, rep.Est.Used.DSPs)
 		tab.AddRow("actual", nl.Used.ALUTs, nl.Used.Regs, nl.Used.BRAM, nl.Used.DSPs)
@@ -144,7 +148,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *hdlOut != "" {
-		src, err := c.EmitHDL(d)
+		src, err := hdl.Emit(d)
 		if err != nil {
 			return err
 		}
@@ -159,7 +163,11 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		sim, err := c.Simulate(d, mem)
+		cd, err := pipesim.Compile(d)
+		if err != nil {
+			return err
+		}
+		sim, err := cd.Run(mem)
 		if err != nil {
 			return err
 		}
@@ -188,25 +196,21 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// newCompiler performs the one-time per-target calibration, or reads
-// its result from the evaluation store in cacheDir: the models record
+// models performs the one-time per-target calibration, or reads its
+// result from the evaluation store in cacheDir: the models record
 // tytradse -cache shares, keyed by the whole target description. The
 // calibration line prints warm and cold alike, so a warm run's output is
 // byte-identical to the cold run's.
-func newCompiler(out io.Writer, target *device.Target, cacheDir string) (*core.Compiler, error) {
+func models(out io.Writer, target *device.Target, cacheDir string) (*costmodel.Model, *membw.Model, error) {
 	fmt.Fprintf(out, "calibrating cost model for %s (one-time per target)...\n", target.Name)
 	var store *evalstore.Store
 	if cacheDir != "" {
 		var err error
 		if store, err = evalstore.Open(cacheDir); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	mdl, bw, err := dse.NewModelCacheStore(store).Models(target)
-	if err != nil {
-		return nil, err
-	}
-	return &core.Compiler{Target: target, Model: mdl, BW: bw}, nil
+	return dse.NewModelCacheStore(store).Models(target)
 }
 
 func printReport(out io.Writer, rep *core.Report) {

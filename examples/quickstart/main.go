@@ -12,8 +12,13 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/device"
+	"repro/internal/elab"
+	"repro/internal/hdl"
+	"repro/internal/membw"
 	"repro/internal/perf"
+	"repro/internal/tir"
 )
 
 // design is a small streaming kernel in TyTra-IR surface syntax: a
@@ -57,20 +62,28 @@ func run(w io.Writer) error {
 	// One-time per-target setup: calibrate the resource cost model
 	// against the synthesis substrate and run the bandwidth benchmark.
 	target := device.StratixVGSD8()
-	compiler, err := core.New(target)
+	mdl, err := costmodel.Calibrate(target)
+	if err != nil {
+		return err
+	}
+	bw, err := membw.Build(target)
 	if err != nil {
 		return err
 	}
 
 	// Parse and elaborate the design variant.
-	d, err := compiler.Parse("movavg", design)
+	m, err := tir.Parse("movavg", design)
+	if err != nil {
+		return err
+	}
+	d, err := elab.Elaborate(m)
 	if err != nil {
 		return err
 	}
 
 	// Cost it: resource estimate, Table I parameters, EKIT throughput
 	// under form B (data resident in device DRAM across iterations).
-	rep, err := compiler.Cost(d, perf.Workload{NKI: 1000}, perf.FormB)
+	rep, err := core.Cost(mdl, bw, d, perf.Workload{NKI: 1000}, perf.FormB)
 	if err != nil {
 		return err
 	}
@@ -85,10 +98,10 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "  estimated CPKI for 65536 items: %d cycles\n", est.CPKI(65536))
 
 	// Emit the synthesisable Verilog for HLS integration (§VII).
-	hdl, err := compiler.EmitHDL(d)
+	verilog, err := hdl.Emit(d)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "  generated %d bytes of Verilog (module tytra_top_%s)\n", len(hdl), rep.Module.Name)
+	fmt.Fprintf(w, "  generated %d bytes of Verilog (module tytra_top_%s)\n", len(verilog), rep.Module.Name)
 	return nil
 }

@@ -18,9 +18,13 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/elab"
+	"repro/internal/hdl"
+	"repro/internal/membw"
 	"repro/internal/perf"
+	"repro/internal/pipesim"
 	"repro/internal/tir"
 )
 
@@ -93,14 +97,21 @@ func run(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "built %q: %v, 3 stages over on-chip channels\n", m.Name, d.Config())
 
-	compiler, err := core.New(device.StratixVGSD8())
+	// One-time per-target setup (Fig 2): calibrate the resource cost
+	// model and run the bandwidth benchmark.
+	target := device.StratixVGSD8()
+	mdl, err := costmodel.Calibrate(target)
+	if err != nil {
+		return err
+	}
+	bw, err := membw.Build(target)
 	if err != nil {
 		return err
 	}
 
 	// Cost it: KPD accumulates along the chain; the channels live in
 	// block RAM; throughput stays one sample per cycle.
-	rep, err := compiler.Cost(d, perf.Workload{NKI: 100}, perf.FormC)
+	rep, err := core.Cost(mdl, bw, d, perf.Workload{NKI: 100}, perf.FormC)
 	if err != nil {
 		return err
 	}
@@ -117,7 +128,11 @@ func run(w io.Writer) error {
 		}
 		samples[i] = base
 	}
-	res, err := compiler.Simulate(d, map[string][]int64{"mem_main_x": samples})
+	cd, err := pipesim.Compile(d)
+	if err != nil {
+		return err
+	}
+	res, err := cd.Run(map[string][]int64{"mem_main_x": samples})
 	if err != nil {
 		return err
 	}
@@ -128,10 +143,10 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "spike at sample 97: raw %d -> filtered %d\n", samples[97], y[97])
 
 	// And the Verilog for HLS integration.
-	hdl, err := compiler.EmitHDL(d)
+	verilog, err := hdl.Emit(d)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "emitted %d bytes of Verilog (3 datapath + 3 stream-control modules)\n", len(hdl))
+	fmt.Fprintf(w, "emitted %d bytes of Verilog (3 datapath + 3 stream-control modules)\n", len(verilog))
 	return nil
 }

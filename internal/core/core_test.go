@@ -5,54 +5,57 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/dse"
+	"repro/internal/fabric"
+	"repro/internal/hdl"
 	"repro/internal/kernels"
+	"repro/internal/membw"
 	"repro/internal/perf"
-	"repro/internal/pipesim"
 	"repro/internal/tir"
 )
 
 var (
-	ccOnce sync.Once
-	cc     *Compiler
-	ccErr  error
+	modelsOnce sync.Once
+	gsd8Model  *costmodel.Model
+	gsd8BW     *membw.Model
+	modelsErr  error
 )
 
-func compiler(t *testing.T) *Compiler {
+// models calibrates the GSD8's cost and bandwidth models once per test
+// binary.
+func models(t *testing.T) (*costmodel.Model, *membw.Model) {
 	t.Helper()
-	ccOnce.Do(func() { cc, ccErr = New(device.StratixVGSD8()) })
-	if ccErr != nil {
-		t.Fatal(ccErr)
+	modelsOnce.Do(func() {
+		target := device.StratixVGSD8()
+		if gsd8Model, modelsErr = costmodel.Calibrate(target); modelsErr == nil {
+			gsd8BW, modelsErr = membw.Build(target)
+		}
+	})
+	if modelsErr != nil {
+		t.Fatal(modelsErr)
 	}
-	return cc
-}
-
-func TestNewRejectsNil(t *testing.T) {
-	if _, err := New(nil); err == nil {
-		t.Error("nil target accepted")
-	}
-	if _, err := New(&device.Target{}); err == nil {
-		t.Error("invalid target accepted")
-	}
+	return gsd8Model, gsd8BW
 }
 
 func TestEndToEndParseCostEmit(t *testing.T) {
-	c := compiler(t)
+	mdl, bw := models(t)
 
-	// Build SOR, print to surface syntax, re-parse through the compiler,
-	// cost it and emit HDL: the full Fig 11 pipeline.
+	// Build SOR, print to surface syntax, re-parse and elaborate it, cost
+	// it and emit HDL: the full Fig 11 pipeline.
 	spec := kernels.DefaultSOR()
 	m0, err := spec.Module()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Parse("sor.tirl", m0.String())
+	m, err := tir.Parse("sor.tirl", m0.String())
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := elaborate(t, m)
 
-	rep, err := c.Cost(d, perf.Workload{NKI: 1000}, perf.FormB)
+	rep, err := Cost(mdl, bw, d, perf.Workload{NKI: 1000}, perf.FormB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +69,7 @@ func TestEndToEndParseCostEmit(t *testing.T) {
 		t.Errorf("Noff = %d", rep.Params.Noff)
 	}
 
-	hdlSrc, err := c.EmitHDL(d)
+	hdlSrc, err := hdl.Emit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,61 +77,13 @@ func TestEndToEndParseCostEmit(t *testing.T) {
 		t.Error("HDL missing top module")
 	}
 
-	nl := c.Synthesize(d)
+	nl := fabric.New(mdl.Target).Synthesize(d)
 	if nl.Used.ALUTs <= 0 {
 		t.Error("synthesis produced no logic")
 	}
 }
 
-func TestCompilerSimulate(t *testing.T) {
-	c := compiler(t)
-	spec := kernels.LavaMDSpec{Pairs: 32, Lanes: 1}
-	m, err := spec.Module()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := kernels.BindInputs(spec.MakeInputs(5), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Simulate(elaborate(t, m), mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, wantAcc := spec.Golden(spec.MakeInputs(5))
-	got, err := kernels.CollectOutput(res.Mem, "pot", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want["pot"] {
-		if got[i] != want["pot"][i] {
-			t.Fatalf("pot[%d] = %d, want %d", i, got[i], want["pot"][i])
-		}
-	}
-	if res.Acc["potAcc"] != wantAcc["potAcc"] {
-		t.Error("accumulator mismatch")
-	}
-
-	// A compiled design with one dedicated instance must agree with the
-	// one-shot path across repeated kernel-instances.
-	d, err := pipesim.Compile(elaborate(t, m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst := d.NewInstance()
-	for k := 0; k < 3; k++ {
-		again, err := inst.Run(mem)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again.Cycles != res.Cycles || again.Acc["potAcc"] != res.Acc["potAcc"] {
-			t.Fatalf("run %d: instance diverged from Simulate", k)
-		}
-	}
-}
-
 func TestCompilerExplore(t *testing.T) {
-	c := compiler(t)
 	build := func(lanes int) (*tir.Module, error) {
 		return kernels.SORSpec{IM: 15, JM: 10, KM: 16, Lanes: lanes}.Module()
 	}
@@ -136,7 +91,7 @@ func TestCompilerExplore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Explore(dse.EvalModel, []*device.Target{c.Target}, nil, build, space,
+	res, err := Explore(dse.EvalModel, []*device.Target{device.StratixVGSD8()}, nil, build, space,
 		perf.Workload{NKI: 100}, perf.FormB, dse.Exhaustive{}, 0, dse.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -154,24 +109,24 @@ func TestCompilerExplore(t *testing.T) {
 }
 
 func TestCostRejectsBrokenWorkload(t *testing.T) {
-	c := compiler(t)
+	mdl, bw := models(t)
 	m, err := kernels.DefaultSOR().Module()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Cost(elaborate(t, m), perf.Workload{NKI: 0}, perf.FormA); err == nil {
+	if _, err := Cost(mdl, bw, elaborate(t, m), perf.Workload{NKI: 0}, perf.FormA); err == nil {
 		t.Error("NKI=0 accepted")
 	}
 }
 
 func TestFormCFeasibilityGate(t *testing.T) {
-	c := compiler(t)
+	mdl, bw := models(t)
 	// A small kernel fits on chip: form C accepted.
 	small, err := kernels.SORSpec{IM: 15, JM: 10, KM: 16, Lanes: 1}.Module()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Cost(elaborate(t, small), perf.Workload{NKI: 10}, perf.FormC); err != nil {
+	if _, err := Cost(mdl, bw, elaborate(t, small), perf.Workload{NKI: 10}, perf.FormC); err != nil {
 		t.Errorf("small working set rejected for form C: %v", err)
 	}
 	// A huge NDRange cannot be staged in block RAM: form C refused,
@@ -180,10 +135,10 @@ func TestFormCFeasibilityGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Cost(elaborate(t, huge), perf.Workload{NKI: 10}, perf.FormC); err == nil {
+	if _, err := Cost(mdl, bw, elaborate(t, huge), perf.Workload{NKI: 10}, perf.FormC); err == nil {
 		t.Error("14M-point working set accepted for form C")
 	}
-	if _, err := c.Cost(elaborate(t, huge), perf.Workload{NKI: 10}, perf.FormB); err != nil {
+	if _, err := Cost(mdl, bw, elaborate(t, huge), perf.Workload{NKI: 10}, perf.FormB); err != nil {
 		t.Errorf("form B rejected: %v", err)
 	}
 }
