@@ -27,7 +27,6 @@ import (
 	"repro/internal/diag"
 	"repro/internal/elab"
 	"repro/internal/tir"
-	"repro/internal/verify"
 )
 
 func main() {
@@ -63,13 +62,10 @@ func run(args []string, out, errOut io.Writer) (int, error) {
 
 	// Target-dependent setup: calibrate the cost model once, reuse it
 	// across every input.
-	var (
-		target *device.Target
-		model  *costmodel.Model
-	)
+	var model *costmodel.Model
 	if *targetName != "" {
-		var err error
-		if target, err = device.Lookup(*targetName); err != nil {
+		target, err := device.Lookup(*targetName)
+		if err != nil {
 			return 0, err
 		}
 		if model, err = costmodel.Calibrate(target); err != nil {
@@ -83,7 +79,7 @@ func run(args []string, out, errOut io.Writer) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		all.Add(check(file, string(src), model, target)...)
+		all.Add(check(file, string(src), model)...)
 	}
 	all.Sort()
 
@@ -104,9 +100,9 @@ func run(args []string, out, errOut io.Writer) (int, error) {
 
 // check verifies one input: parse, then elaboration — the full static
 // analysis, the call graph and the datapath schedules every back end
-// reads — then, when a target is given and the design elaborated,
-// device fit.
-func check(file, src string, model *costmodel.Model, target *device.Target) diag.List {
+// reads — then, when a model is given and the design elaborated, device
+// fit on the model's target.
+func check(file, src string, model *costmodel.Model) diag.List {
 	m, err := tir.Parse(file, src)
 	if err != nil {
 		return diag.AsList(err, tir.CodeSyntax)
@@ -116,8 +112,30 @@ func check(file, src string, model *costmodel.Model, target *device.Target) diag
 		return diag.AsList(err, tir.CodeInstanceBound)
 	}
 	l := d.Warnings()
-	if target != nil {
-		l.Add(verify.DeviceFitModel(d, model, target)...)
+	if model != nil {
+		l.Add(deviceFit(d, model)...)
 	}
+	return l
+}
+
+// deviceFit statically checks that the elaborated design's resource
+// estimate fits mdl.Target (TIR090). The estimate is the same fast
+// cost-model path the DSE uses, so a design rejected here would be
+// rejected by every downstream flow; catching it at vet time saves a
+// simulation or synthesis round trip.
+func deviceFit(d *elab.Design, mdl *costmodel.Model) diag.List {
+	est, err := mdl.Estimate(d)
+	if err != nil {
+		return diag.AsList(err, tir.CodeDeviceFit)
+	}
+	target := mdl.Target
+	if est.Used.FitsIn(target.Capacity) {
+		return nil
+	}
+	util, worst := est.Used.MaxUtilisation(target.Capacity)
+	var l diag.List
+	l.Errorf(tir.CodeDeviceFit, d.Root().Func.At,
+		"design does not fit %s: needs %s of %s (%.0f%% of %s)",
+		target.Name, est.Used, target.Capacity, util*100, worst)
 	return l
 }

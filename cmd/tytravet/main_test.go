@@ -7,7 +7,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/costmodel"
+	"repro/internal/device"
 	"repro/internal/diag"
+	"repro/internal/elab"
+	"repro/internal/kernels"
+	"repro/internal/tir"
 )
 
 const badDir = "../../internal/tir/testdata/bad"
@@ -32,7 +37,7 @@ func TestGoldenDiagnostics(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden: %v", err)
 			}
-			l := check(base, string(src), nil, nil)
+			l := check(base, string(src), nil)
 			l.Sort()
 			var got strings.Builder
 			if err := l.WriteText(&got); err != nil {
@@ -53,7 +58,7 @@ func TestBadCorpusCoversCodes(t *testing.T) {
 	seen := map[string]bool{}
 	for _, file := range files {
 		src, _ := os.ReadFile(file)
-		for _, d := range check(filepath.Base(file), string(src), nil, nil) {
+		for _, d := range check(filepath.Base(file), string(src), nil) {
 			seen[d.Code] = true
 		}
 	}
@@ -131,5 +136,49 @@ func TestRunCodesListing(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("-codes output missing %s", want)
 		}
+	}
+}
+
+// sorDesign elaborates the default SOR kernel.
+func sorDesign(t *testing.T) *elab.Design {
+	t.Helper()
+	m, err := kernels.DefaultSOR().Module()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := elab.Elaborate(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func TestDeviceFitAcceptsRealKernel(t *testing.T) {
+	mdl, err := costmodel.Calibrate(device.StratixVGSD8())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := deviceFit(sorDesign(t), mdl); len(l) != 0 {
+		t.Errorf("SOR on GSD8 should fit, got %v", l)
+	}
+}
+
+func TestDeviceFitRejectsOversizedDesign(t *testing.T) {
+	tiny := device.StratixVGSD8()
+	tiny.Name = "tiny"
+	tiny.Capacity = device.Resources{ALUTs: 10, Regs: 10, BRAM: 10, DSPs: 0}
+	mdl, err := costmodel.Calibrate(tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := deviceFit(sorDesign(t), mdl)
+	if len(l) != 1 || l[0].Code != tir.CodeDeviceFit {
+		t.Fatalf("want one TIR090 finding, got %v", l)
+	}
+	if !strings.Contains(l[0].Msg, "tiny") {
+		t.Errorf("finding does not name the target: %s", l[0].Msg)
+	}
+	if !l.HasErrors() {
+		t.Error("device-fit finding must be an error")
 	}
 }

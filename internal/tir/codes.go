@@ -8,7 +8,7 @@ package tir
 // (conditions that previously only failed at runtime or degraded
 // silently inside pipesim), TIR05x builder misuse, TIR06x the elaborated design's
 // instance count (internal/elab), and TIR09x checks that need a target
-// description (cmd/tytravet, internal/verify).
+// description (cmd/tytravet).
 const (
 	// CodeSyntax is any lexical or syntactic error.
 	CodeSyntax = "TIR001"
@@ -62,7 +62,7 @@ const (
 	// Elaboration (internal/elab).
 	CodeInstanceBound = "TIR060" // instance count overflows int64, or exceeds what a back end materialises
 
-	// Target-dependent checks (cmd/tytravet -target, internal/verify).
+	// Target-dependent checks (cmd/tytravet -target).
 	CodeDeviceFit = "TIR090" // static resource estimate exceeds the device capacity
 )
 
