@@ -136,8 +136,9 @@ func run(args []string, out io.Writer) error {
 	}
 	// Every lane count builds a module that materialises each lane, so
 	// the axis stops where the simulator and the HDL back end stop.
-	if *maxLanes > elab.MaxInstances {
-		return fmt.Errorf("-maxlanes %d: above the %d lanes a design may materialise", *maxLanes, elab.MaxInstances)
+	if *maxLanes < 1 || *maxLanes > elab.MaxInstances {
+		return fmt.Errorf("-maxlanes %d: the lane axis runs from 1 to the %d lanes a design may materialise",
+			*maxLanes, elab.MaxInstances)
 	}
 
 	st, err := dse.ParseStrategy(*strategy)

@@ -86,19 +86,21 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRunRejectsHugeLaneAxis: a lane axis above the instance bound is
-// an error before anything is built or calibrated, so nothing prints.
-// Each lane count builds a module that materialises every lane: without
-// the bound, -maxlanes 1000000 builds one per divisor of the NDRange
-// and runs out of memory.
+// TestRunRejectsHugeLaneAxis: a lane axis above the instance bound, or
+// one with no lane count at all, is an error before anything is built
+// or calibrated, so nothing prints. Each lane count builds a module that
+// materialises every lane: without the bound, -maxlanes 1000000 builds
+// one per divisor of the NDRange and runs out of memory.
 func TestRunRejectsHugeLaneAxis(t *testing.T) {
 	for _, args := range [][]string{
 		{"-kernel", "sor", "-maxlanes", "1000000"},
 		{"-kernel", "sor", "-maxlanes", "1000000", "-devices", "edu,virtex-7-690t"},
+		{"-kernel", "sor", "-maxlanes", "0"},
+		{"-kernel", "sor", "-maxlanes", "0", "-devices", "edu,virtex-7-690t"},
 	} {
 		var out strings.Builder
 		err := run(args, &out)
-		if err == nil || !strings.Contains(err.Error(), "-maxlanes 1000000") {
+		if err == nil || !strings.Contains(err.Error(), "-maxlanes "+args[3]+":") {
 			t.Errorf("%v: got %v, want a -maxlanes error", args, err)
 		}
 		if out.Len() != 0 {
