@@ -72,7 +72,11 @@ func Advise(sw *Sweep) Advice {
 // String renders the advice as the compiler's feedback message.
 func (a Advice) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "best variant: %d lanes; binding constraint: %s\n", a.BestLanes, a.Wall)
+	best := "none fits"
+	if a.BestLanes > 0 {
+		best = fmt.Sprintf("%d lanes", a.BestLanes)
+	}
+	fmt.Fprintf(&b, "best variant: %s; binding constraint: %s\n", best, a.Wall)
 	for i, act := range a.Actions {
 		fmt.Fprintf(&b, "  %d. %s\n", i+1, act)
 	}

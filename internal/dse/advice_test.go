@@ -46,6 +46,9 @@ func TestAdviseNoFit(t *testing.T) {
 	if len(a.Actions) == 0 || !strings.Contains(a.Actions[0], "larger device") {
 		t.Errorf("no-fit advice should mention a larger device: %v", a.Actions)
 	}
+	if got := a.String(); !strings.HasPrefix(got, "best variant: none fits; binding constraint: compute-wall\n") {
+		t.Errorf("no-fit advice names a variant:\n%s", got)
+	}
 }
 
 func TestAdviseBandwidthWalls(t *testing.T) {
@@ -67,5 +70,8 @@ func TestAdviseBandwidthWalls(t *testing.T) {
 	free := Advise(mk("compute"))
 	if free.Wall != "none" || !strings.Contains(strings.Join(free.Actions, " "), "replicate") {
 		t.Errorf("headroom advice = %+v", free)
+	}
+	if got := free.String(); !strings.HasPrefix(got, "best variant: 4 lanes; binding constraint: none\n") {
+		t.Errorf("headroom advice summary:\n%s", got)
 	}
 }
