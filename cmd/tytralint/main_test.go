@@ -41,10 +41,11 @@ func TestOtherArgsPrintUsage(t *testing.T) {
 	}
 }
 
-// TestVetTool drives the go vet protocol end to end: the tool is built,
-// go vet probes it and hands it one vet.cfg per package. The bad
-// package's global rand call must fail the run; the good package passes.
-func TestVetTool(t *testing.T) {
+// goVet builds the tool into a temporary directory and runs
+// go vet -vettool=<tool> on one fixture package, so the test drives the
+// whole protocol: go vet probes the tool, then hands it a vet.cfg.
+func goVet(t *testing.T, pkg string) (string, error) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds the tool and runs go vet")
 	}
@@ -52,18 +53,25 @@ func TestVetTool(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", tool, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	vet := func(pkg string) (string, error) {
-		out, err := exec.Command("go", "vet", "-vettool="+tool, pkg).CombinedOutput()
-		return string(out), err
-	}
-	out, err := vet("./testdata/vet/bad")
+	out, err := exec.Command("go", "vet", "-vettool="+tool, pkg).CombinedOutput()
+	return string(out), err
+}
+
+// TestStandaloneFindsViolation: the self-contained bad package's global
+// rand call must fail the go vet run with the norandglobal finding.
+func TestStandaloneFindsViolation(t *testing.T) {
+	out, err := goVet(t, "./testdata/vet/bad")
 	if err == nil {
 		t.Errorf("go vet passed the bad package:\n%s", out)
 	}
 	if !strings.Contains(out, "bad.go:6:") || !strings.Contains(out, "call to rand.Intn uses the shared global source") {
 		t.Errorf("go vet output lacks the rand finding:\n%s", out)
 	}
-	if out, err := vet("./testdata/vet/good"); err != nil {
+}
+
+// TestStandaloneCleanPackage: the self-contained good package passes.
+func TestStandaloneCleanPackage(t *testing.T) {
+	if out, err := goVet(t, "./testdata/vet/good"); err != nil {
 		t.Errorf("go vet failed the good package: %v\n%s", err, out)
 	}
 }
