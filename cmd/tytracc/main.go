@@ -14,8 +14,9 @@
 // lanes a design may materialise, and -tb writes its testbench. Both
 // need -kernel and are refused with a file. -cache DIR is the
 // persistent evaluation store tytradse -cache uses: the target's
-// calibrated models are read from it when present and written to it
-// otherwise, and a warm run prints byte-identical output.
+// bandwidth benchmark table is read from it when present and written to
+// it otherwise, the cost model is recalibrated on every run
+// (microseconds), and a warm run prints byte-identical output.
 package main
 
 import (
@@ -59,7 +60,7 @@ func run(args []string, out io.Writer) error {
 	kernel := fs.String("kernel", "",
 		fmt.Sprintf("cost a built-in kernel (%s) instead of a file", strings.Join(kernels.Names(), " | ")))
 	lanes := fs.Int("lanes", 1, "lane count for -kernel variants")
-	cacheDir := fs.String("cache", "", "persistent evaluation cache directory: the target's calibrated models are reused across runs (warm runs print byte-identical output)")
+	cacheDir := fs.String("cache", "", "persistent evaluation cache directory: the target's bandwidth benchmark is reused across runs (warm runs print byte-identical output)")
 	tbOut := fs.String("tb", "", "with -kernel: write a self-checking Verilog testbench (stimulus + simulator-derived expectations)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -196,11 +197,12 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// models performs the one-time per-target calibration, or reads its
-// result from the evaluation store in cacheDir: the models record
-// tytradse -cache shares, keyed by the whole target description. The
-// calibration line prints warm and cold alike, so a warm run's output is
-// byte-identical to the cold run's.
+// models performs the one-time per-target calibration. With cacheDir it
+// reads the bandwidth table from the evaluation store there instead of
+// running the benchmark (the models record tytradse -cache shares,
+// keyed by the whole target description) and recalibrates only the
+// cost model. The calibration line prints warm and cold alike, so a
+// warm run's output is byte-identical to the cold run's.
 func models(out io.Writer, target *device.Target, cacheDir string) (*costmodel.Model, *membw.Model, error) {
 	fmt.Fprintf(out, "calibrating cost model for %s (one-time per target)...\n", target.Name)
 	var store *evalstore.Store

@@ -51,11 +51,12 @@
 // valid ones.
 //
 // -cache DIR attaches the persistent evaluation store
-// (internal/evalstore): per-target calibrations and model estimates
-// are written content-addressed into DIR and reused by later runs. A
-// warm run prints byte-identical output to the cold run that populated
-// the cache; a damaged cache entry is silently recomputed and
-// rewritten.
+// (internal/evalstore): each target's bandwidth benchmark table and the
+// model estimates are written content-addressed into DIR and reused by
+// later runs, which recalibrate only the cost model (microseconds per
+// target). A warm run prints byte-identical output to the cold run
+// that populated the cache; a damaged cache entry is silently
+// recomputed and rewritten.
 package main
 
 import (
@@ -127,7 +128,7 @@ func run(args []string, out io.Writer) error {
 	jobs := fs.Int("j", 0, "parallel evaluation workers (0 = all CPUs)")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	cacheDir := fs.String("cache", "",
-		"persistent evaluation cache directory: calibrations and model estimates are reused across runs (warm runs print byte-identical output)")
+		"persistent evaluation cache directory: bandwidth benchmarks and model estimates are reused across runs (warm runs print byte-identical output)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

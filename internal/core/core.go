@@ -6,7 +6,7 @@
 // The models are the output of the one-time per-target experiments of
 // Fig 2: costmodel.Calibrate runs the synthesis probes and membw.Build
 // the STREAM-style bandwidth benchmark (dse.ModelCache runs both once
-// per target, and can persist them). Afterwards, costing a design
+// per target, and can persist the benchmark's table). Afterwards, costing a design
 // variant is pure arithmetic over its IR, which is what makes the
 // estimator fast enough to sit in a design-space-exploration loop
 // (§VI-A reports 0.3 s per variant for the paper's Perl prototype; this
@@ -73,7 +73,7 @@ func Cost(mdl *costmodel.Model, bw *membw.Model, d *elab.Design, w perf.Workload
 // from the same shelf (dse.DeviceAxis(shelf...)). cache runs each
 // target's one-time calibration (Fig 2) on first use, so explorations
 // sharing a cache calibrate once, and a store-backed cache
-// (dse.NewModelCacheStore) persists calibrations and estimates
+// (dse.NewModelCacheStore) persists bandwidth tables and estimates
 // across runs. A nil cache is a fresh in-memory one.
 func Explore(mode dse.EvalMode, shelf []*device.Target, cache *dse.ModelCache, build dse.VariantBuilder,
 	space *dse.Space, w perf.Workload, form perf.Form, st dse.Strategy, workers int,

@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -145,6 +146,28 @@ func TestCalibrateInterpolationErrorSmall(t *testing.T) {
 				t.Errorf("%s at %d bits: model %d ALUTs vs probe %d (%.0f%% error)",
 					op, w, got.ALUTs, probe.ALUTs, relErr*100)
 			}
+		}
+	}
+}
+
+// TestCalibrateDeterministic: calibrating a target twice gives equal
+// models. The evaluation store archives no cost model and recalibrates
+// it on load, so a warm run prices like the cold run that wrote the
+// store only because Calibrate depends on nothing but the target.
+func TestCalibrateDeterministic(t *testing.T) {
+	for _, name := range device.Names() {
+		var models [2]*Model
+		for i := range models {
+			tgt, err := device.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if models[i], err = Calibrate(tgt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(models[0], models[1]) {
+			t.Errorf("%s: two calibrations differ", name)
 		}
 	}
 }

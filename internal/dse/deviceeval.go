@@ -23,8 +23,10 @@ type ModelCache struct {
 	cells sync.Map // device name -> *onceCell[modelPair]
 
 	// store, when non-nil, is the persistent tier: a target's models are
-	// answered from their content-addressed record when present (neither
-	// constructor runs) and archived after construction otherwise.
+	// answered from their content-addressed record when present (the
+	// bandwidth benchmark does not run, and evalstore.LoadModels
+	// recalibrates the cost model outside the calibrate seam) and
+	// archived after construction otherwise.
 	store *evalstore.Store
 
 	// Test seams: the cache-once differential test wraps these with
@@ -53,9 +55,6 @@ func NewModelCache() *ModelCache { return &ModelCache{} }
 func NewModelCacheStore(store *evalstore.Store) *ModelCache {
 	return &ModelCache{store: store}
 }
-
-// Store returns the cache's persistent tier, or nil.
-func (mc *ModelCache) Store() *evalstore.Store { return mc.store }
 
 // Models returns the calibrated cost model and bandwidth model for the
 // target, constructing both exactly once per device id.
@@ -173,7 +172,7 @@ func NewSimEvaluator(mdl *costmodel.Model, bw *membw.Model, build VariantBuilder
 
 // NewDeviceModeEvaluatorStore is NewDeviceModeEvaluatorCache over a
 // fresh model cache backed by a persistent evaluation store: per-device
-// calibrated models and model estimates are answered from their
+// bandwidth tables and model estimates are answered from their
 // content-addressed records when present. A nil store is the plain
 // in-memory evaluator.
 func NewDeviceModeEvaluatorStore(mode EvalMode, shelf []*device.Target, build VariantBuilder,

@@ -1,10 +1,13 @@
 package dse
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -120,8 +123,8 @@ func TestWarmColdIdentical(t *testing.T) {
 					t.Errorf("cold run generated %d simulation workloads", n)
 				}
 
-				// Reopen: a fresh store over the same directory, so every
-				// warm answer comes off disk, not the write-through memory.
+				// Reopen: a fresh store over the same directory, as a later
+				// run would open it.
 				warm, err := evalstore.Open(dir)
 				if err != nil {
 					t.Fatal(err)
@@ -208,8 +211,9 @@ func TestCorruptCacheRecomputesIdentically(t *testing.T) {
 
 // TestModelCacheStoreWarmSkipsCalibration: with a store attached, a
 // fresh ModelCache answers Models() from the archived record — zero
-// calibrations, zero bandwidth builds — and the rebuilt models price
-// identically (checked structurally here; point-identity is covered by
+// bandwidth builds, and zero calls through its calibrate seam, since
+// evalstore.LoadModels recalibrates the cost model itself — and the
+// rebuilt models equal the cold ones (point-identity is covered by
 // TestDeviceStoreWarmCold).
 func TestModelCacheStoreWarmSkipsCalibration(t *testing.T) {
 	tgt, err := device.Lookup("stratix-v-gsd8-edu")
@@ -252,14 +256,83 @@ func TestModelCacheStoreWarmSkipsCalibration(t *testing.T) {
 	if cal != 0 || bld != 0 {
 		t.Errorf("warm Models: %d calibrations, %d builds; want 0, 0", cal, bld)
 	}
-	if len(warmMdl.Ops) != len(coldMdl.Ops) || len(warmBW.Table) != len(coldBW.Table) {
-		t.Errorf("warm models differ structurally from cold")
+	if !reflect.DeepEqual(warmMdl, coldMdl) || !reflect.DeepEqual(warmBW.Table, coldBW.Table) {
+		t.Errorf("warm models differ from cold")
+	}
+}
+
+// TestModelCacheStoreRecomputesRejectedRecord: a correctly framed
+// models record whose payload LoadModels cannot use — the object the
+// version-1 record held, or a string membw.LoadModel rejects — is a
+// miss. ModelCache.Models then calibrates and benchmarks the target
+// once, returns models equal to a cold cache's, and rewrites the
+// record so the next load hits.
+func TestModelCacheStoreRecomputesRejectedRecord(t *testing.T) {
+	tgt, err := device.Lookup("stratix-v-gsd8-edu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMdl, wantBW, err := NewModelCache().Models(tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var table strings.Builder
+	if err := wantBW.SaveTable(&table); err != nil {
+		t.Fatal(err)
+	}
+	text, err := json.Marshal(table.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := map[string]string{
+		"version-1 object": `{"costmodel":{"ops":{}},"membw":` + string(text) + `}`,
+		"not a table":      `"not a table"`,
+		"header only":      `"tytra-membw 1 stratix-v-gsd8-edu\n"`,
+		"other target":     strings.Replace(string(text), tgt.Name, "stratix-v-gsd8", 1),
+	}
+	for name, payload := range payloads {
+		t.Run(name, func(t *testing.T) {
+			s, err := evalstore.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(evalstore.KindModels, evalstore.ModelsKey(tgt), []byte(payload)); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := evalstore.LoadModels(s, tgt); ok {
+				t.Fatal("record served")
+			}
+			cache := NewModelCacheStore(s)
+			var cal, bld atomic.Int64
+			cache.calibrate = func(tg *device.Target) (*costmodel.Model, error) {
+				cal.Add(1)
+				return costmodel.Calibrate(tg)
+			}
+			cache.buildBW = func(tg *device.Target) (*membw.Model, error) {
+				bld.Add(1)
+				return membw.Build(tg)
+			}
+			mdl, bw, err := cache.Models(tgt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cal.Load() != 1 || bld.Load() != 1 {
+				t.Errorf("%d calibrations, %d builds; want 1, 1", cal.Load(), bld.Load())
+			}
+			if !reflect.DeepEqual(mdl, wantMdl) || !reflect.DeepEqual(bw.Table, wantBW.Table) {
+				t.Error("recomputed models differ from a cold cache's")
+			}
+			if _, _, ok := evalstore.LoadModels(s, tgt); !ok {
+				t.Error("recompute did not rewrite the record")
+			}
+		})
 	}
 }
 
 // TestDeviceStoreWarmCold extends the differential across the device
-// shelf: per-device calibrations are zero on the warm run and every
-// point (including its device label) is identical.
+// shelf: the warm run makes no call through the calibrate seam (the
+// store's loads recalibrate the cost model themselves) and every point
+// (including its device label) is identical.
 func TestDeviceStoreWarmCold(t *testing.T) {
 	shelf := testShelf(t)
 	dir := t.TempDir()

@@ -17,10 +17,14 @@ import (
 // computation that produced it — changes: old records then hash to
 // different keys and are simply recomputed.
 const (
-	// KindModels archives a target's calibrated models: the fitted
-	// costmodel coefficients and the membw benchmark table.
+	// KindModels archives the one calibration artifact that costs more
+	// to recompute than to read back: a target's membw benchmark table
+	// (membw.Build, milliseconds per target). The cost model is not
+	// archived: LoadModels recalibrates it (costmodel.Calibrate, tens of
+	// microseconds), so a change to Calibrate needs no version bump. v2:
+	// the payload became the table text alone.
 	KindModels    = "models"
-	ModelsVersion = 1
+	ModelsVersion = 2
 	// KindEstimate archives one CompiledModel.EstimateVectorised outcome
 	// per (kernel IR, dv, target). v2: the per-function resource map
 	// left the Estimate (and with it the payload) when the compiled
@@ -40,53 +44,46 @@ func TargetDesc(t *device.Target) string { return fmt.Sprintf("%+v", *t) }
 
 // ---- calibrated per-device models ----
 
-type modelsPayload struct {
-	// CostModel is the costmodel.EncodeModel output.
-	CostModel json.RawMessage `json:"costmodel"`
-	// MemBW is the membw.SaveTable text (shortest-roundtrip floats, so
-	// the Save → Load cycle is bit-exact).
-	MemBW string `json:"membw"`
-}
-
 // ModelsKey addresses a target's calibrated-models record.
 func ModelsKey(t *device.Target) string {
 	return Key(KindModels, ModelsVersion, TargetDesc(t))
 }
 
-// SaveModels archives the calibrated cost and bandwidth models of a
-// target.
+// SaveModels archives the bandwidth benchmark table of a target, as a
+// JSON string holding the membw.SaveTable text (shortest-roundtrip
+// floats, so the Save → Load cycle is bit-exact). mdl is read by
+// nothing: LoadModels recalibrates the cost model, and the parameter
+// stays only until the benchmark stops passing it.
 func SaveModels(s *Store, t *device.Target, mdl *costmodel.Model, bw *membw.Model) error {
-	enc, err := costmodel.EncodeModel(mdl)
-	if err != nil {
-		return err
-	}
 	var table strings.Builder
 	if err := bw.SaveTable(&table); err != nil {
 		return err
 	}
-	payload, err := json.Marshal(modelsPayload{CostModel: enc, MemBW: table.String()})
+	payload, err := json.Marshal(table.String())
 	if err != nil {
 		return err
 	}
 	return s.Put(KindModels, ModelsKey(t), payload)
 }
 
-// LoadModels rebuilds a target's calibrated models from the store, or
-// reports ok=false (recompute) on miss or any decode failure.
+// LoadModels rebuilds a target's models: the bandwidth model from the
+// archived table, the cost model by calibrating it. It reports
+// ok=false (recompute) on a miss, or on a payload that is not a table
+// membw.LoadModel accepts.
 func LoadModels(s *Store, t *device.Target) (*costmodel.Model, *membw.Model, bool) {
 	data, ok := s.Get(KindModels, ModelsKey(t))
 	if !ok {
 		return nil, nil, false
 	}
-	var p modelsPayload
-	if err := json.Unmarshal(data, &p); err != nil {
+	var table string
+	if err := json.Unmarshal(data, &table); err != nil {
 		return nil, nil, false
 	}
-	mdl, err := costmodel.DecodeModel(t, p.CostModel)
+	bw, err := membw.LoadModel(t, strings.NewReader(table))
 	if err != nil {
 		return nil, nil, false
 	}
-	bw, err := membw.LoadModel(t, strings.NewReader(p.MemBW))
+	mdl, err := costmodel.Calibrate(t)
 	if err != nil {
 		return nil, nil, false
 	}

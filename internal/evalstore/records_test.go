@@ -11,9 +11,10 @@ import (
 	"repro/internal/membw"
 )
 
-// TestModelsRoundtrip: a calibrated model pair must survive the store
-// with every coefficient and table sample bit-exact, and the record
-// must not answer for a different target description.
+// TestModelsRoundtrip: a calibrated model pair must survive the store:
+// every bandwidth table sample bit-exact, and a recalibrated cost model
+// equal to the one saved. The record must not answer for a different
+// target description.
 func TestModelsRoundtrip(t *testing.T) {
 	s := mustOpen(t)
 	tgt := device.GSD8Edu()
@@ -35,7 +36,7 @@ func TestModelsRoundtrip(t *testing.T) {
 	if !ok {
 		t.Fatal("miss after save")
 	}
-	if !reflect.DeepEqual(gotMdl.Ops, mdl.Ops) || !reflect.DeepEqual(gotMdl.DivFit, mdl.DivFit) {
+	if !reflect.DeepEqual(gotMdl, mdl) {
 		t.Error("cost model differs after store roundtrip")
 	}
 	if len(gotBW.Table) != len(bw.Table) {
@@ -159,7 +160,7 @@ func TestKeysGolden(t *testing.T) {
 	tgt := keyTarget()
 	for _, c := range []struct{ name, got, want string }{
 		{"estimate", EstimateKey("module m {}", 4, tgt), "f94d3bf7e2732552d3fb2057fd7d0f0f39b5d3f19eb875f6e287464460781cbc"},
-		{"models", ModelsKey(tgt), "b2cb71bf5759ed7dae1485287732139903a091ad937d1f805db28ff0d5880d51"},
+		{"models", ModelsKey(tgt), "754fe2d33dac2a82822f448ce8b8bf3647509ad4e1bf446cdcbcc5c978810642"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s key = %s, want %s", c.name, c.got, c.want)

@@ -1,12 +1,13 @@
 // Package evalstore is the persistent, content-addressed cache for
 // exploration artifacts. The paper's workflow is explicitly
 // incremental ("a one-time set of benchmark experiments ... for each
-// FPGA target" prices every later exploration); the store generalises
-// that from the membw table to the costly evaluation artifacts the DSE
-// stack produces: calibrated per-device models and model estimates.
-// Simulated cycles are not stored: a compiled design yields them from
-// its structure (pipesim.CompiledDesign.Timing) in a fraction of a
-// millisecond, too little for a record to save.
+// FPGA target" prices every later exploration); the store archives
+// what a later run cannot cheaply recompute: each target's bandwidth
+// benchmark table and model estimates. The cost model is recalibrated
+// on load (LoadModels), since calibrating costs less than decoding it
+// would. Simulated cycles are not stored: a compiled design yields
+// them from its structure (pipesim.CompiledDesign.Timing) in a
+// fraction of a millisecond, too little for a record to save.
 //
 // Keys are SHA-256 over a length-prefixed encoding of (record kind,
 // schema version, content parts). A models record's part is the full
@@ -18,8 +19,9 @@
 // every key of that kind: old records become misses, never errors,
 // which is the whole invalidation policy.
 //
-// A Store is an in-memory write-through tier over one file per key in
-// a cache directory. Each file holds one fixed-layout JSON frame that
+// A Store is one file per key in a cache directory and keeps nothing in
+// memory: its callers memoise what they load, so a run reads each
+// record at most once. Each file holds one fixed-layout JSON frame that
 // Put writes and Get checks in one pass, without a JSON decoder: magic,
 // kind and key echo, the payload's SHA-256, then the payload. Reads
 // degrade, never fail: a missing, oversized, truncated, bit-flipped,
@@ -38,7 +40,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
 )
 
 // magic identifies a store record file; a file without it is a miss.
@@ -47,21 +48,14 @@ const magic = "tytra-evalstore"
 // maxRecordBytes caps a record file. Get treats a larger file as a
 // miss without reading it, and Put refuses to write one, so a
 // write-back never leaves a record no read can serve. Records of the
-// kinds the store holds are at most ~8 KB.
+// kinds the store holds are at most ~1.3 KB.
 const maxRecordBytes = 1 << 20
 
-// Store is a persistent content-addressed cache: an in-memory
-// write-through map in front of one file per key under dir. Safe for
-// concurrent use.
+// Store is a persistent content-addressed cache: one file per key
+// under dir, read and written on every call. Safe for concurrent use.
 type Store struct {
 	dir string
-
-	mu  sync.RWMutex
-	mem map[recordName][]byte
 }
-
-// recordName addresses a record in the memory tier.
-type recordName struct{ kind, key string }
 
 // Open returns a store rooted at dir, creating the directory if
 // needed.
@@ -72,7 +66,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("evalstore: %w", err)
 	}
-	return &Store{dir: dir, mem: map[recordName][]byte{}}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's on-disk root.
@@ -224,13 +218,6 @@ func readRecord(path string) ([]byte, bool) {
 // Get never returns an error: the contract is that a damaged cache
 // degrades to recompute.
 func (s *Store) Get(kind, key string) ([]byte, bool) {
-	name := recordName{kind, key}
-	s.mu.RLock()
-	p, ok := s.mem[name]
-	s.mu.RUnlock()
-	if ok {
-		return p, true
-	}
 	if !plainName(kind) || !plainName(key) {
 		return nil, false
 	}
@@ -238,20 +225,13 @@ func (s *Store) Get(kind, key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	if p, ok = unframe(data, kind, key); !ok {
-		return nil, false
-	}
-	s.mu.Lock()
-	s.mem[name] = p
-	s.mu.Unlock()
-	return p, true
+	return unframe(data, kind, key)
 }
 
 // Put stores the payload, which must be valid JSON, under (kind, key),
-// both plain names (letters, digits, '-' and '_'): write-through to
-// the in-memory tier and an atomic (tmp + rename) file write, so a
-// crash mid-write leaves either the old record or none — never a torn
-// one. A record above 1 MiB is refused.
+// both plain names (letters, digits, '-' and '_'), in an atomic
+// (tmp + rename) file write, so a crash mid-write leaves either the old
+// record or none — never a torn one. A record above 1 MiB is refused.
 func (s *Store) Put(kind, key string, payload []byte) error {
 	if !plainName(kind) || !plainName(key) {
 		return fmt.Errorf("evalstore: record name %q/%q is not letters, digits, '-' and '_'", kind, key)
@@ -263,10 +243,6 @@ func (s *Store) Put(kind, key string, payload []byte) error {
 	if len(data) > maxRecordBytes {
 		return fmt.Errorf("evalstore: %s record of %d bytes exceeds the %d-byte cap", kind, len(data), maxRecordBytes)
 	}
-
-	s.mu.Lock()
-	s.mem[recordName{kind, key}] = payload
-	s.mu.Unlock()
 
 	path := s.path(kind, key)
 	tmp, err := os.CreateTemp(s.dir, "."+kind+"-*.tmp")

@@ -44,8 +44,7 @@ func TestPutGetRoundtrip(t *testing.T) {
 		t.Fatalf("Get = %q, %v; want %q, true", got, ok, payload)
 	}
 
-	// A second store over the same directory (fresh memory tier) must
-	// serve the record from disk.
+	// A second store over the same directory must serve the record.
 	s2, err := Open(s.Dir())
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +135,6 @@ func TestGetDegradesOnDamage(t *testing.T) {
 			if err := os.WriteFile(path, f(orig), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			// Fresh store: the memory tier must not mask the damage.
 			s2, err := Open(s.Dir())
 			if err != nil {
 				t.Fatal(err)
@@ -238,8 +236,7 @@ func TestStoreConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// reopen returns a fresh store over s's directory: an empty memory
-// tier, so every Get reads the file.
+// reopen returns a fresh store over s's directory.
 func reopen(t *testing.T, s *Store) *Store {
 	t.Helper()
 	s2, err := Open(s.Dir())

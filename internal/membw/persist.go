@@ -14,11 +14,11 @@ import (
 )
 
 // The bandwidth benchmark is the slow part of per-target calibration
-// (Fig 2's one-time experiments). SaveTable/LoadModel are the bandwidth
-// half of the evaluation store's models record (internal/evalstore),
-// which tytradse -cache and tytracc -cache read: a warm run rebuilds
-// the interpolating model from the archived table without re-running
-// the sweep — the workflow the paper implies ("a one-time set of
+// (Fig 2's one-time experiments). SaveTable/LoadModel are the
+// evaluation store's models record (internal/evalstore), which
+// tytradse -cache and tytracc -cache read: a warm run rebuilds the
+// interpolating model from the archived table without re-running the
+// sweep — the workflow the paper implies ("a one-time set of
 // benchmark experiments ... for each FPGA target").
 
 // SaveTable writes the benchmark table in a line-oriented text format:
