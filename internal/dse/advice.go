@@ -3,6 +3,8 @@ package dse
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/perf"
 )
 
 // Advice is the targeted-tuning feedback the cost model enables: the
@@ -27,9 +29,7 @@ func Advise(sw *Sweep) Advice {
 	a := Advice{}
 	if sw.Best == nil {
 		a.Wall = "compute-wall"
-		a.Actions = []string{
-			"no variant fits: reduce per-lane logic (narrower datapath, share dividers) or target a larger device",
-		}
+		a.Actions = []string{noFitAction(sw)}
 		return a
 	}
 	a.BestLanes = sw.Best.Lanes
@@ -67,6 +67,24 @@ func Advise(sw *Sweep) Advice {
 		}
 	}
 	return a
+}
+
+// noFitAction is the advice for a sweep in which no evaluated variant
+// fits. It targets the resource the smallest variant overflows most:
+// block RAM holds the on-chip working set, which tiling (or, from form
+// C, streaming from DRAM in form B) shrinks; logic is per-lane datapath.
+func noFitAction(sw *Sweep) string {
+	if len(sw.Points) > 0 {
+		p := sw.Points[0]
+		if p.UtilBRAM > p.UtilALUT && p.UtilBRAM > p.UtilReg && p.UtilBRAM > p.UtilDSP {
+			act := fmt.Sprintf("no variant fits: block RAM binds (the smallest variant needs %.0f%% of it): ", p.UtilBRAM*100)
+			if sw.Form == perf.FormC {
+				act += "stream the NDRange from device DRAM in form B, or "
+			}
+			return act + "tile the index space so each slab's on-chip buffers fit"
+		}
+	}
+	return "no variant fits: reduce per-lane logic (narrower datapath, share dividers) or target a larger device"
 }
 
 // String renders the advice as the compiler's feedback message.

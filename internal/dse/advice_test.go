@@ -75,3 +75,49 @@ func TestAdviseBandwidthWalls(t *testing.T) {
 		t.Errorf("headroom advice summary:\n%s", got)
 	}
 }
+
+func TestAdviseNoFitNamesBRAM(t *testing.T) {
+	// Form C stages the NDRange in block RAM: the smallest variant needs
+	// far more of it than of any logic resource, so the advice names
+	// block RAM and points away from form C, not at per-lane logic.
+	sw := sweep(t, perf.FormC)
+	if sw.Best != nil {
+		t.Fatalf("form C sweep fits at %d lanes", sw.Best.Lanes)
+	}
+	if p := sw.Points[0]; p.UtilBRAM <= p.UtilALUT {
+		t.Fatalf("smallest form C variant: BRAM %.0f%%, ALUT %.0f%%; want BRAM to bind", p.UtilBRAM*100, p.UtilALUT*100)
+	}
+	a := Advise(sw)
+	if a.Wall != "compute-wall" || len(a.Actions) != 1 {
+		t.Fatalf("advice = %+v", a)
+	}
+	for _, want := range []string{"block RAM", "form B", "tile"} {
+		if !strings.Contains(a.Actions[0], want) {
+			t.Errorf("BRAM advice does not mention %q: %s", want, a.Actions[0])
+		}
+	}
+	if strings.Contains(a.Actions[0], "per-lane logic") {
+		t.Errorf("BRAM advice suggests cutting logic: %s", a.Actions[0])
+	}
+}
+
+func TestAdviseNoFitLogic(t *testing.T) {
+	// Lanes 9..16 of the form B sweep all lie past the compute wall, out
+	// of ALUTs: the advice stays on per-lane logic.
+	mdl, bw := fixtures(t)
+	res, err := exhaustive(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB, LanesAxis([]int{9, 10, 11, 12, 13, 14, 15, 16}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := res.Sweep(perf.FormB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.Best != nil {
+		t.Fatalf("lanes 9..16 fit at %d lanes", sw.Best.Lanes)
+	}
+	a := Advise(sw)
+	if len(a.Actions) != 1 || !strings.Contains(a.Actions[0], "reduce per-lane logic") {
+		t.Errorf("logic advice = %v", a.Actions)
+	}
+}
