@@ -213,19 +213,19 @@ func explore(out io.Writer, opt options, names []string, multi bool) error {
 			if slice, err = res.Slice(dse.AxisDevice, i); err != nil {
 				return err
 			}
-			if len(slice.Points) == 0 {
-				// A pruning strategy may never reach a device; keep the
-				// shelf order but say so instead of printing an empty
-				// table.
-				fmt.Fprintf(out, "%s: no variants evaluated (pruned)\n", tgt.Name)
-				continue
-			}
 		}
 		sw, err := slice.Sweep(opt.form)
 		if err != nil {
 			return err
 		}
 		sweeps[i] = sw
+		if multi && len(sw.Points) == 0 {
+			// A pruning strategy may never reach a device; keep the
+			// shelf order but say so instead of printing an empty
+			// table.
+			fmt.Fprintf(out, "%s: no variants evaluated (pruned)\n", tgt.Name)
+			continue
+		}
 		printSweepBlock(out, opt, tgt.Name, sw)
 	}
 	if opt.mode == dse.EvalHybrid {
@@ -257,13 +257,13 @@ func explore(out io.Writer, opt options, names []string, multi bool) error {
 		return nil
 	}
 	if res.Best == nil {
-		fmt.Fprintln(out, "no variant fits any device on the shelf")
+		fmt.Fprintln(out, dse.ShelfNoFit(sweeps))
 		return nil
 	}
 	fmt.Fprintf(out, "best overall: %s with %d lanes (EKIT %.3g/s)\n",
 		res.Best.Device, res.Best.Lanes, res.Best.EKIT)
 	for i, tgt := range shelf {
-		if tgt.Name == res.Best.Device && sweeps[i] != nil {
+		if tgt.Name == res.Best.Device {
 			fmt.Fprint(out, dse.Advise(sweeps[i]))
 		}
 	}
@@ -290,7 +290,7 @@ func printSweepBlock(out io.Writer, opt options, targetName string, sw *dse.Swee
 			fmt.Fprintf(out, "roofline: %s\n", pt)
 		}
 	} else {
-		fmt.Fprintln(out, "no variant fits the device")
+		fmt.Fprintln(out, sw.NoFit())
 	}
 }
 

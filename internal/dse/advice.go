@@ -70,10 +70,15 @@ func Advise(sw *Sweep) Advice {
 }
 
 // noFitAction is the advice for a sweep in which no evaluated variant
-// fits. It targets the resource the smallest variant overflows most:
-// block RAM holds the on-chip working set, which tiling (or, from form
-// C, streaming from DRAM in form B) shrinks; logic is per-lane datapath.
+// fits. A search that skipped the smallest lane count has not shown that
+// nothing fits, so it is told to search further. Otherwise the advice
+// targets the resource the smallest variant overflows most: block RAM
+// holds the on-chip working set, which tiling (or, from form C,
+// streaming from DRAM in form B) shrinks; logic is per-lane datapath.
 func noFitAction(sw *Sweep) string {
+	if sw.unsearched() {
+		return sw.NoFit() + ": raise -budget or use -strategy exhaustive"
+	}
 	if len(sw.Points) > 0 {
 		p := sw.Points[0]
 		if p.UtilBRAM > p.UtilALUT && p.UtilBRAM > p.UtilReg && p.UtilBRAM > p.UtilDSP {
@@ -85,6 +90,42 @@ func noFitAction(sw *Sweep) string {
 		}
 	}
 	return "no variant fits: reduce per-lane logic (narrower datapath, share dividers) or target a larger device"
+}
+
+// NoFit is the line reporting a sweep in which no evaluated variant
+// fits the device. Resource use grows with lanes, so a sweep whose
+// smallest lane count was evaluated has shown that no variant fits; one
+// that skipped it (a budgeted or adaptive search) says how much it
+// evaluated instead.
+func (sw *Sweep) NoFit() string {
+	if sw.unsearched() {
+		return fmt.Sprintf("no evaluated variant fits (%d of %d lane counts evaluated)", len(sw.Points), len(sw.Lanes))
+	}
+	return "no variant fits the device"
+}
+
+// ShelfNoFit is NoFit for a shelf exploration in which no evaluated
+// variant fits any device, given each device's sweep (empty for a
+// device the search never reached).
+func ShelfNoFit(sweeps []*Sweep) string {
+	evaluated, swept, unsearched := 0, 0, false
+	for _, sw := range sweeps {
+		evaluated += len(sw.Points)
+		swept += len(sw.Lanes)
+		unsearched = unsearched || sw.unsearched()
+	}
+	if unsearched {
+		return fmt.Sprintf("no evaluated variant fits any device on the shelf (%d of %d variants evaluated): raise -budget or use -strategy exhaustive",
+			evaluated, swept)
+	}
+	return "no variant fits any device on the shelf"
+}
+
+// unsearched reports whether the search behind the sweep left its
+// smallest lane count unevaluated. A sweep without Lanes counts as
+// searched.
+func (sw *Sweep) unsearched() bool {
+	return len(sw.Lanes) > 0 && (len(sw.Points) == 0 || sw.Points[0].Lanes != sw.Lanes[0])
 }
 
 // String renders the advice as the compiler's feedback message.

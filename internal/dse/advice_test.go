@@ -99,6 +99,9 @@ func TestAdviseNoFitNamesBRAM(t *testing.T) {
 	if strings.Contains(a.Actions[0], "per-lane logic") {
 		t.Errorf("BRAM advice suggests cutting logic: %s", a.Actions[0])
 	}
+	if got := sw.NoFit(); got != "no variant fits the device" {
+		t.Errorf("NoFit() = %q", got)
+	}
 }
 
 func TestAdviseNoFitLogic(t *testing.T) {
@@ -119,5 +122,44 @@ func TestAdviseNoFitLogic(t *testing.T) {
 	a := Advise(sw)
 	if len(a.Actions) != 1 || !strings.Contains(a.Actions[0], "reduce per-lane logic") {
 		t.Errorf("logic advice = %v", a.Actions)
+	}
+	if got := sw.NoFit(); got != "no variant fits the device" {
+		t.Errorf("NoFit() = %q", got)
+	}
+}
+
+func TestAdviseNoFitUnsearched(t *testing.T) {
+	// A search that evaluated only lanes 9..16 of 1..16 has not shown
+	// that nothing fits: lanes 1..8 might. Both the sweep line and the
+	// advice say how much was searched and ask for more, whatever the
+	// evaluated variants overflow.
+	full := sweep(t, perf.FormC)
+	sw := *full
+	sw.Points = full.Points[8:]
+	const line = "no evaluated variant fits (8 of 16 lane counts evaluated)"
+	if got := sw.NoFit(); got != line {
+		t.Errorf("NoFit() = %q, want %q", got, line)
+	}
+	a := Advise(&sw)
+	if a.Wall != "compute-wall" || len(a.Actions) != 1 ||
+		a.Actions[0] != line+": raise -budget or use -strategy exhaustive" {
+		t.Errorf("unsearched advice = %+v", a)
+	}
+
+	// On a shelf, a device the search never reached counts as unsearched
+	// too; only sweeps that all evaluated their smallest lane count show
+	// that no variant fits any device.
+	pruned := &Sweep{Lanes: full.Lanes}
+	for _, c := range []struct {
+		sweeps []*Sweep
+		want   string
+	}{
+		{[]*Sweep{full, full}, "no variant fits any device on the shelf"},
+		{[]*Sweep{full, &sw}, "no evaluated variant fits any device on the shelf (24 of 32 variants evaluated): raise -budget or use -strategy exhaustive"},
+		{[]*Sweep{full, pruned}, "no evaluated variant fits any device on the shelf (16 of 32 variants evaluated): raise -budget or use -strategy exhaustive"},
+	} {
+		if got := ShelfNoFit(c.sweeps); got != c.want {
+			t.Errorf("ShelfNoFit = %q, want %q", got, c.want)
+		}
 	}
 }

@@ -119,8 +119,12 @@ func (p *Point) PeakUtil() float64 {
 // Sweep is the outcome of exploring one variant family under one
 // memory-execution form.
 type Sweep struct {
-	Form   perf.Form
+	Form perf.Form
+	// Points holds the evaluated variants in lanes-axis order.
 	Points []Point
+	// Lanes holds every lane count of the swept axis, evaluated or not;
+	// nil for a sweep not converted from a Result.
+	Lanes []int
 
 	// ComputeWall is the smallest swept lane count that no longer fits
 	// the device, or 0 if everything fits.

@@ -712,8 +712,8 @@ func (r *Result) Sweep(form perf.Form) (*Sweep, error) {
 		return nil, err
 	}
 	w := computeWalls(r.Space, r.Variants, r.Points)
-	sw := &Sweep{Form: form, ComputeWall: w.Compute, HostWall: w.Host, DRAMWall: w.DRAM}
 	lanesAxis := r.Space.Axes()[li]
+	sw := &Sweep{Form: form, Lanes: lanesAxis.Values, ComputeWall: w.Compute, HostWall: w.Host, DRAMWall: w.DRAM}
 	for vi := range lanesAxis.Values {
 		for i, v := range r.Variants {
 			if v[li] != vi || r.Points[i] == nil {
