@@ -6,11 +6,12 @@
 // The models are the output of the one-time per-target experiments of
 // Fig 2: costmodel.Calibrate runs the synthesis probes and membw.Build
 // the STREAM-style bandwidth benchmark (dse.ModelCache runs both once
-// per target, and can persist the benchmark's table). Afterwards, costing a design
-// variant is pure arithmetic over its IR, which is what makes the
-// estimator fast enough to sit in a design-space-exploration loop
-// (§VI-A reports 0.3 s per variant for the paper's Perl prototype; this
-// implementation is far below that — see BenchmarkEstimatorSpeed).
+// per target, and can persist the benchmark's table). Afterwards,
+// costing a design variant is pure arithmetic over its IR, which is
+// what makes the estimator fast enough to sit in a
+// design-space-exploration loop (§VI-A reports 0.3 s per variant for
+// the paper's Perl prototype; this implementation is far below that —
+// see BenchmarkEstimatorSpeed).
 // The other stages of Fig 11 are called directly: tir.Parse and
 // elab.Elaborate, hdl.Emit, fabric's synthesis and pipesim.
 package core
