@@ -169,7 +169,7 @@ type program struct {
 	binds []bindStep // call-arg declaration order over ins/outs
 	items int64
 	// idx is the program's slot in an Instance's progState slice,
-	// assigned in compilation order by compileTree.
+	// assigned in compilation order by the design's walk (design.go).
 	idx int
 
 	// [loffLo, loffHi) is the interior: the work-item range where every

@@ -11,29 +11,29 @@ import (
 // This file is the share-everything half of the simulator, split along
 // the wazero seam (CompileModule → shareable CompiledModule → cheap
 // per-call instance): a CompiledDesign holds everything that is
-// immutable after compilation — the elaborated design, the
-// per-function op/bop bodies and the per-call-site programs that bind
-// them to streams — and is safe to share between any number of
-// goroutines. All mutable execution state (register and batch-lane
-// scratch, bound stream arrays, accumulator slabs, the per-run memory
-// map) lives in an Instance. A caller that runs one design many times
-// holds one Instance, whose Run then allocates little beyond the Result
-// it hands back.
+// immutable after compilation — the per-call-site programs, the
+// per-function op/bop bodies they bind to streams, and the order the
+// design's PE invocations run in — and is safe to share between any
+// number of goroutines. All mutable execution state (register and
+// batch-lane scratch, bound stream arrays, accumulator slabs, the
+// per-run memory map) lives in an Instance. A caller that runs one
+// design many times holds one Instance, whose Run then allocates little
+// beyond the Result it hands back.
 
 // CompiledDesign is the immutable compiled form of one design variant.
 // It carries no execution scratch; any number of Instances (and
 // therefore goroutines) can execute it concurrently. Compile once,
 // run everywhere.
 type CompiledDesign struct {
-	m     *tir.Module
-	root  *elab.Node
-	progs map[*tir.CallInstr]*program
-	// bodies holds each pipe function's compiled bodies, one per
-	// assignment of stream directions its call sites use.
-	bodies map[*tir.Function][]*body
-	nprogs int
+	m *tir.Module
+	// progs are the compiled programs, one per PE call site, in slot
+	// order: progs[i].idx is i.
+	progs []*program
+	// invocations are the PE invocations of one kernel-instance in the
+	// order Run executes them, one per instance of a call site.
+	invocations []*program
 	// cycles and items are one kernel-instance's cost, summed once at
-	// compile time by the timer walk; every successful Run reports
+	// compile time by the design's walk; every successful Run reports
 	// them. timingErr is the first error Run fails with on host inputs
 	// (see Timing); compileErr, the first datapath the executor cannot
 	// run, fails every Run.
@@ -77,71 +77,26 @@ func compile(ed *elab.Design, cfg Config) (*CompiledDesign, error) {
 	if err := ed.CheckBound(); err != nil {
 		return nil, err
 	}
+	// Every PE invocation is an instance, and CheckBound has capped the
+	// instances, so the walk never grows these.
+	n := int(ed.Instances())
 	d := &CompiledDesign{
-		m:      ed.Module(),
-		root:   ed.Root(),
-		progs:  map[*tir.CallInstr]*program{},
-		bodies: map[*tir.Function][]*body{},
+		m:           ed.Module(),
+		progs:       make([]*program, 0, n),
+		invocations: make([]*program, 0, n),
 	}
-	if d.compileErr = d.compileCalls(d.root, cfg); d.compileErr != nil {
+	w := &walker{
+		d: d, cfg: cfg,
+		sites:   make(map[*tir.CallInstr]*program, n),
+		bodies:  map[*tir.Function][]*body{},
+		present: hostInputs(d.m),
+	}
+	d.cycles, d.items = w.node(ed.Root())
+	d.compileErr, d.timingErr = w.compileErr, w.bindErr
+	if d.compileErr != nil {
 		d.timingErr = d.compileErr
-		return d, nil
 	}
-	t := &timer{d: d, present: hostInputs(d.m)}
-	d.cycles, d.items = t.node(d.root)
-	d.timingErr = t.bindErr
 	return d, nil
-}
-
-// compileCalls compiles every PE call site under n, in call order,
-// assigning each program its progState slot; a site reached again
-// through another call path keeps its program. Comb children are
-// inlined by their parent's compilation, not compiled as PEs.
-func (d *CompiledDesign) compileCalls(n *elab.Node, cfg Config) error {
-	for _, c := range n.Calls {
-		child := c.Callee.Func
-		if child.Mode == tir.ModeComb || d.progs[c.Site] != nil {
-			continue
-		}
-		if child.Mode == tir.ModePipe && len(child.Params) > 0 {
-			p, err := d.compileCall(c, cfg)
-			if err != nil {
-				return err
-			}
-			p.idx = d.nprogs
-			d.nprogs++
-			d.progs[c.Site] = p
-		}
-		if err := d.compileCalls(c.Callee, cfg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// compileCall compiles the call site of a pipe function: it binds the
-// site's streams, then attaches the body an earlier site of the
-// function with the same stream directions compiled, or compiles that
-// body now. A design fails with its first body error in call order.
-func (d *CompiledDesign) compileCall(c elab.Call, cfg Config) (*program, error) {
-	fn := c.Callee.Func
-	p, dirs := bindCall(d.m, c.Site, fn)
-	i := slices.IndexFunc(d.bodies[fn], func(b *body) bool { return slices.Equal(b.dirs, dirs) })
-	if i < 0 {
-		b, err := compileBody(d.m, fn, c.Callee.Sched.Depth, dirs, cfg)
-		if err != nil {
-			return nil, err
-		}
-		i = len(d.bodies[fn])
-		d.bodies[fn] = append(d.bodies[fn], b)
-	}
-	// The interior follows from the body's window loads and the site's
-	// stream sizes; the site runs the batched form unless its streams
-	// alias.
-	p.body = d.bodies[fn][i]
-	p.computeInterior()
-	p.batched = p.bops != nil && !p.selfAliasedStreams()
-	return p, nil
 }
 
 // Timing returns the cycles and work-items of one kernel-instance of
@@ -184,39 +139,57 @@ func hostInputs(m *tir.Module) map[string]bool {
 	return host
 }
 
-// timer is the compiled executor's one cycle-summing walk: it expands
-// the design's instances in Run's order and replays bindPE's checks
-// statically against the objects present so far. A bind failure does
-// not stop the sum: a caller's own inputs may bind where host inputs
-// do not.
-type timer struct {
-	d       *CompiledDesign
-	present map[string]bool // memory objects with contents so far
-	bindErr error           // first bind failure on host inputs
+// walker is the design's one walk over its instances. It expands them
+// from the root in execution order: a seq node runs its children in
+// turn, a par node its lanes in lane order (as in the oracle, a lane
+// that consumes another lane's output sees the completed stream), a
+// pipe node its own PE and then its coarse children. At each PE
+// invocation it compiles the call site's program the first time the
+// site is reached, appends the invocation to the design's list, which
+// Instance.Run executes in order, sums the one cycle formula, and
+// replays bindPE's checks statically against the objects present so
+// far. A body the executor cannot run stops the walk. A bind failure
+// does not stop the sum: a caller's own inputs may bind where host
+// inputs do not.
+type walker struct {
+	d   *CompiledDesign
+	cfg Config
+	// sites holds each compiled call site's program; bodies holds each
+	// pipe function's compiled bodies, one per assignment of stream
+	// directions its call sites use.
+	sites      map[*tir.CallInstr]*program
+	bodies     map[*tir.Function][]*body
+	present    map[string]bool // memory objects with contents so far
+	bindErr    error           // first bind failure on host inputs
+	compileErr error           // the body that stopped the walk
 }
 
-// node mirrors Instance.runNode: a sequential root sums its children.
-func (t *timer) node(n *elab.Node) (cycles, items int64) {
+// node walks the root: a sequential root sums its children.
+func (w *walker) node(n *elab.Node) (cycles, items int64) {
 	if n.Func.Mode != tir.ModeSeq {
-		return t.call(nil, n)
+		return w.call(nil, n)
 	}
 	for _, c := range n.Calls {
-		cy, it := t.call(c.Site, c.Callee)
+		cy, it := w.call(c.Site, c.Callee)
 		cycles += cy
 		items += it
 	}
 	return cycles, items
 }
 
-// call mirrors Instance.runCall: a par node takes its slowest lane, a
-// pipe node costs its own PE (or ctrlStartup for a purely structural
-// parent) and chains its coarse children — their fills add, the item
-// stream already flowing through the chain overlaps.
-func (t *timer) call(call *tir.CallInstr, n *elab.Node) (cycles, items int64) {
+// call walks the instance reached through one call site: a par node
+// takes its slowest lane, a pipe node costs its own PE (or ctrlStartup
+// for a purely structural parent) and chains its coarse children —
+// their fills add, the item stream already flowing through the chain
+// overlaps.
+func (w *walker) call(site *tir.CallInstr, n *elab.Node) (cycles, items int64) {
+	if w.compileErr != nil {
+		return 0, 0
+	}
 	if n.Func.Mode == tir.ModePar {
 		var worst int64
 		for _, c := range n.Calls {
-			cy, it := t.call(c.Site, c.Callee)
+			cy, it := w.call(c.Site, c.Callee)
 			worst = max(worst, cy)
 			items += it
 		}
@@ -224,37 +197,75 @@ func (t *timer) call(call *tir.CallInstr, n *elab.Node) (cycles, items int64) {
 	}
 	cycles = ctrlStartup
 	if len(n.Func.Params) > 0 {
-		p := t.d.progs[call]
-		t.bind(p)
+		p := w.program(site, n)
+		if p == nil {
+			return 0, 0
+		}
+		w.d.invocations = append(w.d.invocations, p)
+		w.bind(p)
 		cycles, items = p.fill+p.items+ctrlStartup, p.items
 	}
 	for _, c := range n.Calls {
 		if c.Callee.Func.Mode == tir.ModeComb {
 			continue // inlined in the parent program
 		}
-		cy, it := t.call(c.Site, c.Callee)
+		cy, it := w.call(c.Site, c.Callee)
 		cycles += cy - min(it, items, cy)
 		items = max(items, it)
 	}
 	return cycles, items
 }
 
+// program returns the program of the call site of the pipe node n,
+// compiling it, in the next progState slot, the first time the walk
+// reaches the site: it binds the site's streams, then attaches the body
+// an earlier site of the function with the same stream directions
+// compiled, or compiles that body now. It returns nil, with compileErr
+// set, on a body the executor cannot run.
+func (w *walker) program(site *tir.CallInstr, n *elab.Node) *program {
+	if p := w.sites[site]; p != nil {
+		return p
+	}
+	fn := n.Func
+	p, dirs := bindCall(w.d.m, site, fn)
+	i := slices.IndexFunc(w.bodies[fn], func(b *body) bool { return slices.Equal(b.dirs, dirs) })
+	if i < 0 {
+		b, err := compileBody(w.d.m, fn, n.Sched.Depth, dirs, w.cfg)
+		if err != nil {
+			w.compileErr = err
+			return nil
+		}
+		i = len(w.bodies[fn])
+		w.bodies[fn] = append(w.bodies[fn], b)
+	}
+	// The interior follows from the body's window loads and the site's
+	// stream sizes; the site runs the batched form unless its streams
+	// alias.
+	p.body = w.bodies[fn][i]
+	p.computeInterior()
+	p.batched = p.bops != nil && !p.selfAliasedStreams()
+	p.idx = len(w.d.progs)
+	w.d.progs = append(w.d.progs, p)
+	w.sites[site] = p
+	return p
+}
+
 // bind is bindPE without data: the same checks, in call-argument
 // order, against the objects present so far. Only the first failure
 // counts, since Run stops there.
-func (t *timer) bind(p *program) {
+func (w *walker) bind(p *program) {
 	for _, step := range p.binds {
-		if t.bindErr != nil {
+		if w.bindErr != nil {
 			return
 		}
 		if step.out {
 			mem := p.outs[step.idx].mem
-			if t.present[mem] {
-				t.bindErr = errWrittenTwice(mem)
+			if w.present[mem] {
+				w.bindErr = errWrittenTwice(mem)
 			}
-			t.present[mem] = true
-		} else if mem := p.ins[step.idx].mem; !t.present[mem] {
-			t.bindErr = errNoContents(mem)
+			w.present[mem] = true
+		} else if mem := p.ins[step.idx].mem; !w.present[mem] {
+			w.bindErr = errNoContents(mem)
 		}
 	}
 }
@@ -274,12 +285,11 @@ func errNoContents(mem string) error {
 // or DisableBatch).
 func (d *CompiledDesign) BatchedPrograms() (batched, total int) {
 	for _, p := range d.progs {
-		total++
 		if p.batched {
 			batched++
 		}
 	}
-	return
+	return batched, len(d.progs)
 }
 
 // Instance owns all mutable state of one execution context over a
@@ -294,9 +304,9 @@ type Instance struct {
 
 // NewInstance allocates a fresh execution context for the design.
 func (d *CompiledDesign) NewInstance() *Instance {
-	inst := &Instance{d: d, st: make([]progState, d.nprogs)}
-	for _, p := range d.progs {
-		inst.st[p.idx].init(p)
+	inst := &Instance{d: d, st: make([]progState, len(d.progs))}
+	for i, p := range d.progs {
+		inst.st[i].init(p)
 	}
 	return inst
 }
@@ -323,9 +333,11 @@ type runState struct {
 	acc map[string]int64
 }
 
-// Run executes one kernel-instance. mem must provide an array of
-// exactly the declared size for every memory object that feeds an
-// input stream not produced by another processing element.
+// Run executes one kernel-instance: it binds and executes the design's
+// PE invocations in the order its compile walk recorded. mem must
+// provide an array of exactly the declared size for every memory
+// object that feeds an input stream not produced by another processing
+// element.
 //
 // Input arrays are NOT copied: the design never writes a
 // caller-provided object (every design-written object is materialised
@@ -350,8 +362,10 @@ func (inst *Instance) Run(mem map[string][]int64) (*Result, error) {
 		}
 		st.mem[name] = data
 	}
-	if err := inst.runNode(st, d.root); err != nil {
-		return nil, err
+	for _, p := range d.invocations {
+		if err := inst.execPE(st, p); err != nil {
+			return nil, err
+		}
 	}
 	return &Result{Mem: st.mem, Acc: st.acc, Cycles: d.cycles, Items: d.items}, nil
 }
@@ -361,51 +375,6 @@ func (inst *Instance) Run(mem map[string][]int64) (*Result, error) {
 // is what makes per-sweep cost approach the pure streaming cycles.
 func (inst *Instance) RunIterations(mem map[string][]int64, nki int64, fb Feedback) (*IterationResult, error) {
 	return runIterations(inst.d.m, inst.Run, mem, nki, fb)
-}
-
-// runNode executes the design's instances in the oracle's order:
-// sequential nodes run their children in turn, parallel nodes their
-// lanes, pipe nodes their datapath and then their coarse children. It
-// counts no cycles — the design's timer walk did that once, at compile
-// time.
-func (inst *Instance) runNode(st *runState, n *elab.Node) error {
-	if n.Func.Mode != tir.ModeSeq {
-		return inst.runCall(st, nil, n)
-	}
-	for _, c := range n.Calls {
-		if err := inst.runCall(st, c.Site, c.Callee); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runCall executes the PE(s) reached through one call site. A par
-// node runs its lanes in lane order, as the oracle does: a lane that
-// consumes another lane's output sees the completed stream.
-func (inst *Instance) runCall(st *runState, call *tir.CallInstr, n *elab.Node) error {
-	if n.Func.Mode == tir.ModePar {
-		for _, c := range n.Calls {
-			if err := inst.runCall(st, c.Site, c.Callee); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if len(n.Func.Params) > 0 {
-		if err := inst.execPE(st, inst.d.progs[call]); err != nil {
-			return err
-		}
-	}
-	for _, c := range n.Calls {
-		if c.Callee.Func.Mode == tir.ModeComb {
-			continue // inlined in the parent program
-		}
-		if err := inst.runCall(st, c.Site, c.Callee); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // bindPE performs the dynamic half of port binding: input contents must
