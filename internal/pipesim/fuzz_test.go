@@ -12,7 +12,8 @@ import (
 
 // kernelGen builds random-but-valid streaming kernels: a DAG of
 // arithmetic over a configurable number of input streams, optional
-// stencil offsets, one output and one accumulator. It drives the
+// stencil offsets, one output and one accumulator, at an unsigned or a
+// signed type. It drives the
 // cross-validation properties below — for ANY kernel the generator can
 // express, the simulator, the golden interpreter, the scheduler and the
 // cost model must stay mutually consistent.
@@ -33,14 +34,20 @@ func (g *kernelGen) intn(n int) int { return int(g.next() % uint64(n)) }
 
 // binOps are the two-operand opcodes the generator draws from.
 var binOps = []tir.Opcode{
-	tir.OpAdd, tir.OpSub, tir.OpMul, tir.OpAnd, tir.OpOr, tir.OpXor,
-	tir.OpMin, tir.OpMax, tir.OpLshr, tir.OpShl,
+	tir.OpAdd, tir.OpSub, tir.OpMul, tir.OpDiv, tir.OpRem, tir.OpAnd, tir.OpOr, tir.OpXor,
+	tir.OpMin, tir.OpMax, tir.OpLshr, tir.OpShl, tir.OpAshr,
 }
+
+// unOps are the one-operand opcodes the generator draws from.
+var unOps = []tir.Opcode{tir.OpAbs, tir.OpNot, tir.OpRecip, tir.OpSqrt}
 
 // build constructs a random module plus matching input data.
 func (g *kernelGen) build(seed uint64) (*tir.Module, map[string][]int64, int64) {
 	g.state = seed*2654435761 + 1
 	ty := tir.UIntT(16 + g.intn(3)*8) // ui16, ui24 or ui32
+	if g.intn(2) == 1 {
+		ty = tir.SIntT(ty.Bits) // i16, i24 or i32
+	}
 	nIn := 1 + g.intn(3)
 	nOps := 3 + g.intn(12)
 	size := int64(32 + g.intn(64))
@@ -73,7 +80,7 @@ func (g *kernelGen) build(seed uint64) (*tir.Module, map[string][]int64, int64) 
 		case 0: // immediate operand (strength-reduced in hardware)
 			v = f0.BinImm(op, a, int64(1+g.intn(15)))
 		case 1: // unary
-			v = f0.Un(tir.OpAbs, a)
+			v = f0.Un(unOps[g.intn(len(unOps))], a)
 		default:
 			bb := vals[g.intn(len(vals))]
 			v = f0.Bin(op, a, bb)
@@ -115,7 +122,7 @@ func (g *kernelGen) build(seed uint64) (*tir.Module, map[string][]int64, int64) 
 		for _, n := range inNames {
 			data := make([]int64, size)
 			for i := range data {
-				data[i] = int64(g.next()) & int64(ty.Mask())
+				data[i] = ty.Wrap(int64(g.next()))
 			}
 			mem["mem_main_"+laneName(n, l)] = data
 		}
