@@ -1,7 +1,12 @@
 package evalstore
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +14,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/membw"
+	"repro/internal/tir"
 )
 
 // TestModelsRoundtrip: a calibrated model pair must survive the store:
@@ -165,5 +171,66 @@ func TestKeysGolden(t *testing.T) {
 		if c.got != c.want {
 			t.Errorf("%s key = %s, want %s", c.name, c.got, c.want)
 		}
+	}
+}
+
+// TestEstimatesPinnedToVersion pins the estimate records to
+// EstimateVersion. An estimate's key covers the kernel IR, dv and the
+// target description, but not the calibration or the estimator's code,
+// so a change to either that moves a stored estimate must bump the
+// version, or a warm -cache run serves the old figures. The test hashes
+// the payloads SaveEstimate writes for the committed kernel designs
+// (fixed files, so a kernel builder change does not move the hash) on
+// every registered target at dv 1 and 4.
+func TestEstimatesPinnedToVersion(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "kernels", "testdata", "*.tirl"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no kernel designs (%v)", err)
+	}
+	s := mustOpen(t)
+	h := sha256.New()
+	for _, name := range device.Names() {
+		tgt, err := device.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mdl, err := costmodel.Calibrate(tgt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := tir.Parse(path, string(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cm, err := mdl.Compile(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dv := range []int{1, 4} {
+				est, err := cm.EstimateVectorised(dv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				key := EstimateKey(string(src), dv, tgt)
+				if err := SaveEstimate(s, key, est); err != nil {
+					t.Fatal(err)
+				}
+				payload, ok := s.Get(KindEstimate, key)
+				if !ok {
+					t.Fatalf("%s on %s, dv=%d: record not read back", path, name, dv)
+				}
+				fmt.Fprintf(h, "%s %s dv=%d %s\n", filepath.Base(path), name, dv, payload)
+			}
+		}
+	}
+	const want = "d951ecc19db313d8b861897d6360f57cd273c3cc22472f3fcaac56a69d747fff"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("estimate payloads hash to %s, want %s: a stored estimate moved, so bump EstimateVersion "+
+			"(it moves TestKeysGolden's estimate key too) and set want here to %s", got, want, got)
 	}
 }
