@@ -327,12 +327,6 @@ func (mdl *Model) Compile(m *tir.Module) (*CompiledModel, error) {
 	return mdl.Bind(l), nil
 }
 
-// Module returns the module the program was compiled from.
-func (cm *CompiledModel) Module() *tir.Module { return cm.low.m }
-
-// Target returns the device the program prices against.
-func (cm *CompiledModel) Target() *device.Target { return cm.mdl.Target }
-
 // EstimateVectorised evaluates the flat program with each lane
 // vectorised to dv work-items per cycle — the C3/C5 axis of the Fig 5
 // design space. The vectorised lane model: the datapath and its

@@ -194,15 +194,6 @@ type Port struct {
 	At        diag.Pos // declaration position; zero for built modules
 }
 
-// FuncName returns the function component of the port name ("main" for
-// "main.p"), or "" if unqualified.
-func (p *Port) FuncName() string {
-	if i := strings.LastIndexByte(p.Name, '.'); i >= 0 {
-		return p.Name[:i]
-	}
-	return ""
-}
-
 // OperandKind discriminates instruction operands.
 type OperandKind int
 

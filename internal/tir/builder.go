@@ -189,14 +189,8 @@ func (fb *FuncBuilder) NamedOffset(name string, src Value, off int64) Value {
 	return Value{Op: Reg(name), Ty: src.Ty}
 }
 
-// Const emits a constant definition.
-func (fb *FuncBuilder) Const(ty Type, v int64) Value {
-	d := fb.fresh()
-	fb.f.Body = append(fb.f.Body, &ConstInstr{Dst: d, Ty: ty, Val: v})
-	return Value{Op: Reg(d), Ty: ty}
-}
-
-// NamedConst is Const with an explicit destination name.
+// NamedConst emits a constant definition with an explicit destination
+// name.
 func (fb *FuncBuilder) NamedConst(name string, ty Type, v int64) Value {
 	fb.f.Body = append(fb.f.Body, &ConstInstr{Dst: name, Ty: ty, Val: v})
 	return Value{Op: Reg(name), Ty: ty}
@@ -274,17 +268,9 @@ func (fb *FuncBuilder) Accumulate(name string, op Opcode, v Value) {
 	})
 }
 
-// Call emits a call to a child function.
-func (fb *FuncBuilder) Call(callee string, mode ParMode, args ...Value) {
-	ops := make([]Operand, len(args))
-	for i, a := range args {
-		ops[i] = a.Op
-	}
-	fb.f.Body = append(fb.f.Body, &CallInstr{Callee: callee, Args: ops, Mode: mode})
-}
-
-// CallOperands emits a call with raw operands (used when replicating
-// lanes whose arguments are distinct stream ports).
+// CallOperands emits a call to a child function with raw operands
+// (used when replicating lanes whose arguments are distinct stream
+// ports).
 func (fb *FuncBuilder) CallOperands(callee string, mode ParMode, args ...Operand) {
 	fb.f.Body = append(fb.f.Body, &CallInstr{Callee: callee, Args: args, Mode: mode})
 }
