@@ -65,6 +65,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *nki < 1 {
+		return fmt.Errorf("-nki %d: a workload runs at least one kernel-instance", *nki)
+	}
 	// -lanes and -tb act on a built-in kernel: a .tirl file fixes its
 	// own lane count and carries no workload to derive expectations from.
 	if *kernel == "" {

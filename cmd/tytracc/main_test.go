@@ -89,8 +89,9 @@ func TestCacheWarmMatchesCold(t *testing.T) {
 // sorFile is the one-lane SOR design in TyTra-IR surface syntax.
 var sorFile = filepath.Join("..", "..", "internal", "kernels", "testdata", "sor_1lane.tirl")
 
+// TestRunErrors: each bad input is an error, refused before anything
+// prints.
 func TestRunErrors(t *testing.T) {
-	var out strings.Builder
 	cases := [][]string{
 		{},                                    // no input
 		{"-kernel", "mystery"},                // unknown kernel
@@ -105,10 +106,16 @@ func TestRunErrors(t *testing.T) {
 		{"-kernel", "hotspot", "-lanes", "2816"},
 		// A file fixes its own lane count.
 		{"-lanes", "4", sorFile},
+		{"-kernel", "sor", "-nki", "0"},
+		{"-kernel", "sor", "-nki", "-5"},
 	}
 	for i, args := range cases {
+		var out strings.Builder
 		if err := run(args, &out); err == nil {
 			t.Errorf("case %d (%v): no error", i, args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("case %d (%v): printed before failing:\n%s", i, args, out.String())
 		}
 	}
 }

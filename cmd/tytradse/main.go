@@ -135,6 +135,12 @@ func run(args []string, out io.Writer) error {
 	if *jobs < 0 {
 		return fmt.Errorf("-j %d: the worker count must be positive, or 0 for all CPUs", *jobs)
 	}
+	if *nki < 1 {
+		return fmt.Errorf("-nki %d: a workload runs at least one kernel-instance", *nki)
+	}
+	if *budget < 0 {
+		return fmt.Errorf("-budget %d: the evaluation budget must be positive, or 0 for unlimited", *budget)
+	}
 	// Every lane count builds a module that materialises each lane, so
 	// the axis stops where the simulator and the HDL back end stop.
 	if *maxLanes < 1 || *maxLanes > elab.MaxInstances {

@@ -63,8 +63,9 @@ func TestRunEvalModes(t *testing.T) {
 	}
 }
 
+// TestRunErrors: each bad input is an error, refused before anything
+// prints.
 func TestRunErrors(t *testing.T) {
-	var out strings.Builder
 	cases := [][]string{
 		{"-kernel", "mystery"},
 		{"-target", "nope"},
@@ -77,11 +78,17 @@ func TestRunErrors(t *testing.T) {
 		{"-budget", "-1"},
 		{"-budget", "-1", "-devices", "edu,virtex-7-690t"},
 		{"-j", "-2"},
+		{"-nki", "0"},
+		{"-nki", "-5"},
 		{"-modeleval", "tree"}, // one cost-model implementation: no switch
 	}
 	for i, args := range cases {
+		var out strings.Builder
 		if err := run(args, &out); err == nil {
 			t.Errorf("case %d (%v): no error", i, args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("case %d (%v): printed before failing:\n%s", i, args, out.String())
 		}
 	}
 }
