@@ -91,7 +91,7 @@ func compile(ed *elab.Design, cfg Config) (*CompiledDesign, error) {
 		bodies:  map[*tir.Function][]*body{},
 		present: hostInputs(d.m),
 	}
-	d.cycles, d.items = w.node(ed.Root())
+	d.cycles, d.items = w.call(nil, ed.Root())
 	d.compileErr, d.timingErr = w.compileErr, w.bindErr
 	if d.compileErr != nil {
 		d.timingErr = d.compileErr
@@ -139,18 +139,14 @@ func hostInputs(m *tir.Module) map[string]bool {
 	return host
 }
 
-// walker is the design's one walk over its instances. It expands them
-// from the root in execution order: a seq node runs its children in
-// turn, a par node its lanes in lane order (as in the oracle, a lane
-// that consumes another lane's output sees the completed stream), a
-// pipe node its own PE and then its coarse children. At each PE
-// invocation it compiles the call site's program the first time the
-// site is reached, appends the invocation to the design's list, which
-// Instance.Run executes in order, sums the one cycle formula, and
-// replays bindPE's checks statically against the objects present so
-// far. A body the executor cannot run stops the walk. A bind failure
-// does not stop the sum: a caller's own inputs may bind where host
-// inputs do not.
+// walker is the design's one walk over its instances, in execution
+// order. At each PE invocation it compiles the call site's program the
+// first time the site is reached, appends the invocation to the list
+// Instance.Run executes, sums the one cycle formula, and replays
+// bindPE's checks statically against the objects present so far. A
+// body the executor cannot run stops the walk. A bind failure does not
+// stop the sum: a caller's own inputs may bind where host inputs do
+// not.
 type walker struct {
 	d   *CompiledDesign
 	cfg Config
@@ -164,29 +160,27 @@ type walker struct {
 	compileErr error           // the body that stopped the walk
 }
 
-// node walks the root: a sequential root sums its children.
-func (w *walker) node(n *elab.Node) (cycles, items int64) {
-	if n.Func.Mode != tir.ModeSeq {
-		return w.call(nil, n)
-	}
-	for _, c := range n.Calls {
-		cy, it := w.call(c.Site, c.Callee)
-		cycles += cy
-		items += it
-	}
-	return cycles, items
-}
-
-// call walks the instance reached through one call site: a par node
-// takes its slowest lane, a pipe node costs its own PE (or ctrlStartup
-// for a purely structural parent) and chains its coarse children —
-// their fills add, the item stream already flowing through the chain
-// overlaps.
+// call walks the instance reached through one call site, or the root
+// (site nil). A seq node, which only the root can be, runs its
+// children in turn and sums them. A par node runs its lanes in lane
+// order, as the oracle does (a lane that consumes another lane's
+// output sees the completed stream), and takes its slowest lane. A
+// pipe node costs its own PE (or ctrlStartup for a purely structural
+// parent) and chains its coarse children: their fills add, the item
+// stream already flowing through the chain overlaps.
 func (w *walker) call(site *tir.CallInstr, n *elab.Node) (cycles, items int64) {
 	if w.compileErr != nil {
 		return 0, 0
 	}
-	if n.Func.Mode == tir.ModePar {
+	switch n.Func.Mode {
+	case tir.ModeSeq:
+		for _, c := range n.Calls {
+			cy, it := w.call(c.Site, c.Callee)
+			cycles += cy
+			items += it
+		}
+		return cycles, items
+	case tir.ModePar:
 		var worst int64
 		for _, c := range n.Calls {
 			cy, it := w.call(c.Site, c.Callee)
