@@ -29,12 +29,15 @@
 // tests' -pipesim.oracle flag.
 //
 // Timing never depends on data: every cycle term is fixed when a PE
-// compiles. So the compiled path has one cycle formula, summed once
-// per design at compile time, and CompiledDesign.Timing returns it
-// without executing anything; a run reports the same numbers alongside
-// the outputs it computes. The oracle keeps its own derivation, and
-// TestDifferentialTimingMatchesOracle pins the two together: a change
-// that makes timing data-dependent must break that test first.
+// compiles. So the compiled path walks a design's instances once, at
+// compile time: the walk compiles each call site, records the PE
+// invocations in execution order and sums the one cycle formula.
+// CompiledDesign.Timing returns that sum without executing anything; a
+// run executes the recorded invocations in order and reports the same
+// numbers alongside the outputs it computes. The oracle keeps its own
+// derivation, and TestDifferentialTimingMatchesOracle pins the two
+// together: a change that makes timing data-dependent must break that
+// test first.
 package pipesim
 
 import (
