@@ -13,10 +13,10 @@ import (
 // kernelGen builds random-but-valid streaming kernels: a DAG of
 // arithmetic over a configurable number of input streams, optional
 // stencil offsets, one output and one accumulator, at an unsigned or a
-// signed type. It drives the
-// cross-validation properties below — for ANY kernel the generator can
-// express, the simulator, the golden interpreter, the scheduler and the
-// cost model must stay mutually consistent.
+// signed type. It drives the cross-validation properties below — for
+// ANY kernel the generator can express, the simulator, the golden
+// interpreter, the scheduler and the cost model must stay mutually
+// consistent.
 type kernelGen struct {
 	state uint64
 	// par, when set, wraps f0 in a par node of 2–4 lanes on about half
@@ -34,8 +34,9 @@ func (g *kernelGen) intn(n int) int { return int(g.next() % uint64(n)) }
 
 // binOps are the two-operand opcodes the generator draws from.
 var binOps = []tir.Opcode{
-	tir.OpAdd, tir.OpSub, tir.OpMul, tir.OpDiv, tir.OpRem, tir.OpAnd, tir.OpOr, tir.OpXor,
-	tir.OpMin, tir.OpMax, tir.OpLshr, tir.OpShl, tir.OpAshr,
+	tir.OpAdd, tir.OpSub, tir.OpMul, tir.OpDiv, tir.OpRem, tir.OpAnd,
+	tir.OpOr, tir.OpXor, tir.OpMin, tir.OpMax, tir.OpLshr, tir.OpShl,
+	tir.OpAshr,
 }
 
 // unOps are the one-operand opcodes the generator draws from.
