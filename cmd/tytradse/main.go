@@ -287,7 +287,7 @@ func printSweepBlock(out io.Writer, opt options, targetName string, sw *dse.Swee
 	emitTable(out, opt.csv, tab)
 	if sw.Best != nil {
 		fmt.Fprintf(out, "best variant: %d lanes (EKIT %.3g/s, limited by %s)\n",
-			sw.Best.Lanes, sw.Best.EKIT, sw.Best.Breakdown.Limiter)
+			sw.Best.Lanes, sw.Best.EKIT, sw.Best.Limiter)
 		if opt.mode == dse.EvalSim {
 			fmt.Fprintf(out, "scored by simulated cycles: %d cycles / %d items per instance (model predicted EKIT %.3g/s)\n",
 				sw.Best.SimCycles, sw.Best.SimItems, sw.Best.ModelEKIT)

@@ -110,7 +110,7 @@ func run(w io.Writer) error {
 			modeStr += "map^" + mode.String()
 		}
 		tab.AddRow(v.Lanes(), modeStr, p.Est.Used.ALUTs, p.UtilALUT*100, p.EKIT, p.SimEKIT,
-			fmt.Sprintf("%v", p.Fits), p.Breakdown.Limiter)
+			fmt.Sprintf("%v", p.Fits), p.Limiter)
 	}
 	fmt.Fprintln(w, tab)
 

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -32,23 +33,39 @@ func searchScore(o Outcome, ok bool) float64 {
 // neighbours returns the ±1-step moves of a variant: for each axis in
 // order, the variant one value-index below and one above, skipped at
 // the axis ends. The order is fixed, which keeps tie-breaking — and
-// therefore the whole search — deterministic.
+// therefore the whole search — deterministic. The moves share one
+// backing array, each capped at its own length (as Enumerate's are), so
+// appending to one never writes into the next.
 func neighbours(s *Space, v Variant) []Variant {
 	axes := s.Axes()
 	out := make([]Variant, 0, 2*len(axes))
+	all := make([]int, 0, 2*len(axes)*len(v))
 	for ai := range axes {
 		for _, d := range [2]int{-1, +1} {
 			idx := v[ai] + d
 			if idx < 0 || idx >= len(axes[ai].Values) {
 				continue
 			}
-			n := make(Variant, len(v))
-			copy(n, v)
+			k := len(all)
+			all = append(all, v...)
+			n := Variant(all[k : k+len(v) : k+len(v)])
 			n[ai] = idx
 			out = append(out, n)
 		}
 	}
 	return out
+}
+
+// addOnce appends v to wave unless seen already holds its index,
+// recording the index in seen; it returns both slices. seen is scanned
+// linearly: an adaptive wave holds a few dozen variants at most
+// (numClimbers·2·axes), where a scan beats hashing into a fresh map.
+func addOnce(s *Space, wave []Variant, seen []int, v Variant) ([]Variant, []int) {
+	key := s.Index(v)
+	if slices.Contains(seen, key) {
+		return wave, seen
+	}
+	return append(wave, v), append(seen, key)
 }
 
 // centerVariant is the mid-point of every axis: the deterministic
@@ -98,26 +115,23 @@ func (HillClimb) start(sc *Search) (searcher, error) {
 	probes := min(probeWaveSize, space.Size())
 	// The probe set: the centre plus seeded uniform draws, deduplicated.
 	// The draw loop is bounded so a tiny space cannot spin it forever.
-	seen := map[int]bool{}
+	r := &hillClimbRun{}
 	var wave []Variant
-	add := func(v Variant) {
-		key := space.Index(v)
-		if !seen[key] {
-			seen[key] = true
-			wave = append(wave, v)
-		}
-	}
-	add(centerVariant(space))
+	wave, r.seen = addOnce(space, wave, r.seen, centerVariant(space))
 	for tries := 0; len(wave) < probes && tries < 32*probes; tries++ {
-		add(randomVariant(sc))
+		wave, r.seen = addOnce(space, wave, r.seen, randomVariant(sc))
 	}
-	return &hillClimbRun{probe: wave}, nil
+	r.probe = wave
+	return r, nil
 }
 
 // hillClimbRun is the per-run climber state.
 type hillClimbRun struct {
 	probe    []Variant // pending seeding wave; nil once told
 	climbers []Variant // current position of each active climber
+	// seen is the per-run scratch set of Space indices: the variants of
+	// the wave ask is building, or the positions climb has handed out.
+	seen []int
 }
 
 func (r *hillClimbRun) ask(sc *Search) ([]Variant, error) {
@@ -128,42 +142,39 @@ func (r *hillClimbRun) ask(sc *Search) ([]Variant, error) {
 		return nil, nil
 	}
 	// One wave per round: the union of every climber's neighbourhood.
+	// The wave is fresh each round: the core may keep it.
 	var wave []Variant
-	seen := map[int]bool{}
+	r.seen = r.seen[:0]
 	for _, cur := range r.climbers {
 		for _, n := range neighbours(sc.Space(), cur) {
-			key := sc.Space().Index(n)
-			if !seen[key] {
-				seen[key] = true
-				wave = append(wave, n)
-			}
+			wave, r.seen = addOnce(sc.Space(), wave, r.seen, n)
 		}
 	}
 	return wave, nil
 }
 
-func (r *hillClimbRun) tell(sc *Search, wave []Outcome) (int, error) {
+func (r *hillClimbRun) tell(sc *Search, wave []Variant, points []*Point) (int, error) {
 	if r.probe != nil {
-		r.seed(sc, wave)
+		r.seed(wave, points)
 		return len(wave), nil
 	}
 	r.climb(sc)
 	return len(wave), nil
 }
 
-// seed ranks the probe outcomes by the model's EKIT and starts one
+// seed ranks the probe points by the model's EKIT and starts one
 // climber at each of the top numClimbers candidates.
-func (r *hillClimbRun) seed(sc *Search, wave []Outcome) {
+func (r *hillClimbRun) seed(wave []Variant, points []*Point) {
 	r.probe = nil
 	scores := make([]float64, len(wave))
-	for i, o := range wave {
+	for i, p := range points {
 		switch {
-		case o.Err != nil || o.Point == nil:
+		case p == nil:
 			scores[i] = math.Inf(-1)
-		case o.Point.Fits:
-			scores[i] = o.Point.ModelEKIT
+		case p.Fits:
+			scores[i] = p.ModelEKIT
 		default:
-			scores[i] = -o.Point.PeakUtil()
+			scores[i] = -p.PeakUtil()
 		}
 	}
 	idx := make([]int, len(wave))
@@ -174,8 +185,8 @@ func (r *hillClimbRun) seed(sc *Search, wave []Outcome) {
 	// so the seeding is deterministic.
 	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
 	for i := 0; i < len(idx) && i < numClimbers; i++ {
-		if o := wave[idx[i]]; o.Err == nil && o.Point != nil {
-			r.climbers = append(r.climbers, o.Variant)
+		if points[idx[i]] != nil {
+			r.climbers = append(r.climbers, wave[idx[i]])
 		}
 	}
 }
@@ -185,7 +196,7 @@ func (r *hillClimbRun) seed(sc *Search, wave []Outcome) {
 // another climber already holds).
 func (r *hillClimbRun) climb(sc *Search) {
 	var next []Variant
-	held := map[int]bool{}
+	r.seen = r.seen[:0] // the positions held after this round
 	for _, cur := range r.climbers {
 		curScore := searchScore(sc.Lookup(cur))
 		moved := cur
@@ -198,12 +209,8 @@ func (r *hillClimbRun) climb(sc *Search) {
 		if bestScore <= curScore {
 			continue // local optimum: this climber is done
 		}
-		key := sc.Space().Index(moved)
-		if held[key] {
-			continue // merged with another climber
-		}
-		held[key] = true
-		next = append(next, moved)
+		// A position another climber already holds merges the two.
+		next, r.seen = addOnce(sc.Space(), next, r.seen, moved)
 	}
 	r.climbers = next
 }
@@ -238,7 +245,8 @@ func (Anneal) start(sc *Search) (searcher, error) {
 	for i := range starts {
 		starts[i] = randomVariant(sc)
 	}
-	return &annealRun{temp: annealT0, starts: starts, current: make([]Variant, annealChains)}, nil
+	return &annealRun{temp: annealT0, starts: starts,
+		current: make([]Variant, annealChains), proposed: make([]Variant, annealChains)}, nil
 }
 
 // annealRun is the per-run walker state.
@@ -249,6 +257,7 @@ type annealRun struct {
 
 	current  []Variant
 	proposed []Variant // this wave's proposal per chain
+	seen     []int     // scratch: the Space indices of this wave
 }
 
 func (r *annealRun) ask(sc *Search) ([]Variant, error) {
@@ -259,10 +268,10 @@ func (r *annealRun) ask(sc *Search) ([]Variant, error) {
 		return nil, nil
 	}
 	// One proposal per chain, drawn in chain order so the RNG stream —
-	// and with it the whole walk — is reproducible.
-	r.proposed = make([]Variant, len(r.current))
-	var wave []Variant
-	seen := map[int]bool{}
+	// and with it the whole walk — is reproducible. The wave is fresh
+	// each step: the core may keep it.
+	wave := make([]Variant, 0, len(r.current))
+	r.seen = r.seen[:0]
 	for i, cur := range r.current {
 		ns := neighbours(sc.Space(), cur)
 		if len(ns) == 0 {
@@ -271,11 +280,7 @@ func (r *annealRun) ask(sc *Search) ([]Variant, error) {
 		}
 		p := ns[sc.Rand().Intn(len(ns))]
 		r.proposed[i] = p
-		key := sc.Space().Index(p)
-		if !seen[key] {
-			seen[key] = true
-			wave = append(wave, p)
-		}
+		wave, r.seen = addOnce(sc.Space(), wave, r.seen, p)
 	}
 	if len(wave) == 0 {
 		return nil, nil
@@ -283,7 +288,7 @@ func (r *annealRun) ask(sc *Search) ([]Variant, error) {
 	return wave, nil
 }
 
-func (r *annealRun) tell(sc *Search, wave []Outcome) (int, error) {
+func (r *annealRun) tell(sc *Search, wave []Variant, points []*Point) (int, error) {
 	if r.starts != nil {
 		// Settle the chains on their start points; a failed start stays
 		// put at score -Inf and escapes through its first proposal.

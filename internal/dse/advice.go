@@ -37,14 +37,14 @@ func Advise(sw *Sweep) Advice {
 	// Bandwidth limits take precedence: when the best point is already
 	// bandwidth-bound, freeing logic cannot improve it.
 	switch {
-	case sw.Best.Breakdown.Limiter == "host-bandwidth":
+	case sw.Best.Limiter == perf.LimitHostBandwidth:
 		a.Wall = "host-bandwidth-wall"
 		a.Actions = []string{
 			"move from form A to form B: keep the NDRange resident in device DRAM across kernel-instances",
 			"pack stream elements (narrower types) to cut words-per-tuple over the link",
 			"overlap transfer with compute (double-buffered kernel-instances)",
 		}
-	case sw.Best.Breakdown.Limiter == "dram-bandwidth":
+	case sw.Best.Limiter == perf.LimitDRAMBandwidth:
 		a.Wall = "dram-bandwidth-wall"
 		a.Actions = []string{
 			"tile the index space toward form C: stage slabs in on-chip block RAM",

@@ -54,20 +54,19 @@ func TestAdviseNoFit(t *testing.T) {
 func TestAdviseBandwidthWalls(t *testing.T) {
 	// Synthesise sweeps whose best point is bandwidth-limited to check
 	// the targeted suggestions.
-	mk := func(limiter string) *Sweep {
-		p := Point{Lanes: 4, Fits: true, EKIT: 1}
-		p.Breakdown.Limiter = limiter
+	mk := func(limiter perf.Limiter) *Sweep {
+		p := Point{Lanes: 4, Fits: true, EKIT: 1, Limiter: limiter}
 		return &Sweep{Points: []Point{p}, Best: &p}
 	}
-	host := Advise(mk("host-bandwidth"))
+	host := Advise(mk(perf.LimitHostBandwidth))
 	if host.Wall != "host-bandwidth-wall" || !strings.Contains(strings.Join(host.Actions, " "), "form B") {
 		t.Errorf("host advice = %+v", host)
 	}
-	dram := Advise(mk("dram-bandwidth"))
+	dram := Advise(mk(perf.LimitDRAMBandwidth))
 	if dram.Wall != "dram-bandwidth-wall" || !strings.Contains(strings.Join(dram.Actions, " "), "form C") {
 		t.Errorf("dram advice = %+v", dram)
 	}
-	free := Advise(mk("compute"))
+	free := Advise(mk(perf.LimitCompute))
 	if free.Wall != "none" || !strings.Contains(strings.Join(free.Actions, " "), "replicate") {
 		t.Errorf("headroom advice = %+v", free)
 	}

@@ -16,7 +16,7 @@
 // Which points get evaluated is a pluggable Strategy, driven by the
 // budgeted ask/tell search core of Engine.Search: the core repeatedly
 // asks the strategy for a wave of variants, evaluates the wave on the
-// pool, and tells the strategy the outcomes, under an evaluation
+// pool, and tells the strategy the points, under an evaluation
 // budget and a seeded RNG (see search.go). The strategies:
 //
 //   - Exhaustive covers the full cross product;
@@ -63,7 +63,9 @@ import (
 // parallel kernel lanes.
 type VariantBuilder func(lanes int) (*tir.Module, error)
 
-// Point is one evaluated design variant.
+// Point is one evaluated design variant. The engine allocates one per
+// evaluated variant, so its size is the per-point memory of a sweep:
+// 256 bytes, a Go size class (TestWarmModelPointAllocs checks it).
 type Point struct {
 	Lanes int
 	Est   *costmodel.Estimate
@@ -74,10 +76,8 @@ type Point struct {
 	// the evaluator and available as Est.Target).
 	Device string
 
-	// EKIT is the kernel-instance throughput (the EWGT axis of Fig 15);
-	// Breakdown carries the per-term times and the limiter.
-	EKIT      float64
-	Breakdown perf.Breakdown
+	// EKIT is the kernel-instance throughput (the EWGT axis of Fig 15).
+	EKIT float64
 
 	// Utilisation fractions, the vertical bars of Fig 15.
 	UtilALUT, UtilReg, UtilBRAM, UtilDSP float64
@@ -88,6 +88,11 @@ type Point struct {
 	// Fits reports whether the variant fits the device (false beyond the
 	// computation wall).
 	Fits bool
+	// Limiter is the wall of the point's EKIT breakdown (perf.Breakdown):
+	// the dominant steady-state term under the point's form. The
+	// breakdown's time terms are not kept; Par.EKIT(form) recomputes
+	// them. Declared beside Fits, the two share one word.
+	Limiter perf.Limiter
 
 	// ModelEKIT always carries the cost model's EKIT prediction, even
 	// when a simulation-backed evaluator ranked the point by SimEKIT

@@ -182,7 +182,7 @@ type modelEval struct {
 	// compiled program.
 	estimateFn func(d *elab.Design, dv int) (*costmodel.Estimate, error)
 
-	ests        sync.Map // [2]int{lanes, dv} -> *estCell
+	ests        sync.Map // estKey(lanes, dv) -> *estCell
 	compiled    sync.Map // lanes int -> *onceCell[*costmodel.CompiledModel]
 	inventories sync.Map // lanes int -> *onceCell[*perf.Inventory]
 }
@@ -243,13 +243,26 @@ func (me *modelEval) module(lanes int) (*tir.Module, error) {
 	return me.mods.module(lanes)
 }
 
-// params returns the (lanes, dv) memo cell, settling it on first use:
-// the estimate, then its Table I parameters — perf.Extract, with the
-// stream inventory shared by the lane count. An error from either step
-// is memoised with the cell, so every point of the cell reports the
-// same one.
-func (me *modelEval) params(lanes, dv int) *estCell {
-	c := loadCell[estCell](&me.ests, [2]int{lanes, dv})
+// estKey packs a (lanes, dv) pair into the estimate memo's key: one
+// integer hashes faster than a boxed pair. A value outside int32 is an
+// error naming its axis, so two pairs never share a cell.
+func estKey(lanes, dv int) (uint64, error) {
+	if lanes != int(int32(lanes)) {
+		return 0, fmt.Errorf("dse: %s value %d does not fit in 32 bits", AxisLanes, lanes)
+	}
+	if dv != int(int32(dv)) {
+		return 0, fmt.Errorf("dse: %s value %d does not fit in 32 bits", AxisDV, dv)
+	}
+	return uint64(uint32(lanes))<<32 | uint64(uint32(dv)), nil
+}
+
+// params returns the (lanes, dv) memo cell under its key (estKey),
+// settling it on first use: the estimate, then its Table I parameters —
+// perf.Extract, with the stream inventory shared by the lane count. An
+// error from either step is memoised with the cell, so every point of
+// the cell reports the same one.
+func (me *modelEval) params(key uint64, lanes, dv int) *estCell {
+	c := loadCell[estCell](&me.ests, key)
 	c.once.Do(func() {
 		if c.est, c.err = me.estimate(lanes, dv); c.err != nil {
 			return
@@ -316,12 +329,16 @@ func (me *modelEval) estimate(lanes, dv int) (*costmodel.Estimate, error) {
 // lanes, dv, form and fclk axes of the bound space. Everything but the
 // pricing comes from the (lanes, dv) memo cell.
 func (me *modelEval) point(b *spaceBinding, v Variant) (*Point, error) {
-	lanes := b.value(v, b.lanes, 1)
+	lanes, dv := b.value(v, b.lanes, 1), b.value(v, b.dv, 1)
 	fclkHz, err := b.fclkHz(v)
 	if err != nil {
 		return nil, err
 	}
-	c := me.params(lanes, b.value(v, b.dv, 1))
+	key, err := estKey(lanes, dv)
+	if err != nil {
+		return nil, err
+	}
+	c := me.params(key, lanes, dv)
 	if c.err != nil {
 		return nil, c.err
 	}
@@ -343,7 +360,7 @@ func pricePoint(est *costmodel.Estimate, par perf.Params, form perf.Form,
 		return nil, fmt.Errorf("dse: evaluating %d-lane variant: %w", lanes, err)
 	}
 	p := &Point{Lanes: lanes, Est: est, Par: par, EKIT: ekit, ModelEKIT: ekit,
-		Breakdown: bd, Fits: est.Fits()}
+		Fits: est.Fits(), Limiter: bd.Limiter}
 	p.UtilALUT, p.UtilReg, p.UtilBRAM, p.UtilDSP = est.Utilisation()
 	if form == perf.FormC {
 		// Form C stages the NDRange's working set in on-chip BRAM
@@ -402,11 +419,21 @@ func (e *Engine) table() *cellTable {
 	return &e.cells
 }
 
-// evalOne evaluates a single variant through the memo cache.
-func (e *Engine) evalOne(v Variant) (*Point, error) {
+// evalOne evaluates a single variant through the memo cache and
+// returns its point, or nil when the evaluation failed: the error stays
+// in the variant's cell (failure reads it back).
+func (e *Engine) evalOne(v Variant) *Point {
 	cell := e.table().cell(e.Space.Index(v))
 	cell.once.Do(func() { cell.val, cell.err = e.Eval(e.Space, v) })
-	return cell.val, cell.err
+	if cell.err != nil {
+		return nil
+	}
+	return cell.val
+}
+
+// failure returns the memoised error of an evaluated variant.
+func (e *Engine) failure(v Variant) error {
+	return e.table().cell(e.Space.Index(v)).err
 }
 
 // EvalAll evaluates the variants concurrently and returns their points
@@ -422,13 +449,13 @@ func (e *Engine) EvalAll(vs []Variant) ([]*Point, error) {
 	}
 	h := e.startHelpers(min(e.Workers, len(vs)) - 1)
 	defer h.stop()
-	outs := e.runWave(h, vs)
-	points := make([]*Point, len(outs))
-	for i, o := range outs {
-		if o.Err != nil {
-			return nil, o.Err
+	points := e.runWave(h, vs)
+	for i, p := range points {
+		if p == nil {
+			if err := e.failure(vs[i]); err != nil {
+				return nil, err
+			}
 		}
-		points[i] = o.Point
 	}
 	return points, nil
 }
@@ -479,29 +506,28 @@ func (h *helpers) stop() {
 
 // wave is one batch of variants under evaluation. Its workers — the
 // owner and the helpers it woke — claim chunked index ranges off next,
-// and each outcome lands at its input index in outs, so the result is
-// the same whichever worker claims which chunk. left counts the
-// variants not yet settled; the worker that settles the last one
+// and each variant's point lands at its input index in points, so the
+// result is the same whichever worker claims which chunk. left counts
+// the variants not yet settled; the worker that settles the last one
 // closes done, which exists only when helpers were woken.
 type wave struct {
-	outs  []Outcome
-	chunk int
-	next  atomic.Int64
-	left  atomic.Int64
-	done  chan struct{}
+	vs     []Variant
+	points []*Point
+	chunk  int
+	next   atomic.Int64
+	left   atomic.Int64
+	done   chan struct{}
 }
 
 // runWave evaluates vs as one wave on the caller and as many of h's
-// helpers as the wave can use, and returns the outcomes in input
-// order once every variant has settled. Workers claim chunks off one
+// helpers as the wave can use, and returns the points in input order
+// once every variant has settled, nil where an evaluation failed (its
+// error stays in the variant's memo cell). Workers claim chunks off one
 // atomic counter — one contended add per chunk instead of one channel
 // send per variant, which at compiled-model evaluation speeds would
 // otherwise dominate the wall clock.
-func (e *Engine) runWave(h *helpers, vs []Variant) []Outcome {
-	w := &wave{outs: make([]Outcome, len(vs))}
-	for i, v := range vs {
-		w.outs[i].Variant = v
-	}
+func (e *Engine) runWave(h *helpers, vs []Variant) []*Point {
+	w := &wave{vs: vs, points: make([]*Point, len(vs))}
 	wake := 0
 	if h != nil && len(vs) > 1 {
 		wake = min(h.n, len(vs)-1)
@@ -521,15 +547,15 @@ func (e *Engine) runWave(h *helpers, vs []Variant) []Outcome {
 	if w.done != nil {
 		<-w.done
 	}
-	return w.outs
+	return w.points
 }
 
 // work claims chunks of w until none are left, evaluating each
-// variant through the memo into its outcome slot. A helper that wakes
+// variant through the memo into its point slot. A helper that wakes
 // after the last chunk was claimed returns at once: it never waits on
 // the wave and never touches a later one.
 func (e *Engine) work(w *wave) {
-	n := len(w.outs)
+	n := len(w.vs)
 	for {
 		hi := int(w.next.Add(int64(w.chunk)))
 		lo := hi - w.chunk
@@ -538,8 +564,7 @@ func (e *Engine) work(w *wave) {
 		}
 		hi = min(hi, n)
 		for i := lo; i < hi; i++ {
-			o := &w.outs[i]
-			o.Point, o.Err = e.evalOne(o.Variant)
+			w.points[i] = e.evalOne(w.vs[i])
 		}
 		if w.left.Add(int64(lo-hi)) == 0 && w.done != nil {
 			close(w.done)
@@ -599,7 +624,8 @@ type Result struct {
 
 // bestOf scans points in order and returns the highest-EKIT fitting
 // point and its variant (nil if none fit). Earlier points win ties,
-// matching the legacy sweep's strict comparison.
+// matching the legacy sweep's strict comparison; the search core keeps
+// the same best as it commits (Search.commit).
 func bestOf(vs []Variant, ps []*Point) (*Point, Variant) {
 	var best *Point
 	var bv Variant
@@ -612,15 +638,6 @@ func bestOf(vs []Variant, ps []*Point) (*Point, Variant) {
 		}
 	}
 	return best, bv
-}
-
-// newResult assembles a Result from evaluated points: walls and best
-// are derived here so every strategy reports them consistently.
-func newResult(e *Engine, strategy string, vs []Variant, ps []*Point) *Result {
-	r := &Result{Space: e.Space, Strategy: strategy, Variants: vs, Points: ps}
-	r.Walls = computeWalls(e.Space, vs, ps)
-	r.Best, r.BestVariant = bestOf(vs, ps)
-	return r
 }
 
 // computeWalls records, per limit, the lane count at the smallest

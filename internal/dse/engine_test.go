@@ -36,8 +36,8 @@ func samePoint(t *testing.T, ctx string, got, want Point, bandwidthUtils bool) {
 	if got.EKIT != want.EKIT {
 		t.Errorf("%s: EKIT %g != %g", ctx, got.EKIT, want.EKIT)
 	}
-	if got.Breakdown != want.Breakdown {
-		t.Errorf("%s: breakdown %+v != %+v", ctx, got.Breakdown, want.Breakdown)
+	if got.Limiter != want.Limiter {
+		t.Errorf("%s: limiter %v != %v", ctx, got.Limiter, want.Limiter)
 	}
 	if got.Par != want.Par {
 		t.Errorf("%s: params %+v != %+v", ctx, got.Par, want.Par)
@@ -430,7 +430,8 @@ func TestInvalidVariantsRejected(t *testing.T) {
 	}
 	e := NewEngine(space, eval, 2)
 	sc := &Search{space: space, cells: e.table()}
-	e.evalWave(nil, sc, space.Enumerate())
+	vs, _ := sc.charge(space.Enumerate())
+	e.runWave(nil, vs)
 	calls.Store(0)
 
 	for _, c := range []struct {

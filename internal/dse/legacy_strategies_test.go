@@ -16,13 +16,23 @@ import (
 	"sort"
 )
 
+// legacyResult is the batch strategies' result assembly: walls and best
+// derived from the evaluated points, the latter by a scan of its own
+// rather than the search core's tracking.
+func legacyResult(e *Engine, strategy string, vs []Variant, ps []*Point) *Result {
+	r := &Result{Space: e.Space, Strategy: strategy, Variants: vs, Points: ps}
+	r.Walls = computeWalls(e.Space, vs, ps)
+	r.Best, r.BestVariant = bestOf(vs, ps)
+	return r
+}
+
 func legacyExploreExhaustive(e *Engine) (*Result, error) {
 	vs := e.Space.Enumerate()
 	ps, err := e.EvalAll(vs)
 	if err != nil {
 		return nil, err
 	}
-	return newResult(e, Exhaustive{}.Name(), vs, ps), nil
+	return legacyResult(e, Exhaustive{}.Name(), vs, ps), nil
 }
 
 func legacyExploreWallPruned(e *Engine) (*Result, error) {
@@ -80,12 +90,12 @@ func legacyExploreWallPruned(e *Engine) (*Result, error) {
 			if hi > len(g.vs) {
 				hi = len(g.vs)
 			}
-			for _, o := range e.runWave(h, g.vs[lo:hi]) {
-				if o.Err != nil {
-					return nil, o.Err
+			wave := g.vs[lo:hi]
+			for i, p := range e.runWave(h, wave) {
+				if p == nil {
+					return nil, e.failure(wave[i])
 				}
-				p := o.Point
-				vs = append(vs, o.Variant)
+				vs = append(vs, wave[i])
 				ps = append(ps, p)
 				if !p.Fits {
 					break sweep
@@ -101,7 +111,7 @@ func legacyExploreWallPruned(e *Engine) (*Result, error) {
 			lo = hi
 		}
 	}
-	return newResult(e, WallPruned{}.Name(), vs, ps), nil
+	return legacyResult(e, WallPruned{}.Name(), vs, ps), nil
 }
 
 // legacyParetoFrontier is the quadratic all-pairs dominance scan the

@@ -41,7 +41,7 @@ func legacySweepLanes(mdl *costmodel.Model, bw *membw.Model, build VariantBuilde
 		if err != nil {
 			return nil, fmt.Errorf("dse: evaluating %d-lane variant: %w", l, err)
 		}
-		p := Point{Lanes: l, Est: est, Par: par, EKIT: ekit, Breakdown: bd, Fits: est.Fits()}
+		p := Point{Lanes: l, Est: est, Par: par, EKIT: ekit, Fits: est.Fits(), Limiter: bd.Limiter}
 		p.UtilALUT, p.UtilReg, p.UtilBRAM, p.UtilDSP = est.Utilisation()
 
 		demand := par.FD * float64(par.KNL) * float64(par.DV) *

@@ -181,6 +181,42 @@ func TestCompiledTreeDeviceDifferential(t *testing.T) {
 	}
 }
 
+// TestEstimateMemoKeyRange pins the estimate memo's packed key: the
+// (lanes, dv) pair packs into one integer of two 32-bit halves, so
+// dv = 1 + 2³² (and lanes likewise) would share the cell of 1. Through
+// one evaluator whose cells for 1 are settled first, such a value must
+// fail with its axis named and never return the in-range point.
+func TestEstimateMemoKeyRange(t *testing.T) {
+	mdl, bw := fixtures(t)
+	const wide = 1 + 1<<32
+	space, err := NewSpace(LanesAxis([]int{1, wide}), DVAxis([]int{1, wide}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB)
+	in, err := ev(space, Variant{0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		v    Variant
+		want string
+	}{
+		{Variant{0, 1}, fmt.Sprintf("dse: dv value %d does not fit in 32 bits", wide)},
+		{Variant{1, 0}, fmt.Sprintf("dse: lanes value %d does not fit in 32 bits", wide)},
+		{Variant{1, 1}, fmt.Sprintf("dse: lanes value %d does not fit in 32 bits", wide)},
+	} {
+		p, err := ev(space, c.v)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", space.Describe(c.v), err, c.want)
+		}
+		if p != nil {
+			t.Errorf("%s: returned a point (lanes %d, estimate of the in-range cell: %v)",
+				space.Describe(c.v), p.Lanes, p.Est == in.Est)
+		}
+	}
+}
+
 // benchSpaceLarge is a ~10k-point space shaped like a large-space DSE:
 // few lane counts (each a distinct module build), a deep dv axis, and
 // a wide fclk axis that multiplies variants without multiplying

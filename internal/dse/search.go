@@ -47,8 +47,9 @@ type SearchOptions struct {
 	Seed int64
 }
 
-// Outcome pairs a proposed variant with its settled evaluation.
-// Exactly one of Point and Err is non-nil.
+// Outcome is what Search.Lookup reads back for an evaluated variant:
+// the variant and its settled evaluation. Exactly one of Point and Err
+// is non-nil.
 type Outcome struct {
 	Variant Variant
 	Point   *Point
@@ -79,21 +80,23 @@ type Search struct {
 	budget  Budget
 	seed    int64
 
-	// charged flags, by Space.Index, the variants evaluated this run;
-	// their settled outcomes live in the engine's cell table, cells.
+	// charged flags, by Space.Index, the variants evaluated this run
+	// (charge flags a wave just before the core evaluates it); their
+	// settled outcomes live in the engine's cell table, cells.
 	charged flagTable
 	cells   *cellTable
 	evals   int
 
-	// The kept trajectory: outcomes the strategy accepted, deduplicated
+	// The kept trajectory: points the strategy accepted, deduplicated
 	// (kept flags them by Space.Index), in tell order. This becomes
-	// Result.Variants/Points.
-	vs      []Variant
-	ps      []*Point
-	kept    flagTable
-	best    *Point
-	waves   int
-	samples []TrajectorySample
+	// Result.Variants/Points, and best (with its variant) Result.Best.
+	vs          []Variant
+	ps          []*Point
+	kept        flagTable
+	best        *Point
+	bestVariant Variant
+	waves       int
+	samples     []TrajectorySample
 }
 
 // Space returns the space under exploration.
@@ -123,62 +126,60 @@ func (sc *Search) Lookup(v Variant) (Outcome, bool) {
 	return Outcome{Variant: v, Point: c.val, Err: c.err}, true
 }
 
-// truncate cuts a proposed wave at the first variant the budget cannot
-// afford, charging nothing yet. Variants already seen this run are
-// free, so a wave of re-visits passes through untouched.
-func (sc *Search) truncate(wave []Variant) (cut []Variant, truncated bool) {
-	if sc.budget.MaxEvals <= 0 {
-		return wave, false
-	}
-	left := sc.budget.MaxEvals - sc.evals
-	var fresh flagTable
+// charge charges one evaluation to each variant of a proposed wave not
+// seen this run, and cuts the wave at the first variant the budget
+// cannot afford. Variants already seen are free, so a wave of re-visits
+// passes through untouched. The core evaluates exactly the cut wave.
+func (sc *Search) charge(wave []Variant) (cut []Variant, truncated bool) {
 	for i, v := range wave {
 		key := sc.space.Index(v)
-		if sc.charged.has(key) || fresh.has(key) {
+		if sc.charged.has(key) {
 			continue
 		}
-		if left == 0 {
+		if sc.budget.MaxEvals > 0 && sc.evals == sc.budget.MaxEvals {
 			return wave[:i], true
 		}
-		fresh.set(key)
-		left--
+		sc.charged.set(key)
+		sc.evals++
 	}
 	return wave, false
 }
 
-// evalWave evaluates a wave through the engine's memo on the run's
-// helpers and settles each outcome in the run, charging one evaluation
-// per variant not seen before.
-func (e *Engine) evalWave(h *helpers, sc *Search, wave []Variant) []Outcome {
-	outs := e.runWave(h, wave)
-	for _, o := range outs {
-		if !sc.charged.set(sc.space.Index(o.Variant)) {
-			sc.evals++
+// commit keeps the told prefix of a wave in one pass: each evaluated
+// point not kept before joins the run's trajectory in wave order, and
+// the best fitting point is tracked as it is kept (earlier points win
+// ties, as in bestOf). When nothing is kept yet and the whole prefix is
+// fresh (every point evaluated, no variant kept before), the trajectory
+// is the wave's own slices, capped so that a later append copies
+// instead of writing into the strategy's array; otherwise room for the
+// whole prefix is reserved once.
+func (sc *Search) commit(vs []Variant, ps []*Point) {
+	adopt := len(sc.vs) == 0 && len(ps) > 0
+	if !adopt {
+		sc.vs = slices.Grow(sc.vs, len(ps))
+		sc.ps = slices.Grow(sc.ps, len(ps))
+	}
+	for i, p := range ps {
+		if p == nil || sc.kept.set(sc.space.Index(vs[i])) {
+			if adopt {
+				// Not wholly fresh: copy what the wave kept so far.
+				adopt = false
+				sc.vs = append(make([]Variant, 0, len(ps)), vs[:i]...)
+				sc.ps = append(make([]*Point, 0, len(ps)), ps[:i]...)
+			}
+			continue
+		}
+		if !adopt {
+			sc.vs = append(sc.vs, vs[i])
+			sc.ps = append(sc.ps, p)
+		}
+		if p.Fits && (sc.best == nil || p.EKIT > sc.best.EKIT) {
+			sc.best, sc.bestVariant = p, vs[i]
 		}
 	}
-	return outs
-}
-
-// commit appends the kept prefix of a wave to the run's trajectory,
-// skipping failed outcomes and variants already kept. Room for the
-// whole wave is reserved up front, so a large wave (an exhaustive
-// sweep's one wave) grows the trajectory once instead of copying it
-// through every growth step of append.
-func (sc *Search) commit(outs []Outcome) {
-	sc.vs = slices.Grow(sc.vs, len(outs))
-	sc.ps = slices.Grow(sc.ps, len(outs))
-	for _, o := range outs {
-		if o.Err != nil || o.Point == nil {
-			continue
-		}
-		if sc.kept.set(sc.space.Index(o.Variant)) {
-			continue
-		}
-		sc.vs = append(sc.vs, o.Variant)
-		sc.ps = append(sc.ps, o.Point)
-		if o.Point.Fits && (sc.best == nil || o.Point.EKIT > sc.best.EKIT) {
-			sc.best = o.Point
-		}
+	if adopt {
+		n := len(ps)
+		sc.vs, sc.ps = vs[:n:n], ps[:n:n]
 	}
 }
 
@@ -195,8 +196,8 @@ func (sc *Search) sample() {
 // Search explores the engine's space under the given strategy and
 // options: the core repeatedly asks the strategy for the next wave of
 // variants, evaluates the wave through the memoised worker pool, and
-// tells the strategy the outcomes — until the strategy is done or the
-// budget is spent. The returned Result carries the run's provenance
+// tells the strategy the wave's points — until the strategy is done or
+// the budget is spent. The returned Result carries the run's provenance
 // (evaluations charged, coverage fraction, stop reason, seed) alongside
 // the usual points, walls and best.
 func (e *Engine) Search(st Strategy, opts SearchOptions) (*Result, error) {
@@ -234,17 +235,17 @@ func (e *Engine) Search(st Strategy, opts SearchOptions) (*Result, error) {
 		if len(wave) == 0 {
 			break
 		}
-		wave, truncated := sc.truncate(wave)
+		wave, truncated := sc.charge(wave)
 		if len(wave) > 0 {
-			outs := e.evalWave(h, sc, wave)
-			keep, err := run.tell(sc, outs)
+			points := e.runWave(h, wave)
+			keep, err := run.tell(sc, wave, points)
 			if err != nil {
 				return nil, err
 			}
-			if keep < 0 || keep > len(outs) {
-				return nil, fmt.Errorf("dse: strategy %s kept %d of a %d-outcome wave", st.Name(), keep, len(outs))
+			if keep < 0 || keep > len(wave) {
+				return nil, fmt.Errorf("dse: strategy %s kept %d of a %d-outcome wave", st.Name(), keep, len(wave))
 			}
-			sc.commit(outs[:keep])
+			sc.commit(wave[:keep], points[:keep])
 			sc.sample()
 		}
 		if truncated {
@@ -252,13 +253,21 @@ func (e *Engine) Search(st Strategy, opts SearchOptions) (*Result, error) {
 			break
 		}
 	}
-	r := newResult(e, st.Name(), sc.vs, sc.ps)
-	r.Evals = sc.evals
-	r.Coverage = float64(sc.evals) / float64(e.Space.Size())
-	r.Stop = stop
-	r.Seed = seed
-	r.Budget = sc.budget
-	r.Trajectory = sc.samples
+	r := &Result{
+		Space:       e.Space,
+		Strategy:    st.Name(),
+		Variants:    sc.vs,
+		Points:      sc.ps,
+		Best:        sc.best,
+		BestVariant: sc.bestVariant,
+		Walls:       computeWalls(e.Space, sc.vs, sc.ps),
+		Evals:       sc.evals,
+		Coverage:    float64(sc.evals) / float64(e.Space.Size()),
+		Stop:        stop,
+		Seed:        seed,
+		Budget:      sc.budget,
+		Trajectory:  sc.samples,
+	}
 	if err := run.finish(sc, r); err != nil {
 		return nil, err
 	}

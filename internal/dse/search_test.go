@@ -590,9 +590,80 @@ func (tellErrStrategy) start(*Search) (searcher, error) { return tellErrRun{}, n
 
 type tellErrRun struct{}
 
-func (tellErrRun) ask(sc *Search) ([]Variant, error)    { return sc.Space().Enumerate(), nil }
-func (tellErrRun) tell(*Search, []Outcome) (int, error) { return 0, errors.New("tell failed") }
-func (tellErrRun) finish(*Search, *Result) error        { return nil }
+func (tellErrRun) ask(sc *Search) ([]Variant, error) { return sc.Space().Enumerate(), nil }
+func (tellErrRun) tell(*Search, []Variant, []*Point) (int, error) {
+	return 0, errors.New("tell failed")
+}
+func (tellErrRun) finish(*Search, *Result) error { return nil }
+
+// waveList proposes its waves in order, one per ask, and keeps every
+// variant of each.
+type waveList [][]Variant
+
+func (waveList) Name() string                      { return "wave-list" }
+func (l waveList) start(*Search) (searcher, error) { return &waveListRun{waves: l}, nil }
+
+type waveListRun struct{ waves [][]Variant }
+
+func (r *waveListRun) ask(*Search) ([]Variant, error) {
+	if len(r.waves) == 0 {
+		return nil, nil
+	}
+	w := r.waves[0]
+	r.waves = r.waves[1:]
+	return w, nil
+}
+
+func (r *waveListRun) tell(_ *Search, wave []Variant, _ []*Point) (int, error) {
+	return len(wave), nil
+}
+
+func (r *waveListRun) finish(*Search, *Result) error { return nil }
+
+// TestSearchAdoptsFirstWave: a wholly fresh first wave becomes the
+// result's own slices, capped so that a later wave copies them instead
+// of writing into the strategy's array. A strategy that proposes
+// all[0:2] of a 4-variant array and then another wave still holds its
+// variants in all[2:4], and the result equals the same search with
+// adoption disabled: a duplicate makes the first wave not wholly
+// fresh, so the core copies it.
+func TestSearchAdoptsFirstWave(t *testing.T) {
+	space, err := NewSpace(LanesAxis(LaneCounts(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := syntheticEval(
+		func(lanes int) float64 { return float64(lanes % 5) },
+		func(lanes int) float64 { return float64(lanes) / 6 },
+	)
+	search := func(st Strategy) *Result {
+		t.Helper()
+		r, err := NewEngine(space, eval, 1).Search(st, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	enum := space.Enumerate()
+	fresh := func() []Variant { return []Variant{enum[0], enum[1], enum[2], enum[3]} }
+
+	all := fresh()
+	if r := search(waveList{all[0:2]}); len(r.Variants) != 2 || &r.Variants[0] != &all[0] || cap(r.Variants) != 2 {
+		t.Errorf("a one-wave search did not adopt its wave capped: %d variants, cap %d, aliased %v",
+			len(r.Variants), cap(r.Variants), len(r.Variants) > 0 && &r.Variants[0] == &all[0])
+	}
+
+	all = fresh()
+	second := []Variant{enum[5], enum[6]}
+	got := search(waveList{all[0:2], second})
+	if !reflect.DeepEqual(all, fresh()) {
+		t.Errorf("the search wrote into the strategy's array: %v, want %v", all, fresh())
+	}
+	want := search(waveList{{enum[0], enum[1], enum[0]}, second})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("adopting search differs from the copying one:\n got %+v\nwant %+v", got, want)
+	}
+}
 
 // TestEngineHelpersLifetime: at -j 8 a search or an EvalAll call runs
 // on exactly 7 helper goroutines beside its caller, started once for

@@ -178,7 +178,7 @@ func fingerprintResult(r *Result) string {
 			math.Float64bits(p.UtilALUT), math.Float64bits(p.UtilReg),
 			math.Float64bits(p.UtilBRAM), math.Float64bits(p.UtilDSP),
 			math.Float64bits(p.UtilGMemBW), math.Float64bits(p.UtilHostBW),
-			p.Breakdown.Limiter)
+			p.Limiter)
 	}
 	if r.Best != nil {
 		fmt.Fprintf(&b, "best=%s\n", r.Space.Key(r.BestVariant))
@@ -444,6 +444,17 @@ func TestDifferentialFclkUnits(t *testing.T) {
 	}
 
 	relDiff := func(a, b float64) float64 { return math.Abs(a-b) / math.Abs(b) }
+	// computeFD is the model's compute term times FD, recomputed from the
+	// point's Table I parameters (a Point keeps only the limiter of its
+	// breakdown).
+	computeFD := func(p *Point) float64 {
+		t.Helper()
+		_, bd, err := p.Par.EKIT(perf.FormB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bd.Compute * p.Par.FD
+	}
 	for i, c := range cases {
 		p := res.Points[i]
 		if p.Par.FD != c.wantFD {
@@ -461,7 +472,7 @@ func TestDifferentialFclkUnits(t *testing.T) {
 			t.Errorf("fclk=%d MHz: SimEKIT %v != FD/cycles %v", c.mhz, p.SimEKIT, want)
 		}
 		// Model compute term ∝ 1/FD: compute·FD is frequency-invariant.
-		if got, ref := p.Breakdown.Compute*p.Par.FD, ref.Breakdown.Compute*ref.Par.FD; relDiff(got, ref) > 1e-12 {
+		if got, ref := computeFD(p), computeFD(ref); relDiff(got, ref) > 1e-12 {
 			t.Errorf("fclk=%d MHz: compute·FD = %v, want %v (model does not scale as 1/FD)",
 				c.mhz, got, ref)
 		}

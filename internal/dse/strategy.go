@@ -24,15 +24,20 @@ type Strategy interface {
 
 // searcher is the per-run half of a strategy: the core alternates ask
 // (propose the next wave of variants; an empty wave ends the run) and
-// tell (observe the evaluated wave, in proposal order). tell returns
-// how many leading outcomes of the wave join the result — a pruning
-// strategy cuts a wave where a serial sweep would have stopped, so the
-// speculatively evaluated tail never reaches the result. finish runs
-// once on the assembled Result (the Pareto strategy fills the frontier
-// there).
+// tell (observe the evaluated wave: its points in proposal order, nil
+// where an evaluation failed, whose error Search.Lookup reads back).
+// tell returns how many leading variants of the wave join the result —
+// a pruning strategy cuts a wave where a serial sweep would have
+// stopped, so the speculatively evaluated tail never reaches the
+// result. finish runs once on the assembled Result (the Pareto strategy
+// fills the frontier there).
+//
+// A wave belongs to the core once ask returns it: the core may keep
+// the wave's own slice as Result.Variants, so a strategy must not
+// modify a wave it has handed over (it may keep reading it).
 type searcher interface {
 	ask(sc *Search) ([]Variant, error)
-	tell(sc *Search, wave []Outcome) (keep int, err error)
+	tell(sc *Search, wave []Variant, points []*Point) (keep int, err error)
 	finish(sc *Search, r *Result) error
 }
 
@@ -160,11 +165,14 @@ func (r *exhaustiveRun) ask(sc *Search) ([]Variant, error) {
 	return sc.Space().Enumerate(), nil
 }
 
-func (r *exhaustiveRun) tell(sc *Search, wave []Outcome) (int, error) {
+func (r *exhaustiveRun) tell(sc *Search, wave []Variant, points []*Point) (int, error) {
 	// Fail on the lowest-indexed failing variant, so errors are
 	// deterministic regardless of worker scheduling.
-	for _, o := range wave {
-		if o.Err != nil {
+	for i, p := range points {
+		if p != nil {
+			continue
+		}
+		if o, _ := sc.Lookup(wave[i]); o.Err != nil {
 			return 0, o.Err
 		}
 	}
@@ -249,15 +257,15 @@ func (r *wallPrunedRun) nextGroup() {
 	r.prevEKIT = 0
 }
 
-func (r *wallPrunedRun) tell(sc *Search, wave []Outcome) (int, error) {
+func (r *wallPrunedRun) tell(sc *Search, wave []Variant, points []*Point) (int, error) {
 	// Consume the wave in axis order so behaviour is worker-count
 	// independent: an error past the prune point is never reached,
 	// exactly as a serial sweep would never have evaluated it.
-	for i, o := range wave {
-		if o.Err != nil {
+	for i, p := range points {
+		if p == nil {
+			o, _ := sc.Lookup(wave[i])
 			return 0, o.Err
 		}
-		p := o.Point
 		if !p.Fits {
 			// Computation wall: nothing beyond fits.
 			r.nextGroup()

@@ -3,7 +3,9 @@ package dse
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/device"
 	"repro/internal/evalstore"
@@ -33,7 +35,7 @@ func scratchPoint(t *testing.T, s *Space, v Variant, got *Point, bw *membw.Model
 		t.Fatalf("%s: EKIT from scratch: %v", s.Describe(v), err)
 	}
 	p := &Point{Lanes: lanes, Est: got.Est, Par: par, Device: device, EKIT: ekit, ModelEKIT: ekit,
-		Breakdown: bd, Fits: got.Est.Fits()}
+		Fits: got.Est.Fits(), Limiter: bd.Limiter}
 	p.UtilALUT, p.UtilReg, p.UtilBRAM, p.UtilDSP = got.Est.Utilisation()
 	demand := par.FD * float64(par.KNL) * float64(par.DV) *
 		float64(par.NWPT) * float64(par.WordBytes) / par.CyclesPerItem()
@@ -224,10 +226,10 @@ func TestDifferentialWarmPointParams(t *testing.T) {
 func evalKeep(e *Engine, vs []Variant) ([]*Point, []error) {
 	h := e.startHelpers(e.Workers - 1)
 	defer h.stop()
-	outs := e.runWave(h, vs)
-	ps, errs := make([]*Point, len(outs)), make([]error, len(outs))
-	for i, o := range outs {
-		ps[i], errs[i] = o.Point, o.Err
+	ps := e.runWave(h, vs)
+	errs := make([]error, len(vs))
+	for i, v := range vs {
+		errs[i] = e.failure(v)
 	}
 	return ps, errs
 }
@@ -295,8 +297,14 @@ func warmAllocSpace(t *testing.T) *Space {
 // (lanes, dv) memo cells are settled, a standard-evaluator call
 // allocates only its Point, and an exhaustive search on a fresh engine
 // allocates the Point of each point plus amortised slices (Enumerate
-// backs every Variant with one array).
+// backs every Variant with one array; the wave's points become the
+// result's). It also gates the bytes: the Point fits the 256-byte size
+// class, and the search allocates at most 400 bytes per point — the
+// Point, its memo cell, its variant and its slot in the result.
 func TestWarmModelPointAllocs(t *testing.T) {
+	if size := unsafe.Sizeof(Point{}); size > 256 {
+		t.Errorf("dse.Point is %d bytes, want <= 256: past the 256-byte size class every evaluated point takes the next one (288 bytes)", size)
+	}
 	mdl, bw := fixtures(t)
 	space := warmAllocSpace(t)
 	ev := NewEvaluator(mdl, bw, sorBuilder, perf.Workload{NKI: 10}, perf.FormB)
@@ -325,5 +333,20 @@ func TestWarmModelPointAllocs(t *testing.T) {
 		t.Errorf("warm exhaustive search allocates %.3f objects/point, want <= 1.1", perPoint)
 	} else {
 		t.Logf("warm evaluator call: %.2f allocs; warm exhaustive search: %.3f allocs/point", perCall, perPoint)
+	}
+
+	const searches = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range searches {
+		if _, err := NewEngine(space, ev, 1).Run(Exhaustive{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perPoint := float64(after.TotalAlloc-before.TotalAlloc) / float64(searches*space.Size()); perPoint > 400 {
+		t.Errorf("warm exhaustive search allocates %.0f B/point, want <= 400", perPoint)
+	} else {
+		t.Logf("warm exhaustive search: %.0f B/point", perPoint)
 	}
 }

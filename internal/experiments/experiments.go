@@ -247,7 +247,7 @@ func (r *Fig15Result) Table() *report.Table {
 		t.AddRow(p.Lanes,
 			p.UtilALUT*100, p.UtilReg*100, p.UtilBRAM*100, p.UtilDSP*100,
 			p.UtilGMemBW*100, pa.UtilHostBW*100,
-			p.EKIT, fmt.Sprintf("%v", p.Fits), p.Breakdown.Limiter)
+			p.EKIT, fmt.Sprintf("%v", p.Fits), p.Limiter)
 	}
 	return t
 }

@@ -126,9 +126,43 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// Limiter identifies the limiting wall of a Breakdown — the parameter
+// the paper's cost model "exposes ... allowing targeted optimization".
+// It is one byte, so a value that keeps only the wall of a breakdown
+// (dse.Point) pays one byte for it.
+type Limiter uint8
+
+const (
+	// LimitCompute: executing the work-items at FD across the lanes
+	// dominates.
+	LimitCompute Limiter = iota + 1
+	// LimitDRAMBandwidth: streaming the NDRange through device DRAM
+	// dominates.
+	LimitDRAMBandwidth
+	// LimitHostBandwidth: the (amortised) host <-> device-DRAM transfer
+	// dominates.
+	LimitHostBandwidth
+)
+
+// String names the wall as the tables and reports print it: "compute",
+// "dram-bandwidth" or "host-bandwidth". The zero value, a breakdown not
+// yet evaluated, prints "".
+func (l Limiter) String() string {
+	switch l {
+	case 0:
+		return ""
+	case LimitCompute:
+		return "compute"
+	case LimitDRAMBandwidth:
+		return "dram-bandwidth"
+	case LimitHostBandwidth:
+		return "host-bandwidth"
+	}
+	return fmt.Sprintf("limiter-?(%d)", uint8(l))
+}
+
 // Breakdown decomposes the kernel-instance execution time into the terms
-// of Equations 1-3, and identifies the limiting wall — the parameter the
-// paper's cost model "exposes ... allowing targeted optimization".
+// of Equations 1-3, and identifies the limiting wall.
 type Breakdown struct {
 	HostXfer   float64 // host <-> device-DRAM transfer (amortised per instance)
 	OffsetFill float64 // offset stream buffer priming
@@ -137,9 +171,8 @@ type Breakdown struct {
 	Compute    float64 // executing all work-items at FD across lanes
 	// Total is the per-kernel-instance time: the reciprocal of EKIT.
 	Total float64
-	// Limiter names the dominant steady-state term: "host-bandwidth",
-	// "dram-bandwidth" or "compute".
-	Limiter string
+	// Limiter is the dominant steady-state term.
+	Limiter Limiter
 }
 
 // EKIT evaluates the throughput expression for the given form
@@ -180,14 +213,14 @@ func (p Params) EKIT(form Form) (float64, Breakdown, error) {
 
 	// The wall: compare the steady-state terms plus the amortised host
 	// cost. (The fill terms are one-off and cannot be a wall.)
-	b.Limiter = "compute"
+	b.Limiter = LimitCompute
 	worst := b.Compute
 	if form != FormC && b.StreamDRAM > worst {
-		b.Limiter = "dram-bandwidth"
+		b.Limiter = LimitDRAMBandwidth
 		worst = b.StreamDRAM
 	}
 	if b.HostXfer > worst {
-		b.Limiter = "host-bandwidth"
+		b.Limiter = LimitHostBandwidth
 	}
 
 	return 1 / b.Total, b, nil

@@ -75,7 +75,7 @@ func TestFormAHostWall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bd.Limiter != "host-bandwidth" {
+	if bd.Limiter != LimitHostBandwidth {
 		t.Errorf("limiter = %s, want host-bandwidth (host %.3g dram %.3g compute %.3g)",
 			bd.Limiter, bd.HostXfer, bd.StreamDRAM, bd.Compute)
 	}
@@ -90,7 +90,7 @@ func TestFormBMovesWallToDRAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bd.Limiter != "dram-bandwidth" {
+	if bd.Limiter != LimitDRAMBandwidth {
 		t.Errorf("limiter = %s, want dram-bandwidth", bd.Limiter)
 	}
 }
@@ -102,11 +102,26 @@ func TestFormCComputeBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bd.Limiter != "compute" {
+	if bd.Limiter != LimitCompute {
 		t.Errorf("limiter = %s, want compute for form C at one lane", bd.Limiter)
 	}
 	if bd.StreamDRAM != 0 {
 		t.Errorf("form C must not carry a DRAM streaming term, got %v", bd.StreamDRAM)
+	}
+}
+
+// TestLimiterString pins the words the limit columns and the "limited
+// by" lines print, and the empty zero value.
+func TestLimiterString(t *testing.T) {
+	for l, want := range map[Limiter]string{
+		0:                  "",
+		LimitCompute:       "compute",
+		LimitDRAMBandwidth: "dram-bandwidth",
+		LimitHostBandwidth: "host-bandwidth",
+	} {
+		if got := l.String(); got != want {
+			t.Errorf("Limiter(%d).String() = %q, want %q", uint8(l), got, want)
+		}
 	}
 }
 
@@ -116,7 +131,7 @@ func TestLanesScaleComputeUntilWall(t *testing.T) {
 	p := baseParams()
 	p.KNL = 1
 	e1, bd1, _ := p.EKIT(FormB)
-	if bd1.Limiter != "compute" {
+	if bd1.Limiter != LimitCompute {
 		t.Fatalf("expected compute-bound at 1 lane, got %s", bd1.Limiter)
 	}
 	p.KNL = 2
@@ -128,7 +143,7 @@ func TestLanesScaleComputeUntilWall(t *testing.T) {
 	e256, bd256, _ := p.EKIT(FormB)
 	p.KNL = 512
 	e512, _, _ := p.EKIT(FormB)
-	if bd256.Limiter == "compute" {
+	if bd256.Limiter == LimitCompute {
 		t.Fatal("256 lanes should be past the bandwidth wall")
 	}
 	if gain := e512 / e256; gain > 1.05 {

@@ -16,7 +16,7 @@ func SweepTable(title string, sw *dse.Sweep) *Table {
 	for _, p := range sw.Points {
 		t.AddRow(p.Lanes, p.Est.Used.ALUTs,
 			p.UtilALUT*100, p.UtilBRAM*100, p.UtilGMemBW*100, p.UtilHostBW*100,
-			p.EKIT, fmt.Sprintf("%v", p.Fits), p.Breakdown.Limiter)
+			p.EKIT, fmt.Sprintf("%v", p.Fits), p.Limiter)
 	}
 	return t
 }
@@ -50,7 +50,7 @@ func DeviceSweepTable(title string, r *dse.Result) (*Table, error) {
 				}
 				t.AddRow(name, p.Lanes, p.Est.Used.ALUTs,
 					p.UtilALUT*100, p.UtilBRAM*100, p.UtilGMemBW*100, p.UtilHostBW*100,
-					p.EKIT, fmt.Sprintf("%v", p.Fits), p.Breakdown.Limiter)
+					p.EKIT, fmt.Sprintf("%v", p.Fits), p.Limiter)
 			}
 		}
 	}

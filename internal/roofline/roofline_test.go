@@ -121,7 +121,7 @@ func TestRooflineAgreesWithEKITLimiter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ekitMemBound := bd.Limiter == "dram-bandwidth"
+		ekitMemBound := bd.Limiter == perf.LimitDRAMBandwidth
 		if pt.MemoryBound != ekitMemBound {
 			t.Errorf("%d lanes: roofline says memory-bound=%v, EKIT limiter %q",
 				lanes, pt.MemoryBound, bd.Limiter)
