@@ -342,16 +342,18 @@ func (me *modelEval) point(b *spaceBinding, v Variant) (*Point, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	return pricePoint(c.est, c.par, perf.Form(b.value(v, b.form, int(me.form))), lanes, fclkHz)
+	return pricePoint(c.est, &c.par, perf.Form(b.value(v, b.form, int(me.form))), lanes, fclkHz)
 }
 
 // pricePoint derives the full Point from a memoised estimate and its
 // Table I parameters: the EKIT throughput under the form and the Fig 15
 // utilisation bars. fclkHz > 0 overrides the extracted FD (the fclk
-// axis); 0 keeps the estimate's Fmax. par is a copy, so the override
-// never reaches the memo.
-func pricePoint(est *costmodel.Estimate, par perf.Params, form perf.Form,
+// axis); 0 keeps the estimate's Fmax. par is copied once, into the
+// Point, and priced there, so the override never reaches the memo.
+func pricePoint(est *costmodel.Estimate, par *perf.Params, form perf.Form,
 	lanes int, fclkHz float64) (*Point, error) {
+	p := &Point{Lanes: lanes, Est: est, Par: *par}
+	par = &p.Par
 	if fclkHz > 0 {
 		par.FD = fclkHz
 	}
@@ -359,8 +361,7 @@ func pricePoint(est *costmodel.Estimate, par perf.Params, form perf.Form,
 	if err != nil {
 		return nil, fmt.Errorf("dse: evaluating %d-lane variant: %w", lanes, err)
 	}
-	p := &Point{Lanes: lanes, Est: est, Par: par, EKIT: ekit, ModelEKIT: ekit,
-		Fits: est.Fits(), Limiter: bd.Limiter}
+	p.EKIT, p.ModelEKIT, p.Fits, p.Limiter = ekit, ekit, est.Fits(), bd.Limiter
 	p.UtilALUT, p.UtilReg, p.UtilBRAM, p.UtilDSP = est.Utilisation()
 	if form == perf.FormC {
 		// Form C stages the NDRange's working set in on-chip BRAM

@@ -51,7 +51,7 @@ func Fig15Devices() (*Fig15DevicesResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Explore(dse.EvalModel, shelf, nil, build, space,
+	res, err := core.Explore(dse.EvalModel, shelf, models, build, space,
 		perf.Workload{NKI: 10}, perf.FormB, dse.Exhaustive{}, 0, dse.SearchOptions{})
 	if err != nil {
 		return nil, err

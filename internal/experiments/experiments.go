@@ -11,6 +11,11 @@
 // so none takes an argument, and returns structured results plus a
 // rendered table; cmd/tytrabench and the root benchmark harness share
 // them.
+//
+// Every experiment takes its target's models from one process-wide
+// dse.ModelCache, so a run of several experiments calibrates each
+// target once: calibration is pure, and a ModelCache is safe for
+// concurrent use.
 package experiments
 
 import (
@@ -30,6 +35,10 @@ import (
 	"repro/internal/report"
 	"repro/internal/tir"
 )
+
+// models holds every target's calibrated cost model and bandwidth
+// model, built on first use.
+var models = dse.NewModelCache()
 
 // ---------------------------------------------------------------- Fig 9
 
@@ -56,7 +65,7 @@ type Fig9Result struct {
 // paper's §V-A check, and samples the curves.
 func Fig9() (*Fig9Result, error) {
 	t := device.StratixVGSD8()
-	mdl, err := costmodel.Calibrate(t)
+	mdl, _, err := models.Models(t)
 	if err != nil {
 		return nil, err
 	}
@@ -94,14 +103,14 @@ type Fig10Result struct {
 }
 
 // Fig10 runs the STREAM-style benchmark on the paper's ADM-PCIE-7V3 /
-// Virtex-7 board.
+// Virtex-7 board: the table of its bandwidth model.
 func Fig10() (*Fig10Result, error) {
 	t := device.Virtex7690T()
-	samples, err := membw.RunStreamBenchmark(t)
+	_, bw, err := models.Models(t)
 	if err != nil {
 		return nil, err
 	}
-	return &Fig10Result{Target: t, Samples: samples}, nil
+	return &Fig10Result{Target: t, Samples: bw.Table}, nil
 }
 
 // Table renders the Fig 10 series.
@@ -139,11 +148,7 @@ type Fig15Result struct {
 // re-prices throughput) and the 32 points evaluate concurrently.
 func Fig15() (*Fig15Result, error) {
 	t := device.GSD8Edu()
-	mdl, err := costmodel.Calibrate(t)
-	if err != nil {
-		return nil, err
-	}
-	bw, err := membw.Build(t)
+	mdl, bw, err := models.Models(t)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +211,7 @@ func Fig15Hybrid() (*Fig15HybridResult, error) {
 		return nil, err
 	}
 	eval, err := dse.NewDeviceModeEvaluatorCache(dse.EvalHybrid, []*device.Target{t}, build,
-		perf.Workload{NKI: 10}, perf.FormB, dse.SimConfig{}, dse.NewModelCache())
+		perf.Workload{NKI: 10}, perf.FormB, dse.SimConfig{}, models)
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +296,7 @@ func Table2Specs() []kernels.Spec {
 // on the Stratix V GSD8.
 func Table2() (*Table2Result, error) {
 	t := device.StratixVGSD8()
-	mdl, err := costmodel.Calibrate(t)
+	mdl, _, err := models.Models(t)
 	if err != nil {
 		return nil, err
 	}
@@ -413,7 +418,7 @@ type SpeedResult struct {
 // calibration, so only the per-variant estimation is measured, matching
 // the paper's methodology (calibration is one-time per target).
 func EstimatorSpeed() (*SpeedResult, error) {
-	mdl, err := costmodel.Calibrate(device.StratixVGSD8())
+	mdl, _, err := models.Models(device.StratixVGSD8())
 	if err != nil {
 		return nil, err
 	}

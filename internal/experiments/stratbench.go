@@ -11,10 +11,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/dse"
-	"repro/internal/membw"
 	"repro/internal/perf"
 	"repro/internal/report"
 	"repro/internal/tir"
@@ -64,12 +62,7 @@ const (
 // once no matter how many strategies visit it, so the rows differ only
 // in search behaviour.
 func DSEStrat() (*DSEStratResult, error) {
-	t := device.GSD8Edu()
-	mdl, err := costmodel.Calibrate(t)
-	if err != nil {
-		return nil, err
-	}
-	bw, err := membw.Build(t)
+	mdl, bw, err := models.Models(device.GSD8Edu())
 	if err != nil {
 		return nil, err
 	}

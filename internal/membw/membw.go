@@ -66,33 +66,18 @@ var DefaultDims = []int{100, 250, 500, 1000, 2000, 3000, 4000, 5000, 6000}
 // its own (memsim.DRAM.ColumnWalkSeconds), which walks only the passes
 // that repeat no earlier pass, in the same rows or moved by whole rows.
 // The walks run on up to GOMAXPROCS workers, each with its own DRAM
-// channel, largest first (the contiguous walk, on the registered
-// targets), and each sample lands in its fixed slot — the table is the
+// channel, and each sample lands in its fixed slot — the table is the
 // same whatever the worker count.
 func RunStreamBenchmark(t *device.Target) ([]Sample, error) {
 	dims := DefaultDims
 	// Job 0 walks the contiguous cells; job k >= 1 the strided cell of
-	// dims[k-1]. Largest first, by expected walked accesses: the
-	// contiguous walk moves max(dim)²·elemBytes/BurstBytes bursts. A
-	// strided cell's passes repeat, moved by whole rows, about every
-	// RowBytes/elemBytes passes, so few are walked beyond the first such
-	// period: on the registered targets 33–91 passes of dim accesses for
-	// each dim from 1000 up, about a tenth of RowBytes/elemBytes (512).
-	period := int64(t.DRAM.RowBytes / elemBytes)
-	accesses := make([]int64, len(dims)+1)
-	for k, dim := range dims {
-		n := int64(dim) * int64(dim)
-		accesses[0] = max(accesses[0], n*elemBytes/int64(t.DRAM.BurstBytes))
-		accesses[k+1] = min(int64(dim), period) * int64(dim) / 10
-	}
-	order := make([]int, len(accesses))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return accesses[order[a]] > accesses[order[b]]
-	})
-	drams := make([]*memsim.DRAM, min(runtime.GOMAXPROCS(0), len(order)))
+	// dims[k-1]. The jobs go in table order: most of a build is the
+	// column walks of the dims whose stride is below a row (250 and 500
+	// on the registered targets), and table order hands those out early,
+	// so two workers finish together as they would largest first
+	// (DESIGN.md).
+	jobs := len(dims) + 1
+	drams := make([]*memsim.DRAM, min(runtime.GOMAXPROCS(0), jobs))
 	for w := range drams {
 		dram, err := memsim.NewDRAM(t.DRAM)
 		if err != nil {
@@ -100,14 +85,14 @@ func RunStreamBenchmark(t *device.Target) ([]Sample, error) {
 		}
 		drams[w] = dram
 	}
-	queue := make(chan int, len(order))
-	for _, i := range order {
-		queue <- i
+	queue := make(chan int, jobs)
+	for job := range jobs {
+		queue <- job
 	}
 	close(queue)
 	// Table order: the contiguous then the strided sample of each dim.
 	out := make([]Sample, 2*len(dims))
-	errs := make([]error, len(order))
+	errs := make([]error, jobs)
 	var wg sync.WaitGroup
 	for _, dram := range drams {
 		wg.Add(1)

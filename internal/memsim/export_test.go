@@ -5,8 +5,9 @@ import "slices"
 // Test-only access for the external memsim_test package, which drives
 // the bandwidth benchmark of package membw.
 
-// WalkedAccesses returns the number of accesses walk has simulated in
-// this process.
+// WalkedAccesses returns the number of accesses walk has stepped
+// through one at a time in this process, plus one per run it added by
+// addRepeated or addRows and one per bank it set after a run.
 func WalkedAccesses() int64 { return walked.Load() }
 
 // OpenRows returns a copy of d's row buffers.

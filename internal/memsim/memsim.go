@@ -29,6 +29,8 @@ type DRAM struct {
 	// openRow[b] is the row id currently latched in bank b's row buffer,
 	// or -1 when the bank is precharged.
 	openRow []int64
+	// flags is walkAcrossRows' scratch, one flag per bank.
+	flags []bool
 }
 
 // NewDRAM returns a DRAM channel with all banks precharged. The clock
@@ -204,10 +206,11 @@ func walkStep(base, count, stride, scale int64) (int64, bool) {
 // Pass c+1's addresses are pass c's plus elemBytes, so it touches pass
 // c's rows unless a pass-c address lies within elemBytes of the end of
 // its row. Pass c's offsets within their rows are pass 0's shifted by
-// c·elemBytes, so the test needs pass 0's offsets only: O(dim) memory,
-// whatever the row size. Within a run of passes that share their rows at
-// most two are walked: the second starts from the row buffers the first
-// left, and so leaves them as it found them.
+// c·elemBytes, so the test needs pass 0's distinct offsets only: i·step
+// mod RowBytes repeats with period RowBytes/gcd(step, RowBytes) in i, so
+// there are at most min(dim, RowBytes) of them. Within a run of passes
+// that share their rows at most two are walked: the second starts from
+// the row buffers the first left, and so leaves them as it found them.
 //
 // Moving every address of a walk by k whole rows, and its starting row
 // buffers with them (see movedFrom), keeps every access's hit or miss:
@@ -233,7 +236,8 @@ func (d *DRAM) ColumnWalkSeconds(dim int64, elemBytes int) (float64, error) {
 	if !ok {
 		return 0, errOverrun(0, dim, elemBytes, dim)
 	}
-	offs := make([]int64, dim) // pass 0's in-row offsets, ascending
+	// Pass 0's distinct in-row offsets, ascending.
+	offs := make([]int64, min(dim, rowBytes/gcd(step, rowBytes)))
 	for i := range offs {
 		offs[i] = int64(i) * step % rowBytes
 	}
@@ -344,9 +348,11 @@ func errOverrun(base, n int64, elemBytes int, strideElems int64) error {
 		n, elemBytes, strideElems, base)
 }
 
-// walked counts the accesses walk has simulated in this process, one
-// atomic add per call; a test reads it to gate the cost of the bandwidth
-// benchmark, whose wall time CI cannot gate.
+// walked counts the accesses walk has stepped through one at a time in
+// this process, plus one per run it added by addRepeated or addRows and
+// one per bank it set after a run, in one atomic add per call; a test
+// reads it to gate the cost of the bandwidth benchmark, whose wall time
+// CI cannot gate.
 var walked atomic.Int64
 
 // walk accounts count >= 1 accesses at base, base+step, base+2·step, ...
@@ -354,11 +360,97 @@ var walked atomic.Int64
 // to cycles in access order and returns the sum: hit per row-buffer
 // hit, hit+RowMissCycles per miss. A walk that continues where another
 // ended therefore sums what one walk over both would. It is touch
-// applied to each address, bit for bit: the row, the offset within it
-// and the bank advance by the step's quotient and remainder instead of
-// being divided out of every address.
+// applied to each address, bit for bit, row buffers included: the row,
+// the offset within it and the bank advance by the step's quotient and
+// remainder instead of being divided out of every address, and runs of
+// accesses whose hits and misses are known add their cycles by
+// addRepeated and addRows.
 func (d *DRAM) walk(base, count, step int64, hit, cycles float64) float64 {
-	walked.Add(count)
+	if step < int64(d.spec.RowBytes) {
+		return d.walkWithinRows(base, count, step, hit, cycles)
+	}
+	return d.walkAcrossRows(base, count, step, hit, cycles)
+}
+
+// walkWithinRows is walk for a step below a row. After any access the
+// accesses left in its row all hit: it left the row open, and the walk
+// touches no other row before it leaves this one. So each row is one
+// hit-or-miss decision and one run of hits. Once the walk is past every
+// row a bank held when it began, every row misses; and when the step
+// divides RowBytes, every row after the first holds RowBytes/step
+// accesses. The whole rows left are then one run of rows (addRows), and
+// each of the last Banks of them stays open in its bank.
+func (d *DRAM) walkWithinRows(base, count, step int64, hit, cycles float64) float64 {
+	rowBytes, banks := int64(d.spec.RowBytes), int64(d.spec.Banks)
+	miss := hit + float64(d.spec.RowMissCycles)
+	row, off := base/rowBytes, base%rowBytes
+	bank := row % banks
+	open := d.openRow
+	top := slices.Max(open) // the highest row a bank holds
+	wholeRows := step > 0 && rowBytes%step == 0
+	var stepped int64
+	for {
+		stepped++
+		if open[bank] == row {
+			cycles += hit
+		} else {
+			open[bank] = row
+			cycles += miss
+		}
+		count--
+		run := count // the accesses left in this row
+		if step > 0 {
+			run = min(run, (rowBytes-1-off)/step)
+		}
+		if run > 0 {
+			stepped++
+			cycles = addRepeated(cycles, hit, run)
+			count -= run
+		}
+		if count == 0 {
+			walked.Add(stepped)
+			return cycles
+		}
+		// The next access lies in the next row, less than a step in.
+		off += (run+1)*step - rowBytes
+		row++
+		if bank++; bank == banks {
+			bank = 0
+		}
+		if !wholeRows || row <= top {
+			continue
+		}
+		perRow := rowBytes / step
+		rows := count / perRow
+		if rows == 0 {
+			continue
+		}
+		cycles = addRows(cycles, miss, hit, perRow, rows)
+		count -= rows * perRow
+		for r := max(row, row+rows-banks); r < row+rows; r++ {
+			open[r%banks] = r
+		}
+		stepped += 1 + min(rows, banks)
+		if count == 0 {
+			walked.Add(stepped)
+			return cycles
+		}
+		row += rows
+		bank = row % banks
+	}
+}
+
+// walkAcrossRows is walk for a step of a row or more. Every access opens
+// a row the walk has not touched before, so it hits only a bank that the
+// walk has not touched and that holds that row from before the walk.
+// Once every bank that held a row at or beyond the current one has been
+// touched, or the current row lies beyond every row held, each access
+// left misses: the rest of the walk is one run of misses, and each bank
+// it touches ends holding the row of its last access there. Which bank
+// an access touches repeats with its address modulo RowBytes·Banks, so
+// a backward scan of at most RowBytes·Banks/gcd(step, RowBytes·Banks)
+// accesses finds every bank the run touches.
+func (d *DRAM) walkAcrossRows(base, count, step int64, hit, cycles float64) float64 {
 	rowBytes, banks := int64(d.spec.RowBytes), int64(d.spec.Banks)
 	miss := hit + float64(d.spec.RowMissCycles)
 	row, off := base/rowBytes, base%rowBytes
@@ -366,14 +458,34 @@ func (d *DRAM) walk(base, count, step int64, hit, cycles float64) float64 {
 	dRow, dOff := step/rowBytes, step%rowBytes
 	dBank := dRow % banks
 	open := d.openRow
-	for i := int64(1); ; i++ {
+	if len(d.flags) != len(open) {
+		d.flags = make([]bool, len(open))
+	}
+	// live[b]: bank b is untouched and holds a row at or beyond the
+	// current one, so it may still hit; top is the highest row any of
+	// them held.
+	live, pending, top := d.flags, 0, int64(-1)
+	for b, r := range open {
+		live[b] = r >= row
+		if live[b] {
+			pending++
+			top = max(top, r)
+		}
+	}
+	var i int64 // accesses stepped through
+	for pending > 0 && row <= top {
 		if open[bank] == row {
 			cycles += hit
 		} else {
 			open[bank] = row
 			cycles += miss
 		}
-		if i == count {
+		if live[bank] {
+			live[bank] = false
+			pending--
+		}
+		if i++; i == count {
+			walked.Add(i)
 			return cycles
 		}
 		row += dRow
@@ -388,6 +500,114 @@ func (d *DRAM) walk(base, count, step int64, hit, cycles float64) float64 {
 			bank -= banks
 		}
 	}
+	rest := count - i
+	cycles = addRepeated(cycles, miss, rest)
+	// Scan the run backwards, setting each bank to the row of the last
+	// access there; seen[b] marks the banks already set.
+	scan := rest
+	if banks <= math.MaxInt64/rowBytes {
+		scan = min(scan, rowBytes*banks/gcd(step, rowBytes*banks))
+	}
+	seen, unseen := d.flags, banks
+	clear(seen)
+	addr := base + (count-1)*step
+	var scanned int64
+	for ; scanned < scan && unseen > 0; scanned++ {
+		r := addr / rowBytes
+		if b := r % banks; !seen[b] {
+			seen[b] = true
+			open[b] = r
+			unseen--
+		}
+		addr -= step
+	}
+	walked.Add(i + 1 + scanned)
+	return cycles
+}
+
+// addRepeated returns x after k >= 0 sequential x += a, bit for bit,
+// for finite x >= 0 and a >= 0; an infinite sum stays infinite. It
+// works per binade instead of per addition. The floats of a binade
+// [2^e, 2^(e+1)), and those below 2^-1022 (the subnormals and zero),
+// are the multiples of one ulp u and share one exponent field. An
+// addition whose exact sum stays below the binade's top adds a rounded
+// to a multiple of u, and that rounding depends on x only at a tie,
+// where round-half-even leaves the sum an even multiple of u. So after
+// one addition within the binade every further one adds the same
+// increment δ, which the second one measures: while x+δ stays at or
+// below the top, the sum jumps by j·δ exactly. A sum of x+a that rounds
+// to within u/2 of the top rounds to the top either way, so the top
+// itself is in reach of the jump.
+func addRepeated(x, a float64, k int64) float64 {
+	const fracBits = 52
+	for k > 0 {
+		exp := math.Float64bits(x) >> fracBits
+		if exp == 0x7ff { // +Inf
+			return x
+		}
+		x1 := x + a
+		b1 := math.Float64bits(x1)
+		if k--; k == 0 || b1>>fracBits != exp {
+			x = x1
+			continue
+		}
+		x2 := x1 + a
+		b2 := math.Float64bits(x2)
+		if k--; k == 0 || b2>>fracBits != exp {
+			x = x2
+			continue
+		}
+		d := b2 - b1 // δ in ulps: the bits differ only in the fraction
+		if d == 0 {
+			return x2
+		}
+		// The top lies 2^52 minus x2's fraction ulps above x2. j·d fits
+		// 53 bits and x2+j·δ is at most the top, so both are exact.
+		j := min(k, int64((1<<fracBits-b2&(1<<fracBits-1))/d))
+		x = x2 + float64(j)*(x2-x1)
+		k -= j
+	}
+	return x
+}
+
+// addRows returns x after rows >= 0 repetitions of one x += miss and
+// then n-1 x += hit (n >= 1), bit for bit, under addRepeated's terms. It
+// is addRepeated with a row for an addition. Within a binade an
+// addition's increment depends on x only at a tie, and only through the
+// parity of x in ulps, which a tie leaves even. So a row's increment,
+// and the parity it leaves, depend on the parity it starts from only
+// when it holds no tie, and then the increments do not depend on it:
+// from the second row within a binade on, every row adds the same Δ. A
+// row's sums rise to its last, so while x2+j·Δ stays below the top every
+// sum of the j rows stays in the binade, and the sum jumps by j·Δ.
+func addRows(x, miss, hit float64, n, rows int64) float64 {
+	const fracBits = 52
+	for rows > 0 {
+		exp := math.Float64bits(x) >> fracBits
+		if exp == 0x7ff { // +Inf
+			return x
+		}
+		x1 := addRepeated(x+miss, hit, n-1)
+		b1 := math.Float64bits(x1)
+		if rows--; rows == 0 || b1>>fracBits != exp {
+			x = x1
+			continue
+		}
+		x2 := addRepeated(x1+miss, hit, n-1)
+		b2 := math.Float64bits(x2)
+		if rows--; rows == 0 || b2>>fracBits != exp {
+			x = x2
+			continue
+		}
+		d := b2 - b1 // Δ in ulps
+		if d == 0 {
+			return x2
+		}
+		j := min(rows, int64((1<<fracBits-1-b2&(1<<fracBits-1))/d))
+		x = x2 + float64(j)*(x2-x1)
+		rows -= j
+	}
+	return x
 }
 
 // Link simulates the host-device link (PCIe on both boards).

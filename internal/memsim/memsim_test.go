@@ -676,3 +676,172 @@ func TestColumnWalkEdgeCases(t *testing.T) {
 		}
 	}
 }
+
+// addLoop is addRepeated the direct way: k sequential additions.
+func addLoop(x, a float64, k int64) float64 {
+	for ; k > 0; k-- {
+		x += a
+	}
+	return x
+}
+
+// randomAddend draws an addend for the run-arithmetic tests: random;
+// with few mantissa bits or only the lowest one set, so that some binade
+// a sum crosses rounds a tie; or an integer, as the DRAM cycle counts are.
+func randomAddend(r *rand.Rand) float64 {
+	switch r.IntN(4) {
+	case 0:
+		return r.Float64() * math.Ldexp(1, r.IntN(40)-10)
+	case 1:
+		return math.Ldexp(float64(1+2*r.IntN(8)), r.IntN(40)-20)
+	case 2:
+		return math.Ldexp(1+0x1p-52, r.IntN(40)-10)
+	default:
+		return float64(1 + r.IntN(400))
+	}
+}
+
+// randomStart draws a starting sum for addend a: zero; odd in its
+// binade, so that a first addition may tie differently from the next;
+// huge, so that a barely moves it or cannot; or a random multiple.
+func randomStart(r *rand.Rand, a float64) float64 {
+	switch r.IntN(4) {
+	case 0:
+		return 0
+	case 1:
+		return math.Ldexp(1+0x1p-52, r.IntN(60)-20)
+	case 2:
+		return a * math.Ldexp(1+r.Float64(), 40+r.IntN(20))
+	default:
+		return r.Float64() * a * float64(r.IntN(1000))
+	}
+}
+
+// TestAddRepeatedMatchesLoop checks addRepeated against k sequential
+// additions, bit for bit: randomAddend's addends from randomStart's
+// sums, k up to 2·10^5, subnormal sums and sums that overflow to +Inf.
+func TestAddRepeatedMatchesLoop(t *testing.T) {
+	r := rand.New(rand.NewPCG(37, 2024))
+	check := func(x, a float64, k int64) {
+		t.Helper()
+		if got, want := addRepeated(x, a, k), addLoop(x, a, k); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("addRepeated(%v, %v, %d) = %v, %d additions give %v", x, a, k, got, k, want)
+		}
+	}
+	for trial := 0; trial < 3000; trial++ {
+		a := randomAddend(r)
+		check(randomStart(r, a), a, int64(math.Exp(r.Float64()*math.Log(2e5))))
+	}
+	check(0, 5e-324, 100_000)                               // subnormal sums
+	check(0x1p-1022-5e-324*50, 5e-324, 200)                 // from the subnormals into the normals
+	check(math.MaxFloat64/2, math.MaxFloat64/1000, 2000)    // overflows to +Inf
+	check(math.MaxFloat64, 0x1p970, 3)                      // a tie at the top rounds to +Inf
+	check(math.MaxFloat64-0x1p971, 0x1p970, 5)              // a tie that rounds to even stays
+	check(math.Nextafter(math.MaxFloat64, 0), 0x1p969*3, 9) // reaches the top in a jump
+	check(math.Inf(1), 1, 7)                                // an infinite sum stays infinite
+	check(1, 0, 50)                                         // a zero addend
+	check(3, 2, 0)                                          // no addition
+}
+
+// rowsLoop is addRows the direct way: rows times one addition of miss
+// and n-1 of hit.
+func rowsLoop(x, miss, hit float64, n, rows int64) float64 {
+	for ; rows > 0; rows-- {
+		x = addLoop(x+miss, hit, n-1)
+	}
+	return x
+}
+
+// TestAddRowsMatchesLoop checks addRows against the plain loop, bit for
+// bit: randomAddend's misses and hits, or a hit plus a row-miss penalty
+// as the DRAM's are, from randomStart's sums; rows of 1 to 40
+// additions, up to 2·10^5 additions in all; subnormal sums and sums
+// that overflow to +Inf.
+func TestAddRowsMatchesLoop(t *testing.T) {
+	r := rand.New(rand.NewPCG(38, 2024))
+	check := func(x, miss, hit float64, n, rows int64) {
+		t.Helper()
+		if got, want := addRows(x, miss, hit, n, rows), rowsLoop(x, miss, hit, n, rows); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("addRows(%v, %v, %v, %d, %d) = %v, the loop gives %v", x, miss, hit, n, rows, got, want)
+		}
+	}
+	for trial := 0; trial < 3000; trial++ {
+		hit, miss := randomAddend(r), randomAddend(r)
+		if r.IntN(2) == 0 {
+			miss = hit + float64(r.IntN(60))
+		}
+		n := 1 + r.Int64N(40)
+		check(randomStart(r, miss), miss, hit, n, int64(math.Exp(r.Float64()*math.Log(2e5/float64(n)))))
+	}
+	check(0, 5e-324, 5e-324*3, 7, 10_000)                                        // subnormal sums
+	check(math.MaxFloat64/2, math.MaxFloat64/1000, math.MaxFloat64/3000, 4, 600) // overflows to +Inf
+	check(math.Inf(1), 1, 1, 3, 5)                                               // an infinite sum stays infinite
+	check(1, 0, 0, 5, 50)                                                        // rows that add nothing
+	check(3, 2, 1, 4, 0)                                                         // no row
+}
+
+// TestLongStreamMatchesPerAccess checks StreamSeconds against the
+// per-access reference on streams long enough for a run to cross many
+// binades of the cycle sum: up to 3·10^5 accesses at strides below a
+// row, dividing a row, of one row and of several rows, over seeded
+// random channels, from precharged banks, from row buffers an earlier
+// stream left and from those the stream one element before it left, as
+// a column walk's passes start; seconds bit for bit and the row buffers
+// after every call.
+func TestLongStreamMatchesPerAccess(t *testing.T) {
+	r := rand.New(rand.NewPCG(41, 2024))
+	for trial := 0; trial < 200; trial++ {
+		spec := randomDRAMSpec(r)
+		got, err := NewDRAM(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := NewDRAM(spec)
+		row := int64(spec.RowBytes)
+		var base, n, stride int64
+		var elem int
+		for call := 0; call < 4; call++ {
+			if r.IntN(3) == 0 {
+				got.Reset()
+				want.Reset()
+			}
+			if call > 0 && r.IntN(3) == 0 {
+				// The next column of the last stream: its rows are the last
+				// stream's, held in the banks it left, up to a few crossings.
+				base += int64(elem)
+			} else {
+				n = 1 + r.Int64N(300_000)
+				elem = 1 + r.IntN(16)
+				switch r.IntN(5) {
+				case 0:
+					stride = 1
+				case 1: // below a row
+					stride = 2 + r.Int64N(max(1, row/int64(elem)))
+				case 2: // one row
+					elem = divisorUpTo16(r, row)
+					stride = row / int64(elem)
+				case 3: // a divisor of a row, so that whole rows are alike
+					elem = divisorUpTo16(r, row)
+					stride = row / int64(elem)
+					stride /= int64(divisorUpTo16(r, stride))
+				default: // several rows
+					stride = 2 + r.Int64N(8*row*int64(spec.Banks)/int64(elem)+1)
+				}
+				base = r.Int64N(64 * row * int64(spec.Banks))
+			}
+			gotSecs, err := got.StreamSeconds(base, n, elem, stride)
+			if err != nil {
+				t.Fatalf("spec %+v: StreamSeconds(%d, %d, %d, %d): %v", spec, base, n, elem, stride, err)
+			}
+			wantSecs := streamSecondsPerAccess(want, base, n, elem, stride)
+			if math.Float64bits(gotSecs) != math.Float64bits(wantSecs) {
+				t.Fatalf("spec %+v: StreamSeconds(%d, %d, %d, %d) = %v, per-access reference %v",
+					spec, base, n, elem, stride, gotSecs, wantSecs)
+			}
+			if !slices.Equal(got.openRow, want.openRow) {
+				t.Fatalf("spec %+v: after StreamSeconds(%d, %d, %d, %d) open rows %v, reference %v",
+					spec, base, n, elem, stride, got.openRow, want.openRow)
+			}
+		}
+	}
+}

@@ -95,7 +95,7 @@ type Params struct {
 // CyclesPerItem is the effective per-work-item issue cost of one lane:
 // 1 for a pipelined lane, NTO·NI when the PE executes its instructions
 // sequentially (the C4 region of the design space).
-func (p Params) CyclesPerItem() float64 {
+func (p *Params) CyclesPerItem() float64 {
 	if p.Pipelined {
 		return 1
 	}
@@ -104,7 +104,7 @@ func (p Params) CyclesPerItem() float64 {
 
 // Validate reports parameters the equations cannot accept. The float
 // checks are worded so that NaN fails them.
-func (p Params) Validate() error {
+func (p *Params) Validate() error {
 	switch {
 	case !(p.HPB > 0 && p.GPB > 0):
 		return fmt.Errorf("perf: peak bandwidths must be positive")
@@ -178,7 +178,7 @@ type Breakdown struct {
 // EKIT evaluates the throughput expression for the given form
 // (Equations 1, 2, 3), returning kernel-instances per second and the
 // time breakdown.
-func (p Params) EKIT(form Form) (float64, Breakdown, error) {
+func (p *Params) EKIT(form Form) (float64, Breakdown, error) {
 	if err := p.Validate(); err != nil {
 		return 0, Breakdown{}, err
 	}
